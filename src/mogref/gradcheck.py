@@ -1,8 +1,9 @@
 """Central finite-difference oracle for every gradient in the package.
 
 The oracle is deliberately independent of the autodiff engine: it only
-nudges parameter entries in place and re-runs a forward closure. All
-gradient tests compare ``backward`` against this.
+nudges parameter entries in place and re-runs a forward closure, with
+graph recording off (forward values do not depend on it). All gradient
+tests compare ``backward`` against this.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from mogref.tensor import Parameter, Tensor
+from mogref.tensor import Parameter, Tensor, no_grad
 
 DEFAULT_STEP = 1e-5
 DEFAULT_TOL = 1e-4
@@ -36,14 +37,15 @@ def finite_difference_grad(f: Callable, param: Parameter, h: float = DEFAULT_STE
     """
     flat = param.data.reshape(-1)
     out = np.zeros_like(flat)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + h
-        hi = _scalar(f(param))
-        flat[i] = orig - h
-        lo = _scalar(f(param))
-        flat[i] = orig
-        out[i] = (hi - lo) / (2.0 * h)
+    with no_grad():
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + h
+            hi = _scalar(f(param))
+            flat[i] = orig - h
+            lo = _scalar(f(param))
+            flat[i] = orig
+            out[i] = (hi - lo) / (2.0 * h)
     return out.reshape(param.data.shape)
 
 

@@ -215,7 +215,10 @@ def _shared_branch_softmax(logits: Tensor, masks: list[np.ndarray]) -> list[Tens
     to the robust per-branch path if a support row underflows entirely.
     """
     x = logits.data
-    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    # in place where the values allow: each (B, H, N, N) temporary saved is
+    # a buffer that would otherwise be faulted in afresh on every call
+    e = x - x.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
     outs: list[Tensor] = []
     for bits in masks:
         num = e * bits  # 0/1 float mask: exact zeros off support
@@ -223,12 +226,14 @@ def _shared_branch_softmax(logits: Tensor, masks: list[np.ndarray]) -> list[Tens
         if not denom.all():
             outs.append(masked_softmax(logits, bits))
             continue
-        data = num / denom
+        num /= denom
 
-        def bwd(g, data=data):
-            _accum(logits, data * (g - (g * data).sum(axis=-1, keepdims=True)), own=True)
+        def bwd(g, data=num):
+            grad = g - (g * data).sum(axis=-1, keepdims=True)
+            grad *= data
+            _accum(logits, grad, own=True)
 
-        outs.append(_node(data, (logits,), bwd))
+        outs.append(_node(num, (logits,), bwd))
     return outs
 
 

@@ -56,11 +56,21 @@ class RngState:
             items[i], items[j] = items[j], items[i]
 
     def uniform_array(self, shape, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
-        """Row-major array of uniform draws in [lo, hi)."""
+        """Row-major array of uniform draws in [lo, hi).
+
+        Bit for bit the same draws, and the same state afterwards, as
+        ``n`` calls of :meth:`uniform`, computed as one splitmix64 pass in
+        uint64 arithmetic (which wraps exactly as the masked Python ints do).
+        """
         n = int(np.prod(shape)) if shape else 1
-        flat = np.empty(n, dtype=np.float64)
-        for i in range(n):
-            flat[i] = self.uniform()
+        z = np.uint64(self._state) + np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+        self._state = (self._state + n * _GAMMA) & _MASK64
+        z ^= z >> np.uint64(30)
+        z *= np.uint64(0xBF58476D1CE4E5B9)
+        z ^= z >> np.uint64(27)
+        z *= np.uint64(0x94D049BB133111EB)
+        z ^= z >> np.uint64(31)
+        flat = (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
         return (lo + (hi - lo) * flat).reshape(shape)
 
     def derive(self, stream: int) -> "RngState":

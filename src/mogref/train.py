@@ -28,7 +28,7 @@ from mogref.matching import BBox, LossWeights, grounding_loss, iou
 from mogref.metrics import DEFAULT_THRESHOLDS, EvalResult, mean_precision
 from mogref.model import Prediction, SCSModel
 from mogref.rng import RngState
-from mogref.tensor import Parameter, backward, zero_grads
+from mogref.tensor import Parameter, backward, no_grad, zero_grads
 
 
 class DivergenceError(RuntimeError):
@@ -164,7 +164,8 @@ def predict_best_boxes(model: SCSModel, dataset: GroundingDataset,
     """Highest-confidence box (and its confidence) for every sample."""
     out = []
     for lo in range(0, len(dataset), chunk):
-        pred = model.forward(dataset.images[lo:lo + chunk], dataset.token_ids[lo:lo + chunk])
+        with no_grad():
+            pred = model.forward(dataset.images[lo:lo + chunk], dataset.token_ids[lo:lo + chunk])
         for b in range(pred.boxes.shape[0]):
             box, conf = pred.best_box(b)
             out.append((BBox(*np.clip(box, 0.0, 1.0)), conf))
@@ -245,6 +246,7 @@ def train_toy(model: SCSModel, dataset: GroundingDataset, cfg: TrainConfig) -> T
         backward(loss)
         proj_group.lr = 0.0 if step <= cfg.freeze_projector_steps else proj_lr
         opt.step()
+        del pred, loss  # free the step's graph before the eval and the next forward
 
         entry = {"step": step, "loss": loss_value, "train_p50": None}
         if cfg.eval_every > 0 and step % cfg.eval_every == 0:

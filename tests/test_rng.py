@@ -1,3 +1,6 @@
+import numpy as np
+import pytest
+
 from mogref.rng import RngState
 
 
@@ -66,3 +69,15 @@ def test_uniform_array_shape_and_determinism():
     assert a.shape == (3, 4)
     assert (a == b).all()
     assert (a >= -1.0).all() and (a < 1.0).all()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
+@pytest.mark.parametrize("shape", [(), (3,), (5, 7, 2), (192, 64)])
+def test_uniform_array_matches_scalar_draws(seed, shape):
+    vec, ref = RngState(seed), RngState(seed)
+    arr = vec.uniform_array(shape, -0.5, 2.0)
+    draws = np.array([ref.uniform() for _ in range(int(np.prod(shape)))])
+    assert arr.shape == shape
+    assert np.array_equal(arr, (-0.5 + 2.5 * draws).reshape(shape))
+    assert vec._state == ref._state
+    assert vec.uniform() == ref.uniform()
