@@ -167,6 +167,24 @@ def case_mog_forward(rng: RngState) -> Case:
     return (lambda: tensor.tsum(mog.mog_forward(x, attn) * w)), [x, *attn.parameters()]
 
 
+def case_mog_mixture(rng: RngState) -> Case:
+    """The fused mixture node alone, on a self and a cross mask set."""
+    gammas = _param(rng, "gammas", (2, 3), 0.1, 0.9)  # non-uniform, per sample
+    self_logits = _param(rng, "self_logits", (2, 2, 5, 5), -2.0, 2.0)
+    cross_logits = _param(rng, "cross_logits", (2, 1, 3, 7), -2.0, 2.0)
+    self_masks = [mog.build_mask(5, d).bits for d in (1, 2, 3)]
+    cross_masks = [mog.build_rect_mask(3, 7, d) for d in (1, 2, 3)]
+    w_self = _proj(rng, (2, 2, 5, 5))
+    w_cross = _proj(rng, (2, 1, 3, 7))
+
+    def loss():
+        mixed_self = mog._mixture_weights(self_logits, gammas, self_masks)
+        mixed_cross = mog._mixture_weights(cross_logits, gammas, cross_masks)
+        return tensor.tsum(mixed_self * w_self) + tensor.tsum(mixed_cross * w_cross)
+
+    return loss, [self_logits, cross_logits, gammas]
+
+
 def case_giou_pairs(rng: RngState) -> Case:
     a = _param(rng, "boxes_a", (4, 4), 0.3, 0.6)
     b = Tensor(rng.uniform_array((4, 4), 0.35, 0.65))
@@ -251,6 +269,9 @@ _CASES = [
     ("giou_pairs", case_giou_pairs),
     ("match_and_loss", case_match_and_loss),
     ("scs_end_to_end", case_scs_end_to_end),
+    # appended, not grouped with mog_forward: a case's stream is derived
+    # from its index, so inserting would reseed every case after it
+    ("mog_mixture", case_mog_mixture),
 ]
 
 

@@ -9,9 +9,11 @@ pairs receive exactly zero attention weight, because the masked logits are
 driven to -inf before the softmax.
 
 A gating network pools the token sequence, normalizes it, and produces a
-softmax over branches, so the final output is a convex combination of the
-branch outputs with per-sample weights. With a single dilation-1 branch the
-whole thing collapses to vanilla multi-head attention.
+softmax over branches. The gate mixes the branch weight matrices,
+``W = sum_g gamma_g P_g``, before a single product ``W V`` with the values;
+by linearity that equals the convex combination of the branch outputs
+``sum_g gamma_g (P_g V)`` with per-sample weights. With a single dilation-1
+branch the whole thing collapses to vanilla multi-head attention.
 """
 
 from __future__ import annotations
@@ -26,13 +28,13 @@ from mogref.tensor import (
     Parameter,
     Tensor,
     _accum,
+    _masked_softmax_data,
     _node,
     layernorm,
     masked_softmax,
     matmul,
     mean,
     reshape,
-    select,
     softmax,
     transpose,
 )
@@ -206,43 +208,111 @@ def gate_weights(x: Tensor, gate: GateParams) -> Tensor:
     return softmax(matmul(pooled, gate.w) + gate.b)
 
 
-def _shared_branch_softmax(logits: Tensor, masks: list[np.ndarray]) -> list[Tensor]:
-    """Per-branch masked softmax sharing a single exponential.
-
-    exp(logits - rowmax) is computed once; each branch renormalizes it over
-    its own mask support. Equivalent to :func:`masked_softmax` per branch up
-    to the usual shift invariance, with exact zeros off support. Falls back
-    to the robust per-branch path if a support row underflows entirely.
-    """
-    x = logits.data
+def _shared_exp(x: np.ndarray) -> np.ndarray:
+    """exp(x - rowmax): the one exponential every branch renormalizes."""
     # in place where the values allow: each (B, H, N, N) temporary saved is
     # a buffer that would otherwise be faulted in afresh on every call
     e = x - x.max(axis=-1, keepdims=True)
     np.exp(e, out=e)
+    return e
+
+
+def _branch_softmax(e: np.ndarray, x: np.ndarray, bits: np.ndarray,
+                    out: np.ndarray | None = None) -> np.ndarray:
+    """One branch's masked softmax, renormalized from the shared exponential.
+
+    ``e`` is ``_shared_exp(x)``; the result is written into ``out`` when
+    given. Off-support entries are exact zeros. If a support row underflows
+    entirely (its logits sit far below the row maximum taken over all
+    keys), the whole branch comes from the robust :func:`masked_softmax`
+    arithmetic instead. Deterministic: the mixture's backward calls it
+    again to recompute the weights its forward used.
+    """
+    p = np.multiply(e, bits, out=out)  # 0/1 float mask: exact zeros off support
+    denom = p.sum(axis=-1, keepdims=True)
+    if not denom.all():
+        p[...] = _masked_softmax_data(x, bits)
+        return p
+    p /= denom
+    return p
+
+
+def _shared_branch_softmax(logits: Tensor, masks: list[np.ndarray]) -> list[Tensor]:
+    """Per-branch masked softmax sharing a single exponential.
+
+    Equivalent to :func:`masked_softmax` per branch up to the usual shift
+    invariance, with exact zeros off support. This is the arithmetic
+    :func:`_mixture_weights` mixes; one node per branch makes it checkable
+    branch by branch.
+    """
+    e = _shared_exp(logits.data)
     outs: list[Tensor] = []
     for bits in masks:
-        num = e * bits  # 0/1 float mask: exact zeros off support
-        denom = num.sum(axis=-1, keepdims=True)
-        if not denom.all():
-            outs.append(masked_softmax(logits, bits))
-            continue
-        num /= denom
+        p = _branch_softmax(e, logits.data, bits)
 
-        def bwd(g, data=num):
+        def bwd(g, data=p):
             grad = g - (g * data).sum(axis=-1, keepdims=True)
             grad *= data
             _accum(logits, grad, own=True)
 
-        outs.append(_node(num, (logits,), bwd))
+        outs.append(_node(p, (logits,), bwd))
     return outs
 
 
+def _mixture_weights(logits: Tensor, gammas: Tensor, masks: list[np.ndarray]) -> Tensor:
+    """W = sum_g gamma_g P_g, the gate-weighted sum of the branch softmaxes.
+
+    ``logits`` is (B, H, N_q, N_k), ``gammas`` is (B, G) and there is one
+    mask per branch; ``P_g`` is :func:`_branch_softmax` of branch g. Each
+    branch is added into ``W`` as soon as it is normalized, and every branch
+    after the first goes through one scratch buffer, so ``e``, ``W`` and one
+    branch array are the only (B, H, N_q, N_k) buffers alive at once
+    (the underflow fallback allocates its own temporaries).
+
+    Backward, with r_g = rowsum(dW * P_g):
+    d gamma_g = sum over heads and rows of r_g, and
+    d logits = sum_g gamma_g P_g (dW - r_g) = W dW - sum_g gamma_g r_g P_g.
+    It keeps only ``e`` (``W`` is the output) and recomputes each P_g.
+    """
+    x = logits.data
+    gam = gammas.data[:, :, None, None, None]  # (B, G, 1, 1, 1)
+    e = _shared_exp(x)
+    w = np.empty_like(x)
+    buf = np.empty_like(x) if len(masks) > 1 else None
+    for g, bits in enumerate(masks):
+        p = _branch_softmax(e, x, bits, out=buf if g else w)
+        p *= gam[:, g]
+        if g:
+            w += p
+
+    def bwd(dw):
+        dlogits = w * dw if logits.requires_grad else None
+        dgam = np.empty(gam.shape[:2])
+        p = t = None
+        for g, bits in enumerate(masks):
+            p = _branch_softmax(e, x, bits, out=p)
+            t = np.multiply(dw, p, out=t)
+            r = t.sum(axis=-1, keepdims=True)  # (B, H, N_q, 1)
+            dgam[:, g] = r.sum(axis=(1, 2, 3))
+            if dlogits is not None:
+                r *= gam[:, g]
+                dlogits -= np.multiply(p, r, out=t)
+        if dlogits is not None:
+            _accum(logits, dlogits, own=True)
+        if gammas.requires_grad:
+            _accum(gammas, dgam, own=True)
+
+    return _node(w, (logits, gammas), bwd)
+
+
 def mog_forward(x: Tensor, attn: MoGAttention, memory: Tensor | None = None) -> Tensor:
-    """Full mixture: shared logits, one masked branch per dilation, convex sum.
+    """Full mixture: shared logits, gate-mixed branch weights, one value product.
 
     The gate pools the sequence the masks sparsify: ``x`` itself for
     self-attention, the memory for cross-attention (granularity selection
-    is about the attended-over tokens).
+    is about the attended-over tokens). By linearity,
+    ``(sum_g gamma_g P_g) V`` equals the convex sum of the branch outputs
+    ``sum_g gamma_g (P_g V)``.
     """
     cfg = attn.config
     _, _, v, logits = attention_logits(x, attn, memory=memory)
@@ -250,17 +320,8 @@ def mog_forward(x: Tensor, attn: MoGAttention, memory: Tensor | None = None) -> 
     gammas = gate_weights(gate_src, attn.gate)  # (B, G)
     num_q = x.shape[1]
     num_k = gate_src.shape[1]
-    batch = gammas.shape[0]
     if memory is None:
         all_bits = [build_mask(num_q, d).bits for d in cfg.dilations]
     else:
         all_bits = [build_rect_mask(num_q, num_k, d) for d in cfg.dilations]
-    branch_weights = _shared_branch_softmax(logits, all_bits)
-    out: Tensor | None = None
-    for idx, weights in enumerate(branch_weights):
-        branch = merge_heads(matmul(weights, v))
-        gamma = reshape(select(gammas, idx, axis=1), (batch, 1, 1))
-        term = gamma * branch
-        out = term if out is None else out + term
-    assert out is not None
-    return out
+    return merge_heads(matmul(_mixture_weights(logits, gammas, all_bits), v))

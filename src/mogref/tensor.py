@@ -581,6 +581,23 @@ def softmax(a) -> Tensor:
     return _node(data, (a,), bwd)
 
 
+def _masked_softmax_data(x: np.ndarray, mask) -> np.ndarray:
+    """The forward arithmetic of :func:`masked_softmax` on a bare array."""
+    bits = _mask_bits(mask)
+    try:
+        m = np.broadcast_to(bits, x.shape)
+    except ValueError as exc:
+        raise ShapeError(f"mask shape {bits.shape} does not broadcast to logits {x.shape}") from exc
+    row_ok = m.any(axis=-1)
+    if not row_ok.all():
+        bad = int(np.count_nonzero(~row_ok))
+        raise DegenerateMaskError(f"masked_softmax: {bad} mask row(s) have empty support")
+    shifted = np.where(m, x, -np.inf)
+    shifted = shifted - shifted.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)  # exp(-inf) == 0.0 exactly
+    return e / e.sum(axis=-1, keepdims=True)
+
+
 def masked_softmax(logits, mask) -> Tensor:
     """Softmax over the last axis restricted to ``mask``'s support.
 
@@ -589,19 +606,7 @@ def masked_softmax(logits, mask) -> Tensor:
     gradient at masked logits is exactly zero.
     """
     a = _wrap(logits)
-    bits = _mask_bits(mask)
-    try:
-        m = np.broadcast_to(bits, a.data.shape)
-    except ValueError as exc:
-        raise ShapeError(f"mask shape {bits.shape} does not broadcast to logits {a.shape}") from exc
-    row_ok = m.any(axis=-1)
-    if not row_ok.all():
-        bad = int(np.count_nonzero(~row_ok))
-        raise DegenerateMaskError(f"masked_softmax: {bad} mask row(s) have empty support")
-    shifted = np.where(m, a.data, -np.inf)
-    shifted = shifted - shifted.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)  # exp(-inf) == 0.0 exactly
-    data = e / e.sum(axis=-1, keepdims=True)
+    data = _masked_softmax_data(a.data, mask)
 
     def bwd(g):
         _accum(a, data * (g - (g * data).sum(axis=-1, keepdims=True)), own=True)

@@ -2,8 +2,9 @@
 
 Deterministic end to end: scene generation, initialization, batching order,
 and the optimizer all run off explicit seeds, so the same configuration
-reproduces the same loss log bit for bit. Divergence (non-finite loss)
-aborts with the offending step rather than logging garbage.
+reproduces the same loss log bit for bit. Divergence (a non-finite loss
+or gradient) aborts with the offending step, and parameter, rather than
+logging garbage or carrying it into the weights.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from mogref.tensor import Parameter, backward, no_grad, zero_grads
 
 
 class DivergenceError(RuntimeError):
-    """Training produced a non-finite loss."""
+    """Training produced a non-finite loss or gradient."""
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +245,9 @@ def train_toy(model: SCSModel, dataset: GroundingDataset, cfg: TrainConfig) -> T
             raise DivergenceError(f"non-finite loss at step {step}")
         opt.zero_grad()
         backward(loss)
+        for p in opt.all_params():
+            if not np.isfinite(p.grad).all():
+                raise DivergenceError(f"non-finite gradient at step {step} in {p.name}")
         proj_group.lr = 0.0 if step <= cfg.freeze_projector_steps else proj_lr
         opt.step()
         del pred, loss  # free the step's graph before the eval and the next forward

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -8,6 +10,7 @@ from mogref.mog import (
     GateParams,
     MoGAttention,
     MoGConfig,
+    _mixture_weights,
     attention_logits,
     branch_attention,
     build_mask,
@@ -16,7 +19,17 @@ from mogref.mog import (
     mog_forward,
 )
 from mogref.rng import RngState
-from mogref.tensor import Parameter, Tensor, backward, tsum, zero_grads
+from mogref.tensor import (
+    Parameter,
+    Tensor,
+    backward,
+    masked_softmax,
+    no_grad,
+    reshape,
+    select,
+    tsum,
+    zero_grads,
+)
 
 
 def brute_force_mask(n: int, dilation: int) -> np.ndarray:
@@ -297,3 +310,64 @@ class TestMoGForward:
         for p in params:
             fd = finite_difference_grad(lambda _: loss(), p)
             assert max_rel_err(p.grad, fd) < 1e-4, p.name
+
+
+class TestMixtureWeights:
+    def test_underflowing_branch_falls_back_to_masked_softmax(self):
+        rng = RngState(5)
+        n = 7
+        logits = Parameter("logits", rng.uniform_array((2, 2, n, n), -800.0, 800.0))
+        assert np.ptp(logits.data) > 1500.0
+        gammas = Parameter("gammas", np.array([[0.3, 0.7], [0.8, 0.2]]))
+        masks = [build_mask(n, d).bits for d in (2, 3)]
+        # some support row lies wholly below exp's range under the shared row max
+        shared = np.exp(logits.data - logits.data.max(axis=-1, keepdims=True))
+        assert any(((shared * m).sum(axis=-1) == 0.0).any() for m in masks)
+
+        mixed = _mixture_weights(logits, gammas, masks)
+        # reference: the same mixture from robust per-branch masked softmax nodes
+        ref_logits = Parameter("ref_logits", logits.data.copy())
+        ref_gammas = Parameter("ref_gammas", gammas.data.copy())
+        reference = None
+        for g, m in enumerate(masks):
+            gamma = reshape(select(ref_gammas, g, axis=1), (2, 1, 1, 1))
+            term = gamma * masked_softmax(ref_logits, m)
+            reference = term if reference is None else reference + term
+        assert np.abs(mixed.data - reference.data).max() < 1e-12
+        union = np.maximum(*masks)
+        assert (mixed.data[..., union == 0.0] == 0.0).all()
+
+        proj = Tensor(rng.uniform_array(logits.shape, -1.0, 1.0))
+        backward(tsum(mixed * proj))
+        backward(tsum(reference * proj))
+        assert np.isfinite(logits.grad).all()
+        assert np.isfinite(gammas.grad).all()
+        assert np.abs(logits.grad - ref_logits.grad).max() < 1e-12
+        assert np.abs(gammas.grad - ref_gammas.grad).max() < 1e-12
+
+
+def peak_buffers_no_grad(run, buffer_bytes: int) -> float:
+    """Peak numpy memory of one ``run()`` under no_grad, in buffers."""
+    with no_grad():
+        run()  # fill the mask cache first
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    return (peak - base) / buffer_bytes
+
+
+@pytest.mark.parametrize("cross", [False, True])
+def test_mog_forward_streams_branches_through_one_buffer(cross):
+    b, h, n, d = 4, 4, 128, 32
+    rng = RngState(0)
+    attn = MoGAttention(MoGConfig(d, h, (1, 2, 3, 4)), rng, "attn")
+    x = Tensor(rng.uniform_array((b, n, d), -1.0, 1.0))
+    memory = Tensor(rng.uniform_array((b, n, d), -1.0, 1.0)) if cross else None
+    # the logits, the shared exponential, W and one branch: 4 (B, H, N, N)
+    # buffers plus the small (B, N, D) ones; keeping every branch costs 6+
+    peak = peak_buffers_no_grad(lambda: mog_forward(x, attn, memory=memory), b * h * n * n * 8)
+    assert peak < 5.0, f"peak {peak:.2f} (B, H, N, N) buffers"

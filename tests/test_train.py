@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -108,6 +110,29 @@ class TestTraining:
         with pytest.raises(DivergenceError, match=r"step \d+"):
             train_toy(model, ds, TrainConfig(steps=200, lr=1e8, eval_every=0,
                                              target_train_p50=None))
+
+    def test_non_finite_gradient_aborts_naming_step_and_parameter(self, monkeypatch):
+        from mogref import train
+
+        model, ds = tiny_setup(seed=1)
+        target = model.parameters()[3]
+        before = target.data.copy()
+        real_backward = train.backward
+        calls = []
+
+        def backward_with_nan_on_step_two(loss):
+            real_backward(loss)
+            calls.append(None)
+            if len(calls) == 2:
+                target.grad.flat[0] = np.nan
+
+        monkeypatch.setattr(train, "backward", backward_with_nan_on_step_two)
+        with pytest.raises(DivergenceError, match=rf"step 2 in {re.escape(target.name)}$"):
+            train_toy(model, ds, TrainConfig(steps=5, eval_every=0, target_train_p50=None))
+        assert len(calls) == 2
+        # step 1 moved the parameter; the NaN of step 2 never reached it
+        assert not (target.data == before).all()
+        assert np.isfinite(target.data).all()
 
     def test_early_stop_reports_fit_step(self):
         # a 1-scene dataset is fit almost immediately
