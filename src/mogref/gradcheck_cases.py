@@ -168,21 +168,36 @@ def case_mog_forward(rng: RngState) -> Case:
 
 
 def case_mog_mixture(rng: RngState) -> Case:
-    """The fused mixture node alone, on a self and a cross mask set."""
+    """The fused mixture node alone: square self grids and rectangular cross grids.
+
+    The second pair of grids (drawn after the first, so the first keeps its
+    stream) has a dilation above N and more queries than keys.
+    """
     gammas = _param(rng, "gammas", (2, 3), 0.1, 0.9)  # non-uniform, per sample
     self_logits = _param(rng, "self_logits", (2, 2, 5, 5), -2.0, 2.0)
     cross_logits = _param(rng, "cross_logits", (2, 1, 3, 7), -2.0, 2.0)
-    self_masks = [mog.build_mask(5, d).bits for d in (1, 2, 3)]
-    cross_masks = [mog.build_rect_mask(3, 7, d) for d in (1, 2, 3)]
     w_self = _proj(rng, (2, 2, 5, 5))
     w_cross = _proj(rng, (2, 1, 3, 7))
+    gammas_pair = _param(rng, "gammas_pair", (2, 2), 0.1, 0.9)
+    wide_logits = _param(rng, "wide_logits", (2, 2, 5, 5), -2.0, 2.0)
+    tall_logits = _param(rng, "tall_logits", (2, 1, 4, 3), -2.0, 2.0)
+    w_wide = _proj(rng, (2, 2, 5, 5))
+    w_tall = _proj(rng, (2, 1, 4, 3))
 
     def loss():
-        mixed_self = mog._mixture_weights(self_logits, gammas, self_masks)
-        mixed_cross = mog._mixture_weights(cross_logits, gammas, cross_masks)
-        return tensor.tsum(mixed_self * w_self) + tensor.tsum(mixed_cross * w_cross)
+        mixed = [
+            (mog._mixture_weights(self_logits, gammas, (1, 2, 3)), w_self),
+            (mog._mixture_weights(cross_logits, gammas, (1, 2, 3)), w_cross),
+            (mog._mixture_weights(wide_logits, gammas, (1, 2, 7)), w_wide),
+            (mog._mixture_weights(tall_logits, gammas_pair, (1, 3)), w_tall),
+        ]
+        total = None
+        for m, w in mixed:
+            term = tensor.tsum(m * w)
+            total = term if total is None else total + term
+        return total
 
-    return loss, [self_logits, cross_logits, gammas]
+    return loss, [self_logits, cross_logits, gammas, wide_logits, tall_logits, gammas_pair]
 
 
 def case_giou_pairs(rng: RngState) -> Case:

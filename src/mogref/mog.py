@@ -5,8 +5,7 @@ branches. Branch ``g`` sees the logits through a binary dilation mask that
 keeps a token pair ``(i, j)`` only when ``|i - j| mod d_g == 0``: dilation 1
 is dense attention, larger dilations keep progressively sparser strided
 patterns while every token always keeps itself (``|i - i| == 0``). Masked
-pairs receive exactly zero attention weight, because the masked logits are
-driven to -inf before the softmax.
+pairs receive exactly zero attention weight.
 
 A gating network pools the token sequence, normalizes it, and produces a
 softmax over branches. The gate mixes the branch weight matrices,
@@ -14,6 +13,17 @@ softmax over branches. The gate mixes the branch weight matrices,
 by linearity that equals the convex combination of the branch outputs
 ``sum_g gamma_g (P_g V)`` with per-sample weights. With a single dilation-1
 branch the whole thing collapses to vanilla multi-head attention.
+
+The mask is the definition; the compute runs by residue class. The pair
+predicate holds exactly when ``i = j (mod d_g)``, so branch g is one dense
+softmax inside each residue class mod ``d_g``. :func:`_mixture_weights`
+sums every class of the shared exponential with one thin matmul against a
+one-hot (N_k, sum_g d_g) class matrix and spreads the gated normalizers back
+with another, so it builds no N-by-N mask and no per-branch buffer. The
+dense masks (:func:`build_mask`, :func:`build_rect_mask`) stay as the
+reference the tests compare against, and as the arithmetic of the rare call
+in which a support row sits so far below the shared row maximum that its
+class sum is too small to divide by.
 """
 
 from __future__ import annotations
@@ -35,6 +45,7 @@ from mogref.tensor import (
     matmul,
     mean,
     reshape,
+    select,
     softmax,
     transpose,
 )
@@ -80,22 +91,30 @@ class GranularityMask:
 
 
 _MASK_CACHE: dict[tuple[int, int, int], np.ndarray] = {}
-_MASK_LOCK = threading.Lock()
+_RESIDUE_CACHE: dict[tuple[int, int, tuple[int, ...]], _ResidueClasses] = {}
+_CACHE_LOCK = threading.Lock()
+
+
+def _cached(cache: dict, key, build):
+    """``cache[key]``, built once under the lock by the first caller."""
+    value = cache.get(key)
+    if value is None:
+        with _CACHE_LOCK:
+            value = cache.get(key)
+            if value is None:
+                value = cache[key] = build()
+    return value
 
 
 def _cached_bits(rows: int, cols: int, dilation: int) -> np.ndarray:
-    key = (rows, cols, dilation)
-    bits = _MASK_CACHE.get(key)
-    if bits is None:
-        with _MASK_LOCK:
-            bits = _MASK_CACHE.get(key)
-            if bits is None:
-                i = np.arange(rows)[:, None]
-                j = np.arange(cols)[None, :]
-                bits = (np.abs(i - j) % dilation == 0).astype(np.float64)
-                bits.setflags(write=False)
-                _MASK_CACHE[key] = bits
-    return bits
+    def build():
+        i = np.arange(rows)[:, None]
+        j = np.arange(cols)[None, :]
+        bits = (np.abs(i - j) % dilation == 0).astype(np.float64)
+        bits.setflags(write=False)
+        return bits
+
+    return _cached(_MASK_CACHE, (rows, cols, dilation), build)
 
 
 def build_mask(n: int, dilation: int) -> GranularityMask:
@@ -118,6 +137,52 @@ def build_rect_mask(num_rows: int, num_cols: int, dilation: int) -> np.ndarray:
             f"rect mask {num_rows}x{num_cols} with dilation {dilation} has an empty row"
         )
     return bits
+
+
+@dataclass(frozen=True)
+class _ResidueClasses:
+    """One-hot residue classes of a dilation set on an n_q-by-n_k grid.
+
+    Column ``c = (g, r)``, for branch g and residue ``r < d_g``, is one
+    class: ``keys[j, c]`` is 1.0 where ``j mod d_g == r`` and ``rows[i, c]``
+    is True where ``i mod d_g == r``. Each row selects one column per
+    branch, and branch g's mask is ``rows @ keys.T`` over g's columns.
+    """
+
+    keys: np.ndarray  # (n_k, C) float64 0/1, read-only
+    rows: np.ndarray  # (n_q, C) bool, read-only
+    branch: np.ndarray  # (C,) branch index of each column
+    starts: np.ndarray  # (G,) first column of each branch
+
+
+def _residue_classes(n_q: int, n_k: int, dilations: tuple[int, ...]) -> _ResidueClasses:
+    def build():
+        branch = np.repeat(np.arange(len(dilations)), dilations)
+        modulus = np.asarray(dilations)[branch]
+        residue = np.concatenate([np.arange(d) for d in dilations])
+        keys = (np.arange(n_k)[:, None] % modulus == residue).astype(np.float64)
+        rows = np.arange(n_q)[:, None] % modulus == residue
+        empty = rows & ~keys.any(axis=0)
+        if empty.any():
+            dilation = modulus[np.flatnonzero(empty.any(axis=0))[0]]
+            raise ValueError(f"rect mask {n_q}x{n_k} with dilation {dilation} has an empty row")
+        for arr in (keys, rows):
+            arr.setflags(write=False)
+        starts = np.concatenate(([0], np.cumsum(dilations)[:-1]))
+        return _ResidueClasses(keys, rows, branch, starts)
+
+    return _cached(_RESIDUE_CACHE, (n_q, n_k, dilations), build)
+
+
+def _spread(a: np.ndarray, keys: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """(..., C) -> (..., N_k): each key gets the sum of its classes' entries.
+
+    One gemm over all leading axes; ``out``, when given, is C-contiguous.
+    """
+    if out is None:
+        out = np.empty((*a.shape[:-1], keys.shape[0]))
+    np.matmul(a.reshape(-1, a.shape[-1]), keys.T, out=out.reshape(-1, keys.shape[0]))
+    return out
 
 
 def split_heads(t: Tensor, num_heads: int) -> Tensor:
@@ -241,9 +306,10 @@ def _shared_branch_softmax(logits: Tensor, masks: list[np.ndarray]) -> list[Tens
     """Per-branch masked softmax sharing a single exponential.
 
     Equivalent to :func:`masked_softmax` per branch up to the usual shift
-    invariance, with exact zeros off support. This is the arithmetic
-    :func:`_mixture_weights` mixes; one node per branch makes it checkable
-    branch by branch.
+    invariance, with exact zeros off support. :func:`_mixture_weights`
+    returns the gated sum of these branches (and mixes these very nodes when
+    a selected class sum is too small to divide by); one node per branch
+    makes it checkable branch by branch.
     """
     e = _shared_exp(logits.data)
     outs: list[Tensor] = []
@@ -259,48 +325,75 @@ def _shared_branch_softmax(logits: Tensor, masks: list[np.ndarray]) -> list[Tens
     return outs
 
 
-def _mixture_weights(logits: Tensor, gammas: Tensor, masks: list[np.ndarray]) -> Tensor:
+# Smallest class sum the residue path divides by: A = gamma / S stays below
+# 1 / sqrt(tiny) ~ 6.7e153, so the spread A R^T (G terms) and rho * A in the
+# backward (|rho| <= max |dW|) stay finite for any |dW| below ~1e154.
+_MIN_CLASS_SUM = float(np.sqrt(np.finfo(np.float64).tiny))
+
+
+def _mixture_weights(logits: Tensor, gammas: Tensor, dilations: tuple[int, ...]) -> Tensor:
     """W = sum_g gamma_g P_g, the gate-weighted sum of the branch softmaxes.
 
-    ``logits`` is (B, H, N_q, N_k), ``gammas`` is (B, G) and there is one
-    mask per branch; ``P_g`` is :func:`_branch_softmax` of branch g. Each
-    branch is added into ``W`` as soon as it is normalized, and every branch
-    after the first goes through one scratch buffer, so ``e``, ``W`` and one
-    branch array are the only (B, H, N_q, N_k) buffers alive at once
-    (the underflow fallback allocates its own temporaries).
+    ``logits`` is (B, H, N_q, N_k), ``gammas`` is (B, G) and branch g keeps
+    the pairs with ``|i - j| mod d_g == 0``, i.e. ``i = j (mod d_g)``; ``P_g``
+    is its masked softmax renormalized from the shared exponential
+    ``e = _shared_exp(x)``. So each branch is one softmax per residue class,
+    and with the one-hot class matrix ``R`` of :class:`_ResidueClasses`
+    (column ``c = (g, r)`` of key j is ``[j mod d_g == r]``) the whole
+    mixture is two thin matmuls:
 
-    Backward, with r_g = rowsum(dW * P_g):
-    d gamma_g = sum over heads and rows of r_g, and
-    d logits = sum_g gamma_g P_g (dW - r_g) = W dW - sum_g gamma_g r_g P_g.
-    It keeps only ``e`` (``W`` is the output) and recomputes each P_g.
+    - class sums ``S = e R``, every branch's row normalizers at once;
+    - coefficients ``A[i, c] = gamma_g [i mod d_g == r] / S[i, c]``;
+    - ``W = e * (A R^T)``, exact zeros off the union of the supports.
+
+    Backward, with ``U = (dW * e) R`` and ``rho = U [i mod d_g == r] / S``
+    (``rho`` holds r_g = rowsum(dW * P_g) in branch g's column of row i):
+    d gamma_g = sum of rho over heads, rows and branch g's columns, and
+    d logits = W dW - e * ((rho * A) R^T). It keeps ``e`` and the small
+    (B, H, N_q, C) arrays; no N-by-N mask or per-branch buffer is built.
+
+    A rectangular grid where some query row has no key in its class raises
+    the ``ValueError`` of :func:`build_rect_mask`. If a selected class sum
+    falls below ``_MIN_CLASS_SUM`` (a support row sits far below the row
+    maximum taken over all keys, down to underflowing entirely), ``A`` could
+    overflow and ``inf * 0`` in the spread would turn a whole row to NaN; the
+    call then mixes :func:`_shared_branch_softmax`, whose per-branch
+    normalization takes an underflowed row from the robust
+    :func:`masked_softmax` arithmetic, with ordinary graph ops.
     """
     x = logits.data
-    gam = gammas.data[:, :, None, None, None]  # (B, G, 1, 1, 1)
+    n_q, n_k = x.shape[-2:]
+    classes = _residue_classes(n_q, n_k, tuple(dilations))
+    keys, rows = classes.keys, classes.rows
     e = _shared_exp(x)
-    w = np.empty_like(x)
-    buf = np.empty_like(x) if len(masks) > 1 else None
-    for g, bits in enumerate(masks):
-        p = _branch_softmax(e, x, bits, out=buf if g else w)
-        p *= gam[:, g]
-        if g:
-            w += p
+    # stacked, one gemm per sample and head: as one (B*H*N_q, N_k) gemm,
+    # threaded BLAS packs all of e and the RSS grows by another such buffer
+    s = e @ keys
+    if s[..., rows].min() < _MIN_CLASS_SUM:
+        b = x.shape[0]
+        branches = _shared_branch_softmax(logits, [_cached_bits(n_q, n_k, d) for d in dilations])
+        w = None
+        for g, p in enumerate(branches):
+            term = reshape(select(gammas, g, axis=1), (b, 1, 1, 1)) * p
+            w = term if w is None else w + term
+        return w
+    gam = gammas.data[:, classes.branch][:, None, None, :]  # (B, 1, 1, C)
+    a = np.divide(gam, s, out=np.zeros_like(s), where=rows)
+    w = _spread(a, keys)
+    w *= e
 
     def bwd(dw):
-        dlogits = w * dw if logits.requires_grad else None
-        dgam = np.empty(gam.shape[:2])
-        p = t = None
-        for g, bits in enumerate(masks):
-            p = _branch_softmax(e, x, bits, out=p)
-            t = np.multiply(dw, p, out=t)
-            r = t.sum(axis=-1, keepdims=True)  # (B, H, N_q, 1)
-            dgam[:, g] = r.sum(axis=(1, 2, 3))
-            if dlogits is not None:
-                r *= gam[:, g]
-                dlogits -= np.multiply(p, r, out=t)
-        if dlogits is not None:
+        t = np.multiply(dw, e, out=np.empty(e.shape))  # C order: _spread writes into it
+        rho = np.divide(t @ keys, s, out=np.zeros_like(s), where=rows)
+        if logits.requires_grad:
+            correction = _spread(rho * a, keys, out=t)
+            correction *= e
+            dlogits = w * dw
+            dlogits -= correction
             _accum(logits, dlogits, own=True)
         if gammas.requires_grad:
-            _accum(gammas, dgam, own=True)
+            _accum(gammas, np.add.reduceat(rho.sum(axis=(1, 2)), classes.starts, axis=1),
+                   own=True)
 
     return _node(w, (logits, gammas), bwd)
 
@@ -314,14 +407,6 @@ def mog_forward(x: Tensor, attn: MoGAttention, memory: Tensor | None = None) -> 
     ``(sum_g gamma_g P_g) V`` equals the convex sum of the branch outputs
     ``sum_g gamma_g (P_g V)``.
     """
-    cfg = attn.config
     _, _, v, logits = attention_logits(x, attn, memory=memory)
-    gate_src = x if memory is None else memory
-    gammas = gate_weights(gate_src, attn.gate)  # (B, G)
-    num_q = x.shape[1]
-    num_k = gate_src.shape[1]
-    if memory is None:
-        all_bits = [build_mask(num_q, d).bits for d in cfg.dilations]
-    else:
-        all_bits = [build_rect_mask(num_q, num_k, d) for d in cfg.dilations]
-    return merge_heads(matmul(_mixture_weights(logits, gammas, all_bits), v))
+    gammas = gate_weights(x if memory is None else memory, attn.gate)  # (B, G)
+    return merge_heads(matmul(_mixture_weights(logits, gammas, attn.config.dilations), v))

@@ -18,7 +18,9 @@ Inside ``with no_grad():`` operations record nothing: outputs are bare
 tensors with no parents and no closure, and :func:`backward` on them is a
 no-op. Forward values are the same bits either way. The flag is
 thread-local, nests, and is restored when the block exits, also by an
-exception.
+exception. Inside ``with op_profile() as prof:`` (thread-local in the same
+way), :func:`backward` adds each closure's wall time and call count to
+``prof`` under its op name.
 
 Masked softmax is the one numerically delicate op: masked logits are
 replaced by -inf before the stable exponential, which makes masked output
@@ -29,7 +31,9 @@ from __future__ import annotations
 
 import math
 import threading
+import time
 from contextlib import contextmanager
+from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -160,6 +164,7 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 class _Recording(threading.local):
     enabled = True  # class default: every new thread starts out recording
+    profile: OpProfile | None = None  # set inside op_profile()
 
 
 _RECORDING = _Recording()
@@ -179,6 +184,34 @@ def no_grad() -> Iterator[None]:
         yield
     finally:
         _RECORDING.enabled = previous
+
+
+@dataclass
+class OpProfile:
+    """Backward wall time (ms) and call count per op name.
+
+    The op name is the qualified name of the backward closure up to its
+    ``.<locals>``: ``matmul`` for the closure :func:`matmul` records.
+    """
+
+    ms: dict[str, float] = field(default_factory=dict)
+    calls: dict[str, int] = field(default_factory=dict)
+
+    def add(self, bwd: Callable, seconds: float) -> None:
+        name = bwd.__qualname__.split(".<locals>")[0]
+        self.ms[name] = self.ms.get(name, 0.0) + seconds * 1e3
+        self.calls[name] = self.calls.get(name, 0) + 1
+
+
+@contextmanager
+def op_profile() -> Iterator[OpProfile]:
+    """Time every backward closure :func:`backward` runs on this thread in the block."""
+    previous = _RECORDING.profile
+    prof = _RECORDING.profile = OpProfile()
+    try:
+        yield prof
+    finally:
+        _RECORDING.profile = previous
 
 
 def _node(data: np.ndarray, parents: Sequence[Tensor], bwd: Callable[[np.ndarray], None]) -> Tensor:
@@ -237,9 +270,16 @@ def backward(loss: Tensor) -> None:
         if node._backward is not None:
             node.grad = None
     _accum(loss, np.ones_like(loss.data), own=True)
+    prof = _RECORDING.profile
     for node in reversed(topo):
-        if node._backward is not None:
+        if node._backward is None:
+            continue
+        if prof is None:
             node._backward(node.grad)
+        else:
+            start = time.perf_counter()
+            node._backward(node.grad)
+            prof.add(node._backward, time.perf_counter() - start)
 
 
 # ---------------------------------------------------------------------------

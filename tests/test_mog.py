@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import mogref.mog as mog_module
 from mogref.gradcheck import finite_difference_grad, max_rel_err
 from mogref.mog import (
     GateParams,
     MoGAttention,
     MoGConfig,
     _mixture_weights,
+    _shared_branch_softmax,
     attention_logits,
     branch_attention,
     build_mask,
@@ -324,7 +326,7 @@ class TestMixtureWeights:
         shared = np.exp(logits.data - logits.data.max(axis=-1, keepdims=True))
         assert any(((shared * m).sum(axis=-1) == 0.0).any() for m in masks)
 
-        mixed = _mixture_weights(logits, gammas, masks)
+        mixed = _mixture_weights(logits, gammas, (2, 3))
         # reference: the same mixture from robust per-branch masked softmax nodes
         ref_logits = Parameter("ref_logits", logits.data.copy())
         ref_gammas = Parameter("ref_gammas", gammas.data.copy())
@@ -345,11 +347,91 @@ class TestMixtureWeights:
         assert np.abs(logits.grad - ref_logits.grad).max() < 1e-12
         assert np.abs(gammas.grad - ref_gammas.grad).max() < 1e-12
 
+    @pytest.mark.parametrize("gap", [300.0, 400.0, 740.0])
+    def test_far_below_row_max_class_stays_finite(self, gap):
+        # row 1's only class-mates under d=2 sit `gap` below its row max:
+        # 300 keeps a normal class sum, 400 a tiny one, 740 a subnormal one
+        logits = Parameter("logits", np.array([[[[0.0, 1.0, -2.0], [0.0, -gap, 0.5],
+                                                 [-1.0, 0.0, 2.0]]]]))
+        gammas = Parameter("gammas", np.array([[0.4, 0.6]]))
+        masks = [build_mask(3, d).bits for d in (1, 2)]
+        mixed = _mixture_weights(logits, gammas, (1, 2))
+
+        ref_logits = Parameter("ref_logits", logits.data.copy())
+        ref_gammas = Parameter("ref_gammas", gammas.data.copy())
+        reference = None
+        for g, m in enumerate(masks):
+            term = reshape(select(ref_gammas, g, axis=1), (1, 1, 1, 1)) * masked_softmax(ref_logits, m)
+            reference = term if reference is None else reference + term
+        assert np.isfinite(mixed.data).all()
+        assert np.abs(mixed.data - reference.data).max() < 1e-12
+
+        proj = Tensor(RngState(6).uniform_array(logits.shape, -1.0, 1.0))
+        backward(tsum(mixed * proj))
+        backward(tsum(reference * proj))
+        assert np.isfinite(logits.grad).all()
+        assert np.isfinite(gammas.grad).all()
+        assert np.abs(logits.grad - ref_logits.grad).max() < 1e-12
+        assert np.abs(gammas.grad - ref_gammas.grad).max() < 1e-12
+
+    @pytest.mark.parametrize("n_q, n_k, dilations", [
+        *((n, n, dil) for n in (1, 5, 7, 74)
+          for dil in ((1,), (2, 3), (1, 2, 3, 4), (1, 5, 9))),
+        *((n_q, n_k, dil) for n_q, n_k in ((3, 7), (4, 74), (7, 3))
+          for dil in ((1, 2, 3), (2, 3))),
+    ])
+    def test_residue_classes_equal_the_masked_branch_sum(self, n_q, n_k, dilations):
+        rng = RngState(n_q * 1000 + n_k + sum(dilations))
+        b, h, g = 2, 2, len(dilations)
+        logits = Parameter("logits", rng.uniform_array((b, h, n_q, n_k), -4.0, 4.0))
+        gammas = Parameter("gammas", rng.uniform_array((b, g), 0.1, 1.0))
+        mixed = _mixture_weights(logits, gammas, dilations)
+
+        ref_logits = Parameter("ref_logits", logits.data.copy())
+        ref_gammas = Parameter("ref_gammas", gammas.data.copy())
+        masks = [build_rect_mask(n_q, n_k, d) for d in dilations]
+        reference = None
+        for k, branch in enumerate(_shared_branch_softmax(ref_logits, masks)):
+            term = reshape(select(ref_gammas, k, axis=1), (b, 1, 1, 1)) * branch
+            reference = term if reference is None else reference + term
+        assert np.abs(mixed.data - reference.data).max() < 1e-12
+        if 1 not in dilations:
+            off = np.max(masks, axis=0) == 0.0
+            assert (mixed.data[..., off] == 0.0).all()
+
+        proj = Tensor(rng.uniform_array(logits.shape, -1.0, 1.0))
+        backward(tsum(mixed * proj))
+        backward(tsum(reference * proj))
+        assert np.abs(logits.grad - ref_logits.grad).max() < 1e-12
+        assert np.abs(gammas.grad - ref_gammas.grad).max() < 1e-12
+
+
+class TestMaskPath:
+    def test_cross_attention_with_an_empty_query_row_is_rejected(self):
+        rng = RngState(12)
+        attn = MoGAttention(MoGConfig(8, 2, (1, 7)), rng, "attn")
+        queries = Tensor(rng.uniform_array((1, 4, 8), -1, 1))
+        memory = Tensor(rng.uniform_array((1, 2, 8), -1, 1))
+        with pytest.raises(ValueError, match="empty row"):
+            mog_forward(queries, attn, memory=memory)
+
+    @pytest.mark.parametrize("cross", [False, True])
+    def test_forward_builds_no_dense_mask(self, cross):
+        n = 53
+        before = set(mog_module._MASK_CACHE)
+        assert not any(key[:2] == (n, n) for key in before)
+        rng = RngState(13)
+        attn = MoGAttention(MoGConfig(8, 2, (1, 2, 3, 4)), rng, "attn")
+        x = Tensor(rng.uniform_array((2, n, 8), -1, 1))
+        out = mog_forward(x, attn, memory=x if cross else None)
+        backward(tsum(out))
+        assert set(mog_module._MASK_CACHE) == before
+
 
 def peak_buffers_no_grad(run, buffer_bytes: int) -> float:
     """Peak numpy memory of one ``run()`` under no_grad, in buffers."""
     with no_grad():
-        run()  # fill the mask cache first
+        run()  # fill the mask and residue caches first
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -371,3 +453,17 @@ def test_mog_forward_streams_branches_through_one_buffer(cross):
     # buffers plus the small (B, N, D) ones; keeping every branch costs 6+
     peak = peak_buffers_no_grad(lambda: mog_forward(x, attn, memory=memory), b * h * n * n * 8)
     assert peak < 5.0, f"peak {peak:.2f} (B, H, N, N) buffers"
+
+
+@pytest.mark.parametrize("cross", [False, True])
+def test_mog_forward_builds_no_per_branch_buffer(cross):
+    b, h, n, d = 4, 4, 128, 32
+    rng = RngState(0)
+    attn = MoGAttention(MoGConfig(d, h, (1, 2, 3, 4)), rng, "attn")
+    x = Tensor(rng.uniform_array((b, n, d), -1.0, 1.0))
+    memory = Tensor(rng.uniform_array((b, n, d), -1.0, 1.0)) if cross else None
+    # the logits, the shared exponential and W: 3 (B, H, N, N) buffers plus
+    # the (B, H, N, C) class arrays and the (B, N, D) ones; a dense branch
+    # buffer costs a fourth
+    peak = peak_buffers_no_grad(lambda: mog_forward(x, attn, memory=memory), b * h * n * n * 8)
+    assert peak < 3.5, f"peak {peak:.2f} (B, H, N, N) buffers"
