@@ -8,10 +8,16 @@ backward wall time and call count of every autodiff op per step, largest
 first. The op name is the function
 that recorded the node (``matmul``, ``_mixture_weights``, ...).
 
+The header line gives, per step, the wall ms beside the minor page faults
+and the system-CPU ms of the process (``resource.getrusage``): a step that
+returns its buffers to the OS and maps them again pays for it there, and
+that cost lands in whichever op happens to touch the fresh pages.
+
     PYTHONPATH=src python scripts/op_profile.py --image-size 128 --batch 2 --steps 10
 """
 
 import argparse
+import resource
 import sys
 import time
 
@@ -23,8 +29,9 @@ from mogref.tensor import OpProfile, backward, op_profile
 from mogref.train import Adam, ParamGroup, build_synthetic_dataset
 
 
-def profile_steps(image_size: int, batch: int, steps: int) -> tuple[OpProfile, float]:
-    """Per-op backward profile summed over ``steps`` steps, and their mean wall ms."""
+def profile_steps(image_size: int, batch: int, steps: int) -> tuple[OpProfile, float, float, float]:
+    """Per-op backward profile summed over ``steps`` steps, and their mean
+    wall ms, minor page faults and system-CPU ms per step."""
     vocab = default_vocab()
     dataset = build_synthetic_dataset(batch, SyntheticSceneSpec(image_size=image_size), vocab, 0)
     model = SCSModel(ModelConfig(image_size=image_size, vocab_size=len(vocab)), vocab, RngState(0))
@@ -39,11 +46,16 @@ def profile_steps(image_size: int, batch: int, steps: int) -> tuple[OpProfile, f
         opt.step()
 
     step()
+    usage = resource.getrusage(resource.RUSAGE_SELF)
     start = time.perf_counter()
     with op_profile() as prof:
         for _ in range(steps):
             step()
-    return prof, (time.perf_counter() - start) * 1e3 / steps
+    wall_ms = (time.perf_counter() - start) * 1e3 / steps
+    after = resource.getrusage(resource.RUSAGE_SELF)
+    faults = (after.ru_minflt - usage.ru_minflt) / steps
+    sys_ms = (after.ru_stime - usage.ru_stime) * 1e3 / steps
+    return prof, wall_ms, faults, sys_ms
 
 
 def run(argv=None) -> int:
@@ -55,10 +67,11 @@ def run(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.steps < 1 or args.batch < 1:
         parser.error("--steps and --batch must be positive")
-    prof, step_ms = profile_steps(args.image_size, args.batch, args.steps)
+    prof, step_ms, faults, sys_ms = profile_steps(args.image_size, args.batch, args.steps)
     total = sum(prof.ms.values())
     print(f"# image_size={args.image_size} batch={args.batch} steps={args.steps}: "
-          f"{step_ms:.1f} ms/step, backward ops {total / args.steps:.1f} ms/step")
+          f"{step_ms:.1f} ms/step ({faults:.0f} minor faults, {sys_ms:.1f} ms system CPU), "
+          f"backward ops {total / args.steps:.1f} ms/step")
     print(f"{'op':<28} {'calls/step':>10} {'ms/step':>9} {'share':>6}")
     for name in sorted(prof.ms, key=prof.ms.get, reverse=True):
         print(f"{name:<28} {prof.calls[name] / args.steps:>10g} "

@@ -26,6 +26,7 @@ from mogref.matching import (
     BBox,
     LossWeights,
     assignment_loss,
+    batch_assignment_loss,
     giou,
     giou_pairs,
     grounding_loss,

@@ -218,6 +218,20 @@ def case_match_and_loss(rng: RngState) -> Case:
     return (lambda: matching.match_and_loss(boxes, conf, targets)[0]), [boxes, conf]
 
 
+def case_grounding_loss_batch(rng: RngState) -> Case:
+    """The batched set loss: B=3 with 1, 2 and 3 targets, assignments frozen at the base point."""
+    boxes = _param(rng, "boxes", (3, 3, 4), 0.25, 0.75)
+    conf = _param(rng, "conf", (3, 3), 0.2, 0.8)
+    targets = [
+        [matching.BBox(rng.uniform_in(0.3, 0.7), rng.uniform_in(0.3, 0.7),
+                       rng.uniform_in(0.2, 0.4), rng.uniform_in(0.2, 0.4))
+         for _ in range(count)]
+        for count in (1, 2, 3)
+    ]
+    _, frozen = matching.grounding_loss(boxes, conf, targets)
+    return (lambda: matching.batch_assignment_loss(boxes, conf, targets, frozen)), [boxes, conf]
+
+
 def case_scs_end_to_end(rng: RngState) -> Case:
     """Whole pipeline: forward + set loss, assignments frozen at the base point."""
     from mogref import data, model
@@ -243,22 +257,11 @@ def case_scs_end_to_end(rng: RngState) -> Case:
     ]
 
     base = net.forward(images, token_ids)
-    frozen = []
-    for b in range(len(scenes)):
-        cost = matching.grounding_cost(base.boxes.data[b], base.confidence.data[b], targets[b])
-        frozen.append(matching.hungarian(cost))
+    _, frozen = matching.grounding_loss(base.boxes, base.confidence, targets)
 
     def loss():
         pred = net.forward(images, token_ids)
-        total = None
-        for b in range(len(scenes)):
-            term = matching.assignment_loss(
-                tensor.select(pred.boxes, b, axis=0),
-                tensor.select(pred.confidence, b, axis=0),
-                targets[b], frozen[b],
-            )
-            total = term if total is None else total + term
-        return total / len(scenes)
+        return matching.batch_assignment_loss(pred.boxes, pred.confidence, targets, frozen)
 
     return loss, net.parameters()
 
@@ -287,6 +290,7 @@ _CASES = [
     # appended, not grouped with mog_forward: a case's stream is derived
     # from its index, so inserting would reseed every case after it
     ("mog_mixture", case_mog_mixture),
+    ("grounding_loss_batch", case_grounding_loss_batch),
 ]
 
 

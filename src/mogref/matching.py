@@ -1,10 +1,16 @@
 """Box geometry, Hungarian assignment, and the set-matching loss.
 
 Boxes are normalized center form (cx, cy, w, h) in [0, 1]. IoU/GIoU exist
-twice on purpose: scalar versions on :class:`BBox` feed metrics and the
-assignment cost matrix, and a Tensor version (:func:`giou_pairs`) feeds the
-differentiable loss. The two are tested against each other and against a
-rasterized counting oracle.
+in three forms on purpose: scalar versions on :class:`BBox` feed metrics,
+an array version builds the assignment cost matrices (entry for entry the
+same float operations as the scalar path, so equal to it bit for bit), and
+a Tensor version (:func:`giou_pairs`) feeds the differentiable loss. They
+are tested against each other and against a rasterized counting oracle.
+
+The loss matches each sample with :func:`hungarian` on detached values,
+then scores the whole batch in one small graph: one gather of the matched
+boxes, one L1 and one GIoU term over every matched pair of the batch, and
+one confidence term over every query.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ from mogref.tensor import (
     log,
     maximum,
     minimum,
+    reshape,
     select,
     take_rows,
     tsum,
@@ -246,49 +253,98 @@ def giou_pairs(a: Tensor, b: Tensor) -> Tensor:
     return inter / union - (enclose - union) / enclose
 
 
+def _cost_block(boxes: np.ndarray, confidence: np.ndarray, targets: np.ndarray,
+                weights: LossWeights) -> np.ndarray:
+    """(..., Q, T) matching cost of (..., Q, 4) boxes and (..., Q) confidences
+    against (T, 4) target rows.
+
+    Each entry takes the same float operations in the same order as the
+    scalar ``giou(BBox(*clip(box)), target)`` path, so it equals that path
+    bit for bit: L1 on the raw box, GIoU on the box clipped to [0, 1], the
+    zero-union and zero-enclosure branches of :func:`iou`/:func:`giou`.
+    """
+    l1 = np.abs(boxes[..., :, None, :] - targets).sum(axis=-1)
+    pb = np.clip(boxes, 0.0, 1.0)[..., :, None, :]  # (..., Q, 1, 4)
+    pcx, pcy, pw, ph = pb[..., 0], pb[..., 1], pb[..., 2], pb[..., 3]
+    tcx, tcy, tw, th = targets[:, 0], targets[:, 1], targets[:, 2], targets[:, 3]
+    ax1, ay1, ax2, ay2 = pcx - pw / 2.0, pcy - ph / 2.0, pcx + pw / 2.0, pcy + ph / 2.0
+    bx1, by1, bx2, by2 = tcx - tw / 2.0, tcy - th / 2.0, tcx + tw / 2.0, tcy + th / 2.0
+    iw = np.maximum(np.minimum(ax2, bx2) - np.maximum(ax1, bx1), 0.0)
+    ih = np.maximum(np.minimum(ay2, by2) - np.maximum(ay1, by1), 0.0)
+    inter = iw * ih
+    union = pw * ph + tw * th - inter
+    enclose = (np.maximum(ax2, bx2) - np.minimum(ax1, bx1)) * (
+        np.maximum(ay2, by2) - np.minimum(ay1, by1))
+    # a union of 0 needs two zero-area boxes, whose intersection is 0 too
+    base = inter / np.where(union > 0.0, union, 1.0)
+    # the enclosure can be 0 with a positive union: a width far below the
+    # spacing of floats at its center collapses the corners
+    g = np.where(enclose > 0.0, base - (enclose - union) / np.where(enclose > 0.0, enclose, 1.0),
+                 base)
+    return weights.l1 * l1 + weights.giou * (1.0 - g) - weights.conf * confidence[..., :, None]
+
+
+def _target_rows(targets: Sequence[BBox]) -> np.ndarray:
+    return np.array([(t.cx, t.cy, t.w, t.h) for t in targets], dtype=np.float64).reshape(-1, 4)
+
+
 def grounding_cost(boxes: np.ndarray, confidence: np.ndarray, targets: Sequence[BBox],
                    weights: LossWeights = LossWeights()) -> np.ndarray:
-    """(Q, T) matching cost: weighted L1 + (1 - GIoU) - confidence bonus."""
-    num_q = boxes.shape[0]
-    cost = np.empty((num_q, len(targets)), dtype=np.float64)
-    for qi in range(num_q):
-        pb = BBox(*np.clip(boxes[qi], 0.0, 1.0))
-        for ti, tgt in enumerate(targets):
-            l1 = float(np.abs(boxes[qi] - tgt.to_array()).sum())
-            cost[qi, ti] = (
-                weights.l1 * l1
-                + weights.giou * (1.0 - giou(pb, tgt))
-                - weights.conf * float(confidence[qi])
-            )
-    return cost
+    """(Q, T) matching cost: weighted L1 + (1 - GIoU) - confidence bonus.
+
+    GIoU is taken on the prediction clipped to [0, 1], as :func:`giou` of a
+    :class:`BBox` would; L1 on the raw prediction.
+    """
+    return _cost_block(np.asarray(boxes, dtype=np.float64),
+                       np.asarray(confidence, dtype=np.float64), _target_rows(targets), weights)
+
+
+def batch_assignment_loss(boxes: Tensor, confidence: Tensor,
+                          targets_per_sample: Sequence[Sequence[BBox]],
+                          assignments: Sequence[Assignment],
+                          weights: LossWeights = LossWeights()) -> Tensor:
+    """Mean over the batch of each sample's loss under a fixed assignment.
+
+    ``boxes`` is (B, Q, 4) and ``confidence`` (B, Q); a (Q, 4) / (Q,) pair
+    is one sample. A sample's loss is L1 + (1 - GIoU) averaged over its M_b
+    matched pairs, plus a binary confidence log-loss (matched queries should
+    say 1, the rest 0) averaged over its Q queries. The whole batch is
+    scored at once: every matched pair is weighted 1/(M_b B) and every query
+    1/(Q B), and the confidence term is -log((1 - y) + (2y - 1) p), which is
+    -log p for y = 1 and -log(1 - p) for y = 0 exactly.
+    """
+    num_q = confidence.shape[-1]
+    batch = len(assignments)
+    rows, matched, pair_w = [], [], []
+    for b, (targets, assignment) in enumerate(zip(targets_per_sample, assignments)):
+        if not assignment.pairs:
+            raise ValueError(f"sample {b} has no matched pair to score")
+        rows.extend(b * num_q + q for q, _ in assignment.pairs)
+        matched.extend(targets[t] for _, t in assignment.pairs)
+        pair_w.extend([1.0 / (len(assignment.pairs) * batch)] * len(assignment.pairs))
+    pair_w = np.array(pair_w)
+    labels = np.zeros(batch * num_q)
+    labels[rows] = 1.0
+    labels = labels.reshape(confidence.shape)
+
+    flat = boxes if boxes.ndim == 2 else reshape(boxes, (batch * num_q, 4))
+    picked = take_rows(flat, rows)  # (M, 4)
+    target_tensor = Tensor(_target_rows(matched))
+    l1_term = tsum(absolute(picked - target_tensor) * (weights.l1 * pair_w)[:, None])
+    giou_term = tsum((1.0 - giou_pairs(picked, target_tensor)) * (weights.giou * pair_w))
+    likelihood = confidence * (2.0 * labels - 1.0) + (1.0 - labels)
+    conf_term = tsum(log(likelihood) * (-weights.conf / (num_q * batch)))
+    return l1_term + giou_term + conf_term
 
 
 def assignment_loss(pred_boxes: Tensor, confidence: Tensor, targets: Sequence[BBox],
                     assignment: Assignment,
                     weights: LossWeights = LossWeights()) -> Tensor:
-    """Loss of one sample under a fixed assignment; differentiable.
+    """Loss of one sample, (Q, 4) / (Q,), under a fixed assignment; differentiable.
 
-    L1 + (1 - GIoU) averaged over the matched pairs, plus a binary
-    confidence log-loss (matched queries should say 1, the rest 0) averaged
-    over all queries.
+    The B = 1 case of :func:`batch_assignment_loss`.
     """
-    matched_q = np.array([q for q, _ in assignment.pairs], dtype=np.intp)
-    matched_t = np.stack([targets[t].to_array() for _, t in assignment.pairs])
-    num_matched = len(assignment.pairs)
-    num_q = pred_boxes.shape[0]
-
-    picked = take_rows(pred_boxes, matched_q)  # (M, 4)
-    target_tensor = Tensor(matched_t)
-    l1_term = tsum(absolute(picked - target_tensor)) / num_matched
-    giou_term = tsum(1.0 - giou_pairs(picked, target_tensor)) / num_matched
-
-    unmatched_q = np.array([q for q in range(num_q) if q not in set(matched_q.tolist())],
-                           dtype=np.intp)
-    conf_matched = take_rows(confidence, matched_q)
-    conf_unmatched = take_rows(confidence, unmatched_q)
-    conf_term = (tsum(-log(conf_matched)) + tsum(-log(1.0 - conf_unmatched))) / num_q
-
-    return weights.l1 * l1_term + weights.giou * giou_term + weights.conf * conf_term
+    return batch_assignment_loss(pred_boxes, confidence, [targets], [assignment], weights)
 
 
 def match_and_loss(pred_boxes: Tensor, confidence: Tensor, targets: Sequence[BBox],
@@ -297,29 +353,32 @@ def match_and_loss(pred_boxes: Tensor, confidence: Tensor, targets: Sequence[BBo
 
     ``pred_boxes`` is (Q, 4) and ``confidence`` (Q,), both in [0, 1]. The
     assignment is computed on detached values and held fixed, so the loss
-    is differentiable in the predictions.
+    is differentiable in the predictions. The B = 1 case of
+    :func:`grounding_loss`.
     """
     if len(targets) == 0:
         raise ValueError("match_and_loss needs at least one target box")
-    cost = grounding_cost(pred_boxes.data, confidence.data, targets, weights)
-    assignment = hungarian(cost)
+    assignment = hungarian(grounding_cost(pred_boxes.data, confidence.data, targets, weights))
     return assignment_loss(pred_boxes, confidence, targets, assignment, weights), assignment
 
 
 def grounding_loss(boxes: Tensor, confidence: Tensor, targets_per_sample: Sequence[Sequence[BBox]],
                    weights: LossWeights = LossWeights()) -> tuple[Tensor, list[Assignment]]:
-    """Batch mean of :func:`match_and_loss` over (B, Q, 4) / (B, Q) tensors."""
+    """Batch mean of :func:`match_and_loss` over (B, Q, 4) / (B, Q) tensors.
+
+    One cost block scores every query of the batch against every target;
+    each sample is matched on its own columns, then the batch is scored
+    in one graph by :func:`batch_assignment_loss`.
+    """
     batch = boxes.shape[0]
     if len(targets_per_sample) != batch:
         raise ValueError(f"got {len(targets_per_sample)} target lists for batch of {batch}")
-    total: Tensor | None = None
-    assignments = []
-    for b in range(batch):
-        loss_b, assign_b = match_and_loss(
-            select(boxes, b, axis=0), select(confidence, b, axis=0),
-            targets_per_sample[b], weights,
-        )
-        assignments.append(assign_b)
-        total = loss_b if total is None else total + loss_b
-    assert total is not None
-    return total / batch, assignments
+    if any(len(targets) == 0 for targets in targets_per_sample):
+        raise ValueError("grounding_loss needs at least one target box per sample")
+    all_targets = [t for targets in targets_per_sample for t in targets]
+    cost = _cost_block(boxes.data, confidence.data, _target_rows(all_targets), weights)
+    ends = np.cumsum([len(targets) for targets in targets_per_sample])
+    assignments = [hungarian(cost[b, :, end - len(targets):end])
+                   for b, (targets, end) in enumerate(zip(targets_per_sample, ends))]
+    loss = batch_assignment_loss(boxes, confidence, targets_per_sample, assignments, weights)
+    return loss, assignments

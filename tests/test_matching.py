@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from mogref.data import SyntheticSceneSpec, default_vocab
 from mogref.gradcheck import finite_difference_grad, max_rel_err
 from mogref.matching import (
     Assignment,
@@ -13,13 +14,26 @@ from mogref.matching import (
     assignment_loss,
     giou,
     giou_pairs,
+    grounding_cost,
     grounding_loss,
     hungarian,
     iou,
     match_and_loss,
 )
+from mogref.model import ModelConfig, SCSModel
 from mogref.rng import RngState
-from mogref.tensor import Parameter, Tensor, backward, zero_grads
+from mogref.tensor import (
+    Parameter,
+    Tensor,
+    absolute,
+    backward,
+    log,
+    select,
+    take_rows,
+    tsum,
+    zero_grads,
+)
+from mogref.train import build_synthetic_dataset
 
 
 def brute_force_min_cost(cost: np.ndarray) -> float:
@@ -37,6 +51,39 @@ def brute_force_min_cost(cost: np.ndarray) -> float:
             for perm in itertools.permutations(range(q), t)
         )
     return min(sum(cost[r, c] for r, c in pairs) for pairs in candidates)
+
+
+def scalar_cost(boxes: np.ndarray, confidence: np.ndarray, targets, weights=LossWeights()):
+    """The matching cost entry by entry through BBox/giou: the reference the
+    array-built cost must equal bit for bit."""
+    cost = np.empty((boxes.shape[0], len(targets)), dtype=np.float64)
+    for qi in range(boxes.shape[0]):
+        pb = BBox(*np.clip(boxes[qi], 0.0, 1.0))
+        for ti, tgt in enumerate(targets):
+            l1 = float(np.abs(boxes[qi] - tgt.to_array()).sum())
+            cost[qi, ti] = (
+                weights.l1 * l1
+                + weights.giou * (1.0 - giou(pb, tgt))
+                - weights.conf * float(confidence[qi])
+            )
+    return cost
+
+
+def per_sample_loss(boxes: Tensor, confidence: Tensor, targets, assignment,
+                    weights=LossWeights()) -> Tensor:
+    """One sample's loss term by term: mean L1 and 1 - GIoU over the matched
+    pairs, and the confidence log-loss of matched and unmatched queries
+    summed apart, over Q. The batched scorer must agree with it."""
+    matched_q = [q for q, _ in assignment.pairs]
+    unmatched_q = [q for q in range(boxes.shape[0]) if q not in matched_q]
+    picked = take_rows(boxes, matched_q)
+    tgt = Tensor(np.stack([targets[t].to_array() for _, t in assignment.pairs]))
+    count = len(assignment.pairs)
+    l1_term = tsum(absolute(picked - tgt)) / count
+    giou_term = tsum(1.0 - giou_pairs(picked, tgt)) / count
+    conf_term = (tsum(-log(take_rows(confidence, matched_q)))
+                 + tsum(-log(1.0 - take_rows(confidence, unmatched_q)))) / boxes.shape[0]
+    return weights.l1 * l1_term + weights.giou * giou_term + weights.conf * conf_term
 
 
 def random_box(rng: RngState) -> BBox:
@@ -233,21 +280,131 @@ class TestMatchAndLoss:
             assert max_rel_err(p.grad, fd) < 1e-4, p.name
 
     def test_batch_loss_averages_samples(self):
-        rng = RngState(8)
-        boxes = Tensor(rng.uniform_array((2, 3, 4), 0.3, 0.7))
-        conf = Tensor(rng.uniform_array((2, 3), 0.2, 0.8))
-        targets = [[random_box(rng)], [random_box(rng), random_box(rng)]]
-        total, assignments = grounding_loss(boxes, conf, targets)
-        from mogref.tensor import select
+        # B=3 with 1, 2 and 3 targets; fewer queries than targets (Q=2, T=3)
+        for num_q, counts in [(3, (1, 2, 3)), (2, (3,)), (2, (3, 1))]:
+            self.check_batch_against_per_sample_mean(num_q, counts)
 
-        per = [
-            match_and_loss(select(boxes, b, 0), select(conf, b, 0), targets[b])[0].item()
-            for b in range(2)
-        ]
-        assert total.item() == pytest.approx(sum(per) / 2.0, abs=1e-12)
-        assert len(assignments) == 2
+    @staticmethod
+    def check_batch_against_per_sample_mean(num_q, counts):
+        rng = RngState(8 + num_q + len(counts))
+        boxes = Parameter("boxes", rng.uniform_array((len(counts), num_q, 4), 0.3, 0.7))
+        conf = Parameter("conf", rng.uniform_array((len(counts), num_q), 0.2, 0.8))
+        targets = [[random_box(rng) for _ in range(n)] for n in counts]
+        total, assignments = grounding_loss(boxes, conf, targets)
+        assert [len(a.pairs) for a in assignments] == [min(num_q, n) for n in counts]
+        zero_grads([boxes, conf])
+        backward(total)
+        got = (boxes.grad.copy(), conf.grad.copy())
+
+        ref = None
+        for b, assignment in enumerate(assignments):
+            assert assignment.pairs == hungarian(
+                scalar_cost(boxes.data[b], conf.data[b], targets[b])).pairs
+            term = per_sample_loss(select(boxes, b, 0), select(conf, b, 0), targets[b], assignment)
+            ref = term if ref is None else ref + term
+        ref = ref / len(counts)
+        zero_grads([boxes, conf])
+        backward(ref)
+        assert abs(total.item() - ref.item()) < 1e-12
+        assert np.abs(got[0] - boxes.grad).max() < 1e-12
+        assert np.abs(got[1] - conf.grad).max() < 1e-12
+
+    def test_single_sample_paths_are_the_batch_of_one(self):
+        rng = RngState(9)
+        boxes = Tensor(rng.uniform_array((3, 4), 0.3, 0.7))
+        conf = Tensor(rng.uniform_array((3,), 0.2, 0.8))
+        targets = [random_box(rng), random_box(rng)]
+        loss, assignment = match_and_loss(boxes, conf, targets)
+        batch_loss, batch_assignments = grounding_loss(
+            Tensor(boxes.data[None]), Tensor(conf.data[None]), [targets])
+        assert batch_assignments == [assignment]
+        assert loss.item() == batch_loss.item()
+        assert assignment_loss(boxes, conf, targets, assignment).item() == loss.item()
 
     def test_batch_size_mismatch_rejected(self):
         with pytest.raises(ValueError):
             grounding_loss(Tensor(np.full((2, 1, 4), 0.5)), Tensor(np.full((2, 1), 0.5)),
                            [[BBox(0.5, 0.5, 0.1, 0.1)]])
+
+
+class TestCostMatrix:
+    @staticmethod
+    def random_case(rng: RngState, num_q: int, num_t: int):
+        """Predictions partly outside [0, 1], some with zero extent; targets
+        with zero width, height or both among them."""
+        boxes = rng.uniform_array((num_q, 4), -0.3, 1.3)
+        for q in range(num_q):
+            if rng.randint(3) == 0:
+                boxes[q, 2 + rng.randint(2)] = 0.0
+        targets = []
+        for _ in range(num_t):
+            w = 0.0 if rng.randint(4) == 0 else rng.uniform_in(0.0, 0.6)
+            h = 0.0 if rng.randint(4) == 0 else rng.uniform_in(0.0, 0.6)
+            targets.append(BBox(rng.uniform_in(w / 2, 1 - w / 2),
+                                rng.uniform_in(h / 2, 1 - h / 2), w, h))
+        return boxes, rng.uniform_array((num_q,), 0.0, 1.0), targets
+
+    @given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 100_000))
+    def test_equals_scalar_loop_bit_for_bit(self, num_q, num_t, seed):
+        boxes, conf, targets = self.random_case(RngState(seed), num_q, num_t)
+        cost = grounding_cost(boxes, conf, targets)
+        ref = scalar_cost(boxes, conf, targets)
+        assert np.array_equal(cost, ref)
+        assert hungarian(cost).pairs == hungarian(ref).pairs
+
+    def test_degenerate_boxes(self):
+        # zero-area prediction on a zero-area target (zero union), a point
+        # box (zero enclosure), an identical pair, a far-out prediction, and
+        # a width too small to move the corners off the center (zero
+        # enclosure, positive union)
+        targets = [BBox(0.5, 0.5, 0.0, 0.0), BBox(0.5, 0.5, 0.0, 0.4), BBox(0.2, 0.3, 0.2, 0.2),
+                   BBox(0.5, 0.5, 4e-17, 1.0)]
+        boxes = np.array([[0.5, 0.5, 0.0, 0.0], [0.5, 0.5, 0.0, 0.4],
+                          [0.2, 0.3, 0.2, 0.2], [-1.0, 2.0, 3.0, -0.5], [0.5, 0.5, 4e-17, 1.0]])
+        conf = np.array([0.1, 0.9, 0.5, 0.0, 0.7])
+        cost = grounding_cost(boxes, conf, targets)
+        assert np.array_equal(cost, scalar_cost(boxes, conf, targets))
+        assert np.isfinite(cost).all()
+
+    def test_batch_cost_matches_per_sample_cost(self):
+        rng = RngState(3)
+        boxes = Tensor(rng.uniform_array((3, 4, 4), 0.1, 0.9))
+        conf = Tensor(rng.uniform_array((3, 4), 0.1, 0.9))
+        targets = [[random_box(rng) for _ in range(n)] for n in (2, 5, 1)]
+        _, assignments = grounding_loss(boxes, conf, targets)
+        for b, assignment in enumerate(assignments):
+            ref = scalar_cost(boxes.data[b], conf.data[b], targets[b])
+            assert assignment == hungarian(ref)
+
+
+def recorded_nodes(loss: Tensor) -> int:
+    """Op nodes reachable from ``loss``; leaves are not counted."""
+    seen, stack, nodes = {id(loss)}, [loss], 0
+    while stack:
+        node = stack.pop()
+        nodes += node._backward is not None
+        for parent in node._parents:
+            if id(parent) not in seen:
+                seen.add(id(parent))
+                stack.append(parent)
+    return nodes
+
+
+class TestGraphSize:
+    def test_loss_nodes_do_not_grow_with_the_batch(self):
+        def loss_nodes(batch):
+            rng = RngState(batch)
+            boxes = Parameter("boxes", rng.uniform_array((batch, 4, 4), 0.2, 0.8))
+            conf = Parameter("conf", rng.uniform_array((batch, 4), 0.2, 0.8))
+            targets = [[random_box(rng) for _ in range(1 + b % 3)] for b in range(batch)]
+            return recorded_nodes(grounding_loss(boxes, conf, targets)[0])
+
+        assert loss_nodes(2) == loss_nodes(8)
+
+    def test_default_training_step_stays_small(self):
+        vocab = default_vocab()
+        dataset = build_synthetic_dataset(8, SyntheticSceneSpec(image_size=64), vocab, 0)
+        model = SCSModel(ModelConfig(image_size=64, vocab_size=len(vocab)), vocab, RngState(0))
+        pred = model.forward(dataset.images, dataset.token_ids)
+        loss, _ = grounding_loss(pred.boxes, pred.confidence, dataset.targets)
+        assert recorded_nodes(loss) <= 250

@@ -1,4 +1,5 @@
 import importlib.util
+import re
 from pathlib import Path
 
 import numpy as np
@@ -51,8 +52,10 @@ def test_script_profiles_a_default_step(capsys):
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
     assert script.run(["--steps", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert re.search(r"ms/step \(\d+ minor faults, \d+\.\d ms system CPU\)", lines[0])
     rows = {}
-    for line in capsys.readouterr().out.splitlines()[2:]:
+    for line in lines[2:]:
         name, calls, ms, _share = line.split()
         rows[name] = (float(calls), float(ms))
     # one mixture node per MoG attention: two SCE blocks and the SCD
