@@ -25,6 +25,7 @@ from mogref.data import (
     GenerationError,
     SyntheticSceneSpec,
     ValidationError,
+    atomic_open,
     default_vocab,
     generate_scene,
     load_annotations,
@@ -80,9 +81,15 @@ def _run_config(args) -> dict:
 def _write_json(path: Path, payload: dict, args) -> None:
     doc = {"schema_version": ARTIFACT_SCHEMA_VERSION, "run_config": _run_config(args)}
     doc.update(payload)
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
+    print(f"wrote {path}")
+
+
+def _write_text(path: Path, text: str) -> None:
+    with atomic_open(path) as fh:
+        fh.write(text)
     print(f"wrote {path}")
 
 
@@ -220,8 +227,7 @@ def cmd_train(args) -> int:
     elapsed = time.time() - t0
     ckpt = out / "checkpoint.json"
     model.save(ckpt)
-    (out / "train_log.csv").write_text(train_log_csv(result.log, _run_config(args)))
-    print(f"wrote {out / 'train_log.csv'}")
+    _write_text(out / "train_log.csv", train_log_csv(result.log, _run_config(args)))
     print(f"wrote {ckpt}")
     _write_json(out / "train_summary.json", {
         "steps_run": result.steps_run,
@@ -246,8 +252,7 @@ def cmd_eval(args) -> int:
     _write_json(out / "eval.json", {"eval": result.to_json()}, args)
     csv_text = _csv_text(result.csv_header() + ["count"],
                          [result.csv_row() + [str(result.count)]], args)
-    (out / "eval.csv").write_text(csv_text)
-    print(f"wrote {out / 'eval.csv'}")
+    _write_text(out / "eval.csv", csv_text)
     cells = " ".join(f"P@{k:g}={v:.4f}" for k, v in result.precisions.items())
     print(f"{cells} mP={result.mp:.4f} over {result.count} samples")
     return EXIT_OK
@@ -287,8 +292,7 @@ def cmd_sweep(args) -> int:
         rows.append([str(g)] + result.csv_row())
         table.append({"granularity": g, **result.to_json()})
     header = ["Granularity", "P@0.5", "P@0.6", "P@0.7", "P@0.8", "mP"]
-    (out / "sweep.csv").write_text(_csv_text(header, rows, args))
-    print(f"wrote {out / 'sweep.csv'}")
+    _write_text(out / "sweep.csv", _csv_text(header, rows, args))
     _write_json(out / "sweep.json", {
         "rows": table,
         "full_scale_reference": {str(k): v for k, v in FULL_SCALE_SWEEP_REFERENCE.items()},
@@ -309,8 +313,7 @@ def cmd_stats(args) -> int:
     row = [repr(stats.o2s_mean), repr(stats.o2s_std), repr(stats.words_mean),
            repr(stats.words_std), repr(stats.targets_per_image_mean),
            str(stats.bbox_count), str(stats.image_count)]
-    (out / "stats.csv").write_text(_csv_text(header, [row], args, comments=STAT_DEFINITIONS))
-    print(f"wrote {out / 'stats.csv'}")
+    _write_text(out / "stats.csv", _csv_text(header, [row], args, comments=STAT_DEFINITIONS))
     print(f"o2s {stats.o2s_mean:.3f}% (std {stats.o2s_std:.3f}), "
           f"words {stats.words_mean:.2f} (std {stats.words_std:.2f}), "
           f"{stats.bbox_count} boxes over {stats.image_count} images")

@@ -26,9 +26,11 @@ object. Everything is deterministic given an :class:`RngState`.
 from __future__ import annotations
 
 import json
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -135,9 +137,31 @@ def load_annotations(path) -> list[AnnotationRecord]:
     return [_record_from_json(obj, i) for i, obj in enumerate(doc["records"])]
 
 
+@contextmanager
+def atomic_open(path, mode: str = "w") -> Iterator:
+    """Write ``path`` through a temporary file in the same directory.
+
+    The body writes to the yielded handle; when it returns, the file is
+    flushed to disk and moved over ``path`` with :func:`os.replace`, so a
+    reader sees the old file or the whole new one, never a partial write.
+    If the body raises, ``path`` is left as it was and the temporary file
+    is removed. Text modes write UTF-8.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
+            yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def save_annotations(path, records: Sequence[AnnotationRecord]) -> None:
     doc = {"schema_version": SCHEMA_VERSION, "records": [r.to_json() for r in records]}
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
 
@@ -463,7 +487,7 @@ def write_ppm(path, image: np.ndarray) -> None:
     if c != 3:
         raise ValueError(f"expected an (H, W, 3) image, got {image.shape}")
     quantized = np.clip(np.rint(image * 255.0), 0, 255).astype(np.uint8)
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
         fh.write(quantized.tobytes())
 

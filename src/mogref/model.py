@@ -3,10 +3,11 @@
 Pipeline: token projector -> scale-comprehensive encoder (SCE, transformer
 blocks whose attention is the mixture-of-granularity module) -> two-stage
 query decoding: a coarse decoder (SCD) whose cross-attention into the
-encoder memory is granularity-masked, then a refining decoder (SSD) of
-plain MHSA/MHCA/FFN blocks that reads a learned softmax-weighted fusion of
-every encoder block's output -> a small regression head mapping each query
-to a sigmoid box and confidence.
+encoder memory is granularity-masked, then a refining decoder (SSD), the
+same block with plain cross-attention, that reads a learned softmax-weighted
+fusion of every encoder block's output -> a small regression head mapping
+each query to a sigmoid box and confidence. Plain attention is the
+one-branch, gate-less form of the mixture module (dilations ``(1,)``).
 
 The projector is deliberately tiny: a linear patch embedding over synthetic
 rasters plus an embedding table over a closed vocabulary, with sinusoidal
@@ -22,14 +23,10 @@ from typing import Sequence
 
 import numpy as np
 
-from mogref.data import ValidationError, Vocab
-from mogref.mog import (
-    MoGAttention,
-    MoGConfig,
-    merge_heads,
-    mog_forward,
-    split_heads,
-)
+from mogref.data import ValidationError, Vocab, atomic_open
+# blocks call attention as this module's ``mog_forward``, the name
+# perfbench/tracer.py wraps to time every attention sublayer
+from mogref.mog import MoGAttention, MoGConfig, mog_forward
 from mogref.rng import RngState
 from mogref.tensor import (
     Parameter,
@@ -43,7 +40,6 @@ from mogref.tensor import (
     sigmoid,
     softmax,
     take_rows,
-    transpose,
 )
 
 CHECKPOINT_FORMAT = "mogref.checkpoint"
@@ -151,29 +147,6 @@ class Linear:
         return [self.w] if self.b is None else [self.w, self.b]
 
 
-class MultiHeadAttention:
-    """Plain scaled dot-product attention, the non-gated baseline."""
-
-    def __init__(self, model_dim: int, num_heads: int, rng: RngState, name: str):
-        scale = 1.0 / np.sqrt(model_dim)
-        self.num_heads = num_heads
-        self.head_dim = model_dim // num_heads
-        self.w_q = Parameter(f"{name}.w_q", rng.uniform_array((model_dim, model_dim), -scale, scale))
-        self.w_k = Parameter(f"{name}.w_k", rng.uniform_array((model_dim, model_dim), -scale, scale))
-        self.w_v = Parameter(f"{name}.w_v", rng.uniform_array((model_dim, model_dim), -scale, scale))
-
-    def __call__(self, x: Tensor, memory: Tensor | None = None) -> Tensor:
-        kv = x if memory is None else memory
-        q = split_heads(matmul(x, self.w_q), self.num_heads)
-        k = split_heads(matmul(kv, self.w_k), self.num_heads)
-        v = split_heads(matmul(kv, self.w_v), self.num_heads)
-        logits = matmul(q * (1.0 / np.sqrt(self.head_dim)), transpose(k, (0, 1, 3, 2)))
-        return merge_heads(matmul(softmax(logits), v))
-
-    def parameters(self) -> list[Parameter]:
-        return [self.w_q, self.w_k, self.w_v]
-
-
 class TokenProjector:
     """Patch-embed rasters, look up word embeddings, add positions and types."""
 
@@ -251,52 +224,27 @@ class EncoderBlock:
         ]
 
 
-class CoarseDecoderBlock:
-    """Query self-attention, granularity-masked cross-attention, FFN."""
+class DecoderBlock:
+    """Plain query self-attention, cross-attention over ``cross_dilations``, FFN.
 
-    def __init__(self, config: ModelConfig, rng: RngState, name: str):
+    The SCD passes the model's dilations, the SSD ``(1,)``.
+    """
+
+    def __init__(self, config: ModelConfig, rng: RngState, name: str,
+                 cross_dilations: tuple[int, ...]):
         d = config.model_dim
-        self.self_attn = MultiHeadAttention(d, config.num_heads, rng, f"{name}.self_attn")
+        self.self_attn = MoGAttention(MoGConfig(d, config.num_heads, (1,)), rng, f"{name}.self_attn")
         self.self_out = Linear(f"{name}.self_out", d, d, rng)
-        self.cross_attn = MoGAttention(config.mog, rng, f"{name}.cross_attn")
+        self.cross_attn = MoGAttention(
+            MoGConfig(d, config.num_heads, cross_dilations), rng, f"{name}.cross_attn")
         self.cross_out = Linear(f"{name}.cross_out", d, d, rng)
         self.ffn_in = Linear(f"{name}.ffn_in", d, config.ffn_dim, rng)
         self.ffn_out = Linear(f"{name}.ffn_out", config.ffn_dim, d, rng)
 
     def __call__(self, queries: Tensor, memory: Tensor) -> Tensor:
-        queries = queries + self.self_out(self.self_attn(layernorm(queries)))
+        queries = queries + self.self_out(mog_forward(layernorm(queries), self.self_attn))
         queries = queries + self.cross_out(
-            mog_forward(layernorm(queries), self.cross_attn, memory=memory)
-        )
-        queries = queries + self.ffn_out(gelu(self.ffn_in(layernorm(queries))))
-        return queries
-
-    def parameters(self) -> list[Parameter]:
-        return [
-            *self.self_attn.parameters(),
-            *self.self_out.parameters(),
-            *self.cross_attn.parameters(),
-            *self.cross_out.parameters(),
-            *self.ffn_in.parameters(),
-            *self.ffn_out.parameters(),
-        ]
-
-
-class RefineDecoderBlock:
-    """Plain MHSA + MHCA + FFN refinement stage."""
-
-    def __init__(self, config: ModelConfig, rng: RngState, name: str):
-        d = config.model_dim
-        self.self_attn = MultiHeadAttention(d, config.num_heads, rng, f"{name}.self_attn")
-        self.self_out = Linear(f"{name}.self_out", d, d, rng)
-        self.cross_attn = MultiHeadAttention(d, config.num_heads, rng, f"{name}.cross_attn")
-        self.cross_out = Linear(f"{name}.cross_out", d, d, rng)
-        self.ffn_in = Linear(f"{name}.ffn_in", d, config.ffn_dim, rng)
-        self.ffn_out = Linear(f"{name}.ffn_out", config.ffn_dim, d, rng)
-
-    def __call__(self, queries: Tensor, memory: Tensor) -> Tensor:
-        queries = queries + self.self_out(self.self_attn(layernorm(queries)))
-        queries = queries + self.cross_out(self.cross_attn(layernorm(queries), memory=memory))
+            mog_forward(layernorm(queries), self.cross_attn, memory=memory))
         queries = queries + self.ffn_out(gelu(self.ffn_in(layernorm(queries))))
         return queries
 
@@ -375,8 +323,9 @@ class SCSModel:
         self.queries = Parameter(
             "queries", rng.uniform_array((config.num_queries, config.model_dim), -scale, scale)
         )
-        self.scd = [CoarseDecoderBlock(config, rng, f"scd.{i}") for i in range(config.scd_blocks)]
-        self.ssd = [RefineDecoderBlock(config, rng, f"ssd.{i}") for i in range(config.ssd_blocks)]
+        self.scd = [DecoderBlock(config, rng, f"scd.{i}", config.dilations)
+                    for i in range(config.scd_blocks)]
+        self.ssd = [DecoderBlock(config, rng, f"ssd.{i}", (1,)) for i in range(config.ssd_blocks)]
         self.head = RegressionHead(config.model_dim, rng)
 
     # -- stages ------------------------------------------------------------
@@ -445,7 +394,7 @@ class SCSModel:
                 for p in self.parameters()
             },
         }
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_open(path) as fh:
             json.dump(doc, fh)
             fh.write("\n")
 
@@ -469,6 +418,12 @@ class SCSModel:
         model = SCSModel(config, Vocab(doc["vocab"]), RngState(0))
         stored = doc["params"]
         params = {p.name: p for p in model.parameters()}
+        if len(config.dilations) == 1:
+            # one-branch attentions have no gate; older checkpoints carry an
+            # inert gate_w/gate_b per attention (a softmax over one logit is 1)
+            inert = {name[: -len("w_q")] + gate for name in params if name.endswith(".w_q")
+                     for gate in ("gate_w", "gate_b")}
+            stored = {name: entry for name, entry in stored.items() if name not in inert}
         if set(stored) != set(params):
             missing = set(params) - set(stored)
             extra = set(stored) - set(params)

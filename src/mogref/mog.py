@@ -12,7 +12,8 @@ softmax over branches. The gate mixes the branch weight matrices,
 ``W = sum_g gamma_g P_g``, before a single product ``W V`` with the values;
 by linearity that equals the convex combination of the branch outputs
 ``sum_g gamma_g (P_g V)`` with per-sample weights. With a single dilation-1
-branch the whole thing collapses to vanilla multi-head attention.
+branch there is no gate (γ ≡ 1) and the whole thing is vanilla multi-head
+attention, which is how the model builds its plain attention sublayers.
 
 The mask is the definition; the compute runs by residue class. The pair
 predicate holds exactly when ``i = j (mod d_g)``, so branch g is one dense
@@ -210,8 +211,11 @@ class MoGAttention:
 
     Query/key/value projections are bias-free (D, D) matrices shared by all
     branches; the gate starts at zero so the initial mixture is uniform.
-    There is no output projection here; blocks that embed this module add
-    their own.
+    With a single branch there is nothing to route: no gate is built
+    (``gate`` is None, and :meth:`parameters` has only the projections),
+    the mixture weight is the constant γ ≡ 1 and the module is plain
+    multi-head attention. There is no output projection here; blocks that
+    embed this module add their own.
     """
 
     def __init__(self, config: MoGConfig, rng: RngState, name: str):
@@ -222,13 +226,16 @@ class MoGAttention:
         self.w_q = Parameter(f"{name}.w_q", rng.uniform_array((d, d), -scale, scale))
         self.w_k = Parameter(f"{name}.w_k", rng.uniform_array((d, d), -scale, scale))
         self.w_v = Parameter(f"{name}.w_v", rng.uniform_array((d, d), -scale, scale))
-        self.gate = GateParams(
-            Parameter(f"{name}.gate_w", np.zeros((d, config.num_granularities))),
-            Parameter(f"{name}.gate_b", np.zeros(config.num_granularities)),
-        )
+        self.gate = None
+        if config.num_granularities > 1:
+            self.gate = GateParams(
+                Parameter(f"{name}.gate_w", np.zeros((d, config.num_granularities))),
+                Parameter(f"{name}.gate_b", np.zeros(config.num_granularities)),
+            )
 
     def parameters(self) -> list[Parameter]:
-        return [self.w_q, self.w_k, self.w_v, self.gate.w, self.gate.b]
+        gate = [] if self.gate is None else [self.gate.w, self.gate.b]
+        return [self.w_q, self.w_k, self.w_v, *gate]
 
     def __call__(self, x: Tensor, memory: Tensor | None = None) -> Tensor:
         return mog_forward(x, self, memory=memory)
@@ -403,10 +410,13 @@ def mog_forward(x: Tensor, attn: MoGAttention, memory: Tensor | None = None) -> 
 
     The gate pools the sequence the masks sparsify: ``x`` itself for
     self-attention, the memory for cross-attention (granularity selection
-    is about the attended-over tokens). By linearity,
-    ``(sum_g gamma_g P_g) V`` equals the convex sum of the branch outputs
-    ``sum_g gamma_g (P_g V)``.
+    is about the attended-over tokens); a one-branch module has no gate
+    and mixes with γ ≡ 1. By linearity, ``(sum_g gamma_g P_g) V`` equals
+    the convex sum of the branch outputs ``sum_g gamma_g (P_g V)``.
     """
     _, _, v, logits = attention_logits(x, attn, memory=memory)
-    gammas = gate_weights(x if memory is None else memory, attn.gate)  # (B, G)
+    if attn.gate is None:
+        gammas = Tensor(np.ones((logits.shape[0], 1)))
+    else:
+        gammas = gate_weights(x if memory is None else memory, attn.gate)  # (B, G)
     return merge_heads(matmul(_mixture_weights(logits, gammas, attn.config.dilations), v))

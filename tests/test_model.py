@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from mogref.gradcheck import finite_difference_grad, max_rel_err
 from mogref.matching import BBox, grounding_cost, hungarian, assignment_loss
 from mogref.model import ModelConfig, SCSModel, sinusoidal_positions
 from mogref.rng import RngState
-from mogref.tensor import Tensor, backward, select, zero_grads
+from mogref.tensor import Tensor, backward, reshape, select, zero_grads
 
 VOCAB = default_vocab()
 
@@ -26,6 +28,22 @@ def tiny_batch(seed=0, batch=2, config=TINY):
     images = rng.uniform_array((batch, config.image_size, config.image_size, 3))
     ids = np.array([[2, 3, 4], [2, 5, 0]])[:batch]
     return images, ids
+
+
+def reference_mha(x, w_q, w_k, w_v, num_heads, memory=None):
+    """Plain numpy multi-head attention; keys and values come from ``memory`` when given."""
+    kv = x if memory is None else memory
+
+    def heads(t):
+        b, n, d = t.shape
+        return t.reshape(b, n, num_heads, d // num_heads).transpose(0, 2, 1, 3)
+
+    q, k, v = heads(x @ w_q), heads(kv @ w_k), heads(kv @ w_v)
+    logits = q @ k.transpose(0, 1, 3, 2) / np.sqrt(q.shape[-1])
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    out = (e / e.sum(axis=-1, keepdims=True)) @ v
+    b, h, n, dk = out.shape
+    return out.transpose(0, 2, 1, 3).reshape(b, n, h * dk)
 
 
 def zero_block_outputs(model: SCSModel) -> None:
@@ -126,15 +144,15 @@ class TestStages:
 
     def test_single_query_self_attention_returns_its_value(self):
         # one query attends only to itself: softmax over one key is 1
-        from mogref.model import MultiHeadAttention
-        from mogref.tensor import matmul
+        from mogref.mog import MoGAttention, MoGConfig
 
         rng = RngState(17)
-        attn = MultiHeadAttention(8, 2, rng, "mha")
+        attn = MoGAttention(MoGConfig(8, 2, (1,)), rng, "mha")
         q = Tensor(rng.uniform_array((3, 1, 8), -1, 1))
         out = attn(q)
-        value = matmul(q, attn.w_v)
-        assert np.abs(out.data - value.data).max() < 1e-15
+        assert np.abs(out.data - q.data @ attn.w_v.data).max() < 1e-15
+        ref = reference_mha(q.data, attn.w_q.data, attn.w_k.data, attn.w_v.data, 2)
+        assert np.abs(out.data - ref).max() < 1e-15
 
     def test_zero_memory_and_zero_value_projection_contribute_nothing(self):
         model = tiny_model()
@@ -249,9 +267,10 @@ class TestEndToEnd:
         for out in outs:
             assert (out == sequential).all()
 
-    def test_every_parameter_participates(self):
+    @pytest.mark.parametrize("dilations", [(1, 2, 3, 4), (1,)])
+    def test_every_parameter_participates(self, dilations):
         # default-depth architecture at a reduced image size for speed
-        cfg = ModelConfig(image_size=32, vocab_size=len(VOCAB))
+        cfg = ModelConfig(image_size=32, vocab_size=len(VOCAB), dilations=dilations)
         model = SCSModel(cfg, VOCAB, RngState(0))
         rng = RngState(1)
         images = rng.uniform_array((2, 32, 32, 3))
@@ -267,29 +286,42 @@ class TestEndToEnd:
         assert dead == []
 
     def test_single_dilation_model_attention_equals_plain_mha(self):
-        # dilations=(1,) everywhere: every granularity-masked sublayer must
-        # act as the vanilla baseline, making the full model a plain
-        # DETR-style grounding network
-        from mogref.model import MultiHeadAttention
+        # every one-branch attention site acts as vanilla attention: the
+        # decoders' query self-attention and the SSD cross-attention of the
+        # mixed model, and with dilations=(1,) also the SCE and SCD
+        # cross-attention, which makes the model a plain DETR-style network
         from mogref.mog import mog_forward
 
-        cfg = ModelConfig(**{**TINY.to_json(), "dilations": (1,)})
-        model = tiny_model(config=cfg)
-        images, ids = tiny_batch(config=cfg)
-        tokens = model.project_tokens(images, ids)
-        memory, _ = model.sce_forward(tokens)
+        def sites(model, images, ids):
+            tokens = model.project_tokens(images, ids)
+            memory, per_block = model.sce_forward(tokens)
+            fused = model.fuse_hierarchy(per_block)
+            queries = reshape(model.queries, (1, *model.queries.shape))
+            coarse = model.scd_forward(memory)
+            return {
+                "sce.attn": (model.sce[0].attn, tokens.tokens, None),
+                "scd.self_attn": (model.scd[0].self_attn, queries, None),
+                "scd.cross_attn": (model.scd[0].cross_attn, queries, memory),
+                "ssd.self_attn": (model.ssd[0].self_attn, coarse, None),
+                "ssd.cross_attn": (model.ssd[0].cross_attn, coarse, fused),
+            }
 
-        for mog_attn, stream, mem in [
-            (model.sce[0].attn, tokens.tokens, None),
-            (model.scd[0].cross_attn, model.scd_forward(memory), memory),
+        single = ModelConfig(**{**TINY.to_json(), "dilations": (1,)})
+        for cfg, names in [
+            (TINY, ["scd.self_attn", "ssd.self_attn", "ssd.cross_attn"]),
+            (single, ["sce.attn", "scd.self_attn", "scd.cross_attn",
+                      "ssd.self_attn", "ssd.cross_attn"]),
         ]:
-            baseline = MultiHeadAttention(cfg.model_dim, cfg.num_heads, RngState(0), "ref")
-            baseline.w_q.data = mog_attn.w_q.data.copy()
-            baseline.w_k.data = mog_attn.w_k.data.copy()
-            baseline.w_v.data = mog_attn.w_v.data.copy()
-            ours = mog_forward(stream, mog_attn, memory=mem)
-            ref = baseline(stream, memory=mem)
-            assert np.abs(ours.data - ref.data).max() < 1e-10
+            model = tiny_model(config=cfg)
+            found = sites(model, *tiny_batch(config=cfg))
+            for name in names:
+                attn, stream, mem = found[name]
+                assert attn.config.dilations == (1,) and attn.gate is None, name
+                ours = mog_forward(stream, attn, memory=mem)
+                ref = reference_mha(stream.data, attn.w_q.data, attn.w_k.data, attn.w_v.data,
+                                    cfg.num_heads, memory=None if mem is None else mem.data)
+                assert ours.shape == ref.shape, name
+                assert np.abs(ours.data - ref).max() < 1e-10, name
 
     def test_gate_parameter_gradient_matches_finite_differences(self):
         model = tiny_model()
@@ -341,6 +373,52 @@ class TestCheckpoint:
         other = ModelConfig(**{**TINY.to_json(), "num_queries": 5})
         with pytest.raises(ValidationError, match="does not match"):
             SCSModel.load(path, expect_config=other)
+
+    def test_single_dilation_checkpoint_with_old_gate_entries_loads(self, tmp_path):
+        # checkpoints written before one-branch attentions lost their gate
+        # carry gate_w (D, 1) and gate_b (1,) for the SCE and SCD cross-attention
+        cfg = ModelConfig(**{**TINY.to_json(), "dilations": (1,)})
+        model = tiny_model(seed=23, config=cfg)
+        path = tmp_path / "ckpt.json"
+        model.save(path)
+        doc = json.loads(path.read_text())
+        rng = RngState(24)
+        for attn in ("sce.0.attn", "sce.1.attn", "scd.0.cross_attn"):
+            doc["params"][f"{attn}.gate_w"] = {"shape": [8, 1], "data": rng.uniform_array(8).tolist()}
+            doc["params"][f"{attn}.gate_b"] = {"shape": [1], "data": [rng.uniform()]}
+        path.write_text(json.dumps(doc))
+        loaded = SCSModel.load(path)
+        assert [p.name for p in loaded.parameters()] == [p.name for p in model.parameters()]
+        images, ids = tiny_batch(config=cfg)
+        p1, p2 = model.forward(images, ids), loaded.forward(images, ids)
+        assert (p1.boxes.data == p2.boxes.data).all()
+        assert (p1.confidence.data == p2.confidence.data).all()
+
+    @pytest.mark.parametrize("dilations", [(1,), (1, 2)])
+    def test_unknown_parameter_entry_rejected(self, tmp_path, dilations):
+        cfg = ModelConfig(**{**TINY.to_json(), "dilations": dilations})
+        path = tmp_path / "ckpt.json"
+        tiny_model(config=cfg).save(path)
+        doc = json.loads(path.read_text())
+        doc["params"]["sce.0.attn.extra"] = {"shape": [1], "data": [0.0]}
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match="extra"):
+            SCSModel.load(path)
+
+    def test_failed_save_leaves_previous_checkpoint(self, tmp_path, monkeypatch):
+        path = tmp_path / "ckpt.json"
+        tiny_model(seed=1).save(path)
+        before = path.read_bytes()
+
+        def dump_then_fail(doc, fh, **kwargs):
+            fh.write('{"format": "mogref.checkpoint", ')
+            raise OSError("disk full")
+
+        monkeypatch.setattr(json, "dump", dump_then_fail)
+        with pytest.raises(OSError, match="disk full"):
+            tiny_model(seed=2).save(path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["ckpt.json"]
 
     def test_corrupt_checkpoint_rejected(self, tmp_path):
         path = tmp_path / "ckpt.json"

@@ -58,7 +58,8 @@ def test_script_profiles_a_default_step(capsys):
     for line in lines[2:]:
         name, calls, ms, _share = line.split()
         rows[name] = (float(calls), float(ms))
-    # one mixture node per MoG attention: two SCE blocks and the SCD
-    assert rows["_mixture_weights"][0] == 3
+    # one mixture node per attention: two SCE blocks, the SCD self- and
+    # cross-attention, and the SSD self- and cross-attention
+    assert rows["_mixture_weights"][0] == 6
     assert rows["matmul"][0] == 51
     assert {"layernorm", "gelu", "softmax", "take_rows"} <= set(rows)
