@@ -27,7 +27,6 @@ from mogref.data import (
     ValidationError,
     atomic_open,
     default_vocab,
-    generate_scene,
     load_annotations,
     save_annotations,
     write_ppm,
@@ -110,11 +109,11 @@ def _parse_dilations(text: str) -> tuple[int, ...]:
         raise ValidationError(f"bad --dilations value {text!r}") from exc
 
 
-def _model_config(args, vocab_size: int) -> ModelConfig:
+def _model_config(args, vocab_size: int, dilations: tuple[int, ...]) -> ModelConfig:
     return ModelConfig(
         model_dim=args.model_dim,
         num_heads=args.num_heads,
-        dilations=_parse_dilations(args.dilations),
+        dilations=dilations,
         sce_blocks=args.sce_blocks,
         scd_blocks=args.scd_blocks,
         ssd_blocks=args.ssd_blocks,
@@ -188,23 +187,16 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_make_data(args) -> int:
     out = _out_dir(args)
-    spec = _scene_spec(args)
-    root = RngState(args.seed)
-    records = []
-    images = []
-    for i in range(args.scenes):
-        image, record = generate_scene(spec, root.derive(i), image_id=f"scene-{i:05d}")
-        records.append(record)
-        images.append(image)
-    save_annotations(out / "annotations.json", records)
-    print(f"wrote {out / 'annotations.json'} ({len(records)} records)")
+    dataset = build_synthetic_dataset(args.scenes, _scene_spec(args), default_vocab(), args.seed)
+    save_annotations(out / "annotations.json", dataset.records)
+    print(f"wrote {out / 'annotations.json'} ({len(dataset)} records)")
     if args.ppm:
         img_dir = out / "images"
         img_dir.mkdir(exist_ok=True)
-        for record, image in zip(records, images):
+        for record, image in zip(dataset.records, dataset.images):
             write_ppm(img_dir / f"{record.image_id}.ppm", image)
-        print(f"wrote {len(images)} rasters under {img_dir}")
-    _write_json(out / "make_data.json", {"scenes": len(records)}, args)
+        print(f"wrote {len(dataset)} rasters under {img_dir}")
+    _write_json(out / "make_data.json", {"scenes": len(dataset)}, args)
     return EXIT_OK
 
 
@@ -212,7 +204,8 @@ def cmd_train(args) -> int:
     out = _out_dir(args)
     vocab = default_vocab()
     dataset = _load_any_dataset(args, vocab)
-    model = SCSModel(_model_config(args, len(vocab)), vocab, RngState(args.seed))
+    model = SCSModel(_model_config(args, len(vocab), _parse_dilations(args.dilations)),
+                     vocab, RngState(args.seed))
     cfg = TrainConfig(
         steps=args.steps,
         lr=args.lr,
@@ -272,15 +265,8 @@ def cmd_sweep(args) -> int:
     rows = []
     table = []
     for g in range(1, args.gmax + 1):
-        config = ModelConfig(
-            model_dim=args.model_dim, num_heads=args.num_heads,
-            dilations=tuple(range(1, g + 1)),
-            sce_blocks=args.sce_blocks, scd_blocks=args.scd_blocks,
-            ssd_blocks=args.ssd_blocks, num_queries=args.num_queries,
-            ffn_dim=args.ffn_dim, image_size=args.image_size,
-            patch_size=args.patch_size, vocab_size=len(vocab),
-        )
-        model = SCSModel(config, vocab, RngState(args.seed))
+        model = SCSModel(_model_config(args, len(vocab), tuple(range(1, g + 1))),
+                         vocab, RngState(args.seed))
         train_toy(model, train_ds, TrainConfig(
             steps=args.steps, lr=args.lr, batch_size=args.batch_size,
             eval_every=0, target_train_p50=None,

@@ -7,6 +7,10 @@ same float operations as the scalar path, so equal to it bit for bit), and
 a Tensor version (:func:`giou_pairs`) feeds the differentiable loss. They
 are tested against each other and against a rasterized counting oracle.
 
+:func:`hungarian` is one O(n^3) potentials solve. Its costs carry the
+tie-break as an exact second key, so among the optimal assignments it
+returns the lexicographically smallest without solving again.
+
 The loss matches each sample with :func:`hungarian` on detached values,
 then scores the whole batch in one small graph: one gather of the matched
 boxes, one L1 and one GIoU term over every matched pair of the batch, and
@@ -68,19 +72,8 @@ class BBox:
         return BBox((x + w / 2.0) / image_w, (y + h / 2.0) / image_h, w / image_w, h / image_h)
 
 
-def iou(a: BBox, b: BBox) -> float:
-    """Intersection over union in [0, 1]; two zero-area boxes give 0."""
-    ax1, ay1, ax2, ay2 = a.corners()
-    bx1, by1, bx2, by2 = b.corners()
-    iw = max(0.0, min(ax2, bx2) - max(ax1, bx1))
-    ih = max(0.0, min(ay2, by2) - max(ay1, by1))
-    inter = iw * ih
-    union = a.area() + b.area() - inter
-    return inter / union if union > 0.0 else 0.0
-
-
-def giou(a: BBox, b: BBox) -> float:
-    """Generalized IoU in [-1, 1]: IoU minus the enclosing-box dead space."""
+def _overlap(a: BBox, b: BBox) -> tuple[float, float, float]:
+    """Intersection, union and enclosing-box areas of two boxes."""
     ax1, ay1, ax2, ay2 = a.corners()
     bx1, by1, bx2, by2 = b.corners()
     iw = max(0.0, min(ax2, bx2) - max(ax1, bx1))
@@ -88,9 +81,21 @@ def giou(a: BBox, b: BBox) -> float:
     inter = iw * ih
     union = a.area() + b.area() - inter
     enclose = (max(ax2, bx2) - min(ax1, bx1)) * (max(ay2, by2) - min(ay1, by1))
-    if enclose <= 0.0:
-        return iou(a, b)
+    return inter, union, enclose
+
+
+def iou(a: BBox, b: BBox) -> float:
+    """Intersection over union in [0, 1]; two zero-area boxes give 0."""
+    inter, union, _ = _overlap(a, b)
+    return inter / union if union > 0.0 else 0.0
+
+
+def giou(a: BBox, b: BBox) -> float:
+    """Generalized IoU in [-1, 1]: IoU minus the enclosing-box dead space."""
+    inter, union, enclose = _overlap(a, b)
     base = inter / union if union > 0.0 else 0.0
+    if enclose <= 0.0:
+        return base
     return base - (enclose - union) / enclose
 
 
@@ -108,14 +113,26 @@ class Assignment:
 
 
 def _solve_square(rows: list[list[float]]) -> list[int]:
-    """Min-cost perfect matching on a square cost matrix (potentials +
-    shortest augmenting path, O(n^3)). Returns the column of each row."""
+    """Lexicographically smallest min-cost perfect matching on a square cost
+    matrix (potentials + shortest augmenting path, O(n^3)). Returns the
+    column of each row.
+
+    Entry (r, j) costs the pair (rows[r][j], j * n**(n-1-r)). Pairs add
+    componentwise and compare lexicographically, so they form an ordered
+    group, and the algorithm (which only adds, subtracts and compares)
+    runs on them unchanged. The second parts of an assignment sum to its
+    column list read as a base-n number, so among the assignments of least
+    cost the one with the smallest column list wins. Each pair is held as a
+    float and an exact int side by side: u/uk, v/vk, and tuples in minv.
+    """
     n = len(rows)
     if n == 0:
         return []
-    inf = float("inf")
+    inf = (float("inf"), 0)
     u = [0.0] * (n + 1)
+    uk = [0] * (n + 1)
     v = [0.0] * (n + 1)
+    vk = [0] * (n + 1)
     match = [0] * (n + 1)  # match[j] = row occupying column j, 1-based
     way = [0] * (n + 1)
     for i in range(1, n + 1):
@@ -129,21 +146,25 @@ def _solve_square(rows: list[list[float]]) -> list[int]:
             delta = inf
             j1 = -1
             row = rows[i0 - 1]
+            place = n ** (n - i0)  # weight of row i0 - 1's column digit
             for j in range(1, n + 1):
                 if not used[j]:
-                    cur = row[j - 1] - u[i0] - v[j]
+                    cur = (row[j - 1] - u[i0] - v[j], (j - 1) * place - uk[i0] - vk[j])
                     if cur < minv[j]:
                         minv[j] = cur
                         way[j] = j0
                     if minv[j] < delta:
                         delta = minv[j]
                         j1 = j
+            d, dk = delta
             for j in range(n + 1):
                 if used[j]:
-                    u[match[j]] += delta
-                    v[j] -= delta
+                    u[match[j]] += d
+                    uk[match[j]] += dk
+                    v[j] -= d
+                    vk[j] -= dk
                 else:
-                    minv[j] -= delta
+                    minv[j] = (minv[j][0] - d, minv[j][1] - dk)
             j0 = j1
             if match[j0] == 0:
                 break
@@ -158,14 +179,6 @@ def _solve_square(rows: list[list[float]]) -> list[int]:
     return out
 
 
-def _optimal_total(rows: list[list[float]]) -> float:
-    """Cost of an optimal matching, summed in row order."""
-    if not rows:
-        return 0.0
-    cols = _solve_square(rows)
-    return sum(rows[r][cols[r]] for r in range(len(rows)))
-
-
 def hungarian(cost) -> Assignment:
     """Minimum-cost bipartite assignment of predictions (rows) to targets.
 
@@ -173,7 +186,11 @@ def hungarian(cost) -> Assignment:
     unit above the largest entry magnitude (finite, so arithmetic stays
     total; uniform, so it cannot distort which real pairs win). Among
     cost-equal optima the lexicographically smallest (row, col) list is
-    returned, which makes matches reproducible.
+    returned, which makes matches reproducible: one O(n^3) solve on costs
+    that carry the tie-break as an exact second key (see
+    :func:`_solve_square`). Ties are exact for costs whose sums are exact
+    in floating point, such as small integers; otherwise rounding in the
+    potentials may decide between near-equal optima.
     """
     c = np.asarray(cost, dtype=np.float64)
     if c.ndim != 2:
@@ -187,31 +204,9 @@ def hungarian(cost) -> Assignment:
     sentinel = float(np.abs(c).max()) + 1.0
     square = np.full((n, n), sentinel, dtype=np.float64)
     square[:num_pred, :num_tgt] = c
-    rows = square.tolist()
-
-    # Fix rows greedily: for each row take the smallest column whose best
-    # completion achieves the minimum total. Candidate totals are sums in
-    # row order, so equal assignments compare exactly equal.
-    used: set[int] = set()
-    prefix = 0.0
-    chosen_cols: list[int] = []
-    for r in range(n):
-        avail = [j for j in range(n) if j not in used]
-        best_j = avail[0]
-        best_total = None
-        for j in avail:
-            rest = [j2 for j2 in avail if j2 != j]
-            sub = [[rows[r2][j2] for j2 in rest] for r2 in range(r + 1, n)]
-            total = prefix + rows[r][j] + _optimal_total(sub)
-            if best_total is None or total < best_total:
-                best_total = total
-                best_j = j
-        used.add(best_j)
-        chosen_cols.append(best_j)
-        prefix += rows[r][best_j]
-
+    cols = _solve_square(square.tolist())
     pairs = tuple(
-        (r, j) for r, j in enumerate(chosen_cols) if r < num_pred and j < num_tgt
+        (r, j) for r, j in enumerate(cols) if r < num_pred and j < num_tgt
     )
     total_cost = float(sum(c[r, j] for r, j in pairs))
     return Assignment(pairs, total_cost)

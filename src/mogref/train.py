@@ -68,6 +68,8 @@ def _targets_of(record: AnnotationRecord) -> list[BBox]:
 def build_synthetic_dataset(num_scenes: int, spec: SyntheticSceneSpec, vocab: Vocab,
                             seed: int) -> GroundingDataset:
     """Generate ``num_scenes`` referring scenes from per-index substreams."""
+    if num_scenes < 1:
+        raise ValidationError(f"need at least one scene, got {num_scenes}")
     root = RngState(seed)
     images, ids, targets, records = [], [], [], []
     for i in range(num_scenes):

@@ -4,11 +4,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mogref.cli import EXIT_IO, EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main
+from mogref.data import SyntheticSceneSpec, default_vocab, load_annotations, read_ppm
 from mogref.metrics import EvalResult
 from mogref.model import SCSModel
+from mogref.train import build_synthetic_dataset
 
 TINY_MODEL_FLAGS = [
     "--model-dim", "8", "--num-heads", "2", "--sce-blocks", "1",
@@ -64,6 +67,22 @@ class TestMakeDataAndStats:
         assert doc["stats"]["bbox_count"] == 5
         header = comments_of(stats_dir / "stats.csv")
         assert any("o2s" in line for line in header)  # definitions documented
+
+    def test_make_data_writes_the_training_dataset(self, tmp_path):
+        # make-data and training draw the same scenes for a seed and spec
+        code = main(["make-data", "--scenes", "3", "--seed", "3", "--image-size", "16",
+                     "--distractors", "1", "--ppm", "--out-dir", str(tmp_path)])
+        assert code == EXIT_OK
+        dataset = build_synthetic_dataset(
+            3, SyntheticSceneSpec(image_size=16, num_distractors=1), default_vocab(), 3)
+        assert load_annotations(tmp_path / "annotations.json") == dataset.records
+        for record, image in zip(dataset.records, dataset.images):
+            raster = read_ppm(tmp_path / "images" / f"{record.image_id}.ppm")
+            assert np.array_equal(raster, np.rint(image * 255.0) / 255.0)
+
+    def test_make_data_without_scenes_exits_validation(self, tmp_path):
+        assert main(["make-data", "--scenes", "0", "--out-dir", str(tmp_path)]) == EXIT_VALIDATION
+        assert not (tmp_path / "annotations.json").exists()
 
     def test_stats_matches_bundled_expected_file(self, tmp_path, fixtures_dir):
         code = main(["stats", "--data", str(fixtures_dir / "annotations_fixture.json"),

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from mogref import matching
 from mogref.data import SyntheticSceneSpec, default_vocab
 from mogref.gradcheck import finite_difference_grad, max_rel_err
 from mogref.matching import (
@@ -36,21 +37,21 @@ from mogref.tensor import (
 from mogref.train import build_synthetic_dataset
 
 
+def all_assignments(q: int, t: int):
+    """Every injective (row, col) pair list of size min(q, t), rows ascending."""
+    if q <= t:
+        return [tuple(enumerate(perm)) for perm in itertools.permutations(range(t), q)]
+    return [tuple(sorted((r, c) for c, r in enumerate(perm)))
+            for perm in itertools.permutations(range(q), t)]
+
+
 def brute_force_min_cost(cost: np.ndarray) -> float:
     """Exhaustive minimum over all injective assignments of size min(Q, T).
 
     Sums each candidate in row order so that exact float equality with the
     solver's row-ordered total is meaningful.
     """
-    q, t = cost.shape
-    if q <= t:
-        candidates = (tuple(enumerate(perm)) for perm in itertools.permutations(range(t), q))
-    else:
-        candidates = (
-            tuple(sorted((r, c) for c, r in enumerate(perm)))
-            for perm in itertools.permutations(range(q), t)
-        )
-    return min(sum(cost[r, c] for r, c in pairs) for pairs in candidates)
+    return min(sum(cost[r, c] for r, c in pairs) for pairs in all_assignments(*cost.shape))
 
 
 def scalar_cost(boxes: np.ndarray, confidence: np.ndarray, targets, weights=LossWeights()):
@@ -217,21 +218,32 @@ class TestHungarian:
         cost = rng.uniform_array((n, n), -5.0, 5.0)
         assert hungarian(cost).pairs == hungarian(cost + shift).pairs
 
-    @given(st.integers(1, 4), st.integers(0, 10_000))
-    def test_integer_ties_lexicographically_minimal(self, n, seed):
+    @given(st.integers(1, 5), st.integers(1, 5), st.integers(0, 10_000))
+    def test_integer_ties_lexicographically_minimal(self, q, t, seed):
         # small integer entries force many exactly-optimal assignments; the
-        # solver must return the lexicographically smallest one
+        # solver must return the lexicographically smallest one, also when
+        # padding adds sentinel rows (q < t) or columns (q > t)
         rng = RngState(seed)
-        cost = np.array([[float(rng.randint(3)) for _ in range(n)] for _ in range(n)])
+        cost = np.array([[float(rng.randint(3)) for _ in range(t)] for _ in range(q)])
         result = hungarian(cost)
-        totals = {
-            perm: sum(cost[r, c] for r, c in enumerate(perm))
-            for perm in itertools.permutations(range(n))
-        }
+        totals = {pairs: sum(cost[r, c] for r, c in pairs) for pairs in all_assignments(q, t)}
         best = min(totals.values())
         assert result.total_cost == best
-        optimal_pairs = [tuple(enumerate(p)) for p, t in totals.items() if t == best]
-        assert result.pairs == min(optimal_pairs)
+        assert result.pairs == min(p for p, total in totals.items() if total == best)
+
+    @pytest.mark.parametrize("shape", [(4, 1), (4, 4), (1, 4), (6, 3)])
+    def test_one_solve_per_call(self, shape, monkeypatch):
+        # the tie-break rides in the solver's costs: no re-solve per candidate
+        calls = []
+        solve_square = matching._solve_square
+
+        def counting_solve(rows):
+            calls.append(len(rows))
+            return solve_square(rows)
+
+        monkeypatch.setattr(matching, "_solve_square", counting_solve)
+        hungarian(RngState(5).uniform_array(shape, -1.0, 1.0))
+        assert calls == [max(shape)]
 
 
 class TestMatchAndLoss:
