@@ -6,7 +6,7 @@ Adam steps on --batch synthetic scenes (after one untimed warm-up step
 that fills the mask, residue-class and position caches), and prints the
 backward wall time and call count of every autodiff op per step, largest
 first. The op name is the function
-that recorded the node (``matmul``, ``_mixture_weights``, ...).
+that recorded the node (``matmul``, ``_attention_core``, ...).
 
 The header line gives, per step, the wall ms beside the minor page faults
 and the system-CPU ms of the process (``resource.getrusage``): a step that

@@ -200,6 +200,37 @@ def case_mog_mixture(rng: RngState) -> Case:
     return loss, [self_logits, cross_logits, gammas, wide_logits, tall_logits, gammas_pair]
 
 
+def case_attention_core(rng: RngState) -> Case:
+    """The attention-core node alone, from (B, N, D) projections to merged heads.
+
+    Self-attention with three branches and non-uniform per-sample gammas, a
+    rectangular 3x7 cross-attention whose single-sample queries broadcast
+    against two memory samples, and the gate-less one-branch form with a
+    constant gamma of ones.
+    """
+    q = _param(rng, "q", (2, 5, 4))
+    k = _param(rng, "k", (2, 5, 4))
+    v = _param(rng, "v", (2, 5, 4))
+    gammas = _param(rng, "gammas", (2, 3), 0.1, 0.9)
+    cross_q = _param(rng, "cross_q", (1, 3, 4))
+    memory_k = _param(rng, "memory_k", (2, 7, 4))
+    memory_v = _param(rng, "memory_v", (2, 7, 4))
+    cross_gammas = _param(rng, "cross_gammas", (2, 2), 0.1, 0.9)
+    ones = Tensor(np.ones((2, 1)))
+    w_self = _proj(rng, (2, 5, 4))
+    w_cross = _proj(rng, (2, 3, 4))
+    w_plain = _proj(rng, (2, 5, 4))
+
+    def loss():
+        self_out = mog._attention_core(q, k, v, gammas, (1, 2, 3), 2)
+        cross_out = mog._attention_core(cross_q, memory_k, memory_v, cross_gammas, (1, 2), 2)
+        plain_out = mog._attention_core(q, k, v, ones, (1,), 2)
+        return (tensor.tsum(self_out * w_self) + tensor.tsum(cross_out * w_cross)
+                + tensor.tsum(plain_out * w_plain))
+
+    return loss, [q, k, v, gammas, cross_q, memory_k, memory_v, cross_gammas]
+
+
 def case_giou_pairs(rng: RngState) -> Case:
     a = _param(rng, "boxes_a", (4, 4), 0.3, 0.6)
     b = Tensor(rng.uniform_array((4, 4), 0.35, 0.65))
@@ -291,6 +322,7 @@ _CASES = [
     # from its index, so inserting would reseed every case after it
     ("mog_mixture", case_mog_mixture),
     ("grounding_loss_batch", case_grounding_loss_batch),
+    ("attention_core", case_attention_core),
 ]
 
 

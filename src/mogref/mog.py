@@ -17,18 +17,29 @@ attention, which is how the model builds its plain attention sublayers.
 
 The mask is the definition; the compute runs by residue class. The pair
 predicate holds exactly when ``i = j (mod d_g)``, so branch g is one dense
-softmax inside each residue class mod ``d_g``. :func:`_mixture_weights`
-sums every class of the shared exponential with one thin matmul against a
-one-hot (N_k, sum_g d_g) class matrix and spreads the gated normalizers back
-with another, so it builds no N-by-N mask and no per-branch buffer. The
+softmax inside each residue class mod ``d_g``. The mixture sums every
+class of the shared exponential with one thin matmul against a one-hot
+(N_k, sum_g d_g) class matrix and spreads the gated normalizers back with
+another, so it builds no N-by-N mask and no per-branch buffer.
+
+:func:`mog_forward` is the three projections and one autodiff node,
+:func:`_attention_core`, from the projections to the merged heads. Between
+forward and backward the node keeps no N-by-N array: only the scaled q, the
+k and v views, the row maximum and the (B, H, N_q, sum_g d_g) class arrays.
+Its backward recomputes the shared exponential ``e`` and the mixture ``W``
+from them, in chunks of the batch that reuse four per-thread buffers. The
+same arithmetic composed from ordinary graph ops (:func:`_composed_attention`,
+built on :func:`_mixture_weights`) is the reference it equals bit for bit,
+and the fallback of the rare call in which a support row sits so far below
+the shared row maximum that its class sum is too small to divide by. The
 dense masks (:func:`build_mask`, :func:`build_rect_mask`) stay as the
-reference the tests compare against, and as the arithmetic of the rare call
-in which a support row sits so far below the shared row maximum that its
-class sum is too small to divide by.
+reference the tests compare against, and as the arithmetic of that
+fallback.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 
@@ -41,6 +52,7 @@ from mogref.tensor import (
     _accum,
     _masked_softmax_data,
     _node,
+    _unbroadcast,
     layernorm,
     masked_softmax,
     matmul,
@@ -179,10 +191,15 @@ def _spread(a: np.ndarray, keys: np.ndarray, out: np.ndarray | None = None) -> n
     """(..., C) -> (..., N_k): each key gets the sum of its classes' entries.
 
     One gemm over all leading axes; ``out``, when given, is C-contiguous.
+    A single class column (dilations ``(1,)``) is all ones, so the product
+    is ``a`` broadcast over the keys, copied without the gemm.
     """
     if out is None:
         out = np.empty((*a.shape[:-1], keys.shape[0]))
-    np.matmul(a.reshape(-1, a.shape[-1]), keys.T, out=out.reshape(-1, keys.shape[0]))
+    if keys.shape[1] == 1:
+        np.copyto(out, a)
+    else:
+        np.matmul(a.reshape(-1, a.shape[-1]), keys.T, out=out.reshape(-1, keys.shape[0]))
     return out
 
 
@@ -196,6 +213,12 @@ def merge_heads(t: Tensor) -> Tensor:
     """(B, H, N, D/H) -> (B, N, D)."""
     b, h, n, dk = t.shape
     return reshape(transpose(t, (0, 2, 1, 3)), (b, n, h * dk))
+
+
+def _split_heads_data(a: np.ndarray, num_heads: int) -> np.ndarray:
+    """:func:`split_heads` on a bare array: the same (strided) view."""
+    b, n, d = a.shape
+    return a.reshape(b, n, num_heads, d // num_heads).transpose(0, 2, 1, 3)
 
 
 @dataclass
@@ -248,14 +271,19 @@ def attention_logits(x: Tensor, attn: MoGAttention, memory: Tensor | None = None
     ``x`` and keys/values from ``memory``. Returns head-split
     ``(q, k, v, logits)`` with logits of shape (B, H, N_q, N_k).
     """
-    cfg = attn.config
+    q, k, v = (split_heads(t, attn.config.num_heads) for t in _projections(x, attn, memory))
+    return q, k, v, _scaled_logits(q, k)
+
+
+def _projections(x: Tensor, attn: MoGAttention, memory: Tensor | None) -> tuple[Tensor, Tensor, Tensor]:
+    """The (B, N, D) query, key and value projections; keys/values from ``memory`` if given."""
     kv_src = x if memory is None else memory
-    q = split_heads(matmul(x, attn.w_q), cfg.num_heads)
-    k = split_heads(matmul(kv_src, attn.w_k), cfg.num_heads)
-    v = split_heads(matmul(kv_src, attn.w_v), cfg.num_heads)
-    # fold the 1/sqrt(d_k) scale into q: cheaper than scaling the NxN logits
-    logits = matmul(q * (1.0 / np.sqrt(cfg.head_dim)), transpose(k, (0, 1, 3, 2)))
-    return q, k, v, logits
+    return matmul(x, attn.w_q), matmul(kv_src, attn.w_k), matmul(kv_src, attn.w_v)
+
+
+def _scaled_logits(q: Tensor, k: Tensor) -> Tensor:
+    """Head-split q k^T / sqrt(d_k), with the scale folded into q (cheaper than the N-by-N logits)."""
+    return matmul(q * (1.0 / np.sqrt(q.shape[-1])), transpose(k, (0, 1, 3, 2)))
 
 
 def branch_attention(logits: Tensor, mask, values: Tensor) -> Tensor:
@@ -280,27 +308,29 @@ def gate_weights(x: Tensor, gate: GateParams) -> Tensor:
     return softmax(matmul(pooled, gate.w) + gate.b)
 
 
-def _shared_exp(x: np.ndarray) -> np.ndarray:
-    """exp(x - rowmax): the one exponential every branch renormalizes."""
-    # in place where the values allow: each (B, H, N, N) temporary saved is
-    # a buffer that would otherwise be faulted in afresh on every call
-    e = x - x.max(axis=-1, keepdims=True)
+def _shared_exp(x: np.ndarray, row_max: np.ndarray | None = None,
+                out: np.ndarray | None = None) -> np.ndarray:
+    """exp(x - row_max): the one exponential every branch renormalizes.
+
+    ``row_max`` defaults to the row maximum of ``x``; ``out`` may be ``x``
+    itself, which turns the logits into ``e`` without a second buffer.
+    """
+    if row_max is None:
+        row_max = x.max(axis=-1, keepdims=True)
+    e = np.subtract(x, row_max, out=out)
     np.exp(e, out=e)
     return e
 
 
-def _branch_softmax(e: np.ndarray, x: np.ndarray, bits: np.ndarray,
-                    out: np.ndarray | None = None) -> np.ndarray:
+def _branch_softmax(e: np.ndarray, x: np.ndarray, bits: np.ndarray) -> np.ndarray:
     """One branch's masked softmax, renormalized from the shared exponential.
 
-    ``e`` is ``_shared_exp(x)``; the result is written into ``out`` when
-    given. Off-support entries are exact zeros. If a support row underflows
-    entirely (its logits sit far below the row maximum taken over all
-    keys), the whole branch comes from the robust :func:`masked_softmax`
-    arithmetic instead. Deterministic: the mixture's backward calls it
-    again to recompute the weights its forward used.
+    ``e`` is ``_shared_exp(x)``. Off-support entries are exact zeros. If a
+    support row underflows entirely (its logits sit far below the row
+    maximum taken over all keys), the whole branch comes from the robust
+    :func:`masked_softmax` arithmetic instead.
     """
-    p = np.multiply(e, bits, out=out)  # 0/1 float mask: exact zeros off support
+    p = e * bits  # 0/1 float mask: exact zeros off support
     denom = p.sum(axis=-1, keepdims=True)
     if not denom.all():
         p[...] = _masked_softmax_data(x, bits)
@@ -332,10 +362,62 @@ def _shared_branch_softmax(logits: Tensor, masks: list[np.ndarray]) -> list[Tens
     return outs
 
 
+
+
 # Smallest class sum the residue path divides by: A = gamma / S stays below
 # 1 / sqrt(tiny) ~ 6.7e153, so the spread A R^T (G terms) and rho * A in the
 # backward (|rho| <= max |dW|) stay finite for any |dW| below ~1e154.
 _MIN_CLASS_SUM = float(np.sqrt(np.finfo(np.float64).tiny))
+
+
+def _class_coefficients(e: np.ndarray, gammas: np.ndarray,
+                        classes: _ResidueClasses) -> tuple[np.ndarray, np.ndarray] | None:
+    """Class sums ``S = e R`` and coefficients ``A = gamma / S`` on the selected classes.
+
+    None when a selected class sum is below ``_MIN_CLASS_SUM``: ``A`` could
+    overflow there, and the caller takes the per-branch arithmetic instead.
+    """
+    # stacked, one gemm per sample and head: as one (B*H*N_q, N_k) gemm,
+    # threaded BLAS packs all of e and the RSS grows by another such buffer
+    s = e @ classes.keys
+    if s[..., classes.rows].min() < _MIN_CLASS_SUM:
+        return None
+    gam = gammas[:, classes.branch][:, None, None, :]  # (B, 1, 1, C)
+    return s, np.divide(gam, s, out=np.zeros_like(s), where=classes.rows)
+
+
+def _weights(e: np.ndarray, a: np.ndarray, keys: np.ndarray,
+             out: np.ndarray | None = None) -> np.ndarray:
+    """W = e * (A R^T), exact zeros off the union of the supports; into ``out`` if given."""
+    w = _spread(a, keys, out=out)
+    w *= e
+    return w
+
+
+def _class_grad(dw: np.ndarray, e: np.ndarray, s: np.ndarray, classes: _ResidueClasses,
+                scratch: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """``rho = ((dW * e) R) / S`` on the selected classes, and the N-by-N ``dW * e``.
+
+    ``dW * e`` goes into ``scratch`` (C-contiguous, as :func:`_logit_grad`
+    spreads into it) or a new buffer.
+    """
+    t = np.multiply(dw, e, out=np.empty(e.shape) if scratch is None else scratch)
+    return np.divide(t @ classes.keys, s, out=np.zeros_like(s), where=classes.rows), t
+
+
+def _logit_grad(dw: np.ndarray, e: np.ndarray, w: np.ndarray, rho: np.ndarray, a: np.ndarray,
+                keys: np.ndarray, scratch: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """d logits = W dW - e * ((rho * A) R^T), spread into ``scratch`` and written to ``out``."""
+    correction = _spread(rho * a, keys, out=scratch)
+    correction *= e
+    dlogits = np.multiply(w, dw, out=out)
+    dlogits -= correction
+    return dlogits
+
+
+def _gamma_grad(rho: np.ndarray, classes: _ResidueClasses) -> np.ndarray:
+    """d gamma_g: rho summed over heads, rows and branch g's columns."""
+    return np.add.reduceat(rho.sum(axis=(1, 2)), classes.starts, axis=1)
 
 
 def _mixture_weights(logits: Tensor, gammas: Tensor, dilations: tuple[int, ...]) -> Tensor:
@@ -358,6 +440,8 @@ def _mixture_weights(logits: Tensor, gammas: Tensor, dilations: tuple[int, ...])
     d gamma_g = sum of rho over heads, rows and branch g's columns, and
     d logits = W dW - e * ((rho * A) R^T). It keeps ``e`` and the small
     (B, H, N_q, C) arrays; no N-by-N mask or per-branch buffer is built.
+    :func:`_attention_core` runs the same arithmetic from the projections
+    to the merged heads, and keeps no N-by-N array at all.
 
     A rectangular grid where some query row has no key in its class raises
     the ``ValueError`` of :func:`build_rect_mask`. If a selected class sum
@@ -371,12 +455,9 @@ def _mixture_weights(logits: Tensor, gammas: Tensor, dilations: tuple[int, ...])
     x = logits.data
     n_q, n_k = x.shape[-2:]
     classes = _residue_classes(n_q, n_k, tuple(dilations))
-    keys, rows = classes.keys, classes.rows
     e = _shared_exp(x)
-    # stacked, one gemm per sample and head: as one (B*H*N_q, N_k) gemm,
-    # threaded BLAS packs all of e and the RSS grows by another such buffer
-    s = e @ keys
-    if s[..., rows].min() < _MIN_CLASS_SUM:
+    coefficients = _class_coefficients(e, gammas.data, classes)
+    if coefficients is None:
         b = x.shape[0]
         branches = _shared_branch_softmax(logits, [_cached_bits(n_q, n_k, d) for d in dilations])
         w = None
@@ -384,25 +465,159 @@ def _mixture_weights(logits: Tensor, gammas: Tensor, dilations: tuple[int, ...])
             term = reshape(select(gammas, g, axis=1), (b, 1, 1, 1)) * p
             w = term if w is None else w + term
         return w
-    gam = gammas.data[:, classes.branch][:, None, None, :]  # (B, 1, 1, C)
-    a = np.divide(gam, s, out=np.zeros_like(s), where=rows)
-    w = _spread(a, keys)
-    w *= e
+    s, a = coefficients
+    w = _weights(e, a, classes.keys)
 
     def bwd(dw):
-        t = np.multiply(dw, e, out=np.empty(e.shape))  # C order: _spread writes into it
-        rho = np.divide(t @ keys, s, out=np.zeros_like(s), where=rows)
+        rho, t = _class_grad(dw, e, s, classes)
         if logits.requires_grad:
-            correction = _spread(rho * a, keys, out=t)
-            correction *= e
-            dlogits = w * dw
-            dlogits -= correction
-            _accum(logits, dlogits, own=True)
+            _accum(logits, _logit_grad(dw, e, w, rho, a, classes.keys, scratch=t), own=True)
         if gammas.requires_grad:
-            _accum(gammas, np.add.reduceat(rho.sum(axis=(1, 2)), classes.starts, axis=1),
-                   own=True)
+            _accum(gammas, _gamma_grad(rho, classes), own=True)
 
     return _node(w, (logits, gammas), bwd)
+
+
+def _composed_attention(q: Tensor, k: Tensor, v: Tensor, gammas: Tensor,
+                        dilations: tuple[int, ...], num_heads: int) -> Tensor:
+    """:func:`_attention_core` as a graph of ordinary ops (its underflow fallback)."""
+    q, k, v = (split_heads(t, num_heads) for t in (q, k, v))
+    return merge_heads(matmul(_mixture_weights(_scaled_logits(q, k), gammas, dilations), v))
+
+
+# N-by-N bytes one chunk of the attention core spans, which bounds the four
+# reused buffers of _Scratch; of 0.25 to 8 MB, 4 MB ran a (2, 4, 266, 266)
+# forward + backward fastest on a 2-core host
+_CHUNK_BYTES = 1 << 22
+
+
+class _Scratch(threading.local):
+    """Per-thread N-by-N buffers the attention core reuses from call to call.
+
+    Fresh buffers of a few MB each call are returned to the OS and faulted
+    in again; these stay mapped. Each holds the largest chunk seen so far.
+    """
+
+    def __init__(self):
+        self.buffers = [np.empty(0) for _ in range(4)]
+
+    def get(self, i: int, shape: tuple[int, ...]) -> np.ndarray:
+        size = math.prod(shape)
+        if self.buffers[i].size < size:
+            self.buffers[i] = np.empty(size)
+        return self.buffers[i][:size].reshape(shape)
+
+
+_SCRATCH = _Scratch()
+
+
+def _chunks(b: int, num_heads: int, n_q: int, n_k: int) -> list[tuple[slice, slice]]:
+    """(sample, head) slices covering (B, H), each about ``_CHUNK_BYTES`` of N-by-N data."""
+    per_head = n_q * n_k * 8
+    heads = max(1, min(num_heads, _CHUNK_BYTES // per_head))
+    samples = max(1, _CHUNK_BYTES // (per_head * num_heads)) if heads == num_heads else 1
+    return [(slice(lo, lo + samples), slice(h, h + heads))
+            for lo in range(0, b, samples) for h in range(0, num_heads, heads)]
+
+
+def _attention_core(q: Tensor, k: Tensor, v: Tensor, gammas: Tensor,
+                    dilations: tuple[int, ...], num_heads: int) -> Tensor:
+    """Merged heads of ``W V`` from the (B, N, D) projections, as one node.
+
+    The arithmetic is that of :func:`_composed_attention`, operation for
+    operation, so the output has the same bits: logits ``q k^T / sqrt(d_k)``
+    per head, the :func:`_mixture_weights` mixture ``W`` and ``W V`` with
+    the heads merged. ``q`` may have batch 1 against the keys' batch B
+    (broadcast), and ``gammas`` is (B, G).
+
+    Samples and heads are independent, so the node runs them in chunks of
+    about ``_CHUNK_BYTES`` of N-by-N data, in the reused buffers of
+    :class:`_Scratch`. Forward writes a chunk's logits into one buffer,
+    turns it into the shared exponential ``e`` in place and spreads ``A``
+    into a second for ``W``. Between forward and backward the node keeps
+    only the scaled q, the k and v views, the row maximum and the
+    (B, H, N_q, C) arrays ``S`` and ``A``: no N-by-N array. Backward
+    recomputes a chunk's ``e`` and ``W`` from them (the same bits), then
+    forms dV, dW, rho, d gamma and d logits, and from those dq and dk, in
+    four chunk-sized buffers.
+
+    When a selected class sum is below ``_MIN_CLASS_SUM`` the call returns
+    :func:`_composed_attention` instead, whose mixture node takes the
+    per-branch fallback of :func:`_mixture_weights`.
+    """
+    qh, kh, vh = (_split_heads_data(t.data, num_heads) for t in (q, k, v))
+    scale = 1.0 / np.sqrt(qh.shape[-1])
+    qs = qh * scale
+    kt = kh.transpose(0, 1, 3, 2)
+    b = max(qh.shape[0], kh.shape[0])
+    n_q, n_k = qh.shape[2], kh.shape[2]
+    classes = _residue_classes(n_q, n_k, tuple(dilations))
+    keys = classes.keys
+    chunks = _chunks(b, num_heads, n_q, n_k)
+
+    def part(arr, chunk, heads=True):
+        sample, head = chunk
+        arr = arr if arr.shape[0] == 1 else arr[sample]  # batch 1 broadcasts
+        return arr[:, head] if heads else arr
+
+    def shared_exp(chunk, row_max=None):
+        qc, ktc = part(qs, chunk), part(kt, chunk)
+        shape = (max(qc.shape[0], ktc.shape[0]), qc.shape[1], n_q, n_k)
+        logits = np.matmul(qc, ktc, out=_SCRATCH.get(0, shape))
+        if row_max is None:
+            row_max = logits.max(axis=-1, keepdims=True)
+        return _shared_exp(logits, row_max, out=logits), row_max
+
+    def merged(t):
+        """A batch-B (B, N, D) array shaped like ``t`` and the head-split view chunks write into."""
+        arr = np.empty((b, *t.shape[1:]))
+        return arr, _split_heads_data(arr, num_heads)
+
+    out, out_heads = merged(q)
+    saved = []  # (row max, S, A) of each chunk
+    for c in chunks:
+        e, row_max = shared_exp(c)
+        coefficients = _class_coefficients(e, part(gammas.data, c, heads=False), classes)
+        if coefficients is None:
+            return _composed_attention(q, k, v, gammas, dilations, num_heads)
+        w = _weights(e, coefficients[1], keys, out=_SCRATCH.get(1, e.shape))
+        np.matmul(w, part(vh, c), out=out_heads[c])
+        saved.append((row_max, *coefficients))
+
+    def bwd(g):
+        gh = _split_heads_data(g, num_heads)
+        dq, dq_heads = merged(q) if q.requires_grad else (None, None)
+        dk, dk_heads = merged(k) if k.requires_grad else (None, None)
+        dv, dv_heads = merged(v) if v.requires_grad else (None, None)
+        rho = np.empty((b, num_heads, n_q, keys.shape[1])) if gammas.requires_grad else None
+        for c, (row_max, s, a) in zip(chunks, saved):
+            e = shared_exp(c, row_max)[0]
+            w = _weights(e, a, keys, out=_SCRATCH.get(1, e.shape))
+            if dv is not None:
+                np.matmul(w.swapaxes(-1, -2), gh[c], out=dv_heads[c])
+            dw = np.matmul(gh[c], part(vh, c).swapaxes(-1, -2), out=_SCRATCH.get(2, e.shape))
+            rho_c, t = _class_grad(dw, e, s, classes, scratch=_SCRATCH.get(3, e.shape))
+            if rho is not None:
+                rho[c] = rho_c
+            dlogits = _logit_grad(dw, e, w, rho_c, a, keys, scratch=t, out=dw)
+            if dq is not None:
+                np.matmul(dlogits, part(kh, c), out=dq_heads[c])
+            if dk is not None:
+                np.matmul(part(qs, c).swapaxes(-1, -2), dlogits, out=dk_heads[c].swapaxes(-1, -2))
+        if dq is not None:
+            dq = _unbroadcast(dq, q.shape)
+            dq *= scale
+            _accum(q, dq, own=True)
+        if dk is not None:
+            _accum(k, _unbroadcast(dk, k.shape), own=True)
+        if rho is not None:
+            _accum(gammas, _unbroadcast(_gamma_grad(rho, classes), gammas.shape), own=True)
+        if dv is not None:
+            _accum(v, _unbroadcast(dv, v.shape), own=True)
+
+    # parents in the order the composed graph reaches them, so backward adds
+    # the q, k, gate and v contributions into a shared input in the same order
+    return _node(out, (q, k, gammas, v), bwd)
 
 
 def mog_forward(x: Tensor, attn: MoGAttention, memory: Tensor | None = None) -> Tensor:
@@ -412,11 +627,13 @@ def mog_forward(x: Tensor, attn: MoGAttention, memory: Tensor | None = None) -> 
     self-attention, the memory for cross-attention (granularity selection
     is about the attended-over tokens); a one-branch module has no gate
     and mixes with γ ≡ 1. By linearity, ``(sum_g gamma_g P_g) V`` equals
-    the convex sum of the branch outputs ``sum_g gamma_g (P_g V)``.
+    the convex sum of the branch outputs ``sum_g gamma_g (P_g V)``. The
+    three projections feed one :func:`_attention_core` node.
     """
-    _, _, v, logits = attention_logits(x, attn, memory=memory)
+    cfg = attn.config
+    q, k, v = _projections(x, attn, memory)
     if attn.gate is None:
-        gammas = Tensor(np.ones((logits.shape[0], 1)))
+        gammas = Tensor(np.ones((max(q.shape[0], k.shape[0]), 1)))
     else:
         gammas = gate_weights(x if memory is None else memory, attn.gate)  # (B, G)
-    return merge_heads(matmul(_mixture_weights(logits, gammas, attn.config.dilations), v))
+    return _attention_core(q, k, v, gammas, cfg.dilations, cfg.num_heads)

@@ -553,12 +553,30 @@ def mean_pool(a, axis: int = 1) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
+def _rows(x: np.ndarray) -> np.ndarray:
+    """(..., K) -> (prod(...), K)."""
+    return x.reshape(-1, x.shape[-1])
+
+
 def matmul(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"matmul needs >=2-D operands, got {a.shape} @ {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner dimensions disagree: {a.shape} @ {b.shape}")
+    if a.ndim > 2 and b.ndim == 2:
+        # batched rows times one weight: the forward, dx and dW are each one
+        # 2-D gemm over the flattened leading axes, where np.matmul would run
+        # a gemm per leading index and dW would sum those partial products
+        data = (_rows(a.data) @ b.data).reshape(*a.shape[:-1], b.shape[-1])
+
+        def bwd(g):
+            if a.requires_grad:
+                _accum(a, (_rows(g) @ b.data.T).reshape(a.data.shape), own=True)
+            if b.requires_grad:
+                _accum(b, _rows(a.data).T @ _rows(g), own=True)
+
+        return _node(data, (a, b), bwd)
     try:
         data = np.matmul(a.data, b.data)
     except ValueError as exc:  # mismatched broadcast on batch axes

@@ -11,7 +11,10 @@ from mogref.mog import (
     GateParams,
     MoGAttention,
     MoGConfig,
+    _attention_core,
+    _composed_attention,
     _mixture_weights,
+    _scaled_logits,
     _shared_branch_softmax,
     attention_logits,
     branch_attention,
@@ -19,6 +22,7 @@ from mogref.mog import (
     build_rect_mask,
     gate_weights,
     mog_forward,
+    split_heads,
 )
 from mogref.rng import RngState
 from mogref.tensor import (
@@ -406,6 +410,143 @@ class TestMixtureWeights:
         assert np.abs(gammas.grad - ref_gammas.grad).max() < 1e-12
 
 
+def core_inputs(seed, b, h, n_q, n_k, d, dilations, query_batch=None):
+    """Projection-shaped q, k, v and per-sample gammas for the attention core."""
+    rng = RngState(seed)
+    q = Parameter("q", rng.uniform_array((query_batch or b, n_q, d), -1.5, 1.5))
+    k = Parameter("k", rng.uniform_array((b, n_k, d), -1.5, 1.5))
+    v = Parameter("v", rng.uniform_array((b, n_k, d), -1.0, 1.0))
+    gammas = Parameter("gammas", rng.uniform_array((b, len(dilations)), 0.1, 1.0))
+    return [q, k, v, gammas], Tensor(rng.uniform_array((b, n_q, d), -1.0, 1.0))
+
+
+def copies(params):
+    return [Parameter(f"ref_{p.name}", p.data.copy()) for p in params]
+
+
+def branch_reference(q, k, v, gammas, masks, num_heads):
+    """sum_g gamma_g (P_g V) from robust per-branch masked softmax nodes."""
+    qh, kh, vh = (split_heads(t, num_heads) for t in (q, k, v))
+    logits = _scaled_logits(qh, kh)
+    out = None
+    for g, m in enumerate(masks):
+        gamma = reshape(select(gammas, g, axis=1), (gammas.shape[0], 1, 1))
+        term = gamma * branch_attention(logits, m, vh)
+        out = term if out is None else out + term
+    return out
+
+
+class TestAttentionCore:
+    @pytest.mark.parametrize("dilations", [(1,), (2, 3), (1, 2, 3, 4)])
+    @pytest.mark.parametrize("n_q, n_k, query_batch", [(9, 9, None), (4, 11, 1)])
+    @pytest.mark.parametrize("chunk", ["batch", "sample", "head"])
+    def test_equals_the_composition(self, dilations, n_q, n_k, query_batch, chunk, monkeypatch):
+        # one chunk for the whole batch, one per sample, one per (sample, head)
+        per_sample = 2 * n_q * n_k * 8
+        chunk_bytes = {"batch": 2 * per_sample, "sample": per_sample, "head": 1}[chunk]
+        monkeypatch.setattr(mog_module, "_CHUNK_BYTES", chunk_bytes)
+        params, proj = core_inputs(21, 2, 2, n_q, n_k, 8, dilations, query_batch)
+        refs = copies(params)
+        out = _attention_core(*params, dilations, 2)
+        ref = _composed_attention(*refs, dilations, 2)
+        assert "_attention_core" in out._backward.__qualname__
+        assert (out.data == ref.data).all()
+        backward(tsum(out * proj))
+        backward(tsum(ref * proj))
+        for p, r in zip(params, refs):
+            assert np.abs(p.grad - r.grad).max() < 1e-12, p.name
+
+    def test_mog_forward_is_the_core_over_the_projections(self):
+        x, attn = toy_attention(dilations=(1, 2, 3), model_dim=8)
+        out = mog_forward(x, attn)
+        q, k, v = (x @ w for w in (attn.w_q, attn.w_k, attn.w_v))
+        core = _attention_core(q, k, v, gate_weights(x, attn.gate), (1, 2, 3), 2)
+        assert (out.data == core.data).all()
+
+    @pytest.mark.parametrize("gap", [300.0, 400.0, 740.0])
+    def test_far_below_row_max_class_stays_finite(self, gap):
+        # logits = q k^T / 2 with d_k = 4 and k the unit rows: row 1's only
+        # class-mate under d=2 sits `gap` below its row max, which keeps a
+        # normal class sum at 300, a tiny one at 400 and a subnormal one at 740
+        logits = np.array([[0.0, 1.0, -2.0], [0.0, -gap, 0.5], [-1.0, 0.0, 2.0]])
+        q = Parameter("q", np.concatenate([2.0 * logits, np.zeros((3, 1))], axis=1)[None])
+        k = Parameter("k", np.eye(3, 4)[None])
+        v = Parameter("v", RngState(6).uniform_array((1, 3, 4), -1.0, 1.0))
+        gammas = Parameter("gammas", np.array([[0.4, 0.6]]))
+        params = [q, k, v, gammas]
+        refs = copies(params)
+        out = _attention_core(*params, (1, 2), 1)
+        fallback = np.exp(-gap - 0.5) < mog_module._MIN_CLASS_SUM
+        assert ("_attention_core" not in out._backward.__qualname__) == fallback
+        reference = branch_reference(*refs, [build_mask(3, d).bits for d in (1, 2)], 1)
+        assert np.isfinite(out.data).all()
+        assert np.abs(out.data - reference.data).max() < 1e-12
+
+        proj = Tensor(RngState(7).uniform_array(out.shape, -1.0, 1.0))
+        backward(tsum(out * proj))
+        backward(tsum(reference * proj))
+        for p, r in zip(params, refs):
+            assert np.isfinite(p.grad).all(), p.name
+            assert np.abs(p.grad - r.grad).max() < 1e-12, p.name
+
+    @pytest.mark.parametrize("n_q, query_batch", [(53, None), (5, 1)])
+    def test_backward_keeps_no_n_by_n_array(self, n_q, query_batch):
+        b, h, n_k = 2, 2, 53
+        params, _ = core_inputs(22, b, h, n_q, n_k, 8, (1, 2, 3, 4), query_batch)
+        out = _attention_core(*params, (1, 2, 3, 4), h)
+        limit = b * h * n_q * n_k
+        seen, stack, arrays = set(), [out._backward], []
+        while stack:
+            obj = stack.pop()
+            if id(obj) in seen:
+                continue
+            seen.add(id(obj))
+            if isinstance(obj, np.ndarray):
+                arrays.append(obj)
+                if obj.base is not None:
+                    stack.append(obj.base)
+            elif isinstance(obj, Tensor):
+                stack.append(obj.data)  # parents: their data, not their graph
+            elif callable(obj) and getattr(obj, "__closure__", None):
+                stack.extend(cell.cell_contents for cell in obj.__closure__)
+            elif isinstance(obj, (tuple, list)):
+                stack.extend(obj)
+            elif hasattr(obj, "__dataclass_fields__"):
+                stack.extend(getattr(obj, f) for f in obj.__dataclass_fields__)
+        assert arrays, "the walk found no arrays"
+        assert max(a.size for a in arrays) < limit
+
+    def test_backward_allocates_no_n_by_n_buffer(self):
+        b, h, n, d = 2, 4, 128, 32
+        params, proj = core_inputs(23, b, h, n, n, d, (1, 2, 3, 4))
+        out = _attention_core(*params, (1, 2, 3, 4), h)
+        g = proj.data.copy()
+        out._backward(g)  # fill the residue cache and size the chunk buffers first
+        for p in params:
+            p.grad = None
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out._backward(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # e, W, dW (turned into d logits in place) and dW * e live in the four
+        # reused chunk buffers; a call allocates the (B, H, N, C) class arrays
+        # and the (B, N, D) gradients
+        buffers = (peak - base) / (b * h * n * n * 8)
+        assert buffers < 1.0, f"peak {buffers:.2f} (B, H, N, N) buffers"
+
+
+def test_single_class_spread_equals_the_gemm():
+    # dilations (1,): the one class column is all ones, so the spread is a
+    # broadcast copy; it must equal the (..., 1) @ (1, N_k) product bit for bit
+    keys = mog_module._residue_classes(5, 74, (1,)).keys
+    a = RngState(14).uniform_array((8, 4, 5, 1), -3.0, 3.0)
+    gemm = (a.reshape(-1, 1) @ keys.T).reshape(8, 4, 5, 74)
+    assert (mog_module._spread(a, keys) == gemm).all()
+
+
 class TestMaskPath:
     def test_cross_attention_with_an_empty_query_row_is_rejected(self):
         rng = RngState(12)
@@ -462,8 +603,8 @@ def test_mog_forward_builds_no_per_branch_buffer(cross):
     attn = MoGAttention(MoGConfig(d, h, (1, 2, 3, 4)), rng, "attn")
     x = Tensor(rng.uniform_array((b, n, d), -1.0, 1.0))
     memory = Tensor(rng.uniform_array((b, n, d), -1.0, 1.0)) if cross else None
-    # the logits, the shared exponential and W: 3 (B, H, N, N) buffers plus
-    # the (B, H, N, C) class arrays and the (B, N, D) ones; a dense branch
-    # buffer costs a fourth
+    # the logits, turned into the shared exponential in place, and W live in
+    # reused chunk buffers; a call allocates the (B, H, N, C) class arrays
+    # and the (B, N, D) ones, but no (B, H, N, N) buffer
     peak = peak_buffers_no_grad(lambda: mog_forward(x, attn, memory=memory), b * h * n * n * 8)
-    assert peak < 3.5, f"peak {peak:.2f} (B, H, N, N) buffers"
+    assert peak < 1.0, f"peak {peak:.2f} (B, H, N, N) buffers"

@@ -58,8 +58,11 @@ def test_script_profiles_a_default_step(capsys):
     for line in lines[2:]:
         name, calls, ms, _share = line.split()
         rows[name] = (float(calls), float(ms))
-    # one mixture node per attention: two SCE blocks, the SCD self- and
-    # cross-attention, and the SSD self- and cross-attention
-    assert rows["_mixture_weights"][0] == 6
-    assert rows["matmul"][0] == 51
+    # one attention-core node per attention: two SCE blocks, the SCD self-
+    # and cross-attention, and the SSD self- and cross-attention; the core
+    # holds each attention's logit and value products, so matmul counts 24
+    # q/k/v/output projections, 3 gates and 12 other linear layers
+    assert rows["_attention_core"][0] == 6
+    assert "_mixture_weights" not in rows
+    assert rows["matmul"][0] == 39
     assert {"layernorm", "gelu", "softmax", "take_rows"} <= set(rows)
