@@ -11,7 +11,8 @@ that recorded the node (``matmul``, ``_attention_core``, ...).
 The header line gives, per step, the wall ms beside the minor page faults
 and the system-CPU ms of the process (``resource.getrusage``): a step that
 returns its buffers to the OS and maps them again pays for it there, and
-that cost lands in whichever op happens to touch the fresh pages.
+that cost lands in whichever op happens to touch the fresh pages. It also
+gives the process's peak RSS (``ru_maxrss``) at the end of the run.
 
     PYTHONPATH=src python scripts/op_profile.py --image-size 128 --batch 2 --steps 10
 """
@@ -29,9 +30,10 @@ from mogref.tensor import OpProfile, backward, op_profile
 from mogref.train import Adam, ParamGroup, build_synthetic_dataset
 
 
-def profile_steps(image_size: int, batch: int, steps: int) -> tuple[OpProfile, float, float, float]:
-    """Per-op backward profile summed over ``steps`` steps, and their mean
-    wall ms, minor page faults and system-CPU ms per step."""
+def profile_steps(image_size: int, batch: int,
+                  steps: int) -> tuple[OpProfile, float, float, float, float]:
+    """Per-op backward profile summed over ``steps`` steps, their mean wall
+    ms, minor page faults and system-CPU ms per step, and the peak RSS in MB."""
     vocab = default_vocab()
     dataset = build_synthetic_dataset(batch, SyntheticSceneSpec(image_size=image_size), vocab, 0)
     model = SCSModel(ModelConfig(image_size=image_size, vocab_size=len(vocab)), vocab, RngState(0))
@@ -55,7 +57,7 @@ def profile_steps(image_size: int, batch: int, steps: int) -> tuple[OpProfile, f
     after = resource.getrusage(resource.RUSAGE_SELF)
     faults = (after.ru_minflt - usage.ru_minflt) / steps
     sys_ms = (after.ru_stime - usage.ru_stime) * 1e3 / steps
-    return prof, wall_ms, faults, sys_ms
+    return prof, wall_ms, faults, sys_ms, after.ru_maxrss / 1024  # Linux reports KiB
 
 
 def run(argv=None) -> int:
@@ -67,10 +69,11 @@ def run(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.steps < 1 or args.batch < 1:
         parser.error("--steps and --batch must be positive")
-    prof, step_ms, faults, sys_ms = profile_steps(args.image_size, args.batch, args.steps)
+    prof, step_ms, faults, sys_ms, peak_mb = profile_steps(args.image_size, args.batch, args.steps)
     total = sum(prof.ms.values())
     print(f"# image_size={args.image_size} batch={args.batch} steps={args.steps}: "
           f"{step_ms:.1f} ms/step ({faults:.0f} minor faults, {sys_ms:.1f} ms system CPU), "
+          f"peak RSS {peak_mb:.1f} MB, "
           f"backward ops {total / args.steps:.1f} ms/step")
     print(f"{'op':<28} {'calls/step':>10} {'ms/step':>9} {'share':>6}")
     for name in sorted(prof.ms, key=prof.ms.get, reverse=True):

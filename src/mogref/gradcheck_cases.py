@@ -231,6 +231,22 @@ def case_attention_core(rng: RngState) -> Case:
     return loss, [q, k, v, gammas, cross_q, memory_k, memory_v, cross_gammas]
 
 
+def case_affine(rng: RngState) -> Case:
+    """``x @ w + b`` as one node, batched (2, 3, 4) rows and a 2-D (3, 4) input."""
+    x = _param(rng, "x", (2, 3, 4))
+    flat = _param(rng, "flat", (3, 4))
+    w = _param(rng, "w", (4, 5))
+    b = _param(rng, "b", (5,))
+    w_batched = _proj(rng, (2, 3, 5))
+    w_flat = _proj(rng, (3, 5))
+
+    def loss():
+        return (tensor.tsum(tensor.affine(x, w, b) * w_batched)
+                + tensor.tsum(tensor.affine(flat, w, b) * w_flat))
+
+    return loss, [x, flat, w, b]
+
+
 def case_giou_pairs(rng: RngState) -> Case:
     a = _param(rng, "boxes_a", (4, 4), 0.3, 0.6)
     b = Tensor(rng.uniform_array((4, 4), 0.35, 0.65))
@@ -323,6 +339,7 @@ _CASES = [
     ("mog_mixture", case_mog_mixture),
     ("grounding_loss_batch", case_grounding_loss_batch),
     ("attention_core", case_attention_core),
+    ("affine", case_affine),
 ]
 
 

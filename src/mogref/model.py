@@ -31,10 +31,10 @@ from mogref.rng import RngState
 from mogref.tensor import (
     Parameter,
     Tensor,
+    affine,
     concat,
     gelu,
     layernorm,
-    matmul,
     reshape,
     select,
     sigmoid,
@@ -134,17 +134,16 @@ def sinusoidal_positions(n: int, dim: int) -> np.ndarray:
 
 
 class Linear:
-    def __init__(self, name: str, n_in: int, n_out: int, rng: RngState, bias: bool = True):
+    def __init__(self, name: str, n_in: int, n_out: int, rng: RngState):
         scale = 1.0 / np.sqrt(n_in)
         self.w = Parameter(f"{name}.w", rng.uniform_array((n_in, n_out), -scale, scale))
-        self.b = Parameter(f"{name}.b", np.zeros(n_out)) if bias else None
+        self.b = Parameter(f"{name}.b", np.zeros(n_out))
 
     def __call__(self, x: Tensor) -> Tensor:
-        y = matmul(x, self.w)
-        return y + self.b if self.b is not None else y
+        return affine(x, self.w, self.b)
 
     def parameters(self) -> list[Parameter]:
-        return [self.w] if self.b is None else [self.w, self.b]
+        return [self.w, self.b]
 
 
 class TokenProjector:

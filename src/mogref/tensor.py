@@ -425,16 +425,43 @@ _GELU_A = 0.044715
 
 
 def gelu(a) -> Tensor:
-    """tanh-form GELU; smooth everywhere, so finite differences behave."""
+    """tanh-form GELU; smooth everywhere, so finite differences behave.
+
+    Forward and backward work in place, with one scratch buffer besides
+    ``t`` and the output. Every product and sum keeps the association of
+    ``0.5 * x * (1 + t)`` and its derivative, with
+    ``t = tanh(C * (x + A * (x * x * x)))``; only the operand order of
+    commutative steps differs, so the bits are those of the plain
+    expressions. Backward keeps ``t`` alone.
+    """
     a = _wrap(a)
     x = a.data
-    inner = _GELU_C * (x + _GELU_A * (x * x * x))  # x**3 goes through pow(): 100x slower
-    t = np.tanh(inner)
-    data = 0.5 * x * (1.0 + t)
+    t = np.multiply(x, x)  # x**3 goes through pow(): 100x slower
+    t *= x
+    t *= _GELU_A
+    t += x
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    half_x = np.multiply(x, 0.5)
+    data = np.add(t, 1.0)
+    data *= half_x
 
     def bwd(g):
-        d = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * _GELU_C * (1.0 + 3.0 * _GELU_A * x * x)
-        _accum(a, g * d, own=True)
+        # 0.5 * (1 + t) + 0.5 * x * (1 - t * t) * C * (1 + 3 * A * x * x)
+        scratch = np.multiply(t, t)
+        np.subtract(1.0, scratch, out=scratch)
+        d = np.multiply(x, 0.5)
+        d *= scratch
+        d *= _GELU_C
+        np.multiply(x, 3.0 * _GELU_A, out=scratch)
+        scratch *= x
+        scratch += 1.0
+        d *= scratch
+        np.add(t, 1.0, out=scratch)
+        scratch *= 0.5
+        d += scratch
+        d *= g
+        _accum(a, d, own=True)
 
     return _node(data, (a,), bwd)
 
@@ -593,6 +620,29 @@ def matmul(a, b) -> Tensor:
     return _node(data, (a, b), bwd)
 
 
+def affine(x, w, b) -> Tensor:
+    """``x @ w + b`` as one node: a 2-D gemm over the rows of ``x``, then the bias in place.
+
+    The same arithmetic as ``matmul(x, w) + b`` without keeping the
+    product and the sum as two arrays and two nodes.
+    """
+    x, w, b = _wrap(x), _wrap(w), _wrap(b)
+    if x.ndim < 2 or w.ndim != 2 or x.shape[-1] != w.shape[0]:
+        raise ShapeError(f"affine needs (..., K) @ (K, M) with K matching, got {x.shape} @ {w.shape}")
+    data = (_rows(x.data) @ w.data).reshape(*x.shape[:-1], w.shape[1])
+    data += b.data
+
+    def bwd(g):
+        if x.requires_grad:
+            _accum(x, (_rows(g) @ w.data.T).reshape(x.data.shape), own=True)
+        if w.requires_grad:
+            _accum(w, _rows(x.data).T @ _rows(g), own=True)
+        if b.requires_grad:
+            _accum(b, _unbroadcast(g, b.data.shape), own=True)
+
+    return _node(data, (x, w, b), bwd)
+
+
 # ---------------------------------------------------------------------------
 # normalization and softmax
 # ---------------------------------------------------------------------------
@@ -602,20 +652,27 @@ def layernorm(a, eps: float = 1e-5) -> Tensor:
     """Zero-mean unit-variance normalization over the last axis (no affine).
 
     ``eps`` sits inside the square root, so a constant row maps to exact
-    zeros instead of dividing by zero.
+    zeros instead of dividing by zero. The forward squares into its output
+    buffer before it normalizes into it, the backward reuses one scratch
+    buffer, and both keep the association of ``(x - mu) * inv`` and
+    ``inv * ((g - mean(g)) - y * mean(g * y))``, so the bits are those of
+    the plain expressions.
     """
     a = _wrap(a)
     x = a.data
-    mu = x.mean(axis=-1, keepdims=True)
-    centered = x - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    data = centered * inv
+    centered = np.subtract(x, x.mean(axis=-1, keepdims=True))
+    data = np.multiply(centered, centered)
+    inv = 1.0 / np.sqrt(data.mean(axis=-1, keepdims=True) + eps)
+    np.multiply(centered, inv, out=data)
 
     def bwd(g):
-        gm = g.mean(axis=-1, keepdims=True)
-        gym = (g * data).mean(axis=-1, keepdims=True)
-        _accum(a, inv * (g - gm - data * gym), own=True)
+        scratch = np.multiply(g, data)
+        gym = scratch.mean(axis=-1, keepdims=True)
+        np.multiply(data, gym, out=scratch)
+        dx = np.subtract(g, g.mean(axis=-1, keepdims=True))
+        dx -= scratch
+        dx *= inv
+        _accum(a, dx, own=True)
 
     return _node(data, (a,), bwd)
 

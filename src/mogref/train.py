@@ -123,15 +123,23 @@ class ParamGroup:
 
 
 class Adam:
-    """Standard Adam; groups with non-positive lr are skipped entirely."""
+    """Standard Adam; groups with non-positive lr are skipped entirely.
+
+    Each group keeps its own step count, advanced only on the steps that
+    update it, so a group frozen for its first k steps starts with the bias
+    correction of step 1, as if it had been held out of the optimizer.
+    """
 
     def __init__(self, groups: list[ParamGroup], betas=(0.9, 0.999), eps: float = 1e-8):
         self.groups = groups
         self.beta1, self.beta2 = betas
         self.eps = eps
-        self.t = 0
+        self.steps = [0] * len(groups)
         self._m = {id(p): np.zeros_like(p.data) for g in groups for p in g.params}
         self._v = {id(p): np.zeros_like(p.data) for g in groups for p in g.params}
+        # two flat scratch buffers, viewed at each parameter's shape
+        largest = max((p.size for g in groups for p in g.params), default=0)
+        self._scratch = np.empty((2, largest))
 
     def all_params(self) -> list[Parameter]:
         return [p for g in self.groups for p in g.params]
@@ -140,21 +148,31 @@ class Adam:
         zero_grads(self.all_params())
 
     def step(self) -> None:
-        self.t += 1
-        c1 = 1.0 - self.beta1**self.t
-        c2 = 1.0 - self.beta2**self.t
-        for group in self.groups:
+        """One update, in place: ``p -= lr * (m / c1) / (sqrt(v / c2) + eps)``."""
+        for i, group in enumerate(self.groups):
             if group.lr <= 0.0:
                 continue
+            self.steps[i] += 1
+            c1 = 1.0 - self.beta1**self.steps[i]
+            c2 = 1.0 - self.beta2**self.steps[i]
             for p in group.params:
                 g = p.grad
                 m = self._m[id(p)]
                 v = self._v[id(p)]
+                num, den = (buf[:p.size].reshape(p.shape) for buf in self._scratch)
                 m *= self.beta1
-                m += (1.0 - self.beta1) * g
+                m += np.multiply(g, 1.0 - self.beta1, out=num)
                 v *= self.beta2
-                v += (1.0 - self.beta2) * g * g
-                p.data -= group.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+                np.multiply(g, 1.0 - self.beta2, out=den)
+                den *= g
+                v += den
+                np.divide(v, c2, out=den)
+                np.sqrt(den, out=den)
+                den += self.eps
+                np.divide(m, c1, out=num)
+                num *= group.lr
+                num /= den
+                p.data -= num
 
 
 # ---------------------------------------------------------------------------
@@ -162,9 +180,22 @@ class Adam:
 # ---------------------------------------------------------------------------
 
 
-def predict_best_boxes(model: SCSModel, dataset: GroundingDataset,
-                       chunk: int = 16) -> list[tuple[BBox, float]]:
-    """Highest-confidence box (and its confidence) for every sample."""
+# Token rows one eval forward may hold: 16 scenes of 64 patches and 10 words.
+# Activations grow with rows, so larger rasters run fewer scenes at a time.
+EVAL_TOKEN_ROWS = 16 * 74
+
+
+def eval_chunk(tokens_per_scene: int) -> int:
+    """Scenes per eval forward: as many as fit ``EVAL_TOKEN_ROWS``, 1 to 16."""
+    return max(1, min(16, EVAL_TOKEN_ROWS // tokens_per_scene))
+
+
+def predict_best_boxes(model: SCSModel, dataset: GroundingDataset) -> list[tuple[BBox, float]]:
+    """Highest-confidence box (and its confidence) for every sample.
+
+    Runs the no-grad forwards in chunks of :func:`eval_chunk` scenes.
+    """
+    chunk = eval_chunk(model.config.num_visual_tokens + dataset.token_ids.shape[1])
     out = []
     for lo in range(0, len(dataset), chunk):
         with no_grad():

@@ -53,16 +53,20 @@ def test_script_profiles_a_default_step(capsys):
     spec.loader.exec_module(script)
     assert script.run(["--steps", "1"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert re.search(r"ms/step \(\d+ minor faults, \d+\.\d ms system CPU\)", lines[0])
+    assert re.search(r"ms/step \(\d+ minor faults, \d+\.\d ms system CPU\), "
+                     r"peak RSS \d+\.\d MB", lines[0])
     rows = {}
     for line in lines[2:]:
         name, calls, ms, _share = line.split()
         rows[name] = (float(calls), float(ms))
     # one attention-core node per attention: two SCE blocks, the SCD self-
     # and cross-attention, and the SSD self- and cross-attention; the core
-    # holds each attention's logit and value products, so matmul counts 24
-    # q/k/v/output projections, 3 gates and 12 other linear layers
+    # holds each attention's logit and value products, so matmul counts the
+    # 18 bias-free q/k/v projections and 3 gates, and every Linear layer (6
+    # attention outputs, 8 feed-forward, the patch embedding, 3 head) is one
+    # affine node
     assert rows["_attention_core"][0] == 6
     assert "_mixture_weights" not in rows
-    assert rows["matmul"][0] == 39
+    assert rows["matmul"][0] == 21
+    assert rows["affine"][0] == 18
     assert {"layernorm", "gelu", "softmax", "take_rows"} <= set(rows)

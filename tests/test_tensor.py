@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -10,7 +12,9 @@ from mogref.tensor import (
     Parameter,
     ShapeError,
     Tensor,
+    affine,
     backward,
+    gelu,
     layernorm,
     log,
     masked_softmax,
@@ -222,3 +226,70 @@ class TestReshapeErrors:
     def test_mean_keeps_values(self):
         x = Tensor(np.arange(12.0).reshape(3, 4))
         assert mean(x).item() == pytest.approx(5.5)
+
+
+class TestAffine:
+    @pytest.mark.parametrize("shape", [(5, 6), (2, 5, 6), (2, 3, 4, 6)])
+    def test_equals_matmul_plus_bias_bit_for_bit(self, shape):
+        rng = RngState(7)
+        values = rng.uniform_array(shape, -2, 2)
+        w_init, b_init = rng.uniform_array((6, 3), -1, 1), rng.uniform_array((3,), -1, 1)
+        proj = rng.uniform_array((*shape[:-1], 3), -1, 1)
+        results = []
+        for build in (lambda x, w, b: affine(x, w, b), lambda x, w, b: matmul(x, w) + b):
+            x, w, b = Parameter("x", values), Parameter("w", w_init), Parameter("b", b_init)
+            out = build(x, w, b)
+            backward(tsum(out * proj))
+            results.append((out.data, x.grad, w.grad, b.grad))
+        for got, want in zip(*results):
+            assert np.array_equal(got, want)
+
+    def test_shape_error_names_both_shapes(self):
+        with pytest.raises(ShapeError, match=r"\(2, 3\).*\(4, 5\)"):
+            affine(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 5))), Tensor(np.zeros(5)))
+
+
+# the plain expressions the in-place kernels must reproduce bit for bit
+_C = math.sqrt(2.0 / math.pi)
+_A = 0.044715
+
+
+def reference_gelu(x, g):
+    t = np.tanh(_C * (x + _A * (x * x * x)))
+    d = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * _C * (1.0 + 3.0 * _A * x * x)
+    return 0.5 * x * (1.0 + t), g * d
+
+
+def reference_layernorm(x, g, eps=1e-5):
+    centered = x - x.mean(axis=-1, keepdims=True)
+    var = (centered * centered).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    y = centered * inv
+    gm = g.mean(axis=-1, keepdims=True)
+    gym = (g * y).mean(axis=-1, keepdims=True)
+    return y, inv * (g - gm - y * gym)
+
+
+def _inputs(kind, shape, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        return rng.normal(0.0, 3.0, shape)
+    if kind == "saturated":  # tanh is exactly +-1 out here
+        return rng.uniform(20.0, 60.0, shape) * rng.choice([-1.0, 1.0], shape)
+    x = rng.normal(0.0, 3.0, shape)  # "constant": every other row constant
+    x[..., ::2, :] = rng.normal(0.0, 3.0, (*shape[:-2], (shape[-2] + 1) // 2, 1))
+    return x
+
+
+class TestInPlaceKernels:
+    @pytest.mark.parametrize("kind", ["random", "saturated", "constant"])
+    @pytest.mark.parametrize("op, reference", [(gelu, reference_gelu),
+                                               (layernorm, reference_layernorm)])
+    def test_bit_identical_to_the_plain_expressions(self, op, reference, kind):
+        x = Parameter("x", _inputs(kind, (3, 5, 9), seed=11))
+        g = np.random.default_rng(12).normal(0.0, 1.0, x.shape)
+        out = op(x)
+        backward(tsum(out * Tensor(g)))
+        want_out, want_grad = reference(x.data, g)
+        assert np.array_equal(out.data, want_out)
+        assert np.array_equal(x.grad, want_grad)

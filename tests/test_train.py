@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,10 +9,14 @@ from mogref.matching import BBox
 from mogref.metrics import mean_precision
 from mogref.model import ModelConfig, SCSModel
 from mogref.rng import RngState
+from mogref.tensor import Parameter, no_grad
 from mogref.train import (
+    Adam,
     DivergenceError,
+    ParamGroup,
     TrainConfig,
     build_synthetic_dataset,
+    eval_chunk,
     eval_pairs,
     evaluate_model,
     load_dataset_dir,
@@ -214,3 +219,105 @@ class TestEvaluation:
         result = mean_precision(pairs)
         assert result.precisions == {0.5: 0.5, 0.6: 0.5, 0.7: 0.0, 0.8: 0.0}
         assert result.mp == 0.25
+
+
+def reference_adam_update(p, g, m, v, t, lr, b1=0.9, b2=0.999, eps=1e-8):
+    """The plain-expression Adam update the in-place step must reproduce bit for bit."""
+    m *= b1
+    m += (1.0 - b1) * g
+    v *= b2
+    v += (1.0 - b2) * g * g
+    p -= lr * (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + eps)
+
+
+class TestAdam:
+    @staticmethod
+    def two_groups(seed):
+        rng = np.random.default_rng(seed)
+        a = Parameter("a", rng.normal(0.0, 1.0, (4, 6)))
+        b = Parameter("b", rng.normal(0.0, 1.0, (5,)))
+        return [ParamGroup([a], 1e-2), ParamGroup([b], 3e-3)], rng
+
+    def test_step_bit_identical_to_the_plain_expressions(self):
+        groups, rng = self.two_groups(0)
+        opt = Adam(groups)
+        params = opt.all_params()
+        ref = [(p.data.copy(), np.zeros_like(p.data), np.zeros_like(p.data)) for p in params]
+        lrs = [g.lr for g in groups for _ in g.params]
+        for t in range(1, 4):
+            for p in params:
+                p.grad = rng.normal(0.0, 1.0, p.shape) * 10.0 ** rng.integers(-6, 3, p.shape)
+            opt.step()
+            for p, (rp, rm, rv), lr in zip(params, ref, lrs):
+                reference_adam_update(rp, p.grad, rm, rv, t, lr)
+                assert np.array_equal(p.data, rp)
+
+    def test_first_update_after_a_freeze_has_step_one_correction(self):
+        groups, rng = self.two_groups(1)
+        opt = Adam(groups)
+        frozen = groups[0].params[0]
+        start = frozen.data.copy()
+        groups[0].lr = 0.0
+        for _ in range(5):
+            for p in opt.all_params():
+                p.grad = rng.normal(0.0, 1.0, p.shape)
+            opt.step()
+        assert np.array_equal(frozen.data, start)
+        groups[0].lr = 1e-2
+        g = rng.normal(0.0, 1.0, frozen.shape)
+        frozen.grad = g
+        opt.step()
+        # m / c1 = g and sqrt(v / c2) = |g| at a group's first update
+        np.testing.assert_allclose(start - frozen.data, 1e-2 * g / (np.abs(g) + 1e-8), rtol=1e-12)
+
+
+class TestEvalChunks:
+    @pytest.mark.parametrize("tokens, scenes", [(1, 16), (74, 16), (75, 15), (266, 4),
+                                                (1034, 1), (5000, 1)])
+    def test_scenes_per_forward_follow_the_token_rows(self, tokens, scenes):
+        assert eval_chunk(tokens) == scenes
+
+
+@pytest.fixture(scope="module")
+def longseq():
+    """The default model and 16 scenes at 128 px: 256 patches and 10 words."""
+    spec = SyntheticSceneSpec(image_size=128)
+    dataset = build_synthetic_dataset(16, spec, VOCAB, 3)
+    model = SCSModel(ModelConfig(image_size=128, vocab_size=len(VOCAB)), VOCAB, RngState(3))
+    return model, dataset
+
+
+def traced_peak_mb(fn) -> float:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+class TestLongSequenceEval:
+    def full_forward(self, model, dataset):
+        with no_grad():
+            return model.forward(dataset.images, dataset.token_ids)
+
+    def test_chunked_boxes_agree_with_one_forward(self, longseq):
+        model, ds = longseq
+        assert eval_chunk(model.config.num_visual_tokens + ds.token_ids.shape[1]) == 4
+        full = self.full_forward(model, ds)
+        chunked = predict_best_boxes(model, ds)
+        singles = [full.best_box(b) for b in range(len(ds))]
+        for (box, conf), (want_box, want_conf) in zip(chunked, singles):
+            assert abs(conf - want_conf) <= 1e-12
+            np.testing.assert_allclose(box.to_array(), np.clip(want_box, 0.0, 1.0),
+                                       rtol=0, atol=1e-12)
+        want = mean_precision(eval_pairs([BBox(*np.clip(box, 0.0, 1.0)) for box, _ in singles],
+                                         ds.targets))
+        assert evaluate_model(model, ds).precisions == want.precisions
+
+    def test_eval_peak_is_under_half_of_one_forward(self, longseq):
+        model, ds = longseq
+        self.full_forward(model, ds)  # size the attention core's reusable buffers first
+        eval_mb = traced_peak_mb(lambda: evaluate_model(model, ds))
+        full_mb = traced_peak_mb(lambda: self.full_forward(model, ds))
+        assert eval_mb < 0.5 * full_mb, (eval_mb, full_mb)
