@@ -157,34 +157,47 @@ class _ResidueClasses:
     """One-hot residue classes of a dilation set on an n_q-by-n_k grid.
 
     Column ``c = (g, r)``, for branch g and residue ``r < d_g``, is one
-    class: ``keys[j, c]`` is 1.0 where ``j mod d_g == r`` and ``rows[i, c]``
-    is True where ``i mod d_g == r``. Each row selects one column per
-    branch, and branch g's mask is ``rows @ keys.T`` over g's columns.
+    class: ``keys[j, c]`` is 1.0 where ``j mod d_g == r``. Query row i
+    selects column ``starts[g] + i mod d_g`` of each branch g, and
+    ``index[i, g] = i * C + starts[g] + i mod d_g`` is that column's
+    position in a flattened (n_q, C) array, so the selected entries of a
+    (..., n_q, C) array are one gather (:func:`_selected`).
     """
 
     keys: np.ndarray  # (n_k, C) float64 0/1, read-only
-    rows: np.ndarray  # (n_q, C) bool, read-only
-    branch: np.ndarray  # (C,) branch index of each column
+    index: np.ndarray  # (n_q, G) flat (n_q * C) positions of the selected classes, read-only
     starts: np.ndarray  # (G,) first column of each branch
 
 
 def _residue_classes(n_q: int, n_k: int, dilations: tuple[int, ...]) -> _ResidueClasses:
     def build():
-        branch = np.repeat(np.arange(len(dilations)), dilations)
-        modulus = np.asarray(dilations)[branch]
+        modulus = np.repeat(dilations, dilations)
         residue = np.concatenate([np.arange(d) for d in dilations])
         keys = (np.arange(n_k)[:, None] % modulus == residue).astype(np.float64)
-        rows = np.arange(n_q)[:, None] % modulus == residue
-        empty = rows & ~keys.any(axis=0)
-        if empty.any():
-            dilation = modulus[np.flatnonzero(empty.any(axis=0))[0]]
-            raise ValueError(f"rect mask {n_q}x{n_k} with dilation {dilation} has an empty row")
-        for arr in (keys, rows):
-            arr.setflags(write=False)
         starts = np.concatenate(([0], np.cumsum(dilations)[:-1]))
-        return _ResidueClasses(keys, rows, branch, starts)
+        columns = starts + np.arange(n_q)[:, None] % np.asarray(dilations)  # (n_q, G)
+        empty = ~keys.any(axis=0)[columns]
+        if empty.any():
+            dilation = dilations[np.flatnonzero(empty.any(axis=0))[0]]
+            raise ValueError(f"rect mask {n_q}x{n_k} with dilation {dilation} has an empty row")
+        index = np.arange(n_q)[:, None] * keys.shape[1] + columns
+        for arr in (keys, index):
+            arr.setflags(write=False)
+        return _ResidueClasses(keys, index, starts)
 
     return _cached(_RESIDUE_CACHE, (n_q, n_k, dilations), build)
+
+
+def _selected(x: np.ndarray, classes: _ResidueClasses) -> np.ndarray:
+    """(..., n_q, C) -> (..., n_q, G): each row's selected class of each branch, a new array."""
+    return np.take(x.reshape(*x.shape[:-2], -1), classes.index, axis=-1)
+
+
+def _scattered(sel: np.ndarray, shape: tuple[int, ...], classes: _ResidueClasses) -> np.ndarray:
+    """Zeros of ``shape`` (..., n_q, C) holding ``sel`` (..., n_q, G) at the selected classes."""
+    out = np.zeros(shape)
+    out.reshape(*shape[:-2], -1)[..., classes.index] = sel
+    return out
 
 
 def _spread(a: np.ndarray, keys: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -380,10 +393,11 @@ def _class_coefficients(e: np.ndarray, gammas: np.ndarray,
     # stacked, one gemm per sample and head: as one (B*H*N_q, N_k) gemm,
     # threaded BLAS packs all of e and the RSS grows by another such buffer
     s = e @ classes.keys
-    if s[..., classes.rows].min() < _MIN_CLASS_SUM:
+    selected = _selected(s, classes)
+    if selected.min() < _MIN_CLASS_SUM:
         return None
-    gam = gammas[:, classes.branch][:, None, None, :]  # (B, 1, 1, C)
-    return s, np.divide(gam, s, out=np.zeros_like(s), where=classes.rows)
+    np.divide(gammas[:, None, None, :], selected, out=selected)  # gammas (B, G)
+    return s, _scattered(selected, s.shape, classes)
 
 
 def _weights(e: np.ndarray, a: np.ndarray, keys: np.ndarray,
@@ -402,7 +416,9 @@ def _class_grad(dw: np.ndarray, e: np.ndarray, s: np.ndarray, classes: _ResidueC
     spreads into it) or a new buffer.
     """
     t = np.multiply(dw, e, out=np.empty(e.shape) if scratch is None else scratch)
-    return np.divide(t @ classes.keys, s, out=np.zeros_like(s), where=classes.rows), t
+    u = _selected(t @ classes.keys, classes)
+    u /= _selected(s, classes)
+    return _scattered(u, s.shape, classes), t
 
 
 def _logit_grad(dw: np.ndarray, e: np.ndarray, w: np.ndarray, rho: np.ndarray, a: np.ndarray,

@@ -12,7 +12,9 @@ reference counting frees a step's graph as soon as the last reference to
 its loss goes, without waiting for the cyclic garbage collector. To keep
 it that way, a backward closure receives the output gradient as its
 argument and never captures its output tensor (capturing the output's
-``data`` array is fine).
+``data`` array is fine). A node's gradient lives only until its closure
+has run, so a walked graph keeps forward data and closures, and no
+gradient except on leaves; it can be walked again.
 
 Inside ``with no_grad():`` operations record nothing: outputs are bare
 tensors with no parents and no closure, and :func:`backward` on them is a
@@ -141,7 +143,8 @@ def _accum(t: Tensor, g: np.ndarray, own: bool = False) -> None:
     ``own=True`` promises ``g`` is not aliased by any other accumulation
     target, so the first contribution can take the buffer instead of
     copying. Views of an upstream ``.grad`` qualify: a node's gradient is
-    finalized before its own backward runs and never read again after.
+    finalized before its own backward runs and dropped right after it,
+    so from then on only the views handed to parents use the buffer.
     """
     if t.grad is None:
         t.grad = g if own else g.copy()
@@ -243,9 +246,11 @@ def backward(loss: Tensor) -> None:
     """Accumulate d(loss)/d(leaf) into every reachable leaf's ``.grad``.
 
     Repeated calls add up; call :func:`zero_grads` between steps. Leaf
-    gradients persist across walks; interior-node gradients are scratch
-    space and are reset at the start of every walk (which also makes
-    re-running backward on the same recorded graph count each path once).
+    gradients persist across walks. An interior node's gradient is freed
+    as soon as its closure has consumed it, so after a walk no node with a
+    closure holds one. The walk also resets them at its start, which keeps
+    a second walk over the same graph counting each path once after a
+    first walk that a raising closure cut short.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -280,6 +285,7 @@ def backward(loss: Tensor) -> None:
             start = time.perf_counter()
             node._backward(node.grad)
             prof.add(node._backward, time.perf_counter() - start)
+        node.grad = None
 
 
 # ---------------------------------------------------------------------------
@@ -568,11 +574,6 @@ def mean(a, axis: int | None = None, keepdims: bool = False) -> Tensor:
         _accum(a, np.broadcast_to(g, a.data.shape) / count, own=True)
 
     return _node(data, (a,), bwd)
-
-
-def mean_pool(a, axis: int = 1) -> Tensor:
-    """Average over the token axis of a batched sequence."""
-    return mean(a, axis=axis)
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,11 @@
 
 A step's graph must be freed by reference counting alone: with the cyclic
 garbage collector off, nothing it leaves behind may need a collection.
-``no_grad`` must switch recording off on its own thread only, for exactly
-the extent of its block, without changing a single forward value.
+A walked graph keeps forward data and closures only: ``backward`` drops
+each interior gradient once its closure has consumed it, and a graph can
+still be walked again. ``no_grad`` must switch recording off on its own
+thread only, for exactly the extent of its block, without changing a
+single forward value.
 """
 
 import gc
@@ -11,6 +14,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -19,9 +23,20 @@ import pytest
 import mogref
 from mogref import gradcheck_cases
 from mogref.data import SyntheticSceneSpec, default_vocab
+from mogref.matching import grounding_loss
 from mogref.model import ModelConfig, SCSModel
 from mogref.rng import RngState
-from mogref.tensor import Parameter, Tensor, backward, is_grad_enabled, matmul, no_grad, tsum
+from mogref.tensor import (
+    Parameter,
+    Tensor,
+    _accum,
+    backward,
+    is_grad_enabled,
+    matmul,
+    no_grad,
+    tsum,
+    zero_grads,
+)
 from mogref.train import TrainConfig, build_synthetic_dataset, train_toy
 
 VOCAB = default_vocab()
@@ -54,6 +69,127 @@ class TestCycleFree:
                 backward(build_loss())
 
         assert unreachable_after(forward_and_backward) == 0
+
+
+def graph_nodes(loss: Tensor) -> list[Tensor]:
+    """Every node reachable from ``loss``, leaves included."""
+    nodes, seen, stack = [], {id(loss)}, [loss]
+    while stack:
+        node = stack.pop()
+        nodes.append(node)
+        for parent in node._parents:
+            if id(parent) not in seen:
+                seen.add(id(parent))
+                stack.append(parent)
+    return nodes
+
+
+def keeping_backward(loss: Tensor) -> None:
+    """The walk of ``backward``, in its order, without freeing interior gradients: the reference."""
+    topo, seen, stack = [], set(), [(loss, False)]
+    while stack:
+        node, done = stack.pop()
+        if done:
+            topo.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        stack.extend((p, False) for p in node._parents if id(p) not in seen)
+    for node in topo:
+        if node._backward is not None:
+            node.grad = None
+    _accum(loss, np.ones_like(loss.data), own=True)
+    for node in reversed(topo):
+        if node._backward is not None:
+            node._backward(node.grad)
+
+
+def default_step_loss(seed: int = 0):
+    """The loss of one default-model step (64 px, B=8) and the model's parameters."""
+    vocab = default_vocab()
+    dataset = build_synthetic_dataset(8, SyntheticSceneSpec(), vocab, seed)
+    model = SCSModel(ModelConfig(vocab_size=len(vocab)), vocab, RngState(seed))
+
+    def build_loss():
+        pred = model.forward(dataset.images, dataset.token_ids)
+        return grounding_loss(pred.boxes, pred.confidence, dataset.targets)[0]
+
+    return build_loss, model.parameters()
+
+
+def every_graph():
+    """(name, build_loss, params) of each gradcheck case and of one default-model step."""
+    for name, builder in gradcheck_cases.all_cases(0):
+        yield (name, *builder())
+    yield ("default_model_step", *default_step_loss())
+
+
+def leaf_grads(params) -> list[np.ndarray]:
+    return [p.grad.copy() for p in params]
+
+
+class TestInteriorGradients:
+    def test_walk_frees_every_interior_gradient_and_keeps_leaf_gradients(self):
+        for name, build_loss, params in every_graph():
+            zero_grads(params)
+            keeping_backward(build_loss())
+            want = leaf_grads(params)
+
+            zero_grads(params)
+            loss = build_loss()
+            backward(loss)
+            nodes = graph_nodes(loss)
+            holding = [n for n in nodes if n._backward is not None and n.grad is not None]
+            assert not holding, f"{name}: {len(holding)} interior nodes hold a gradient"
+            assert all(np.array_equal(g, p.grad) for g, p in zip(want, params)), name
+            # data and closures stay: a second walk counts each path once
+            zero_grads(params)
+            backward(loss)
+            assert all(np.array_equal(g, p.grad) for g, p in zip(want, params)), name
+
+    def test_walk_cut_short_by_a_raising_closure_then_rewalked(self):
+        build_loss, params = default_step_loss(1)
+        zero_grads(params)
+        backward(build_loss())
+        want = leaf_grads(params)
+
+        zero_grads(params)
+        loss = build_loss()
+        interior = [n for n in graph_nodes(loss) if n._backward is not None]
+        victim = interior[len(interior) // 2]
+        original = victim._backward
+
+        def raising(g):
+            raise FloatingPointError("cut short")
+
+        victim._backward = raising
+        with pytest.raises(FloatingPointError):
+            backward(loss)
+        # some interior nodes were left holding partial gradients
+        assert any(n.grad is not None for n in interior)
+        victim._backward = original
+        zero_grads(params)
+        backward(loss)
+        assert all(np.array_equal(g, p.grad) for g, p in zip(want, params))
+
+    def test_finished_graph_holds_little_more_than_its_forward_data(self):
+        build_loss, params = default_step_loss(2)
+        backward(build_loss())  # fills the caches and the attention core's reused buffers
+        zero_grads(params)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            loss = build_loss()
+            backward(loss)
+            held = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        data = sum(n.data.nbytes for n in graph_nodes(loss) if n._backward is not None)
+        # data counts a view as often as it is reached; dead gradients would
+        # add about as much again as the data itself
+        assert held <= 1.5 * data, f"graph holds {held / data:.2f}x its interior data"
 
 
 def small_forward(model: SCSModel):

@@ -547,6 +547,45 @@ def test_single_class_spread_equals_the_gemm():
     assert (mog_module._spread(a, keys) == gemm).all()
 
 
+@pytest.mark.parametrize("shape, dilations", [
+    ((8, 4, 74, 74), (1, 2, 3, 4)),
+    ((2, 3, 7, 7), (2, 5)),
+    ((8, 4, 4, 74), (1, 2, 3, 4)),
+    ((2, 2, 3, 7), (2, 5)),
+    ((2, 4, 5, 5), (1,)),
+    ((1, 2, 1, 9), (1, 3)),
+])
+def test_selected_class_arithmetic_equals_the_masked_divide(shape, dilations):
+    # reference: the divides over every class column with where= the
+    # query-row selection mask, and the min through that boolean mask
+    b, h, n_q, n_k = shape
+    classes = mog_module._residue_classes(n_q, n_k, dilations)
+    branch = np.repeat(np.arange(len(dilations)), dilations)
+    residue = np.concatenate([np.arange(d) for d in dilations])
+    rows = np.arange(n_q)[:, None] % np.asarray(dilations)[branch] == residue
+    rng = RngState(sum(shape) + len(dilations))
+    e = rng.uniform_array(shape, 0.0, 1.0)
+    gammas = rng.uniform_array((b, len(dilations)), 0.1, 1.0)
+    dw = rng.uniform_array(shape, -1.0, 1.0)
+
+    s, a = mog_module._class_coefficients(e, gammas, classes)
+    ref_s = e @ classes.keys
+    assert np.array_equal(s, ref_s)
+    assert s[..., rows].min() >= mog_module._MIN_CLASS_SUM
+    gam = gammas[:, branch][:, None, None, :]
+    assert np.array_equal(a, np.divide(gam, ref_s, out=np.zeros_like(ref_s), where=rows))
+
+    rho, t = mog_module._class_grad(dw, e, s, classes)
+    ref_t = dw * e
+    assert np.array_equal(t, ref_t)
+    ref_rho = np.divide(ref_t @ classes.keys, ref_s, out=np.zeros_like(ref_s), where=rows)
+    assert np.array_equal(rho, ref_rho)
+
+    # a selected class sum below the floor sends the call to the fallback
+    e[0, 0, 0] = 0.0
+    assert mog_module._class_coefficients(e, gammas, classes) is None
+
+
 class TestMaskPath:
     def test_cross_attention_with_an_empty_query_row_is_rejected(self):
         rng = RngState(12)

@@ -20,7 +20,6 @@ from mogref.tensor import (
     masked_softmax,
     matmul,
     mean,
-    mean_pool,
     reshape,
     softmax,
     take_rows,
@@ -151,14 +150,14 @@ class TestLayernorm:
 class TestMeanPool:
     def test_single_token_identity(self):
         x = Tensor(np.arange(6.0).reshape(1, 1, 6))
-        assert (mean_pool(x).data == x.data[:, 0]).all()
+        assert (mean(x, axis=1).data == x.data[:, 0]).all()
 
     def test_symmetry(self):
-        out = mean_pool(Tensor([[[1.0, 3.0], [3.0, 1.0]]]))
+        out = mean(Tensor([[[1.0, 3.0], [3.0, 1.0]]]), axis=1)
         assert out.data.tolist() == [[2.0, 2.0]]
 
     def test_hand_average(self):
-        out = mean_pool(Tensor([[[0.0, 0.0], [6.0, 3.0]]]))
+        out = mean(Tensor([[[0.0, 0.0], [6.0, 3.0]]]), axis=1)
         assert out.data.tolist() == [[3.0, 1.5]]
 
 
