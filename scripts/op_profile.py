@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
 """Per-op backward profile of default training steps.
 
-Builds the default model at --image-size (seed 0), trains it for --steps
-Adam steps on --batch synthetic scenes (after one untimed warm-up step
-that fills the mask, residue-class and position caches), and prints the
-backward wall time and call count of every autodiff op per step, largest
-first. The op name is the function
-that recorded the node (``matmul``, ``_attention_core``, ...).
+Builds the default model at --image-size (seed 0), runs ``train_toy`` on
+--batch synthetic scenes for --steps full-batch steps (after one untimed
+``train_toy`` step that fills the mask, residue-class and position caches),
+and prints the backward wall time and call count of every autodiff op per
+step, largest first. So the profile covers what ``mogref train`` runs,
+with its two parameter groups and its divergence checks. The op name is
+the function that recorded the node (``matmul``, ``_attention_core``, ...).
 
 The header line gives, per step, the wall ms beside the minor page faults
 and the system-CPU ms of the process (``resource.getrusage``): a step that
@@ -21,13 +22,13 @@ import argparse
 import resource
 import sys
 import time
+from dataclasses import replace
 
 from mogref.data import SyntheticSceneSpec, default_vocab
-from mogref.matching import LossWeights, grounding_loss
 from mogref.model import ModelConfig, SCSModel
 from mogref.rng import RngState
-from mogref.tensor import OpProfile, backward, op_profile
-from mogref.train import Adam, ParamGroup, build_synthetic_dataset
+from mogref.tensor import OpProfile, op_profile
+from mogref.train import TrainConfig, build_synthetic_dataset, train_toy
 
 
 def profile_steps(image_size: int, batch: int,
@@ -37,22 +38,12 @@ def profile_steps(image_size: int, batch: int,
     vocab = default_vocab()
     dataset = build_synthetic_dataset(batch, SyntheticSceneSpec(image_size=image_size), vocab, 0)
     model = SCSModel(ModelConfig(image_size=image_size, vocab_size=len(vocab)), vocab, RngState(0))
-    opt = Adam([ParamGroup(model.parameters(), 1e-3)])
-    weights = LossWeights()
-
-    def step():
-        pred = model.forward(dataset.images, dataset.token_ids)
-        loss, _ = grounding_loss(pred.boxes, pred.confidence, dataset.targets, weights)
-        opt.zero_grad()
-        backward(loss)
-        opt.step()
-
-    step()
+    cfg = TrainConfig(steps=1, batch_size=batch, eval_every=0, target_train_p50=None)
+    train_toy(model, dataset, cfg)
     usage = resource.getrusage(resource.RUSAGE_SELF)
     start = time.perf_counter()
     with op_profile() as prof:
-        for _ in range(steps):
-            step()
+        train_toy(model, dataset, replace(cfg, steps=steps))
     wall_ms = (time.perf_counter() - start) * 1e3 / steps
     after = resource.getrusage(resource.RUSAGE_SELF)
     faults = (after.ru_minflt - usage.ru_minflt) / steps

@@ -187,12 +187,12 @@ class TokenProjector:
                 f"token id out of vocabulary (size {self.config.vocab_size})"
             )
         visual = self.patch(Tensor(self._patchify(images)))
-        visual = visual + reshape(select(self.type_embed, 0, axis=0), (1, 1, self.config.model_dim))
+        visual = visual + select(self.type_embed, 0, axis=0)
         num_visual = visual.shape[1]
         num_text = token_ids.shape[1]
         if num_text:
             text = take_rows(self.word_embed, token_ids)
-            text = text + reshape(select(self.type_embed, 1, axis=0), (1, 1, self.config.model_dim))
+            text = text + select(self.type_embed, 1, axis=0)
             tokens = concat([visual, text], axis=1)
         else:
             tokens = visual

@@ -52,7 +52,10 @@ from mogref.tensor import (
     _accum,
     _masked_softmax_data,
     _node,
+    _record,
+    _softmax_vjp,
     _unbroadcast,
+    affine,
     layernorm,
     masked_softmax,
     matmul,
@@ -318,7 +321,7 @@ def gate_weights(x: Tensor, gate: GateParams) -> Tensor:
     non-negative and sum to one.
     """
     pooled = layernorm(mean(x, axis=1))
-    return softmax(matmul(pooled, gate.w) + gate.b)
+    return softmax(affine(pooled, gate.w, gate.b))
 
 
 def _shared_exp(x: np.ndarray, row_max: np.ndarray | None = None,
@@ -365,13 +368,7 @@ def _shared_branch_softmax(logits: Tensor, masks: list[np.ndarray]) -> list[Tens
     outs: list[Tensor] = []
     for bits in masks:
         p = _branch_softmax(e, logits.data, bits)
-
-        def bwd(g, data=p):
-            grad = g - (g * data).sum(axis=-1, keepdims=True)
-            grad *= data
-            _accum(logits, grad, own=True)
-
-        outs.append(_node(p, (logits,), bwd))
+        outs.append(_record(_shared_branch_softmax, p, (logits,), (_softmax_vjp(p),)))
     return outs
 
 

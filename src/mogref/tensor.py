@@ -16,6 +16,16 @@ argument and never captures its output tensor (capturing the output's
 has run, so a walked graph keeps forward data and closures, and no
 gradient except on leaves; it can be walked again.
 
+The routing rule: an op gives :func:`_record` its output and one
+vector-Jacobian product (partial) per input. Only that helper skips inputs
+that need no gradient and sums partials over broadcast axes. The output
+gradient ``g`` itself goes to the first input whose partial returns
+it and a copy to any later one; any other partial (a fresh array, or a view
+of ``g`` no other input shares) is handed over as it is. A hand-written
+closure (:func:`_node`) is kept only where one backward builds several
+gradients from shared work or scatters into a gradient in place:
+:func:`take_rows`, ``mog._attention_core`` and ``mog._mixture_weights``.
+
 Inside ``with no_grad():`` operations record nothing: outputs are bare
 tensors with no parents and no closure, and :func:`backward` on them is a
 no-op. Forward values are the same bits either way. The flag is
@@ -145,6 +155,7 @@ def _accum(t: Tensor, g: np.ndarray, own: bool = False) -> None:
     copying. Views of an upstream ``.grad`` qualify: a node's gradient is
     finalized before its own backward runs and dropped right after it,
     so from then on only the views handed to parents use the buffer.
+    :func:`_record` chooses it for every op by the routing rule above.
     """
     if t.grad is None:
         t.grad = g if own else g.copy()
@@ -221,7 +232,8 @@ def _node(data: np.ndarray, parents: Sequence[Tensor], bwd: Callable[[np.ndarray
     """Build an output node; ``bwd`` receives the output gradient.
 
     ``bwd`` must not capture the returned tensor: that would make a
-    reference cycle only the cyclic garbage collector can free.
+    reference cycle only the cyclic garbage collector can free. Only the
+    ops the routing rule names route their own gradients in ``bwd``.
     """
     out = Tensor(data)
     if not _RECORDING.enabled:
@@ -232,6 +244,28 @@ def _node(data: np.ndarray, parents: Sequence[Tensor], bwd: Callable[[np.ndarray
         out._parents = tuple(grads_needed)
         out._backward = bwd
     return out
+
+
+def _record(op: Callable, data: np.ndarray, inputs: Sequence[Tensor],
+            partials: Sequence[Callable[[np.ndarray], np.ndarray]]) -> Tensor:
+    """``op``'s output node: its gradient into ``inputs[i]`` is ``partials[i](g)``.
+
+    The one place the routing rule (module docstring) is applied. The closure
+    takes ``op``'s name, under which :class:`OpProfile` files it.
+    """
+    if not _RECORDING.enabled:
+        return Tensor(data)
+    routes = [(t, vjp) for t, vjp in zip(inputs, partials) if t.requires_grad]
+
+    def bwd(g):
+        taken = False  # whether an earlier input took g itself
+        for t, vjp in routes:
+            gt = _unbroadcast(vjp(g), t.data.shape)
+            _accum(t, gt, own=gt is not g or not taken)
+            taken = taken or gt is g
+
+    bwd.__qualname__ = op.__qualname__
+    return _node(data, [t for t, _ in routes], bwd)
 
 
 def zero_grads(params) -> None:
@@ -295,120 +329,54 @@ def backward(loss: Tensor) -> None:
 
 def add(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
-    data = a.data + b.data
-
-    def bwd(g):
-        first = True
-        if a.requires_grad:
-            ga = _unbroadcast(g, a.data.shape)
-            _accum(a, ga, own=first or ga is not g)
-            first = False
-        if b.requires_grad:
-            gb = _unbroadcast(g, b.data.shape)
-            _accum(b, gb, own=first or gb is not g)
-
-    return _node(data, (a, b), bwd)
+    return _record(add, a.data + b.data, (a, b), (lambda g: g, lambda g: g))
 
 
 def sub(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
-    data = a.data - b.data
-
-    def bwd(g):
-        first = True
-        if a.requires_grad:
-            ga = _unbroadcast(g, a.data.shape)
-            _accum(a, ga, own=first or ga is not g)
-            first = False
-        if b.requires_grad:
-            _accum(b, _unbroadcast(-g, b.data.shape), own=True)
-
-    return _node(data, (a, b), bwd)
+    return _record(sub, a.data - b.data, (a, b), (lambda g: g, np.negative))
 
 
 def neg(a) -> Tensor:
     a = _wrap(a)
-
-    def bwd(g):
-        _accum(a, -g, own=True)
-
-    return _node(-a.data, (a,), bwd)
+    return _record(neg, -a.data, (a,), (np.negative,))
 
 
 def mul(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
-    data = a.data * b.data
-
-    def bwd(g):
-        if a.requires_grad:
-            _accum(a, _unbroadcast(g * b.data, a.data.shape), own=True)
-        if b.requires_grad:
-            _accum(b, _unbroadcast(g * a.data, b.data.shape), own=True)
-
-    return _node(data, (a, b), bwd)
+    return _record(mul, a.data * b.data, (a, b), (lambda g: g * b.data, lambda g: g * a.data))
 
 
 def div(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
     data = a.data / b.data
-
-    def bwd(g):
-        if a.requires_grad:
-            _accum(a, _unbroadcast(g / b.data, a.data.shape), own=True)
-        if b.requires_grad:
-            _accum(b, _unbroadcast(-g * data / b.data, b.data.shape), own=True)
-
-    return _node(data, (a, b), bwd)
+    return _record(div, data, (a, b), (lambda g: g / b.data, lambda g: -g * data / b.data))
 
 
 def absolute(a) -> Tensor:
     a = _wrap(a)
-    data = np.abs(a.data)
     sign = np.sign(a.data)
-
-    def bwd(g):
-        _accum(a, g * sign, own=True)
-
-    return _node(data, (a,), bwd)
+    return _record(absolute, np.abs(a.data), (a,), (lambda g: g * sign,))
 
 
 def log(a) -> Tensor:
     a = _wrap(a)
-    data = np.log(a.data)
-
-    def bwd(g):
-        _accum(a, g / a.data, own=True)
-
-    return _node(data, (a,), bwd)
+    return _record(log, np.log(a.data), (a,), (lambda g: g / a.data,))
 
 
 def maximum(a, b) -> Tensor:
     """Elementwise max; ties send the gradient to the first argument."""
     a, b = _wrap(a), _wrap(b)
-    data = np.maximum(a.data, b.data)
     take_a = a.data >= b.data
-
-    def bwd(g):
-        if a.requires_grad:
-            _accum(a, _unbroadcast(g * take_a, a.data.shape), own=True)
-        if b.requires_grad:
-            _accum(b, _unbroadcast(g * ~take_a, b.data.shape), own=True)
-
-    return _node(data, (a, b), bwd)
+    return _record(maximum, np.maximum(a.data, b.data), (a, b),
+                   (lambda g: g * take_a, lambda g: g * ~take_a))
 
 
 def minimum(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
-    data = np.minimum(a.data, b.data)
     take_a = a.data <= b.data
-
-    def bwd(g):
-        if a.requires_grad:
-            _accum(a, _unbroadcast(g * take_a, a.data.shape), own=True)
-        if b.requires_grad:
-            _accum(b, _unbroadcast(g * ~take_a, b.data.shape), own=True)
-
-    return _node(data, (a, b), bwd)
+    return _record(minimum, np.minimum(a.data, b.data), (a, b),
+                   (lambda g: g * take_a, lambda g: g * ~take_a))
 
 
 def sigmoid(a) -> Tensor:
@@ -419,11 +387,7 @@ def sigmoid(a) -> Tensor:
     data[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
     ex = np.exp(x[~pos])
     data[~pos] = ex / (1.0 + ex)
-
-    def bwd(g):
-        _accum(a, g * data * (1.0 - data), own=True)
-
-    return _node(data, (a,), bwd)
+    return _record(sigmoid, data, (a,), (lambda g: g * data * (1.0 - data),))
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)
@@ -452,7 +416,7 @@ def gelu(a) -> Tensor:
     data = np.add(t, 1.0)
     data *= half_x
 
-    def bwd(g):
+    def vjp(g):
         # 0.5 * (1 + t) + 0.5 * x * (1 - t * t) * C * (1 + 3 * A * x * x)
         scratch = np.multiply(t, t)
         np.subtract(1.0, scratch, out=scratch)
@@ -467,9 +431,9 @@ def gelu(a) -> Tensor:
         scratch *= 0.5
         d += scratch
         d *= g
-        _accum(a, d, own=True)
+        return d
 
-    return _node(data, (a,), bwd)
+    return _record(gelu, data, (a,), (vjp,))
 
 
 # ---------------------------------------------------------------------------
@@ -483,22 +447,14 @@ def reshape(a, shape) -> Tensor:
     if math.prod(shape) != a.size:
         raise ShapeError(f"cannot reshape {a.shape} to {shape}")
     orig = a.data.shape
-
-    def bwd(g):
-        _accum(a, g.reshape(orig), own=True)
-
-    return _node(a.data.reshape(shape), (a,), bwd)
+    return _record(reshape, a.data.reshape(shape), (a,), (lambda g: g.reshape(orig),))
 
 
 def transpose(a, axes) -> Tensor:
     a = _wrap(a)
     axes = tuple(axes)
     inverse = tuple(np.argsort(axes))
-
-    def bwd(g):
-        _accum(a, g.transpose(inverse), own=True)
-
-    return _node(a.data.transpose(axes), (a,), bwd)
+    return _record(transpose, a.data.transpose(axes), (a,), (lambda g: g.transpose(inverse),))
 
 
 def concat(tensors, axis: int) -> Tensor:
@@ -506,17 +462,10 @@ def concat(tensors, axis: int) -> Tensor:
     if not ts:
         raise ShapeError("concat needs at least one tensor")
     data = np.concatenate([t.data for t in ts], axis=axis)
-    sizes = [t.data.shape[axis] for t in ts]
-    offsets = np.cumsum([0] + sizes)
-
-    def bwd(g):
-        for t, lo, hi in zip(ts, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
-                sl = [slice(None)] * g.ndim
-                sl[axis] = slice(int(lo), int(hi))
-                _accum(t, g[tuple(sl)], own=True)  # disjoint views of g
-
-    return _node(data, tuple(ts), bwd)
+    ends = np.cumsum([t.data.shape[axis] for t in ts]).tolist()
+    lead = (slice(None),) * (axis % data.ndim)  # each input's partial: its disjoint view of g
+    parts = [lead + (slice(lo, hi),) for lo, hi in zip([0] + ends[:-1], ends)]
+    return _record(concat, data, ts, [lambda g, sl=sl: g[sl] for sl in parts])
 
 
 def select(a, index: int, axis: int = 0) -> Tensor:
@@ -524,12 +473,12 @@ def select(a, index: int, axis: int = 0) -> Tensor:
     a = _wrap(a)
     sl = (slice(None),) * axis + (int(index),)
 
-    def bwd(g):
+    def vjp(g):
         buf = np.zeros_like(a.data)
         buf[sl] = g
-        _accum(a, buf, own=True)
+        return buf
 
-    return _node(a.data[sl], (a,), bwd)
+    return _record(select, a.data[sl], (a,), (vjp,))
 
 
 def take_rows(a, indices) -> Tensor:
@@ -553,27 +502,17 @@ def take_rows(a, indices) -> Tensor:
 
 def tsum(a, axis: int | None = None, keepdims: bool = False) -> Tensor:
     a = _wrap(a)
-    data = a.data.sum(axis=axis, keepdims=keepdims)
-
-    def bwd(g):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        _accum(a, np.broadcast_to(g, a.data.shape).copy(), own=True)
-
-    return _node(data, (a,), bwd)
+    lost = () if axis is None or keepdims else axis  # the axis g lacks
+    return _record(tsum, a.data.sum(axis=axis, keepdims=keepdims), (a,),
+                   (lambda g: np.broadcast_to(np.expand_dims(g, lost), a.data.shape).copy(),))
 
 
 def mean(a, axis: int | None = None, keepdims: bool = False) -> Tensor:
     a = _wrap(a)
-    data = a.data.mean(axis=axis, keepdims=keepdims)
     count = a.size if axis is None else a.data.shape[axis]
-
-    def bwd(g):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        _accum(a, np.broadcast_to(g, a.data.shape) / count, own=True)
-
-    return _node(data, (a,), bwd)
+    lost = () if axis is None or keepdims else axis
+    return _record(mean, a.data.mean(axis=axis, keepdims=keepdims), (a,),
+                   (lambda g: np.broadcast_to(np.expand_dims(g, lost), a.data.shape) / count,))
 
 
 # ---------------------------------------------------------------------------
@@ -584,6 +523,12 @@ def mean(a, axis: int | None = None, keepdims: bool = False) -> Tensor:
 def _rows(x: np.ndarray) -> np.ndarray:
     """(..., K) -> (prod(...), K)."""
     return x.reshape(-1, x.shape[-1])
+
+
+def _row_gemm_partials(x: Tensor, w: Tensor) -> tuple[Callable, Callable]:
+    """d(x) and d(w) of ``_rows(x) @ w``: one 2-D gemm each over the rows of ``x``."""
+    return (lambda g: (_rows(g) @ w.data.T).reshape(x.data.shape),
+            lambda g: _rows(x.data).T @ _rows(g))
 
 
 def matmul(a, b) -> Tensor:
@@ -597,28 +542,13 @@ def matmul(a, b) -> Tensor:
         # 2-D gemm over the flattened leading axes, where np.matmul would run
         # a gemm per leading index and dW would sum those partial products
         data = (_rows(a.data) @ b.data).reshape(*a.shape[:-1], b.shape[-1])
-
-        def bwd(g):
-            if a.requires_grad:
-                _accum(a, (_rows(g) @ b.data.T).reshape(a.data.shape), own=True)
-            if b.requires_grad:
-                _accum(b, _rows(a.data).T @ _rows(g), own=True)
-
-        return _node(data, (a, b), bwd)
+        return _record(matmul, data, (a, b), _row_gemm_partials(a, b))
     try:
         data = np.matmul(a.data, b.data)
     except ValueError as exc:  # mismatched broadcast on batch axes
         raise ShapeError(f"matmul batch shapes disagree: {a.shape} @ {b.shape}") from exc
-
-    def bwd(g):
-        if a.requires_grad:
-            ga = np.matmul(g, b.data.swapaxes(-1, -2))
-            _accum(a, _unbroadcast(ga, a.data.shape), own=True)
-        if b.requires_grad:
-            gb = np.matmul(a.data.swapaxes(-1, -2), g)
-            _accum(b, _unbroadcast(gb, b.data.shape), own=True)
-
-    return _node(data, (a, b), bwd)
+    return _record(matmul, data, (a, b), (lambda g: np.matmul(g, b.data.swapaxes(-1, -2)),
+                                          lambda g: np.matmul(a.data.swapaxes(-1, -2), g)))
 
 
 def affine(x, w, b) -> Tensor:
@@ -632,16 +562,7 @@ def affine(x, w, b) -> Tensor:
         raise ShapeError(f"affine needs (..., K) @ (K, M) with K matching, got {x.shape} @ {w.shape}")
     data = (_rows(x.data) @ w.data).reshape(*x.shape[:-1], w.shape[1])
     data += b.data
-
-    def bwd(g):
-        if x.requires_grad:
-            _accum(x, (_rows(g) @ w.data.T).reshape(x.data.shape), own=True)
-        if w.requires_grad:
-            _accum(w, _rows(x.data).T @ _rows(g), own=True)
-        if b.requires_grad:
-            _accum(b, _unbroadcast(g, b.data.shape), own=True)
-
-    return _node(data, (x, w, b), bwd)
+    return _record(affine, data, (x, w, b), (*_row_gemm_partials(x, w), lambda g: g))
 
 
 # ---------------------------------------------------------------------------
@@ -666,16 +587,16 @@ def layernorm(a, eps: float = 1e-5) -> Tensor:
     inv = 1.0 / np.sqrt(data.mean(axis=-1, keepdims=True) + eps)
     np.multiply(centered, inv, out=data)
 
-    def bwd(g):
+    def vjp(g):
         scratch = np.multiply(g, data)
         gym = scratch.mean(axis=-1, keepdims=True)
         np.multiply(data, gym, out=scratch)
         dx = np.subtract(g, g.mean(axis=-1, keepdims=True))
         dx -= scratch
         dx *= inv
-        _accum(a, dx, own=True)
+        return dx
 
-    return _node(data, (a,), bwd)
+    return _record(layernorm, data, (a,), (vjp,))
 
 
 def _mask_bits(mask) -> np.ndarray:
@@ -685,16 +606,17 @@ def _mask_bits(mask) -> np.ndarray:
     return np.asarray(bits, dtype=bool)
 
 
+def _softmax_vjp(data: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """The partial of a softmax over the last axis whose output is ``data``."""
+    return lambda g: data * (g - (g * data).sum(axis=-1, keepdims=True))
+
+
 def softmax(a) -> Tensor:
     a = _wrap(a)
     z = a.data - a.data.max(axis=-1, keepdims=True)
     e = np.exp(z)
     data = e / e.sum(axis=-1, keepdims=True)
-
-    def bwd(g):
-        _accum(a, data * (g - (g * data).sum(axis=-1, keepdims=True)), own=True)
-
-    return _node(data, (a,), bwd)
+    return _record(softmax, data, (a,), (_softmax_vjp(data),))
 
 
 def _masked_softmax_data(x: np.ndarray, mask) -> np.ndarray:
@@ -723,8 +645,4 @@ def masked_softmax(logits, mask) -> Tensor:
     """
     a = _wrap(logits)
     data = _masked_softmax_data(a.data, mask)
-
-    def bwd(g):
-        _accum(a, data * (g - (g * data).sum(axis=-1, keepdims=True)), own=True)
-
-    return _node(data, (a,), bwd)
+    return _record(masked_softmax, data, (a,), (_softmax_vjp(data),))

@@ -5,7 +5,35 @@ from pathlib import Path
 import numpy as np
 
 from mogref import tensor
-from mogref.tensor import Parameter, backward, matmul, op_profile, tsum
+from mogref.mog import _shared_branch_softmax
+from mogref.rng import RngState
+from mogref.tensor import (
+    Parameter,
+    absolute,
+    add,
+    affine,
+    backward,
+    concat,
+    div,
+    gelu,
+    layernorm,
+    log,
+    masked_softmax,
+    matmul,
+    maximum,
+    mean,
+    minimum,
+    mul,
+    neg,
+    op_profile,
+    reshape,
+    select,
+    sigmoid,
+    softmax,
+    sub,
+    transpose,
+    tsum,
+)
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "op_profile.py"
 
@@ -24,6 +52,27 @@ def test_backward_counts_and_times_each_op():
     assert set(prof.ms) == set(prof.calls)
     assert all(ms >= 0.0 for ms in prof.ms.values())
     assert tensor._RECORDING.profile is None
+
+
+def test_every_routed_op_is_profiled_under_its_function_name():
+    rng = RngState(4)
+    x = Parameter("x", rng.uniform_array((2, 3, 4), 0.5, 1.5))
+    w = Parameter("w", rng.uniform_array((4, 4), -0.5, 0.5))
+    b = Parameter("b", rng.uniform_array((4,), -0.5, 0.5))
+    h = matmul(affine(x, w, b), w)  # (2, 3, 4) @ (4, 4): the row-gemm branch
+    s = matmul(h, transpose(h, (0, 2, 1)))  # batched (2, 3, 3): the np.matmul branch
+    mask = np.tril(np.ones((3, 3), dtype=bool))
+    p = sub(add(softmax(s), masked_softmax(s, mask)), _shared_branch_softmax(s, [mask])[0])
+    y = select(reshape(concat([layernorm(h), gelu(h)], axis=-1), (2, 3, 2, 4)), 0, axis=2)
+    z = maximum(sigmoid(y), minimum(neg(y), log(absolute(h))))
+    loss = mul(tsum(div(z, x)), mean(p))
+    with op_profile() as prof:
+        backward(loss)
+    assert set(prof.calls) == {
+        "affine", "matmul", "transpose", "softmax", "masked_softmax", "_shared_branch_softmax",
+        "add", "sub", "concat", "layernorm", "gelu", "select", "reshape", "maximum",
+        "sigmoid", "minimum", "neg", "log", "absolute", "div", "tsum", "mean", "mul",
+    }
 
 
 def test_outside_the_block_backward_is_unchanged():
@@ -62,11 +111,11 @@ def test_script_profiles_a_default_step(capsys):
     # one attention-core node per attention: two SCE blocks, the SCD self-
     # and cross-attention, and the SSD self- and cross-attention; the core
     # holds each attention's logit and value products, so matmul counts the
-    # 18 bias-free q/k/v projections and 3 gates, and every Linear layer (6
-    # attention outputs, 8 feed-forward, the patch embedding, 3 head) is one
-    # affine node
+    # 18 bias-free q/k/v projections, and every Linear layer (6 attention
+    # outputs, 8 feed-forward, the patch embedding, 3 head) and the 3 gate
+    # logits are one affine node each
     assert rows["_attention_core"][0] == 6
     assert "_mixture_weights" not in rows
-    assert rows["matmul"][0] == 21
-    assert rows["affine"][0] == 18
+    assert rows["matmul"][0] == 18
+    assert rows["affine"][0] == 21
     assert {"layernorm", "gelu", "softmax", "take_rows"} <= set(rows)

@@ -5,23 +5,30 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mogref.gradcheck import finite_difference_grad, max_rel_err
+from mogref.gradcheck import DEFAULT_TOL, finite_difference_grad, max_rel_err
 from mogref.rng import RngState
 from mogref.tensor import (
     DegenerateMaskError,
     Parameter,
     ShapeError,
     Tensor,
+    add,
     affine,
     backward,
+    concat,
+    div,
     gelu,
     layernorm,
     log,
     masked_softmax,
     matmul,
+    maximum,
     mean,
+    minimum,
+    mul,
     reshape,
     softmax,
+    sub,
     take_rows,
     tsum,
     zero_grads,
@@ -292,3 +299,64 @@ class TestInPlaceKernels:
         want_out, want_grad = reference(x.data, g)
         assert np.array_equal(out.data, want_out)
         assert np.array_equal(x.grad, want_grad)
+
+
+_BINARY = [add, sub, mul, div, maximum, minimum, matmul, lambda u, v: concat([u, v], axis=0)]
+_BINARY_IDS = ["add", "sub", "mul", "div", "maximum", "minimum", "matmul", "concat"]
+
+
+class TestGradientRouting:
+    """Gradients that one backward hands to one node twice, or to two nodes.
+
+    As both operands, one interior node collects both partials of one
+    backward; beside a broadcast operand, the output gradient itself goes to
+    one input and a summed copy to the other; as two operands that take more
+    gradient later, only one of them may take the output gradient's buffer.
+    """
+
+    @staticmethod
+    def _check(build, params):
+        zero_grads(params)
+        backward(build())
+        for p in params:
+            fd = finite_difference_grad(lambda _p: build(), p)
+            assert max_rel_err(p.grad, fd) <= DEFAULT_TOL, p.name
+
+    @pytest.mark.parametrize("op", _BINARY, ids=_BINARY_IDS)
+    def test_one_interior_node_as_both_operands(self, op):
+        rng = RngState(21)
+        x = Parameter("x", rng.uniform_array((4, 4), 0.5, 1.5))
+        weights = rng.uniform_array((8, 4), -1.0, 1.0)
+
+        def build():
+            y = x * 1.0
+            out = op(y, y)
+            return tsum(out * weights[: out.shape[0]])
+
+        self._check(build, [x])
+
+    @pytest.mark.parametrize("order", ["y + b", "b + y"])
+    def test_broadcast_operand_in_either_order(self, order):
+        rng = RngState(22)
+        x = Parameter("x", rng.uniform_array((3, 4), -1.0, 1.0))
+        b = Parameter("b", rng.uniform_array((4,), -1.0, 1.0))
+        weights = rng.uniform_array((3, 4), -1.0, 1.0)
+
+        def build():
+            y = x * 1.0
+            out = y + b if order == "y + b" else b + y
+            return tsum(out * weights) + tsum(y * y)
+
+        self._check(build, [x, b])
+
+    def test_two_operands_that_take_more_gradient_later(self):
+        # if both took g's buffer, y's later gradient would also land in z's
+        rng = RngState(23)
+        x = Parameter("x", rng.uniform_array((3, 4), -1.0, 1.0))
+        w, v, u = (rng.uniform_array((3, 4), -1.0, 1.0) for _ in range(3))
+
+        def build():
+            y, z = x * 1.0, x * 2.0
+            return tsum((y + z) * w) + tsum(y * v) + tsum(z * u)
+
+        self._check(build, [x])
