@@ -17,6 +17,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -102,6 +103,13 @@ def _csv_text(header: list[str], rows: list[list[str]], args,
     return "\n".join(lines) + "\n"
 
 
+def _blas_env() -> dict:
+    """Thread settings that BLAS reductions, hence the loss log's last bits, depend on."""
+    env = {name: os.environ.get(name)
+           for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    return {**env, "cpu_count": os.cpu_count()}
+
+
 def _parse_dilations(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(p) for p in text.split(",") if p.strip())
@@ -109,35 +117,23 @@ def _parse_dilations(text: str) -> tuple[int, ...]:
         raise ValidationError(f"bad --dilations value {text!r}") from exc
 
 
+# every ModelConfig field but these two is an int flag with the field's default;
+# the vocabulary fixes vocab_size and --dilations is a comma-separated string
+_INT_MODEL_FLAGS = [f.name for f in fields(ModelConfig) if f.name not in ("dilations", "vocab_size")]
+
+
 def _model_config(args, vocab_size: int, dilations: tuple[int, ...]) -> ModelConfig:
-    return ModelConfig(
-        model_dim=args.model_dim,
-        num_heads=args.num_heads,
-        dilations=dilations,
-        sce_blocks=args.sce_blocks,
-        scd_blocks=args.scd_blocks,
-        ssd_blocks=args.ssd_blocks,
-        num_queries=args.num_queries,
-        ffn_dim=args.ffn_dim,
-        image_size=args.image_size,
-        patch_size=args.patch_size,
-        vocab_size=vocab_size,
-    )
+    return ModelConfig(vocab_size=vocab_size, dilations=dilations,
+                       **{name: getattr(args, name) for name in _INT_MODEL_FLAGS})
 
 
 def _add_model_flags(p: argparse.ArgumentParser, dilations: bool = True) -> None:
-    p.add_argument("--model-dim", type=int, default=64)
-    p.add_argument("--num-heads", type=int, default=4)
-    if dilations:
-        p.add_argument("--dilations", default="1,2,3,4",
-                       help="comma-separated dilation per granularity branch")
-    p.add_argument("--sce-blocks", type=int, default=2)
-    p.add_argument("--scd-blocks", type=int, default=1)
-    p.add_argument("--ssd-blocks", type=int, default=1)
-    p.add_argument("--num-queries", type=int, default=4)
-    p.add_argument("--ffn-dim", type=int, default=128)
-    p.add_argument("--image-size", type=int, default=64)
-    p.add_argument("--patch-size", type=int, default=8)
+    for f in fields(ModelConfig):
+        if f.name in _INT_MODEL_FLAGS:
+            p.add_argument("--" + f.name.replace("_", "-"), type=int, default=f.default)
+        elif f.name == "dilations" and dilations:
+            p.add_argument("--dilations", default=",".join(map(str, f.default)),
+                           help="comma-separated dilation per granularity branch")
 
 
 def _add_scene_flags(p: argparse.ArgumentParser) -> None:
@@ -229,6 +225,7 @@ def cmd_train(args) -> int:
         "final_loss": result.log[-1]["loss"] if result.log else None,
         "elapsed_seconds": elapsed,
         "checkpoint": str(ckpt),
+        "blas_env": _blas_env(),
     }, args)
     if result.log:
         print(f"trained {result.steps_run} steps in {elapsed:.1f}s; "

@@ -13,12 +13,16 @@ The projector is deliberately tiny: a linear patch embedding over synthetic
 rasters plus an embedding table over a closed vocabulary, with sinusoidal
 positions and per-modality type vectors. All blocks are pre-norm residual,
 so zeroing the output projections turns every stage into the identity.
+
+Every module lists its parameters in construction order (see
+:class:`mogref.tensor.Module`); :meth:`SCSModel.parameters` is also the
+order of the optimizer's updates and of the checkpoint's entries.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -29,6 +33,7 @@ from mogref.data import ValidationError, Vocab, atomic_open
 from mogref.mog import MoGAttention, MoGConfig, mog_forward
 from mogref.rng import RngState
 from mogref.tensor import (
+    Module,
     Parameter,
     Tensor,
     affine,
@@ -127,13 +132,13 @@ def sinusoidal_positions(n: int, dim: int) -> np.ndarray:
         angle = pos / np.power(10000.0, idx / dim)
         table = np.zeros((n, dim), dtype=np.float64)
         table[:, 0::2] = np.sin(angle)
-        table[:, 1::2] = np.cos(angle)
+        table[:, 1::2] = np.cos(angle[:, : dim // 2])  # an odd dim has one sin column more
         table.setflags(write=False)
         _POSITION_CACHE[key] = table
     return table
 
 
-class Linear:
+class Linear(Module):
     def __init__(self, name: str, n_in: int, n_out: int, rng: RngState):
         scale = 1.0 / np.sqrt(n_in)
         self.w = Parameter(f"{name}.w", rng.uniform_array((n_in, n_out), -scale, scale))
@@ -142,11 +147,8 @@ class Linear:
     def __call__(self, x: Tensor) -> Tensor:
         return affine(x, self.w, self.b)
 
-    def parameters(self) -> list[Parameter]:
-        return [self.w, self.b]
 
-
-class TokenProjector:
+class TokenProjector(Module):
     """Patch-embed rasters, look up word embeddings, add positions and types."""
 
     def __init__(self, config: ModelConfig, rng: RngState, name: str = "projector"):
@@ -159,9 +161,6 @@ class TokenProjector:
             f"{name}.word_embed", rng.uniform_array((config.vocab_size, d), -scale, scale)
         )
         self.type_embed = Parameter(f"{name}.type_embed", rng.uniform_array((2, d), -0.02, 0.02))
-
-    def parameters(self) -> list[Parameter]:
-        return [*self.patch.parameters(), self.word_embed, self.type_embed]
 
     def _patchify(self, images: np.ndarray) -> np.ndarray:
         b, h, w, c = images.shape
@@ -201,7 +200,7 @@ class TokenProjector:
         return TokenSequence(tokens, num_visual, num_text)
 
 
-class EncoderBlock:
+class EncoderBlock(Module):
     def __init__(self, config: ModelConfig, rng: RngState, name: str):
         d = config.model_dim
         self.attn = MoGAttention(config.mog, rng, f"{name}.attn")
@@ -214,16 +213,8 @@ class EncoderBlock:
         x = x + self.ffn_out(gelu(self.ffn_in(layernorm(x))))
         return x
 
-    def parameters(self) -> list[Parameter]:
-        return [
-            *self.attn.parameters(),
-            *self.attn_out.parameters(),
-            *self.ffn_in.parameters(),
-            *self.ffn_out.parameters(),
-        ]
 
-
-class DecoderBlock:
+class DecoderBlock(Module):
     """Plain query self-attention, cross-attention over ``cross_dilations``, FFN.
 
     The SCD passes the model's dilations, the SSD ``(1,)``.
@@ -247,18 +238,8 @@ class DecoderBlock:
         queries = queries + self.ffn_out(gelu(self.ffn_in(layernorm(queries))))
         return queries
 
-    def parameters(self) -> list[Parameter]:
-        return [
-            *self.self_attn.parameters(),
-            *self.self_out.parameters(),
-            *self.cross_attn.parameters(),
-            *self.cross_out.parameters(),
-            *self.ffn_in.parameters(),
-            *self.ffn_out.parameters(),
-        ]
 
-
-class FuseHierarchy:
+class FuseHierarchy(Module):
     """Learned softmax weights over encoder block outputs, then layernorm."""
 
     def __init__(self, num_blocks: int, name: str = "fuse"):
@@ -279,11 +260,8 @@ class FuseHierarchy:
         assert out is not None
         return layernorm(out)
 
-    def parameters(self) -> list[Parameter]:
-        return [self.logits]
 
-
-class RegressionHead:
+class RegressionHead(Module):
     """Per-query MLP to 4 sigmoid box coordinates plus a sigmoid confidence."""
 
     def __init__(self, model_dim: int, rng: RngState, name: str = "head"):
@@ -297,15 +275,8 @@ class RegressionHead:
         b, q, _ = conf.shape
         return Prediction(boxes, reshape(conf, (b, q)))
 
-    def parameters(self) -> list[Parameter]:
-        return [
-            *self.box_hidden.parameters(),
-            *self.box_out.parameters(),
-            *self.conf_out.parameters(),
-        ]
 
-
-class SCSModel:
+class SCSModel(Module):
     """End-to-end grounding model over raster + token-id batches."""
 
     def __init__(self, config: ModelConfig, vocab: Vocab, rng: RngState):
@@ -368,16 +339,7 @@ class SCSModel:
     # -- parameters and checkpoints -----------------------------------------
 
     def parameters(self) -> list[Parameter]:
-        params = [*self.projector.parameters()]
-        for block in self.sce:
-            params.extend(block.parameters())
-        params.extend(self.fuse.parameters())
-        params.append(self.queries)
-        for block in self.scd:
-            params.extend(block.parameters())
-        for block in self.ssd:
-            params.extend(block.parameters())
-        params.extend(self.head.parameters())
+        params = super().parameters()
         names = [p.name for p in params]
         assert len(set(names)) == len(names), "parameter names must be unique"
         return params
@@ -404,18 +366,34 @@ class SCSModel:
                 doc = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise ValidationError(f"{path}: not valid JSON: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise ValidationError(f"{path}: checkpoint must be a JSON object, got {type(doc).__name__}")
         if doc.get("format") != CHECKPOINT_FORMAT or doc.get("version") != CHECKPOINT_VERSION:
             raise ValidationError(
                 f"{path}: expected {CHECKPOINT_FORMAT} v{CHECKPOINT_VERSION}, "
                 f"got {doc.get('format')!r} v{doc.get('version')!r}"
             )
-        config = ModelConfig.from_json(doc["config"])
+        for key, kind, json_name in (("config", dict, "object"), ("vocab", list, "list"),
+                                     ("params", dict, "object")):
+            if not isinstance(doc.get(key), kind):
+                raise ValidationError(f"{path}: checkpoint {key!r} must be a JSON {json_name}")
+        missing_fields = sorted({f.name for f in fields(ModelConfig)} - set(doc["config"]))
+        if missing_fields:
+            raise ValidationError(f"{path}: checkpoint config lacks {missing_fields}")
+        try:
+            config = ModelConfig.from_json(doc["config"])
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"{path}: bad checkpoint config: {exc}") from exc
         if expect_config is not None and expect_config != config:
             raise ValidationError(
                 f"{path}: checkpoint config {config} does not match requested {expect_config}"
             )
         model = SCSModel(config, Vocab(doc["vocab"]), RngState(0))
         stored = doc["params"]
+        malformed = sorted(name for name, entry in stored.items() if not (
+            isinstance(entry, dict) and all(isinstance(entry.get(k), list) for k in ("shape", "data"))))
+        if malformed:
+            raise ValidationError(f"{path}: parameter entries {malformed} need 'shape' and 'data' lists")
         params = {p.name: p for p in model.parameters()}
         if len(config.dilations) == 1:
             # one-branch attentions have no gate; older checkpoints carry an
@@ -435,6 +413,9 @@ class SCSModel:
                 raise ValidationError(
                     f"{path}: parameter {name} has shape {shape}, expected {p.shape}"
                 )
-            p.data = np.array(stored[name]["data"], dtype=np.float64).reshape(shape)
+            try:
+                p.data = np.array(stored[name]["data"], dtype=np.float64).reshape(shape)
+            except ValueError as exc:
+                raise ValidationError(f"{path}: parameter {name}: {exc}") from exc
             p.grad = np.zeros_like(p.data)
         return model

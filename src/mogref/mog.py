@@ -47,6 +47,7 @@ import numpy as np
 
 from mogref.rng import RngState
 from mogref.tensor import (
+    Module,
     Parameter,
     Tensor,
     _accum,
@@ -238,14 +239,14 @@ def _split_heads_data(a: np.ndarray, num_heads: int) -> np.ndarray:
 
 
 @dataclass
-class GateParams:
+class GateParams(Module):
     """Learnable router: weight (D, G) and bias (G,)."""
 
     w: Parameter
     b: Parameter
 
 
-class MoGAttention:
+class MoGAttention(Module):
     """Parameter bundle for one mixture-of-granularity attention.
 
     Query/key/value projections are bias-free (D, D) matrices shared by all
@@ -271,10 +272,6 @@ class MoGAttention:
                 Parameter(f"{name}.gate_w", np.zeros((d, config.num_granularities))),
                 Parameter(f"{name}.gate_b", np.zeros(config.num_granularities)),
             )
-
-    def parameters(self) -> list[Parameter]:
-        gate = [] if self.gate is None else [self.gate.w, self.gate.b]
-        return [self.w_q, self.w_k, self.w_v, *gate]
 
     def __call__(self, x: Tensor, memory: Tensor | None = None) -> Tensor:
         return mog_forward(x, self, memory=memory)

@@ -143,6 +143,31 @@ class Parameter(Tensor):
         return f"Parameter({self.name!r}, shape={self.shape})"
 
 
+class Module:
+    """Base for anything that owns parameters.
+
+    :meth:`parameters` returns every :class:`Parameter` reachable through
+    the instance's attributes, following lists and nested modules, in the
+    order the attributes were assigned: construction order. Anything else
+    (configs, plain tensors, None) is skipped.
+    """
+
+    def parameters(self) -> list[Parameter]:
+        # a loop, not a recursive inner function: that would be a reference
+        # cycle, left for the cyclic collector on every call
+        found: list[Parameter] = []
+        pending = list(reversed(vars(self).values()))  # a stack, next value on top
+        while pending:
+            value = pending.pop()
+            if isinstance(value, Parameter):
+                found.append(value)
+            elif isinstance(value, Module):
+                found.extend(value.parameters())
+            elif isinstance(value, list):
+                pending.extend(reversed(value))
+        return found
+
+
 def _wrap(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 

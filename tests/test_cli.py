@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -7,10 +8,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mogref.cli import EXIT_IO, EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main
+import mogref
+from mogref.cli import (
+    EXIT_IO,
+    EXIT_NUMERICAL,
+    EXIT_OK,
+    EXIT_VALIDATION,
+    _model_config,
+    _parse_dilations,
+    build_parser,
+    main,
+)
 from mogref.data import SyntheticSceneSpec, default_vocab, load_annotations, read_ppm
 from mogref.metrics import EvalResult
-from mogref.model import SCSModel
+from mogref.model import ModelConfig, SCSModel
 from mogref.train import build_synthetic_dataset
 
 TINY_MODEL_FLAGS = [
@@ -133,6 +144,8 @@ class TestTrainEval:
         assert [int(r["step"]) for r in log_rows] == [1, 2, 3, 4, 5, 6]
         summary = json.loads((train_dir / "train_summary.json").read_text())
         assert summary["steps_run"] == 6
+        assert set(summary["blas_env"]) == {
+            "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "cpu_count"}
 
         eval_dir = tmp_path / "eval"
         code = main(["eval", "--checkpoint", str(train_dir / "checkpoint.json"),
@@ -166,6 +179,32 @@ class TestTrainEval:
                      "--scenes", "1", "--seed", "1", "--image-size", "32",
                      "--distractors", "1", "--out-dir", str(tmp_path)])
         assert code == EXIT_VALIDATION
+
+    @pytest.mark.parametrize("mangle", [
+        lambda doc: [doc],
+        lambda doc: {k: v for k, v in doc.items() if k != "config"},
+        lambda doc: {**doc, "config": {k: v for k, v in doc["config"].items() if k != "dilations"}},
+        lambda doc: {**doc, "params": {**doc["params"], "queries": [0.0]}},
+        lambda doc: {**doc, "params": {**doc["params"], "queries": {"shape": [2, 8]}}},
+        lambda doc: {**doc, "params": {**doc["params"], "queries": {"shape": 16, "data": [0.0] * 16}}},
+        lambda doc: {**doc, "params": {**doc["params"], "queries": {"shape": [2, 8], "data": [0.0]}}},
+    ], ids=["list", "no-config", "no-dilations", "entry-not-object", "entry-without-data",
+            "shape-not-list", "data-wrong-length"])
+    def test_eval_malformed_checkpoint_exits_validation(self, tmp_path, mangle):
+        main(["train", "--steps", "0", "--scenes", "1", "--seed", "1",
+              *TINY_MODEL_FLAGS, "--out-dir", str(tmp_path)])
+        ckpt = tmp_path / "checkpoint.json"
+        ckpt.write_text(json.dumps(mangle(json.loads(ckpt.read_text()))))
+        code = main(["eval", "--checkpoint", str(ckpt), "--scenes", "1",
+                     "--image-size", "16", "--out-dir", str(tmp_path)])
+        assert code == EXIT_VALIDATION
+
+    def test_default_model_flags_give_default_config(self):
+        # perfbench builds ModelConfig(vocab_size=...) directly; this is what `train` runs
+        args = build_parser().parse_args(["train"])
+        vocab_size = len(default_vocab())
+        config = _model_config(args, vocab_size, _parse_dilations(args.dilations))
+        assert config == ModelConfig(vocab_size=vocab_size)
 
     def test_eval_missing_checkpoint_exits_io(self, tmp_path):
         assert main(["eval", "--checkpoint", str(tmp_path / "none.json"),
@@ -213,8 +252,11 @@ class TestSweep:
 
 class TestEntryPoints:
     def test_module_help(self):
+        # the child imports the mogref under test, also when only pytest's pythonpath finds it
+        src = str(Path(mogref.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         proc = subprocess.run([sys.executable, "-m", "mogref.cli", "--help"],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True, env=env)
         assert proc.returncode == 0
         assert "gradcheck" in proc.stdout and "sweep" in proc.stdout
 

@@ -112,6 +112,21 @@ class TestProjector:
         assert a is b  # cached, read-only
         assert a[0, 0] == 0.0 and a[0, 1] == 1.0
 
+    @pytest.mark.parametrize("dim", [5, 8])
+    def test_positions_interleave_sin_and_cos(self, dim):
+        table = sinusoidal_positions(7, dim)
+        pos = np.arange(7.0)[:, None]
+        for j in range(dim):
+            angle = pos[:, 0] / 10000.0 ** ((j - j % 2) / dim)
+            expected = np.sin(angle) if j % 2 == 0 else np.cos(angle)
+            np.testing.assert_allclose(table[:, j], expected, rtol=0, atol=1e-15)
+
+    def test_odd_model_dim_forward_runs(self):
+        cfg = ModelConfig(**{**TINY.to_json(), "model_dim": 5, "num_heads": 1})
+        pred = tiny_model(config=cfg).forward(*tiny_batch(config=cfg))
+        assert pred.boxes.shape == (2, 3, 4)
+        assert np.isfinite(pred.boxes.data).all()
+
 
 class TestStages:
     def test_sce_returns_every_block_output(self):
@@ -352,7 +367,46 @@ class TestEndToEnd:
             assert max_rel_err(p.grad, fd) < 1e-4, p.name
 
 
+def _linear(name):
+    return [f"{name}.w", f"{name}.b"]
+
+
+def _attention(name, gated):
+    return [f"{name}.w_q", f"{name}.w_k", f"{name}.w_v",
+            *([f"{name}.gate_w", f"{name}.gate_b"] if gated else [])]
+
+
+def _decoder(name, gated_cross):
+    return [*_attention(f"{name}.self_attn", False), *_linear(f"{name}.self_out"),
+            *_attention(f"{name}.cross_attn", gated_cross), *_linear(f"{name}.cross_out"),
+            *_linear(f"{name}.ffn_in"), *_linear(f"{name}.ffn_out")]
+
+
+def _expected_names(sce, scd, ssd, gated):
+    return [
+        *_linear("projector.patch"), "projector.word_embed", "projector.type_embed",
+        *[name for i in range(sce) for name in (
+            *_attention(f"sce.{i}.attn", gated), *_linear(f"sce.{i}.attn_out"),
+            *_linear(f"sce.{i}.ffn_in"), *_linear(f"sce.{i}.ffn_out"))],
+        "fuse.block_logits",
+        "queries",
+        *[name for i in range(scd) for name in _decoder(f"scd.{i}", gated)],
+        *[name for i in range(ssd) for name in _decoder(f"ssd.{i}", False)],
+        *_linear("head.box_hidden"), *_linear("head.box_out"), *_linear("head.conf_out"),
+    ]
+
+
 class TestCheckpoint:
+    @pytest.mark.parametrize("changes, blocks", [
+        ({}, (2, 1, 1)),
+        ({"dilations": (1,), "scd_blocks": 2, "ssd_blocks": 2}, (2, 2, 2)),
+    ])
+    def test_parameter_order_is_construction_order(self, changes, blocks):
+        # this order is the checkpoint's entry order and Adam's update order
+        cfg = ModelConfig(**{**TINY.to_json(), **changes})
+        names = [p.name for p in tiny_model(config=cfg).parameters()]
+        assert names == _expected_names(*blocks, gated=len(cfg.dilations) > 1)
+
     def test_save_load_round_trip(self, tmp_path):
         model = tiny_model(seed=21)
         path = tmp_path / "ckpt.json"

@@ -9,6 +9,7 @@ from mogref.gradcheck import DEFAULT_TOL, finite_difference_grad, max_rel_err
 from mogref.rng import RngState
 from mogref.tensor import (
     DegenerateMaskError,
+    Module,
     Parameter,
     ShapeError,
     Tensor,
@@ -360,3 +361,22 @@ class TestGradientRouting:
             return tsum((y + z) * w) + tsum(y * v) + tsum(z * u)
 
         self._check(build, [x])
+
+
+class TestModule:
+    def test_parameters_in_assignment_order_skipping_non_parameters(self):
+        class Inner(Module):
+            def __init__(self):
+                self.b = Parameter("inner.b", np.zeros(1))
+                self.a = Parameter("inner.a", np.zeros(1))
+
+        class Outer(Module):
+            def __init__(self):
+                self.first = Parameter("first", np.zeros(2))
+                self.missing = None
+                self.constant = Tensor(np.ones(3))
+                self.blocks = [Inner(), [Parameter("nested", np.zeros(1))], "label"]
+                self.last = Parameter("last", np.zeros(1))
+
+        assert [p.name for p in Outer().parameters()] == [
+            "first", "inner.b", "inner.a", "nested", "last"]
