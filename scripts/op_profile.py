@@ -13,7 +13,10 @@ The header line gives, per step, the wall ms beside the minor page faults
 and the system-CPU ms of the process (``resource.getrusage``): a step that
 returns its buffers to the OS and maps them again pays for it there, and
 that cost lands in whichever op happens to touch the fresh pages. It also
-gives the process's peak RSS (``ru_maxrss``) at the end of the run.
+gives the process's peak RSS (``ru_maxrss``) at the end of the run and the
+bytes the attention core's reused scratch buffers (``mog._SCRATCH``) hold
+then. The script applies the CLI's allocator settings
+(``mogref.allocator.tune_allocator``) first, as ``mogref train`` does.
 
     PYTHONPATH=src python scripts/op_profile.py --image-size 128 --batch 2 --steps 10
 """
@@ -24,7 +27,9 @@ import sys
 import time
 from dataclasses import replace
 
+from mogref.allocator import tune_allocator
 from mogref.data import SyntheticSceneSpec, default_vocab
+from mogref.mog import _SCRATCH
 from mogref.model import ModelConfig, SCSModel
 from mogref.rng import RngState
 from mogref.tensor import OpProfile, op_profile
@@ -60,11 +65,13 @@ def run(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.steps < 1 or args.batch < 1:
         parser.error("--steps and --batch must be positive")
+    tune_allocator()
     prof, step_ms, faults, sys_ms, peak_mb = profile_steps(args.image_size, args.batch, args.steps)
     total = sum(prof.ms.values())
     print(f"# image_size={args.image_size} batch={args.batch} steps={args.steps}: "
           f"{step_ms:.1f} ms/step ({faults:.0f} minor faults, {sys_ms:.1f} ms system CPU), "
           f"peak RSS {peak_mb:.1f} MB, "
+          f"attention scratch {sum(b.nbytes for b in _SCRATCH.buffers) / 2**20:.2f} MB, "
           f"backward ops {total / args.steps:.1f} ms/step")
     print(f"{'op':<28} {'calls/step':>10} {'ms/step':>9} {'share':>6}")
     for name in sorted(prof.ms, key=prof.ms.get, reverse=True):

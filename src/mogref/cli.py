@@ -22,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
+from mogref.allocator import tune_allocator
 from mogref.data import (
     GenerationError,
     SyntheticSceneSpec,
@@ -197,6 +198,7 @@ def cmd_make_data(args) -> int:
 
 
 def cmd_train(args) -> int:
+    allocator_tuned = tune_allocator()
     out = _out_dir(args)
     vocab = default_vocab()
     dataset = _load_any_dataset(args, vocab)
@@ -226,6 +228,7 @@ def cmd_train(args) -> int:
         "elapsed_seconds": elapsed,
         "checkpoint": str(ckpt),
         "blas_env": _blas_env(),
+        "allocator_tuned": allocator_tuned,
     }, args)
     if result.log:
         print(f"trained {result.steps_run} steps in {elapsed:.1f}s; "
@@ -235,6 +238,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    tune_allocator()
     out = _out_dir(args)
     model = SCSModel.load(args.checkpoint)
     dataset = _load_any_dataset(args, model.vocab)
@@ -249,6 +253,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    tune_allocator()
     out = _out_dir(args)
     vocab = default_vocab()
     spec = _scene_spec(args)

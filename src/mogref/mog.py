@@ -495,17 +495,26 @@ def _composed_attention(q: Tensor, k: Tensor, v: Tensor, gammas: Tensor,
     return merge_heads(matmul(_mixture_weights(_scaled_logits(q, k), gammas, dilations), v))
 
 
-# N-by-N bytes one chunk of the attention core spans, which bounds the four
-# reused buffers of _Scratch; of 0.25 to 8 MB, 4 MB ran a (2, 4, 266, 266)
-# forward + backward fastest on a 2-core host
+# N-by-N bytes of a chunk of the attention core, which bound the four reused
+# buffers of _Scratch (see _chunks). A chunk packs whole samples into
+# _PACK_BYTES, a quarter of a 2 MB per-core L2, so the four buffers fit in it
+# together; a bigger sample is a chunk of its own, and only a sample above
+# _CHUNK_BYTES is split by heads. Measured on a 2-core host with 2 MB of L2
+# per core: of 0.25 to 8 MB, 4 MB ran a (2, 4, 266, 266) forward + backward
+# fastest; packing N=74 into 256 KB, 512 KB and 1 MB gave the train-n74
+# benchmark a peak RSS of 87.6, 88.1 and 90.0 MB (95.2 MB as one chunk), and
+# 512 KB the fastest step.
 _CHUNK_BYTES = 1 << 22
+_PACK_BYTES = 1 << 19
 
 
 class _Scratch(threading.local):
     """Per-thread N-by-N buffers the attention core reuses from call to call.
 
     Fresh buffers of a few MB each call are returned to the OS and faulted
-    in again; these stay mapped. Each holds the largest chunk seen so far.
+    in again; these stay mapped. Each holds the largest chunk seen so far,
+    which :func:`_chunks` keeps to ``max(_PACK_BYTES, one sample)`` up to
+    ``_CHUNK_BYTES``, however large the batch.
     """
 
     def __init__(self):
@@ -522,10 +531,18 @@ _SCRATCH = _Scratch()
 
 
 def _chunks(b: int, num_heads: int, n_q: int, n_k: int) -> list[tuple[slice, slice]]:
-    """(sample, head) slices covering (B, H), each about ``_CHUNK_BYTES`` of N-by-N data."""
+    """(sample, head) slices covering (B, H).
+
+    A chunk spans at most ``min(_CHUNK_BYTES, max(_PACK_BYTES, H N_q N_k 8))``
+    bytes of N-by-N data: as many whole samples as fit in ``_PACK_BYTES``, one
+    sample when a sample is bigger, and as many heads of one sample as fit in
+    ``_CHUNK_BYTES`` when a sample is bigger than that.
+    """
     per_head = n_q * n_k * 8
-    heads = max(1, min(num_heads, _CHUNK_BYTES // per_head))
-    samples = max(1, _CHUNK_BYTES // (per_head * num_heads)) if heads == num_heads else 1
+    per_sample = per_head * num_heads
+    budget = min(_CHUNK_BYTES, max(_PACK_BYTES, per_sample))
+    heads = max(1, min(num_heads, budget // per_head))
+    samples = max(1, budget // per_sample) if heads == num_heads else 1
     return [(slice(lo, lo + samples), slice(h, h + heads))
             for lo in range(0, b, samples) for h in range(0, num_heads, heads)]
 
@@ -540,8 +557,10 @@ def _attention_core(q: Tensor, k: Tensor, v: Tensor, gammas: Tensor,
     the heads merged. ``q`` may have batch 1 against the keys' batch B
     (broadcast), and ``gammas`` is (B, G).
 
-    Samples and heads are independent, so the node runs them in chunks of
-    about ``_CHUNK_BYTES`` of N-by-N data, in the reused buffers of
+    Samples and heads are independent, so the node runs them in the chunks
+    of :func:`_chunks`: whole samples packed into ``_PACK_BYTES`` of N-by-N
+    data (a quarter of a core's L2), a bigger sample alone, heads split only
+    past ``_CHUNK_BYTES``. The chunks run in the reused buffers of
     :class:`_Scratch`. Forward writes a chunk's logits into one buffer,
     turns it into the shared exponential ``e`` in place and spreads ``A``
     into a second for ``W``. Between forward and backward the node keeps

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 import mogref
+from mogref import allocator
 from mogref.cli import (
     EXIT_IO,
     EXIT_NUMERICAL,
@@ -248,6 +250,54 @@ class TestSweep:
                      "--out-dir", str(tmp_path)])
         assert code == EXIT_OK
         assert len(read_csv_rows(tmp_path / "sweep.csv")) == 1
+
+
+class TestAllocatorSettings:
+    @pytest.fixture
+    def mallopt_calls(self, monkeypatch):
+        """Record mallopt calls instead of retuning this process's allocator."""
+        calls = []
+
+        def fake_mallopt(param, value):
+            calls.append((param, value))
+            return 1
+
+        monkeypatch.setattr(allocator, "_applied", None)
+        monkeypatch.setattr(allocator, "_mallopt", lambda: fake_mallopt)
+        return calls
+
+    def test_train_applies_them_once_and_records_it(self, tmp_path, mallopt_calls):
+        assert main(["train", "--steps", "0", "--scenes", "1", "--seed", "1",
+                     *TINY_MODEL_FLAGS, "--out-dir", str(tmp_path)]) == EXIT_OK
+        assert main(["train", "--steps", "0", "--scenes", "1", "--seed", "1",
+                     *TINY_MODEL_FLAGS, "--out-dir", str(tmp_path)]) == EXIT_OK
+        assert mallopt_calls == [(-3, 8 << 20), (-1, 256 << 20)]
+        summary = json.loads((tmp_path / "train_summary.json").read_text())
+        assert summary["allocator_tuned"] is True
+
+    @pytest.mark.parametrize("command", [
+        ["sweep", "--gmax", "1", "--steps", "1", "--scenes", "1", *TINY_MODEL_FLAGS],
+        ["eval", "--checkpoint", "missing.json"],
+    ])
+    def test_sweep_and_eval_apply_them(self, tmp_path, mallopt_calls, command):
+        main([*command, "--out-dir", str(tmp_path)])
+        assert mallopt_calls == [(-3, 8 << 20), (-1, 256 << 20)]
+
+    def test_without_mallopt_it_is_a_no_op(self, monkeypatch):
+        monkeypatch.setattr(allocator, "_applied", None)
+        monkeypatch.setattr(allocator, "_mallopt", lambda: None)
+        assert allocator.tune_allocator() is False
+
+    def test_importing_mogref_leaves_the_allocator_alone(self):
+        # a fresh process, since CLI tests in this one may have tuned it
+        src = str(Path(mogref.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        code = ("import mogref, mogref.cli, mogref.allocator as a; "
+                "assert a._applied is None, a._applied; print(a.tune_allocator())")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        # the real mallopt takes both settings wherever glibc provides it
+        assert proc.stdout.strip() == str(platform.libc_ver()[0] == "glibc")
 
 
 class TestEntryPoints:

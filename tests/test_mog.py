@@ -1,3 +1,4 @@
+import threading
 import tracemalloc
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import mogref.mog as mog_module
+from mogref.data import SyntheticSceneSpec, default_vocab
 from mogref.gradcheck import finite_difference_grad, max_rel_err
 from mogref.mog import (
     GateParams,
@@ -24,6 +26,7 @@ from mogref.mog import (
     mog_forward,
     split_heads,
 )
+from mogref.model import ModelConfig, SCSModel
 from mogref.rng import RngState
 from mogref.tensor import (
     Parameter,
@@ -36,6 +39,7 @@ from mogref.tensor import (
     tsum,
     zero_grads,
 )
+from mogref.train import build_synthetic_dataset
 
 
 def brute_force_mask(n: int, dilation: int) -> np.ndarray:
@@ -441,10 +445,12 @@ class TestAttentionCore:
     @pytest.mark.parametrize("n_q, n_k, query_batch", [(9, 9, None), (4, 11, 1)])
     @pytest.mark.parametrize("chunk", ["batch", "sample", "head"])
     def test_equals_the_composition(self, dilations, n_q, n_k, query_batch, chunk, monkeypatch):
-        # one chunk for the whole batch, one per sample, one per (sample, head)
+        # one chunk for the whole batch, one per sample, one per (sample, head):
+        # each _CHUNK_BYTES here is below _PACK_BYTES, so it sets the budget
         per_sample = 2 * n_q * n_k * 8
         chunk_bytes = {"batch": 2 * per_sample, "sample": per_sample, "head": 1}[chunk]
         monkeypatch.setattr(mog_module, "_CHUNK_BYTES", chunk_bytes)
+        assert len(mog_module._chunks(2, 2, n_q, n_k)) == {"batch": 1, "sample": 2, "head": 4}[chunk]
         params, proj = core_inputs(21, 2, 2, n_q, n_k, 8, dilations, query_batch)
         refs = copies(params)
         out = _attention_core(*params, dilations, 2)
@@ -536,6 +542,44 @@ class TestAttentionCore:
         # and the (B, N, D) gradients
         buffers = (peak - base) / (b * h * n * n * 8)
         assert buffers < 1.0, f"peak {buffers:.2f} (B, H, N, N) buffers"
+
+
+@pytest.mark.parametrize("shape, samples, heads, count", [
+    ((8, 4, 74, 74), 2, 4, 4),  # 171 KB samples: two fit the pack budget
+    ((16, 4, 74, 74), 2, 4, 8),  # the same for a 16-scene evaluation
+    ((2, 4, 266, 266), 1, 4, 2),  # 2.2 MB samples: one each
+    ((1, 4, 1034, 1034), 1, 1, 4),  # 34 MB samples: one head each
+])
+def test_chunks_pack_whole_samples_up_to_the_budget(shape, samples, heads, count):
+    b, h = shape[:2]
+    chunks = mog_module._chunks(*shape)
+    assert len(chunks) == count
+    assert all(c[0].stop - c[0].start == samples and c[1].stop - c[1].start == heads
+               for c in chunks)
+    covered = np.zeros((b, h), dtype=int)
+    for sample, head in chunks:
+        covered[sample, head] += 1
+    assert (covered == 1).all()
+
+
+def test_eval_forward_scratch_stays_within_the_pack_budget():
+    # _Scratch is per thread, so a fresh thread starts with empty buffers
+    vocab = default_vocab()
+    dataset = build_synthetic_dataset(16, SyntheticSceneSpec(image_size=64), vocab, 0)
+    model = SCSModel(ModelConfig(image_size=64, vocab_size=len(vocab)), vocab, RngState(0))
+    sizes = []
+
+    def forward():
+        with no_grad():
+            model.forward(dataset.images, dataset.token_ids)
+        sizes.extend(buf.nbytes for buf in mog_module._SCRATCH.buffers)
+
+    worker = threading.Thread(target=forward)
+    worker.start()
+    worker.join(timeout=120)
+    assert not worker.is_alive()
+    assert len(sizes) == 4 and max(sizes) > 0
+    assert max(sizes) <= mog_module._PACK_BYTES, sizes
 
 
 def test_single_class_spread_equals_the_gemm():
