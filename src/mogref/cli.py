@@ -241,6 +241,8 @@ def cmd_eval(args) -> int:
     tune_allocator()
     out = _out_dir(args)
     model = SCSModel.load(args.checkpoint)
+    if args.image_size is None:
+        args.image_size = model.config.image_size  # recorded in run_config as resolved
     dataset = _load_any_dataset(args, model.vocab)
     result = evaluate_model(model, dataset)
     _write_json(out / "eval.json", {"eval": result.to_json()}, args)
@@ -364,7 +366,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="dataset directory; default: synthetic scenes from --seed/--scenes")
     p.add_argument("--scenes", type=int, default=16)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--image-size", type=int, default=64)
+    p.add_argument("--image-size", type=int, default=None,
+                   help="raster size of the synthetic scenes; default: the checkpoint's")
     _add_scene_flags(p)
     p.add_argument("--out-dir", default=None)
     p.set_defaults(func=cmd_eval)

@@ -168,36 +168,33 @@ def case_mog_forward(rng: RngState) -> Case:
 
 
 def case_mog_mixture(rng: RngState) -> Case:
-    """The fused mixture node alone: square self grids and rectangular cross grids.
+    """The attention core's branch mixture on square self grids and rectangular cross grids.
 
-    The second pair of grids (drawn after the first, so the first keeps its
-    stream) has a dilation above N and more queries than keys.
+    5x5 and 3x7 grids with dilations (1, 2, 3) share per-sample gammas; the
+    second pair has a dilation above N (5x5 with (1, 2, 7)) and more queries
+    than keys (4x3 with (1, 3)).
     """
     gammas = _param(rng, "gammas", (2, 3), 0.1, 0.9)  # non-uniform, per sample
-    self_logits = _param(rng, "self_logits", (2, 2, 5, 5), -2.0, 2.0)
-    cross_logits = _param(rng, "cross_logits", (2, 1, 3, 7), -2.0, 2.0)
-    w_self = _proj(rng, (2, 2, 5, 5))
-    w_cross = _proj(rng, (2, 1, 3, 7))
     gammas_pair = _param(rng, "gammas_pair", (2, 2), 0.1, 0.9)
-    wide_logits = _param(rng, "wide_logits", (2, 2, 5, 5), -2.0, 2.0)
-    tall_logits = _param(rng, "tall_logits", (2, 1, 4, 3), -2.0, 2.0)
-    w_wide = _proj(rng, (2, 2, 5, 5))
-    w_tall = _proj(rng, (2, 1, 4, 3))
+    grids = [  # name, n_q, n_k, heads, dilations, gammas
+        ("self", 5, 5, 2, (1, 2, 3), gammas),
+        ("cross", 3, 7, 1, (1, 2, 3), gammas),
+        ("wide", 5, 5, 2, (1, 2, 7), gammas),
+        ("tall", 4, 3, 1, (1, 3), gammas_pair),
+    ]
+    calls = []
+    for name, n_q, n_k, heads, dilations, gam in grids:
+        qkv = [_param(rng, f"{name}_{t}", (2, n, 4)) for t, n in (("q", n_q), ("k", n_k), ("v", n_k))]
+        calls.append((qkv, gam, dilations, heads, _proj(rng, (2, n_q, 4))))
 
     def loss():
-        mixed = [
-            (mog._mixture_weights(self_logits, gammas, (1, 2, 3)), w_self),
-            (mog._mixture_weights(cross_logits, gammas, (1, 2, 3)), w_cross),
-            (mog._mixture_weights(wide_logits, gammas, (1, 2, 7)), w_wide),
-            (mog._mixture_weights(tall_logits, gammas_pair, (1, 3)), w_tall),
-        ]
         total = None
-        for m, w in mixed:
-            term = tensor.tsum(m * w)
+        for qkv, gam, dilations, heads, w in calls:
+            term = tensor.tsum(mog._attention_core(*qkv, gam, dilations, heads) * w)
             total = term if total is None else total + term
         return total
 
-    return loss, [self_logits, cross_logits, gammas, wide_logits, tall_logits, gammas_pair]
+    return loss, [gammas, gammas_pair, *(p for qkv, *_ in calls for p in qkv)]
 
 
 def case_attention_core(rng: RngState) -> Case:

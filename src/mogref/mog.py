@@ -23,18 +23,20 @@ class of the shared exponential with one thin matmul against a one-hot
 another, so it builds no N-by-N mask and no per-branch buffer.
 
 :func:`mog_forward` is the three projections and one autodiff node,
-:func:`_attention_core`, from the projections to the merged heads. Between
-forward and backward the node keeps no N-by-N array: only the scaled q, the
-k and v views, the row maximum and the (B, H, N_q, sum_g d_g) class arrays.
-Its backward recomputes the shared exponential ``e`` and the mixture ``W``
-from them, in chunks of the batch that reuse four per-thread buffers. The
-same arithmetic composed from ordinary graph ops (:func:`_composed_attention`,
-built on :func:`_mixture_weights`) is the reference it equals bit for bit,
-and the fallback of the rare call in which a support row sits so far below
-the shared row maximum that its class sum is too small to divide by. The
-dense masks (:func:`build_mask`, :func:`build_rect_mask`) stay as the
-reference the tests compare against, and as the arithmetic of that
-fallback.
+:func:`_attention_core`, from the projections to the merged heads; the core
+is the only residue-class implementation. Between forward and backward the
+node keeps no N-by-N array: only the scaled q, the k and v views, the row
+maximum and the (B, H, N_q, sum_g d_g) class arrays. Its backward
+recomputes the shared exponential ``e`` and the mixture ``W`` from them, in
+chunks of the batch that reuse four per-thread buffers. Its output and
+gradients are bit-identical however the batch is chunked, and within 1e-12
+of the per-branch masked softmax. The rare call in which a support row sits
+so far below the shared row maximum that its class sum is too small to
+divide by falls back to the per-branch graph, :func:`_composed_attention`:
+one :func:`_shared_branch_softmax` node per branch, gated and summed with
+ordinary ops. The dense masks (:func:`build_mask`, :func:`build_rect_mask`)
+stay as the reference the tests compare against, and as the arithmetic of
+that fallback.
 """
 
 from __future__ import annotations
@@ -204,15 +206,13 @@ def _scattered(sel: np.ndarray, shape: tuple[int, ...], classes: _ResidueClasses
     return out
 
 
-def _spread(a: np.ndarray, keys: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """(..., C) -> (..., N_k): each key gets the sum of its classes' entries.
+def _spread(a: np.ndarray, keys: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """(..., C) -> (..., N_k) into ``out``: each key gets the sum of its classes' entries.
 
-    One gemm over all leading axes; ``out``, when given, is C-contiguous.
-    A single class column (dilations ``(1,)``) is all ones, so the product
-    is ``a`` broadcast over the keys, copied without the gemm.
+    One gemm over all leading axes into the C-contiguous ``out``. A single
+    class column (dilations ``(1,)``) is all ones, so the product is ``a``
+    broadcast over the keys, copied without the gemm.
     """
-    if out is None:
-        out = np.empty((*a.shape[:-1], keys.shape[0]))
     if keys.shape[1] == 1:
         np.copyto(out, a)
     else:
@@ -356,10 +356,9 @@ def _shared_branch_softmax(logits: Tensor, masks: list[np.ndarray]) -> list[Tens
     """Per-branch masked softmax sharing a single exponential.
 
     Equivalent to :func:`masked_softmax` per branch up to the usual shift
-    invariance, with exact zeros off support. :func:`_mixture_weights`
-    returns the gated sum of these branches (and mixes these very nodes when
-    a selected class sum is too small to divide by); one node per branch
-    makes it checkable branch by branch.
+    invariance, with exact zeros off support. One node per branch makes it
+    checkable branch by branch; :func:`_composed_attention`, the underflow
+    fallback of the attention core, mixes these very nodes with the gate.
     """
     e = _shared_exp(logits.data)
     outs: list[Tensor] = []
@@ -367,8 +366,6 @@ def _shared_branch_softmax(logits: Tensor, masks: list[np.ndarray]) -> list[Tens
         p = _branch_softmax(e, logits.data, bits)
         outs.append(_record(_shared_branch_softmax, p, (logits,), (_softmax_vjp(p),)))
     return outs
-
-
 
 
 # Smallest class sum the residue path divides by: A = gamma / S stays below
@@ -394,29 +391,28 @@ def _class_coefficients(e: np.ndarray, gammas: np.ndarray,
     return s, _scattered(selected, s.shape, classes)
 
 
-def _weights(e: np.ndarray, a: np.ndarray, keys: np.ndarray,
-             out: np.ndarray | None = None) -> np.ndarray:
-    """W = e * (A R^T), exact zeros off the union of the supports; into ``out`` if given."""
+def _weights(e: np.ndarray, a: np.ndarray, keys: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """W = e * (A R^T) into ``out``, exact zeros off the union of the supports."""
     w = _spread(a, keys, out=out)
     w *= e
     return w
 
 
 def _class_grad(dw: np.ndarray, e: np.ndarray, s: np.ndarray, classes: _ResidueClasses,
-                scratch: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+                scratch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``rho = ((dW * e) R) / S`` on the selected classes, and the N-by-N ``dW * e``.
 
-    ``dW * e`` goes into ``scratch`` (C-contiguous, as :func:`_logit_grad`
-    spreads into it) or a new buffer.
+    ``dW * e`` goes into ``scratch``, C-contiguous, as :func:`_logit_grad`
+    spreads into it.
     """
-    t = np.multiply(dw, e, out=np.empty(e.shape) if scratch is None else scratch)
+    t = np.multiply(dw, e, out=scratch)
     u = _selected(t @ classes.keys, classes)
     u /= _selected(s, classes)
     return _scattered(u, s.shape, classes), t
 
 
 def _logit_grad(dw: np.ndarray, e: np.ndarray, w: np.ndarray, rho: np.ndarray, a: np.ndarray,
-                keys: np.ndarray, scratch: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+                keys: np.ndarray, scratch: np.ndarray, out: np.ndarray) -> np.ndarray:
     """d logits = W dW - e * ((rho * A) R^T), spread into ``scratch`` and written to ``out``."""
     correction = _spread(rho * a, keys, out=scratch)
     correction *= e
@@ -430,69 +426,24 @@ def _gamma_grad(rho: np.ndarray, classes: _ResidueClasses) -> np.ndarray:
     return np.add.reduceat(rho.sum(axis=(1, 2)), classes.starts, axis=1)
 
 
-def _mixture_weights(logits: Tensor, gammas: Tensor, dilations: tuple[int, ...]) -> Tensor:
-    """W = sum_g gamma_g P_g, the gate-weighted sum of the branch softmaxes.
-
-    ``logits`` is (B, H, N_q, N_k), ``gammas`` is (B, G) and branch g keeps
-    the pairs with ``|i - j| mod d_g == 0``, i.e. ``i = j (mod d_g)``; ``P_g``
-    is its masked softmax renormalized from the shared exponential
-    ``e = _shared_exp(x)``. So each branch is one softmax per residue class,
-    and with the one-hot class matrix ``R`` of :class:`_ResidueClasses`
-    (column ``c = (g, r)`` of key j is ``[j mod d_g == r]``) the whole
-    mixture is two thin matmuls:
-
-    - class sums ``S = e R``, every branch's row normalizers at once;
-    - coefficients ``A[i, c] = gamma_g [i mod d_g == r] / S[i, c]``;
-    - ``W = e * (A R^T)``, exact zeros off the union of the supports.
-
-    Backward, with ``U = (dW * e) R`` and ``rho = U [i mod d_g == r] / S``
-    (``rho`` holds r_g = rowsum(dW * P_g) in branch g's column of row i):
-    d gamma_g = sum of rho over heads, rows and branch g's columns, and
-    d logits = W dW - e * ((rho * A) R^T). It keeps ``e`` and the small
-    (B, H, N_q, C) arrays; no N-by-N mask or per-branch buffer is built.
-    :func:`_attention_core` runs the same arithmetic from the projections
-    to the merged heads, and keeps no N-by-N array at all.
-
-    A rectangular grid where some query row has no key in its class raises
-    the ``ValueError`` of :func:`build_rect_mask`. If a selected class sum
-    falls below ``_MIN_CLASS_SUM`` (a support row sits far below the row
-    maximum taken over all keys, down to underflowing entirely), ``A`` could
-    overflow and ``inf * 0`` in the spread would turn a whole row to NaN; the
-    call then mixes :func:`_shared_branch_softmax`, whose per-branch
-    normalization takes an underflowed row from the robust
-    :func:`masked_softmax` arithmetic, with ordinary graph ops.
-    """
-    x = logits.data
-    n_q, n_k = x.shape[-2:]
-    classes = _residue_classes(n_q, n_k, tuple(dilations))
-    e = _shared_exp(x)
-    coefficients = _class_coefficients(e, gammas.data, classes)
-    if coefficients is None:
-        b = x.shape[0]
-        branches = _shared_branch_softmax(logits, [_cached_bits(n_q, n_k, d) for d in dilations])
-        w = None
-        for g, p in enumerate(branches):
-            term = reshape(select(gammas, g, axis=1), (b, 1, 1, 1)) * p
-            w = term if w is None else w + term
-        return w
-    s, a = coefficients
-    w = _weights(e, a, classes.keys)
-
-    def bwd(dw):
-        rho, t = _class_grad(dw, e, s, classes)
-        if logits.requires_grad:
-            _accum(logits, _logit_grad(dw, e, w, rho, a, classes.keys, scratch=t), own=True)
-        if gammas.requires_grad:
-            _accum(gammas, _gamma_grad(rho, classes), own=True)
-
-    return _node(w, (logits, gammas), bwd)
-
-
 def _composed_attention(q: Tensor, k: Tensor, v: Tensor, gammas: Tensor,
                         dilations: tuple[int, ...], num_heads: int) -> Tensor:
-    """:func:`_attention_core` as a graph of ordinary ops (its underflow fallback)."""
-    q, k, v = (split_heads(t, num_heads) for t in (q, k, v))
-    return merge_heads(matmul(_mixture_weights(_scaled_logits(q, k), gammas, dilations), v))
+    """The underflow fallback of :func:`_attention_core`, as a graph of ordinary ops.
+
+    Each branch is a :func:`_shared_branch_softmax` node, whose per-branch
+    normalization takes an underflowed support row from the robust
+    :func:`masked_softmax` arithmetic; the branches are weighted by their
+    gamma, summed into ``W`` and applied to the values with the heads merged.
+    """
+    qh, kh, vh = (split_heads(t, num_heads) for t in (q, k, v))
+    logits = _scaled_logits(qh, kh)
+    b, _, n_q, n_k = logits.shape
+    masks = [_cached_bits(n_q, n_k, d) for d in dilations]
+    w = None
+    for g, p in enumerate(_shared_branch_softmax(logits, masks)):
+        term = reshape(select(gammas, g, axis=1), (b, 1, 1, 1)) * p
+        w = term if w is None else w + term
+    return merge_heads(matmul(w, vh))
 
 
 # N-by-N bytes of a chunk of the attention core, which bound the four reused
@@ -551,11 +502,16 @@ def _attention_core(q: Tensor, k: Tensor, v: Tensor, gammas: Tensor,
                     dilations: tuple[int, ...], num_heads: int) -> Tensor:
     """Merged heads of ``W V`` from the (B, N, D) projections, as one node.
 
-    The arithmetic is that of :func:`_composed_attention`, operation for
-    operation, so the output has the same bits: logits ``q k^T / sqrt(d_k)``
-    per head, the :func:`_mixture_weights` mixture ``W`` and ``W V`` with
-    the heads merged. ``q`` may have batch 1 against the keys' batch B
-    (broadcast), and ``gammas`` is (B, G).
+    Logits ``q k^T / sqrt(d_k)`` per head, the residue-class mixture ``W``
+    and ``W V`` with the heads merged. ``q`` may have batch 1 against the
+    keys' batch B (broadcast), and ``gammas`` is (B, G).
+
+    ``W = sum_g gamma_g P_g`` by residue class, with the one-hot class
+    matrix ``R`` of :class:`_ResidueClasses`: class sums ``S = e R``,
+    ``A[i, c] = gamma_g [i mod d_g == r] / S[i, c]`` and ``W = e * (A R^T)``.
+    Backward, with ``rho = ((dW * e) R) [i mod d_g == r] / S`` (rowsum(dW *
+    P_g) in branch g's column of row i): d gamma_g is rho summed over heads,
+    rows and branch g's columns, and d logits = W dW - e * ((rho * A) R^T).
 
     Samples and heads are independent, so the node runs them in the chunks
     of :func:`_chunks`: whole samples packed into ``_PACK_BYTES`` of N-by-N
@@ -568,11 +524,16 @@ def _attention_core(q: Tensor, k: Tensor, v: Tensor, gammas: Tensor,
     (B, H, N_q, C) arrays ``S`` and ``A``: no N-by-N array. Backward
     recomputes a chunk's ``e`` and ``W`` from them (the same bits), then
     forms dV, dW, rho, d gamma and d logits, and from those dq and dk, in
-    four chunk-sized buffers.
+    four chunk-sized buffers. The chunks only split independent samples
+    and heads, so output and gradients have the same bits for any layout.
 
-    When a selected class sum is below ``_MIN_CLASS_SUM`` the call returns
-    :func:`_composed_attention` instead, whose mixture node takes the
-    per-branch fallback of :func:`_mixture_weights`.
+    A rectangular grid where some query row has no key in its class raises
+    the ``ValueError`` of :func:`build_rect_mask`. When a selected class sum
+    is below ``_MIN_CLASS_SUM`` (a support row sits far below the row
+    maximum taken over all keys, down to underflowing entirely), ``A`` could
+    overflow and ``inf * 0`` in the spread would turn a whole row to NaN, so
+    the call returns the per-branch graph of :func:`_composed_attention`
+    instead.
     """
     qh, kh, vh = (_split_heads_data(t.data, num_heads) for t in (q, k, v))
     scale = 1.0 / np.sqrt(qh.shape[-1])
@@ -644,8 +605,9 @@ def _attention_core(q: Tensor, k: Tensor, v: Tensor, gammas: Tensor,
         if dv is not None:
             _accum(v, _unbroadcast(dv, v.shape), own=True)
 
-    # parents in the order the composed graph reaches them, so backward adds
-    # the q, k, gate and v contributions into a shared input in the same order
+    # the parent order sets the walk order of backward, hence the order in
+    # which the q, k, gate and v contributions add into a shared input and
+    # the last bits of the loss log
     return _node(out, (q, k, gammas, v), bwd)
 
 

@@ -21,10 +21,10 @@ vector-Jacobian product (partial) per input. Only that helper skips inputs
 that need no gradient and sums partials over broadcast axes. The output
 gradient ``g`` itself goes to the first input whose partial returns
 it and a copy to any later one; any other partial (a fresh array, or a view
-of ``g`` no other input shares) is handed over as it is. A hand-written
-closure (:func:`_node`) is kept only where one backward builds several
+of ``g`` no other input shares) is handed over as it is. Two hand-written
+closures (:func:`_node`) are kept, where one backward builds several
 gradients from shared work or scatters into a gradient in place:
-:func:`take_rows`, ``mog._attention_core`` and ``mog._mixture_weights``.
+:func:`take_rows` and ``mog._attention_core``.
 
 Inside ``with no_grad():`` operations record nothing: outputs are bare
 tensors with no parents and no closure, and :func:`backward` on them is a
@@ -257,8 +257,10 @@ def _node(data: np.ndarray, parents: Sequence[Tensor], bwd: Callable[[np.ndarray
     """Build an output node; ``bwd`` receives the output gradient.
 
     ``bwd`` must not capture the returned tensor: that would make a
-    reference cycle only the cyclic garbage collector can free. Only the
-    ops the routing rule names route their own gradients in ``bwd``.
+    reference cycle only the cyclic garbage collector can free. Besides
+    :func:`_record`, only the two hand-written closures the routing rule
+    names (:func:`take_rows` and ``mog._attention_core``) call it and route
+    their own gradients in ``bwd``.
     """
     out = Tensor(data)
     if not _RECORDING.enabled:

@@ -182,6 +182,17 @@ class TestTrainEval:
                      "--distractors", "1", "--out-dir", str(tmp_path)])
         assert code == EXIT_VALIDATION
 
+    def test_eval_defaults_to_the_checkpoint_image_size(self, tmp_path):
+        main(["train", "--steps", "0", "--scenes", "1", "--seed", "1",
+              *TINY_MODEL_FLAGS, "--out-dir", str(tmp_path)])
+        # no --image-size: the scenes are built at the checkpoint's 16 px
+        code = main(["eval", "--checkpoint", str(tmp_path / "checkpoint.json"),
+                     "--scenes", "1", "--seed", "1", "--distractors", "1",
+                     "--out-dir", str(tmp_path)])
+        assert code == EXIT_OK
+        doc = json.loads((tmp_path / "eval.json").read_text())
+        assert doc["run_config"]["image_size"] == 16
+
     @pytest.mark.parametrize("mangle", [
         lambda doc: [doc],
         lambda doc: {k: v for k, v in doc.items() if k != "config"},

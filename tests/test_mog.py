@@ -14,10 +14,7 @@ from mogref.mog import (
     MoGAttention,
     MoGConfig,
     _attention_core,
-    _composed_attention,
-    _mixture_weights,
     _scaled_logits,
-    _shared_branch_softmax,
     attention_logits,
     branch_attention,
     build_mask,
@@ -32,7 +29,6 @@ from mogref.tensor import (
     Parameter,
     Tensor,
     backward,
-    masked_softmax,
     no_grad,
     reshape,
     select,
@@ -323,64 +319,41 @@ class TestMoGForward:
 
 
 class TestMixtureWeights:
+    """The core's gate-weighted branch mixture against per-branch masked softmax nodes."""
+
     def test_underflowing_branch_falls_back_to_masked_softmax(self):
         rng = RngState(5)
-        n = 7
-        logits = Parameter("logits", rng.uniform_array((2, 2, n, n), -800.0, 800.0))
-        assert np.ptp(logits.data) > 1500.0
-        gammas = Parameter("gammas", np.array([[0.3, 0.7], [0.8, 0.2]]))
+        b, h, n, dk = 2, 2, 7, 16
+        logits = rng.uniform_array((b, h, n, n), -800.0, 800.0)
+        assert np.ptp(logits) > 1500.0
         masks = [build_mask(n, d).bits for d in (2, 3)]
         # some support row lies wholly below exp's range under the shared row max
-        shared = np.exp(logits.data - logits.data.max(axis=-1, keepdims=True))
+        shared = np.exp(logits - logits.max(axis=-1, keepdims=True))
         assert any(((shared * m).sum(axis=-1) == 0.0).any() for m in masks)
+        # q k^T / sqrt(d_k) = logits exactly: k is each head's identity rows,
+        # q each head's logits times sqrt(d_k) = 4, zero-padded to d_k
+        q = np.zeros((b, h, n, dk))
+        q[..., :n] = 4.0 * logits
+        k = np.broadcast_to(np.eye(n, dk), (b, h, n, dk))
+        params = [
+            Parameter("q", q.transpose(0, 2, 1, 3).reshape(b, n, h * dk)),
+            Parameter("k", k.transpose(0, 2, 1, 3).reshape(b, n, h * dk)),
+            Parameter("v", rng.uniform_array((b, n, h * dk), -1.0, 1.0)),
+            Parameter("gammas", np.array([[0.3, 0.7], [0.8, 0.2]])),
+        ]
+        assert (_scaled_logits(*(split_heads(t, h) for t in params[:2])).data == logits).all()
+        refs = copies(params)
+        out = _attention_core(*params, (2, 3), h)
+        assert "_attention_core" not in out._backward.__qualname__  # the fallback ran
+        reference = branch_reference(*refs, masks, h)
+        assert np.abs(out.data - reference.data).max() < 1e-12
 
-        mixed = _mixture_weights(logits, gammas, (2, 3))
-        # reference: the same mixture from robust per-branch masked softmax nodes
-        ref_logits = Parameter("ref_logits", logits.data.copy())
-        ref_gammas = Parameter("ref_gammas", gammas.data.copy())
-        reference = None
-        for g, m in enumerate(masks):
-            gamma = reshape(select(ref_gammas, g, axis=1), (2, 1, 1, 1))
-            term = gamma * masked_softmax(ref_logits, m)
-            reference = term if reference is None else reference + term
-        assert np.abs(mixed.data - reference.data).max() < 1e-12
-        union = np.maximum(*masks)
-        assert (mixed.data[..., union == 0.0] == 0.0).all()
-
-        proj = Tensor(rng.uniform_array(logits.shape, -1.0, 1.0))
-        backward(tsum(mixed * proj))
+        proj = Tensor(rng.uniform_array(out.shape, -1.0, 1.0))
+        backward(tsum(out * proj))
         backward(tsum(reference * proj))
-        assert np.isfinite(logits.grad).all()
-        assert np.isfinite(gammas.grad).all()
-        assert np.abs(logits.grad - ref_logits.grad).max() < 1e-12
-        assert np.abs(gammas.grad - ref_gammas.grad).max() < 1e-12
-
-    @pytest.mark.parametrize("gap", [300.0, 400.0, 740.0])
-    def test_far_below_row_max_class_stays_finite(self, gap):
-        # row 1's only class-mates under d=2 sit `gap` below its row max:
-        # 300 keeps a normal class sum, 400 a tiny one, 740 a subnormal one
-        logits = Parameter("logits", np.array([[[[0.0, 1.0, -2.0], [0.0, -gap, 0.5],
-                                                 [-1.0, 0.0, 2.0]]]]))
-        gammas = Parameter("gammas", np.array([[0.4, 0.6]]))
-        masks = [build_mask(3, d).bits for d in (1, 2)]
-        mixed = _mixture_weights(logits, gammas, (1, 2))
-
-        ref_logits = Parameter("ref_logits", logits.data.copy())
-        ref_gammas = Parameter("ref_gammas", gammas.data.copy())
-        reference = None
-        for g, m in enumerate(masks):
-            term = reshape(select(ref_gammas, g, axis=1), (1, 1, 1, 1)) * masked_softmax(ref_logits, m)
-            reference = term if reference is None else reference + term
-        assert np.isfinite(mixed.data).all()
-        assert np.abs(mixed.data - reference.data).max() < 1e-12
-
-        proj = Tensor(RngState(6).uniform_array(logits.shape, -1.0, 1.0))
-        backward(tsum(mixed * proj))
-        backward(tsum(reference * proj))
-        assert np.isfinite(logits.grad).all()
-        assert np.isfinite(gammas.grad).all()
-        assert np.abs(logits.grad - ref_logits.grad).max() < 1e-12
-        assert np.abs(gammas.grad - ref_gammas.grad).max() < 1e-12
+        for p, r in zip(params, refs):
+            assert np.isfinite(p.grad).all(), p.name
+            assert np.abs(p.grad - r.grad).max() < 1e-12, p.name
 
     @pytest.mark.parametrize("n_q, n_k, dilations", [
         *((n, n, dil) for n in (1, 5, 7, 74)
@@ -389,29 +362,18 @@ class TestMixtureWeights:
           for dil in ((1, 2, 3), (2, 3))),
     ])
     def test_residue_classes_equal_the_masked_branch_sum(self, n_q, n_k, dilations):
-        rng = RngState(n_q * 1000 + n_k + sum(dilations))
-        b, h, g = 2, 2, len(dilations)
-        logits = Parameter("logits", rng.uniform_array((b, h, n_q, n_k), -4.0, 4.0))
-        gammas = Parameter("gammas", rng.uniform_array((b, g), 0.1, 1.0))
-        mixed = _mixture_weights(logits, gammas, dilations)
+        h = 2
+        params, proj = core_inputs(n_q * 1000 + n_k + sum(dilations), 2, h, n_q, n_k, 8, dilations)
+        refs = copies(params)
+        out = _attention_core(*params, dilations, h)
+        assert "_attention_core" in out._backward.__qualname__
+        reference = branch_reference(*refs, [build_rect_mask(n_q, n_k, d) for d in dilations], h)
+        assert np.abs(out.data - reference.data).max() < 1e-12
 
-        ref_logits = Parameter("ref_logits", logits.data.copy())
-        ref_gammas = Parameter("ref_gammas", gammas.data.copy())
-        masks = [build_rect_mask(n_q, n_k, d) for d in dilations]
-        reference = None
-        for k, branch in enumerate(_shared_branch_softmax(ref_logits, masks)):
-            term = reshape(select(ref_gammas, k, axis=1), (b, 1, 1, 1)) * branch
-            reference = term if reference is None else reference + term
-        assert np.abs(mixed.data - reference.data).max() < 1e-12
-        if 1 not in dilations:
-            off = np.max(masks, axis=0) == 0.0
-            assert (mixed.data[..., off] == 0.0).all()
-
-        proj = Tensor(rng.uniform_array(logits.shape, -1.0, 1.0))
-        backward(tsum(mixed * proj))
+        backward(tsum(out * proj))
         backward(tsum(reference * proj))
-        assert np.abs(logits.grad - ref_logits.grad).max() < 1e-12
-        assert np.abs(gammas.grad - ref_gammas.grad).max() < 1e-12
+        for p, r in zip(params, refs):
+            assert np.abs(p.grad - r.grad).max() < 1e-12, p.name
 
 
 def core_inputs(seed, b, h, n_q, n_k, d, dilations, query_batch=None):
@@ -445,20 +407,33 @@ class TestAttentionCore:
     @pytest.mark.parametrize("n_q, n_k, query_batch", [(9, 9, None), (4, 11, 1)])
     @pytest.mark.parametrize("chunk", ["batch", "sample", "head"])
     def test_equals_the_composition(self, dilations, n_q, n_k, query_batch, chunk, monkeypatch):
-        # one chunk for the whole batch, one per sample, one per (sample, head):
-        # each _CHUNK_BYTES here is below _PACK_BYTES, so it sets the budget
+        # one chunk for the whole batch (the unchunked arithmetic), one per
+        # sample, one per (sample, head): each _CHUNK_BYTES here is below
+        # _PACK_BYTES, so it sets the budget. Every layout has the bits of the
+        # one-chunk layout and is within 1e-12 of the per-branch composition.
         per_sample = 2 * n_q * n_k * 8
-        chunk_bytes = {"batch": 2 * per_sample, "sample": per_sample, "head": 1}[chunk]
-        monkeypatch.setattr(mog_module, "_CHUNK_BYTES", chunk_bytes)
-        assert len(mog_module._chunks(2, 2, n_q, n_k)) == {"batch": 1, "sample": 2, "head": 4}[chunk]
-        params, proj = core_inputs(21, 2, 2, n_q, n_k, 8, dilations, query_batch)
+
+        def run(layout):
+            chunk_bytes = {"batch": 2 * per_sample, "sample": per_sample, "head": 1}[layout]
+            monkeypatch.setattr(mog_module, "_CHUNK_BYTES", chunk_bytes)
+            assert len(mog_module._chunks(2, 2, n_q, n_k)) == {"batch": 1, "sample": 2, "head": 4}[layout]
+            params, proj = core_inputs(21, 2, 2, n_q, n_k, 8, dilations, query_batch)
+            out = _attention_core(*params, dilations, 2)
+            assert "_attention_core" in out._backward.__qualname__
+            backward(tsum(out * proj))
+            return out.data, params, proj
+
+        out, params, proj = run(chunk)
+        one_out, one_params, _ = run("batch")
+        assert (out == one_out).all()
+        for p, r in zip(params, one_params):
+            assert (p.grad == r.grad).all(), p.name
+
         refs = copies(params)
-        out = _attention_core(*params, dilations, 2)
-        ref = _composed_attention(*refs, dilations, 2)
-        assert "_attention_core" in out._backward.__qualname__
-        assert (out.data == ref.data).all()
-        backward(tsum(out * proj))
-        backward(tsum(ref * proj))
+        masks = [build_rect_mask(n_q, n_k, d) for d in dilations]
+        reference = branch_reference(*refs, masks, 2)
+        assert np.abs(out - reference.data).max() < 1e-12
+        backward(tsum(reference * proj))
         for p, r in zip(params, refs):
             assert np.abs(p.grad - r.grad).max() < 1e-12, p.name
 
@@ -493,6 +468,32 @@ class TestAttentionCore:
         backward(tsum(reference * proj))
         for p, r in zip(params, refs):
             assert np.isfinite(p.grad).all(), p.name
+            assert np.abs(p.grad - r.grad).max() < 1e-12, p.name
+
+    def test_fallback_after_earlier_chunks_ran(self, monkeypatch):
+        # one chunk per sample, and only the last sample has the 740 gap, so
+        # the first three chunks have written their output and saved arrays
+        # before the core returns the fallback; the queries (batch 1)
+        # broadcast against all four samples
+        monkeypatch.setattr(mog_module, "_CHUNK_BYTES", 3 * 3 * 8)
+        assert len(mog_module._chunks(4, 1, 3, 3)) == 4
+        logits = np.array([[0.0, 1.0, -2.0], [0.0, -740.0, 0.5], [-1.0, 0.0, 2.0]])
+        q = Parameter("q", np.concatenate([2.0 * logits, np.zeros((3, 1))], axis=1)[None])
+        small = RngState(8).uniform_array((3, 3, 4), -1e-3, 1e-3)  # no gap in samples 0-2
+        k = Parameter("k", np.concatenate([small, np.eye(3, 4)[None]]))
+        v = Parameter("v", RngState(9).uniform_array((4, 3, 4), -1.0, 1.0))
+        gammas = Parameter("gammas", RngState(10).uniform_array((4, 2), 0.1, 1.0))
+        params = [q, k, v, gammas]
+        refs = copies(params)
+        out = _attention_core(*params, (1, 2), 1)
+        assert "_attention_core" not in out._backward.__qualname__
+        reference = branch_reference(*refs, [build_mask(3, d).bits for d in (1, 2)], 1)
+        assert np.abs(out.data - reference.data).max() < 1e-12
+
+        proj = Tensor(RngState(11).uniform_array(out.shape, -1.0, 1.0))
+        backward(tsum(out * proj))
+        backward(tsum(reference * proj))
+        for p, r in zip(params, refs):
             assert np.abs(p.grad - r.grad).max() < 1e-12, p.name
 
     @pytest.mark.parametrize("n_q, query_batch", [(53, None), (5, 1)])
@@ -588,7 +589,7 @@ def test_single_class_spread_equals_the_gemm():
     keys = mog_module._residue_classes(5, 74, (1,)).keys
     a = RngState(14).uniform_array((8, 4, 5, 1), -3.0, 3.0)
     gemm = (a.reshape(-1, 1) @ keys.T).reshape(8, 4, 5, 74)
-    assert (mog_module._spread(a, keys) == gemm).all()
+    assert (mog_module._spread(a, keys, out=np.empty((8, 4, 5, 74))) == gemm).all()
 
 
 @pytest.mark.parametrize("shape, dilations", [
@@ -619,7 +620,13 @@ def test_selected_class_arithmetic_equals_the_masked_divide(shape, dilations):
     gam = gammas[:, branch][:, None, None, :]
     assert np.array_equal(a, np.divide(gam, ref_s, out=np.zeros_like(ref_s), where=rows))
 
-    rho, t = mog_module._class_grad(dw, e, s, classes)
+    w = mog_module._weights(e, a, classes.keys, out=np.empty(shape))
+    if 1 not in dilations:  # exact zeros off the union of the branch supports
+        off = np.max([build_rect_mask(n_q, n_k, d) for d in dilations], axis=0) == 0.0
+        assert off.any()
+        assert (w[..., off] == 0.0).all()
+
+    rho, t = mog_module._class_grad(dw, e, s, classes, scratch=np.empty(shape))
     ref_t = dw * e
     assert np.array_equal(t, ref_t)
     ref_rho = np.divide(ref_t @ classes.keys, ref_s, out=np.zeros_like(ref_s), where=rows)

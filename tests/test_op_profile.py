@@ -115,7 +115,7 @@ def test_script_profiles_a_default_step(capsys):
     # outputs, 8 feed-forward, the patch embedding, 3 head) and the 3 gate
     # logits are one affine node each
     assert rows["_attention_core"][0] == 6
-    assert "_mixture_weights" not in rows
+    assert "_shared_branch_softmax" not in rows  # the underflow fallback did not run
     assert rows["matmul"][0] == 18
     assert rows["affine"][0] == 21
     assert {"layernorm", "gelu", "softmax", "take_rows"} <= set(rows)

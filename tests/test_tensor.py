@@ -1,10 +1,13 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import mogref
 from mogref.gradcheck import DEFAULT_TOL, finite_difference_grad, max_rel_err
 from mogref.rng import RngState
 from mogref.tensor import (
@@ -361,6 +364,27 @@ class TestGradientRouting:
             return tsum((y + z) * w) + tsum(y * v) + tsum(z * u)
 
         self._check(build, [x])
+
+    def test_only_the_named_closures_call_node(self):
+        # the routing rule in tensor's docstring names every hand-written
+        # closure; a new direct caller of _node must be named there too
+        callers = set()
+
+        def visit(node, module, func):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    visit(child, module, child.name)
+                    continue
+                if isinstance(child, ast.Call):
+                    callee = child.func
+                    name = callee.id if isinstance(callee, ast.Name) else getattr(callee, "attr", None)
+                    if name == "_node":
+                        callers.add(f"{module}.{func}")
+                visit(child, module, func)
+
+        for path in sorted(Path(mogref.__file__).parent.glob("*.py")):
+            visit(ast.parse(path.read_text()), path.stem, None)
+        assert callers == {"tensor._record", "tensor.take_rows", "mog._attention_core"}
 
 
 class TestModule:
