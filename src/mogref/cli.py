@@ -35,7 +35,7 @@ from mogref.data import (
 )
 from mogref.gradcheck import run_gradcheck
 from mogref.metrics import STAT_DEFINITIONS, dataset_stats
-from mogref.model import ModelConfig, SCSModel
+from mogref.model import MODEL_DTYPES, ModelConfig, SCSModel
 from mogref.rng import RngState
 from mogref.tensor import DegenerateMaskError, ShapeError
 from mogref.train import (
@@ -118,20 +118,22 @@ def _parse_dilations(text: str) -> tuple[int, ...]:
         raise ValidationError(f"bad --dilations value {text!r}") from exc
 
 
-# every ModelConfig field but these two is an int flag with the field's default;
-# the vocabulary fixes vocab_size and --dilations is a comma-separated string
-_INT_MODEL_FLAGS = [f.name for f in fields(ModelConfig) if f.name not in ("dilations", "vocab_size")]
+# every ModelConfig field but these two is a flag of the field's type and
+# default (--dtype a choice of MODEL_DTYPES); the vocabulary fixes vocab_size
+# and --dilations is a comma-separated string
+_MODEL_FLAGS = [f.name for f in fields(ModelConfig) if f.name not in ("dilations", "vocab_size")]
 
 
 def _model_config(args, vocab_size: int, dilations: tuple[int, ...]) -> ModelConfig:
     return ModelConfig(vocab_size=vocab_size, dilations=dilations,
-                       **{name: getattr(args, name) for name in _INT_MODEL_FLAGS})
+                       **{name: getattr(args, name) for name in _MODEL_FLAGS})
 
 
 def _add_model_flags(p: argparse.ArgumentParser, dilations: bool = True) -> None:
     for f in fields(ModelConfig):
-        if f.name in _INT_MODEL_FLAGS:
-            p.add_argument("--" + f.name.replace("_", "-"), type=int, default=f.default)
+        if f.name in _MODEL_FLAGS:
+            p.add_argument("--" + f.name.replace("_", "-"), type=type(f.default), default=f.default,
+                           choices=MODEL_DTYPES if f.name == "dtype" else None)
         elif f.name == "dilations" and dilations:
             p.add_argument("--dilations", default=",".join(map(str, f.default)),
                            help="comma-separated dilation per granularity branch")

@@ -283,7 +283,7 @@ def case_scs_end_to_end(rng: RngState) -> Case:
     cfg = model.ModelConfig(
         model_dim=8, num_heads=2, dilations=(1, 2), sce_blocks=1, scd_blocks=1,
         ssd_blocks=1, num_queries=2, ffn_dim=12, image_size=16, patch_size=4,
-        vocab_size=len(data.default_vocab()),
+        vocab_size=len(data.default_vocab()), dtype="float64",
     )
     vocab = data.default_vocab()
     net = model.SCSModel(cfg, vocab, rng.derive(1))
@@ -308,6 +308,25 @@ def case_scs_end_to_end(rng: RngState) -> Case:
         return matching.batch_assignment_loss(pred.boxes, pred.confidence, targets, frozen)
 
     return loss, net.parameters()
+
+
+def case_cast(rng: RngState) -> Case:
+    """float32 -> float64, and float64 -> float32 -> float64.
+
+    Entries lie within 1e-3 of zero, where float32 spacing (below 1.2e-10)
+    is far below the finite-difference step, so the oracle stays accurate
+    through the float32 rounding of a perturbed entry.
+    """
+    a = Parameter("a32", rng.uniform_array((3, 5), -1e-3, 1e-3).astype(np.float32))
+    b = _param(rng, "b", (3, 5), -1e-3, 1e-3)
+    w = _proj(rng, (3, 5))
+    w2 = _proj(rng, (3, 5))
+
+    def loss():
+        there_and_back = tensor.cast(tensor.cast(b, np.float32), np.float64)
+        return tensor.tsum(tensor.cast(a, np.float64) * w) + tensor.tsum(there_and_back * w2)
+
+    return loss, [a, b]
 
 
 _CASES = [
@@ -337,6 +356,7 @@ _CASES = [
     ("grounding_loss_batch", case_grounding_loss_batch),
     ("attention_core", case_attention_core),
     ("affine", case_affine),
+    ("cast", case_cast),
 ]
 
 

@@ -9,6 +9,13 @@ fusion of every encoder block's output -> a small regression head mapping
 each query to a sigmoid box and confidence. Plain attention is the
 one-branch, gate-less form of the mixture module (dilations ``(1,)``).
 
+``ModelConfig.dtype`` (float32 by default, or float64) is the dtype of the
+parameters, hence of the whole forward and backward up to the head: the
+projector casts the images and positions to it once. The head casts its
+logits to float64 before its two sigmoids, so the boxes, confidences and
+the loss are float64 whatever the compute dtype (a float32 sigmoid is
+exactly 1.0 from a logit of about 16.6, a float64 one from about 36.7).
+
 The projector is deliberately tiny: a linear patch embedding over synthetic
 rasters plus an embedding table over a closed vocabulary, with sinusoidal
 positions and per-modality type vectors. All blocks are pre-norm residual,
@@ -37,6 +44,7 @@ from mogref.tensor import (
     Parameter,
     Tensor,
     affine,
+    cast,
     concat,
     gelu,
     layernorm,
@@ -49,6 +57,7 @@ from mogref.tensor import (
 
 CHECKPOINT_FORMAT = "mogref.checkpoint"
 CHECKPOINT_VERSION = 1
+MODEL_DTYPES = ("float32", "float64")
 
 
 @dataclass(frozen=True)
@@ -64,9 +73,12 @@ class ModelConfig:
     image_size: int = 64
     patch_size: int = 8
     vocab_size: int = 24
+    dtype: str = "float32"  # of the parameters and the compute up to the head
 
     def __post_init__(self):
         object.__setattr__(self, "dilations", tuple(int(d) for d in self.dilations))
+        if self.dtype not in MODEL_DTYPES:
+            raise ValueError(f"dtype must be one of {MODEL_DTYPES}, got {self.dtype!r}")
         if min(self.sce_blocks, self.scd_blocks, self.ssd_blocks) < 1:
             raise ValueError("all block counts must be >= 1")
         if self.num_queries < 1:
@@ -110,8 +122,8 @@ class TokenSequence:
 
 @dataclass
 class Prediction:
-    boxes: Tensor  # (B, Q, 4) center-form, sigmoid outputs
-    confidence: Tensor  # (B, Q), sigmoid outputs
+    boxes: Tensor  # (B, Q, 4) center-form, float64 sigmoid outputs
+    confidence: Tensor  # (B, Q), float64 sigmoid outputs
 
     def best_box(self, sample: int):
         """Highest-confidence box of one sample as a plain array."""
@@ -119,12 +131,15 @@ class Prediction:
         return self.boxes.data[sample, q], float(self.confidence.data[sample, q])
 
 
-_POSITION_CACHE: dict[tuple[int, int], np.ndarray] = {}
+_POSITION_CACHE: dict[tuple[int, int, np.dtype], np.ndarray] = {}
 
 
-def sinusoidal_positions(n: int, dim: int) -> np.ndarray:
-    """Standard interleaved sin/cos position table, deterministic in (n, dim)."""
-    key = (n, dim)
+def sinusoidal_positions(n: int, dim: int, dtype=np.float64) -> np.ndarray:
+    """Standard interleaved sin/cos position table, deterministic in (n, dim).
+
+    Computed in float64 and rounded once to ``dtype``.
+    """
+    key = (n, dim, np.dtype(dtype))
     table = _POSITION_CACHE.get(key)
     if table is None:
         pos = np.arange(n, dtype=np.float64)[:, None]
@@ -133,6 +148,7 @@ def sinusoidal_positions(n: int, dim: int) -> np.ndarray:
         table = np.zeros((n, dim), dtype=np.float64)
         table[:, 0::2] = np.sin(angle)
         table[:, 1::2] = np.cos(angle[:, : dim // 2])  # an odd dim has one sin column more
+        table = table.astype(dtype, copy=False)
         table.setflags(write=False)
         _POSITION_CACHE[key] = table
     return table
@@ -175,7 +191,7 @@ class TokenProjector(Module):
         return tiles.reshape(b, gh * gw, p * p * c)
 
     def __call__(self, images: np.ndarray, token_ids: np.ndarray) -> TokenSequence:
-        images = np.asarray(images, dtype=np.float64)
+        images = np.asarray(images, dtype=self.config.dtype)
         token_ids = np.asarray(token_ids, dtype=np.intp)
         if token_ids.ndim != 2 or token_ids.shape[0] != images.shape[0]:
             raise ValidationError(
@@ -196,7 +212,7 @@ class TokenProjector(Module):
         else:
             tokens = visual
         n = num_visual + num_text
-        tokens = tokens + Tensor(sinusoidal_positions(n, self.config.model_dim))
+        tokens = tokens + Tensor(sinusoidal_positions(n, self.config.model_dim, self.config.dtype))
         return TokenSequence(tokens, num_visual, num_text)
 
 
@@ -262,7 +278,12 @@ class FuseHierarchy(Module):
 
 
 class RegressionHead(Module):
-    """Per-query MLP to 4 sigmoid box coordinates plus a sigmoid confidence."""
+    """Per-query MLP to 4 sigmoid box coordinates plus a sigmoid confidence.
+
+    The logits are cast to float64 before the sigmoids: in float32 a
+    sigmoid saturates to exactly 1.0 at a logit of about 16.6, and the
+    confidence log-loss of such a query is infinite.
+    """
 
     def __init__(self, model_dim: int, rng: RngState, name: str = "head"):
         self.box_hidden = Linear(f"{name}.box_hidden", model_dim, model_dim, rng)
@@ -270,8 +291,8 @@ class RegressionHead(Module):
         self.conf_out = Linear(f"{name}.conf_out", model_dim, 1, rng)
 
     def __call__(self, states: Tensor) -> Prediction:
-        boxes = sigmoid(self.box_out(gelu(self.box_hidden(states))))
-        conf = sigmoid(self.conf_out(states))
+        boxes = sigmoid(cast(self.box_out(gelu(self.box_hidden(states))), np.float64))
+        conf = sigmoid(cast(self.conf_out(states), np.float64))
         b, q, _ = conf.shape
         return Prediction(boxes, reshape(conf, (b, q)))
 
@@ -297,6 +318,10 @@ class SCSModel(Module):
                     for i in range(config.scd_blocks)]
         self.ssd = [DecoderBlock(config, rng, f"ssd.{i}", (1,)) for i in range(config.ssd_blocks)]
         self.head = RegressionHead(config.model_dim, rng)
+        # drawn in float64, so both dtypes start from the same draws
+        for p in self.parameters():
+            p.data = p.data.astype(config.dtype, copy=False)
+            p.grad = np.zeros_like(p.data)
 
     # -- stages ------------------------------------------------------------
 
@@ -377,11 +402,13 @@ class SCSModel(Module):
                                      ("params", dict, "object")):
             if not isinstance(doc.get(key), kind):
                 raise ValidationError(f"{path}: checkpoint {key!r} must be a JSON {json_name}")
-        missing_fields = sorted({f.name for f in fields(ModelConfig)} - set(doc["config"]))
+        # checkpoints written before the dtype field hold float64 parameters
+        config_doc = {"dtype": "float64", **doc["config"]}
+        missing_fields = sorted({f.name for f in fields(ModelConfig)} - set(config_doc))
         if missing_fields:
             raise ValidationError(f"{path}: checkpoint config lacks {missing_fields}")
         try:
-            config = ModelConfig.from_json(doc["config"])
+            config = ModelConfig.from_json(config_doc)
         except (TypeError, ValueError) as exc:
             raise ValidationError(f"{path}: bad checkpoint config: {exc}") from exc
         if expect_config is not None and expect_config != config:
@@ -414,8 +441,7 @@ class SCSModel(Module):
                     f"{path}: parameter {name} has shape {shape}, expected {p.shape}"
                 )
             try:
-                p.data = np.array(stored[name]["data"], dtype=np.float64).reshape(shape)
+                p.data[...] = np.array(stored[name]["data"], dtype=np.float64).reshape(shape)
             except ValueError as exc:
                 raise ValidationError(f"{path}: parameter {name}: {exc}") from exc
-            p.grad = np.zeros_like(p.data)
         return model

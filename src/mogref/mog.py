@@ -28,12 +28,13 @@ is the only residue-class implementation. Between forward and backward the
 node keeps no N-by-N array: only the scaled q, the k and v views, the row
 maximum and the (B, H, N_q, sum_g d_g) class arrays. Its backward
 recomputes the shared exponential ``e`` and the mixture ``W`` from them, in
-chunks of the batch that reuse four per-thread buffers. Its output and
-gradients are bit-identical however the batch is chunked, and within 1e-12
-of the per-branch masked softmax. The rare call in which a support row sits
-so far below the shared row maximum that its class sum is too small to
-divide by falls back to the per-branch graph, :func:`_composed_attention`:
-one :func:`_shared_branch_softmax` node per branch, gated and summed with
+chunks of the batch that reuse four per-thread buffers. It computes in the
+dtype of its inputs. Its output and gradients are bit-identical however the
+batch is chunked, and in float64 within 1e-12 of the per-branch masked
+softmax. The rare call in which a support row sits so far below the shared
+row maximum that its class sum is too small to divide by falls back to
+the per-branch graph, :func:`_composed_attention`: one
+:func:`_shared_branch_softmax` node per branch, gated and summed with
 ordinary ops. The dense masks (:func:`build_mask`, :func:`build_rect_mask`)
 stay as the reference the tests compare against, and as the arithmetic of
 that fallback.
@@ -110,7 +111,7 @@ class GranularityMask:
 
 
 _MASK_CACHE: dict[tuple[int, int, int], np.ndarray] = {}
-_RESIDUE_CACHE: dict[tuple[int, int, tuple[int, ...]], _ResidueClasses] = {}
+_RESIDUE_CACHE: dict[tuple[int, int, tuple[int, ...], np.dtype], _ResidueClasses] = {}
 _CACHE_LOCK = threading.Lock()
 
 
@@ -162,6 +163,9 @@ def build_rect_mask(num_rows: int, num_cols: int, dilation: int) -> np.ndarray:
 class _ResidueClasses:
     """One-hot residue classes of a dilation set on an n_q-by-n_k grid.
 
+    ``keys`` is in the dtype of the arrays it multiplies, so ``e @ keys``
+    keeps the attention core's dtype.
+
     Column ``c = (g, r)``, for branch g and residue ``r < d_g``, is one
     class: ``keys[j, c]`` is 1.0 where ``j mod d_g == r``. Query row i
     selects column ``starts[g] + i mod d_g`` of each branch g, and
@@ -170,16 +174,18 @@ class _ResidueClasses:
     (..., n_q, C) array are one gather (:func:`_selected`).
     """
 
-    keys: np.ndarray  # (n_k, C) float64 0/1, read-only
+    keys: np.ndarray  # (n_k, C) 0/1, read-only
     index: np.ndarray  # (n_q, G) flat (n_q * C) positions of the selected classes, read-only
     starts: np.ndarray  # (G,) first column of each branch
 
 
-def _residue_classes(n_q: int, n_k: int, dilations: tuple[int, ...]) -> _ResidueClasses:
+def _residue_classes(n_q: int, n_k: int, dilations: tuple[int, ...], dtype) -> _ResidueClasses:
+    dtype = np.dtype(dtype)
+
     def build():
         modulus = np.repeat(dilations, dilations)
         residue = np.concatenate([np.arange(d) for d in dilations])
-        keys = (np.arange(n_k)[:, None] % modulus == residue).astype(np.float64)
+        keys = (np.arange(n_k)[:, None] % modulus == residue).astype(dtype)
         starts = np.concatenate(([0], np.cumsum(dilations)[:-1]))
         columns = starts + np.arange(n_q)[:, None] % np.asarray(dilations)  # (n_q, G)
         empty = ~keys.any(axis=0)[columns]
@@ -191,7 +197,7 @@ def _residue_classes(n_q: int, n_k: int, dilations: tuple[int, ...]) -> _Residue
             arr.setflags(write=False)
         return _ResidueClasses(keys, index, starts)
 
-    return _cached(_RESIDUE_CACHE, (n_q, n_k, dilations), build)
+    return _cached(_RESIDUE_CACHE, (n_q, n_k, dilations, dtype), build)
 
 
 def _selected(x: np.ndarray, classes: _ResidueClasses) -> np.ndarray:
@@ -201,7 +207,7 @@ def _selected(x: np.ndarray, classes: _ResidueClasses) -> np.ndarray:
 
 def _scattered(sel: np.ndarray, shape: tuple[int, ...], classes: _ResidueClasses) -> np.ndarray:
     """Zeros of ``shape`` (..., n_q, C) holding ``sel`` (..., n_q, G) at the selected classes."""
-    out = np.zeros(shape)
+    out = np.zeros(shape, dtype=sel.dtype)
     out.reshape(*shape[:-2], -1)[..., classes.index] = sel
     return out
 
@@ -296,7 +302,7 @@ def _projections(x: Tensor, attn: MoGAttention, memory: Tensor | None) -> tuple[
 
 def _scaled_logits(q: Tensor, k: Tensor) -> Tensor:
     """Head-split q k^T / sqrt(d_k), with the scale folded into q (cheaper than the N-by-N logits)."""
-    return matmul(q * (1.0 / np.sqrt(q.shape[-1])), transpose(k, (0, 1, 3, 2)))
+    return matmul(q * (1.0 / math.sqrt(q.shape[-1])), transpose(k, (0, 1, 3, 2)))
 
 
 def branch_attention(logits: Tensor, mask, values: Tensor) -> Tensor:
@@ -368,24 +374,31 @@ def _shared_branch_softmax(logits: Tensor, masks: list[np.ndarray]) -> list[Tens
     return outs
 
 
-# Smallest class sum the residue path divides by: A = gamma / S stays below
-# 1 / sqrt(tiny) ~ 6.7e153, so the spread A R^T (G terms) and rho * A in the
-# backward (|rho| <= max |dW|) stay finite for any |dW| below ~1e154.
-_MIN_CLASS_SUM = float(np.sqrt(np.finfo(np.float64).tiny))
+def _min_class_sum(dtype) -> float:
+    """Smallest class sum the residue path divides by, ``sqrt(tiny)`` of ``dtype``.
+
+    ``A = gamma / S`` stays below ``1 / sqrt(tiny)`` (6.7e153 in float64,
+    9.2e18 in float32), so the spread ``A R^T`` (G terms) and ``rho * A`` in
+    the backward (``|rho| <= max |dW|``) stay finite for any ``|dW|`` below
+    about ``max * sqrt(tiny)`` (2.7e154 and 3.7e19). A support row falls
+    below it at a gap of about 354 logits under its row maximum in float64,
+    44 in float32.
+    """
+    return float(np.sqrt(np.finfo(dtype).tiny))
 
 
 def _class_coefficients(e: np.ndarray, gammas: np.ndarray,
                         classes: _ResidueClasses) -> tuple[np.ndarray, np.ndarray] | None:
     """Class sums ``S = e R`` and coefficients ``A = gamma / S`` on the selected classes.
 
-    None when a selected class sum is below ``_MIN_CLASS_SUM``: ``A`` could
+    None when a selected class sum is below :func:`_min_class_sum`: ``A`` could
     overflow there, and the caller takes the per-branch arithmetic instead.
     """
     # stacked, one gemm per sample and head: as one (B*H*N_q, N_k) gemm,
     # threaded BLAS packs all of e and the RSS grows by another such buffer
     s = e @ classes.keys
     selected = _selected(s, classes)
-    if selected.min() < _MIN_CLASS_SUM:
+    if selected.min() < _min_class_sum(e.dtype):
         return None
     np.divide(gammas[:, None, None, :], selected, out=selected)  # gammas (B, G)
     return s, _scattered(selected, s.shape, classes)
@@ -438,7 +451,7 @@ def _composed_attention(q: Tensor, k: Tensor, v: Tensor, gammas: Tensor,
     qh, kh, vh = (split_heads(t, num_heads) for t in (q, k, v))
     logits = _scaled_logits(qh, kh)
     b, _, n_q, n_k = logits.shape
-    masks = [_cached_bits(n_q, n_k, d) for d in dilations]
+    masks = [_cached_bits(n_q, n_k, d).astype(logits.data.dtype, copy=False) for d in dilations]
     w = None
     for g, p in enumerate(_shared_branch_softmax(logits, masks)):
         term = reshape(select(gammas, g, axis=1), (b, 1, 1, 1)) * p
@@ -463,33 +476,35 @@ class _Scratch(threading.local):
     """Per-thread N-by-N buffers the attention core reuses from call to call.
 
     Fresh buffers of a few MB each call are returned to the OS and faulted
-    in again; these stay mapped. Each holds the largest chunk seen so far,
+    in again; these stay mapped. Each is raw bytes, viewed in the chunk's
+    dtype, and holds the largest chunk seen so far in bytes,
     which :func:`_chunks` keeps to ``max(_PACK_BYTES, one sample)`` up to
     ``_CHUNK_BYTES``, however large the batch.
     """
 
     def __init__(self):
-        self.buffers = [np.empty(0) for _ in range(4)]
+        self.buffers = [np.empty(0, dtype=np.uint8) for _ in range(4)]  # raw bytes
 
-    def get(self, i: int, shape: tuple[int, ...]) -> np.ndarray:
-        size = math.prod(shape)
-        if self.buffers[i].size < size:
-            self.buffers[i] = np.empty(size)
-        return self.buffers[i][:size].reshape(shape)
+    def get(self, i: int, shape: tuple[int, ...], dtype: np.dtype) -> np.ndarray:
+        nbytes = math.prod(shape) * dtype.itemsize
+        if self.buffers[i].size < nbytes:
+            self.buffers[i] = np.empty(nbytes, dtype=np.uint8)
+        return self.buffers[i][:nbytes].view(dtype).reshape(shape)
 
 
 _SCRATCH = _Scratch()
 
 
-def _chunks(b: int, num_heads: int, n_q: int, n_k: int) -> list[tuple[slice, slice]]:
-    """(sample, head) slices covering (B, H).
+def _chunks(b: int, num_heads: int, n_q: int, n_k: int,
+            itemsize: int) -> list[tuple[slice, slice]]:
+    """(sample, head) slices covering (B, H), for N-by-N entries of ``itemsize`` bytes.
 
-    A chunk spans at most ``min(_CHUNK_BYTES, max(_PACK_BYTES, H N_q N_k 8))``
+    A chunk spans at most ``min(_CHUNK_BYTES, max(_PACK_BYTES, H N_q N_k itemsize))``
     bytes of N-by-N data: as many whole samples as fit in ``_PACK_BYTES``, one
     sample when a sample is bigger, and as many heads of one sample as fit in
     ``_CHUNK_BYTES`` when a sample is bigger than that.
     """
-    per_head = n_q * n_k * 8
+    per_head = n_q * n_k * itemsize
     per_sample = per_head * num_heads
     budget = min(_CHUNK_BYTES, max(_PACK_BYTES, per_sample))
     heads = max(1, min(num_heads, budget // per_head))
@@ -529,21 +544,24 @@ def _attention_core(q: Tensor, k: Tensor, v: Tensor, gammas: Tensor,
 
     A rectangular grid where some query row has no key in its class raises
     the ``ValueError`` of :func:`build_rect_mask`. When a selected class sum
-    is below ``_MIN_CLASS_SUM`` (a support row sits far below the row
+    is below :func:`_min_class_sum` (a support row sits far below the row
     maximum taken over all keys, down to underflowing entirely), ``A`` could
     overflow and ``inf * 0`` in the spread would turn a whole row to NaN, so
     the call returns the per-branch graph of :func:`_composed_attention`
-    instead.
+    instead. The node computes in the dtype of its inputs; the chunk budget
+    counts bytes, so a float32 chunk packs twice the samples of a float64
+    one.
     """
     qh, kh, vh = (_split_heads_data(t.data, num_heads) for t in (q, k, v))
-    scale = 1.0 / np.sqrt(qh.shape[-1])
+    scale = 1.0 / math.sqrt(qh.shape[-1])  # a Python float keeps qh's dtype
     qs = qh * scale
+    dtype = qs.dtype  # of every array the node allocates
     kt = kh.transpose(0, 1, 3, 2)
     b = max(qh.shape[0], kh.shape[0])
     n_q, n_k = qh.shape[2], kh.shape[2]
-    classes = _residue_classes(n_q, n_k, tuple(dilations))
+    classes = _residue_classes(n_q, n_k, tuple(dilations), dtype)
     keys = classes.keys
-    chunks = _chunks(b, num_heads, n_q, n_k)
+    chunks = _chunks(b, num_heads, n_q, n_k, dtype.itemsize)
 
     def part(arr, chunk, heads=True):
         sample, head = chunk
@@ -553,14 +571,14 @@ def _attention_core(q: Tensor, k: Tensor, v: Tensor, gammas: Tensor,
     def shared_exp(chunk, row_max=None):
         qc, ktc = part(qs, chunk), part(kt, chunk)
         shape = (max(qc.shape[0], ktc.shape[0]), qc.shape[1], n_q, n_k)
-        logits = np.matmul(qc, ktc, out=_SCRATCH.get(0, shape))
+        logits = np.matmul(qc, ktc, out=_SCRATCH.get(0, shape, dtype))
         if row_max is None:
             row_max = logits.max(axis=-1, keepdims=True)
         return _shared_exp(logits, row_max, out=logits), row_max
 
     def merged(t):
         """A batch-B (B, N, D) array shaped like ``t`` and the head-split view chunks write into."""
-        arr = np.empty((b, *t.shape[1:]))
+        arr = np.empty((b, *t.shape[1:]), dtype=dtype)
         return arr, _split_heads_data(arr, num_heads)
 
     out, out_heads = merged(q)
@@ -570,7 +588,7 @@ def _attention_core(q: Tensor, k: Tensor, v: Tensor, gammas: Tensor,
         coefficients = _class_coefficients(e, part(gammas.data, c, heads=False), classes)
         if coefficients is None:
             return _composed_attention(q, k, v, gammas, dilations, num_heads)
-        w = _weights(e, coefficients[1], keys, out=_SCRATCH.get(1, e.shape))
+        w = _weights(e, coefficients[1], keys, out=_SCRATCH.get(1, e.shape, dtype))
         np.matmul(w, part(vh, c), out=out_heads[c])
         saved.append((row_max, *coefficients))
 
@@ -579,14 +597,14 @@ def _attention_core(q: Tensor, k: Tensor, v: Tensor, gammas: Tensor,
         dq, dq_heads = merged(q) if q.requires_grad else (None, None)
         dk, dk_heads = merged(k) if k.requires_grad else (None, None)
         dv, dv_heads = merged(v) if v.requires_grad else (None, None)
-        rho = np.empty((b, num_heads, n_q, keys.shape[1])) if gammas.requires_grad else None
+        rho = np.empty((b, num_heads, n_q, keys.shape[1]), dtype=dtype) if gammas.requires_grad else None
         for c, (row_max, s, a) in zip(chunks, saved):
             e = shared_exp(c, row_max)[0]
-            w = _weights(e, a, keys, out=_SCRATCH.get(1, e.shape))
+            w = _weights(e, a, keys, out=_SCRATCH.get(1, e.shape, dtype))
             if dv is not None:
                 np.matmul(w.swapaxes(-1, -2), gh[c], out=dv_heads[c])
-            dw = np.matmul(gh[c], part(vh, c).swapaxes(-1, -2), out=_SCRATCH.get(2, e.shape))
-            rho_c, t = _class_grad(dw, e, s, classes, scratch=_SCRATCH.get(3, e.shape))
+            dw = np.matmul(gh[c], part(vh, c).swapaxes(-1, -2), out=_SCRATCH.get(2, e.shape, dtype))
+            rho_c, t = _class_grad(dw, e, s, classes, scratch=_SCRATCH.get(3, e.shape, dtype))
             if rho is not None:
                 rho[c] = rho_c
             dlogits = _logit_grad(dw, e, w, rho_c, a, keys, scratch=t, out=dw)
@@ -624,7 +642,7 @@ def mog_forward(x: Tensor, attn: MoGAttention, memory: Tensor | None = None) -> 
     cfg = attn.config
     q, k, v = _projections(x, attn, memory)
     if attn.gate is None:
-        gammas = Tensor(np.ones((max(q.shape[0], k.shape[0]), 1)))
+        gammas = Tensor(np.ones((max(q.shape[0], k.shape[0]), 1), dtype=q.data.dtype))
     else:
         gammas = gate_weights(x if memory is None else memory, attn.gate)  # (B, G)
     return _attention_core(q, k, v, gammas, cfg.dilations, cfg.num_heads)

@@ -1,11 +1,16 @@
-"""Dense float64 tensors with reverse-mode automatic differentiation.
+"""Dense float32/float64 tensors with reverse-mode automatic differentiation.
 
 A small dynamic-graph engine: every operation stores a backward closure on
 its output, and :func:`backward` walks the graph in reverse topological
 order, accumulating d(loss)/d(leaf) into each leaf's ``.grad``. Everything
-is 64-bit and deterministic; there is no device or dtype story. Shapes
-broadcast only in the numpy sense needed here (leading batch axes and
-trailing bias adds).
+is deterministic; there is no device story. Shapes broadcast only in the
+numpy sense needed here (leading batch axes and trailing bias adds).
+
+The dtype rule: a tensor keeps its input's float dtype (float32 or
+float64; anything else becomes float64), and every op keeps its operands'
+dtype. A Python scalar operand takes the tensor operand's dtype, as NEP 50
+weak scalars do, so ``x * 0.5`` stays float32. Only :func:`cast` changes
+a dtype on purpose.
 
 The recorded graph is a DAG that points from outputs to inputs only, so
 reference counting frees a step's graph as soon as the last reference to
@@ -18,13 +23,17 @@ gradient except on leaves; it can be walked again.
 
 The routing rule: an op gives :func:`_record` its output and one
 vector-Jacobian product (partial) per input. Only that helper skips inputs
-that need no gradient and sums partials over broadcast axes. The output
+that need no gradient, sums partials over broadcast axes and casts each
+one to its input's dtype, so every gradient has the dtype of the tensor it
+belongs to and a float64 gradient never leaks into float32. The output
 gradient ``g`` itself goes to the first input whose partial returns
 it and a copy to any later one; any other partial (a fresh array, or a view
 of ``g`` no other input shares) is handed over as it is. Two hand-written
 closures (:func:`_node`) are kept, where one backward builds several
 gradients from shared work or scatters into a gradient in place:
-:func:`take_rows` and ``mog._attention_core``.
+:func:`take_rows` and ``mog._attention_core``. Like every closure, each
+receives its output gradient in its output's dtype, and it builds its
+inputs' gradients in theirs.
 
 Inside ``with no_grad():`` operations record nothing: outputs are bare
 tensors with no parents and no closure, and :func:`backward` on them is a
@@ -59,8 +68,13 @@ class DegenerateMaskError(ValueError):
     """A softmax mask row admits no positions at all."""
 
 
+_FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
+
+
 def _as_array(x) -> np.ndarray:
-    return np.asarray(x, dtype=np.float64)
+    """``x`` as an array of its own dtype if that is float32 or float64, else float64."""
+    arr = np.asarray(x)
+    return arr if arr.dtype in _FLOAT_DTYPES else arr.astype(np.float64)
 
 
 class Tensor:
@@ -170,6 +184,21 @@ class Module:
 
 def _wrap(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
+
+
+def _pair(a, b) -> tuple[Tensor, Tensor]:
+    """Both operands as Tensors; a Python int or float takes the other operand's dtype.
+
+    ``np.float64`` scalars subclass ``float``, so they count as Python floats.
+    """
+    if isinstance(a, Tensor):
+        if isinstance(b, Tensor):
+            return a, b
+        if isinstance(b, (int, float)):
+            return a, Tensor(np.asarray(b, dtype=a.data.dtype))
+    elif isinstance(b, Tensor) and isinstance(a, (int, float)):
+        return Tensor(np.asarray(a, dtype=b.data.dtype)), b
+    return _wrap(a), _wrap(b)
 
 
 def _accum(t: Tensor, g: np.ndarray, own: bool = False) -> None:
@@ -288,6 +317,8 @@ def _record(op: Callable, data: np.ndarray, inputs: Sequence[Tensor],
         taken = False  # whether an earlier input took g itself
         for t, vjp in routes:
             gt = _unbroadcast(vjp(g), t.data.shape)
+            if gt.dtype != t.data.dtype:
+                gt = gt.astype(t.data.dtype)
             _accum(t, gt, own=gt is not g or not taken)
             taken = taken or gt is g
 
@@ -355,12 +386,12 @@ def backward(loss: Tensor) -> None:
 
 
 def add(a, b) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
+    a, b = _pair(a, b)
     return _record(add, a.data + b.data, (a, b), (lambda g: g, lambda g: g))
 
 
 def sub(a, b) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
+    a, b = _pair(a, b)
     return _record(sub, a.data - b.data, (a, b), (lambda g: g, np.negative))
 
 
@@ -370,12 +401,12 @@ def neg(a) -> Tensor:
 
 
 def mul(a, b) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
+    a, b = _pair(a, b)
     return _record(mul, a.data * b.data, (a, b), (lambda g: g * b.data, lambda g: g * a.data))
 
 
 def div(a, b) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
+    a, b = _pair(a, b)
     data = a.data / b.data
     return _record(div, data, (a, b), (lambda g: g / b.data, lambda g: -g * data / b.data))
 
@@ -393,14 +424,14 @@ def log(a) -> Tensor:
 
 def maximum(a, b) -> Tensor:
     """Elementwise max; ties send the gradient to the first argument."""
-    a, b = _wrap(a), _wrap(b)
+    a, b = _pair(a, b)
     take_a = a.data >= b.data
     return _record(maximum, np.maximum(a.data, b.data), (a, b),
                    (lambda g: g * take_a, lambda g: g * ~take_a))
 
 
 def minimum(a, b) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
+    a, b = _pair(a, b)
     take_a = a.data <= b.data
     return _record(minimum, np.minimum(a.data, b.data), (a, b),
                    (lambda g: g * take_a, lambda g: g * ~take_a))
@@ -466,6 +497,18 @@ def gelu(a) -> Tensor:
 # ---------------------------------------------------------------------------
 # shape plumbing
 # ---------------------------------------------------------------------------
+
+
+def cast(a, dtype) -> Tensor:
+    """``a`` converted to ``dtype``; ``a`` itself if it has that dtype already.
+
+    The partial is the identity: the routing rule casts the gradient back
+    to ``a``'s dtype.
+    """
+    a = _wrap(a)
+    if a.data.dtype == dtype:
+        return a
+    return _record(cast, a.data.astype(dtype), (a,), (lambda g: g,))
 
 
 def reshape(a, shape) -> Tensor:

@@ -2,9 +2,10 @@
 
 Deterministic end to end: scene generation, initialization, batching order,
 and the optimizer all run off explicit seeds, so the same configuration
-reproduces the same loss log bit for bit. Divergence (a non-finite loss
-or gradient) aborts with the offending step, and parameter, rather than
-logging garbage or carrying it into the weights.
+reproduces the same loss log bit for bit (at the same dtype and BLAS
+thread count). Divergence (a non-finite prediction, loss or gradient)
+aborts with the offending step, and parameter, rather than logging garbage
+or carrying it into the weights.
 """
 
 from __future__ import annotations
@@ -135,11 +136,14 @@ class Adam:
         self.beta1, self.beta2 = betas
         self.eps = eps
         self.steps = [0] * len(groups)
-        self._m = {id(p): np.zeros_like(p.data) for g in groups for p in g.params}
-        self._v = {id(p): np.zeros_like(p.data) for g in groups for p in g.params}
+        params = self.all_params()
+        # m, v and the scratch in the parameters' dtype, so a float32 step stays float32
+        self._m = {id(p): np.zeros_like(p.data) for p in params}
+        self._v = {id(p): np.zeros_like(p.data) for p in params}
         # two flat scratch buffers, viewed at each parameter's shape
-        largest = max((p.size for g in groups for p in g.params), default=0)
-        self._scratch = np.empty((2, largest))
+        largest = max((p.size for p in params), default=0)
+        dtype = np.result_type(*(p.data.dtype for p in params)) if params else np.float64
+        self._scratch = np.empty((2, largest), dtype=dtype)
 
     def all_params(self) -> list[Parameter]:
         return [p for g in self.groups for p in g.params]
@@ -271,6 +275,9 @@ def train_toy(model: SCSModel, dataset: GroundingDataset, cfg: TrainConfig) -> T
         idx = [(cursor + i) % len(dataset) for i in range(batch)]
         cursor = (cursor + batch) % len(dataset)
         pred = model.forward(dataset.images[idx], dataset.token_ids[idx])
+        if not (np.isfinite(pred.boxes.data).all() and np.isfinite(pred.confidence.data).all()):
+            # matching needs finite costs: a float32 forward overflows before the loss does
+            raise DivergenceError(f"non-finite prediction at step {step}")
         loss, _ = grounding_loss(pred.boxes, pred.confidence,
                                  [dataset.targets[i] for i in idx], cfg.weights)
         loss_value = loss.item()

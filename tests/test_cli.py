@@ -219,6 +219,23 @@ class TestTrainEval:
         config = _model_config(args, vocab_size, _parse_dilations(args.dilations))
         assert config == ModelConfig(vocab_size=vocab_size)
 
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_dtype_flag_reaches_checkpoint_and_run_config(self, tmp_path, dtype):
+        code = main(["train", "--steps", "1", "--scenes", "2", "--seed", "1",
+                     "--batch-size", "2", "--eval-every", "0", "--dtype", dtype,
+                     *TINY_MODEL_FLAGS, "--out-dir", str(tmp_path)])
+        assert code == EXIT_OK
+        ckpt = SCSModel.load(tmp_path / "checkpoint.json")
+        assert ckpt.config.dtype == dtype
+        assert {p.data.dtype for p in ckpt.parameters()} == {np.dtype(dtype)}
+        summary = json.loads((tmp_path / "train_summary.json").read_text())
+        assert summary["run_config"]["dtype"] == dtype
+
+    def test_unknown_dtype_is_a_usage_error(self):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["train", "--dtype", "float16"])
+        assert exc.value.code == 2
+
     def test_eval_missing_checkpoint_exits_io(self, tmp_path):
         assert main(["eval", "--checkpoint", str(tmp_path / "none.json"),
                      "--out-dir", str(tmp_path)]) == EXIT_IO

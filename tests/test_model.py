@@ -17,6 +17,7 @@ TINY = ModelConfig(
     ssd_blocks=1, num_queries=3, ffn_dim=12, image_size=16, patch_size=8,
     vocab_size=len(VOCAB),
 )
+TINY64 = ModelConfig(**{**TINY.to_json(), "dtype": "float64"})
 
 
 def tiny_model(seed=0, config=TINY):
@@ -68,6 +69,24 @@ class TestConfig:
     def test_json_round_trip(self):
         cfg = ModelConfig(dilations=(1, 3))
         assert ModelConfig.from_json(cfg.to_json()) == cfg
+
+    def test_dtype_defaults_to_float32_and_must_be_known(self):
+        assert ModelConfig().dtype == "float32"
+        with pytest.raises(ValueError, match="dtype"):
+            ModelConfig(dtype="float16")
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_parameters_and_positions_take_the_config_dtype(self, dtype):
+        model = tiny_model(config=ModelConfig(**{**TINY.to_json(), "dtype": dtype}))
+        assert {p.data.dtype for p in model.parameters()} == {np.dtype(dtype)}
+        assert {p.grad.dtype for p in model.parameters()} == {np.dtype(dtype)}
+        tokens = model.project_tokens(*tiny_batch()).tokens
+        assert tokens.data.dtype == dtype
+        assert sinusoidal_positions(7, 8, dtype).dtype == dtype
+
+    def test_float32_parameters_are_the_rounded_float64_draws(self):
+        for a, b in zip(tiny_model(seed=3).parameters(), tiny_model(seed=3, config=TINY64).parameters()):
+            assert (a.data == b.data.astype(np.float32)).all(), a.name
 
 
 class TestProjector:
@@ -247,6 +266,25 @@ class TestRegressionHead:
         assert (pred.boxes.data > 0.0).all() and (pred.boxes.data < 1.0).all()
         assert (pred.confidence.data > 0.0).all() and (pred.confidence.data < 1.0).all()
 
+    def test_saturated_confidence_gives_finite_loss_in_float32(self):
+        # a float32 sigmoid of 20 is exactly 1.0, which would make -log(1 - p)
+        # of an unmatched query infinite; the head computes it in float64
+        from mogref.matching import grounding_loss
+
+        model = tiny_model()
+        model.head.conf_out.w.data[:] = 0.0
+        model.head.conf_out.b.data[:] = 20.0
+        pred = model.forward(*tiny_batch())
+        assert pred.boxes.data.dtype == np.float64
+        assert pred.confidence.data.dtype == np.float64
+        assert (pred.confidence.data < 1.0).all()
+        targets = [[BBox(0.3, 0.3, 0.2, 0.2)], [BBox(0.6, 0.6, 0.3, 0.2)]]
+        loss, _ = grounding_loss(pred.boxes, pred.confidence, targets)
+        assert np.isfinite(loss.item())
+        zero_grads(model.parameters())
+        backward(loss)
+        assert all(np.isfinite(p.grad).all() for p in model.parameters())
+
     def test_saturated_bias_drives_coordinates_to_one(self):
         model = tiny_model()
         model.head.box_out.b.data[:] = 20.0
@@ -301,70 +339,108 @@ class TestEndToEnd:
         assert dead == []
 
     def test_single_dilation_model_attention_equals_plain_mha(self):
-        # every one-branch attention site acts as vanilla attention: the
-        # decoders' query self-attention and the SSD cross-attention of the
-        # mixed model, and with dilations=(1,) also the SCE and SCD
-        # cross-attention, which makes the model a plain DETR-style network
-        from mogref.mog import mog_forward
+        check_single_dilation_sites(TINY64, bound=1e-10)
 
-        def sites(model, images, ids):
-            tokens = model.project_tokens(images, ids)
-            memory, per_block = model.sce_forward(tokens)
-            fused = model.fuse_hierarchy(per_block)
-            queries = reshape(model.queries, (1, *model.queries.shape))
-            coarse = model.scd_forward(memory)
-            return {
-                "sce.attn": (model.sce[0].attn, tokens.tokens, None),
-                "scd.self_attn": (model.scd[0].self_attn, queries, None),
-                "scd.cross_attn": (model.scd[0].cross_attn, queries, memory),
-                "ssd.self_attn": (model.ssd[0].self_attn, coarse, None),
-                "ssd.cross_attn": (model.ssd[0].cross_attn, coarse, fused),
-            }
-
-        single = ModelConfig(**{**TINY.to_json(), "dilations": (1,)})
-        for cfg, names in [
-            (TINY, ["scd.self_attn", "ssd.self_attn", "ssd.cross_attn"]),
-            (single, ["sce.attn", "scd.self_attn", "scd.cross_attn",
-                      "ssd.self_attn", "ssd.cross_attn"]),
-        ]:
-            model = tiny_model(config=cfg)
-            found = sites(model, *tiny_batch(config=cfg))
-            for name in names:
-                attn, stream, mem = found[name]
-                assert attn.config.dilations == (1,) and attn.gate is None, name
-                ours = mog_forward(stream, attn, memory=mem)
-                ref = reference_mha(stream.data, attn.w_q.data, attn.w_k.data, attn.w_v.data,
-                                    cfg.num_heads, memory=None if mem is None else mem.data)
-                assert ours.shape == ref.shape, name
-                assert np.abs(ours.data - ref).max() < 1e-10, name
+    def test_single_dilation_model_attention_equals_plain_mha_float32(self):
+        # float32 compute against the float64 reference of the same values
+        check_single_dilation_sites(TINY, bound=1e-6)
 
     def test_gate_parameter_gradient_matches_finite_differences(self):
-        model = tiny_model()
-        images, ids = tiny_batch()
-        targets = [[BBox(0.3, 0.3, 0.2, 0.2)], [BBox(0.6, 0.6, 0.3, 0.2)]]
-        base = model.forward(images, ids)
-        frozen = [
-            hungarian(grounding_cost(base.boxes.data[b], base.confidence.data[b], targets[b]))
-            for b in range(2)
-        ]
-
-        def loss():
-            pred = model.forward(images, ids)
-            total = None
-            for b in range(2):
-                term = assignment_loss(select(pred.boxes, b, 0),
-                                       select(pred.confidence, b, 0),
-                                       targets[b], frozen[b])
-                total = term if total is None else total + term
-            return total / 2.0
-
-        gate_params = [model.sce[0].attn.gate.w, model.sce[0].attn.gate.b,
-                       model.scd[0].cross_attn.gate.b]
+        model = tiny_model(config=TINY64)
+        loss, gate_params = gate_gradient_setup(model)
         zero_grads(model.parameters())
         backward(loss())
         for p in gate_params:
             fd = finite_difference_grad(lambda _: loss(), p)
             assert max_rel_err(p.grad, fd) < 1e-4, p.name
+
+    def test_gate_parameter_gradient_in_float32_matches_float64_differences(self):
+        # the float32 model's gradients against finite differences of a
+        # float64 copy of its parameters, at the oracle's tolerance
+        model = tiny_model()
+        loss, gate_params = gate_gradient_setup(model)
+        zero_grads(model.parameters())
+        backward(loss())
+        reference = tiny_model(config=TINY64)
+        for p, r in zip(model.parameters(), reference.parameters()):
+            r.data[...] = p.data
+        ref_loss, ref_gate_params = gate_gradient_setup(reference)
+        for p, r in zip(gate_params, ref_gate_params):
+            assert p.grad.dtype == np.float32, p.name
+            fd = finite_difference_grad(lambda _: ref_loss(), r)
+            assert max_rel_err(p.grad, fd) < 1e-4, p.name
+
+
+def check_single_dilation_sites(config, bound):
+    """Every one-branch attention site acts as vanilla attention, to ``bound``.
+
+    The decoders' query self-attention and the SSD cross-attention of the
+    mixed model, and with dilations=(1,) also the SCE and SCD
+    cross-attention, which makes the model a plain DETR-style network. The
+    reference is plain float64 numpy over the same values.
+    """
+    from mogref.mog import mog_forward
+
+    def sites(model, images, ids):
+        tokens = model.project_tokens(images, ids)
+        memory, per_block = model.sce_forward(tokens)
+        fused = model.fuse_hierarchy(per_block)
+        queries = reshape(model.queries, (1, *model.queries.shape))
+        coarse = model.scd_forward(memory)
+        return {
+            "sce.attn": (model.sce[0].attn, tokens.tokens, None),
+            "scd.self_attn": (model.scd[0].self_attn, queries, None),
+            "scd.cross_attn": (model.scd[0].cross_attn, queries, memory),
+            "ssd.self_attn": (model.ssd[0].self_attn, coarse, None),
+            "ssd.cross_attn": (model.ssd[0].cross_attn, coarse, fused),
+        }
+
+    def f64(a):
+        return a.astype(np.float64)
+
+    single = ModelConfig(**{**config.to_json(), "dilations": (1,)})
+    for cfg, names in [
+        (config, ["scd.self_attn", "ssd.self_attn", "ssd.cross_attn"]),
+        (single, ["sce.attn", "scd.self_attn", "scd.cross_attn",
+                  "ssd.self_attn", "ssd.cross_attn"]),
+    ]:
+        model = tiny_model(config=cfg)
+        found = sites(model, *tiny_batch(config=cfg))
+        for name in names:
+            attn, stream, mem = found[name]
+            assert attn.config.dilations == (1,) and attn.gate is None, name
+            ours = mog_forward(stream, attn, memory=mem)
+            assert ours.data.dtype == cfg.dtype, name
+            ref = reference_mha(f64(stream.data), f64(attn.w_q.data), f64(attn.w_k.data),
+                                f64(attn.w_v.data), cfg.num_heads,
+                                memory=None if mem is None else f64(mem.data))
+            assert ours.shape == ref.shape, name
+            assert np.abs(ours.data - ref).max() < bound, name
+
+
+def gate_gradient_setup(model):
+    """A frozen-assignment loss over ``tiny_batch`` and three of the model's gate parameters."""
+    images, ids = tiny_batch()
+    targets = [[BBox(0.3, 0.3, 0.2, 0.2)], [BBox(0.6, 0.6, 0.3, 0.2)]]
+    base = model.forward(images, ids)
+    frozen = [
+        hungarian(grounding_cost(base.boxes.data[b], base.confidence.data[b], targets[b]))
+        for b in range(2)
+    ]
+
+    def loss():
+        pred = model.forward(images, ids)
+        total = None
+        for b in range(2):
+            term = assignment_loss(select(pred.boxes, b, 0),
+                                   select(pred.confidence, b, 0),
+                                   targets[b], frozen[b])
+            total = term if total is None else total + term
+        return total / 2.0
+
+    gate_params = [model.sce[0].attn.gate.w, model.sce[0].attn.gate.b,
+                   model.scd[0].cross_attn.gate.b]
+    return loss, gate_params
 
 
 def _linear(name):
@@ -408,7 +484,7 @@ class TestCheckpoint:
         assert names == _expected_names(*blocks, gated=len(cfg.dilations) > 1)
 
     def test_save_load_round_trip(self, tmp_path):
-        model = tiny_model(seed=21)
+        model = tiny_model(seed=21, config=TINY64)
         path = tmp_path / "ckpt.json"
         model.save(path)
         loaded = SCSModel.load(path)
@@ -419,6 +495,33 @@ class TestCheckpoint:
         p1 = model.forward(images, ids)
         p2 = loaded.forward(images, ids)
         assert (p1.boxes.data == p2.boxes.data).all()
+
+    def test_float32_checkpoint_round_trips_bit_for_bit(self, tmp_path):
+        model = tiny_model(seed=21)
+        path = tmp_path / "ckpt.json"
+        model.save(path)
+        assert json.loads(path.read_text())["config"]["dtype"] == "float32"
+        loaded = SCSModel.load(path)
+        assert loaded.config == model.config
+        for a, b in zip(model.parameters(), loaded.parameters()):
+            assert b.data.dtype == np.float32, b.name
+            assert (a.data == b.data).all(), a.name
+        images, ids = tiny_batch()
+        assert (model.forward(images, ids).boxes.data == loaded.forward(images, ids).boxes.data).all()
+
+    def test_checkpoint_without_dtype_loads_as_float64(self, tmp_path):
+        # every checkpoint written before the dtype field holds float64 parameters
+        model = tiny_model(seed=22, config=TINY64)
+        path = tmp_path / "ckpt.json"
+        model.save(path)
+        doc = json.loads(path.read_text())
+        del doc["config"]["dtype"]
+        path.write_text(json.dumps(doc))
+        loaded = SCSModel.load(path)
+        assert loaded.config == TINY64
+        for a, b in zip(model.parameters(), loaded.parameters()):
+            assert b.data.dtype == np.float64, b.name
+            assert (a.data == b.data).all(), a.name
 
     def test_config_mismatch_rejected(self, tmp_path):
         model = tiny_model()
@@ -431,7 +534,7 @@ class TestCheckpoint:
     def test_single_dilation_checkpoint_with_old_gate_entries_loads(self, tmp_path):
         # checkpoints written before one-branch attentions lost their gate
         # carry gate_w (D, 1) and gate_b (1,) for the SCE and SCD cross-attention
-        cfg = ModelConfig(**{**TINY.to_json(), "dilations": (1,)})
+        cfg = ModelConfig(**{**TINY64.to_json(), "dilations": (1,)})
         model = tiny_model(seed=23, config=cfg)
         path = tmp_path / "ckpt.json"
         model.save(path)

@@ -376,6 +376,40 @@ class TestMixtureWeights:
             assert np.abs(p.grad - r.grad).max() < 1e-12, p.name
 
 
+def check_far_below_row_max(gap, dtype, bound):
+    """The core against the per-branch reference when one support row sits ``gap`` below its row max.
+
+    logits = q k^T / 2 with d_k = 4 and k the unit rows: row 1's only
+    class-mate under d=2 sits ``gap`` below its row max. The call takes the
+    per-branch fallback exactly when that class sum is below the floor of
+    ``dtype``; either way output and gradients stay finite and within
+    ``bound`` of the float64 reference.
+    """
+    logits = np.array([[0.0, 1.0, -2.0], [0.0, -gap, 0.5], [-1.0, 0.0, 2.0]])
+    params = [Parameter(name, value.astype(dtype)) for name, value in (
+        ("q", np.concatenate([2.0 * logits, np.zeros((3, 1))], axis=1)[None]),
+        ("k", np.eye(3, 4)[None]),
+        ("v", RngState(6).uniform_array((1, 3, 4), -1.0, 1.0)),
+        ("gammas", np.array([[0.4, 0.6]])),
+    )]
+    refs = [Parameter(f"ref_{p.name}", p.data.astype(np.float64)) for p in params]
+    out = _attention_core(*params, (1, 2), 1)
+    assert out.data.dtype == dtype
+    fallback = np.exp(-gap - 0.5) < mog_module._min_class_sum(dtype)
+    assert ("_attention_core" not in out._backward.__qualname__) == fallback
+    reference = branch_reference(*refs, [build_mask(3, d).bits for d in (1, 2)], 1)
+    assert np.isfinite(out.data).all()
+    assert np.abs(out.data - reference.data).max() < bound
+
+    proj = RngState(7).uniform_array(out.shape, -1.0, 1.0)
+    backward(tsum(out * Tensor(proj.astype(dtype))))
+    backward(tsum(reference * Tensor(proj)))
+    for p, r in zip(params, refs):
+        assert p.grad.dtype == dtype, p.name
+        assert np.isfinite(p.grad).all(), p.name
+        assert np.abs(p.grad - r.grad).max() < bound, p.name
+
+
 def core_inputs(seed, b, h, n_q, n_k, d, dilations, query_batch=None):
     """Projection-shaped q, k, v and per-sample gammas for the attention core."""
     rng = RngState(seed)
@@ -416,7 +450,7 @@ class TestAttentionCore:
         def run(layout):
             chunk_bytes = {"batch": 2 * per_sample, "sample": per_sample, "head": 1}[layout]
             monkeypatch.setattr(mog_module, "_CHUNK_BYTES", chunk_bytes)
-            assert len(mog_module._chunks(2, 2, n_q, n_k)) == {"batch": 1, "sample": 2, "head": 4}[layout]
+            assert len(mog_module._chunks(2, 2, n_q, n_k, 8)) == {"batch": 1, "sample": 2, "head": 4}[layout]
             params, proj = core_inputs(21, 2, 2, n_q, n_k, 8, dilations, query_batch)
             out = _attention_core(*params, dilations, 2)
             assert "_attention_core" in out._backward.__qualname__
@@ -446,29 +480,18 @@ class TestAttentionCore:
 
     @pytest.mark.parametrize("gap", [300.0, 400.0, 740.0])
     def test_far_below_row_max_class_stays_finite(self, gap):
-        # logits = q k^T / 2 with d_k = 4 and k the unit rows: row 1's only
-        # class-mate under d=2 sits `gap` below its row max, which keeps a
-        # normal class sum at 300, a tiny one at 400 and a subnormal one at 740
-        logits = np.array([[0.0, 1.0, -2.0], [0.0, -gap, 0.5], [-1.0, 0.0, 2.0]])
-        q = Parameter("q", np.concatenate([2.0 * logits, np.zeros((3, 1))], axis=1)[None])
-        k = Parameter("k", np.eye(3, 4)[None])
-        v = Parameter("v", RngState(6).uniform_array((1, 3, 4), -1.0, 1.0))
-        gammas = Parameter("gammas", np.array([[0.4, 0.6]]))
-        params = [q, k, v, gammas]
-        refs = copies(params)
-        out = _attention_core(*params, (1, 2), 1)
-        fallback = np.exp(-gap - 0.5) < mog_module._MIN_CLASS_SUM
-        assert ("_attention_core" not in out._backward.__qualname__) == fallback
-        reference = branch_reference(*refs, [build_mask(3, d).bits for d in (1, 2)], 1)
-        assert np.isfinite(out.data).all()
-        assert np.abs(out.data - reference.data).max() < 1e-12
+        # the floor sqrt(tiny) ~ 1.5e-154 sits at a gap of about 354: a
+        # normal class sum above it at 300, a tiny one at 400 and a
+        # subnormal one at 740
+        check_far_below_row_max(gap, np.float64, bound=1e-12)
 
-        proj = Tensor(RngState(7).uniform_array(out.shape, -1.0, 1.0))
-        backward(tsum(out * proj))
-        backward(tsum(reference * proj))
-        for p, r in zip(params, refs):
-            assert np.isfinite(p.grad).all(), p.name
-            assert np.abs(p.grad - r.grad).max() < 1e-12, p.name
+    @pytest.mark.parametrize("gap", [30.0, 60.0, 95.0])
+    def test_far_below_row_max_class_stays_finite_in_float32(self, gap):
+        # the floor sqrt(tiny) ~ 1.1e-19 sits at a gap of about 44: a normal
+        # class sum above it at 30, a tiny one at 60 and a subnormal one at
+        # 95, where gamma / S would overflow float32; the reference is the
+        # float64 arithmetic of the same float32 inputs
+        check_far_below_row_max(gap, np.float32, bound=1e-6)
 
     def test_fallback_after_earlier_chunks_ran(self, monkeypatch):
         # one chunk per sample, and only the last sample has the 740 gap, so
@@ -476,7 +499,7 @@ class TestAttentionCore:
         # before the core returns the fallback; the queries (batch 1)
         # broadcast against all four samples
         monkeypatch.setattr(mog_module, "_CHUNK_BYTES", 3 * 3 * 8)
-        assert len(mog_module._chunks(4, 1, 3, 3)) == 4
+        assert len(mog_module._chunks(4, 1, 3, 3, 8)) == 4
         logits = np.array([[0.0, 1.0, -2.0], [0.0, -740.0, 0.5], [-1.0, 0.0, 2.0]])
         q = Parameter("q", np.concatenate([2.0 * logits, np.zeros((3, 1))], axis=1)[None])
         small = RngState(8).uniform_array((3, 3, 4), -1e-3, 1e-3)  # no gap in samples 0-2
@@ -545,11 +568,15 @@ class TestAttentionCore:
         assert buffers < 1.0, f"peak {buffers:.2f} (B, H, N, N) buffers"
 
 
-@pytest.mark.parametrize("shape, samples, heads, count", [
-    ((8, 4, 74, 74), 2, 4, 4),  # 171 KB samples: two fit the pack budget
-    ((16, 4, 74, 74), 2, 4, 8),  # the same for a 16-scene evaluation
-    ((2, 4, 266, 266), 1, 4, 2),  # 2.2 MB samples: one each
-    ((1, 4, 1034, 1034), 1, 1, 4),  # 34 MB samples: one head each
+@pytest.mark.parametrize("shape, samples, heads, count", [  # shape: (B, H, N_q, N_k, itemsize)
+    ((8, 4, 74, 74, 8), 2, 4, 4),  # 171 KB float64 samples: two fit the pack budget
+    ((16, 4, 74, 74, 8), 2, 4, 8),  # the same for a 16-scene evaluation
+    ((2, 4, 266, 266, 8), 1, 4, 2),  # 2.2 MB samples: one each
+    ((1, 4, 1034, 1034, 8), 1, 1, 4),  # 34 MB samples: one head each
+    ((8, 4, 74, 74, 4), 5, 4, 2),  # 86 KB float32 samples: five fit
+    ((16, 4, 74, 74, 4), 5, 4, 4),
+    ((2, 4, 266, 266, 4), 1, 4, 2),  # 1.1 MB: one each
+    ((1, 4, 1034, 1034, 4), 1, 1, 4),  # 4.3 MB heads: one head each
 ])
 def test_chunks_pack_whole_samples_up_to_the_budget(shape, samples, heads, count):
     b, h = shape[:2]
@@ -586,7 +613,7 @@ def test_eval_forward_scratch_stays_within_the_pack_budget():
 def test_single_class_spread_equals_the_gemm():
     # dilations (1,): the one class column is all ones, so the spread is a
     # broadcast copy; it must equal the (..., 1) @ (1, N_k) product bit for bit
-    keys = mog_module._residue_classes(5, 74, (1,)).keys
+    keys = mog_module._residue_classes(5, 74, (1,), np.float64).keys
     a = RngState(14).uniform_array((8, 4, 5, 1), -3.0, 3.0)
     gemm = (a.reshape(-1, 1) @ keys.T).reshape(8, 4, 5, 74)
     assert (mog_module._spread(a, keys, out=np.empty((8, 4, 5, 74))) == gemm).all()
@@ -604,7 +631,7 @@ def test_selected_class_arithmetic_equals_the_masked_divide(shape, dilations):
     # reference: the divides over every class column with where= the
     # query-row selection mask, and the min through that boolean mask
     b, h, n_q, n_k = shape
-    classes = mog_module._residue_classes(n_q, n_k, dilations)
+    classes = mog_module._residue_classes(n_q, n_k, dilations, np.float64)
     branch = np.repeat(np.arange(len(dilations)), dilations)
     residue = np.concatenate([np.arange(d) for d in dilations])
     rows = np.arange(n_q)[:, None] % np.asarray(dilations)[branch] == residue
@@ -616,7 +643,7 @@ def test_selected_class_arithmetic_equals_the_masked_divide(shape, dilations):
     s, a = mog_module._class_coefficients(e, gammas, classes)
     ref_s = e @ classes.keys
     assert np.array_equal(s, ref_s)
-    assert s[..., rows].min() >= mog_module._MIN_CLASS_SUM
+    assert s[..., rows].min() >= mog_module._min_class_sum(np.float64)
     gam = gammas[:, branch][:, None, None, :]
     assert np.array_equal(a, np.divide(gam, ref_s, out=np.zeros_like(ref_s), where=rows))
 

@@ -19,6 +19,7 @@ from mogref.tensor import (
     add,
     affine,
     backward,
+    cast,
     concat,
     div,
     gelu,
@@ -31,6 +32,7 @@ from mogref.tensor import (
     minimum,
     mul,
     reshape,
+    select,
     softmax,
     sub,
     take_rows,
@@ -404,3 +406,54 @@ class TestModule:
 
         assert [p.name for p in Outer().parameters()] == [
             "first", "inner.b", "inner.a", "nested", "last"]
+
+
+class TestDtypeRule:
+    def test_float32_stays_and_other_inputs_become_float64(self):
+        assert Tensor(np.ones(2, dtype=np.float32)).data.dtype == np.float32
+        assert Tensor(np.ones(2)).data.dtype == np.float64
+        assert Tensor([1, 2]).data.dtype == np.float64
+        assert Tensor(np.ones(2, dtype=np.float16)).data.dtype == np.float64
+
+    @pytest.mark.parametrize("op", [add, sub, mul, div, maximum, minimum])
+    @pytest.mark.parametrize("scalar", [3, 0.1, np.float64(0.1)])
+    def test_a_scalar_operand_takes_the_tensor_dtype(self, op, scalar):
+        x = Tensor(np.array([0.5, 2.0], dtype=np.float32))
+        assert op(x, scalar).data.dtype == np.float32
+        assert op(scalar, x).data.dtype == np.float32
+
+    def test_a_scalar_operand_rounds_to_the_tensor_dtype(self):
+        x = Tensor(np.array([0.5, 2.0], dtype=np.float32))
+        assert (mul(x, 0.1).data == x.data * np.float32(0.1)).all()
+
+    def test_a_selected_scalar_keeps_float32(self):
+        v = Parameter("v", np.array([1.0, 2.0], dtype=np.float32))
+        picked = select(v, 1)
+        assert picked.shape == () and picked.data.dtype == np.float32
+        assert (picked * Tensor(np.ones(3, dtype=np.float32))).data.dtype == np.float32
+
+    def test_each_gradient_takes_its_input_dtype(self):
+        # plain leaves: a Parameter's preallocated grad would cast on += by itself
+        a = Tensor(np.array([0.5, -1.0], dtype=np.float32), requires_grad=True)
+        b = Tensor(np.array([2.0 + 2**-40, 3.0]), requires_grad=True)
+        out = tsum(a * b)
+        assert out.data.dtype == np.float64
+        backward(out)
+        assert a.grad.dtype == np.float32 and b.grad.dtype == np.float64
+        assert (a.grad == b.data.astype(np.float32)).all()
+
+    def test_cast(self):
+        a = Tensor(np.array([0.1, 0.2], dtype=np.float32), requires_grad=True)
+        assert cast(a, np.float32) is a
+        up = cast(a, np.float64)
+        assert up.data.dtype == np.float64 and (up.data == a.data).all()
+        backward(tsum(up * Tensor(np.array([1.0 + 2**-40, 3.0]))))
+        assert a.grad.dtype == np.float32
+        assert a.grad.tolist() == [1.0, 3.0]
+
+    def test_take_rows_gradient_in_the_table_dtype(self):
+        table = Parameter("table", np.ones((3, 2), dtype=np.float32))
+        rows = cast(take_rows(table, [0, 2, 2]), np.float64)
+        backward(tsum(rows * Tensor(np.full((3, 2), 0.5))))
+        assert table.grad.dtype == np.float32
+        assert table.grad.tolist() == [[0.5, 0.5], [0.0, 0.0], [1.0, 1.0]]

@@ -9,7 +9,7 @@ from mogref.matching import BBox
 from mogref.metrics import mean_precision
 from mogref.model import ModelConfig, SCSModel
 from mogref.rng import RngState
-from mogref.tensor import Parameter, no_grad
+from mogref.tensor import Parameter, Tensor, no_grad
 from mogref.train import (
     Adam,
     DivergenceError,
@@ -232,25 +232,34 @@ def reference_adam_update(p, g, m, v, t, lr, b1=0.9, b2=0.999, eps=1e-8):
 
 class TestAdam:
     @staticmethod
-    def two_groups(seed):
+    def two_groups(seed, dtype=np.float64):
         rng = np.random.default_rng(seed)
-        a = Parameter("a", rng.normal(0.0, 1.0, (4, 6)))
-        b = Parameter("b", rng.normal(0.0, 1.0, (5,)))
+        a = Parameter("a", rng.normal(0.0, 1.0, (4, 6)).astype(dtype))
+        b = Parameter("b", rng.normal(0.0, 1.0, (5,)).astype(dtype))
         return [ParamGroup([a], 1e-2), ParamGroup([b], 3e-3)], rng
 
-    def test_step_bit_identical_to_the_plain_expressions(self):
-        groups, rng = self.two_groups(0)
+    def check_plain_expressions(self, dtype):
+        groups, rng = self.two_groups(0, dtype)
         opt = Adam(groups)
         params = opt.all_params()
         ref = [(p.data.copy(), np.zeros_like(p.data), np.zeros_like(p.data)) for p in params]
         lrs = [g.lr for g in groups for _ in g.params]
         for t in range(1, 4):
             for p in params:
-                p.grad = rng.normal(0.0, 1.0, p.shape) * 10.0 ** rng.integers(-6, 3, p.shape)
+                grad = rng.normal(0.0, 1.0, p.shape) * 10.0 ** rng.integers(-6, 3, p.shape)
+                p.grad = grad.astype(dtype)
             opt.step()
             for p, (rp, rm, rv), lr in zip(params, ref, lrs):
                 reference_adam_update(rp, p.grad, rm, rv, t, lr)
+                assert p.data.dtype == dtype
                 assert np.array_equal(p.data, rp)
+
+    def test_step_bit_identical_to_the_plain_expressions(self):
+        self.check_plain_expressions(np.float64)
+
+    def test_float32_step_stays_float32_and_bit_identical_to_the_plain_expressions(self):
+        # m, v and the scratch are float32 too, so no step rounds through float64
+        self.check_plain_expressions(np.float32)
 
     def test_first_update_after_a_freeze_has_step_one_correction(self):
         groups, rng = self.two_groups(1)
@@ -269,6 +278,76 @@ class TestAdam:
         opt.step()
         # m / c1 = g and sqrt(v / c2) = |g| at a group's first update
         np.testing.assert_allclose(start - frozen.data, 1e-2 * g / (np.abs(g) + 1e-8), rtol=1e-12)
+
+
+class TestDtypeAudit:
+    def test_default_training_step_is_float32_up_to_the_head_cast(self):
+        # every node the head's two casts read from is float32, the boxes,
+        # confidences and loss after them float64; every gradient and Adam's
+        # state keep the parameters' float32
+        from mogref.matching import grounding_loss
+        from mogref.tensor import backward
+
+        dataset = build_synthetic_dataset(8, SyntheticSceneSpec(image_size=64), VOCAB, 0)
+        model = SCSModel(ModelConfig(vocab_size=len(VOCAB)), VOCAB, RngState(0))
+        assert model.config.dtype == "float32"
+        opt = Adam([ParamGroup(model.parameters(), 1e-3)])
+        pred = model.forward(dataset.images, dataset.token_ids)
+        loss, _ = grounding_loss(pred.boxes, pred.confidence, dataset.targets)
+
+        def ancestors(roots):
+            found, stack = {}, list(roots)
+            while stack:
+                node = stack.pop()
+                if id(node) not in found:
+                    found[id(node)] = node
+                    stack.extend(node._parents)
+            return list(found.values())
+
+        def name(node):
+            return getattr(node, "name", None) or node._backward.__qualname__
+
+        def closure_arrays(node):
+            """Float arrays a backward closure keeps, through tuples, lists and dataclasses."""
+            found, stack = [], [cell.cell_contents for cell in node._backward.__closure__ or ()]
+            while stack:
+                obj = stack.pop()
+                if isinstance(obj, np.ndarray) and obj.dtype.kind == "f":
+                    found.append(obj)
+                elif isinstance(obj, Tensor):
+                    stack.append(obj.data)  # its data, not its graph
+                elif isinstance(obj, (tuple, list)):
+                    stack.extend(obj)
+                elif hasattr(obj, "__dataclass_fields__"):
+                    stack.extend(getattr(obj, f) for f in obj.__dataclass_fields__)
+                elif callable(obj) and getattr(obj, "__closure__", None):
+                    stack.extend(cell.cell_contents for cell in obj.__closure__)
+            return found
+
+        casts = [n for n in ancestors([loss]) if n._backward and n._backward.__qualname__ == "cast"]
+        assert len(casts) == 2
+        before = ancestors([p for c in casts for p in c._parents])
+        assert len(before) > 100
+        assert sorted({name(n) for n in before if n.data.dtype != np.float32}) == []
+        # what the closures keep, e.g. the attention core's class sums and keys
+        assert sorted({name(n) for n in before if n._backward
+                       and any(a.dtype != np.float32 for a in closure_arrays(n))}) == []
+        assert {c.data.dtype for c in casts} == {np.dtype(np.float64)}
+        assert loss.data.dtype == np.float64
+
+        opt.zero_grad()
+        backward(loss)
+        assert sorted(p.name for p in model.parameters() if p.grad.dtype != np.float32) == []
+        opt.step()
+        assert sorted(p.name for p in model.parameters() if p.data.dtype != np.float32) == []
+        assert {a.dtype for a in (*opt._m.values(), *opt._v.values(), opt._scratch)} == {
+            np.dtype(np.float32)}
+
+    def test_eval_boxes_and_confidences_are_float64(self):
+        model, dataset = tiny_setup()
+        assert model.config.dtype == "float32"
+        for box, conf in predict_best_boxes(model, dataset):
+            assert all(type(v) in (float, np.float64) for v in (box.cx, box.cy, box.w, box.h, conf))
 
 
 class TestEvalChunks:
