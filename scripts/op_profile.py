@@ -15,7 +15,8 @@ returns its buffers to the OS and maps them again pays for it there, and
 that cost lands in whichever op happens to touch the fresh pages. It also
 gives the process's peak RSS (``ru_maxrss``) at the end of the run and the
 bytes the attention core's reused scratch buffers (``mog._SCRATCH``) hold
-then. The script applies the CLI's allocator settings
+then, and the wall ms per step of the optimizer update (``Adam.step``,
+timed from this script). The script applies the CLI's allocator settings
 (``mogref.allocator.tune_allocator``) first, as ``mogref train`` does.
 
     PYTHONPATH=src python scripts/op_profile.py --image-size 128 --batch 2 --steps 10
@@ -33,27 +34,41 @@ from mogref.mog import _SCRATCH
 from mogref.model import ModelConfig, SCSModel
 from mogref.rng import RngState
 from mogref.tensor import OpProfile, op_profile
-from mogref.train import TrainConfig, build_synthetic_dataset, train_toy
+from mogref.train import Adam, TrainConfig, build_synthetic_dataset, train_toy
 
 
 def profile_steps(image_size: int, batch: int,
-                  steps: int) -> tuple[OpProfile, float, float, float, float]:
+                  steps: int) -> tuple[OpProfile, float, float, float, float, float]:
     """Per-op backward profile summed over ``steps`` steps, their mean wall
-    ms, minor page faults and system-CPU ms per step, and the peak RSS in MB."""
+    ms, minor page faults, system-CPU ms and ``Adam.step`` ms per step, and
+    the peak RSS in MB."""
     vocab = default_vocab()
     dataset = build_synthetic_dataset(batch, SyntheticSceneSpec(image_size=image_size), vocab, 0)
     model = SCSModel(ModelConfig(image_size=image_size, vocab_size=len(vocab)), vocab, RngState(0))
     cfg = TrainConfig(steps=1, batch_size=batch, eval_every=0, target_train_p50=None)
     train_toy(model, dataset, cfg)
+    untimed_step = Adam.step
+    optimizer_s = []
+
+    def timed_step(opt):
+        start = time.perf_counter()
+        untimed_step(opt)
+        optimizer_s.append(time.perf_counter() - start)
+
     usage = resource.getrusage(resource.RUSAGE_SELF)
     start = time.perf_counter()
-    with op_profile() as prof:
-        train_toy(model, dataset, replace(cfg, steps=steps))
+    Adam.step = timed_step
+    try:
+        with op_profile() as prof:
+            train_toy(model, dataset, replace(cfg, steps=steps))
+    finally:
+        Adam.step = untimed_step
     wall_ms = (time.perf_counter() - start) * 1e3 / steps
     after = resource.getrusage(resource.RUSAGE_SELF)
     faults = (after.ru_minflt - usage.ru_minflt) / steps
     sys_ms = (after.ru_stime - usage.ru_stime) * 1e3 / steps
-    return prof, wall_ms, faults, sys_ms, after.ru_maxrss / 1024  # Linux reports KiB
+    optimizer_ms = sum(optimizer_s) * 1e3 / steps
+    return prof, wall_ms, faults, sys_ms, optimizer_ms, after.ru_maxrss / 1024  # Linux reports KiB
 
 
 def run(argv=None) -> int:
@@ -66,12 +81,14 @@ def run(argv=None) -> int:
     if args.steps < 1 or args.batch < 1:
         parser.error("--steps and --batch must be positive")
     tune_allocator()
-    prof, step_ms, faults, sys_ms, peak_mb = profile_steps(args.image_size, args.batch, args.steps)
+    prof, step_ms, faults, sys_ms, optimizer_ms, peak_mb = profile_steps(
+        args.image_size, args.batch, args.steps)
     total = sum(prof.ms.values())
     print(f"# image_size={args.image_size} batch={args.batch} steps={args.steps}: "
           f"{step_ms:.1f} ms/step ({faults:.0f} minor faults, {sys_ms:.1f} ms system CPU), "
           f"peak RSS {peak_mb:.1f} MB, "
           f"attention scratch {sum(b.nbytes for b in _SCRATCH.buffers) / 2**20:.2f} MB, "
+          f"optimizer {optimizer_ms:.2f} ms/step, "
           f"backward ops {total / args.steps:.1f} ms/step")
     print(f"{'op':<28} {'calls/step':>10} {'ms/step':>9} {'share':>6}")
     for name in sorted(prof.ms, key=prof.ms.get, reverse=True):

@@ -24,6 +24,11 @@ so zeroing the output projections turns every stage into the identity.
 Every module lists its parameters in construction order (see
 :class:`mogref.tensor.Module`); :meth:`SCSModel.parameters` is also the
 order of the optimizer's updates and of the checkpoint's entries.
+:class:`SCSModel` packs them once, in that order and in the config's
+dtype, into its :class:`~mogref.tensor.Arena` (``model.arena``): every
+parameter's values and gradient are views into two flat buffers, the
+projector's first. Code that sets values or gradients writes into those
+views in place, as :meth:`SCSModel.load` does.
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ from mogref.data import ValidationError, Vocab, atomic_open
 from mogref.mog import MoGAttention, MoGConfig, mog_forward
 from mogref.rng import RngState
 from mogref.tensor import (
+    Arena,
     Module,
     Parameter,
     Tensor,
@@ -297,6 +303,19 @@ class RegressionHead(Module):
         return Prediction(boxes, reshape(conf, (b, q)))
 
 
+def _stored_values(data: np.ndarray) -> list[float]:
+    """A parameter's values as the flat list of floats its checkpoint entry holds.
+
+    A float32 value becomes the double nearest its shortest float32
+    decimal (at most 9 digits), so ``json`` writes that decimal and a load
+    rounds it back to the same float32; a float64 value stays as it is.
+    """
+    flat = data.reshape(-1)
+    if flat.dtype == np.float32:
+        flat = flat.astype(str).astype(np.float64)
+    return flat.tolist()
+
+
 class SCSModel(Module):
     """End-to-end grounding model over raster + token-id batches."""
 
@@ -319,9 +338,7 @@ class SCSModel(Module):
         self.ssd = [DecoderBlock(config, rng, f"ssd.{i}", (1,)) for i in range(config.ssd_blocks)]
         self.head = RegressionHead(config.model_dim, rng)
         # drawn in float64, so both dtypes start from the same draws
-        for p in self.parameters():
-            p.data = p.data.astype(config.dtype, copy=False)
-            p.grad = np.zeros_like(p.data)
+        self.arena = Arena(self.parameters(), config.dtype)
 
     # -- stages ------------------------------------------------------------
 
@@ -376,7 +393,7 @@ class SCSModel(Module):
             "config": self.config.to_json(),
             "vocab": self.vocab.content_words(),
             "params": {
-                p.name: {"shape": list(p.shape), "data": p.data.reshape(-1).tolist()}
+                p.name: {"shape": list(p.shape), "data": _stored_values(p.data)}
                 for p in self.parameters()
             },
         }

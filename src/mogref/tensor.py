@@ -43,6 +43,13 @@ exception. Inside ``with op_profile() as prof:`` (thread-local in the same
 way), :func:`backward` adds each closure's wall time and call count to
 ``prof`` under its op name.
 
+An :class:`Arena` packs a list of parameters into one contiguous ``data``
+and one ``grad`` buffer and makes each ``Parameter.data`` and ``.grad`` a
+view of its slice, so an optimizer can update a run of parameters in one
+pass and zero their gradients in one fill. Gradients reach those views in
+place: :func:`_accum` adds into a leaf's existing ``.grad`` and
+:func:`take_rows` scatters into it.
+
 Masked softmax is the one numerically delicate op: masked logits are
 replaced by -inf before the stable exponential, which makes masked output
 entries exactly 0.0 (``exp(-inf) == 0``) rather than merely small.
@@ -144,17 +151,72 @@ class Tensor:
 
 
 class Parameter(Tensor):
-    """Named trainable leaf; ``grad`` starts as zeros of the same shape."""
+    """Named trainable leaf; ``grad`` starts as zeros of the same shape.
 
-    __slots__ = ("name",)
+    Once an :class:`Arena` has packed it, ``arena`` is that arena and
+    ``offset`` the parameter's first position in its flat buffers.
+    """
+
+    __slots__ = ("name", "arena", "offset")
 
     def __init__(self, name: str, data):
         super().__init__(data, requires_grad=True)
         self.name = name
         self.grad = np.zeros_like(self.data)
+        self.arena: Arena | None = None
+        self.offset = 0
 
     def __repr__(self) -> str:
         return f"Parameter({self.name!r}, shape={self.shape})"
+
+
+class Arena:
+    """Two contiguous buffers, ``data`` and ``grad``, that hold the values
+    and gradients of a list of parameters.
+
+    Packing copies the parameters' values, in the order given and cast to
+    ``dtype`` (by default their common dtype), into the flat ``data``
+    buffer, zeroes the flat ``grad`` buffer, and rebinds every ``p.data``
+    and ``p.grad`` to a view of the parameter's slice of each. So
+    consecutive parameters are one slice of the buffers, which an optimizer
+    updates in one pass, and zeroing their gradients is one ``fill``. From
+    then on values and gradients are assigned in place (``p.data[...] = x``,
+    ``p.grad[...] = g``); a rebound array is no longer the arena's, and
+    :meth:`span` refuses it.
+    """
+
+    def __init__(self, params: Sequence[Parameter], dtype=None):
+        params = list(params)
+        if dtype is None:
+            dtype = np.result_type(*(p.data.dtype for p in params)) if params else np.float64
+        total = sum(p.size for p in params)
+        self.data = np.empty(total, dtype=dtype)
+        self.grad = np.zeros(total, dtype=dtype)
+        offset = 0
+        for p in params:
+            run = slice(offset, offset + p.size)
+            self.data[run] = p.data.reshape(-1)
+            p.data, p.grad = self.data[run].reshape(p.shape), self.grad[run].reshape(p.shape)
+            p.arena, p.offset = self, offset
+            offset = run.stop
+
+    def span(self, params: Sequence[Parameter]) -> slice:
+        """The slice of the buffers that ``params`` fill, in order and without a gap.
+
+        Raises ``ValueError`` unless ``params`` is a non-empty run of this
+        arena's parameters in packing order whose ``data`` and ``grad`` are
+        still views of its buffers.
+        """
+        if not params:
+            raise ValueError("an empty parameter list is no run of an arena")
+        start = end = params[0].offset
+        for p in params:
+            if p.arena is not self or p.offset != end:
+                raise ValueError(f"parameter {p.name} does not continue one run of the arena")
+            if p.data.base is not self.data or p.grad.base is not self.grad:
+                raise ValueError(f"parameter {p.name} was rebound after packing")
+            end += p.size
+        return slice(start, end)
 
 
 class Module:
@@ -640,6 +702,13 @@ def affine(x, w, b) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
+def _row_mean(y: np.ndarray) -> np.ndarray:
+    """``y.mean(axis=-1, keepdims=True)``, bit for bit, without ``ndarray.mean``'s Python wrapper."""
+    total = np.add.reduce(y, axis=-1, keepdims=True)
+    total /= y.shape[-1]
+    return total
+
+
 def layernorm(a, eps: float = 1e-5) -> Tensor:
     """Zero-mean unit-variance normalization over the last axis (no affine).
 
@@ -648,20 +717,22 @@ def layernorm(a, eps: float = 1e-5) -> Tensor:
     buffer before it normalizes into it, the backward reuses one scratch
     buffer, and both keep the association of ``(x - mu) * inv`` and
     ``inv * ((g - mean(g)) - y * mean(g * y))``, so the bits are those of
-    the plain expressions.
+    the plain expressions. Its row means are ``np.add.reduce`` then an
+    in-place divide, the arithmetic of ``ndarray.mean`` without its Python
+    wrapper.
     """
     a = _wrap(a)
     x = a.data
-    centered = np.subtract(x, x.mean(axis=-1, keepdims=True))
+    centered = np.subtract(x, _row_mean(x))
     data = np.multiply(centered, centered)
-    inv = 1.0 / np.sqrt(data.mean(axis=-1, keepdims=True) + eps)
+    inv = 1.0 / np.sqrt(_row_mean(data) + eps)
     np.multiply(centered, inv, out=data)
 
     def vjp(g):
         scratch = np.multiply(g, data)
-        gym = scratch.mean(axis=-1, keepdims=True)
+        gym = _row_mean(scratch)
         np.multiply(data, gym, out=scratch)
-        dx = np.subtract(g, g.mean(axis=-1, keepdims=True))
+        dx = np.subtract(g, _row_mean(g))
         dx -= scratch
         dx *= inv
         return dx

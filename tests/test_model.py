@@ -228,7 +228,7 @@ class TestFuseHierarchy:
         from mogref.tensor import layernorm
 
         model = tiny_model()
-        model.fuse.logits.data = np.array([-1e9, 0.0])
+        model.fuse.logits.data[...] = [-1e9, 0.0]
         rng = RngState(4)
         a = Tensor(rng.uniform_array((1, 4, 8), -1, 1))
         b = Tensor(rng.uniform_array((1, 4, 8), -1, 1))
@@ -472,6 +472,70 @@ def _expected_names(sce, scd, ssd, gated):
     ]
 
 
+class TestArena:
+    @pytest.mark.parametrize("config", [TINY, TINY64], ids=["float32", "float64"])
+    def test_parameters_are_views_in_parameter_order(self, config):
+        model = tiny_model(seed=4, config=config)
+        arena, params = model.arena, model.parameters()
+        assert arena.data.dtype == arena.grad.dtype == np.dtype(config.dtype)
+        assert arena.data.shape == arena.grad.shape == (sum(p.size for p in params),)
+        offset = 0
+        for p in params:
+            assert p.arena is arena and p.offset == offset, p.name
+            assert p.data.base is arena.data and p.grad.base is arena.grad, p.name
+            assert np.array_equal(arena.data[offset:offset + p.size], p.data.reshape(-1)), p.name
+            offset += p.size
+        assert arena.span(params) == slice(0, offset)
+        arena.data[:] = 0.5  # the buffers are the parameters' storage
+        arena.grad[:] = 2.0
+        assert all((p.data == 0.5).all() and (p.grad == 2.0).all() for p in params)
+
+    def test_projector_group_is_the_leading_slice(self):
+        model = tiny_model()
+        projector = model.projector.parameters()
+        size = sum(p.size for p in projector)
+        assert [p.name for p in model.parameters()[:len(projector)]] == [p.name for p in projector]
+        assert model.arena.span(projector) == slice(0, size)
+        assert model.arena.span(model.parameters()[len(projector):]) == slice(
+            size, model.arena.data.size)
+
+    def test_span_refuses_gaps_reordering_and_rebound_arrays(self):
+        model = tiny_model()
+        params = model.parameters()
+        for run in ([], [params[0], params[2]], [params[1], params[0]],
+                    [params[-1], tiny_model().parameters()[0]]):
+            with pytest.raises(ValueError):
+                model.arena.span(run)
+        params[1].grad = params[1].grad.copy()
+        with pytest.raises(ValueError, match=f"{params[1].name} was rebound"):
+            model.arena.span(params)
+
+    def test_load_keeps_the_views(self, tmp_path):
+        model = tiny_model(seed=5)
+        path = tmp_path / "ckpt.json"
+        model.save(path)
+        loaded = SCSModel.load(path)
+        params = loaded.parameters()
+        assert loaded.arena.span(params) == slice(0, loaded.arena.data.size)
+        assert all(p.data.base is loaded.arena.data for p in params)
+        assert np.array_equal(loaded.arena.data, model.arena.data)
+
+
+def significant_digits(number: str) -> int:
+    return len(number.lstrip("-").split("e")[0].replace(".", "").strip("0"))
+
+
+def assert_checkpoint_bits_round_trip(model, path):
+    """Save then load ``model``: same bits, and no stored value longer than float32 needs."""
+    model.save(path)
+    raw = json.loads(path.read_text(), parse_float=lambda text: text)
+    digits = max(significant_digits(v) for entry in raw["params"].values() for v in entry["data"])
+    assert digits <= 9, digits
+    loaded = SCSModel.load(path)
+    assert loaded.arena.data.dtype == np.float32
+    assert np.array_equal(loaded.arena.data.view(np.uint32), model.arena.data.view(np.uint32))
+
+
 class TestCheckpoint:
     @pytest.mark.parametrize("changes, blocks", [
         ({}, (2, 1, 1)),
@@ -508,6 +572,29 @@ class TestCheckpoint:
             assert (a.data == b.data).all(), a.name
         images, ids = tiny_batch()
         assert (model.forward(images, ids).boxes.data == loaded.forward(images, ids).boxes.data).all()
+
+    def test_float32_edge_values_round_trip_bit_for_bit(self, tmp_path):
+        f32 = np.finfo(np.float32)
+        subnormal = np.float32(f32.smallest_subnormal)
+        edges = np.array([f32.max, -f32.max, f32.tiny, -f32.tiny, subnormal, -subnormal,
+                          f32.tiny - subnormal, np.float32(3) * subnormal,
+                          np.nextafter(np.float32(1), np.float32(2)),
+                          np.nextafter(np.float32(1), np.float32(0)),
+                          np.nextafter(np.float32(-1), np.float32(-2)), 1.0, -0.0, 0.0, 0.1],
+                         dtype=np.float32)
+        model = tiny_model(seed=6)
+        model.arena.data[:edges.size] = edges
+        assert_checkpoint_bits_round_trip(model, tmp_path / "ckpt.json")
+
+    def test_trained_default_float32_model_round_trips_bit_for_bit(self, tmp_path):
+        from mogref.data import SyntheticSceneSpec
+        from mogref.train import TrainConfig, build_synthetic_dataset, train_toy
+
+        dataset = build_synthetic_dataset(2, SyntheticSceneSpec(), VOCAB, 0)
+        model = SCSModel(ModelConfig(vocab_size=len(VOCAB)), VOCAB, RngState(0))
+        train_toy(model, dataset, TrainConfig(steps=2, batch_size=2, eval_every=0,
+                                              target_train_p50=None))
+        assert_checkpoint_bits_round_trip(model, tmp_path / "ckpt.json")
 
     def test_checkpoint_without_dtype_loads_as_float64(self, tmp_path):
         # every checkpoint written before the dtype field holds float64 parameters

@@ -103,7 +103,8 @@ def test_script_profiles_a_default_step(capsys):
     assert script.run(["--steps", "1"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert re.search(r"ms/step \(\d+ minor faults, \d+\.\d ms system CPU\), "
-                     r"peak RSS \d+\.\d MB, attention scratch \d+\.\d\d MB, ", lines[0])
+                     r"peak RSS \d+\.\d MB, attention scratch \d+\.\d\d MB, "
+                     r"optimizer \d+\.\d\d ms/step, ", lines[0])
     rows = {}
     for line in lines[2:]:
         name, calls, ms, _share = line.split()

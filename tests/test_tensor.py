@@ -306,6 +306,19 @@ class TestInPlaceKernels:
         assert np.array_equal(out.data, want_out)
         assert np.array_equal(x.grad, want_grad)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_layernorm_row_means_equal_ndarray_mean_at_an_odd_width(self, dtype):
+        # the reference takes its four row means with ndarray.mean; 63 is not
+        # a multiple of any SIMD width, so the reduction has a ragged tail
+        x = Parameter("x", _inputs("random", (4, 7, 63), seed=13).astype(dtype))
+        g = np.random.default_rng(14).normal(0.0, 1.0, x.shape).astype(dtype)
+        out = layernorm(x)
+        backward(tsum(out * Tensor(g)))
+        want_out, want_grad = reference_layernorm(x.data, g)
+        assert out.data.dtype == want_out.dtype == dtype
+        assert np.array_equal(out.data, want_out)
+        assert np.array_equal(x.grad, want_grad)
+
 
 _BINARY = [add, sub, mul, div, maximum, minimum, matmul, lambda u, v: concat([u, v], axis=0)]
 _BINARY_IDS = ["add", "sub", "mul", "div", "maximum", "minimum", "matmul", "concat"]

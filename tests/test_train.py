@@ -9,7 +9,7 @@ from mogref.matching import BBox
 from mogref.metrics import mean_precision
 from mogref.model import ModelConfig, SCSModel
 from mogref.rng import RngState
-from mogref.tensor import Parameter, Tensor, no_grad
+from mogref.tensor import Arena, Parameter, Tensor, no_grad
 from mogref.train import (
     Adam,
     DivergenceError,
@@ -236,6 +236,7 @@ class TestAdam:
         rng = np.random.default_rng(seed)
         a = Parameter("a", rng.normal(0.0, 1.0, (4, 6)).astype(dtype))
         b = Parameter("b", rng.normal(0.0, 1.0, (5,)).astype(dtype))
+        Arena([a, b])
         return [ParamGroup([a], 1e-2), ParamGroup([b], 3e-3)], rng
 
     def check_plain_expressions(self, dtype):
@@ -247,7 +248,7 @@ class TestAdam:
         for t in range(1, 4):
             for p in params:
                 grad = rng.normal(0.0, 1.0, p.shape) * 10.0 ** rng.integers(-6, 3, p.shape)
-                p.grad = grad.astype(dtype)
+                p.grad[...] = grad.astype(dtype)
             opt.step()
             for p, (rp, rm, rv), lr in zip(params, ref, lrs):
                 reference_adam_update(rp, p.grad, rm, rv, t, lr)
@@ -269,15 +270,57 @@ class TestAdam:
         groups[0].lr = 0.0
         for _ in range(5):
             for p in opt.all_params():
-                p.grad = rng.normal(0.0, 1.0, p.shape)
+                p.grad[...] = rng.normal(0.0, 1.0, p.shape)
             opt.step()
         assert np.array_equal(frozen.data, start)
         groups[0].lr = 1e-2
         g = rng.normal(0.0, 1.0, frozen.shape)
-        frozen.grad = g
+        frozen.grad[...] = g
         opt.step()
         # m / c1 = g and sqrt(v / c2) = |g| at a group's first update
         np.testing.assert_allclose(start - frozen.data, 1e-2 * g / (np.abs(g) + 1e-8), rtol=1e-12)
+
+
+    @staticmethod
+    def model_groups(model):
+        projector = model.projector.parameters()
+        return [ParamGroup(projector, 1e-3), ParamGroup(model.parameters()[len(projector):], 1e-3)]
+
+    def test_zero_grad_zeroes_every_gradient_in_one_fill(self):
+        from mogref.matching import grounding_loss
+        from mogref.tensor import backward
+
+        model, ds = tiny_setup()
+        opt = Adam(self.model_groups(model))
+        pred = model.forward(ds.images, ds.token_ids)
+        backward(grounding_loss(pred.boxes, pred.confidence, ds.targets)[0])
+        assert all(np.any(p.grad != 0.0) for p in model.parameters()[:3])
+        assert len(opt._zero) == 1 and opt._zero[0].base is model.arena.grad
+        opt.zero_grad()
+        assert not model.arena.grad.any()
+        assert all(not p.grad.any() for p in model.parameters())
+
+    def test_group_that_is_not_one_run_of_an_arena_raises(self):
+        model, _ = tiny_setup()
+        params = model.parameters()
+        loose = Parameter("loose", np.zeros(3))
+        for group in ([params[0], params[2]], [params[1], params[0]], [loose], [],
+                      [params[-1], tiny_setup()[0].parameters()[0]]):
+            with pytest.raises(ValueError):
+                Adam([ParamGroup(group, 1e-3)])
+
+    @pytest.mark.parametrize("attr", ["grad", "data"])
+    def test_rebound_parameter_array_raises(self, attr):
+        model, _ = tiny_setup()
+        opt = Adam(self.model_groups(model))
+        p = model.parameters()[5]
+        setattr(p, attr, getattr(p, attr).copy())
+        before = model.arena.data.copy()
+        with pytest.raises(RuntimeError, match=re.escape(p.name)):
+            opt.step()
+        assert np.array_equal(model.arena.data, before)
+        with pytest.raises(ValueError, match="rebound"):
+            Adam(self.model_groups(model))
 
 
 class TestDtypeAudit:
@@ -340,8 +383,7 @@ class TestDtypeAudit:
         assert sorted(p.name for p in model.parameters() if p.grad.dtype != np.float32) == []
         opt.step()
         assert sorted(p.name for p in model.parameters() if p.data.dtype != np.float32) == []
-        assert {a.dtype for a in (*opt._m.values(), *opt._v.values(), opt._scratch)} == {
-            np.dtype(np.float32)}
+        assert {a.dtype for arrays in opt._flat for a in arrays} == {np.dtype(np.float32)}
 
     def test_eval_boxes_and_confidences_are_float64(self):
         model, dataset = tiny_setup()
