@@ -26,14 +26,12 @@ from mogref.matching import (
     Assignment,
     BBox,
     LossWeights,
-    assignment_loss,
     batch_assignment_loss,
     giou,
     giou_pairs,
     grounding_loss,
     hungarian,
     iou,
-    match_and_loss,
 )
 from mogref.metrics import (
     DatasetStats,

@@ -26,6 +26,7 @@ object. Everything is deterministic given an :class:`RngState`.
 from __future__ import annotations
 
 import json
+import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -94,6 +95,18 @@ class AnnotationRecord:
         return out
 
 
+def _number(convert, value, where: str, field: str):
+    """``convert(value)`` if that gives a finite number; otherwise a
+    :class:`ValidationError` that names the record and the field."""
+    try:
+        out = convert(value)
+        if math.isfinite(out):
+            return out
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValidationError(f"{where}: {field} must be a finite number, got {value!r}")
+
+
 def _record_from_json(obj: dict, index: int) -> AnnotationRecord:
     where = f"records[{index}]"
     if not isinstance(obj, dict):
@@ -108,11 +121,12 @@ def _record_from_json(obj: dict, index: int) -> AnnotationRecord:
     for i, b in enumerate(boxes):
         if not (isinstance(b, list) and len(b) == 4):
             raise ValidationError(f"{where}: target_boxes[{i}] must be [x, y, w, h]")
-        parsed.append(tuple(float(v) for v in b))
+        parsed.append(tuple(_number(float, v, where, f"target_boxes[{i}][{k}]")
+                            for k, v in enumerate(b)))
     rec = AnnotationRecord(
         image_id=str(obj["image_id"]),
-        image_w=int(obj["image_w"]),
-        image_h=int(obj["image_h"]),
+        image_w=_number(int, obj["image_w"], where, "image_w"),
+        image_h=_number(int, obj["image_h"], where, "image_h"),
         expression=str(obj["expression"]),
         target_boxes=parsed,
         category=obj.get("category"),

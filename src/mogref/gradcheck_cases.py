@@ -252,6 +252,7 @@ def case_giou_pairs(rng: RngState) -> Case:
 
 
 def case_match_and_loss(rng: RngState) -> Case:
+    """One sample's set loss: ``grounding_loss`` at B = 1, matched at every evaluation."""
     boxes = _param(rng, "boxes", (3, 4), 0.25, 0.75)
     conf = _param(rng, "conf", (3,), 0.2, 0.8)
     targets = [
@@ -259,7 +260,8 @@ def case_match_and_loss(rng: RngState) -> Case:
                       rng.uniform_in(0.2, 0.4), rng.uniform_in(0.2, 0.4))
         for _ in range(2)
     ]
-    return (lambda: matching.match_and_loss(boxes, conf, targets)[0]), [boxes, conf]
+    return (lambda: matching.grounding_loss(tensor.reshape(boxes, (1, 3, 4)),
+                                            tensor.reshape(conf, (1, 3)), [targets])[0]), [boxes, conf]
 
 
 def case_grounding_loss_batch(rng: RngState) -> Case:

@@ -11,10 +11,11 @@ are tested against each other and against a rasterized counting oracle.
 tie-break as an exact second key, so among the optimal assignments it
 returns the lexicographically smallest without solving again.
 
-The loss matches each sample with :func:`hungarian` on detached values,
-then scores the whole batch in one small graph: one gather of the matched
-boxes, one L1 and one GIoU term over every matched pair of the batch, and
-one confidence term over every query.
+One loss path serves every batch size; a single sample is B = 1. The loss
+matches each sample with :func:`hungarian` on the detached
+:func:`grounding_cost`, then scores the whole batch in one small graph:
+one gather of the matched boxes, one L1 and one GIoU term over every
+matched pair of the batch, and one confidence term over every query.
 """
 
 from __future__ import annotations
@@ -248,16 +249,23 @@ def giou_pairs(a: Tensor, b: Tensor) -> Tensor:
     return inter / union - (enclose - union) / enclose
 
 
-def _cost_block(boxes: np.ndarray, confidence: np.ndarray, targets: np.ndarray,
-                weights: LossWeights) -> np.ndarray:
+def _target_rows(targets: Sequence[BBox]) -> np.ndarray:
+    return np.array([(t.cx, t.cy, t.w, t.h) for t in targets], dtype=np.float64).reshape(-1, 4)
+
+
+def grounding_cost(boxes: np.ndarray, confidence: np.ndarray, targets: Sequence[BBox],
+                   weights: LossWeights = LossWeights()) -> np.ndarray:
     """(..., Q, T) matching cost of (..., Q, 4) boxes and (..., Q) confidences
-    against (T, 4) target rows.
+    against T target boxes: weighted L1 + (1 - GIoU) - confidence bonus.
 
     Each entry takes the same float operations in the same order as the
     scalar ``giou(BBox(*clip(box)), target)`` path, so it equals that path
     bit for bit: L1 on the raw box, GIoU on the box clipped to [0, 1], the
     zero-union and zero-enclosure branches of :func:`iou`/:func:`giou`.
     """
+    boxes = np.asarray(boxes, dtype=np.float64)
+    confidence = np.asarray(confidence, dtype=np.float64)
+    targets = _target_rows(targets)
     l1 = np.abs(boxes[..., :, None, :] - targets).sum(axis=-1)
     pb = np.clip(boxes, 0.0, 1.0)[..., :, None, :]  # (..., Q, 1, 4)
     pcx, pcy, pw, ph = pb[..., 0], pb[..., 1], pb[..., 2], pb[..., 3]
@@ -279,19 +287,12 @@ def _cost_block(boxes: np.ndarray, confidence: np.ndarray, targets: np.ndarray,
     return weights.l1 * l1 + weights.giou * (1.0 - g) - weights.conf * confidence[..., :, None]
 
 
-def _target_rows(targets: Sequence[BBox]) -> np.ndarray:
-    return np.array([(t.cx, t.cy, t.w, t.h) for t in targets], dtype=np.float64).reshape(-1, 4)
-
-
-def grounding_cost(boxes: np.ndarray, confidence: np.ndarray, targets: Sequence[BBox],
-                   weights: LossWeights = LossWeights()) -> np.ndarray:
-    """(Q, T) matching cost: weighted L1 + (1 - GIoU) - confidence bonus.
-
-    GIoU is taken on the prediction clipped to [0, 1], as :func:`giou` of a
-    :class:`BBox` would; L1 on the raw prediction.
-    """
-    return _cost_block(np.asarray(boxes, dtype=np.float64),
-                       np.asarray(confidence, dtype=np.float64), _target_rows(targets), weights)
+def _check_batch(boxes: Tensor, confidence: Tensor, samples: int) -> None:
+    if boxes.ndim != 3 or boxes.shape[2] != 4 or confidence.shape != boxes.shape[:2]:
+        raise ValueError(f"need (B, Q, 4) boxes and (B, Q) confidences, "
+                         f"got {boxes.shape} and {confidence.shape}")
+    if samples != boxes.shape[0]:
+        raise ValueError(f"got {samples} target lists for batch of {boxes.shape[0]}")
 
 
 def batch_assignment_loss(boxes: Tensor, confidence: Tensor,
@@ -300,16 +301,16 @@ def batch_assignment_loss(boxes: Tensor, confidence: Tensor,
                           weights: LossWeights = LossWeights()) -> Tensor:
     """Mean over the batch of each sample's loss under a fixed assignment.
 
-    ``boxes`` is (B, Q, 4) and ``confidence`` (B, Q); a (Q, 4) / (Q,) pair
-    is one sample. A sample's loss is L1 + (1 - GIoU) averaged over its M_b
+    ``boxes`` is (B, Q, 4) and ``confidence`` (B, Q); a single sample is
+    B = 1. A sample's loss is L1 + (1 - GIoU) averaged over its M_b
     matched pairs, plus a binary confidence log-loss (matched queries should
     say 1, the rest 0) averaged over its Q queries. The whole batch is
     scored at once: every matched pair is weighted 1/(M_b B) and every query
     1/(Q B), and the confidence term is -log((1 - y) + (2y - 1) p), which is
     -log p for y = 1 and -log(1 - p) for y = 0 exactly.
     """
-    num_q = confidence.shape[-1]
-    batch = len(assignments)
+    _check_batch(boxes, confidence, len(assignments))
+    batch, num_q = confidence.shape
     rows, matched, pair_w = [], [], []
     for b, (targets, assignment) in enumerate(zip(targets_per_sample, assignments)):
         if not assignment.pairs:
@@ -322,8 +323,7 @@ def batch_assignment_loss(boxes: Tensor, confidence: Tensor,
     labels[rows] = 1.0
     labels = labels.reshape(confidence.shape)
 
-    flat = boxes if boxes.ndim == 2 else reshape(boxes, (batch * num_q, 4))
-    picked = take_rows(flat, rows)  # (M, 4)
+    picked = take_rows(reshape(boxes, (batch * num_q, 4)), rows)  # (M, 4)
     target_tensor = Tensor(_target_rows(matched))
     l1_term = tsum(absolute(picked - target_tensor) * (weights.l1 * pair_w)[:, None])
     giou_term = tsum((1.0 - giou_pairs(picked, target_tensor)) * (weights.giou * pair_w))
@@ -332,46 +332,19 @@ def batch_assignment_loss(boxes: Tensor, confidence: Tensor,
     return l1_term + giou_term + conf_term
 
 
-def assignment_loss(pred_boxes: Tensor, confidence: Tensor, targets: Sequence[BBox],
-                    assignment: Assignment,
-                    weights: LossWeights = LossWeights()) -> Tensor:
-    """Loss of one sample, (Q, 4) / (Q,), under a fixed assignment; differentiable.
-
-    The B = 1 case of :func:`batch_assignment_loss`.
-    """
-    return batch_assignment_loss(pred_boxes, confidence, [targets], [assignment], weights)
-
-
-def match_and_loss(pred_boxes: Tensor, confidence: Tensor, targets: Sequence[BBox],
-                   weights: LossWeights = LossWeights()) -> tuple[Tensor, Assignment]:
-    """Hungarian-match one sample's predictions to its targets, then score.
-
-    ``pred_boxes`` is (Q, 4) and ``confidence`` (Q,), both in [0, 1]. The
-    assignment is computed on detached values and held fixed, so the loss
-    is differentiable in the predictions. The B = 1 case of
-    :func:`grounding_loss`.
-    """
-    if len(targets) == 0:
-        raise ValueError("match_and_loss needs at least one target box")
-    assignment = hungarian(grounding_cost(pred_boxes.data, confidence.data, targets, weights))
-    return assignment_loss(pred_boxes, confidence, targets, assignment, weights), assignment
-
-
 def grounding_loss(boxes: Tensor, confidence: Tensor, targets_per_sample: Sequence[Sequence[BBox]],
                    weights: LossWeights = LossWeights()) -> tuple[Tensor, list[Assignment]]:
-    """Batch mean of :func:`match_and_loss` over (B, Q, 4) / (B, Q) tensors.
+    """Hungarian-match each sample of (B, Q, 4) boxes and (B, Q) confidences, then score.
 
-    One cost block scores every query of the batch against every target;
-    each sample is matched on its own columns, then the batch is scored
-    in one graph by :func:`batch_assignment_loss`.
+    One :func:`grounding_cost` call scores every query of the batch against
+    every target; each sample is matched on its own columns, and the batch
+    is scored under those fixed assignments by :func:`batch_assignment_loss`.
     """
-    batch = boxes.shape[0]
-    if len(targets_per_sample) != batch:
-        raise ValueError(f"got {len(targets_per_sample)} target lists for batch of {batch}")
+    _check_batch(boxes, confidence, len(targets_per_sample))
     if any(len(targets) == 0 for targets in targets_per_sample):
         raise ValueError("grounding_loss needs at least one target box per sample")
     all_targets = [t for targets in targets_per_sample for t in targets]
-    cost = _cost_block(boxes.data, confidence.data, _target_rows(all_targets), weights)
+    cost = grounding_cost(boxes.data, confidence.data, all_targets, weights)
     ends = np.cumsum([len(targets) for targets in targets_per_sample])
     assignments = [hungarian(cost[b, :, end - len(targets):end])
                    for b, (targets, end) in enumerate(zip(targets_per_sample, ends))]

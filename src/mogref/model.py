@@ -457,8 +457,15 @@ class SCSModel(Module):
                 raise ValidationError(
                     f"{path}: parameter {name} has shape {shape}, expected {p.shape}"
                 )
+            data = stored[name]["data"]
+            # numpy would read null as NaN and true or "0.5" as numbers
+            if not set(map(type, data)) <= {float, int}:
+                raise ValidationError(f"{path}: parameter {name} holds a value that is not a number")
             try:
-                p.data[...] = np.array(stored[name]["data"], dtype=np.float64).reshape(shape)
-            except ValueError as exc:
+                values = np.array(data, dtype=np.float64).reshape(shape)
+            except (OverflowError, ValueError) as exc:
                 raise ValidationError(f"{path}: parameter {name}: {exc}") from exc
+            if not np.isfinite(values).all():
+                raise ValidationError(f"{path}: parameter {name} holds a non-finite value")
+            p.data[...] = values
         return model

@@ -14,6 +14,7 @@ gradient check is one ``isfinite`` over the arena's gradient buffer.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -70,20 +71,21 @@ def _targets_of(record: AnnotationRecord) -> list[BBox]:
             for b in record.target_boxes]
 
 
+def _assemble(images: Sequence[np.ndarray], records: list[AnnotationRecord],
+              vocab: Vocab) -> GroundingDataset:
+    ids = _pad_ids([tokenize(r.expression, vocab) for r in records], vocab.pad_id)
+    return GroundingDataset(np.stack(images), ids, [_targets_of(r) for r in records], records)
+
+
 def build_synthetic_dataset(num_scenes: int, spec: SyntheticSceneSpec, vocab: Vocab,
                             seed: int) -> GroundingDataset:
     """Generate ``num_scenes`` referring scenes from per-index substreams."""
     if num_scenes < 1:
         raise ValidationError(f"need at least one scene, got {num_scenes}")
     root = RngState(seed)
-    images, ids, targets, records = [], [], [], []
-    for i in range(num_scenes):
-        image, record = generate_scene(spec, root.derive(i), image_id=f"scene-{i:05d}")
-        images.append(image)
-        ids.append(tokenize(record.expression, vocab))
-        targets.append(_targets_of(record))
-        records.append(record)
-    return GroundingDataset(np.stack(images), _pad_ids(ids, vocab.pad_id), targets, records)
+    scenes = [generate_scene(spec, root.derive(i), image_id=f"scene-{i:05d}")
+              for i in range(num_scenes)]
+    return _assemble([image for image, _ in scenes], [record for _, record in scenes], vocab)
 
 
 def load_dataset_dir(path, vocab: Vocab) -> GroundingDataset:
@@ -94,7 +96,7 @@ def load_dataset_dir(path, vocab: Vocab) -> GroundingDataset:
     if not records:
         raise ValidationError(f"{ann}: no records")
     images_dir = ann.parent / "images"
-    images, ids, targets = [], [], []
+    images = []
     size = None
     for rec in records:
         if size is None:
@@ -111,9 +113,7 @@ def load_dataset_dir(path, vocab: Vocab) -> GroundingDataset:
                 f"record says {rec.image_w}x{rec.image_h}"
             )
         images.append(image)
-        ids.append(tokenize(rec.expression, vocab))
-        targets.append(_targets_of(rec))
-    return GroundingDataset(np.stack(images), _pad_ids(ids, vocab.pad_id), targets, records)
+    return _assemble(images, records, vocab)
 
 
 # ---------------------------------------------------------------------------
@@ -326,10 +326,8 @@ def train_toy(model: SCSModel, dataset: GroundingDataset, cfg: TrainConfig) -> T
 
 def train_log_csv(log: Sequence[dict], run_config: dict) -> str:
     """Render the loss log as CSV with the run configuration in the header."""
-    import json as _json
-
     lines = ["# schema_version: 1",
-             f"# run_config: {_json.dumps(run_config, sort_keys=True)}",
+             f"# run_config: {json.dumps(run_config, sort_keys=True)}",
              "step,loss,train_p50"]
     for row in log:
         p50 = "" if row["train_p50"] is None else repr(row["train_p50"])

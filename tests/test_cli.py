@@ -2,6 +2,7 @@ import csv
 import json
 import os
 import platform
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -110,6 +111,22 @@ class TestMakeDataAndStats:
         bad.write_text('{"schema_version": 1, "records": [{"image_id": "x"}]}')
         assert main(["stats", "--data", str(bad), "--out-dir", str(tmp_path)]) == EXIT_VALIDATION
 
+    @pytest.mark.parametrize("field, value, named", [
+        ("image_w", None, "image_w"),
+        ("image_w", "x", "image_w"),
+        ("image_h", [64], "image_h"),
+        ("target_boxes", [[1, None, 3, 4]], r"target_boxes\[0\]\[1\]"),
+        ("target_boxes", [[1, 1, 2, 2], [1, 1, "nan", 4]], r"target_boxes\[1\]\[2\]"),
+    ], ids=["image_w-null", "image_w-string", "image_h-list", "box-null", "box-nan-string"])
+    def test_stats_on_malformed_number_names_record_and_field(self, tmp_path, capsys,
+                                                               field, value, named):
+        good = {"image_id": "a", "image_w": 64, "image_h": 64, "expression": "e",
+                "target_boxes": [[1, 1, 2, 2]]}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"schema_version": 1, "records": [good, {**good, field: value}]}))
+        assert main(["stats", "--data", str(bad), "--out-dir", str(tmp_path)]) == EXIT_VALIDATION
+        assert re.search(rf"records\[1\]: {named} must be a finite number", capsys.readouterr().err)
+
     def test_stats_missing_file_exits_io(self, tmp_path):
         assert main(["stats", "--data", str(tmp_path / "nope.json"),
                      "--out-dir", str(tmp_path)]) == EXIT_IO
@@ -201,8 +218,12 @@ class TestTrainEval:
         lambda doc: {**doc, "params": {**doc["params"], "queries": {"shape": [2, 8]}}},
         lambda doc: {**doc, "params": {**doc["params"], "queries": {"shape": 16, "data": [0.0] * 16}}},
         lambda doc: {**doc, "params": {**doc["params"], "queries": {"shape": [2, 8], "data": [0.0]}}},
+        lambda doc: {**doc, "params": {**doc["params"],
+                                       "queries": {"shape": [2, 8], "data": [None] * 16}}},
+        lambda doc: {**doc, "params": {**doc["params"],
+                                       "queries": {"shape": [2, 8], "data": [{}] * 16}}},
     ], ids=["list", "no-config", "no-dilations", "entry-not-object", "entry-without-data",
-            "shape-not-list", "data-wrong-length"])
+            "shape-not-list", "data-wrong-length", "data-null", "data-object"])
     def test_eval_malformed_checkpoint_exits_validation(self, tmp_path, mangle):
         main(["train", "--steps", "0", "--scenes", "1", "--seed", "1",
               *TINY_MODEL_FLAGS, "--out-dir", str(tmp_path)])

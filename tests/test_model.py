@@ -5,10 +5,10 @@ import pytest
 
 from mogref.data import ValidationError, default_vocab
 from mogref.gradcheck import finite_difference_grad, max_rel_err
-from mogref.matching import BBox, grounding_cost, hungarian, assignment_loss
+from mogref.matching import BBox, batch_assignment_loss, grounding_loss
 from mogref.model import ModelConfig, SCSModel, sinusoidal_positions
 from mogref.rng import RngState
-from mogref.tensor import Tensor, backward, reshape, select, zero_grads
+from mogref.tensor import Tensor, backward, reshape, zero_grads
 
 VOCAB = default_vocab()
 
@@ -423,20 +423,11 @@ def gate_gradient_setup(model):
     images, ids = tiny_batch()
     targets = [[BBox(0.3, 0.3, 0.2, 0.2)], [BBox(0.6, 0.6, 0.3, 0.2)]]
     base = model.forward(images, ids)
-    frozen = [
-        hungarian(grounding_cost(base.boxes.data[b], base.confidence.data[b], targets[b]))
-        for b in range(2)
-    ]
+    _, frozen = grounding_loss(base.boxes, base.confidence, targets)
 
     def loss():
         pred = model.forward(images, ids)
-        total = None
-        for b in range(2):
-            term = assignment_loss(select(pred.boxes, b, 0),
-                                   select(pred.confidence, b, 0),
-                                   targets[b], frozen[b])
-            total = term if total is None else total + term
-        return total / 2.0
+        return batch_assignment_loss(pred.boxes, pred.confidence, targets, frozen)
 
     gate_params = [model.sce[0].attn.gate.w, model.sce[0].attn.gate.b,
                    model.scd[0].cross_attn.gate.b]
@@ -669,6 +660,28 @@ class TestCheckpoint:
         path.write_text('{"format": "something-else", "version": 1}')
         with pytest.raises(ValidationError):
             SCSModel.load(path)
+
+    @pytest.mark.parametrize("value, problem", [
+        (None, "not a number"), ({}, "not a number"), ("x", "not a number"),
+        ("0.5", "not a number"), (True, "not a number"), ([0.5], "not a number"),
+        (float("nan"), "non-finite"), (float("-inf"), "non-finite"), (10**400, "too large"),
+    ], ids=["null", "object", "string", "numeric-string", "bool", "list", "nan", "inf", "huge-int"])
+    def test_non_number_in_parameter_data_rejected(self, tmp_path, value, problem):
+        path = tmp_path / "ckpt.json"
+        tiny_model().save(path)
+        doc = json.loads(path.read_text())
+        doc["params"]["queries"]["data"][5] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match=f"parameter queries.*{problem}"):
+            SCSModel.load(path)
+
+    def test_integer_parameter_values_load(self, tmp_path):
+        path = tmp_path / "ckpt.json"
+        tiny_model().save(path)
+        doc = json.loads(path.read_text())
+        doc["params"]["queries"]["data"][:2] = [0, -3]
+        path.write_text(json.dumps(doc))
+        assert SCSModel.load(path).queries.data.reshape(-1)[:2].tolist() == [0.0, -3.0]
 
     def test_vocab_size_must_match(self):
         with pytest.raises(ValueError):
