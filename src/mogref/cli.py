@@ -200,21 +200,19 @@ def cmd_make_data(args) -> int:
 
 
 def cmd_train(args) -> int:
-    allocator_tuned = tune_allocator()
-    out = _out_dir(args)
-    vocab = default_vocab()
-    dataset = _load_any_dataset(args, vocab)
-    model = SCSModel(_model_config(args, len(vocab), _parse_dilations(args.dilations)),
-                     vocab, RngState(args.seed))
     cfg = TrainConfig(
         steps=args.steps,
         lr=args.lr,
         batch_size=args.batch_size,
         eval_every=args.eval_every,
         target_train_p50=None if args.target_p50 <= 0 else args.target_p50,
-        projector_lr=args.projector_lr,
-        freeze_projector_steps=args.freeze_projector_steps,
     )
+    allocator_tuned = tune_allocator()
+    out = _out_dir(args)
+    vocab = default_vocab()
+    dataset = _load_any_dataset(args, vocab)
+    model = SCSModel(_model_config(args, len(vocab), _parse_dilations(args.dilations)),
+                     vocab, RngState(args.seed))
     t0 = time.time()
     result = train_toy(model, dataset, cfg)
     elapsed = time.time() - t0
@@ -257,6 +255,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    cfg = TrainConfig(steps=args.steps, lr=args.lr, batch_size=args.batch_size,
+                      eval_every=0, target_train_p50=None)
     tune_allocator()
     out = _out_dir(args)
     vocab = default_vocab()
@@ -273,10 +273,7 @@ def cmd_sweep(args) -> int:
     for g in range(1, args.gmax + 1):
         model = SCSModel(_model_config(args, len(vocab), tuple(range(1, g + 1))),
                          vocab, RngState(args.seed))
-        train_toy(model, train_ds, TrainConfig(
-            steps=args.steps, lr=args.lr, batch_size=args.batch_size,
-            eval_every=0, target_train_p50=None,
-        ))
+        train_toy(model, train_ds, cfg)
         result = evaluate_model(model, eval_ds)
         print(f"granularities={g} " +
               " ".join(f"P@{t:g}={p:.4f}" for t, p in result.precisions.items()) +
@@ -353,10 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eval-every", type=int, default=20)
     p.add_argument("--target-p50", type=float, default=1.0,
                    help="stop once train P@0.5 reaches this; <=0 disables")
-    p.add_argument("--projector-lr", type=float, default=None,
-                   help="separate fine-tune rate for the projector (off by default)")
-    p.add_argument("--freeze-projector-steps", type=int, default=0,
-                   help="skip projector updates for the first N steps (off by default)")
     _add_model_flags(p)
     _add_scene_flags(p)
     p.add_argument("--out-dir", default=None)

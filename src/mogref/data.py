@@ -95,16 +95,25 @@ class AnnotationRecord:
         return out
 
 
-def _number(convert, value, where: str, field: str):
-    """``convert(value)`` if that gives a finite number; otherwise a
-    :class:`ValidationError` that names the record and the field."""
+def _number(value, where: str, field: str, integer: bool = False):
+    """``value`` if it is a finite JSON number (an integer where ``integer``
+    asks for one; a bool is neither); otherwise a :class:`ValidationError`
+    that names the record and the field."""
+    kinds = int if integer else (int, float)
     try:
-        out = convert(value)
-        if math.isfinite(out):
-            return out
-    except (TypeError, ValueError, OverflowError):
+        if isinstance(value, kinds) and not isinstance(value, bool) and math.isfinite(value):
+            return value
+    except OverflowError:  # an int too large for a float
         pass
-    raise ValidationError(f"{where}: {field} must be a finite number, got {value!r}")
+    kind = "finite number (an integer)" if integer else "finite number"
+    raise ValidationError(f"{where}: {field} must be a {kind}, got {value!r}")
+
+
+def _string(value, where: str, field: str, optional: bool = False):
+    if isinstance(value, str) or (optional and value is None):
+        return value
+    kind = "a string or null" if optional else "a string"
+    raise ValidationError(f"{where}: {field} must be {kind}, got {value!r}")
 
 
 def _record_from_json(obj: dict, index: int) -> AnnotationRecord:
@@ -121,15 +130,15 @@ def _record_from_json(obj: dict, index: int) -> AnnotationRecord:
     for i, b in enumerate(boxes):
         if not (isinstance(b, list) and len(b) == 4):
             raise ValidationError(f"{where}: target_boxes[{i}] must be [x, y, w, h]")
-        parsed.append(tuple(_number(float, v, where, f"target_boxes[{i}][{k}]")
+        parsed.append(tuple(float(_number(v, where, f"target_boxes[{i}][{k}]"))
                             for k, v in enumerate(b)))
     rec = AnnotationRecord(
-        image_id=str(obj["image_id"]),
-        image_w=_number(int, obj["image_w"], where, "image_w"),
-        image_h=_number(int, obj["image_h"], where, "image_h"),
-        expression=str(obj["expression"]),
+        image_id=_string(obj["image_id"], where, "image_id"),
+        image_w=_number(obj["image_w"], where, "image_w", integer=True),
+        image_h=_number(obj["image_h"], where, "image_h", integer=True),
+        expression=_string(obj["expression"], where, "expression"),
         target_boxes=parsed,
-        category=obj.get("category"),
+        category=_string(obj.get("category"), where, "category", optional=True),
     )
     rec.validate(where)
     return rec

@@ -15,7 +15,8 @@ gradient check is one ``isfinite`` over the arena's gradient buffer.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -31,11 +32,11 @@ from mogref.data import (
     read_ppm,
     tokenize,
 )
-from mogref.matching import BBox, LossWeights, grounding_loss, iou
+from mogref.matching import BBox, grounding_loss, iou
 from mogref.metrics import DEFAULT_THRESHOLDS, EvalResult, mean_precision
 from mogref.model import Prediction, SCSModel
 from mogref.rng import RngState
-from mogref.tensor import Arena, Parameter, backward, no_grad
+from mogref.tensor import Parameter, backward, no_grad
 
 
 class DivergenceError(RuntimeError):
@@ -127,30 +128,28 @@ class ParamGroup:
     lr: float
 
 
+# Adam's moment decay rates and denominator offset (Kingma & Ba, 2014)
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+
 class Adam:
-    """Standard Adam over packed parameters; groups with non-positive lr are skipped entirely.
+    """Standard Adam over packed parameters, one learning rate per group.
 
     Each group must be one gap-free run of one :class:`~mogref.tensor.Arena`
     (``ValueError`` otherwise), so a step updates a group's whole slice of
     the arena with one pass per operation over flat ``m`` and ``v``, and
-    :meth:`zero_grad` fills the gradient slices, adjacent groups' as one.
-    A parameter whose ``data`` or ``grad`` was rebound after construction
-    would no longer be updated, so :meth:`step` raises ``RuntimeError``
-    instead.
-
-    Each group keeps its own step count, advanced only on the steps that
-    update it, so a group frozen for its first k steps starts with the bias
-    correction of step 1, as if it had been held out of the optimizer.
+    :meth:`zero_grad` fills each group's gradient slice. Every operation is
+    elementwise with one bias correction per step, so splitting a run into
+    groups at one learning rate changes no bit of the update. A parameter
+    whose ``data`` or ``grad`` was rebound after construction would no
+    longer be updated, so :meth:`step` raises ``RuntimeError`` instead.
     """
 
-    def __init__(self, groups: list[ParamGroup], betas=(0.9, 0.999), eps: float = 1e-8):
+    def __init__(self, groups: list[ParamGroup]):
         self.groups = groups
-        self.beta1, self.beta2 = betas
-        self.eps = eps
-        self.steps = [0] * len(groups)
+        self.t = 0
         # per group: its flat values, gradients, m and v, in the arena's dtype
         self._flat = []
-        fills: list[tuple[Arena, slice]] = []  # gradient runs zero_grad fills
         for group in groups:
             arena = group.params[0].arena if group.params else None
             if arena is None:
@@ -158,17 +157,13 @@ class Adam:
             run = arena.span(group.params)
             data = arena.data[run]
             self._flat.append((data, arena.grad[run], np.zeros_like(data), np.zeros_like(data)))
-            if fills and fills[-1][0] is arena and fills[-1][1].stop == run.start:
-                run = slice(fills.pop()[1].start, run.stop)  # adjacent groups: one fill
-            fills.append((arena, run))
-        self._zero = [arena.grad[run] for arena, run in fills]
         self._views = [(p, p.data, p.grad) for p in self.all_params()]
 
     def all_params(self) -> list[Parameter]:
         return [p for g in self.groups for p in g.params]
 
     def zero_grad(self) -> None:
-        for grad in self._zero:
+        for _, grad, _, _ in self._flat:
             grad.fill(0.0)
 
     def step(self) -> None:
@@ -176,23 +171,21 @@ class Adam:
         rebound = [p.name for p, data, grad in self._views if p.data is not data or p.grad is not grad]
         if rebound:
             raise RuntimeError(f"parameters rebound after the optimizer was built: {rebound}")
-        for i, (group, (data, g, m, v)) in enumerate(zip(self.groups, self._flat)):
-            if group.lr <= 0.0:
-                continue
-            self.steps[i] += 1
-            c1 = 1.0 - self.beta1**self.steps[i]
-            c2 = 1.0 - self.beta2**self.steps[i]
+        self.t += 1
+        c1 = 1.0 - BETA1**self.t
+        c2 = 1.0 - BETA2**self.t
+        for group, (data, g, m, v) in zip(self.groups, self._flat):
             # allocated per step: a scratch kept between steps raised peak RSS by 1.3 MB
             num, den = np.empty_like(data), np.empty_like(data)
-            m *= self.beta1
-            m += np.multiply(g, 1.0 - self.beta1, out=num)
-            v *= self.beta2
-            np.multiply(g, 1.0 - self.beta2, out=den)
+            m *= BETA1
+            m += np.multiply(g, 1.0 - BETA1, out=num)
+            v *= BETA2
+            np.multiply(g, 1.0 - BETA2, out=den)
             den *= g
             v += den
             np.divide(v, c2, out=den)
             np.sqrt(den, out=den)
-            den += self.eps
+            den += EPS
             np.divide(m, c1, out=num)
             num *= group.lr
             num /= den
@@ -260,11 +253,17 @@ class TrainConfig:
     steps: int = 2000
     lr: float = 1e-3
     batch_size: int = 8  # 0 means full batch
-    eval_every: int = 20
+    eval_every: int = 20  # 0 means no eval
     target_train_p50: float | None = 1.0  # early stop once reached; None disables
-    weights: LossWeights = field(default_factory=LossWeights)
-    projector_lr: float | None = None  # lower fine-tune rate for the projector; None = lr
-    freeze_projector_steps: int = 0  # skip projector updates for the first N steps
+
+    def __post_init__(self):
+        # a rate <= 0 never descends and a non-finite one poisons the weights;
+        # a negative count would silently act as 0 or as full batch
+        if not (math.isfinite(self.lr) and self.lr > 0.0):
+            raise ValidationError(f"lr must be a finite number > 0, got {self.lr!r}")
+        for name in ("steps", "batch_size", "eval_every"):
+            if getattr(self, name) < 0:
+                raise ValidationError(f"{name} must be >= 0, got {getattr(self, name)!r}")
 
 
 @dataclass
@@ -278,12 +277,7 @@ class TrainResult:
 def train_toy(model: SCSModel, dataset: GroundingDataset, cfg: TrainConfig) -> TrainResult:
     if len(dataset) == 0:
         raise ValidationError("training needs a non-empty dataset")
-    # the projector's parameters are the leading run of the model's arena
-    proj_group = ParamGroup(model.projector.parameters(),
-                            cfg.lr if cfg.projector_lr is None else cfg.projector_lr)
-    rest_group = ParamGroup(model.parameters()[len(proj_group.params):], cfg.lr)
-    opt = Adam([proj_group, rest_group])
-    proj_lr = proj_group.lr
+    opt = Adam([ParamGroup(model.parameters(), cfg.lr)])
 
     batch = len(dataset) if cfg.batch_size <= 0 else min(cfg.batch_size, len(dataset))
     log: list[dict] = []
@@ -298,7 +292,7 @@ def train_toy(model: SCSModel, dataset: GroundingDataset, cfg: TrainConfig) -> T
             # matching needs finite costs: a float32 forward overflows before the loss does
             raise DivergenceError(f"non-finite prediction at step {step}")
         loss, _ = grounding_loss(pred.boxes, pred.confidence,
-                                 [dataset.targets[i] for i in idx], cfg.weights)
+                                 [dataset.targets[i] for i in idx])
         loss_value = loss.item()
         if not np.isfinite(loss_value):
             raise DivergenceError(f"non-finite loss at step {step}")
@@ -307,7 +301,6 @@ def train_toy(model: SCSModel, dataset: GroundingDataset, cfg: TrainConfig) -> T
         if not np.isfinite(model.arena.grad).all():
             bad = next(p for p in model.parameters() if not np.isfinite(p.grad).all())
             raise DivergenceError(f"non-finite gradient at step {step} in {bad.name}")
-        proj_group.lr = 0.0 if step <= cfg.freeze_projector_steps else proj_lr
         opt.step()
         del pred, loss  # free the step's graph before the eval and the next forward
 

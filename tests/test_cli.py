@@ -117,7 +117,12 @@ class TestMakeDataAndStats:
         ("image_h", [64], "image_h"),
         ("target_boxes", [[1, None, 3, 4]], r"target_boxes\[0\]\[1\]"),
         ("target_boxes", [[1, 1, 2, 2], [1, 1, "nan", 4]], r"target_boxes\[1\]\[2\]"),
-    ], ids=["image_w-null", "image_w-string", "image_h-list", "box-null", "box-nan-string"])
+        ("image_w", 64.9, r"image_w"),
+        ("image_w", 64.0, r"image_w"),
+        ("image_h", True, r"image_h"),
+        ("target_boxes", [[1, 1, True, 2]], r"target_boxes\[0\]\[2\]"),
+    ], ids=["image_w-null", "image_w-string", "image_h-list", "box-null", "box-nan-string",
+            "image_w-fraction", "image_w-float", "image_h-bool", "box-bool"])
     def test_stats_on_malformed_number_names_record_and_field(self, tmp_path, capsys,
                                                                field, value, named):
         good = {"image_id": "a", "image_w": 64, "image_h": 64, "expression": "e",
@@ -126,6 +131,20 @@ class TestMakeDataAndStats:
         bad.write_text(json.dumps({"schema_version": 1, "records": [good, {**good, field: value}]}))
         assert main(["stats", "--data", str(bad), "--out-dir", str(tmp_path)]) == EXIT_VALIDATION
         assert re.search(rf"records\[1\]: {named} must be a finite number", capsys.readouterr().err)
+
+    @pytest.mark.parametrize("field, value, kind", [
+        ("image_id", None, "a string"),
+        ("expression", None, "a string"),
+        ("category", 5, "a string or null"),
+    ])
+    def test_stats_on_non_string_names_record_and_field(self, tmp_path, capsys,
+                                                         field, value, kind):
+        good = {"image_id": "a", "image_w": 64, "image_h": 64, "expression": "e",
+                "target_boxes": [[1, 1, 2, 2]]}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"schema_version": 1, "records": [good, {**good, field: value}]}))
+        assert main(["stats", "--data", str(bad), "--out-dir", str(tmp_path)]) == EXIT_VALIDATION
+        assert f"records[1]: {field} must be {kind}, got {value!r}" in capsys.readouterr().err
 
     def test_stats_missing_file_exits_io(self, tmp_path):
         assert main(["stats", "--data", str(tmp_path / "nope.json"),
@@ -278,6 +297,23 @@ class TestTrainEval:
                      "--out-dir", str(tmp_path / "run")])
         assert code == EXIT_OK
 
+    @pytest.mark.parametrize("flag, value, named", [
+        ("--lr", "0", "lr"),
+        ("--lr", "-1e-3", "lr"),
+        ("--lr", "nan", "lr"),
+        ("--lr", "inf", "lr"),
+        ("--steps", "-1", "steps"),
+        ("--batch-size", "-1", "batch_size"),
+        ("--eval-every", "-1", "eval_every"),
+    ])
+    def test_train_config_that_would_do_nothing_exits_validation(self, tmp_path, capsys,
+                                                                  flag, value, named):
+        code = main(["train", "--steps", "3", "--scenes", "1", "--seed", "1", f"{flag}={value}",
+                     *TINY_MODEL_FLAGS, "--out-dir", str(tmp_path)])
+        assert code == EXIT_VALIDATION
+        assert re.search(rf"validation error: {named} must be", capsys.readouterr().err)
+        assert not (tmp_path / "checkpoint.json").exists()
+
 
 class TestSweep:
     def test_two_row_sweep_table(self, tmp_path):
@@ -299,6 +335,12 @@ class TestSweep:
                      "--out-dir", str(tmp_path)])
         assert code == EXIT_OK
         assert len(read_csv_rows(tmp_path / "sweep.csv")) == 1
+
+    def test_zero_lr_exits_validation_before_training(self, tmp_path):
+        code = main(["sweep", "--gmax", "1", "--steps", "1", "--scenes", "1", "--lr", "0",
+                     "--seed", "0", *TINY_MODEL_FLAGS, "--out-dir", str(tmp_path)])
+        assert code == EXIT_VALIDATION
+        assert not (tmp_path / "sweep.csv").exists()
 
 
 class TestAllocatorSettings:

@@ -96,6 +96,12 @@ class TestAnnotationIO:
         save_annotations(out, records)
         assert load_annotations(out) == records
 
+    def test_generated_records_round_trip(self, tmp_path):
+        records = [generate_scene(SyntheticSceneSpec(), RngState(s), f"s-{s}")[1] for s in range(4)]
+        path = tmp_path / "ann.json"
+        save_annotations(path, records)
+        assert load_annotations(path) == records
+
     def test_negative_width_names_field(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"schema_version": 1, "records": [{
