@@ -155,10 +155,11 @@ def _scene_spec(args) -> SyntheticSceneSpec:
     )
 
 
-def _load_any_dataset(args, vocab):
+def _load_any_dataset(args, vocab, dtype: str):
+    """The ``--data`` directory or the synthetic scenes, stored in the model's ``dtype``."""
     if args.data:
-        return load_dataset_dir(args.data, vocab)
-    return build_synthetic_dataset(args.scenes, _scene_spec(args), vocab, args.seed)
+        return load_dataset_dir(args.data, vocab, dtype)
+    return build_synthetic_dataset(args.scenes, _scene_spec(args), vocab, args.seed, dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +187,9 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_make_data(args) -> int:
     out = _out_dir(args)
-    dataset = build_synthetic_dataset(args.scenes, _scene_spec(args), default_vocab(), args.seed)
+    # float64, the rendered values themselves: the PPMs quantize those
+    dataset = build_synthetic_dataset(args.scenes, _scene_spec(args), default_vocab(), args.seed,
+                                      dtype="float64")
     save_annotations(out / "annotations.json", dataset.records)
     print(f"wrote {out / 'annotations.json'} ({len(dataset)} records)")
     if args.ppm:
@@ -210,7 +213,7 @@ def cmd_train(args) -> int:
     allocator_tuned = tune_allocator()
     out = _out_dir(args)
     vocab = default_vocab()
-    dataset = _load_any_dataset(args, vocab)
+    dataset = _load_any_dataset(args, vocab, args.dtype)
     model = SCSModel(_model_config(args, len(vocab), _parse_dilations(args.dilations)),
                      vocab, RngState(args.seed))
     t0 = time.time()
@@ -243,7 +246,7 @@ def cmd_eval(args) -> int:
     model = SCSModel.load(args.checkpoint)
     if args.image_size is None:
         args.image_size = model.config.image_size  # recorded in run_config as resolved
-    dataset = _load_any_dataset(args, model.vocab)
+    dataset = _load_any_dataset(args, model.vocab, model.config.dtype)
     result = evaluate_model(model, dataset)
     _write_json(out / "eval.json", {"eval": result.to_json()}, args)
     csv_text = _csv_text(result.csv_header() + ["count"],
@@ -261,9 +264,10 @@ def cmd_sweep(args) -> int:
     out = _out_dir(args)
     vocab = default_vocab()
     spec = _scene_spec(args)
-    train_ds = build_synthetic_dataset(args.scenes, spec, vocab, args.seed)
+    train_ds = build_synthetic_dataset(args.scenes, spec, vocab, args.seed, args.dtype)
     if args.eval_scenes > 0:
-        eval_ds = build_synthetic_dataset(args.eval_scenes, spec, vocab, args.seed + 7919)
+        eval_ds = build_synthetic_dataset(args.eval_scenes, spec, vocab, args.seed + 7919,
+                                          args.dtype)
     else:
         # desk-scale models memorize; fit on the training scenes is the
         # informative per-granularity measurement, so it is the default

@@ -437,23 +437,28 @@ def _candidate_expression(template: str, target: SceneObject,
 
 
 def _rasterize(objects: Sequence[SceneObject], size: int) -> np.ndarray:
+    """Paint each object's shape over a flat background, in placement order.
+
+    Every shape lies inside its s-by-s box, so its predicate is evaluated on
+    that box's pixel grid alone.
+    """
     image = np.full((size, size, 3), 0.12, dtype=np.float64)
-    yy, xx = np.mgrid[0:size, 0:size]
     for obj in objects:
-        rgb = COLORS[obj.color]
         x0, y0, s = obj.x, obj.y, obj.side
+        box = image[y0:y0 + s, x0:x0 + s]
         if obj.shape == "square":
-            sel = (xx >= x0) & (xx < x0 + s) & (yy >= y0) & (yy < y0 + s)
-        elif obj.shape == "circle":
-            cx, cy = x0 + (s - 1) / 2.0, y0 + (s - 1) / 2.0
+            box[...] = COLORS[obj.color]
+            continue
+        yy, xx = np.ogrid[y0:y0 + s, x0:x0 + s]
+        cx = x0 + (s - 1) / 2.0
+        if obj.shape == "circle":
+            cy = y0 + (s - 1) / 2.0
             r = s / 2.0
             sel = (xx - cx) ** 2 + (yy - cy) ** 2 <= r * r
         else:  # upward triangle filling the box
-            fy = (yy - y0) / max(1, s - 1)
-            cx = x0 + (s - 1) / 2.0
-            half = fy * (s / 2.0)
-            sel = (yy >= y0) & (yy < y0 + s) & (np.abs(xx - cx) <= half)
-        image[sel] = rgb
+            half = (yy - y0) / max(1, s - 1) * (s / 2.0)
+            sel = np.abs(xx - cx) <= half
+        box[sel] = COLORS[obj.color]
     return image
 
 

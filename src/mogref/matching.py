@@ -7,8 +7,9 @@ same float operations as the scalar path, so equal to it bit for bit), and
 a Tensor version (:func:`giou_pairs`) feeds the differentiable loss. They
 are tested against each other and against a rasterized counting oracle.
 
-:func:`hungarian` is one O(n^3) potentials solve. Its costs carry the
-tie-break as an exact second key, so among the optimal assignments it
+:func:`hungarian` is one O(n^3) potentials solve, or one ``argmin`` when
+there is a single prediction or a single target. The solve's costs carry
+the tie-break as an exact second key, so among the optimal assignments it
 returns the lexicographically smallest without solving again.
 
 One loss path serves every batch size; a single sample is B = 1. The loss
@@ -180,37 +181,49 @@ def _solve_square(rows: list[list[float]]) -> list[int]:
     return out
 
 
-def hungarian(cost) -> Assignment:
-    """Minimum-cost bipartite assignment of predictions (rows) to targets.
+def _padded_columns(c: np.ndarray) -> list[tuple[int, int]]:
+    """The (row, col) pairs of the padded square solve of a finite cost ``c``.
 
-    Rectangular inputs are padded to square with a uniform sentinel one
-    unit above the largest entry magnitude (finite, so arithmetic stays
-    total; uniform, so it cannot distort which real pairs win). Among
-    cost-equal optima the lexicographically smallest (row, col) list is
-    returned, which makes matches reproducible: one O(n^3) solve on costs
-    that carry the tie-break as an exact second key (see
-    :func:`_solve_square`). Ties are exact for costs whose sums are exact
-    in floating point, such as small integers; otherwise rounding in the
-    potentials may decide between near-equal optima.
+    The rectangle is padded to square with a uniform sentinel one unit
+    above the largest entry magnitude (finite, so arithmetic stays total;
+    uniform, so it cannot distort which real pairs win), and the pairs that
+    fall on padding are dropped.
     """
-    c = np.asarray(cost, dtype=np.float64)
-    if c.ndim != 2:
-        raise ValueError(f"cost matrix must be 2-D, got shape {c.shape}")
     num_pred, num_tgt = c.shape
-    if num_pred == 0 or num_tgt == 0:
-        return Assignment((), 0.0)
-    if not np.isfinite(c).all():
-        raise ValueError("cost matrix entries must be finite")
     n = max(num_pred, num_tgt)
     sentinel = float(np.abs(c).max()) + 1.0
     square = np.full((n, n), sentinel, dtype=np.float64)
     square[:num_pred, :num_tgt] = c
     cols = _solve_square(square.tolist())
-    pairs = tuple(
-        (r, j) for r, j in enumerate(cols) if r < num_pred and j < num_tgt
-    )
+    return [(r, j) for r, j in enumerate(cols) if r < num_pred and j < num_tgt]
+
+
+def hungarian(cost) -> Assignment:
+    """Minimum-cost bipartite assignment of predictions (rows) to targets.
+
+    Among cost-equal optima the lexicographically smallest (row, col) list
+    is returned, which makes matches reproducible. With one prediction or
+    one target (``min(Q, T) == 1``) the answer is the single pair at the
+    first minimum, found by ``argmin`` with no solve, so its ties are exact.
+    Otherwise it is one O(n^3) solve of the cost padded to square, on costs
+    that carry the tie-break as an exact second key (see
+    :func:`_solve_square`). There ties are exact for costs whose sums are
+    exact in floating point, such as small integers; otherwise rounding in
+    the potentials may decide between near-equal optima.
+    """
+    c = np.asarray(cost, dtype=np.float64)
+    if c.ndim != 2:
+        raise ValueError(f"cost matrix must be 2-D, got shape {c.shape}")
+    if c.size == 0:
+        return Assignment((), 0.0)
+    if not np.isfinite(c).all():
+        raise ValueError("cost matrix entries must be finite")
+    if min(c.shape) == 1:
+        pairs = [divmod(int(np.argmin(c)), c.shape[1])]  # (row, col) of the flat index
+    else:
+        pairs = _padded_columns(c)
     total_cost = float(sum(c[r, j] for r, j in pairs))
-    return Assignment(pairs, total_cost)
+    return Assignment(tuple(pairs), total_cost)
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,13 @@ one-branch, gate-less form of the mixture module (dilations ``(1,)``).
 
 ``ModelConfig.dtype`` (float32 by default, or float64) is the dtype of the
 parameters, hence of the whole forward and backward up to the head: the
-projector casts the images and positions to it once. The head casts its
-logits to float64 before its two sigmoids, so the boxes, confidences and
-the loss are float64 whatever the compute dtype (a float32 sigmoid is
-exactly 1.0 from a logit of about 16.6, a float64 one from about 36.7).
+projector casts the images and positions to it once. Datasets store their
+scenes in it already (:func:`mogref.train.build_synthetic_dataset`), so
+that cast is free; float images narrower than it raise
+``ValidationError``. The head casts its logits to float64 before its two
+sigmoids, so the boxes, confidences and the loss are float64 whatever the
+compute dtype (a float32 sigmoid is exactly 1.0 from a logit of about
+16.6, a float64 one from about 36.7).
 
 The projector is deliberately tiny: a linear patch embedding over synthetic
 rasters plus an embedding table over a closed vocabulary, with sinusoidal
@@ -197,7 +200,15 @@ class TokenProjector(Module):
         return tiles.reshape(b, gh * gw, p * p * c)
 
     def __call__(self, images: np.ndarray, token_ids: np.ndarray) -> TokenSequence:
-        images = np.asarray(images, dtype=self.config.dtype)
+        images = np.asarray(images)
+        dtype = np.dtype(self.config.dtype)
+        if images.dtype.kind == "f" and images.dtype.itemsize < dtype.itemsize:
+            # widening cannot restore the bits the narrower scenes rounded away
+            raise ValidationError(
+                f"{images.dtype} images into a {self.config.dtype} model; "
+                f"build the scenes in {self.config.dtype}"
+            )
+        images = images.astype(dtype, copy=False)
         token_ids = np.asarray(token_ids, dtype=np.intp)
         if token_ids.ndim != 2 or token_ids.shape[0] != images.shape[0]:
             raise ValidationError(

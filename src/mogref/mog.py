@@ -28,7 +28,7 @@ is the only residue-class implementation. Between forward and backward the
 node keeps no N-by-N array: only the scaled q, the k and v views, the row
 maximum and the (B, H, N_q, sum_g d_g) class arrays. Its backward
 recomputes the shared exponential ``e`` and the mixture ``W`` from them, in
-chunks of the batch that reuse four per-thread buffers. It computes in the
+chunks of the batch that reuse three per-thread buffers. It computes in the
 dtype of its inputs. Its output and gradients are bit-identical however the
 batch is chunked, and in float64 within 1e-12 of the per-branch masked
 softmax. The rare call in which a support row sits so far below the shared
@@ -411,27 +411,25 @@ def _weights(e: np.ndarray, a: np.ndarray, keys: np.ndarray, out: np.ndarray) ->
     return w
 
 
-def _class_grad(dw: np.ndarray, e: np.ndarray, s: np.ndarray, classes: _ResidueClasses,
-                scratch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``rho = ((dW * e) R) / S`` on the selected classes, and the N-by-N ``dW * e``.
+def _logit_grad(w: np.ndarray, dw: np.ndarray, e: np.ndarray, s: np.ndarray, a: np.ndarray,
+                classes: _ResidueClasses) -> tuple[np.ndarray, np.ndarray]:
+    """d logits = W dW - e * ((rho * A) R^T), with ``rho = ((dW * e) R) / S``.
 
-    ``dW * e`` goes into ``scratch``, C-contiguous, as :func:`_logit_grad`
-    spreads into it.
+    ``rho`` is taken on the selected classes. Runs in the two chunk buffers
+    it is given: ``W dW`` overwrites ``w`` (W is dead once dV is formed),
+    ``dW * e`` overwrites ``dw`` (dW is dead once ``W dW`` is), and the
+    spread correction reuses ``dw`` in turn. Returns d logits (in ``w``)
+    and the (..., n_q, C) ``rho``.
     """
-    t = np.multiply(dw, e, out=scratch)
+    dlogits = np.multiply(w, dw, out=w)
+    t = np.multiply(dw, e, out=dw)
     u = _selected(t @ classes.keys, classes)
     u /= _selected(s, classes)
-    return _scattered(u, s.shape, classes), t
-
-
-def _logit_grad(dw: np.ndarray, e: np.ndarray, w: np.ndarray, rho: np.ndarray, a: np.ndarray,
-                keys: np.ndarray, scratch: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """d logits = W dW - e * ((rho * A) R^T), spread into ``scratch`` and written to ``out``."""
-    correction = _spread(rho * a, keys, out=scratch)
+    rho = _scattered(u, s.shape, classes)
+    correction = _spread(rho * a, classes.keys, out=t)
     correction *= e
-    dlogits = np.multiply(w, dw, out=out)
     dlogits -= correction
-    return dlogits
+    return dlogits, rho
 
 
 def _gamma_grad(rho: np.ndarray, classes: _ResidueClasses) -> np.ndarray:
@@ -459,9 +457,9 @@ def _composed_attention(q: Tensor, k: Tensor, v: Tensor, gammas: Tensor,
     return merge_heads(matmul(w, vh))
 
 
-# N-by-N bytes of a chunk of the attention core, which bound the four reused
+# N-by-N bytes of a chunk of the attention core, which bound the three reused
 # buffers of _Scratch (see _chunks). A chunk packs whole samples into
-# _PACK_BYTES, a quarter of a 2 MB per-core L2, so the four buffers fit in it
+# _PACK_BYTES, a quarter of a 2 MB per-core L2, so the three buffers fit in it
 # together; a bigger sample is a chunk of its own, and only a sample above
 # _CHUNK_BYTES is split by heads. Measured on a 2-core host with 2 MB of L2
 # per core: of 0.25 to 8 MB, 4 MB ran a (2, 4, 266, 266) forward + backward
@@ -473,17 +471,19 @@ _PACK_BYTES = 1 << 19
 
 
 class _Scratch(threading.local):
-    """Per-thread N-by-N buffers the attention core reuses from call to call.
+    """The three per-thread N-by-N buffers the attention core reuses from call to call.
 
-    Fresh buffers of a few MB each call are returned to the OS and faulted
-    in again; these stay mapped. Each is raw bytes, viewed in the chunk's
-    dtype, and holds the largest chunk seen so far in bytes,
-    which :func:`_chunks` keeps to ``max(_PACK_BYTES, one sample)`` up to
+    Forward uses the first two (``e`` and ``W``); backward all three (``e``,
+    ``W`` turned into d logits, and dW turned into ``dW * e`` and then the
+    spread correction). Fresh buffers of a few MB each call are returned to
+    the OS and faulted in again; these stay mapped. Each is raw bytes,
+    viewed in the chunk's dtype, and holds the largest chunk seen so far in
+    bytes, which :func:`_chunks` keeps to ``max(_PACK_BYTES, one sample)`` up to
     ``_CHUNK_BYTES``, however large the batch.
     """
 
     def __init__(self):
-        self.buffers = [np.empty(0, dtype=np.uint8) for _ in range(4)]  # raw bytes
+        self.buffers = [np.empty(0, dtype=np.uint8) for _ in range(3)]  # raw bytes
 
     def get(self, i: int, shape: tuple[int, ...], dtype: np.dtype) -> np.ndarray:
         nbytes = math.prod(shape) * dtype.itemsize
@@ -539,8 +539,11 @@ def _attention_core(q: Tensor, k: Tensor, v: Tensor, gammas: Tensor,
     (B, H, N_q, C) arrays ``S`` and ``A``: no N-by-N array. Backward
     recomputes a chunk's ``e`` and ``W`` from them (the same bits), then
     forms dV, dW, rho, d gamma and d logits, and from those dq and dk, in
-    four chunk-sized buffers. The chunks only split independent samples
-    and heads, so output and gradients have the same bits for any layout.
+    three chunk-sized buffers: ``e``; ``W``, overwritten by ``W dW`` once dV
+    is formed and then by d logits; and dW, overwritten by ``dW * e`` and
+    then by the spread correction (:func:`_logit_grad`). The chunks only
+    split independent samples and heads, so output and gradients have the
+    same bits for any layout.
 
     A rectangular grid where some query row has no key in its class raises
     the ``ValueError`` of :func:`build_rect_mask`. When a selected class sum
@@ -604,10 +607,9 @@ def _attention_core(q: Tensor, k: Tensor, v: Tensor, gammas: Tensor,
             if dv is not None:
                 np.matmul(w.swapaxes(-1, -2), gh[c], out=dv_heads[c])
             dw = np.matmul(gh[c], part(vh, c).swapaxes(-1, -2), out=_SCRATCH.get(2, e.shape, dtype))
-            rho_c, t = _class_grad(dw, e, s, classes, scratch=_SCRATCH.get(3, e.shape, dtype))
+            dlogits, rho_c = _logit_grad(w, dw, e, s, a, classes)
             if rho is not None:
                 rho[c] = rho_c
-            dlogits = _logit_grad(dw, e, w, rho_c, a, keys, scratch=t, out=dw)
             if dq is not None:
                 np.matmul(dlogits, part(kh, c), out=dq_heads[c])
             if dk is not None:

@@ -25,7 +25,7 @@ from mogref.cli import (
 from mogref.data import SyntheticSceneSpec, default_vocab, load_annotations, read_ppm
 from mogref.metrics import EvalResult
 from mogref.model import ModelConfig, SCSModel
-from mogref.train import build_synthetic_dataset
+from mogref.train import build_synthetic_dataset, load_dataset_dir
 
 TINY_MODEL_FLAGS = [
     "--model-dim", "8", "--num-heads", "2", "--sce-blocks", "1",
@@ -87,12 +87,17 @@ class TestMakeDataAndStats:
         code = main(["make-data", "--scenes", "3", "--seed", "3", "--image-size", "16",
                      "--distractors", "1", "--ppm", "--out-dir", str(tmp_path)])
         assert code == EXIT_OK
-        dataset = build_synthetic_dataset(
-            3, SyntheticSceneSpec(image_size=16, num_distractors=1), default_vocab(), 3)
+        spec = SyntheticSceneSpec(image_size=16, num_distractors=1)
+        dataset = build_synthetic_dataset(3, spec, default_vocab(), 3, dtype="float64")
         assert load_annotations(tmp_path / "annotations.json") == dataset.records
-        for record, image in zip(dataset.records, dataset.images):
+        # training on the directory stores the quantized rasters rounded once to float32
+        stored = load_dataset_dir(tmp_path, default_vocab()).images
+        assert stored.dtype == np.float32
+        for record, image, loaded in zip(dataset.records, dataset.images, stored):
+            quantized = np.rint(image * 255.0) / 255.0
             raster = read_ppm(tmp_path / "images" / f"{record.image_id}.ppm")
-            assert np.array_equal(raster, np.rint(image * 255.0) / 255.0)
+            assert np.array_equal(raster, quantized)
+            assert np.array_equal(loaded, quantized.astype(np.float32))
 
     def test_make_data_without_scenes_exits_validation(self, tmp_path):
         assert main(["make-data", "--scenes", "0", "--out-dir", str(tmp_path)]) == EXIT_VALIDATION
@@ -270,6 +275,27 @@ class TestTrainEval:
         assert {p.data.dtype for p in ckpt.parameters()} == {np.dtype(dtype)}
         summary = json.loads((tmp_path / "train_summary.json").read_text())
         assert summary["run_config"]["dtype"] == dtype
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_train_and_eval_read_scenes_in_the_model_dtype(self, tmp_path, dtype, monkeypatch):
+        # a float64 run never sees float32 scenes, from the generator or a --data directory
+        main(["make-data", "--scenes", "2", "--seed", "1", "--image-size", "16",
+              "--distractors", "1", "--ppm", "--out-dir", str(tmp_path / "data")])
+        seen = set()
+        forward = SCSModel.forward
+
+        def recording(model, images, token_ids):
+            seen.add((images.dtype.name, model.config.dtype))
+            return forward(model, images, token_ids)
+
+        monkeypatch.setattr(SCSModel, "forward", recording)
+        for data in ([], ["--data", str(tmp_path / "data")]):
+            assert main(["train", "--steps", "1", "--scenes", "2", "--seed", "1",
+                         "--batch-size", "2", "--eval-every", "1", "--dtype", dtype, *data,
+                         *TINY_MODEL_FLAGS, "--out-dir", str(tmp_path)]) == EXIT_OK
+            assert main(["eval", "--checkpoint", str(tmp_path / "checkpoint.json"), *data,
+                         "--scenes", "2", "--out-dir", str(tmp_path)]) == EXIT_OK
+        assert seen == {(dtype, dtype)}
 
     def test_unknown_dtype_is_a_usage_error(self):
         with pytest.raises(SystemExit) as exc:

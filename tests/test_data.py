@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -6,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mogref.data import (
+    COLORS,
     AnnotationRecord,
+    SceneObject,
     SyntheticSceneSpec,
     ValidationError,
     Vocab,
@@ -19,9 +22,31 @@ from mogref.data import (
     save_annotations,
     tokenize,
     write_ppm,
+    _rasterize,
 )
 from mogref.metrics import dataset_stats
 from mogref.rng import RngState
+
+
+def full_grid_raster(objects, size: int) -> np.ndarray:
+    """Reference renderer: every shape's predicate over the whole image grid."""
+    image = np.full((size, size, 3), 0.12, dtype=np.float64)
+    yy, xx = np.mgrid[0:size, 0:size]
+    for obj in objects:
+        x0, y0, s = obj.x, obj.y, obj.side
+        if obj.shape == "square":
+            sel = (xx >= x0) & (xx < x0 + s) & (yy >= y0) & (yy < y0 + s)
+        elif obj.shape == "circle":
+            cx, cy = x0 + (s - 1) / 2.0, y0 + (s - 1) / 2.0
+            r = s / 2.0
+            sel = (xx - cx) ** 2 + (yy - cy) ** 2 <= r * r
+        else:
+            fy = (yy - y0) / max(1, s - 1)
+            cx = x0 + (s - 1) / 2.0
+            half = fy * (s / 2.0)
+            sel = (yy >= y0) & (yy < y0 + s) & (np.abs(xx - cx) <= half)
+        image[sel] = COLORS[obj.color]
+    return image
 
 
 # -- independent expression oracle (re-implements the template semantics) ----
@@ -231,6 +256,26 @@ class TestGenerator:
         target = scene.objects[scene.target_index]
         assert scene.record.target_boxes == [target.box]
         assert scene.record.category == target.shape
+
+    @pytest.mark.parametrize("size", [16, 64, 128])
+    def test_box_local_raster_equals_the_full_grid_renderer(self, size):
+        spec = SyntheticSceneSpec(image_size=size)
+        for seed in range(100):
+            scene = generate_scene_full(spec, RngState(seed))
+            assert np.array_equal(scene.image, full_grid_raster(scene.objects, size)), seed
+
+    @pytest.mark.parametrize("shape", ["square", "circle", "triangle"])
+    @pytest.mark.parametrize("side", [3, 4, 7, 10])
+    def test_box_local_raster_at_the_image_border(self, shape, side):
+        # boxes touching the 1-px margin the generator keeps, and the edge itself
+        size = 16
+        corners = [(1, 1), (size - side - 1, size - side - 1), (1, size - side - 1),
+                   (0, 0), (size - side, size - side), (0, size - side)]
+        objects = [SceneObject(shape, color, "small", x, y, side)
+                   for (x, y), color in zip(corners, itertools.cycle(COLORS))]
+        for obj in objects:
+            assert np.array_equal(_rasterize([obj], size), full_grid_raster([obj], size))
+        assert np.array_equal(_rasterize(objects, size), full_grid_raster(objects, size))
 
     def test_bad_spec_rejected(self):
         with pytest.raises(ValueError):

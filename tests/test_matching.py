@@ -193,6 +193,11 @@ class TestHungarian:
         with pytest.raises(ValueError):
             hungarian([[np.inf, 1.0], [1.0, 2.0]])
 
+    @pytest.mark.parametrize("cost", [[[0.0], [np.nan], [1.0]], [[0.0, -np.inf, 1.0]]])
+    def test_single_target_non_finite_rejected(self, cost):
+        with pytest.raises(ValueError, match="finite"):
+            hungarian(cost)
+
     def test_lexicographic_tie_break(self):
         assert hungarian([[1.0, 1.0], [1.0, 1.0]]).pairs == ((0, 0), (1, 1))
         # row 0 ties between columns 0 and 2; smallest column wins
@@ -233,7 +238,8 @@ class TestHungarian:
 
     @pytest.mark.parametrize("shape", [(4, 1), (4, 4), (1, 4), (6, 3)])
     def test_one_solve_per_call(self, shape, monkeypatch):
-        # the tie-break rides in the solver's costs: no re-solve per candidate
+        # the tie-break rides in the solver's costs: no re-solve per
+        # candidate; a single prediction or target needs no solve at all
         calls = []
         solve_square = matching._solve_square
 
@@ -243,7 +249,36 @@ class TestHungarian:
 
         monkeypatch.setattr(matching, "_solve_square", counting_solve)
         hungarian(RngState(5).uniform_array(shape, -1.0, 1.0))
-        assert calls == [max(shape)]
+        assert calls == ([] if min(shape) == 1 else [max(shape)])
+
+    @pytest.mark.parametrize("shape", [(1, 1), (2, 1), (4, 1), (9, 1), (1, 2), (1, 4), (1, 9)])
+    @pytest.mark.parametrize("kind", ["random", "integer ties", "all equal", "signed zeros"])
+    def test_single_target_is_the_first_argmin(self, shape, kind):
+        # equal to brute force, and to the padded solve it replaces, in the
+        # pairs and in the total cost
+        for seed in range(20):
+            rng = RngState(seed + 100 * sum(shape))
+            if kind == "random":
+                cost = rng.uniform_array(shape, -5.0, 5.0)
+            elif kind == "integer ties":
+                cost = np.array([[float(rng.randint(3)) for _ in range(shape[1])]
+                                 for _ in range(shape[0])])
+            elif kind == "all equal":
+                cost = np.full(shape, 0.1 * (seed - 10))
+            else:
+                cost = np.array([[(0.0, -0.0, 1.0)[rng.randint(3)] for _ in range(shape[1])]
+                                 for _ in range(shape[0])])
+            result = hungarian(cost)
+            totals = {pairs: sum(cost[r, c] for r, c in pairs)
+                      for pairs in all_assignments(*shape)}
+            best = min(totals.values())
+            assert result.pairs == min(p for p, total in totals.items() if total == best)
+            assert result.total_cost == best
+            padded = matching._padded_columns(cost)
+            assert result == Assignment(tuple(padded), float(sum(cost[r, c] for r, c in padded)))
+            assert np.signbit(result.total_cost) == np.signbit(
+                float(sum(cost[r, c] for r, c in padded)))
+
 
 
 class TestMatchAndLoss:

@@ -125,6 +125,15 @@ class TestProjector:
         with pytest.raises(ValidationError):
             model.project_tokens(np.zeros((2, 8, 8, 3)), np.zeros((2, 0), dtype=int))
 
+    def test_float32_scenes_into_a_float64_model_rejected(self):
+        images, ids = tiny_batch()
+        with pytest.raises(ValidationError, match="float32 images into a float64 model"):
+            tiny_model(config=TINY64).project_tokens(images.astype(np.float32), ids)
+        # narrowing to the model's dtype, and integer rasters, are accepted
+        for model, batch in ((tiny_model(), images), (tiny_model(config=TINY64), images),
+                             (tiny_model(config=TINY64), (images * 255).astype(np.uint8))):
+            assert model.project_tokens(batch, ids).tokens.data.dtype == model.config.dtype
+
     def test_positions_deterministic(self):
         a = sinusoidal_positions(10, 8)
         b = sinusoidal_positions(10, 8)

@@ -1,15 +1,20 @@
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mogref.data import SyntheticSceneSpec, default_vocab
+from mogref.data import SyntheticSceneSpec, ValidationError, default_vocab, generate_scene
 from mogref.matching import BBox
 from mogref.metrics import mean_precision
 from mogref.model import ModelConfig, SCSModel
 from mogref.rng import RngState
+from mogref import train as train_module
 from mogref.tensor import Arena, Parameter, Tensor, no_grad
 from mogref.train import (
     Adam,
@@ -27,6 +32,7 @@ from mogref.train import (
 )
 
 VOCAB = default_vocab()
+ROOT = Path(__file__).resolve().parents[1]
 
 TINY_CFG = ModelConfig(
     model_dim=8, num_heads=2, dilations=(1, 2), sce_blocks=1, scd_blocks=1,
@@ -73,8 +79,52 @@ class TestDatasets:
             write_ppm(tmp_path / "images" / f"{rec.image_id}.ppm", img)
         ds = load_dataset_dir(tmp_path, VOCAB)
         assert len(ds) == 3
-        # rasters differ from the originals only by 8-bit quantization
-        assert np.abs(ds.images - np.stack(images)).max() <= 0.5 / 255.0
+        # the stored images are the 8-bit quantized rasters, rounded once to float32
+        quantized = np.rint(np.stack(images) * 255.0) / 255.0
+        assert ds.images.dtype == np.float32
+        assert np.array_equal(ds.images, quantized.astype(np.float32))
+        assert np.array_equal(load_dataset_dir(tmp_path, VOCAB, dtype="float64").images, quantized)
+
+    def test_default_build_is_the_float64_build_rounded_to_float32(self):
+        spec = SyntheticSceneSpec()
+        wide = build_synthetic_dataset(6, spec, VOCAB, 7, dtype="float64")
+        narrow = build_synthetic_dataset(6, spec, VOCAB, 7)
+        assert (wide.images.dtype, narrow.images.dtype) == (np.float64, np.float32)
+        assert np.array_equal(narrow.images, wide.images.astype(np.float32))
+        assert narrow.records == wide.records
+        assert np.array_equal(narrow.token_ids, wide.token_ids)
+
+    def test_float64_build_is_byte_identical_to_the_rendered_scenes(self):
+        spec = SyntheticSceneSpec()
+        root = RngState(7)
+        rendered = [generate_scene(spec, root.derive(i), f"scene-{i:05d}")[0] for i in range(6)]
+        images = build_synthetic_dataset(6, spec, VOCAB, 7, dtype="float64").images
+        assert images.tobytes() == np.stack(rendered).tobytes()
+
+    def test_scene_dtype_must_be_a_model_dtype(self, tmp_path):
+        with pytest.raises(ValidationError, match="float16"):
+            build_synthetic_dataset(1, TINY_SPEC, VOCAB, 0, dtype="float16")
+        from mogref.data import save_annotations
+
+        record = generate_scene(TINY_SPEC, RngState(0))[1]
+        save_annotations(tmp_path / "annotations.json", [record])
+        with pytest.raises(ValidationError, match="float16"):
+            load_dataset_dir(tmp_path, VOCAB, dtype="float16")
+
+    def test_building_scenes_holds_one_image_array(self):
+        # a list of float64 scenes and np.stack's copy of it took about 4x the
+        # float32 image bytes; one preallocated float32 array takes 1x
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])}
+        out = subprocess.run([sys.executable, str(ROOT / "scripts" / "scene_memory.py"),
+                              "--scenes", "512", "--image-size", "64"],
+                             env=env, capture_output=True, text=True, timeout=120, check=True)
+        found = re.search(r"images ([\d.]+) MiB, peak RSS ([\d.]+) MB before the build, "
+                          r"([\d.]+) MB after", out.stdout)
+        assert found, out.stdout
+        image_mib, before, after = map(float, found.groups())
+        assert image_mib == 512 * 64 * 64 * 3 * 4 / 2**20
+        assert after - before < 1.5 * image_mib + 16.0, out.stdout
 
     def test_missing_raster_is_io_error(self, tmp_path):
         from mogref.data import generate_scene, save_annotations
@@ -288,6 +338,31 @@ class TestAdam:
                       [params[-1], tiny_setup()[0].parameters()[0]]):
             with pytest.raises(ValueError):
                 Adam([ParamGroup(group, 1e-3)])
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_step_allocates_nothing_arena_sized(self, dtype):
+        # the update runs through the optimizer's kept (2, block) scratch;
+        # two arena-sized temporaries per step would peak at twice the arena
+        model = SCSModel(ModelConfig(vocab_size=len(VOCAB), dtype=dtype), VOCAB, RngState(0))
+        opt = Adam(self.model_groups(model))
+        model.arena.grad[...] = np.random.default_rng(0).normal(0.0, 1.0, model.arena.grad.size)
+        opt.step()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            opt.step()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert model.arena.data.size > 8 * train_module._ADAM_BLOCK
+        assert peak - base < model.arena.data.nbytes / 4, (peak - base, model.arena.data.nbytes)
+
+    def test_groups_of_two_dtypes_raise(self):
+        wide, narrow = Parameter("wide", np.zeros(3)), Parameter("narrow", np.zeros(3, np.float32))
+        Arena([wide])
+        Arena([narrow], np.float32)
+        with pytest.raises(ValueError, match="one dtype"):
+            Adam([ParamGroup([wide], 1e-3), ParamGroup([narrow], 1e-3)])
 
     @pytest.mark.parametrize("attr", ["grad", "data"])
     def test_rebound_parameter_array_raises(self, attr):
