@@ -6,8 +6,9 @@ Builds the default model at --image-size (seed 0), runs ``train_toy`` on
 ``train_toy`` step that fills the mask, residue-class and position caches),
 and prints the backward wall time and call count of every autodiff op per
 step, largest first. So the profile covers what ``mogref train`` runs,
-with its two parameter groups and its divergence checks. The op name is
-the function that recorded the node (``matmul``, ``_attention_core``, ...).
+with its one Adam parameter group over the whole arena and its divergence
+checks. The op name is the function that recorded the node (``matmul``,
+``_attention_core``, ...).
 
 The header line gives, per step, the wall ms beside the minor page faults
 and the system-CPU ms of the process (``resource.getrusage``): a step that
@@ -23,6 +24,7 @@ timed from this script). The script applies the CLI's allocator settings
 """
 
 import argparse
+import os
 import resource
 import sys
 import time
@@ -98,4 +100,12 @@ def run(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()  # a reader that left raises here, inside the try
+    except BrokenPipeError:
+        # send what is still buffered to devnull, so the flush at exit does
+        # not raise again, and exit without a traceback
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)

@@ -14,6 +14,7 @@ The script applies the CLI's allocator settings
 """
 
 import argparse
+import os
 import resource
 import sys
 import time
@@ -51,4 +52,12 @@ def run(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()  # a reader that left raises here, inside the try
+    except BrokenPipeError:
+        # send what is still buffered to devnull, so the flush at exit does
+        # not raise again, and exit without a traceback
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)

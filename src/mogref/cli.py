@@ -44,7 +44,6 @@ from mogref.train import (
     build_synthetic_dataset,
     evaluate_model,
     load_dataset_dir,
-    train_log_csv,
     train_toy,
 )
 
@@ -221,7 +220,9 @@ def cmd_train(args) -> int:
     elapsed = time.time() - t0
     ckpt = out / "checkpoint.json"
     model.save(ckpt)
-    _write_text(out / "train_log.csv", train_log_csv(result.log, _run_config(args)))
+    rows = [[str(row["step"]), repr(row["loss"]),
+             "" if row["train_p50"] is None else repr(row["train_p50"])] for row in result.log]
+    _write_text(out / "train_log.csv", _csv_text(["step", "loss", "train_p50"], rows, args))
     print(f"wrote {ckpt}")
     _write_json(out / "train_summary.json", {
         "steps_run": result.steps_run,

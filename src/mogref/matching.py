@@ -7,10 +7,11 @@ same float operations as the scalar path, so equal to it bit for bit), and
 a Tensor version (:func:`giou_pairs`) feeds the differentiable loss. They
 are tested against each other and against a rasterized counting oracle.
 
-:func:`hungarian` is one O(n^3) potentials solve, or one ``argmin`` when
-there is a single prediction or a single target. The solve's costs carry
-the tie-break as an exact second key, so among the optimal assignments it
-returns the lexicographically smallest without solving again.
+:func:`hungarian` is one rectangular potentials solve of the shorter side
+against the longer, O(min(Q, T)^2 max(Q, T)) with no padding, for every
+shape. Its costs carry the tie-break as an exact second key, so among the
+optimal assignments it returns the lexicographically smallest without
+solving again.
 
 One loss path serves every batch size; a single sample is B = 1. The loss
 matches each sample with :func:`hungarian` on the detached
@@ -114,44 +115,38 @@ class Assignment:
     total_cost: float
 
 
-def _solve_square(rows: list[list[float]]) -> list[int]:
-    """Lexicographically smallest min-cost perfect matching on a square cost
-    matrix (potentials + shortest augmenting path, O(n^3)). Returns the
-    column of each row.
+def _solve(rows: list[list[float]], keys: list[list[int]]) -> list[int]:
+    """Least-cost matching of each row of an n x m cost, n <= m, to its own
+    column (potentials + shortest augmenting path, O(n^2 m), no padding;
+    Crouse, IEEE TAES 2016). Returns the column of each row.
 
-    Entry (r, j) costs the pair (rows[r][j], j * n**(n-1-r)). Pairs add
+    Entry (r, j) costs the pair (rows[r][j], keys[r][j]). Pairs add
     componentwise and compare lexicographically, so they form an ordered
-    group, and the algorithm (which only adds, subtracts and compares)
-    runs on them unchanged. The second parts of an assignment sum to its
-    column list read as a base-n number, so among the assignments of least
-    cost the one with the smallest column list wins. Each pair is held as a
-    float and an exact int side by side: u/uk, v/vk, and tuples in minv.
+    group, and the algorithm (which only adds, subtracts and compares) runs
+    on them unchanged: among the matchings of least cost it returns one of
+    least total key. Each pair is held as a float and an exact int side by
+    side: u/uk, v/vk, and tuples in minv.
     """
-    n = len(rows)
-    if n == 0:
-        return []
+    n, m = len(rows), len(rows[0])
     inf = (float("inf"), 0)
-    u = [0.0] * (n + 1)
-    uk = [0] * (n + 1)
-    v = [0.0] * (n + 1)
-    vk = [0] * (n + 1)
-    match = [0] * (n + 1)  # match[j] = row occupying column j, 1-based
-    way = [0] * (n + 1)
+    u, uk = [0.0] * (n + 1), [0] * (n + 1)
+    v, vk = [0.0] * (m + 1), [0] * (m + 1)
+    match = [0] * (m + 1)  # match[j] = row occupying column j, 1-based; 0 = free
+    way = [0] * (m + 1)
     for i in range(1, n + 1):
         match[0] = i
         j0 = 0
-        minv = [inf] * (n + 1)
-        used = [False] * (n + 1)
+        minv = [inf] * (m + 1)
+        used = [False] * (m + 1)
         while True:
             used[j0] = True
             i0 = match[j0]
-            delta = inf
-            j1 = -1
-            row = rows[i0 - 1]
-            place = n ** (n - i0)  # weight of row i0 - 1's column digit
-            for j in range(1, n + 1):
+            row, key = rows[i0 - 1], keys[i0 - 1]
+            ui, uki = u[i0], uk[i0]
+            delta, j1 = inf, -1
+            for j in range(1, m + 1):
                 if not used[j]:
-                    cur = (row[j - 1] - u[i0] - v[j], (j - 1) * place - uk[i0] - vk[j])
+                    cur = (row[j - 1] - ui - v[j], key[j - 1] - uki - vk[j])
                     if cur < minv[j]:
                         minv[j] = cur
                         way[j] = j0
@@ -159,7 +154,7 @@ def _solve_square(rows: list[list[float]]) -> list[int]:
                         delta = minv[j]
                         j1 = j
             d, dk = delta
-            for j in range(n + 1):
+            for j in range(m + 1):
                 if used[j]:
                     u[match[j]] += d
                     uk[match[j]] += dk
@@ -175,41 +170,28 @@ def _solve_square(rows: list[list[float]]) -> list[int]:
             match[j0] = match[j1]
             j0 = j1
     out = [0] * n
-    for j in range(1, n + 1):
-        if match[j] > 0:
+    for j in range(1, m + 1):
+        if match[j]:
             out[match[j] - 1] = j - 1
     return out
-
-
-def _padded_columns(c: np.ndarray) -> list[tuple[int, int]]:
-    """The (row, col) pairs of the padded square solve of a finite cost ``c``.
-
-    The rectangle is padded to square with a uniform sentinel one unit
-    above the largest entry magnitude (finite, so arithmetic stays total;
-    uniform, so it cannot distort which real pairs win), and the pairs that
-    fall on padding are dropped.
-    """
-    num_pred, num_tgt = c.shape
-    n = max(num_pred, num_tgt)
-    sentinel = float(np.abs(c).max()) + 1.0
-    square = np.full((n, n), sentinel, dtype=np.float64)
-    square[:num_pred, :num_tgt] = c
-    cols = _solve_square(square.tolist())
-    return [(r, j) for r, j in enumerate(cols) if r < num_pred and j < num_tgt]
 
 
 def hungarian(cost) -> Assignment:
     """Minimum-cost bipartite assignment of predictions (rows) to targets.
 
     Among cost-equal optima the lexicographically smallest (row, col) list
-    is returned, which makes matches reproducible. With one prediction or
-    one target (``min(Q, T) == 1``) the answer is the single pair at the
-    first minimum, found by ``argmin`` with no solve, so its ties are exact.
-    Otherwise it is one O(n^3) solve of the cost padded to square, on costs
-    that carry the tie-break as an exact second key (see
-    :func:`_solve_square`). There ties are exact for costs whose sums are
-    exact in floating point, such as small integers; otherwise rounding in
-    the potentials may decide between near-equal optima.
+    is returned, which makes matches reproducible. It is one :func:`_solve`
+    of the shorter side against the longer one (the cost is transposed when
+    Q > T), with the tie-break carried as an exact second key: the edge
+    (q, t) has key (t - T) * (T + 1)**(Q - 1 - q). Read each prediction as
+    a base-(T + 1) digit, its target or T when unmatched; an assignment's
+    keys then sum to its digit string minus a constant, and the digit
+    strings order like the prediction-sorted pair lists. With one
+    prediction or one target the solve compares raw costs against zero
+    potentials, so its ties are exact, ``-0.0`` against ``0.0`` included.
+    With min(Q, T) >= 2, ties are exact for costs whose sums are exact in
+    floating point, such as small integers; otherwise rounding in the
+    potentials may decide between near-equal optima.
     """
     c = np.asarray(cost, dtype=np.float64)
     if c.ndim != 2:
@@ -218,10 +200,14 @@ def hungarian(cost) -> Assignment:
         return Assignment((), 0.0)
     if not np.isfinite(c).all():
         raise ValueError("cost matrix entries must be finite")
-    if min(c.shape) == 1:
-        pairs = [divmod(int(np.argmin(c)), c.shape[1])]  # (row, col) of the flat index
+    num_pred, num_tgt = c.shape
+    place = [(num_tgt + 1) ** (num_pred - 1 - q) for q in range(num_pred)]
+    if num_pred <= num_tgt:
+        keys = [[(t - num_tgt) * p for t in range(num_tgt)] for p in place]
+        pairs = list(enumerate(_solve(c.tolist(), keys)))
     else:
-        pairs = _padded_columns(c)
+        keys = [[(t - num_tgt) * p for p in place] for t in range(num_tgt)]
+        pairs = sorted((q, t) for t, q in enumerate(_solve(c.T.tolist(), keys)))
     total_cost = float(sum(c[r, j] for r, j in pairs))
     return Assignment(tuple(pairs), total_cost)
 

@@ -28,12 +28,12 @@ one to its input's dtype, so every gradient has the dtype of the tensor it
 belongs to and a float64 gradient never leaks into float32. The output
 gradient ``g`` itself goes to the first input whose partial returns
 it and a copy to any later one; any other partial (a fresh array, or a view
-of ``g`` no other input shares) is handed over as it is. Two hand-written
-closures (:func:`_node`) are kept, where one backward builds several
-gradients from shared work or scatters into a gradient in place:
-:func:`take_rows` and ``mog._attention_core``. Like every closure, each
-receives its output gradient in its output's dtype, and it builds its
-inputs' gradients in theirs.
+of ``g`` no other input shares) is handed over as it is, such as a gather's
+(:func:`select`, :func:`take_rows`) output gradient scattered into zeros.
+One hand-written closure (:func:`_node`) is kept, where one backward builds
+several gradients from shared work: ``mog._attention_core``. Like every
+closure, it receives its output gradient in its output's dtype, and it
+builds its inputs' gradients in theirs.
 
 Inside ``with no_grad():`` operations record nothing: outputs are bare
 tensors with no parents and no closure, and :func:`backward` on them is a
@@ -47,8 +47,7 @@ An :class:`Arena` packs a list of parameters into one contiguous ``data``
 and one ``grad`` buffer and makes each ``Parameter.data`` and ``.grad`` a
 view of its slice, so an optimizer can update a run of parameters in one
 pass and zero their gradients in one fill. Gradients reach those views in
-place: :func:`_accum` adds into a leaf's existing ``.grad`` and
-:func:`take_rows` scatters into it.
+place: :func:`_accum` adds into a leaf's existing ``.grad``.
 
 Masked softmax is the one numerically delicate op: masked logits are
 replaced by -inf before the stable exponential, which makes masked output
@@ -346,9 +345,9 @@ def _node(data: np.ndarray, parents: Sequence[Tensor], bwd: Callable[[np.ndarray
 
     ``bwd`` must not capture the returned tensor: that would make a
     reference cycle only the cyclic garbage collector can free. Besides
-    :func:`_record`, only the two hand-written closures the routing rule
-    names (:func:`take_rows` and ``mog._attention_core``) call it and route
-    their own gradients in ``bwd``.
+    :func:`_record`, only the hand-written closure the routing rule names
+    (``mog._attention_core``) calls it and routes its own gradients in
+    ``bwd``.
     """
     out = Tensor(data)
     if not _RECORDING.enabled:
@@ -614,14 +613,13 @@ def take_rows(a, indices) -> Tensor:
     """Gather along the first axis (embedding-table style lookup)."""
     a = _wrap(a)
     idx = np.asarray(indices, dtype=np.intp)
-    data = a.data[idx]
 
-    def bwd(g):
-        if a.grad is None:
-            a.grad = np.zeros_like(a.data)
-        np.add.at(a.grad, idx, g)
+    def vjp(g):
+        buf = np.zeros_like(a.data)
+        np.add.at(buf, idx, g)
+        return buf
 
-    return _node(data, (a,), bwd)
+    return _record(take_rows, a.data[idx], (a,), (vjp,))
 
 
 # ---------------------------------------------------------------------------

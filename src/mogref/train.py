@@ -15,7 +15,6 @@ gradient buffer.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -358,14 +357,3 @@ def train_toy(model: SCSModel, dataset: GroundingDataset, cfg: TrainConfig) -> T
                 break
         log.append(entry)
     return TrainResult(len(log), log, fit_step, final_p50)
-
-
-def train_log_csv(log: Sequence[dict], run_config: dict) -> str:
-    """Render the loss log as CSV with the run configuration in the header."""
-    lines = ["# schema_version: 1",
-             f"# run_config: {json.dumps(run_config, sort_keys=True)}",
-             "step,loss,train_p50"]
-    for row in log:
-        p50 = "" if row["train_p50"] is None else repr(row["train_p50"])
-        lines.append(f"{row['step']},{row['loss']!r},{p50}")
-    return "\n".join(lines) + "\n"

@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -227,7 +228,7 @@ class TestHungarian:
     def test_integer_ties_lexicographically_minimal(self, q, t, seed):
         # small integer entries force many exactly-optimal assignments; the
         # solver must return the lexicographically smallest one, also when
-        # padding adds sentinel rows (q < t) or columns (q > t)
+        # the cost is solved transposed (q > t)
         rng = RngState(seed)
         cost = np.array([[float(rng.randint(3)) for _ in range(t)] for _ in range(q)])
         result = hungarian(cost)
@@ -239,23 +240,23 @@ class TestHungarian:
     @pytest.mark.parametrize("shape", [(4, 1), (4, 4), (1, 4), (6, 3)])
     def test_one_solve_per_call(self, shape, monkeypatch):
         # the tie-break rides in the solver's costs: no re-solve per
-        # candidate; a single prediction or target needs no solve at all
+        # candidate, and every shape takes the same solve, with the shorter
+        # side as its rows
         calls = []
-        solve_square = matching._solve_square
+        solve = matching._solve
 
-        def counting_solve(rows):
+        def counting_solve(rows, keys):
             calls.append(len(rows))
-            return solve_square(rows)
+            return solve(rows, keys)
 
-        monkeypatch.setattr(matching, "_solve_square", counting_solve)
+        monkeypatch.setattr(matching, "_solve", counting_solve)
         hungarian(RngState(5).uniform_array(shape, -1.0, 1.0))
-        assert calls == ([] if min(shape) == 1 else [max(shape)])
+        assert calls == [min(shape)]
 
     @pytest.mark.parametrize("shape", [(1, 1), (2, 1), (4, 1), (9, 1), (1, 2), (1, 4), (1, 9)])
     @pytest.mark.parametrize("kind", ["random", "integer ties", "all equal", "signed zeros"])
     def test_single_target_is_the_first_argmin(self, shape, kind):
-        # equal to brute force, and to the padded solve it replaces, in the
-        # pairs and in the total cost
+        # equal to brute force in the pairs and in the total cost
         for seed in range(20):
             rng = RngState(seed + 100 * sum(shape))
             if kind == "random":
@@ -274,10 +275,30 @@ class TestHungarian:
             best = min(totals.values())
             assert result.pairs == min(p for p, total in totals.items() if total == best)
             assert result.total_cost == best
-            padded = matching._padded_columns(cost)
-            assert result == Assignment(tuple(padded), float(sum(cost[r, c] for r, c in padded)))
-            assert np.signbit(result.total_cost) == np.signbit(
-                float(sum(cost[r, c] for r, c in padded)))
+
+    @pytest.mark.parametrize("num_pred", [64, 256])
+    def test_two_targets_many_queries_lexicographically_minimal(self, num_pred):
+        # every (i, j), i != j, matching query i to target 0 and query j to
+        # target 1, scored at once; small integers force many exact ties
+        for seed in range(3):
+            rng = RngState(seed + num_pred)
+            cost = np.array([[float(rng.randint(3)) for _ in range(2)] for _ in range(num_pred)])
+            totals = cost[:, 0, None] + cost[None, :, 1]
+            np.fill_diagonal(totals, np.inf)
+            best = totals.min()
+            tied = np.argwhere(totals == best)
+            result = hungarian(cost)
+            assert result.total_cost == best
+            assert result.pairs == min(tuple(sorted([(i, 0), (j, 1)])) for i, j in tied.tolist())
+
+    def test_many_queries_few_targets_is_fast(self):
+        # one query per 128-px visual token against a few targets: the solve
+        # is O(T^2 Q), so this takes about a millisecond, not seconds
+        cost = RngState(7).uniform_array((256, 4), 0.0, 10.0)
+        start = time.perf_counter()
+        result = hungarian(cost)
+        assert time.perf_counter() - start < 0.5
+        assert len(result.pairs) == 4
 
 
 

@@ -1,5 +1,8 @@
 import importlib.util
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -120,3 +123,18 @@ def test_script_profiles_a_default_step(capsys):
     assert rows["matmul"][0] == 18
     assert rows["affine"][0] == 21
     assert {"layernorm", "gelu", "softmax", "take_rows"} <= set(rows)
+
+
+def test_script_exits_quietly_into_a_closed_pipe():
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader left before the script printed anything
+    src = str(SCRIPT.parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    try:
+        proc = subprocess.run([sys.executable, str(SCRIPT), "--steps", "1", "--batch", "1"],
+                              stdout=write_end, stderr=subprocess.PIPE, text=True, env=env,
+                              timeout=120)
+    finally:
+        os.close(write_end)
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode == 1

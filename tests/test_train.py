@@ -27,7 +27,6 @@ from mogref.train import (
     evaluate_model,
     load_dataset_dir,
     predict_best_boxes,
-    train_log_csv,
     train_toy,
 )
 
@@ -152,7 +151,7 @@ class TestTraining:
         r1 = train_toy(m1, d1, cfg)
         r2 = train_toy(m2, d2, cfg)
         assert r1.log == r2.log
-        assert train_log_csv(r1.log, {"seed": 5}) == train_log_csv(r2.log, {"seed": 5})
+        assert repr(r1.log) == repr(r2.log)  # bit for bit, as train_log.csv writes them
 
     def test_loss_decreases_on_short_run(self):
         model, ds = tiny_setup(seed=2)
