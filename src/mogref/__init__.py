@@ -17,7 +17,6 @@ from mogref.data import (
     Vocab,
     default_vocab,
     generate_scene,
-    generate_scene_full,
     load_annotations,
     save_annotations,
     tokenize,
@@ -50,7 +49,7 @@ from mogref.mog import (
     gate_weights,
     mog_forward,
 )
-from mogref.model import ModelConfig, Prediction, SCSModel, TokenSequence
+from mogref.model import ModelConfig, Prediction, SCSModel
 from mogref.rng import RngState
 from mogref.tensor import (
     DegenerateMaskError,

@@ -27,6 +27,7 @@ from mogref.data import (
     GenerationError,
     SyntheticSceneSpec,
     ValidationError,
+    annotations_path,
     atomic_open,
     default_vocab,
     load_annotations,
@@ -261,6 +262,11 @@ def cmd_eval(args) -> int:
 def cmd_sweep(args) -> int:
     cfg = TrainConfig(steps=args.steps, lr=args.lr, batch_size=args.batch_size,
                       eval_every=0, target_train_p50=None)
+    # no row would be trained, or a negative count would score the training scenes
+    if args.gmax < 1:
+        raise ValidationError(f"--gmax must be >= 1, got {args.gmax}")
+    if args.eval_scenes < 0:
+        raise ValidationError(f"--eval-scenes must be >= 0, got {args.eval_scenes}")
     tune_allocator()
     out = _out_dir(args)
     vocab = default_vocab()
@@ -297,7 +303,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_stats(args) -> int:
     out = _out_dir(args)
-    records = load_annotations(args.data)
+    records = load_annotations(annotations_path(args.data))
     if not records:
         raise ValidationError(f"{args.data}: no records to summarize")
     stats = dataset_stats(records)
@@ -387,7 +393,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("stats", help="summarize an annotation file")
-    p.add_argument("--data", required=True, help="annotation JSON file")
+    p.add_argument("--data", required=True,
+                   help="annotation JSON file, or a dataset directory holding annotations.json")
     p.add_argument("--out-dir", default=None)
     p.set_defaults(func=cmd_stats)
 

@@ -20,7 +20,10 @@ The generator rasterizes colored shapes (squares, circles, triangles) at
 several size classes onto a flat background and emits a templated referring
 expression that uniquely identifies one of them; uniqueness is established
 by exhaustively evaluating the expression's predicate against every placed
-object. Everything is deterministic given an :class:`RngState`.
+object. :func:`generate_scene` is its one entry point: it returns a
+:class:`Scene` with the image, the annotation record and every placed object
+(the target's index included), so oracles and the dataset builders read the
+same draw. Everything is deterministic given an :class:`RngState`.
 """
 
 from __future__ import annotations
@@ -144,6 +147,13 @@ def _record_from_json(obj: dict, index: int) -> AnnotationRecord:
     return rec
 
 
+def annotations_path(path) -> Path:
+    """The annotation file every reader loads: ``path/annotations.json`` when
+    ``path`` is a dataset directory (beside ``images/``), else ``path`` itself."""
+    path = Path(path)
+    return path / "annotations.json" if path.is_dir() else path
+
+
 def load_annotations(path) -> list[AnnotationRecord]:
     """Read and validate an annotation file; errors name record and field."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -199,8 +209,11 @@ COLORS = {
     "blue": (0.2, 0.3, 0.85),
     "yellow": (0.9, 0.85, 0.2),
 }
+COLOR_NAMES = tuple(COLORS)
 SHAPES = ("square", "circle", "triangle")
 SIZE_CLASSES = ("small", "medium", "large")
+# placement restarts before the generator gives up on a spec
+MAX_RETRIES = 25
 
 # side length as a fraction of the scene edge, per size class; box areas
 # span roughly 1% to 25% of the scene
@@ -279,11 +292,8 @@ class SyntheticSceneSpec:
 
     image_size: int = 64
     num_distractors: int = 3
-    shapes: tuple[str, ...] = SHAPES
-    colors: tuple[str, ...] = tuple(COLORS.keys())
     size_classes: tuple[str, ...] = SIZE_CLASSES
     templates: tuple[str, ...] = ("attribute", "position", "relation")
-    max_retries: int = 25
 
     def __post_init__(self):
         if self.image_size < 16:
@@ -321,7 +331,6 @@ class Scene:
     image: np.ndarray  # (S, S, 3) float64 in [0, 1]
     objects: list[SceneObject]
     target_index: int
-    expression: str
     record: AnnotationRecord
 
 
@@ -406,8 +415,8 @@ def _place_objects(spec: SyntheticSceneSpec, rng: RngState) -> list[SceneObject]
             )
             if clear:
                 placed.append(SceneObject(
-                    shape=rng.choice(spec.shapes),
-                    color=rng.choice(spec.colors),
+                    shape=rng.choice(SHAPES),
+                    color=rng.choice(COLOR_NAMES),
                     size_class=size_class,
                     x=x, y=y, side=side,
                 ))
@@ -462,17 +471,9 @@ def _rasterize(objects: Sequence[SceneObject], size: int) -> np.ndarray:
     return image
 
 
-def generate_scene(spec: SyntheticSceneSpec, rng: RngState,
-                   image_id: str = "scene") -> tuple[np.ndarray, AnnotationRecord]:
-    """Render one scene and its referring annotation; deterministic per rng."""
-    scene = generate_scene_full(spec, rng, image_id=image_id)
-    return scene.image, scene.record
-
-
-def generate_scene_full(spec: SyntheticSceneSpec, rng: RngState,
-                        image_id: str = "scene") -> Scene:
-    """Like :func:`generate_scene` but keeps the placed objects for oracles."""
-    for _ in range(spec.max_retries):
+def generate_scene(spec: SyntheticSceneSpec, rng: RngState, image_id: str = "scene") -> Scene:
+    """Render one scene with its referring annotation and placed objects; deterministic per rng."""
+    for _ in range(MAX_RETRIES):
         objects = _place_objects(spec, rng)
         if objects is None:
             continue
@@ -498,9 +499,9 @@ def generate_scene_full(spec: SyntheticSceneSpec, rng: RngState,
                         category=target.shape,
                     )
                     record.validate()
-                    return Scene(image, objects, target_idx, expr, record)
+                    return Scene(image, objects, target_idx, record)
     raise GenerationError(
-        f"could not build a uniquely-referring scene in {spec.max_retries} attempts"
+        f"could not build a uniquely-referring scene in {MAX_RETRIES} attempts"
     )
 
 

@@ -279,8 +279,12 @@ def case_grounding_loss_batch(rng: RngState) -> Case:
 
 
 def case_scs_end_to_end(rng: RngState) -> Case:
-    """Whole pipeline: forward + set loss, assignments frozen at the base point."""
-    from mogref import data, model
+    """Whole pipeline: forward + set loss, assignments frozen at the base point.
+
+    The batch is tokenized, padded and given normalized targets by
+    ``train._assemble``, as every dataset is.
+    """
+    from mogref import data, model, train
 
     cfg = model.ModelConfig(
         model_dim=8, num_heads=2, dilations=(1, 2), sce_blocks=1, scd_blocks=1,
@@ -291,16 +295,9 @@ def case_scs_end_to_end(rng: RngState) -> Case:
     net = model.SCSModel(cfg, vocab, rng.derive(1))
 
     spec = data.SyntheticSceneSpec(image_size=16, num_distractors=1)
-    scenes = [data.generate_scene_full(spec, rng.derive(10 + i), f"gc-{i}") for i in range(2)]
-    images = np.stack([s.image for s in scenes])
-    ids = [data.tokenize(s.expression, vocab) for s in scenes]
-    width = max(len(t) for t in ids)
-    token_ids = np.array([t + [vocab.pad_id] * (width - len(t)) for t in ids])
-    targets = [
-        [matching.BBox.from_pixel(*b, s.record.image_w, s.record.image_h)
-         for b in s.record.target_boxes]
-        for s in scenes
-    ]
+    scenes = [data.generate_scene(spec, rng.derive(10 + i), f"gc-{i}") for i in range(2)]
+    batch = train._assemble(np.stack([s.image for s in scenes]), [s.record for s in scenes], vocab)
+    images, token_ids, targets = batch.images, batch.token_ids, batch.targets
 
     base = net.forward(images, token_ids)
     _, frozen = matching.grounding_loss(base.boxes, base.confidence, targets)

@@ -226,25 +226,30 @@ class LossWeights:
     conf: float = 1.0
 
 
-def _corner_columns(boxes: Tensor):
-    cx = select(boxes, 0, axis=1)
-    cy = select(boxes, 1, axis=1)
-    w = select(boxes, 2, axis=1)
-    h = select(boxes, 3, axis=1)
-    return cx - w * 0.5, cy - h * 0.5, cx + w * 0.5, cy + h * 0.5
+def _corners(boxes: Tensor) -> tuple[Tensor, Tensor]:
+    """The (M, 2) low and high (x, y) corners of (M, 4) center-form boxes."""
+    halves = reshape(boxes, (boxes.shape[0], 2, 2))  # rows (cx, cy), (w, h)
+    center = select(halves, 0, axis=1)
+    half_size = select(halves, 1, axis=1) * 0.5
+    return center - half_size, center + half_size
+
+
+def _area(extent: Tensor) -> Tensor:
+    """Width times height of (M, 2) extents."""
+    return select(extent, 0, axis=1) * select(extent, 1, axis=1)
 
 
 def giou_pairs(a: Tensor, b: Tensor) -> Tensor:
-    """Rowwise GIoU of two (M, 4) center-form box tensors; differentiable."""
-    ax1, ay1, ax2, ay2 = _corner_columns(a)
-    bx1, by1, bx2, by2 = _corner_columns(b)
-    iw = maximum(minimum(ax2, bx2) - maximum(ax1, bx1), 0.0)
-    ih = maximum(minimum(ay2, by2) - maximum(ay1, by1), 0.0)
-    inter = iw * ih
-    area_a = (ax2 - ax1) * (ay2 - ay1)
-    area_b = (bx2 - bx1) * (by2 - by1)
-    union = area_a + area_b - inter
-    enclose = (maximum(ax2, bx2) - minimum(ax1, bx1)) * (maximum(ay2, by2) - minimum(ay1, by1))
+    """Rowwise GIoU of two (M, 4) center-form box tensors; differentiable.
+
+    Corners are taken as (M, 2) halves, so each elementwise op covers x and
+    y at once, with the operands and order of the per-column formula.
+    """
+    a_lo, a_hi = _corners(a)
+    b_lo, b_hi = _corners(b)
+    inter = _area(maximum(minimum(a_hi, b_hi) - maximum(a_lo, b_lo), 0.0))
+    union = _area(a_hi - a_lo) + _area(b_hi - b_lo) - inter
+    enclose = _area(maximum(a_hi, b_hi) - minimum(a_lo, b_lo))
     return inter / union - (enclose - union) / enclose
 
 

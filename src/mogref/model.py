@@ -121,15 +121,6 @@ class ModelConfig:
 
 
 @dataclass
-class TokenSequence:
-    """Concatenated multimodal tokens, always visual first then linguistic."""
-
-    tokens: Tensor  # (B, N_v + N_l, D)
-    num_visual: int
-    num_text: int
-
-
-@dataclass
 class Prediction:
     boxes: Tensor  # (B, Q, 4) center-form, float64 sigmoid outputs
     confidence: Tensor  # (B, Q), float64 sigmoid outputs
@@ -199,7 +190,7 @@ class TokenProjector(Module):
         tiles = images.reshape(b, gh, p, gw, p, c).transpose(0, 1, 3, 2, 4, 5)
         return tiles.reshape(b, gh * gw, p * p * c)
 
-    def __call__(self, images: np.ndarray, token_ids: np.ndarray) -> TokenSequence:
+    def __call__(self, images: np.ndarray, token_ids: np.ndarray) -> Tensor:
         images = np.asarray(images)
         dtype = np.dtype(self.config.dtype)
         if images.dtype.kind == "f" and images.dtype.itemsize < dtype.itemsize:
@@ -220,17 +211,14 @@ class TokenProjector(Module):
             )
         visual = self.patch(Tensor(self._patchify(images)))
         visual = visual + select(self.type_embed, 0, axis=0)
-        num_visual = visual.shape[1]
-        num_text = token_ids.shape[1]
-        if num_text:
+        if token_ids.shape[1]:
             text = take_rows(self.word_embed, token_ids)
             text = text + select(self.type_embed, 1, axis=0)
             tokens = concat([visual, text], axis=1)
         else:
             tokens = visual
-        n = num_visual + num_text
-        tokens = tokens + Tensor(sinusoidal_positions(n, self.config.model_dim, self.config.dtype))
-        return TokenSequence(tokens, num_visual, num_text)
+        positions = sinusoidal_positions(tokens.shape[1], self.config.model_dim, self.config.dtype)
+        return tokens + Tensor(positions)
 
 
 class EncoderBlock(Module):
@@ -353,11 +341,11 @@ class SCSModel(Module):
 
     # -- stages ------------------------------------------------------------
 
-    def project_tokens(self, images: np.ndarray, token_ids: np.ndarray) -> TokenSequence:
+    def project_tokens(self, images: np.ndarray, token_ids: np.ndarray) -> Tensor:
+        """The (B, N, D) token tensor, visual tokens first, then the (padded) words."""
         return self.projector(images, token_ids)
 
-    def sce_forward(self, tokens: TokenSequence) -> tuple[Tensor, list[Tensor]]:
-        x = tokens.tokens
+    def sce_forward(self, x: Tensor) -> tuple[Tensor, list[Tensor]]:
         per_block = []
         for block in self.sce:
             x = block(x)

@@ -105,8 +105,6 @@ class MoGConfig:
 class GranularityMask:
     """Binary n-by-n mask keeping pairs with |i - j| divisible by the dilation."""
 
-    n: int
-    dilation: int
     bits: np.ndarray  # float64 0/1, read-only
 
 
@@ -141,7 +139,7 @@ def build_mask(n: int, dilation: int) -> GranularityMask:
     """Square dilation mask; symmetric, all-ones diagonal, never a zero row."""
     if n < 1 or dilation < 1:
         raise ValueError(f"build_mask needs n >= 1 and dilation >= 1, got n={n}, dilation={dilation}")
-    return GranularityMask(n, dilation, _cached_bits(n, n, dilation))
+    return GranularityMask(_cached_bits(n, n, dilation))
 
 
 def build_rect_mask(num_rows: int, num_cols: int, dilation: int) -> np.ndarray:
@@ -261,7 +259,8 @@ class MoGAttention(Module):
     (``gate`` is None, and :meth:`parameters` has only the projections),
     the mixture weight is the constant γ ≡ 1 and the module is plain
     multi-head attention. There is no output projection here; blocks that
-    embed this module add their own.
+    embed this module add their own. It holds parameters only: attention
+    runs as :func:`mog_forward` ``(x, attn, memory)``.
     """
 
     def __init__(self, config: MoGConfig, rng: RngState, name: str):
@@ -278,9 +277,6 @@ class MoGAttention(Module):
                 Parameter(f"{name}.gate_w", np.zeros((d, config.num_granularities))),
                 Parameter(f"{name}.gate_b", np.zeros(config.num_granularities)),
             )
-
-    def __call__(self, x: Tensor, memory: Tensor | None = None) -> Tensor:
-        return mog_forward(x, self, memory=memory)
 
 
 def attention_logits(x: Tensor, attn: MoGAttention, memory: Tensor | None = None):

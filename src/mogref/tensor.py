@@ -171,9 +171,9 @@ class Arena:
     and gradients of a list of parameters.
 
     Packing copies the parameters' values, in the order given and cast to
-    ``dtype`` (by default their common dtype), into the flat ``data``
-    buffer, zeroes the flat ``grad`` buffer, and rebinds every ``p.data``
-    and ``p.grad`` to a view of the parameter's slice of each. So
+    ``dtype``, into the flat ``data`` buffer, zeroes the flat ``grad``
+    buffer, and rebinds every ``p.data`` and ``p.grad`` to a view of the
+    parameter's slice of each. So
     consecutive parameters are one slice of the buffers, which an optimizer
     updates in one pass, and zeroing their gradients is one ``fill``. From
     then on values and gradients are assigned in place (``p.data[...] = x``,
@@ -181,10 +181,8 @@ class Arena:
     :meth:`span` refuses it.
     """
 
-    def __init__(self, params: Sequence[Parameter], dtype=None):
+    def __init__(self, params: Sequence[Parameter], dtype):
         params = list(params)
-        if dtype is None:
-            dtype = np.result_type(*(p.data.dtype for p in params)) if params else np.float64
         total = sum(p.size for p in params)
         self.data = np.empty(total, dtype=dtype)
         self.grad = np.zeros(total, dtype=dtype)
@@ -627,18 +625,17 @@ def take_rows(a, indices) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def tsum(a, axis: int | None = None, keepdims: bool = False) -> Tensor:
+def tsum(a) -> Tensor:
+    """The sum of every entry, a 0-d tensor."""
     a = _wrap(a)
-    lost = () if axis is None or keepdims else axis  # the axis g lacks
-    return _record(tsum, a.data.sum(axis=axis, keepdims=keepdims), (a,),
-                   (lambda g: np.broadcast_to(np.expand_dims(g, lost), a.data.shape).copy(),))
+    return _record(tsum, a.data.sum(), (a,), (lambda g: np.broadcast_to(g, a.data.shape).copy(),))
 
 
-def mean(a, axis: int | None = None, keepdims: bool = False) -> Tensor:
+def mean(a, axis: int | None = None) -> Tensor:
     a = _wrap(a)
     count = a.size if axis is None else a.data.shape[axis]
-    lost = () if axis is None or keepdims else axis
-    return _record(mean, a.data.mean(axis=axis, keepdims=keepdims), (a,),
+    lost = () if axis is None else axis  # the axis g lacks
+    return _record(mean, a.data.mean(axis=axis), (a,),
                    (lambda g: np.broadcast_to(np.expand_dims(g, lost), a.data.shape) / count,))
 
 
@@ -735,13 +732,6 @@ def layernorm(a, eps: float = 1e-5) -> Tensor:
     return _record(layernorm, data, (a,), (vjp,))
 
 
-def _mask_bits(mask) -> np.ndarray:
-    if isinstance(mask, Tensor):
-        mask = mask.data
-    bits = getattr(mask, "bits", mask)  # GranularityMask carries .bits
-    return np.asarray(bits, dtype=bool)
-
-
 def _softmax_vjp(data: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     """The partial of a softmax over the last axis whose output is ``data``."""
     return lambda g: data * (g - (g * data).sum(axis=-1, keepdims=True))
@@ -757,7 +747,9 @@ def softmax(a) -> Tensor:
 
 def _masked_softmax_data(x: np.ndarray, mask) -> np.ndarray:
     """The forward arithmetic of :func:`masked_softmax` on a bare array."""
-    bits = _mask_bits(mask)
+    if not isinstance(mask, np.ndarray):  # any other object would read as one True
+        raise TypeError(f"mask must be a numpy array, got {type(mask).__name__}")
+    bits = mask.astype(bool, copy=False)
     try:
         m = np.broadcast_to(bits, x.shape)
     except ValueError as exc:
@@ -775,9 +767,11 @@ def _masked_softmax_data(x: np.ndarray, mask) -> np.ndarray:
 def masked_softmax(logits, mask) -> Tensor:
     """Softmax over the last axis restricted to ``mask``'s support.
 
-    Masked positions come out exactly 0.0 (bit-level), unmasked rows sum to
-    one. The mask is a constant: no gradient flows into it, and the
-    gradient at masked logits is exactly zero.
+    ``mask`` is a numpy array (bool or 0/1) that broadcasts to the logits,
+    such as the ``bits`` of :func:`mogref.mog.build_mask`. Masked positions
+    come out exactly 0.0 (bit-level), unmasked rows sum to one. The mask is
+    a constant: no gradient flows into it, and the gradient at masked
+    logits is exactly zero.
     """
     a = _wrap(logits)
     data = _masked_softmax_data(a.data, mask)

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -27,6 +26,7 @@ from mogref.data import (
     SyntheticSceneSpec,
     ValidationError,
     Vocab,
+    annotations_path,
     generate_scene,
     load_annotations,
     read_ppm,
@@ -100,9 +100,9 @@ def build_synthetic_dataset(num_scenes: int, spec: SyntheticSceneSpec, vocab: Vo
     images = _image_array(num_scenes, spec.image_size, spec.image_size, dtype)
     records = []
     for i in range(num_scenes):
-        image, record = generate_scene(spec, root.derive(i), image_id=f"scene-{i:05d}")
-        images[i] = image
-        records.append(record)
+        scene = generate_scene(spec, root.derive(i), image_id=f"scene-{i:05d}")
+        images[i] = scene.image
+        records.append(scene.record)
     return _assemble(images, records, vocab)
 
 
@@ -112,8 +112,7 @@ def load_dataset_dir(path, vocab: Vocab, dtype: str = "float32") -> GroundingDat
     Each raster is read as float64 in [0, 1] and rounded once to ``dtype``
     as it is written into the dataset's one preallocated image array.
     """
-    root = Path(path)
-    ann = root / "annotations.json" if root.is_dir() else root
+    ann = annotations_path(path)
     records = load_annotations(ann)
     if not records:
         raise ValidationError(f"{ann}: no records")

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import platform
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import mogref
-from mogref import allocator
+from mogref import allocator, cli
 from mogref.cli import (
     EXIT_IO,
     EXIT_NUMERICAL,
@@ -81,6 +82,18 @@ class TestMakeDataAndStats:
         assert doc["stats"]["bbox_count"] == 5
         header = comments_of(stats_dir / "stats.csv")
         assert any("o2s" in line for line in header)  # definitions documented
+
+    def test_stats_reads_a_dataset_directory_as_train_does(self, tmp_path):
+        data_dir = tmp_path / "data"
+        assert main(["make-data", "--scenes", "3", "--seed", "3", "--image-size", "16",
+                     "--distractors", "1", "--out-dir", str(data_dir)]) == EXIT_OK
+        outputs = []
+        for data in (data_dir, data_dir / "annotations.json"):
+            out = tmp_path / data.name
+            assert main(["stats", "--data", str(data), "--out-dir", str(out)]) == EXIT_OK
+            outputs.append((json.loads((out / "stats.json").read_text())["stats"],
+                            read_csv_rows(out / "stats.csv")))
+        assert outputs[0] == outputs[1]
 
     def test_make_data_writes_the_training_dataset(self, tmp_path):
         # make-data and training draw the same scenes for a seed and spec
@@ -264,6 +277,15 @@ class TestTrainEval:
         config = _model_config(args, vocab_size, _parse_dilations(args.dilations))
         assert config == ModelConfig(vocab_size=vocab_size)
 
+    @pytest.mark.parametrize("command", [["make-data"], ["train"], ["sweep"],
+                                         ["eval", "--checkpoint", "c.json", "--image-size", "32"]])
+    def test_scene_flags_set_every_spec_field(self, monkeypatch, command):
+        # a SyntheticSceneSpec field that no scene flag sets has no caller
+        passed = {}
+        monkeypatch.setattr(cli, "SyntheticSceneSpec", lambda **kwargs: passed.update(kwargs))
+        cli._scene_spec(build_parser().parse_args(command))
+        assert sorted(passed) == sorted(f.name for f in dataclasses.fields(SyntheticSceneSpec))
+
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
     def test_dtype_flag_reaches_checkpoint_and_run_config(self, tmp_path, dtype):
         code = main(["train", "--steps", "1", "--scenes", "2", "--seed", "1",
@@ -361,6 +383,14 @@ class TestSweep:
                      "--out-dir", str(tmp_path)])
         assert code == EXIT_OK
         assert len(read_csv_rows(tmp_path / "sweep.csv")) == 1
+
+    @pytest.mark.parametrize("flag, value", [("--gmax", "0"), ("--eval-scenes", "-1")])
+    def test_bad_count_exits_validation_before_training(self, tmp_path, capsys, flag, value):
+        code = main(["sweep", "--gmax", "1", "--steps", "1", "--scenes", "1", flag, value,
+                     "--seed", "0", *TINY_MODEL_FLAGS, "--out-dir", str(tmp_path)])
+        assert code == EXIT_VALIDATION
+        assert flag in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
 
     def test_zero_lr_exits_validation_before_training(self, tmp_path):
         code = main(["sweep", "--gmax", "1", "--steps", "1", "--scenes", "1", "--lr", "0",

@@ -15,7 +15,6 @@ from mogref.data import (
     Vocab,
     default_vocab,
     generate_scene,
-    generate_scene_full,
     load_annotations,
     normalize_words,
     read_ppm,
@@ -122,7 +121,7 @@ class TestAnnotationIO:
         assert load_annotations(out) == records
 
     def test_generated_records_round_trip(self, tmp_path):
-        records = [generate_scene(SyntheticSceneSpec(), RngState(s), f"s-{s}")[1] for s in range(4)]
+        records = [generate_scene(SyntheticSceneSpec(), RngState(s), f"s-{s}").record for s in range(4)]
         path = tmp_path / "ann.json"
         save_annotations(path, records)
         assert load_annotations(path) == records
@@ -210,31 +209,33 @@ class TestTokenize:
 class TestGenerator:
     def test_no_distractors_single_object(self):
         spec = SyntheticSceneSpec(num_distractors=0)
-        scene = generate_scene_full(spec, RngState(1))
+        scene = generate_scene(spec, RngState(1))
         assert len(scene.objects) == 1
-        referents = oracle_referents(scene.expression, scene.objects, spec.image_size)
+        referents = oracle_referents(scene.record.expression, scene.objects, spec.image_size)
         assert referents == [scene.objects[scene.target_index]]
 
     def test_fixed_seed_bit_identical(self):
         spec = SyntheticSceneSpec()
-        img1, rec1 = generate_scene(spec, RngState(99), "s")
-        img2, rec2 = generate_scene(spec, RngState(99), "s")
-        assert (img1 == img2).all()
-        assert rec1 == rec2
+        one = generate_scene(spec, RngState(99), "s")
+        two = generate_scene(spec, RngState(99), "s")
+        assert (one.image == two.image).all()
+        assert (one.record, one.objects, one.target_index) == (two.record, two.objects, two.target_index)
 
     def test_unique_referent_oracle_over_many_seeds(self):
         spec = SyntheticSceneSpec()
         for seed in range(1000):
-            scene = generate_scene_full(spec, RngState(seed))
+            scene = generate_scene(spec, RngState(seed))
             scene.record.validate()
-            referents = oracle_referents(scene.expression, scene.objects, spec.image_size)
-            assert referents == [scene.objects[scene.target_index]], (seed, scene.expression)
+            expression = scene.record.expression
+            referents = oracle_referents(expression, scene.objects, spec.image_size)
+            assert referents == [scene.objects[scene.target_index]], (seed, expression)
 
     def test_record_invariants_over_seeds(self):
         spec = SyntheticSceneSpec(num_distractors=5)
         root = RngState(0)
         for i in range(100):
-            image, record = generate_scene(spec, root.derive(i), f"s{i}")
+            scene = generate_scene(spec, root.derive(i), f"s{i}")
+            image, record = scene.image, scene.record
             record.validate()
             assert image.shape == (64, 64, 3)
             assert image.min() >= 0.0 and image.max() <= 1.0
@@ -245,14 +246,13 @@ class TestGenerator:
         root = RngState(123)
         records = []
         for i in range(200):
-            _, record = generate_scene(spec, root.derive(i), f"s{i:04d}")
-            records.append(record)
+            records.append(generate_scene(spec, root.derive(i), f"s{i:04d}").record)
         stats = dataset_stats(records)
         assert stats.o2s_mean < 6.0
 
     def test_target_box_matches_rendered_object(self):
         spec = SyntheticSceneSpec(num_distractors=2)
-        scene = generate_scene_full(spec, RngState(5))
+        scene = generate_scene(spec, RngState(5))
         target = scene.objects[scene.target_index]
         assert scene.record.target_boxes == [target.box]
         assert scene.record.category == target.shape
@@ -261,7 +261,7 @@ class TestGenerator:
     def test_box_local_raster_equals_the_full_grid_renderer(self, size):
         spec = SyntheticSceneSpec(image_size=size)
         for seed in range(100):
-            scene = generate_scene_full(spec, RngState(seed))
+            scene = generate_scene(spec, RngState(seed))
             assert np.array_equal(scene.image, full_grid_raster(scene.objects, size)), seed
 
     @pytest.mark.parametrize("shape", ["square", "circle", "triangle"])

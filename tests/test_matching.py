@@ -29,6 +29,8 @@ from mogref.tensor import (
     absolute,
     backward,
     log,
+    maximum,
+    minimum,
     select,
     sigmoid,
     take_rows,
@@ -173,6 +175,60 @@ class TestGIoU:
         ).data
         scal = [giou(a, b) for a, b in zip(boxes_a, boxes_b)]
         assert np.abs(tens - scal).max() < 1e-12
+
+
+def per_column_giou(a: Tensor, b: Tensor) -> Tensor:
+    """GIoU pairs built one coordinate column at a time: the reference
+    ``giou_pairs`` must equal bit for bit, forward and gradient."""
+    def corners(boxes):
+        cx, cy, w, h = (select(boxes, k, axis=1) for k in range(4))
+        return cx - w * 0.5, cy - h * 0.5, cx + w * 0.5, cy + h * 0.5
+
+    ax1, ay1, ax2, ay2 = corners(a)
+    bx1, by1, bx2, by2 = corners(b)
+    iw = maximum(minimum(ax2, bx2) - maximum(ax1, bx1), 0.0)
+    ih = maximum(minimum(ay2, by2) - maximum(ay1, by1), 0.0)
+    inter = iw * ih
+    union = (ax2 - ax1) * (ay2 - ay1) + (bx2 - bx1) * (by2 - by1) - inter
+    enclose = (maximum(ax2, bx2) - minimum(ax1, bx1)) * (maximum(ay2, by2) - minimum(ay1, by1))
+    return inter / union - (enclose - union) / enclose
+
+
+class TestGIoUHalves:
+    @staticmethod
+    def assert_same(build, a0: np.ndarray, b0: np.ndarray, w: np.ndarray):
+        """Forward and both gradients of ``build`` equal the per-column
+        reference's bits; a NaN (a zero union) is only required to be NaN."""
+        def run(fn):
+            a, b = Parameter("a", a0.copy()), Parameter("b", b0.copy())
+            out = fn(a, b)
+            backward(tsum(out * w))
+            return out.data, a.grad, b.grad
+
+        for got, want in zip(run(build), run(per_column_giou)):
+            nan = np.isnan(want)
+            assert np.array_equal(np.isnan(got), nan)
+            assert np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
+
+    def boxes(self, seed: int, m: int = 7):
+        rng = RngState(seed)
+        a = rng.uniform_array((m, 4), 0.05, 0.6)
+        b = rng.uniform_array((m, 4), 0.05, 0.6)
+        b[0] = a[0]  # identical boxes: every maximum/minimum ties
+        b[1, :2] = a[1, :2]  # shared centers
+        return a, b, rng.uniform_array((m,), -1.0, 1.0)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_boxes_bit_for_bit(self, seed):
+        self.assert_same(giou_pairs, *self.boxes(seed))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_zero_width_boxes_bit_for_bit(self, seed):
+        a, b, w = self.boxes(seed)
+        a[::2, 2] = 0.0  # zero-width predictions
+        b[1::3, 3] = 0.0  # zero-height targets; row 4 has a zero union
+        with np.errstate(divide="ignore", invalid="ignore"):
+            self.assert_same(giou_pairs, a, b, w)
 
 
 class TestHungarian:

@@ -80,7 +80,7 @@ class TestConfig:
         model = tiny_model(config=ModelConfig(**{**TINY.to_json(), "dtype": dtype}))
         assert {p.data.dtype for p in model.parameters()} == {np.dtype(dtype)}
         assert {p.grad.dtype for p in model.parameters()} == {np.dtype(dtype)}
-        tokens = model.project_tokens(*tiny_batch()).tokens
+        tokens = model.project_tokens(*tiny_batch())
         assert tokens.data.dtype == dtype
         assert sinusoidal_positions(7, 8, dtype).dtype == dtype
 
@@ -93,24 +93,22 @@ class TestProjector:
     def test_visual_token_count(self):
         model = tiny_model()
         images, ids = tiny_batch()
-        seq = model.project_tokens(images, ids)
-        assert seq.num_visual == 4  # 16x16 image, patch 8
-        assert seq.tokens.shape == (2, 4 + 3, 8)
+        tokens = model.project_tokens(images, ids)
+        assert tokens.shape == (2, 4 + 3, 8)  # 16x16 image, patch 8: 4 visual tokens
 
     def test_empty_expression_keeps_visual_only(self):
         model = tiny_model()
         images, _ = tiny_batch()
-        seq = model.project_tokens(images, np.zeros((2, 0), dtype=int))
-        assert seq.num_text == 0
-        assert seq.tokens.shape == (2, 4, 8)
+        tokens = model.project_tokens(images, np.zeros((2, 0), dtype=int))
+        assert tokens.shape == (2, 4, 8)
 
     def test_same_image_different_expression(self):
         model = tiny_model()
         images, _ = tiny_batch(batch=1)
         images = np.repeat(images, 2, axis=0)
-        seq = model.project_tokens(images, np.array([[2, 3, 4], [5, 6, 7]]))
-        vis = seq.tokens.data[:, :4]
-        text = seq.tokens.data[:, 4:]
+        tokens = model.project_tokens(images, np.array([[2, 3, 4], [5, 6, 7]]))
+        vis = tokens.data[:, :4]
+        text = tokens.data[:, 4:]
         assert (vis[0] == vis[1]).all()
         assert (text[0] != text[1]).any()
 
@@ -132,7 +130,7 @@ class TestProjector:
         # narrowing to the model's dtype, and integer rasters, are accepted
         for model, batch in ((tiny_model(), images), (tiny_model(config=TINY64), images),
                              (tiny_model(config=TINY64), (images * 255).astype(np.uint8))):
-            assert model.project_tokens(batch, ids).tokens.data.dtype == model.config.dtype
+            assert model.project_tokens(batch, ids).data.dtype == model.config.dtype
 
     def test_positions_deterministic(self):
         a = sinusoidal_positions(10, 8)
@@ -179,7 +177,7 @@ class TestStages:
         images, ids = tiny_batch()
         tokens = model.project_tokens(images, ids)
         memory, per_block = model.sce_forward(tokens)
-        assert np.abs(memory.data - tokens.tokens.data).max() == 0.0
+        assert np.abs(memory.data - tokens.data).max() == 0.0
         coarse = model.scd_forward(memory)
         assert np.abs(coarse.data - model.queries.data[None]).max() == 0.0
         refined = model.ssd_forward(coarse, model.fuse_hierarchy(per_block))
@@ -187,12 +185,12 @@ class TestStages:
 
     def test_single_query_self_attention_returns_its_value(self):
         # one query attends only to itself: softmax over one key is 1
-        from mogref.mog import MoGAttention, MoGConfig
+        from mogref.mog import MoGAttention, MoGConfig, mog_forward
 
         rng = RngState(17)
         attn = MoGAttention(MoGConfig(8, 2, (1,)), rng, "mha")
         q = Tensor(rng.uniform_array((3, 1, 8), -1, 1))
-        out = attn(q)
+        out = mog_forward(q, attn)
         assert np.abs(out.data - q.data @ attn.w_v.data).max() < 1e-15
         ref = reference_mha(q.data, attn.w_q.data, attn.w_k.data, attn.w_v.data, 2)
         assert np.abs(out.data - ref).max() < 1e-15
@@ -204,10 +202,11 @@ class TestStages:
         rng = RngState(19)
         queries = Tensor(rng.uniform_array((2, 3, 8), -1, 1))
         zero_memory = Tensor(np.zeros((2, 7, 8)))
+        from mogref.mog import mog_forward
         from mogref.tensor import layernorm
 
         with_cross = queries + block.cross_out(
-            block.cross_attn(layernorm(queries), memory=zero_memory))
+            mog_forward(layernorm(queries), block.cross_attn, memory=zero_memory))
         # cross_out bias is zero-initialized, so the sublayer adds nothing
         assert np.abs(with_cross.data - queries.data).max() == 0.0
 
@@ -397,7 +396,7 @@ def check_single_dilation_sites(config, bound):
         queries = reshape(model.queries, (1, *model.queries.shape))
         coarse = model.scd_forward(memory)
         return {
-            "sce.attn": (model.sce[0].attn, tokens.tokens, None),
+            "sce.attn": (model.sce[0].attn, tokens, None),
             "scd.self_attn": (model.scd[0].self_attn, queries, None),
             "scd.cross_attn": (model.scd[0].cross_attn, queries, memory),
             "ssd.self_attn": (model.ssd[0].self_attn, coarse, None),

@@ -96,6 +96,13 @@ class TestMaskedSoftmax:
         with pytest.raises(ShapeError):
             masked_softmax(Tensor(np.zeros((2, 3))), np.ones(4))
 
+    def test_mask_must_be_an_array(self):
+        from mogref.mog import build_mask
+
+        # the mask object, not its bits, would otherwise keep every pair
+        with pytest.raises(TypeError, match="GranularityMask"):
+            masked_softmax(Tensor(np.zeros((4, 4))), build_mask(4, 2))
+
     @given(st.integers(2, 16), st.integers(1, 6), st.integers(0, 10_000))
     def test_masked_entries_exactly_zero_rows_sum_to_one(self, n, dilation, seed):
         from mogref.mog import build_mask

@@ -69,9 +69,9 @@ class TestDatasets:
 
         records, images = [], []
         for i in range(3):
-            img, rec = generate_scene(TINY_SPEC, root.derive(i), f"s-{i}")
-            records.append(rec)
-            images.append(img)
+            scene = generate_scene(TINY_SPEC, root.derive(i), f"s-{i}")
+            records.append(scene.record)
+            images.append(scene.image)
         save_annotations(tmp_path / "annotations.json", records)
         (tmp_path / "images").mkdir()
         for rec, img in zip(records, images):
@@ -96,7 +96,7 @@ class TestDatasets:
     def test_float64_build_is_byte_identical_to_the_rendered_scenes(self):
         spec = SyntheticSceneSpec()
         root = RngState(7)
-        rendered = [generate_scene(spec, root.derive(i), f"scene-{i:05d}")[0] for i in range(6)]
+        rendered = [generate_scene(spec, root.derive(i), f"scene-{i:05d}").image for i in range(6)]
         images = build_synthetic_dataset(6, spec, VOCAB, 7, dtype="float64").images
         assert images.tobytes() == np.stack(rendered).tobytes()
 
@@ -105,7 +105,7 @@ class TestDatasets:
             build_synthetic_dataset(1, TINY_SPEC, VOCAB, 0, dtype="float16")
         from mogref.data import save_annotations
 
-        record = generate_scene(TINY_SPEC, RngState(0))[1]
+        record = generate_scene(TINY_SPEC, RngState(0)).record
         save_annotations(tmp_path / "annotations.json", [record])
         with pytest.raises(ValidationError, match="float16"):
             load_dataset_dir(tmp_path, VOCAB, dtype="float16")
@@ -128,7 +128,7 @@ class TestDatasets:
     def test_missing_raster_is_io_error(self, tmp_path):
         from mogref.data import generate_scene, save_annotations
 
-        _, rec = generate_scene(TINY_SPEC, RngState(0), "s-0")
+        rec = generate_scene(TINY_SPEC, RngState(0), "s-0").record
         save_annotations(tmp_path / "annotations.json", [rec])
         with pytest.raises(FileNotFoundError):
             load_dataset_dir(tmp_path, VOCAB)
@@ -265,7 +265,7 @@ class TestAdam:
         rng = np.random.default_rng(seed)
         a = Parameter("a", rng.normal(0.0, 1.0, (4, 6)).astype(dtype))
         b = Parameter("b", rng.normal(0.0, 1.0, (5,)).astype(dtype))
-        Arena([a, b])
+        Arena([a, b], dtype)
         return [ParamGroup([a], 1e-2), ParamGroup([b], 3e-3)], rng
 
     def check_plain_expressions(self, dtype):
@@ -358,7 +358,7 @@ class TestAdam:
 
     def test_groups_of_two_dtypes_raise(self):
         wide, narrow = Parameter("wide", np.zeros(3)), Parameter("narrow", np.zeros(3, np.float32))
-        Arena([wide])
+        Arena([wide], np.float64)
         Arena([narrow], np.float32)
         with pytest.raises(ValueError, match="one dtype"):
             Adam([ParamGroup([wide], 1e-3), ParamGroup([narrow], 1e-3)])
