@@ -300,6 +300,9 @@ class SyntheticSceneSpec:
             raise ValueError("image_size must be at least 16")
         if self.num_distractors < 0:
             raise ValueError("num_distractors must be non-negative")
+        for name in ("size_classes", "templates"):
+            if not getattr(self, name):
+                raise ValueError(f"{name} must name at least one entry")
         for s in self.size_classes:
             if s not in _SIZE_RANGES:
                 raise ValueError(f"unknown size class {s!r}")

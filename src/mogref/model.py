@@ -90,8 +90,9 @@ class ModelConfig:
             raise ValueError(f"dtype must be one of {MODEL_DTYPES}, got {self.dtype!r}")
         if min(self.sce_blocks, self.scd_blocks, self.ssd_blocks) < 1:
             raise ValueError("all block counts must be >= 1")
-        if self.num_queries < 1:
-            raise ValueError("num_queries must be >= 1")
+        for name in ("num_queries", "ffn_dim", "image_size", "patch_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)!r}")
         if self.image_size % self.patch_size != 0:
             raise ValueError(
                 f"image_size {self.image_size} not divisible by patch_size {self.patch_size}"

@@ -34,10 +34,10 @@ batch is chunked, and in float64 within 1e-12 of the per-branch masked
 softmax. The rare call in which a support row sits so far below the shared
 row maximum that its class sum is too small to divide by falls back to
 the per-branch graph, :func:`_composed_attention`: one
-:func:`_shared_branch_softmax` node per branch, gated and summed with
-ordinary ops. The dense masks (:func:`build_mask`, :func:`build_rect_mask`)
-stay as the reference the tests compare against, and as the arithmetic of
-that fallback.
+:func:`~mogref.tensor.masked_softmax` node per branch, over that branch's
+dense mask (:func:`build_mask`, :func:`build_rect_mask`), gated and summed
+with ordinary ops. Those masks are also the reference the tests compare
+the core against.
 """
 
 from __future__ import annotations
@@ -54,10 +54,7 @@ from mogref.tensor import (
     Parameter,
     Tensor,
     _accum,
-    _masked_softmax_data,
     _node,
-    _record,
-    _softmax_vjp,
     _unbroadcast,
     affine,
     layernorm,
@@ -323,51 +320,14 @@ def gate_weights(x: Tensor, gate: GateParams) -> Tensor:
     return softmax(affine(pooled, gate.w, gate.b))
 
 
-def _shared_exp(x: np.ndarray, row_max: np.ndarray | None = None,
-                out: np.ndarray | None = None) -> np.ndarray:
-    """exp(x - row_max): the one exponential every branch renormalizes.
-
-    ``row_max`` defaults to the row maximum of ``x``; ``out`` may be ``x``
-    itself, which turns the logits into ``e`` without a second buffer.
-    """
-    if row_max is None:
-        row_max = x.max(axis=-1, keepdims=True)
-    e = np.subtract(x, row_max, out=out)
-    np.exp(e, out=e)
-    return e
-
-
-def _branch_softmax(e: np.ndarray, x: np.ndarray, bits: np.ndarray) -> np.ndarray:
-    """One branch's masked softmax, renormalized from the shared exponential.
-
-    ``e`` is ``_shared_exp(x)``. Off-support entries are exact zeros. If a
-    support row underflows entirely (its logits sit far below the row
-    maximum taken over all keys), the whole branch comes from the robust
-    :func:`masked_softmax` arithmetic instead.
-    """
-    p = e * bits  # 0/1 float mask: exact zeros off support
-    denom = p.sum(axis=-1, keepdims=True)
-    if not denom.all():
-        p[...] = _masked_softmax_data(x, bits)
-        return p
-    p /= denom
-    return p
-
-
 def _shared_branch_softmax(logits: Tensor, masks: list[np.ndarray]) -> list[Tensor]:
-    """Per-branch masked softmax sharing a single exponential.
+    """One :func:`masked_softmax` node per branch mask, in the order given.
 
-    Equivalent to :func:`masked_softmax` per branch up to the usual shift
-    invariance, with exact zeros off support. One node per branch makes it
-    checkable branch by branch; :func:`_composed_attention`, the underflow
-    fallback of the attention core, mixes these very nodes with the gate.
+    :func:`_composed_attention`, the underflow fallback of the attention
+    core, mixes these nodes with the gate; the acceptance suite (C2) checks
+    the same call branch by branch.
     """
-    e = _shared_exp(logits.data)
-    outs: list[Tensor] = []
-    for bits in masks:
-        p = _branch_softmax(e, logits.data, bits)
-        outs.append(_record(_shared_branch_softmax, p, (logits,), (_softmax_vjp(p),)))
-    return outs
+    return [masked_softmax(logits, bits) for bits in masks]
 
 
 def _min_class_sum(dtype) -> float:
@@ -437,15 +397,17 @@ def _composed_attention(q: Tensor, k: Tensor, v: Tensor, gammas: Tensor,
                         dilations: tuple[int, ...], num_heads: int) -> Tensor:
     """The underflow fallback of :func:`_attention_core`, as a graph of ordinary ops.
 
-    Each branch is a :func:`_shared_branch_softmax` node, whose per-branch
-    normalization takes an underflowed support row from the robust
-    :func:`masked_softmax` arithmetic; the branches are weighted by their
-    gamma, summed into ``W`` and applied to the values with the heads merged.
+    Each branch is a :func:`masked_softmax` node over its dilation mask
+    (:func:`_shared_branch_softmax`), which shifts every row by its maximum
+    on the branch's support, so a support row far below the row maximum
+    taken over all keys keeps its precision; the branches are weighted by
+    their gamma, summed into ``W`` and applied to the values with the heads
+    merged.
     """
     qh, kh, vh = (split_heads(t, num_heads) for t in (q, k, v))
     logits = _scaled_logits(qh, kh)
     b, _, n_q, n_k = logits.shape
-    masks = [_cached_bits(n_q, n_k, d).astype(logits.data.dtype, copy=False) for d in dilations]
+    masks = [_cached_bits(n_q, n_k, d) for d in dilations]
     w = None
     for g, p in enumerate(_shared_branch_softmax(logits, masks)):
         term = reshape(select(gammas, g, axis=1), (b, 1, 1, 1)) * p
@@ -573,7 +535,9 @@ def _attention_core(q: Tensor, k: Tensor, v: Tensor, gammas: Tensor,
         logits = np.matmul(qc, ktc, out=_SCRATCH.get(0, shape, dtype))
         if row_max is None:
             row_max = logits.max(axis=-1, keepdims=True)
-        return _shared_exp(logits, row_max, out=logits), row_max
+        np.subtract(logits, row_max, out=logits)
+        np.exp(logits, out=logits)  # e = exp(logits - row max), in place
+        return logits, row_max
 
     def merged(t):
         """A batch-B (B, N, D) array shaped like ``t`` and the head-split view chunks write into."""

@@ -745,34 +745,31 @@ def softmax(a) -> Tensor:
     return _record(softmax, data, (a,), (_softmax_vjp(data),))
 
 
-def _masked_softmax_data(x: np.ndarray, mask) -> np.ndarray:
-    """The forward arithmetic of :func:`masked_softmax` on a bare array."""
-    if not isinstance(mask, np.ndarray):  # any other object would read as one True
-        raise TypeError(f"mask must be a numpy array, got {type(mask).__name__}")
-    bits = mask.astype(bool, copy=False)
-    try:
-        m = np.broadcast_to(bits, x.shape)
-    except ValueError as exc:
-        raise ShapeError(f"mask shape {bits.shape} does not broadcast to logits {x.shape}") from exc
-    row_ok = m.any(axis=-1)
-    if not row_ok.all():
-        bad = int(np.count_nonzero(~row_ok))
-        raise DegenerateMaskError(f"masked_softmax: {bad} mask row(s) have empty support")
-    shifted = np.where(m, x, -np.inf)
-    shifted = shifted - shifted.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)  # exp(-inf) == 0.0 exactly
-    return e / e.sum(axis=-1, keepdims=True)
-
-
 def masked_softmax(logits, mask) -> Tensor:
     """Softmax over the last axis restricted to ``mask``'s support.
 
     ``mask`` is a numpy array (bool or 0/1) that broadcasts to the logits,
-    such as the ``bits`` of :func:`mogref.mog.build_mask`. Masked positions
-    come out exactly 0.0 (bit-level), unmasked rows sum to one. The mask is
-    a constant: no gradient flows into it, and the gradient at masked
-    logits is exactly zero.
+    such as the ``bits`` of :func:`mogref.mog.build_mask`. Each row is
+    shifted by its maximum over the support, so a support far below the
+    row's other logits keeps its precision. Masked positions come out
+    exactly 0.0 (bit-level), unmasked rows sum to one. The mask is a
+    constant: no gradient flows into it, and the gradient at masked logits
+    is exactly zero.
     """
+    if not isinstance(mask, np.ndarray):  # any other object would read as one True
+        raise TypeError(f"mask must be a numpy array, got {type(mask).__name__}")
     a = _wrap(logits)
-    data = _masked_softmax_data(a.data, mask)
+    bits = mask.astype(bool, copy=False)
+    try:
+        m = np.broadcast_to(bits, a.shape)
+    except ValueError as exc:
+        raise ShapeError(f"mask shape {bits.shape} does not broadcast to logits {a.shape}") from exc
+    row_ok = m.any(axis=-1)
+    if not row_ok.all():
+        bad = int(np.count_nonzero(~row_ok))
+        raise DegenerateMaskError(f"masked_softmax: {bad} mask row(s) have empty support")
+    shifted = np.where(m, a.data, -np.inf)
+    shifted = shifted - shifted.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)  # exp(-inf) == 0.0 exactly
+    data = e / e.sum(axis=-1, keepdims=True)
     return _record(masked_softmax, data, (a,), (_softmax_vjp(data),))

@@ -7,10 +7,10 @@ thread count). Divergence (a non-finite prediction, loss or gradient)
 aborts with the offending step, and parameter, rather than logging garbage
 or carrying it into the weights.
 
-:class:`Adam` works on the model's parameter arena: each parameter group
-is one contiguous slice of it, updated block by block in a small kept
-scratch, and the gradient check is one ``isfinite`` over the arena's
-gradient buffer.
+:class:`Adam` works on the model's parameter arena: its parameters are one
+contiguous slice of it, with one flat ``m`` and ``v``, updated block by
+block in a small kept scratch, and the gradient check is one ``isfinite``
+over the arena's gradient buffer.
 """
 
 from __future__ import annotations
@@ -160,54 +160,47 @@ _ADAM_BLOCK = 1 << 14
 
 
 class Adam:
-    """Standard Adam over packed parameters, one learning rate per group.
+    """Standard Adam over one run of packed parameters at one learning rate.
 
-    Each group must be one gap-free run of one :class:`~mogref.tensor.Arena`
-    (``ValueError`` otherwise), and all groups must share one dtype, the
-    dtype of ``m``, ``v`` and the update. A step updates a group's slice of
-    the arena over flat ``m`` and ``v`` in blocks of ``_ADAM_BLOCK``
-    elements, with one pass per operation over each block, in a
-    ``(2, _ADAM_BLOCK)`` scratch the optimizer keeps; the views of each
-    block are cut once, at construction. A step allocates nothing of the
-    arena's size. :meth:`zero_grad` fills each group's gradient slice.
-    Every operation is elementwise with one bias correction per step, so
-    neither the blocks nor splitting a run into groups at one learning rate
-    changes a bit of the update. A parameter whose ``data`` or ``grad`` was
-    rebound after construction would no longer be updated, so :meth:`step`
-    raises ``RuntimeError`` instead.
+    The groups, in order, must together be one gap-free run of one
+    :class:`~mogref.tensor.Arena` and share one learning rate
+    (``ValueError`` otherwise), so the state is one flat ``m`` and one flat
+    ``v`` in the arena's dtype, with one step count ``t``. A step updates
+    the run in blocks of ``_ADAM_BLOCK`` elements, with one pass per
+    operation over each block, in a ``(2, _ADAM_BLOCK)`` scratch the
+    optimizer keeps; the views of each block are cut once, at construction.
+    A step allocates nothing of the arena's size, and :meth:`zero_grad` is
+    one fill. Every operation is elementwise with one bias correction per
+    step, so neither the blocks nor splitting the run into groups changes a
+    bit of the update. A parameter whose ``data`` or ``grad`` was rebound
+    after construction would no longer be updated, so :meth:`step` raises
+    ``RuntimeError`` instead.
     """
 
     def __init__(self, groups: list[ParamGroup]):
-        self.groups = groups
+        lrs = sorted({group.lr for group in groups})
+        if len(lrs) != 1:
+            raise ValueError(f"Adam groups must share one lr, got {lrs}")
+        self.lr = lrs[0]
+        params = [p for group in groups for p in group.params]
+        arena = params[0].arena if params else None
+        if arena is None:
+            raise ValueError("Adam's groups must be a run of packed parameters")
+        run = arena.span(params)
+        data, self._grad = arena.data[run], arena.grad[run]
+        self.m, self.v = np.zeros_like(data), np.zeros_like(data)
         self.t = 0
-        # per group: its flat values, gradients, m and v, in the arena's dtype
-        self._flat = []
-        for group in groups:
-            arena = group.params[0].arena if group.params else None
-            if arena is None:
-                raise ValueError("every Adam group must be a run of packed parameters")
-            run = arena.span(group.params)
-            data = arena.data[run]
-            self._flat.append((data, arena.grad[run], np.zeros_like(data), np.zeros_like(data)))
-        dtypes = {data.dtype for data, _, _, _ in self._flat}
-        if len(dtypes) != 1:
-            raise ValueError(f"Adam groups must share one dtype, got {sorted(map(str, dtypes))}")
-        scratch = np.empty((2, _ADAM_BLOCK), dtype=dtypes.pop())
-        # per block: its group, its views of values, gradients, m and v, and
-        # the two scratch rows cut to its length; views cost no array memory
+        scratch = np.empty((2, _ADAM_BLOCK), dtype=data.dtype)
+        # per block: its views of values, gradients, m and v, and the two
+        # scratch rows cut to its length; views cost no array memory
         self._blocks = []
-        for group, flat in zip(groups, self._flat):
-            for lo in range(0, flat[0].size, _ADAM_BLOCK):
-                views = [a[lo:lo + _ADAM_BLOCK] for a in flat]
-                self._blocks.append((group, *views, *scratch[:, :views[0].size]))
-        self._views = [(p, p.data, p.grad) for p in self.all_params()]
-
-    def all_params(self) -> list[Parameter]:
-        return [p for g in self.groups for p in g.params]
+        for lo in range(0, data.size, _ADAM_BLOCK):
+            views = [a[lo:lo + _ADAM_BLOCK] for a in (data, self._grad, self.m, self.v)]
+            self._blocks.append((*views, *scratch[:, :views[0].size]))
+        self._views = [(p, p.data, p.grad) for p in params]
 
     def zero_grad(self) -> None:
-        for _, grad, _, _ in self._flat:
-            grad.fill(0.0)
+        self._grad.fill(0.0)
 
     def step(self) -> None:
         """One update, in place: ``p -= lr * (m / c1) / (sqrt(v / c2) + eps)``."""
@@ -217,7 +210,7 @@ class Adam:
         self.t += 1
         c1 = 1.0 - BETA1**self.t
         c2 = 1.0 - BETA2**self.t
-        for group, data, g, m, v, num, den in self._blocks:
+        for data, g, m, v, num, den in self._blocks:
             m *= BETA1
             m += np.multiply(g, 1.0 - BETA1, out=num)
             v *= BETA2
@@ -228,7 +221,7 @@ class Adam:
             np.sqrt(den, out=den)
             den += EPS
             np.divide(m, c1, out=num)
-            num *= group.lr
+            num *= self.lr
             num /= den
             data -= num
 
@@ -305,6 +298,11 @@ class TrainConfig:
         for name in ("steps", "batch_size", "eval_every"):
             if getattr(self, name) < 0:
                 raise ValidationError(f"{name} must be >= 0, got {getattr(self, name)!r}")
+        # P@0.5 never exceeds 1 and never compares >= NaN: either target
+        # would silently never stop the run
+        p50 = self.target_train_p50
+        if p50 is not None and not p50 <= 1.0:
+            raise ValidationError(f"target_train_p50 must be a number <= 1 or None, got {p50!r}")
 
 
 @dataclass

@@ -353,6 +353,9 @@ class TestTrainEval:
         ("--steps", "-1", "steps"),
         ("--batch-size", "-1", "batch_size"),
         ("--eval-every", "-1", "eval_every"),
+        # P@0.5 never exceeds 1 and never compares >= NaN: no early stop
+        ("--target-p50", "nan", "target_train_p50"),
+        ("--target-p50", "1.5", "target_train_p50"),
     ])
     def test_train_config_that_would_do_nothing_exits_validation(self, tmp_path, capsys,
                                                                   flag, value, named):
@@ -360,6 +363,21 @@ class TestTrainEval:
                      *TINY_MODEL_FLAGS, "--out-dir", str(tmp_path)])
         assert code == EXIT_VALIDATION
         assert re.search(rf"validation error: {named} must be", capsys.readouterr().err)
+        assert not (tmp_path / "checkpoint.json").exists()
+
+    @pytest.mark.parametrize("flag, value, named", [
+        ("--patch-size", "0", "patch_size"),
+        ("--patch-size", "-8", "patch_size"),
+        ("--ffn-dim", "0", "ffn_dim"),
+        ("--sizes", ",", "size_classes"),
+        ("--templates", ",", "templates"),
+    ])
+    def test_unusable_model_or_scene_field_exits_validation(self, tmp_path, capsys,
+                                                            flag, value, named):
+        code = main(["train", "--steps", "3", "--scenes", "1", "--seed", "1",
+                     *TINY_MODEL_FLAGS, f"{flag}={value}", "--out-dir", str(tmp_path)])
+        assert code == EXIT_VALIDATION
+        assert re.search(rf"validation error: {named} must", capsys.readouterr().err)
         assert not (tmp_path / "checkpoint.json").exists()
 
 

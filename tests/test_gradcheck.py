@@ -1,8 +1,13 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from mogref.gradcheck import check_case, finite_difference_grad, max_rel_err, run_gradcheck
-from mogref.tensor import Parameter, Tensor, tsum
+from mogref.tensor import Parameter, Tensor, backward, op_profile, tsum
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "mogref"
 
 
 def test_known_derivative_square():
@@ -47,6 +52,43 @@ def test_registry_names_cover_every_op_family():
                      "match_and_loss", "scs_end_to_end", "grounding_loss_batch",
                      "attention_core", "affine"):
         assert expected in names
+
+
+def recorded_ops() -> set[str]:
+    """The profile name of every op the package records, read from its source.
+
+    The first argument of each ``_record(op, ...)`` call, and each top-level
+    function that calls ``_node`` itself (a hand-written backward, filed under
+    that function's name) other than ``_record``.
+    """
+    ops = set()
+    for path in SRC.glob("*.py"):
+        for func in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            for call in ast.walk(func):
+                if not (isinstance(call, ast.Call) and isinstance(call.func, ast.Name)):
+                    continue
+                if call.func.id == "_record":
+                    assert isinstance(call.args[0], ast.Name), ast.dump(call)
+                    ops.add(call.args[0].id)
+                elif call.func.id == "_node" and func.name != "_record":
+                    ops.add(func.name)
+    return ops
+
+
+def test_every_recorded_op_is_profiled_by_some_case():
+    from mogref.gradcheck_cases import all_cases
+
+    ops = recorded_ops()
+    assert {"matmul", "masked_softmax", "take_rows", "cast", "_attention_core"} <= ops
+    profiled = set()
+    for _, builder in all_cases(0):
+        build_loss, _ = builder()
+        with op_profile() as prof:
+            backward(build_loss())
+        profiled |= set(prof.calls)
+    assert sorted(ops - profiled) == []
 
 
 def test_quick_registry_subset_passes():

@@ -66,6 +66,13 @@ class TestConfig:
         with pytest.raises(ValueError):
             ModelConfig(image_size=60, patch_size=8)
 
+    @pytest.mark.parametrize("field", ["patch_size", "image_size", "ffn_dim"])
+    @pytest.mark.parametrize("value", [0, -8])
+    def test_nonpositive_size_names_the_field(self, field, value):
+        # patch 0 divided by zero, patch -8 divides 64 and failed in a reshape
+        with pytest.raises(ValueError, match=f"{field} must be >= 1"):
+            ModelConfig(**{field: value})
+
     def test_json_round_trip(self):
         cfg = ModelConfig(dilations=(1, 3))
         assert ModelConfig.from_json(cfg.to_json()) == cfg
@@ -608,6 +615,16 @@ class TestCheckpoint:
         for a, b in zip(model.parameters(), loaded.parameters()):
             assert b.data.dtype == np.float64, b.name
             assert (a.data == b.data).all(), a.name
+
+    def test_checkpoint_with_a_zero_patch_size_is_a_validation_error(self, tmp_path):
+        model = tiny_model()
+        path = tmp_path / "ckpt.json"
+        model.save(path)
+        doc = json.loads(path.read_text())
+        doc["config"]["patch_size"] = 0
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match="patch_size must be >= 1"):
+            SCSModel.load(path)
 
     def test_config_mismatch_rejected(self, tmp_path):
         model = tiny_model()

@@ -493,6 +493,36 @@ class TestAttentionCore:
         # float64 arithmetic of the same float32 inputs
         check_far_below_row_max(gap, np.float32, bound=1e-6)
 
+    def test_float32_fallback_keeps_a_far_below_class_of_several_keys_precise(self):
+        # row 1's d=2 class is keys 1, 3 and 5, all about 95 under the row
+        # max: their shared exponentials are float32 subnormals, so the call
+        # falls back, and each branch must normalize by its own support
+        # maximum to keep float32 precision
+        logits = RngState(12).uniform_array((6, 6), -2.0, 2.0)
+        logits[1] = [0.0, -95.0, 0.0, -95.7, 0.0, -96.3]
+        # q k^T / sqrt(16) = logits: k is 16 times the unit rows and q the
+        # logits over 4, which keeps both gradients of order one
+        params = [Parameter(name, value.astype(np.float32)) for name, value in (
+            ("q", np.concatenate([logits / 4.0, np.zeros((6, 10))], axis=1)[None]),
+            ("k", 16.0 * np.eye(6, 16)[None]),
+            ("v", RngState(13).uniform_array((1, 6, 16), -1.0, 1.0)),
+            ("gammas", np.array([[0.4, 0.6]])),
+        )]
+        refs = [Parameter(f"ref_{p.name}", p.data.astype(np.float64)) for p in params]
+        out = _attention_core(*params, (1, 2), 1)
+        assert "_attention_core" not in out._backward.__qualname__  # the fallback ran
+        assert out.data.dtype == np.float32
+        reference = branch_reference(*refs, [build_mask(6, d).bits for d in (1, 2)], 1)
+        assert np.abs(out.data - reference.data).max() < 1e-6
+
+        proj = RngState(14).uniform_array(out.shape, -1.0, 1.0)
+        backward(tsum(out * Tensor(proj.astype(np.float32))))
+        backward(tsum(reference * Tensor(proj)))
+        for p, r in zip(params, refs):
+            assert p.grad.dtype == np.float32, p.name
+            assert np.isfinite(p.grad).all(), p.name
+            assert np.abs(p.grad - r.grad).max() < 1e-6, p.name
+
     def test_fallback_after_earlier_chunks_ran(self, monkeypatch):
         # one chunk per sample, and only the last sample has the 740 gap, so
         # the first three chunks have written their output and saved arrays

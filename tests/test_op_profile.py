@@ -8,7 +8,6 @@ from pathlib import Path
 import numpy as np
 
 from mogref import tensor
-from mogref.mog import _shared_branch_softmax
 from mogref.rng import RngState
 from mogref.tensor import (
     Parameter,
@@ -65,14 +64,14 @@ def test_every_routed_op_is_profiled_under_its_function_name():
     h = matmul(affine(x, w, b), w)  # (2, 3, 4) @ (4, 4): the row-gemm branch
     s = matmul(h, transpose(h, (0, 2, 1)))  # batched (2, 3, 3): the np.matmul branch
     mask = np.tril(np.ones((3, 3), dtype=bool))
-    p = sub(add(softmax(s), masked_softmax(s, mask)), _shared_branch_softmax(s, [mask])[0])
+    p = sub(add(softmax(s), masked_softmax(s, mask)), s)
     y = select(reshape(concat([layernorm(h), gelu(h)], axis=-1), (2, 3, 2, 4)), 0, axis=2)
     z = maximum(sigmoid(y), minimum(neg(y), log(absolute(h))))
     loss = mul(tsum(div(z, x)), mean(p))
     with op_profile() as prof:
         backward(loss)
     assert set(prof.calls) == {
-        "affine", "matmul", "transpose", "softmax", "masked_softmax", "_shared_branch_softmax",
+        "affine", "matmul", "transpose", "softmax", "masked_softmax",
         "add", "sub", "concat", "layernorm", "gelu", "select", "reshape", "maximum",
         "sigmoid", "minimum", "neg", "log", "absolute", "div", "tsum", "mean", "mul",
     }
@@ -119,7 +118,7 @@ def test_script_profiles_a_default_step(capsys):
     # outputs, 8 feed-forward, the patch embedding, 3 head) and the 3 gate
     # logits are one affine node each
     assert rows["_attention_core"][0] == 6
-    assert "_shared_branch_softmax" not in rows  # the underflow fallback did not run
+    assert "masked_softmax" not in rows  # the underflow fallback did not run
     assert rows["matmul"][0] == 18
     assert rows["affine"][0] == 21
     assert {"layernorm", "gelu", "softmax", "take_rows"} <= set(rows)

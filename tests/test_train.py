@@ -266,21 +266,20 @@ class TestAdam:
         a = Parameter("a", rng.normal(0.0, 1.0, (4, 6)).astype(dtype))
         b = Parameter("b", rng.normal(0.0, 1.0, (5,)).astype(dtype))
         Arena([a, b], dtype)
-        return [ParamGroup([a], 1e-2), ParamGroup([b], 3e-3)], rng
+        return [ParamGroup([a], 3e-3), ParamGroup([b], 3e-3)], rng
 
     def check_plain_expressions(self, dtype):
         groups, rng = self.two_groups(0, dtype)
         opt = Adam(groups)
-        params = opt.all_params()
+        params = [p for g in groups for p in g.params]
         ref = [(p.data.copy(), np.zeros_like(p.data), np.zeros_like(p.data)) for p in params]
-        lrs = [g.lr for g in groups for _ in g.params]
         for t in range(1, 4):
             for p in params:
                 grad = rng.normal(0.0, 1.0, p.shape) * 10.0 ** rng.integers(-6, 3, p.shape)
                 p.grad[...] = grad.astype(dtype)
             opt.step()
-            for p, (rp, rm, rv), lr in zip(params, ref, lrs):
-                reference_adam_update(rp, p.grad, rm, rv, t, lr)
+            for p, (rp, rm, rv) in zip(params, ref):
+                reference_adam_update(rp, p.grad, rm, rv, t, 3e-3)
                 assert p.data.dtype == dtype
                 assert np.array_equal(p.data, rp)
 
@@ -360,8 +359,23 @@ class TestAdam:
         wide, narrow = Parameter("wide", np.zeros(3)), Parameter("narrow", np.zeros(3, np.float32))
         Arena([wide], np.float64)
         Arena([narrow], np.float32)
-        with pytest.raises(ValueError, match="one dtype"):
+        # one run of one arena has one dtype: two arenas are no run
+        with pytest.raises(ValueError, match="does not continue one run"):
             Adam([ParamGroup([wide], 1e-3), ParamGroup([narrow], 1e-3)])
+
+    def test_groups_at_two_lrs_raise(self):
+        groups, _ = self.two_groups(0)
+        groups[1].lr = 1e-2
+        with pytest.raises(ValueError, match="one lr"):
+            Adam(groups)
+
+    def test_state_is_one_flat_m_and_v_over_the_run(self):
+        model, _ = tiny_setup()
+        opt = Adam(self.model_groups(model))
+        assert opt.m.shape == opt.v.shape == model.arena.data.shape
+        model.arena.grad[...] = 1.0
+        opt.step()
+        assert opt.t == 1 and opt.m.all() and opt.v.all()
 
     @pytest.mark.parametrize("attr", ["grad", "data"])
     def test_rebound_parameter_array_raises(self, attr):
@@ -437,7 +451,7 @@ class TestDtypeAudit:
         assert sorted(p.name for p in model.parameters() if p.grad.dtype != np.float32) == []
         opt.step()
         assert sorted(p.name for p in model.parameters() if p.data.dtype != np.float32) == []
-        assert {a.dtype for arrays in opt._flat for a in arrays} == {np.dtype(np.float32)}
+        assert {opt.m.dtype, opt.v.dtype} == {np.dtype(np.float32)}
 
     def test_eval_boxes_and_confidences_are_float64(self):
         model, dataset = tiny_setup()
