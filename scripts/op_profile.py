@@ -17,7 +17,12 @@ that cost lands in whichever op happens to touch the fresh pages. It also
 gives the process's peak RSS (``ru_maxrss``) at the end of the run and the
 bytes the attention core's reused scratch buffers (``mog._SCRATCH``) hold
 then, and the wall ms per step of the optimizer update (``Adam.step``,
-timed from this script). The script applies the CLI's allocator settings
+timed from this script). Last, it gives the memory of one recorded step's
+graph: after the timed steps, one more forward, loss and backward run under
+``tracemalloc``, and the header prints the traced bytes still live once the
+loss is formed (node outputs, closures and whatever they keep) and the
+traced peak through backward, both above what was live before the forward.
+The script applies the CLI's allocator settings
 (``mogref.allocator.tune_allocator``) first, as ``mogref train`` does.
 
     PYTHONPATH=src python scripts/op_profile.py --image-size 128 --batch 2 --steps 10
@@ -28,22 +33,44 @@ import os
 import resource
 import sys
 import time
+import tracemalloc
 from dataclasses import replace
 
 from mogref.allocator import tune_allocator
 from mogref.data import SyntheticSceneSpec, default_vocab
+from mogref.matching import grounding_loss
 from mogref.mog import _SCRATCH
 from mogref.model import ModelConfig, SCSModel
 from mogref.rng import RngState
-from mogref.tensor import OpProfile, op_profile
-from mogref.train import Adam, TrainConfig, build_synthetic_dataset, train_toy
+from mogref.tensor import OpProfile, backward, op_profile
+from mogref.train import Adam, GroundingDataset, TrainConfig, build_synthetic_dataset, train_toy
+
+
+def traced_graph_mb(model: SCSModel, dataset: GroundingDataset) -> tuple[float, float]:
+    """MB a full-batch step's graph keeps once its loss is formed, and the peak MB through backward.
+
+    Both are ``tracemalloc`` bytes above what was live before the forward.
+    """
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        pred = model.forward(dataset.images, dataset.token_ids)
+        loss = grounding_loss(pred.boxes, pred.confidence, dataset.targets)[0]
+        live = tracemalloc.get_traced_memory()[0] - base
+        tracemalloc.reset_peak()
+        backward(loss)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    return live / 2**20, peak / 2**20
 
 
 def profile_steps(image_size: int, batch: int,
-                  steps: int) -> tuple[OpProfile, float, float, float, float, float]:
+                  steps: int) -> tuple[OpProfile, float, float, float, float, float, float, float]:
     """Per-op backward profile summed over ``steps`` steps, their mean wall
-    ms, minor page faults, system-CPU ms and ``Adam.step`` ms per step, and
-    the peak RSS in MB."""
+    ms, minor page faults, system-CPU ms and ``Adam.step`` ms per step, the
+    peak RSS in MB, and the traced graph MB of one more step
+    (:func:`traced_graph_mb`)."""
     vocab = default_vocab()
     dataset = build_synthetic_dataset(batch, SyntheticSceneSpec(image_size=image_size), vocab, 0)
     model = SCSModel(ModelConfig(image_size=image_size, vocab_size=len(vocab)), vocab, RngState(0))
@@ -70,7 +97,9 @@ def profile_steps(image_size: int, batch: int,
     faults = (after.ru_minflt - usage.ru_minflt) / steps
     sys_ms = (after.ru_stime - usage.ru_stime) * 1e3 / steps
     optimizer_ms = sum(optimizer_s) * 1e3 / steps
-    return prof, wall_ms, faults, sys_ms, optimizer_ms, after.ru_maxrss / 1024  # Linux reports KiB
+    traced = traced_graph_mb(model, dataset)
+    return (prof, wall_ms, faults, sys_ms, optimizer_ms,
+            after.ru_maxrss / 1024, *traced)  # Linux reports KiB
 
 
 def run(argv=None) -> int:
@@ -83,7 +112,7 @@ def run(argv=None) -> int:
     if args.steps < 1 or args.batch < 1:
         parser.error("--steps and --batch must be positive")
     tune_allocator()
-    prof, step_ms, faults, sys_ms, optimizer_ms, peak_mb = profile_steps(
+    prof, step_ms, faults, sys_ms, optimizer_ms, peak_mb, graph_mb, backward_peak_mb = profile_steps(
         args.image_size, args.batch, args.steps)
     total = sum(prof.ms.values())
     print(f"# image_size={args.image_size} batch={args.batch} steps={args.steps}: "
@@ -91,7 +120,9 @@ def run(argv=None) -> int:
           f"peak RSS {peak_mb:.1f} MB, "
           f"attention scratch {sum(b.nbytes for b in _SCRATCH.buffers) / 2**20:.2f} MB, "
           f"optimizer {optimizer_ms:.2f} ms/step, "
-          f"backward ops {total / args.steps:.1f} ms/step")
+          f"backward ops {total / args.steps:.1f} ms/step, "
+          f"traced graph {graph_mb:.2f} MB after forward and loss, "
+          f"{backward_peak_mb:.2f} MB peak through backward")
     print(f"{'op':<28} {'calls/step':>10} {'ms/step':>9} {'share':>6}")
     for name in sorted(prof.ms, key=prof.ms.get, reverse=True):
         print(f"{name:<28} {prof.calls[name] / args.steps:>10g} "

@@ -328,6 +328,23 @@ def case_cast(rng: RngState) -> Case:
     return loss, [a, b]
 
 
+def case_affine_residual(rng: RngState) -> Case:
+    """``residual + (x @ w + b)`` as one node: a same-shape residual and a broadcast (5,) one."""
+    x = _param(rng, "x", (2, 3, 4))
+    w = _param(rng, "w", (4, 5))
+    b = _param(rng, "b", (5,))
+    same = _param(rng, "residual", (2, 3, 5))
+    row = _param(rng, "row_residual", (5,))
+    w_same = _proj(rng, (2, 3, 5))
+    w_row = _proj(rng, (2, 3, 5))
+
+    def loss():
+        return (tensor.tsum(tensor.affine(x, w, b, same) * w_same)
+                + tensor.tsum(tensor.affine(x, w, b, row) * w_row))
+
+    return loss, [x, w, b, same, row]
+
+
 _CASES = [
     ("matmul", case_matmul),
     ("add_mul_broadcast", case_add_mul_broadcast),
@@ -356,6 +373,7 @@ _CASES = [
     ("attention_core", case_attention_core),
     ("affine", case_affine),
     ("cast", case_cast),
+    ("affine_residual", case_affine_residual),
 ]
 
 

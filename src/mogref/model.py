@@ -23,6 +23,9 @@ The projector is deliberately tiny: a linear patch embedding over synthetic
 rasters plus an embedding table over a closed vocabulary, with sinusoidal
 positions and per-modality type vectors. All blocks are pre-norm residual,
 so zeroing the output projections turns every stage into the identity.
+Each residual add, and the projector's visual type vector, is folded into
+the affine node of the :class:`Linear` before it (``Linear(h, residual=x)``),
+so the graph records and keeps no separate product and sum.
 
 Every module lists its parameters in construction order (see
 :class:`mogref.tensor.Module`); :meth:`SCSModel.parameters` is also the
@@ -161,8 +164,9 @@ class Linear(Module):
         self.w = Parameter(f"{name}.w", rng.uniform_array((n_in, n_out), -scale, scale))
         self.b = Parameter(f"{name}.b", np.zeros(n_out))
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return affine(x, self.w, self.b)
+    def __call__(self, x: Tensor, residual: Tensor | None = None) -> Tensor:
+        """``x @ w + b``, or ``residual + (x @ w + b)``: one :func:`~mogref.tensor.affine` node either way."""
+        return affine(x, self.w, self.b, residual)
 
 
 class TokenProjector(Module):
@@ -210,8 +214,7 @@ class TokenProjector(Module):
             raise ValidationError(
                 f"token id out of vocabulary (size {self.config.vocab_size})"
             )
-        visual = self.patch(Tensor(self._patchify(images)))
-        visual = visual + select(self.type_embed, 0, axis=0)
+        visual = self.patch(Tensor(self._patchify(images)), residual=select(self.type_embed, 0, axis=0))
         if token_ids.shape[1]:
             text = take_rows(self.word_embed, token_ids)
             text = text + select(self.type_embed, 1, axis=0)
@@ -231,9 +234,8 @@ class EncoderBlock(Module):
         self.ffn_out = Linear(f"{name}.ffn_out", config.ffn_dim, d, rng)
 
     def __call__(self, x: Tensor) -> Tensor:
-        x = x + self.attn_out(mog_forward(layernorm(x), self.attn))
-        x = x + self.ffn_out(gelu(self.ffn_in(layernorm(x))))
-        return x
+        x = self.attn_out(mog_forward(layernorm(x), self.attn), residual=x)
+        return self.ffn_out(gelu(self.ffn_in(layernorm(x))), residual=x)
 
 
 class DecoderBlock(Module):
@@ -254,11 +256,10 @@ class DecoderBlock(Module):
         self.ffn_out = Linear(f"{name}.ffn_out", config.ffn_dim, d, rng)
 
     def __call__(self, queries: Tensor, memory: Tensor) -> Tensor:
-        queries = queries + self.self_out(mog_forward(layernorm(queries), self.self_attn))
-        queries = queries + self.cross_out(
-            mog_forward(layernorm(queries), self.cross_attn, memory=memory))
-        queries = queries + self.ffn_out(gelu(self.ffn_in(layernorm(queries))))
-        return queries
+        queries = self.self_out(mog_forward(layernorm(queries), self.self_attn), residual=queries)
+        queries = self.cross_out(mog_forward(layernorm(queries), self.cross_attn, memory=memory),
+                                 residual=queries)
+        return self.ffn_out(gelu(self.ffn_in(layernorm(queries))), residual=queries)
 
 
 class FuseHierarchy(Module):

@@ -25,19 +25,20 @@ another, so it builds no N-by-N mask and no per-branch buffer.
 :func:`mog_forward` is the three projections and one autodiff node,
 :func:`_attention_core`, from the projections to the merged heads; the core
 is the only residue-class implementation. Between forward and backward the
-node keeps no N-by-N array: only the scaled q, the k and v views, the row
-maximum and the (B, H, N_q, sum_g d_g) class arrays. Its backward
-recomputes the shared exponential ``e`` and the mixture ``W`` from them, in
-chunks of the batch that reuse three per-thread buffers. It computes in the
-dtype of its inputs. Its output and gradients are bit-identical however the
-batch is chunked, and in float64 within 1e-12 of the per-branch masked
-softmax. The rare call in which a support row sits so far below the shared
-row maximum that its class sum is too small to divide by falls back to
-the per-branch graph, :func:`_composed_attention`: one
-:func:`~mogref.tensor.masked_softmax` node per branch, over that branch's
-dense mask (:func:`build_mask`, :func:`build_rect_mask`), gated and summed
-with ordinary ops. Those masks are also the reference the tests compare
-the core against.
+node keeps no N-by-N array and no copy of its inputs: besides the q, k and
+v views, only per-row state, the row maximum and each row's selected class
+sum and coefficient per branch, (B, H, N_q, G) arrays. Its backward scales
+q again and recomputes the shared exponential ``e`` and the mixture ``W``
+from them, in chunks of the batch that reuse three per-thread buffers. It
+computes in the dtype of its inputs. Its output and gradients are
+bit-identical however the batch is chunked, and in float64 within 1e-12 of
+the per-branch masked softmax. The rare call in which a support row sits
+so far below the shared row maximum that its class sum is too small to
+divide by falls back to the per-branch graph, :func:`_composed_attention`:
+one :func:`~mogref.tensor.masked_softmax` node per branch, over that
+branch's dense mask (:func:`build_mask`, :func:`build_rect_mask`), gated
+and summed with ordinary ops. Those masks are also the reference the tests
+compare the core against.
 """
 
 from __future__ import annotations
@@ -200,10 +201,10 @@ def _selected(x: np.ndarray, classes: _ResidueClasses) -> np.ndarray:
     return np.take(x.reshape(*x.shape[:-2], -1), classes.index, axis=-1)
 
 
-def _scattered(sel: np.ndarray, shape: tuple[int, ...], classes: _ResidueClasses) -> np.ndarray:
-    """Zeros of ``shape`` (..., n_q, C) holding ``sel`` (..., n_q, G) at the selected classes."""
-    out = np.zeros(shape, dtype=sel.dtype)
-    out.reshape(*shape[:-2], -1)[..., classes.index] = sel
+def _scattered(sel: np.ndarray, classes: _ResidueClasses) -> np.ndarray:
+    """(..., n_q, G) -> (..., n_q, C): zeros holding ``sel`` at the selected classes."""
+    out = np.zeros((*sel.shape[:-1], classes.keys.shape[1]), dtype=sel.dtype)
+    out.reshape(*sel.shape[:-2], -1)[..., classes.index] = sel
     return out
 
 
@@ -345,24 +346,24 @@ def _min_class_sum(dtype) -> float:
 
 def _class_coefficients(e: np.ndarray, gammas: np.ndarray,
                         classes: _ResidueClasses) -> tuple[np.ndarray, np.ndarray] | None:
-    """Class sums ``S = e R`` and coefficients ``A = gamma / S`` on the selected classes.
+    """Selected class sums ``S = e R`` and coefficients ``A = gamma / S``, each (..., n_q, G).
 
-    None when a selected class sum is below :func:`_min_class_sum`: ``A`` could
-    overflow there, and the caller takes the per-branch arithmetic instead.
+    Only each row's selected class of each branch is kept: the other
+    columns of ``e R`` are never read. None when a selected class sum is
+    below :func:`_min_class_sum`: ``A`` could overflow there, and the caller
+    takes the per-branch arithmetic instead.
     """
     # stacked, one gemm per sample and head: as one (B*H*N_q, N_k) gemm,
     # threaded BLAS packs all of e and the RSS grows by another such buffer
-    s = e @ classes.keys
-    selected = _selected(s, classes)
-    if selected.min() < _min_class_sum(e.dtype):
+    s = _selected(e @ classes.keys, classes)
+    if s.min() < _min_class_sum(e.dtype):
         return None
-    np.divide(gammas[:, None, None, :], selected, out=selected)  # gammas (B, G)
-    return s, _scattered(selected, s.shape, classes)
+    return s, gammas[:, None, None, :] / s  # gammas (B, G)
 
 
-def _weights(e: np.ndarray, a: np.ndarray, keys: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """W = e * (A R^T) into ``out``, exact zeros off the union of the supports."""
-    w = _spread(a, keys, out=out)
+def _weights(e: np.ndarray, a: np.ndarray, classes: _ResidueClasses, out: np.ndarray) -> np.ndarray:
+    """W = e * (A R^T) into ``out`` from the selected ``A``, exact zeros off the union of the supports."""
+    w = _spread(_scattered(a, classes), classes.keys, out=out)
     w *= e
     return w
 
@@ -371,21 +372,21 @@ def _logit_grad(w: np.ndarray, dw: np.ndarray, e: np.ndarray, s: np.ndarray, a: 
                 classes: _ResidueClasses) -> tuple[np.ndarray, np.ndarray]:
     """d logits = W dW - e * ((rho * A) R^T), with ``rho = ((dW * e) R) / S``.
 
-    ``rho`` is taken on the selected classes. Runs in the two chunk buffers
-    it is given: ``W dW`` overwrites ``w`` (W is dead once dV is formed),
-    ``dW * e`` overwrites ``dw`` (dW is dead once ``W dW`` is), and the
-    spread correction reuses ``dw`` in turn. Returns d logits (in ``w``)
-    and the (..., n_q, C) ``rho``.
+    ``s`` and ``a`` are the selected ``S`` and ``A`` of
+    :func:`_class_coefficients`, and ``rho`` is taken on the selected
+    classes. Runs in the two chunk buffers it is given: ``W dW`` overwrites
+    ``w`` (W is dead once dV is formed), ``dW * e`` overwrites ``dw`` (dW is
+    dead once ``W dW`` is), and the spread correction reuses ``dw`` in turn.
+    Returns d logits (in ``w``) and ``rho`` scattered to (..., n_q, C).
     """
     dlogits = np.multiply(w, dw, out=w)
     t = np.multiply(dw, e, out=dw)
     u = _selected(t @ classes.keys, classes)
-    u /= _selected(s, classes)
-    rho = _scattered(u, s.shape, classes)
-    correction = _spread(rho * a, classes.keys, out=t)
+    u /= s
+    correction = _spread(_scattered(u * a, classes), classes.keys, out=t)
     correction *= e
     dlogits -= correction
-    return dlogits, rho
+    return dlogits, _scattered(u, classes)
 
 
 def _gamma_grad(rho: np.ndarray, classes: _ResidueClasses) -> np.ndarray:
@@ -490,13 +491,15 @@ def _attention_core(q: Tensor, k: Tensor, v: Tensor, gammas: Tensor,
     of :func:`_chunks`: whole samples packed into ``_PACK_BYTES`` of N-by-N
     data (a quarter of a core's L2), a bigger sample alone, heads split only
     past ``_CHUNK_BYTES``. The chunks run in the reused buffers of
-    :class:`_Scratch`. Forward writes a chunk's logits into one buffer,
-    turns it into the shared exponential ``e`` in place and spreads ``A``
-    into a second for ``W``. Between forward and backward the node keeps
-    only the scaled q, the k and v views, the row maximum and the
-    (B, H, N_q, C) arrays ``S`` and ``A``: no N-by-N array. Backward
-    recomputes a chunk's ``e`` and ``W`` from them (the same bits), then
-    forms dV, dW, rho, d gamma and d logits, and from those dq and dk, in
+    :class:`_Scratch`. Forward scales a chunk's q, writes its logits into
+    one buffer, turns it into the shared exponential ``e`` in place and
+    spreads ``A`` into a second for ``W``. Between forward and backward the
+    node keeps the q, k and v views and, per chunk, only the row maximum
+    and ``S`` and ``A`` on each row's selected class of each branch, as
+    (B, H, N_q, G) arrays: no N-by-N array, no (B, H, N_q, C) array and no
+    scaled copy of q. Backward scales a chunk's q again, scatters its ``A``
+    to the class columns and recomputes ``e`` and ``W`` (the same bits),
+    then forms dV, dW, rho, d gamma and d logits, and from those dq and dk, in
     three chunk-sized buffers: ``e``; ``W``, overwritten by ``W dW`` once dV
     is formed and then by d logits; and dW, overwritten by ``dW * e`` and
     then by the spread correction (:func:`_logit_grad`). The chunks only
@@ -515,8 +518,7 @@ def _attention_core(q: Tensor, k: Tensor, v: Tensor, gammas: Tensor,
     """
     qh, kh, vh = (_split_heads_data(t.data, num_heads) for t in (q, k, v))
     scale = 1.0 / math.sqrt(qh.shape[-1])  # a Python float keeps qh's dtype
-    qs = qh * scale
-    dtype = qs.dtype  # of every array the node allocates
+    dtype = qh.dtype  # of every array the node allocates
     kt = kh.transpose(0, 1, 3, 2)
     b = max(qh.shape[0], kh.shape[0])
     n_q, n_k = qh.shape[2], kh.shape[2]
@@ -530,14 +532,15 @@ def _attention_core(q: Tensor, k: Tensor, v: Tensor, gammas: Tensor,
         return arr[:, head] if heads else arr
 
     def shared_exp(chunk, row_max=None):
-        qc, ktc = part(qs, chunk), part(kt, chunk)
-        shape = (max(qc.shape[0], ktc.shape[0]), qc.shape[1], n_q, n_k)
-        logits = np.matmul(qc, ktc, out=_SCRATCH.get(0, shape, dtype))
+        """``e`` of a chunk, its row maximum and its scaled q, scaled anew on every call."""
+        qs, ktc = part(qh, chunk) * scale, part(kt, chunk)
+        shape = (max(qs.shape[0], ktc.shape[0]), qs.shape[1], n_q, n_k)
+        logits = np.matmul(qs, ktc, out=_SCRATCH.get(0, shape, dtype))
         if row_max is None:
             row_max = logits.max(axis=-1, keepdims=True)
         np.subtract(logits, row_max, out=logits)
         np.exp(logits, out=logits)  # e = exp(logits - row max), in place
-        return logits, row_max
+        return logits, row_max, qs
 
     def merged(t):
         """A batch-B (B, N, D) array shaped like ``t`` and the head-split view chunks write into."""
@@ -545,13 +548,13 @@ def _attention_core(q: Tensor, k: Tensor, v: Tensor, gammas: Tensor,
         return arr, _split_heads_data(arr, num_heads)
 
     out, out_heads = merged(q)
-    saved = []  # (row max, S, A) of each chunk
+    saved = []  # (row max, selected S, selected A) of each chunk
     for c in chunks:
-        e, row_max = shared_exp(c)
+        e, row_max, _ = shared_exp(c)
         coefficients = _class_coefficients(e, part(gammas.data, c, heads=False), classes)
         if coefficients is None:
             return _composed_attention(q, k, v, gammas, dilations, num_heads)
-        w = _weights(e, coefficients[1], keys, out=_SCRATCH.get(1, e.shape, dtype))
+        w = _weights(e, coefficients[1], classes, out=_SCRATCH.get(1, e.shape, dtype))
         np.matmul(w, part(vh, c), out=out_heads[c])
         saved.append((row_max, *coefficients))
 
@@ -562,8 +565,8 @@ def _attention_core(q: Tensor, k: Tensor, v: Tensor, gammas: Tensor,
         dv, dv_heads = merged(v) if v.requires_grad else (None, None)
         rho = np.empty((b, num_heads, n_q, keys.shape[1]), dtype=dtype) if gammas.requires_grad else None
         for c, (row_max, s, a) in zip(chunks, saved):
-            e = shared_exp(c, row_max)[0]
-            w = _weights(e, a, keys, out=_SCRATCH.get(1, e.shape, dtype))
+            e, _, qs = shared_exp(c, row_max)
+            w = _weights(e, a, classes, out=_SCRATCH.get(1, e.shape, dtype))
             if dv is not None:
                 np.matmul(w.swapaxes(-1, -2), gh[c], out=dv_heads[c])
             dw = np.matmul(gh[c], part(vh, c).swapaxes(-1, -2), out=_SCRATCH.get(2, e.shape, dtype))
@@ -573,7 +576,7 @@ def _attention_core(q: Tensor, k: Tensor, v: Tensor, gammas: Tensor,
             if dq is not None:
                 np.matmul(dlogits, part(kh, c), out=dq_heads[c])
             if dk is not None:
-                np.matmul(part(qs, c).swapaxes(-1, -2), dlogits, out=dk_heads[c].swapaxes(-1, -2))
+                np.matmul(qs.swapaxes(-1, -2), dlogits, out=dk_heads[c].swapaxes(-1, -2))
         if dq is not None:
             dq = _unbroadcast(dq, q.shape)
             dq *= scale

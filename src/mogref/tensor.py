@@ -30,6 +30,9 @@ gradient ``g`` itself goes to the first input whose partial returns
 it and a copy to any later one; any other partial (a fresh array, or a view
 of ``g`` no other input shares) is handed over as it is, such as a gather's
 (:func:`select`, :func:`take_rows`) output gradient scattered into zeros.
+Every partial is formed before the first one is accumulated, so an input
+that takes ``g`` and appears again (``affine(x, w, b, residual=x)``) never
+changes the ``g`` a later partial reads.
 One hand-written closure (:func:`_node`) is kept, where one backward builds
 several gradients from shared work: ``mog._attention_core``. Like every
 closure, it receives its output gradient in its output's dtype, and it
@@ -370,9 +373,9 @@ def _record(op: Callable, data: np.ndarray, inputs: Sequence[Tensor],
     routes = [(t, vjp) for t, vjp in zip(inputs, partials) if t.requires_grad]
 
     def bwd(g):
+        grads = [_unbroadcast(vjp(g), t.data.shape) for t, vjp in routes]
         taken = False  # whether an earlier input took g itself
-        for t, vjp in routes:
-            gt = _unbroadcast(vjp(g), t.data.shape)
+        for (t, _), gt in zip(routes, grads):
             if gt.dtype != t.data.dtype:
                 gt = gt.astype(t.data.dtype)
             _accum(t, gt, own=gt is not g or not taken)
@@ -508,30 +511,38 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
 
 
-def gelu(a) -> Tensor:
-    """tanh-form GELU; smooth everywhere, so finite differences behave.
-
-    Forward and backward work in place, with one scratch buffer besides
-    ``t`` and the output. Every product and sum keeps the association of
-    ``0.5 * x * (1 + t)`` and its derivative, with
-    ``t = tanh(C * (x + A * (x * x * x)))``; only the operand order of
-    commutative steps differs, so the bits are those of the plain
-    expressions. Backward keeps ``t`` alone.
-    """
-    a = _wrap(a)
-    x = a.data
+def _gelu_tanh(x: np.ndarray) -> np.ndarray:
+    """``t = tanh(C * (x + A * (x * x * x)))`` in one new buffer."""
     t = np.multiply(x, x)  # x**3 goes through pow(): 100x slower
     t *= x
     t *= _GELU_A
     t += x
     t *= _GELU_C
     np.tanh(t, out=t)
-    half_x = np.multiply(x, 0.5)
-    data = np.add(t, 1.0)
-    data *= half_x
+    return t
+
+
+def gelu(a) -> Tensor:
+    """tanh-form GELU; smooth everywhere, so finite differences behave.
+
+    Forward computes ``t = tanh(C * (x + A * (x * x * x)))`` and turns it
+    into the output in place. The node keeps no array besides its output:
+    backward reads only the input ``x``, which its parent holds anyway,
+    recomputes ``t`` from it with the same operations and works in place
+    with one scratch buffer besides ``t`` and the result. Every product and
+    sum keeps the association of ``0.5 * x * (1 + t)`` and its derivative;
+    only the operand order of commutative steps differs, so the bits are
+    those of the plain expressions.
+    """
+    a = _wrap(a)
+    x = a.data
+    data = _gelu_tanh(x)  # t, turned into the output in place
+    data += 1.0
+    data *= np.multiply(x, 0.5)
 
     def vjp(g):
         # 0.5 * (1 + t) + 0.5 * x * (1 - t * t) * C * (1 + 3 * A * x * x)
+        t = _gelu_tanh(x)
         scratch = np.multiply(t, t)
         np.subtract(1.0, scratch, out=scratch)
         d = np.multiply(x, 0.5)
@@ -675,18 +686,34 @@ def matmul(a, b) -> Tensor:
                                           lambda g: np.matmul(a.data.swapaxes(-1, -2), g)))
 
 
-def affine(x, w, b) -> Tensor:
-    """``x @ w + b`` as one node: a 2-D gemm over the rows of ``x``, then the bias in place.
+def affine(x, w, b, residual=None) -> Tensor:
+    """``x @ w + b``, or ``residual + (x @ w + b)``, as one node.
 
-    The same arithmetic as ``matmul(x, w) + b`` without keeping the
-    product and the sum as two arrays and two nodes.
+    A 2-D gemm over the rows of ``x``, then the bias and the residual added
+    in place into the product's buffer: the same arithmetic as
+    ``matmul(x, w) + b`` (and ``residual + that``) without keeping the
+    product, the biased sum and the residual sum as separate arrays and
+    nodes. The residual's partial is the output gradient itself. The
+    residual must have the product's dtype and broadcast to its shape;
+    anything else raises :class:`ShapeError`.
     """
     x, w, b = _wrap(x), _wrap(w), _wrap(b)
     if x.ndim < 2 or w.ndim != 2 or x.shape[-1] != w.shape[0]:
         raise ShapeError(f"affine needs (..., K) @ (K, M) with K matching, got {x.shape} @ {w.shape}")
     data = (_rows(x.data) @ w.data).reshape(*x.shape[:-1], w.shape[1])
     data += b.data
-    return _record(affine, data, (x, w, b), (*_row_gemm_partials(x, w), lambda g: g))
+    partials = _row_gemm_partials(x, w)
+    if residual is None:
+        return _record(affine, data, (x, w, b), (*partials, lambda g: g))
+    r = _wrap(residual)
+    fits = r.ndim <= data.ndim and all(n in (1, m) for n, m in zip(r.shape[::-1], data.shape[::-1]))
+    if r.data.dtype != data.dtype or not fits:
+        raise ShapeError(f"affine residual must be {data.dtype} and broadcast to the product's "
+                         f"{data.shape}, got {r.data.dtype} {r.shape}")
+    data += r.data
+    # the residual first, as in ``residual + affine(x, w, b)``: it sets the
+    # walk order of backward, hence the bits of the sums into shared inputs
+    return _record(affine, data, (r, x, w, b), (lambda g: g, *partials, lambda g: g))
 
 
 # ---------------------------------------------------------------------------

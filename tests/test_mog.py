@@ -671,14 +671,19 @@ def test_selected_class_arithmetic_equals_the_masked_divide(shape, dilations):
     gammas = rng.uniform_array((b, len(dilations)), 0.1, 1.0)
     dw = rng.uniform_array(shape, -1.0, 1.0)
 
+    # the helpers keep each row's selected classes, (..., n_q, G); scattered
+    # back to (..., n_q, C) they must equal the references on every column
     s, a = mog_module._class_coefficients(e, gammas, classes)
+    assert s.shape == a.shape == (b, h, n_q, len(dilations))
     ref_s = e @ classes.keys
-    assert np.array_equal(s, ref_s)
-    assert s[..., rows].min() >= mog_module._min_class_sum(np.float64)
+    assert np.array_equal(mog_module._scattered(s, classes), np.where(rows, ref_s, 0.0))
+    assert s.min() >= mog_module._min_class_sum(np.float64)
+    assert s.min() == ref_s[..., rows].min()
     gam = gammas[:, branch][:, None, None, :]
-    assert np.array_equal(a, np.divide(gam, ref_s, out=np.zeros_like(ref_s), where=rows))
+    full_a = mog_module._scattered(a, classes)
+    assert np.array_equal(full_a, np.divide(gam, ref_s, out=np.zeros_like(ref_s), where=rows))
 
-    w = mog_module._weights(e, a, classes.keys, out=np.empty(shape))
+    w = mog_module._weights(e, a, classes, out=np.empty(shape))
     if 1 not in dilations:  # exact zeros off the union of the branch supports
         off = np.max([build_rect_mask(n_q, n_k, d) for d in dilations], axis=0) == 0.0
         assert off.any()
@@ -688,7 +693,7 @@ def test_selected_class_arithmetic_equals_the_masked_divide(shape, dilations):
     dlogits, rho = mog_module._logit_grad(w, dw, e, s, a, classes)
     ref_rho = np.divide((ref_dw * e) @ classes.keys, ref_s, out=np.zeros_like(ref_s), where=rows)
     assert np.array_equal(rho, ref_rho)
-    correction = mog_module._spread(ref_rho * a, classes.keys, out=np.empty(shape))
+    correction = mog_module._spread(ref_rho * full_a, classes.keys, out=np.empty(shape))
     assert np.array_equal(dlogits, ref_w * ref_dw - correction * e)
     assert dlogits is w  # in the buffer of W, which is dead after dV
 

@@ -124,6 +124,19 @@ def test_script_profiles_a_default_step(capsys):
     assert {"layernorm", "gelu", "softmax", "take_rows"} <= set(rows)
 
 
+def test_script_reports_one_traced_step_of_graph_memory(capsys):
+    spec = importlib.util.spec_from_file_location("op_profile_script", SCRIPT)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.run(["--steps", "1", "--batch", "2"]) == 0
+    header = capsys.readouterr().out.splitlines()[0]
+    found = re.search(r", traced graph (\d+\.\d\d) MB after forward and loss, "
+                      r"(\d+\.\d\d) MB peak through backward$", header)
+    assert found, header
+    live, peak = map(float, found.groups())
+    assert 0.0 < live < peak  # backward's gradients come on top of the kept graph
+
+
 def test_script_exits_quietly_into_a_closed_pipe():
     read_end, write_end = os.pipe()
     os.close(read_end)  # the reader left before the script printed anything

@@ -263,6 +263,40 @@ class TestAffine:
         for got, want in zip(*results):
             assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("residual_shape", ["same", "broadcast", "input"])
+    def test_residual_fold_equals_affine_plus_residual_bit_for_bit(self, residual_shape, dtype):
+        # "input" is the residual h + Linear(h): the residual is also the
+        # product's input, an interior node whose gradient starts as None
+        rng = RngState(8)
+        values = rng.uniform_array((2, 5, 6), -2, 2).astype(dtype)
+        w_init = rng.uniform_array((6, 6), -1, 1).astype(dtype)
+        b_init = rng.uniform_array((6,), -1, 1).astype(dtype)
+        r_init = rng.uniform_array((2, 5, 6) if residual_shape == "same" else (6,), -1, 1).astype(dtype)
+        proj = rng.uniform_array((2, 5, 6), -1, 1).astype(dtype)
+        results = []
+        for build in (lambda x, w, b, r: affine(x, w, b, r), lambda x, w, b, r: affine(x, w, b) + r):
+            x, w, b, r = (Parameter(name, init) for name, init in
+                          (("x", values), ("w", w_init), ("b", b_init), ("r", r_init)))
+            h = x * 2.0
+            if residual_shape == "input":
+                r = h
+            out = build(h, w, b, r)
+            backward(tsum(out * proj))
+            leaf_grads = (x.grad, w.grad, b.grad) if r is h else (x.grad, w.grad, b.grad, r.grad)
+            results.append((out.data, *leaf_grads))
+        for got, want in zip(*results):
+            assert got.dtype == dtype
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("shape, dtype", [((2, 3, 4), np.float32), ((3, 5), np.float32), ((4,), np.float64)])
+    def test_residual_that_does_not_fit_the_product_raises(self, shape, dtype):
+        # a wider, a mismatched and a float64 residual against a (1, 3, 4) float32 product
+        x = Tensor(np.ones((1, 3, 4), dtype=np.float32))
+        w, b = Tensor(np.ones((4, 4), dtype=np.float32)), Tensor(np.zeros(4, dtype=np.float32))
+        with pytest.raises(ShapeError, match="residual"):
+            affine(x, w, b, Tensor(np.ones(shape, dtype=dtype)))
+
     def test_shape_error_names_both_shapes(self):
         with pytest.raises(ShapeError, match=r"\(2, 3\).*\(4, 5\)"):
             affine(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 5))), Tensor(np.zeros(5)))
