@@ -13,15 +13,22 @@ checks. The op name is the function that recorded the node (``matmul``,
 The header line gives, per step, the wall ms beside the minor page faults
 and the system-CPU ms of the process (``resource.getrusage``): a step that
 returns its buffers to the OS and maps them again pays for it there, and
-that cost lands in whichever op happens to touch the fresh pages. It also
+that cost lands in whichever op happens to touch the fresh pages. The
+fault count depends on the heap layout as well as on the code: glibc's
+dynamic mmap and trim thresholds turn small differences in early
+allocations (one more environment variable, output to a pipe or to a
+file) into different steady-state counts, so single runs cannot be
+compared on it; compare several runs of each tree. It also
 gives the process's peak RSS (``ru_maxrss``) at the end of the run and the
 bytes the attention core's reused scratch buffers (``mog._SCRATCH``) hold
 then, and the wall ms per step of the optimizer update (``Adam.step``,
 timed from this script). Last, it gives the memory of one recorded step's
 graph: after the timed steps, one more forward, loss and backward run under
 ``tracemalloc``, and the header prints the traced bytes still live once the
-loss is formed (node outputs, closures and whatever they keep) and the
-traced peak through backward, both above what was live before the forward.
+loss is formed (node outputs, closures and whatever they keep), the
+traced peak through backward and the traced bytes still held after
+backward, while the loss is kept (``backward`` releases each node as it
+walks it), all above what was live before the forward.
 The script applies the CLI's allocator settings
 (``mogref.allocator.tune_allocator``) first, as ``mogref train`` does.
 
@@ -46,10 +53,11 @@ from mogref.tensor import OpProfile, backward, op_profile
 from mogref.train import Adam, GroundingDataset, TrainConfig, build_synthetic_dataset, train_toy
 
 
-def traced_graph_mb(model: SCSModel, dataset: GroundingDataset) -> tuple[float, float]:
-    """MB a full-batch step's graph keeps once its loss is formed, and the peak MB through backward.
+def traced_graph_mb(model: SCSModel, dataset: GroundingDataset) -> tuple[float, float, float]:
+    """MB a full-batch step's graph keeps once its loss is formed, the peak
+    MB through backward, and the MB still held after backward.
 
-    Both are ``tracemalloc`` bytes above what was live before the forward.
+    All are ``tracemalloc`` bytes above what was live before the forward.
     """
     tracemalloc.start()
     try:
@@ -59,14 +67,14 @@ def traced_graph_mb(model: SCSModel, dataset: GroundingDataset) -> tuple[float, 
         live = tracemalloc.get_traced_memory()[0] - base
         tracemalloc.reset_peak()
         backward(loss)
-        peak = tracemalloc.get_traced_memory()[1] - base
+        held, peak = (m - base for m in tracemalloc.get_traced_memory())
     finally:
         tracemalloc.stop()
-    return live / 2**20, peak / 2**20
+    return live / 2**20, peak / 2**20, held / 2**20
 
 
 def profile_steps(image_size: int, batch: int,
-                  steps: int) -> tuple[OpProfile, float, float, float, float, float, float, float]:
+                  steps: int) -> tuple[OpProfile, float, float, float, float, float, float, float, float]:
     """Per-op backward profile summed over ``steps`` steps, their mean wall
     ms, minor page faults, system-CPU ms and ``Adam.step`` ms per step, the
     peak RSS in MB, and the traced graph MB of one more step
@@ -112,8 +120,8 @@ def run(argv=None) -> int:
     if args.steps < 1 or args.batch < 1:
         parser.error("--steps and --batch must be positive")
     tune_allocator()
-    prof, step_ms, faults, sys_ms, optimizer_ms, peak_mb, graph_mb, backward_peak_mb = profile_steps(
-        args.image_size, args.batch, args.steps)
+    (prof, step_ms, faults, sys_ms, optimizer_ms, peak_mb,
+     graph_mb, backward_peak_mb, held_mb) = profile_steps(args.image_size, args.batch, args.steps)
     total = sum(prof.ms.values())
     print(f"# image_size={args.image_size} batch={args.batch} steps={args.steps}: "
           f"{step_ms:.1f} ms/step ({faults:.0f} minor faults, {sys_ms:.1f} ms system CPU), "
@@ -122,7 +130,8 @@ def run(argv=None) -> int:
           f"optimizer {optimizer_ms:.2f} ms/step, "
           f"backward ops {total / args.steps:.1f} ms/step, "
           f"traced graph {graph_mb:.2f} MB after forward and loss, "
-          f"{backward_peak_mb:.2f} MB peak through backward")
+          f"{backward_peak_mb:.2f} MB peak through backward, "
+          f"{held_mb:.2f} MB held after backward")
     print(f"{'op':<28} {'calls/step':>10} {'ms/step':>9} {'share':>6}")
     for name in sorted(prof.ms, key=prof.ms.get, reverse=True):
         print(f"{name:<28} {prof.calls[name] / args.steps:>10g} "

@@ -17,9 +17,17 @@ reference counting frees a step's graph as soon as the last reference to
 its loss goes, without waiting for the cyclic garbage collector. To keep
 it that way, a backward closure receives the output gradient as its
 argument and never captures its output tensor (capturing the output's
-``data`` array is fine). A node's gradient lives only until its closure
-has run, so a walked graph keeps forward data and closures, and no
-gradient except on leaves; it can be walked again.
+``data`` array is fine).
+
+A graph is walked once. :func:`backward` pops each node off the walk
+order and releases it as it goes: the node drops its gradient and its
+parents, and its closure becomes a sentinel that raises ``RuntimeError``.
+So the interior outputs, captured inputs and closure state of a graph are
+freed during its walk, not when the caller drops the loss, and after the
+walk the loss holds its own value and nothing else. A second
+:func:`backward` on the same loss, or on a loss that shares a node with a
+walked graph, raises before it moves any gradient instead of silently
+adding nothing; record the forward again to get a new graph.
 
 The routing rule: an op gives :func:`_record` its output and one
 vector-Jacobian product (partial) per input. Only that helper skips inputs
@@ -265,9 +273,10 @@ def _accum(t: Tensor, g: np.ndarray, own: bool = False) -> None:
 
     ``own=True`` promises ``g`` is not aliased by any other accumulation
     target, so the first contribution can take the buffer instead of
-    copying. Views of an upstream ``.grad`` qualify: a node's gradient is
-    finalized before its own backward runs and dropped right after it,
-    so from then on only the views handed to parents use the buffer.
+    copying. Views of an upstream gradient qualify: a node's gradient is
+    final when :func:`backward` takes it from the node and hands it to the
+    node's closure, so from then on only the views handed to parents use
+    the buffer.
     :func:`_record` chooses it for every op by the routing rule above.
     """
     if t.grad is None:
@@ -393,15 +402,24 @@ def zero_grads(params) -> None:
             p.grad.fill(0.0)
 
 
+def _walked(g: np.ndarray) -> None:
+    """The closure of a node :func:`backward` has walked: its graph is gone."""
+    raise RuntimeError("graph already walked; record the forward again")
+
+
 def backward(loss: Tensor) -> None:
     """Accumulate d(loss)/d(leaf) into every reachable leaf's ``.grad``.
 
-    Repeated calls add up; call :func:`zero_grads` between steps. Leaf
-    gradients persist across walks. An interior node's gradient is freed
-    as soon as its closure has consumed it, so after a walk no node with a
-    closure holds one. The walk also resets them at its start, which keeps
-    a second walk over the same graph counting each path once after a
-    first walk that a raising closure cut short.
+    Repeated calls on separate graphs add up; call :func:`zero_grads`
+    between steps. Leaf gradients persist across walks. A graph is walked
+    once: each node is popped off the walk order and released as it is
+    reached (its gradient, its parents and its closure, which becomes
+    :func:`_walked`), so the graph's interior outputs, captured inputs and
+    closure state are freed during the walk. A second walk of the same
+    loss, or a walk that reaches a node of an already walked graph, raises
+    ``RuntimeError`` before it moves any gradient. A walk cut short by a
+    raising closure has released the loss and that closure's node too, so
+    its loss cannot be walked again either.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -417,26 +435,30 @@ def backward(loss: Tensor) -> None:
             continue
         if id(node) in seen:
             continue
+        if node._backward is _walked:
+            _walked(None)  # before any gradient moves
         seen.add(id(node))
         stack.append((node, True))
         for p in node._parents:
             if id(p) not in seen:
                 stack.append((p, False))
-    for node in topo:
-        if node._backward is not None:
-            node.grad = None
     _accum(loss, np.ones_like(loss.data), own=True)
     prof = _RECORDING.profile
-    for node in reversed(topo):
-        if node._backward is None:
+    while topo:
+        node = topo.pop()
+        bwd, g = node._backward, node.grad
+        if bwd is None:
             continue
+        # released before the call, so that a raising closure leaves its node
+        # walked too; every consumer of the node has run already, so the walk
+        # holds nothing of it once ``bwd`` and ``node`` are rebound
+        node._backward, node._parents, node.grad = _walked, (), None
         if prof is None:
-            node._backward(node.grad)
+            bwd(g)
         else:
             start = time.perf_counter()
-            node._backward(node.grad)
-            prof.add(node._backward, time.perf_counter() - start)
-        node.grad = None
+            bwd(g)
+            prof.add(bwd, time.perf_counter() - start)
 
 
 # ---------------------------------------------------------------------------
@@ -587,9 +609,16 @@ def reshape(a, shape) -> Tensor:
     return _record(reshape, a.data.reshape(shape), (a,), (lambda g: g.reshape(orig),))
 
 
+def _axis(axis: int, ndim: int) -> int:
+    """``axis`` of an ``ndim``-axis array as an index in ``[0, ndim)``; negative counts from the end."""
+    if not -ndim <= axis < ndim:
+        raise ShapeError(f"axis {axis} is out of range for {ndim} dimensions")
+    return axis % ndim
+
+
 def transpose(a, axes) -> Tensor:
     a = _wrap(a)
-    axes = tuple(axes)
+    axes = tuple(_axis(int(ax), a.ndim) for ax in axes)
     inverse = tuple(np.argsort(axes))
     return _record(transpose, a.data.transpose(axes), (a,), (lambda g: g.transpose(inverse),))
 
@@ -608,7 +637,7 @@ def concat(tensors, axis: int) -> Tensor:
 def select(a, index: int, axis: int = 0) -> Tensor:
     """Pick one slice along ``axis``; the axis disappears from the result."""
     a = _wrap(a)
-    sl = (slice(None),) * axis + (int(index),)
+    sl = (slice(None),) * _axis(axis, a.ndim) + (int(index),)
 
     def vjp(g):
         buf = np.zeros_like(a.data)

@@ -341,7 +341,6 @@ def train_toy(model: SCSModel, dataset: GroundingDataset, cfg: TrainConfig) -> T
             bad = next(p for p in model.parameters() if not np.isfinite(p.grad).all())
             raise DivergenceError(f"non-finite gradient at step {step} in {bad.name}")
         opt.step()
-        del pred, loss  # free the step's graph before the eval and the next forward
 
         entry = {"step": step, "loss": loss_value, "train_p50": None}
         if cfg.eval_every > 0 and step % cfg.eval_every == 0:

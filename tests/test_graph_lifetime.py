@@ -2,11 +2,12 @@
 
 A step's graph must be freed by reference counting alone: with the cyclic
 garbage collector off, nothing it leaves behind may need a collection.
-A walked graph keeps forward data and closures only: ``backward`` drops
-each interior gradient once its closure has consumed it, and a graph can
-still be walked again. ``no_grad`` must switch recording off on its own
-thread only, for exactly the extent of its block, without changing a
-single forward value.
+A graph is walked once: ``backward`` releases each node as it reaches it
+(gradient, parents and closure), so after the walk the loss holds its value
+and nothing else, and a second walk of the same loss raises
+``RuntimeError`` instead of adding nothing. ``no_grad`` must switch
+recording off on its own thread only, for exactly the extent of its
+block, without changing a single forward value.
 """
 
 import gc
@@ -21,7 +22,7 @@ import numpy as np
 import pytest
 
 import mogref
-from mogref import gradcheck_cases
+from mogref import gradcheck_cases, tensor
 from mogref.data import SyntheticSceneSpec, default_vocab
 from mogref.matching import grounding_loss
 from mogref.model import ModelConfig, SCSModel
@@ -85,7 +86,7 @@ def graph_nodes(loss: Tensor) -> list[Tensor]:
 
 
 def keeping_backward(loss: Tensor) -> None:
-    """The walk of ``backward``, in its order, without freeing interior gradients: the reference."""
+    """The walk of ``backward``, in its order, releasing nothing: the reference."""
     topo, seen, stack = [], set(), [(loss, False)]
     while stack:
         node, done = stack.pop()
@@ -97,9 +98,6 @@ def keeping_backward(loss: Tensor) -> None:
         seen.add(id(node))
         stack.append((node, True))
         stack.extend((p, False) for p in node._parents if id(p) not in seen)
-    for node in topo:
-        if node._backward is not None:
-            node.grad = None
     _accum(loss, np.ones_like(loss.data), own=True)
     for node in reversed(topo):
         if node._backward is not None:
@@ -139,27 +137,23 @@ class TestInteriorGradients:
 
             zero_grads(params)
             loss = build_loss()
+            interior = [n for n in graph_nodes(loss) if n._backward is not None]
             backward(loss)
-            nodes = graph_nodes(loss)
-            holding = [n for n in nodes if n._backward is not None and n.grad is not None]
-            assert not holding, f"{name}: {len(holding)} interior nodes hold a gradient"
+            holding = [n for n in interior if n.grad is not None or n._parents]
+            assert not holding, f"{name}: {len(holding)} walked nodes hold a gradient or parents"
+            assert all(n._backward is tensor._walked for n in interior), name
             assert all(np.array_equal(g, p.grad) for g, p in zip(want, params)), name
-            # data and closures stay: a second walk counts each path once
-            zero_grads(params)
-            backward(loss)
+            # the graph is gone: a second walk raises and adds nothing
+            with pytest.raises(RuntimeError, match="already walked"):
+                backward(loss)
             assert all(np.array_equal(g, p.grad) for g, p in zip(want, params)), name
 
     def test_walk_cut_short_by_a_raising_closure_then_rewalked(self):
         build_loss, params = default_step_loss(1)
         zero_grads(params)
-        backward(build_loss())
-        want = leaf_grads(params)
-
-        zero_grads(params)
         loss = build_loss()
         interior = [n for n in graph_nodes(loss) if n._backward is not None]
         victim = interior[len(interior) // 2]
-        original = victim._backward
 
         def raising(g):
             raise FloatingPointError("cut short")
@@ -167,14 +161,16 @@ class TestInteriorGradients:
         victim._backward = raising
         with pytest.raises(FloatingPointError):
             backward(loss)
-        # some interior nodes were left holding partial gradients
-        assert any(n.grad is not None for n in interior)
-        victim._backward = original
-        zero_grads(params)
-        backward(loss)
-        assert all(np.array_equal(g, p.grad) for g, p in zip(want, params))
+        assert victim._backward is tensor._walked
+        partial = leaf_grads(params)
+        # the re-walk raises at the loss instead of finishing partial gradients
+        with pytest.raises(RuntimeError, match="already walked"):
+            backward(loss)
+        assert all(np.array_equal(g, p.grad) for g, p in zip(partial, params))
 
-    def test_finished_graph_holds_little_more_than_its_forward_data(self):
+    def test_walked_graph_holds_almost_nothing(self):
+        # the parent's walk, which kept every output and closure until the
+        # loss went, held 6.1 MB here and peaked at 1.24x the forward's bytes
         build_loss, params = default_step_loss(2)
         backward(build_loss())  # fills the caches and the attention core's reused buffers
         zero_grads(params)
@@ -182,14 +178,14 @@ class TestInteriorGradients:
         try:
             base = tracemalloc.get_traced_memory()[0]
             loss = build_loss()
+            live = tracemalloc.get_traced_memory()[0] - base
+            tracemalloc.reset_peak()
             backward(loss)
-            held = tracemalloc.get_traced_memory()[0] - base
+            held, peak = (m - base for m in tracemalloc.get_traced_memory())
         finally:
             tracemalloc.stop()
-        data = sum(n.data.nbytes for n in graph_nodes(loss) if n._backward is not None)
-        # data counts a view as often as it is reached; dead gradients would
-        # add about as much again as the data itself
-        assert held <= 1.5 * data, f"graph holds {held / data:.2f}x its interior data"
+        assert held <= 64 * 2**10, f"the walked graph holds {held / 2**10:.1f} KB"
+        assert peak <= 1.15 * live, f"backward peaks at {peak / live:.2f}x the forward's bytes"
 
     def test_recorded_step_keeps_little_beyond_its_node_data(self):
         # what a step's graph holds besides the nodes' outputs: the closures,

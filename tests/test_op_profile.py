@@ -131,10 +131,12 @@ def test_script_reports_one_traced_step_of_graph_memory(capsys):
     assert script.run(["--steps", "1", "--batch", "2"]) == 0
     header = capsys.readouterr().out.splitlines()[0]
     found = re.search(r", traced graph (\d+\.\d\d) MB after forward and loss, "
-                      r"(\d+\.\d\d) MB peak through backward$", header)
+                      r"(\d+\.\d\d) MB peak through backward, "
+                      r"(\d+\.\d\d) MB held after backward$", header)
     assert found, header
-    live, peak = map(float, found.groups())
+    live, peak, held = map(float, found.groups())
     assert 0.0 < live < peak  # backward's gradients come on top of the kept graph
+    assert held < 0.1 * live  # the walk released the graph
 
 
 def test_script_exits_quietly_into_a_closed_pipe():

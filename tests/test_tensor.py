@@ -36,6 +36,7 @@ from mogref.tensor import (
     softmax,
     sub,
     take_rows,
+    transpose,
     tsum,
     zero_grads,
 )
@@ -203,12 +204,21 @@ class TestBackward:
         zero_grads([p])
         assert (p.grad == 0.0).all()
 
-    def test_repeated_backward_on_same_graph_counts_once_per_walk(self):
+    def test_second_backward_on_same_graph_raises(self):
         p = Parameter("p", np.array([1.5, -0.5]))
-        loss = tsum(p * p)  # one recorded graph, walked twice
+        loss = tsum(p * p)  # one recorded graph, walked once
         backward(loss)
-        backward(loss)
-        assert np.allclose(p.grad, 2.0 * 2.0 * p.data)
+        with pytest.raises(RuntimeError, match="graph already walked"):
+            backward(loss)
+        assert (p.grad == 2.0 * p.data).all()
+
+    def test_backward_reaching_a_node_of_a_walked_graph_raises(self):
+        p = Parameter("p", np.array([1.5, -0.5]))
+        y = p * p  # an interior node both losses share
+        backward(tsum(y * 2.0))
+        with pytest.raises(RuntimeError, match="graph already walked"):
+            backward(tsum(p * 5.0) + tsum(y * 3.0))
+        assert (p.grad == 4.0 * p.data).all()  # the unshared branch added nothing either
 
     def test_non_scalar_loss_rejected(self):
         p = Parameter("p", np.ones(3))
@@ -245,6 +255,42 @@ class TestReshapeErrors:
     def test_mean_keeps_values(self):
         x = Tensor(np.arange(12.0).reshape(3, 4))
         assert mean(x).item() == pytest.approx(5.5)
+
+
+class TestNegativeAxes:
+    @staticmethod
+    def forward_and_grad(op, shape):
+        """``op``'s output and the gradient of ``sum(op(x) * proj)`` into ``x``."""
+        rng = RngState(9)
+        x = Parameter("x", rng.uniform_array(shape, -1.0, 1.0))
+        out = op(x)
+        backward(tsum(out * Tensor(RngState(10).uniform_array(out.shape, -1.0, 1.0))))
+        return out.data, x.grad
+
+    @pytest.mark.parametrize("axis", [-1, -2])
+    def test_select_equals_the_positive_axis(self, axis):
+        shape = (2, 3, 4)
+        got = self.forward_and_grad(lambda x: select(x, 1, axis=axis), shape)
+        want = self.forward_and_grad(lambda x: select(x, 1, axis=axis + 3), shape)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+    def test_select_last_axis_picks_a_column(self):
+        x = Tensor(np.arange(6.0).reshape(2, 3))
+        assert select(x, 1, axis=-1).data.tolist() == [1.0, 4.0]
+
+    @pytest.mark.parametrize("axes", [(-1, 0, 1), (0, -1, 1), (1, -1, 0)])
+    def test_transpose_equals_the_positive_axes(self, axes):
+        shape = (2, 3, 4)
+        got = self.forward_and_grad(lambda x: transpose(x, axes), shape)
+        want = self.forward_and_grad(lambda x: transpose(x, [ax % 3 for ax in axes]), shape)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+    def test_out_of_range_axes_are_named(self):
+        x = Tensor(np.ones((2, 3)))
+        for call in (lambda: select(x, 0, axis=2), lambda: select(x, 0, axis=-3),
+                     lambda: transpose(x, (0, 2)), lambda: transpose(x, (-3, 1))):
+            with pytest.raises(ShapeError, match=r"axis -?\d+ is out of range for 2 dimensions"):
+                call()
 
 
 class TestAffine:
