@@ -167,6 +167,8 @@ def load_annotations(path) -> list[AnnotationRecord]:
         raise ValidationError(
             f"{path}: schema_version {doc.get('schema_version')!r} != {SCHEMA_VERSION}"
         )
+    if not isinstance(doc["records"], list):
+        raise ValidationError(f"{path}: records must be a list, got {type(doc['records']).__name__}")
     return [_record_from_json(obj, i) for i, obj in enumerate(doc["records"])]
 
 

@@ -88,7 +88,14 @@ class ModelConfig:
     dtype: str = "float32"  # of the parameters and the compute up to the head
 
     def __post_init__(self):
-        object.__setattr__(self, "dilations", tuple(int(d) for d in self.dilations))
+        object.__setattr__(self, "dilations", tuple(self.dilations))
+        # a float count passes the checks below and fails in the model build,
+        # and int() would turn a dilation of 4.7 or true into a count
+        counts = [(f.name, getattr(self, f.name)) for f in fields(self)
+                  if f.name not in ("dilations", "dtype")]
+        for name, value in [*counts, *(("each of dilations", d) for d in self.dilations)]:
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.dtype not in MODEL_DTYPES:
             raise ValueError(f"dtype must be one of {MODEL_DTYPES}, got {self.dtype!r}")
         if min(self.sce_blocks, self.scd_blocks, self.ssd_blocks) < 1:
@@ -433,7 +440,20 @@ class SCSModel(Module):
             raise ValidationError(
                 f"{path}: checkpoint config {config} does not match requested {expect_config}"
             )
-        model = SCSModel(config, Vocab(doc["vocab"]), RngState(0))
+        words = doc["vocab"]
+        for i, word in enumerate(words):
+            if not isinstance(word, str):
+                raise ValidationError(f"{path}: checkpoint vocab[{i}] must be a string, got {word!r}")
+        try:
+            vocab = Vocab(words)
+        except ValueError as exc:
+            raise ValidationError(f"{path}: bad checkpoint vocab: {exc}") from exc
+        if len(vocab) != config.vocab_size:
+            raise ValidationError(
+                f"{path}: checkpoint vocab holds {len(vocab)} words with pad and unk, "
+                f"config vocab_size is {config.vocab_size}"
+            )
+        model = SCSModel(config, vocab, RngState(0))
         stored = doc["params"]
         malformed = sorted(name for name, entry in stored.items() if not (
             isinstance(entry, dict) and all(isinstance(entry.get(k), list) for k in ("shape", "data"))))

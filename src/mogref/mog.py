@@ -27,10 +27,11 @@ another, so it builds no N-by-N mask and no per-branch buffer.
 is the only residue-class implementation. Between forward and backward the
 node keeps no N-by-N array and no copy of its inputs: besides the q, k and
 v views, only per-row state, the row maximum and each row's selected class
-sum and coefficient per branch, (B, H, N_q, G) arrays. Its backward scales
-q again and recomputes the shared exponential ``e`` and the mixture ``W``
-from them, in chunks of the batch that reuse three per-thread buffers. It
-computes in the dtype of its inputs. Its output and gradients are
+sum and coefficient per branch, (B, H, N_q, G) arrays. Its backward, one
+pass over chunks of the batch that reuse three per-thread buffers, scales q
+again, recomputes the shared exponential ``e`` and the mixture ``W`` and
+forms the four input gradients, which :func:`~mogref.tensor._record`
+routes. It computes in the dtype of its inputs. Its output and gradients are
 bit-identical however the batch is chunked, and in float64 within 1e-12 of
 the per-branch masked softmax. The rare call in which a support row sits
 so far below the shared row maximum that its class sum is too small to
@@ -54,8 +55,7 @@ from mogref.tensor import (
     Module,
     Parameter,
     Tensor,
-    _accum,
-    _node,
+    _record,
     _unbroadcast,
     affine,
     layernorm,
@@ -506,6 +506,11 @@ def _attention_core(q: Tensor, k: Tensor, v: Tensor, gammas: Tensor,
     split independent samples and heads, so output and gradients have the
     same bits for any layout.
 
+    Recorded by :func:`~mogref.tensor._record` with one partial per input
+    (q, k, gammas, v): the first partial asked for runs the chunk pass for
+    every input that needs a gradient (dq summed over a broadcast batch and
+    scaled), and each partial hands over the array the pass formed.
+
     A rectangular grid where some query row has no key in its class raises
     the ``ValueError`` of :func:`build_rect_mask`. When a selected class sum
     is below :func:`_min_class_sum` (a support row sits far below the row
@@ -558,7 +563,7 @@ def _attention_core(q: Tensor, k: Tensor, v: Tensor, gammas: Tensor,
         np.matmul(w, part(vh, c), out=out_heads[c])
         saved.append((row_max, *coefficients))
 
-    def bwd(g):
+    def chunk_pass(g):
         gh = _split_heads_data(g, num_heads)
         dq, dq_heads = merged(q) if q.requires_grad else (None, None)
         dk, dk_heads = merged(k) if k.requires_grad else (None, None)
@@ -580,18 +585,21 @@ def _attention_core(q: Tensor, k: Tensor, v: Tensor, gammas: Tensor,
         if dq is not None:
             dq = _unbroadcast(dq, q.shape)
             dq *= scale
-            _accum(q, dq, own=True)
-        if dk is not None:
-            _accum(k, _unbroadcast(dk, k.shape), own=True)
-        if rho is not None:
-            _accum(gammas, _unbroadcast(_gamma_grad(rho, classes), gammas.shape), own=True)
-        if dv is not None:
-            _accum(v, _unbroadcast(dv, v.shape), own=True)
+        grads = (dq, dk, None if rho is None else _gamma_grad(rho, classes), dv)
+        formed.update((i, grad) for i, grad in enumerate(grads) if grad is not None)
 
-    # the parent order sets the walk order of backward, hence the order in
+    formed = {}  # input position -> gradient the chunk pass formed and no partial took yet
+
+    def partial(i, g):
+        if not formed:  # the first partial asked for runs the chunk pass
+            chunk_pass(g)
+        return formed.pop(i)
+
+    # the input order sets the walk order of backward, hence the order in
     # which the q, k, gate and v contributions add into a shared input and
     # the last bits of the loss log
-    return _node(out, (q, k, gammas, v), bwd)
+    return _record(_attention_core, out, (q, k, gammas, v),
+                   [lambda g, i=i: partial(i, g) for i in range(4)])
 
 
 def mog_forward(x: Tensor, attn: MoGAttention, memory: Tensor | None = None) -> Tensor:

@@ -40,11 +40,10 @@ of ``g`` no other input shares) is handed over as it is, such as a gather's
 (:func:`select`, :func:`take_rows`) output gradient scattered into zeros.
 Every partial is formed before the first one is accumulated, so an input
 that takes ``g`` and appears again (``affine(x, w, b, residual=x)``) never
-changes the ``g`` a later partial reads.
-One hand-written closure (:func:`_node`) is kept, where one backward builds
-several gradients from shared work: ``mog._attention_core``. Like every
-closure, it receives its output gradient in its output's dtype, and it
-builds its inputs' gradients in theirs.
+changes the ``g`` a later partial reads. Partials are asked for in input
+order, so an op whose partials share work (``mog._attention_core``, whose
+one chunk pass forms all four input gradients) runs it in the first
+partial asked for, and each partial hands over the array it formed.
 
 Inside ``with no_grad():`` operations record nothing: outputs are bare
 tensors with no parents and no closure, and :func:`backward` on them is a
@@ -326,15 +325,15 @@ def no_grad() -> Iterator[None]:
 class OpProfile:
     """Backward wall time (ms) and call count per op name.
 
-    The op name is the qualified name of the backward closure up to its
-    ``.<locals>``: ``matmul`` for the closure :func:`matmul` records.
+    The op name is the name :func:`_record` gives the backward closure, its
+    op's: ``matmul`` for the closure :func:`matmul` records.
     """
 
     ms: dict[str, float] = field(default_factory=dict)
     calls: dict[str, int] = field(default_factory=dict)
 
     def add(self, bwd: Callable, seconds: float) -> None:
-        name = bwd.__qualname__.split(".<locals>")[0]
+        name = bwd.__qualname__
         self.ms[name] = self.ms.get(name, 0.0) + seconds * 1e3
         self.calls[name] = self.calls.get(name, 0) + 1
 
@@ -350,36 +349,22 @@ def op_profile() -> Iterator[OpProfile]:
         _RECORDING.profile = previous
 
 
-def _node(data: np.ndarray, parents: Sequence[Tensor], bwd: Callable[[np.ndarray], None]) -> Tensor:
-    """Build an output node; ``bwd`` receives the output gradient.
-
-    ``bwd`` must not capture the returned tensor: that would make a
-    reference cycle only the cyclic garbage collector can free. Besides
-    :func:`_record`, only the hand-written closure the routing rule names
-    (``mog._attention_core``) calls it and routes its own gradients in
-    ``bwd``.
-    """
-    out = Tensor(data)
-    if not _RECORDING.enabled:
-        return out
-    grads_needed = [p for p in parents if p.requires_grad]
-    if grads_needed:
-        out.requires_grad = True
-        out._parents = tuple(grads_needed)
-        out._backward = bwd
-    return out
-
-
 def _record(op: Callable, data: np.ndarray, inputs: Sequence[Tensor],
             partials: Sequence[Callable[[np.ndarray], np.ndarray]]) -> Tensor:
     """``op``'s output node: its gradient into ``inputs[i]`` is ``partials[i](g)``.
 
-    The one place the routing rule (module docstring) is applied. The closure
-    takes ``op``'s name, under which :class:`OpProfile` files it.
+    The only function that builds a node, and the one place the routing
+    rule (module docstring) is applied: the inputs that need a gradient
+    become the node's parents, in the order given. The closure takes
+    ``op``'s name, under which :class:`OpProfile` files it. A partial must
+    not capture the returned tensor, or the graph becomes a reference cycle.
     """
+    out = Tensor(data)
     if not _RECORDING.enabled:
-        return Tensor(data)
+        return out
     routes = [(t, vjp) for t, vjp in zip(inputs, partials) if t.requires_grad]
+    if not routes:
+        return out
 
     def bwd(g):
         grads = [_unbroadcast(vjp(g), t.data.shape) for t, vjp in routes]
@@ -391,7 +376,10 @@ def _record(op: Callable, data: np.ndarray, inputs: Sequence[Tensor],
             taken = taken or gt is g
 
     bwd.__qualname__ = op.__qualname__
-    return _node(data, [t for t, _ in routes], bwd)
+    out.requires_grad = True
+    out._parents = tuple(t for t, _ in routes)
+    out._backward = bwd
+    return out
 
 
 def zero_grads(params) -> None:

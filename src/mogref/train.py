@@ -5,7 +5,8 @@ and the optimizer all run off explicit seeds, so the same configuration
 reproduces the same loss log bit for bit (at the same dtype and BLAS
 thread count). Divergence (a non-finite prediction, loss or gradient)
 aborts with the offending step, and parameter, rather than logging garbage
-or carrying it into the weights.
+or carrying it into the weights; an evaluation of diverged weights aborts
+naming the samples whose prediction is not finite.
 
 :class:`Adam` works on the model's parameter arena: its parameters are one
 contiguous slice of it, with one flat ``m`` and ``v``, updated block by
@@ -40,7 +41,21 @@ from mogref.tensor import Parameter, backward, no_grad
 
 
 class DivergenceError(RuntimeError):
-    """Training produced a non-finite loss or gradient."""
+    """A non-finite prediction (in training or evaluation), loss or gradient."""
+
+
+def _require_finite(pred: Prediction, samples: Sequence[int], when: str) -> None:
+    """Raise :class:`DivergenceError` naming each of ``samples`` (the
+    dataset indices of ``pred``'s rows) whose boxes or confidence are not finite.
+
+    Matching needs finite costs and :class:`BBox` finite coordinates; a
+    float32 forward overflows before the loss does.
+    """
+    finite = np.isfinite(pred.boxes.data).all(axis=(1, 2))
+    finite &= np.isfinite(pred.confidence.data).all(axis=1)
+    if not finite.all():
+        bad = [samples[i] for i in np.flatnonzero(~finite)]
+        raise DivergenceError(f"non-finite prediction {when} for samples {bad}")
 
 
 # ---------------------------------------------------------------------------
@@ -244,13 +259,16 @@ def eval_chunk(tokens_per_scene: int) -> int:
 def predict_best_boxes(model: SCSModel, dataset: GroundingDataset) -> list[tuple[BBox, float]]:
     """Highest-confidence box (and its confidence) for every sample.
 
-    Runs the no-grad forwards in chunks of :func:`eval_chunk` scenes.
+    Runs the no-grad forwards in chunks of :func:`eval_chunk` scenes. A
+    non-finite prediction (weights that diverged) raises
+    :class:`DivergenceError` naming the samples.
     """
     chunk = eval_chunk(model.config.num_visual_tokens + dataset.token_ids.shape[1])
     out = []
     for lo in range(0, len(dataset), chunk):
         with no_grad():
             pred = model.forward(dataset.images[lo:lo + chunk], dataset.token_ids[lo:lo + chunk])
+        _require_finite(pred, range(lo, lo + chunk), "in evaluation")
         for b in range(pred.boxes.shape[0]):
             box, conf = pred.best_box(b)
             out.append((BBox(*np.clip(box, 0.0, 1.0)), conf))
@@ -327,9 +345,7 @@ def train_toy(model: SCSModel, dataset: GroundingDataset, cfg: TrainConfig) -> T
         idx = [(cursor + i) % len(dataset) for i in range(batch)]
         cursor = (cursor + batch) % len(dataset)
         pred = model.forward(dataset.images[idx], dataset.token_ids[idx])
-        if not (np.isfinite(pred.boxes.data).all() and np.isfinite(pred.confidence.data).all()):
-            # matching needs finite costs: a float32 forward overflows before the loss does
-            raise DivergenceError(f"non-finite prediction at step {step}")
+        _require_finite(pred, idx, f"at step {step}")
         loss, _ = grounding_loss(pred.boxes, pred.confidence,
                                  [dataset.targets[i] for i in idx])
         loss_value = loss.item()

@@ -64,6 +64,15 @@ class TestGradcheckCommand:
         failed = [r["op"] for r in doc["results"] if not r["passed"]]
         assert failed == ["gelu"]
 
+    @pytest.mark.parametrize("flags", [["--only", "matmull"], ["--only", "matmul,gelu2"],
+                                       ["--fault-inject", "matmull", "--only", "matmul"]])
+    def test_unknown_case_name_exits_validation_and_writes_nothing(self, tmp_path, capsys, flags):
+        # at a typo the run would check nothing, or flip nothing, and pass
+        code = main(["gradcheck", *flags, "--out-dir", str(tmp_path)])
+        assert code == EXIT_VALIDATION
+        assert "unknown gradcheck case names" in capsys.readouterr().err
+        assert not (tmp_path / "gradcheck.json").exists()
+
 
 class TestMakeDataAndStats:
     def test_make_data_then_stats(self, tmp_path):
@@ -163,6 +172,14 @@ class TestMakeDataAndStats:
         bad.write_text(json.dumps({"schema_version": 1, "records": [good, {**good, field: value}]}))
         assert main(["stats", "--data", str(bad), "--out-dir", str(tmp_path)]) == EXIT_VALIDATION
         assert f"records[1]: {field} must be {kind}, got {value!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("records", [5, None, True, {"image_id": "a"}, "abc"],
+                             ids=["number", "null", "bool", "object", "string"])
+    def test_stats_on_records_that_are_no_list_exits_validation(self, tmp_path, capsys, records):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"schema_version": 1, "records": records}))
+        assert main(["stats", "--data", str(bad), "--out-dir", str(tmp_path)]) == EXIT_VALIDATION
+        assert "records must be a list" in capsys.readouterr().err
 
     def test_stats_missing_file_exits_io(self, tmp_path):
         assert main(["stats", "--data", str(tmp_path / "nope.json"),
@@ -270,6 +287,28 @@ class TestTrainEval:
                      "--image-size", "16", "--out-dir", str(tmp_path)])
         assert code == EXIT_VALIDATION
 
+    @pytest.mark.parametrize("section, key, value, named", [
+        ("vocab", 0, ["red"], "vocab[0] must be a string, got ['red']"),
+        ("vocab", 0, {"red": 1}, "vocab[0] must be a string, got {'red': 1}"),
+        ("config", "model_dim", 8.0, "model_dim must be an integer, got 8.0"),
+        ("config", "num_queries", True, "num_queries must be an integer, got True"),
+        ("config", "dilations", [1, 2, 3, 4.7], "each of dilations must be an integer, got 4.7"),
+        ("config", "dilations", [True, 2, 3, 4], "each of dilations must be an integer, got True"),
+    ], ids=["vocab-list", "vocab-object", "float-model-dim", "bool-count", "fraction-dilation",
+            "bool-dilation"])
+    def test_eval_checkpoint_with_a_mistyped_value_names_it(self, tmp_path, capsys,
+                                                            section, key, value, named):
+        main(["train", "--steps", "0", "--scenes", "1", "--seed", "1",
+              *TINY_MODEL_FLAGS, "--out-dir", str(tmp_path)])
+        ckpt = tmp_path / "checkpoint.json"
+        doc = json.loads(ckpt.read_text())
+        doc[section][key] = value
+        ckpt.write_text(json.dumps(doc))
+        code = main(["eval", "--checkpoint", str(ckpt), "--scenes", "1",
+                     "--image-size", "16", "--out-dir", str(tmp_path)])
+        assert code == EXIT_VALIDATION
+        assert named in capsys.readouterr().err
+
     def test_default_model_flags_give_default_config(self):
         # perfbench builds ModelConfig(vocab_size=...) directly; this is what `train` runs
         args = build_parser().parse_args(["train"])
@@ -335,6 +374,33 @@ class TestTrainEval:
                      "--target-p50", "0", *TINY_MODEL_FLAGS,
                      "--out-dir", str(tmp_path)])
         assert code == EXIT_NUMERICAL
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # divergence path
+    @pytest.mark.parametrize("command", [
+        ["train", "--steps", "3", "--eval-every", "1", "--target-p50", "0"],
+        ["sweep", "--gmax", "1", "--steps", "1"],
+    ], ids=["train", "sweep"])
+    def test_eval_after_divergence_exits_numerical(self, tmp_path, capsys, command):
+        code = main([*command, "--scenes", "2", "--seed", "1", "--lr", "1e8",
+                     *TINY_MODEL_FLAGS, "--out-dir", str(tmp_path)])
+        assert code == EXIT_NUMERICAL
+        assert "non-finite prediction in evaluation for samples [0, 1]" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # divergence path
+    def test_eval_of_a_diverged_checkpoint_exits_numerical(self, tmp_path, capsys):
+        # finite float32 values, scaled until the forward overflows
+        main(["train", "--steps", "0", "--scenes", "1", "--seed", "1",
+              *TINY_MODEL_FLAGS, "--out-dir", str(tmp_path)])
+        ckpt = tmp_path / "checkpoint.json"
+        doc = json.loads(ckpt.read_text())
+        for entry in doc["params"].values():
+            entry["data"] = [x * 1e19 for x in entry["data"]]
+        ckpt.write_text(json.dumps(doc))
+        code = main(["eval", "--checkpoint", str(ckpt), "--scenes", "2",
+                     "--out-dir", str(tmp_path / "eval")])
+        assert code == EXIT_NUMERICAL
+        assert "non-finite prediction in evaluation" in capsys.readouterr().err
+        assert not (tmp_path / "eval" / "eval.json").exists()
 
     def test_train_from_dataset_dir(self, tmp_path):
         data_dir = tmp_path / "data"

@@ -1,4 +1,5 @@
 import ast
+import re
 from pathlib import Path
 
 import numpy as np
@@ -55,25 +56,14 @@ def test_registry_names_cover_every_op_family():
 
 
 def recorded_ops() -> set[str]:
-    """The profile name of every op the package records, read from its source.
-
-    The first argument of each ``_record(op, ...)`` call, and each top-level
-    function that calls ``_node`` itself (a hand-written backward, filed under
-    that function's name) other than ``_record``.
-    """
+    """The profile name of every op the package records, read from its source:
+    the first argument of each ``_record(op, ...)`` call."""
     ops = set()
     for path in SRC.glob("*.py"):
-        for func in ast.parse(path.read_text(encoding="utf-8")).body:
-            if not isinstance(func, ast.FunctionDef):
-                continue
-            for call in ast.walk(func):
-                if not (isinstance(call, ast.Call) and isinstance(call.func, ast.Name)):
-                    continue
-                if call.func.id == "_record":
-                    assert isinstance(call.args[0], ast.Name), ast.dump(call)
-                    ops.add(call.args[0].id)
-                elif call.func.id == "_node" and func.name != "_record":
-                    ops.add(func.name)
+        for call in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "_record":
+                assert isinstance(call.args[0], ast.Name), ast.dump(call)
+                ops.add(call.args[0].id)
     return ops
 
 
@@ -103,3 +93,11 @@ def test_fault_injection_names_the_op():
     by_name = {r.op: r for r in results}
     assert not by_name["sigmoid"].passed
     assert by_name["log"].passed
+
+
+@pytest.mark.parametrize("only, fault_op", [(["matmull"], None), (["matmul", "gelu2"], None),
+                                            (["matmul"], "matmull"), (None, "matmull")])
+def test_unknown_case_names_raise_naming_them(only, fault_op):
+    typos = sorted({*(only or ()), fault_op} - {"matmul", None})
+    with pytest.raises(ValueError, match=re.escape(repr(typos))):
+        run_gradcheck(seed=0, only=only, fault_op=fault_op)

@@ -1,9 +1,20 @@
+import copy
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mogref.data import ValidationError, default_vocab
+from mogref.data import (
+    AnnotationRecord,
+    ValidationError,
+    Vocab,
+    default_vocab,
+    load_annotations,
+    save_annotations,
+)
 from mogref.gradcheck import finite_difference_grad, max_rel_err
 from mogref.matching import BBox, batch_assignment_loss, grounding_loss
 from mogref.model import ModelConfig, SCSModel, sinusoidal_positions
@@ -711,3 +722,67 @@ class TestCheckpoint:
     def test_vocab_size_must_match(self):
         with pytest.raises(ValueError):
             SCSModel(ModelConfig(vocab_size=7), VOCAB, RngState(0))
+
+
+def _json_values(integers):
+    """Any value a JSON file can hold (NaN and infinities too, which ``json`` reads)."""
+    scalars = st.none() | st.booleans() | integers | st.floats() | st.text(max_size=3)
+    return st.recursive(scalars, lambda inner: st.lists(inner, max_size=3)
+                        | st.dictionaries(st.text(max_size=3), inner, max_size=3), max_leaves=5)
+
+
+def _paths(doc, at=()):
+    """The path of ``doc`` and of every value inside it (of a list, its first two entries)."""
+    yield at
+    if isinstance(doc, dict):
+        items = doc.items()
+    else:
+        items = enumerate(doc[:2]) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _paths(value, (*at, key))
+
+
+def _replaced(doc, path, value):
+    if not path:
+        return value
+    doc = copy.deepcopy(doc)
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return doc
+
+
+@pytest.fixture(scope="module")
+def tiny_files(tmp_path_factory) -> tuple[Path, dict]:
+    """A directory, and an annotation file and the checkpoint of a tiny model as loaded JSON."""
+    tmp = tmp_path_factory.mktemp("files")
+    record = AnnotationRecord("s-0", 16, 16, "the red square", [(1.0, 2.0, 3.0, 4.0)], "square")
+    save_annotations(tmp / "annotations.json", [record])
+    vocab = Vocab(["red", "square"])
+    config = ModelConfig(model_dim=4, num_heads=2, dilations=(1, 2), sce_blocks=1, scd_blocks=1,
+                         ssd_blocks=1, num_queries=1, ffn_dim=4, image_size=8, patch_size=8,
+                         vocab_size=len(vocab))
+    SCSModel(config, vocab, RngState(0)).save(tmp / "checkpoint.json")
+    return tmp, {kind: json.loads((tmp / f"{kind}.json").read_text())
+                 for kind in ("annotations", "checkpoint")}
+
+
+@settings(max_examples=150)
+@given(data=st.data())
+def test_malformed_files_raise_only_validation_errors(tiny_files, data):
+    # one field of a valid annotation file or checkpoint set to any JSON
+    # value; the loaders may only accept it or raise ValidationError. A
+    # checkpoint builds its model before comparing parameters, so integers
+    # in the config stay small: a large count would allocate a large model.
+    tmp, docs = tiny_files
+    kind = data.draw(st.sampled_from(sorted(docs)))
+    path = data.draw(st.sampled_from(list(_paths(docs[kind]))))
+    integers = st.integers(-4, 64) if path[:1] == ("config",) else st.integers()
+    bad = tmp / f"malformed-{kind}.json"
+    bad.write_text(json.dumps(_replaced(docs[kind], path, data.draw(_json_values(integers)))))
+    load = load_annotations if kind == "annotations" else SCSModel.load
+    try:
+        load(bad)
+    except ValidationError:
+        pass

@@ -478,6 +478,33 @@ class TestAttentionCore:
         core = _attention_core(q, k, v, gate_weights(x, attn.gate), (1, 2, 3), 2)
         assert (out.data == core.data).all()
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("query_batch", [None, 1])
+    @pytest.mark.parametrize("needs", ["q k v", "q gammas", "gammas", "k v gammas"],
+                             ids=["constant-gammas", "constant-k-and-v", "only-gammas", "constant-q"])
+    def test_inputs_needing_no_gradient(self, needs, query_batch, dtype):
+        # the chunk pass forms the gradients of just the inputs that need one,
+        # in whichever partial _record asks for first; each gets the bits of
+        # the call where every input needs one, and a constant gets none
+        names = ("q", "k", "v", "gammas")
+
+        def run(needed):
+            params, proj = core_inputs(24, 2, 2, 5, 7, 8, (1, 2, 3), query_batch)
+            inputs = [Tensor(p.data.astype(dtype), requires_grad=p.name in needed) for p in params]
+            out = _attention_core(*inputs, (1, 2, 3), 2)
+            assert "_attention_core" in out._backward.__qualname__
+            backward(tsum(out * Tensor(proj.data.astype(dtype))))
+            return out.data, inputs
+
+        every_out, every = run(names)
+        out, inputs = run(needs.split())
+        assert out.tobytes() == every_out.tobytes()
+        for name, t, ref in zip(names, inputs, every):
+            if t.requires_grad:
+                assert t.grad.dtype == dtype and t.grad.tobytes() == ref.grad.tobytes(), name
+            else:
+                assert t.grad is None, name
+
     @pytest.mark.parametrize("gap", [300.0, 400.0, 740.0])
     def test_far_below_row_max_class_stays_finite(self, gap):
         # the floor sqrt(tiny) ~ 1.5e-154 sits at a gap of about 354: a

@@ -467,26 +467,38 @@ class TestGradientRouting:
 
         self._check(build, [x])
 
-    def test_only_the_named_closures_call_node(self):
-        # the routing rule in tensor's docstring names every hand-written
-        # closure; a new direct caller of _node must be named there too
-        callers = set()
+    def test_only_record_builds_a_node(self):
+        # the routing rule holds for every op only while _record builds every
+        # node and only tensor accumulates gradients: only Tensor.__init__,
+        # _record and backward's release assign a node's closure or parents,
+        # and no other module names _accum
+        assigners, accum_users = set(), set()
 
-        def visit(node, module, func):
+        def visit(node, module, scope):
             for child in ast.iter_child_nodes(node):
-                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    visit(child, module, child.name)
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    visit(child, module, f"{scope}.{child.name}")
                     continue
-                if isinstance(child, ast.Call):
-                    callee = child.func
-                    name = callee.id if isinstance(callee, ast.Name) else getattr(callee, "attr", None)
-                    if name == "_node":
-                        callers.add(f"{module}.{func}")
-                visit(child, module, func)
+                targets = []
+                if isinstance(child, ast.Assign):
+                    targets = child.targets
+                elif isinstance(child, (ast.AugAssign, ast.AnnAssign)):
+                    targets = [child.target]
+                for target in targets:
+                    for t in ast.walk(target):
+                        if isinstance(t, ast.Attribute) and t.attr in ("_backward", "_parents"):
+                            assigners.add(scope)
+                name = (getattr(child, "id", None) or getattr(child, "attr", None)
+                        or getattr(child, "name", None))
+                if name == "_accum" and module != "tensor":
+                    accum_users.add(scope)
+                visit(child, module, scope)
 
         for path in sorted(Path(mogref.__file__).parent.glob("*.py")):
-            visit(ast.parse(path.read_text()), path.stem, None)
-        assert callers == {"tensor._record", "mog._attention_core"}
+            visit(ast.parse(path.read_text()), path.stem, path.stem)
+        assert assigners == {"tensor.Tensor.__init__", "tensor._record", "tensor.backward"}
+        assert accum_users == set()
+        assert not hasattr(mogref.tensor, "_node")
 
 
 class TestModule:

@@ -166,6 +166,15 @@ class TestTraining:
             train_toy(model, ds, TrainConfig(steps=200, lr=1e8, eval_every=0,
                                              target_train_p50=None))
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_reaching_an_eval_aborts_naming_the_samples(self):
+        # the eval forward after the diverging update of step 1 reaches BBox
+        # before any loss would show the divergence
+        model, ds = tiny_setup(seed=1)
+        with pytest.raises(DivergenceError, match=r"in evaluation for samples \[0, 1, 2, 3\]$"):
+            train_toy(model, ds, TrainConfig(steps=5, lr=1e8, eval_every=1,
+                                             target_train_p50=None))
+
     def test_non_finite_gradient_aborts_naming_step_and_parameter(self, monkeypatch):
         from mogref import train
 
