@@ -558,6 +558,8 @@ def read_ppm(path) -> np.ndarray:
         raise ValidationError(f"{path}: malformed PPM header") from exc
     if maxval != 255:
         raise ValidationError(f"{path}: only maxval 255 is supported")
+    if w < 1 or h < 1:
+        raise ValidationError(f"{path}: width and height must be at least 1, got {w}x{h}")
     idx += 1  # the single whitespace byte separating header and pixels
     pixels = np.frombuffer(raw, dtype=np.uint8, offset=idx, count=-1)
     if pixels.size < w * h * 3:

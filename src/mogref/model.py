@@ -39,9 +39,10 @@ views in place, as :meth:`SCSModel.load` does.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import asdict, dataclass, fields
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -324,6 +325,33 @@ def _stored_values(data: np.ndarray) -> list[float]:
     return flat.tolist()
 
 
+def parameter_shapes(config: ModelConfig) -> Iterator[tuple[str, tuple[int, ...]]]:
+    """Name and shape of each parameter of an :class:`SCSModel` of ``config``,
+    in construction order, from the config alone and one block at a time,
+    so a checkpoint is checked against them before any array is allocated."""
+    d, ffn, g = config.model_dim, config.ffn_dim, len(config.dilations)
+
+    def linear(name, n_in, n_out):
+        return [(f"{name}.w", (n_in, n_out)), (f"{name}.b", (n_out,))]
+
+    def attention(name, branches):
+        gate = [(f"{name}.gate_w", (d, branches)), (f"{name}.gate_b", (branches,))] if branches > 1 else []
+        return [(f"{name}.{w}", (d, d)) for w in ("w_q", "w_k", "w_v")] + gate
+
+    yield from linear("projector.patch", config.patch_size ** 2 * 3, d)
+    yield from [("projector.word_embed", (config.vocab_size, d)), ("projector.type_embed", (2, d))]
+    for b in (f"sce.{i}" for i in range(config.sce_blocks)):
+        yield from attention(f"{b}.attn", g) + linear(f"{b}.attn_out", d, d)
+        yield from linear(f"{b}.ffn_in", d, ffn) + linear(f"{b}.ffn_out", ffn, d)
+    yield from [("fuse.block_logits", (config.sce_blocks,)), ("queries", (config.num_queries, d))]
+    for stage, count, branches in (("scd", config.scd_blocks, g), ("ssd", config.ssd_blocks, 1)):
+        for b in (f"{stage}.{i}" for i in range(count)):
+            yield from attention(f"{b}.self_attn", 1) + linear(f"{b}.self_out", d, d)
+            yield from attention(f"{b}.cross_attn", branches) + linear(f"{b}.cross_out", d, d)
+            yield from linear(f"{b}.ffn_in", d, ffn) + linear(f"{b}.ffn_out", ffn, d)
+    yield from linear("head.box_hidden", d, d) + linear("head.box_out", d, 4) + linear("head.conf_out", d, 1)
+
+
 class SCSModel(Module):
     """End-to-end grounding model over raster + token-id batches."""
 
@@ -453,40 +481,34 @@ class SCSModel(Module):
                 f"{path}: checkpoint vocab holds {len(vocab)} words with pad and unk, "
                 f"config vocab_size is {config.vocab_size}"
             )
-        model = SCSModel(config, vocab, RngState(0))
         stored = doc["params"]
-        malformed = sorted(name for name, entry in stored.items() if not (
-            isinstance(entry, dict) and all(isinstance(entry.get(k), list) for k in ("shape", "data"))))
-        if malformed:
-            raise ValidationError(f"{path}: parameter entries {malformed} need 'shape' and 'data' lists")
-        params = {p.name: p for p in model.parameters()}
         if len(config.dilations) == 1:
             # one-branch attentions have no gate; older checkpoints carry an
             # inert gate_w/gate_b per attention (a softmax over one logit is 1)
-            inert = {name[: -len("w_q")] + gate for name in params if name.endswith(".w_q")
+            inert = {name[: -len("w_q")] + gate for name in stored if name.endswith(".w_q")
                      for gate in ("gate_w", "gate_b")}
             stored = {name: entry for name, entry in stored.items() if name not in inert}
-        if set(stored) != set(params):
-            missing = set(params) - set(stored)
-            extra = set(stored) - set(params)
-            raise ValidationError(
-                f"{path}: parameter set mismatch (missing {sorted(missing)}, extra {sorted(extra)})"
-            )
-        for name, p in params.items():
-            shape = tuple(stored[name]["shape"])
-            if shape != p.shape:
-                raise ValidationError(
-                    f"{path}: parameter {name} has shape {shape}, expected {p.shape}"
-                )
-            data = stored[name]["data"]
+        # all checked before the model is built; one entry past the file's shows a mismatch
+        shapes = dict(itertools.islice(parameter_shapes(config), len(stored) + 1))
+        if set(stored) != set(shapes):
+            missing, extra = sorted(set(shapes) - set(stored)), sorted(set(stored) - set(shapes))
+            raise ValidationError(f"{path}: parameter set mismatch (missing {missing}, extra {extra})")
+        values = {}
+        for name, shape in shapes.items():
+            entry = stored[name] if isinstance(stored[name], dict) else {}
+            if entry.get("shape") != list(shape) or not isinstance(entry.get("data"), list):
+                raise ValidationError(f"{path}: parameter {name} needs shape {list(shape)} and a data "
+                                      f"list, got shape {entry.get('shape')!r}")
             # numpy would read null as NaN and true or "0.5" as numbers
-            if not set(map(type, data)) <= {float, int}:
+            if not set(map(type, entry["data"])) <= {float, int}:
                 raise ValidationError(f"{path}: parameter {name} holds a value that is not a number")
             try:
-                values = np.array(data, dtype=np.float64).reshape(shape)
+                values[name] = np.array(entry["data"], dtype=np.float64).reshape(shape)
             except (OverflowError, ValueError) as exc:
                 raise ValidationError(f"{path}: parameter {name}: {exc}") from exc
-            if not np.isfinite(values).all():
+            if not np.isfinite(values[name]).all():
                 raise ValidationError(f"{path}: parameter {name} holds a non-finite value")
-            p.data[...] = values
+        model = SCSModel(config, vocab, RngState(0))
+        for p in model.parameters():
+            p.data[...] = values[p.name]
         return model

@@ -55,9 +55,9 @@ way), :func:`backward` adds each closure's wall time and call count to
 
 An :class:`Arena` packs a list of parameters into one contiguous ``data``
 and one ``grad`` buffer and makes each ``Parameter.data`` and ``.grad`` a
-view of its slice, so an optimizer can update a run of parameters in one
-pass and zero their gradients in one fill. Gradients reach those views in
-place: :func:`_accum` adds into a leaf's existing ``.grad``.
+view of its slice, so an optimizer can update all of them in one pass and
+zero their gradients in one fill. Gradients reach those views in place:
+:func:`_accum` adds into a leaf's existing ``.grad``.
 
 Masked softmax is the one numerically delicate op: masked logits are
 replaced by -inf before the stable exponential, which makes masked output
@@ -157,20 +157,14 @@ class Tensor:
 
 
 class Parameter(Tensor):
-    """Named trainable leaf; ``grad`` starts as zeros of the same shape.
+    """Named trainable leaf; ``grad`` starts as zeros of the same shape."""
 
-    Once an :class:`Arena` has packed it, ``arena`` is that arena and
-    ``offset`` the parameter's first position in its flat buffers.
-    """
-
-    __slots__ = ("name", "arena", "offset")
+    __slots__ = ("name",)
 
     def __init__(self, name: str, data):
         super().__init__(data, requires_grad=True)
         self.name = name
         self.grad = np.zeros_like(self.data)
-        self.arena: Arena | None = None
-        self.offset = 0
 
     def __repr__(self) -> str:
         return f"Parameter({self.name!r}, shape={self.shape})"
@@ -183,44 +177,20 @@ class Arena:
     Packing copies the parameters' values, in the order given and cast to
     ``dtype``, into the flat ``data`` buffer, zeroes the flat ``grad``
     buffer, and rebinds every ``p.data`` and ``p.grad`` to a view of the
-    parameter's slice of each. So
-    consecutive parameters are one slice of the buffers, which an optimizer
-    updates in one pass, and zeroing their gradients is one ``fill``. From
-    then on values and gradients are assigned in place (``p.data[...] = x``,
-    ``p.grad[...] = g``); a rebound array is no longer the arena's, and
-    :meth:`span` refuses it.
+    parameter's slice of each, so ``p.data.base`` is ``data`` and
+    ``p.grad.base`` is ``grad``. From then on values and gradients are
+    assigned in place (``p.data[...] = x``, ``p.grad[...] = g``); a rebound
+    array is no longer the arena's.
     """
 
     def __init__(self, params: Sequence[Parameter], dtype):
-        params = list(params)
-        total = sum(p.size for p in params)
-        self.data = np.empty(total, dtype=dtype)
-        self.grad = np.zeros(total, dtype=dtype)
-        offset = 0
-        for p in params:
-            run = slice(offset, offset + p.size)
-            self.data[run] = p.data.reshape(-1)
-            p.data, p.grad = self.data[run].reshape(p.shape), self.grad[run].reshape(p.shape)
-            p.arena, p.offset = self, offset
-            offset = run.stop
-
-    def span(self, params: Sequence[Parameter]) -> slice:
-        """The slice of the buffers that ``params`` fill, in order and without a gap.
-
-        Raises ``ValueError`` unless ``params`` is a non-empty run of this
-        arena's parameters in packing order whose ``data`` and ``grad`` are
-        still views of its buffers.
-        """
-        if not params:
-            raise ValueError("an empty parameter list is no run of an arena")
-        start = end = params[0].offset
-        for p in params:
-            if p.arena is not self or p.offset != end:
-                raise ValueError(f"parameter {p.name} does not continue one run of the arena")
-            if p.data.base is not self.data or p.grad.base is not self.grad:
-                raise ValueError(f"parameter {p.name} was rebound after packing")
-            end += p.size
-        return slice(start, end)
+        sizes = [p.size for p in params]
+        self.data = np.empty(sum(sizes), dtype=dtype)
+        self.grad = np.zeros(sum(sizes), dtype=dtype)
+        cuts = np.cumsum(sizes)[:-1]
+        for p, data, grad in zip(params, np.split(self.data, cuts), np.split(self.grad, cuts)):
+            data[...] = p.data.reshape(-1)
+            p.data, p.grad = data.reshape(p.shape), grad.reshape(p.shape)
 
 
 class Module:

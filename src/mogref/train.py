@@ -8,16 +8,16 @@ aborts with the offending step, and parameter, rather than logging garbage
 or carrying it into the weights; an evaluation of diverged weights aborts
 naming the samples whose prediction is not finite.
 
-:class:`Adam` works on the model's parameter arena: its parameters are one
-contiguous slice of it, with one flat ``m`` and ``v``, updated block by
-block in a small kept scratch, and the gradient check is one ``isfinite``
-over the arena's gradient buffer.
+:class:`Adam` works on the model's whole parameter arena, with one flat
+``m`` and ``v``, updated block by block in a small kept scratch, and the
+gradient check is one ``isfinite`` over the arena's gradient buffer.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -137,6 +137,9 @@ def load_dataset_dir(path, vocab: Vocab, dtype: str = "float32") -> GroundingDat
     images_dir = ann.parent / "images"
     images = _image_array(len(records), height, width, dtype)
     for i, rec in enumerate(records):
+        # an id is one plain file name, so no record reads outside images/
+        if rec.image_id in ("", ".", "..") or Path(rec.image_id).name != rec.image_id:
+            raise ValidationError(f"records[{i}]: image_id {rec.image_id!r} is not a plain file name")
         img_path = images_dir / f"{rec.image_id}.ppm"
         if not img_path.exists():
             raise FileNotFoundError(f"missing raster {img_path}")
@@ -175,21 +178,20 @@ _ADAM_BLOCK = 1 << 14
 
 
 class Adam:
-    """Standard Adam over one run of packed parameters at one learning rate.
+    """Standard Adam over every parameter of one arena at one learning rate.
 
-    The groups, in order, must together be one gap-free run of one
-    :class:`~mogref.tensor.Arena` and share one learning rate
-    (``ValueError`` otherwise), so the state is one flat ``m`` and one flat
-    ``v`` in the arena's dtype, with one step count ``t``. A step updates
-    the run in blocks of ``_ADAM_BLOCK`` elements, with one pass per
-    operation over each block, in a ``(2, _ADAM_BLOCK)`` scratch the
-    optimizer keeps; the views of each block are cut once, at construction.
-    A step allocates nothing of the arena's size, and :meth:`zero_grad` is
-    one fill. Every operation is elementwise with one bias correction per
-    step, so neither the blocks nor splitting the run into groups changes a
-    bit of the update. A parameter whose ``data`` or ``grad`` was rebound
-    after construction would no longer be updated, so :meth:`step` raises
-    ``RuntimeError`` instead.
+    The groups must hold each parameter of one :class:`~mogref.tensor.Arena`
+    exactly once, in any order, at one learning rate (``ValueError``
+    otherwise). The state is one flat ``m`` and ``v``, slot for slot with
+    the arena's buffers (the parameters' ``data.base`` and ``grad.base``),
+    and one step count ``t``. A step runs through the arena in blocks of
+    ``_ADAM_BLOCK`` elements, one pass per operation, in a
+    ``(2, _ADAM_BLOCK)`` scratch the optimizer keeps, so it allocates
+    nothing of the arena's size; :meth:`zero_grad` is one fill. Every
+    operation is elementwise with one bias correction per step, so neither
+    the blocks nor the grouping changes a bit of the update. A parameter
+    whose ``data`` or ``grad`` was rebound after construction would no
+    longer be updated, so :meth:`step` raises ``RuntimeError`` instead.
     """
 
     def __init__(self, groups: list[ParamGroup]):
@@ -198,11 +200,14 @@ class Adam:
             raise ValueError(f"Adam groups must share one lr, got {lrs}")
         self.lr = lrs[0]
         params = [p for group in groups for p in group.params]
-        arena = params[0].arena if params else None
-        if arena is None:
-            raise ValueError("Adam's groups must be a run of packed parameters")
-        run = arena.span(params)
-        data, self._grad = arena.data[run], arena.grad[run]
+        data, self._grad = (params[0].data.base, params[0].grad.base) if params else (None, None)
+        for p in params:
+            if data is None or self._grad is None or p.data.base is not data or p.grad.base is not self._grad:
+                raise ValueError(f"parameter {p.name} is not a view of the arena's buffers: "
+                                 "never packed, rebound after packing, or packed in another arena")
+        size = sum(p.size for p in params)
+        if data is None or size != data.size or len({id(p) for p in params}) != len(params):
+            raise ValueError("Adam's groups must hold every parameter of one arena exactly once")
         self.m, self.v = np.zeros_like(data), np.zeros_like(data)
         self.t = 0
         scratch = np.empty((2, _ADAM_BLOCK), dtype=data.dtype)

@@ -309,6 +309,31 @@ class TestTrainEval:
         assert code == EXIT_VALIDATION
         assert named in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, named", [
+        ("ffn_dim", "parameter sce.0.ffn_in.w needs shape [8, 1000000000] and a data list, got shape [8, 12]"),
+        ("model_dim", "parameter projector.patch.w needs shape [192, 1000000000]"),
+        ("num_queries", "parameter queries needs shape [1000000000, 8]"),
+        ("sce_blocks", "parameter set mismatch (missing ['sce.1."),
+        ("ssd_blocks", "parameter set mismatch (missing ['ssd.1."),
+    ], ids=["ffn_dim", "model_dim", "num_queries", "sce_blocks", "ssd_blocks"])
+    def test_eval_checkpoint_with_a_huge_count_exits_before_building_a_model(
+            self, tmp_path, capsys, monkeypatch, field, named):
+        main(["train", "--steps", "0", "--scenes", "1", "--seed", "1",
+              *TINY_MODEL_FLAGS, "--out-dir", str(tmp_path)])
+        ckpt = tmp_path / "checkpoint.json"
+        doc = json.loads(ckpt.read_text())
+        doc["config"][field] = 10**9  # a model of it would take gigabytes or more
+        ckpt.write_text(json.dumps(doc))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the checkpoint's shapes are checked before a model is built")
+
+        monkeypatch.setattr(SCSModel, "__init__", refuse)
+        code = main(["eval", "--checkpoint", str(ckpt), "--scenes", "1",
+                     "--image-size", "16", "--out-dir", str(tmp_path)])
+        assert code == EXIT_VALIDATION
+        assert named in capsys.readouterr().err
+
     def test_default_model_flags_give_default_config(self):
         # perfbench builds ModelConfig(vocab_size=...) directly; this is what `train` runs
         args = build_parser().parse_args(["train"])

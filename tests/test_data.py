@@ -1,5 +1,6 @@
 import itertools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -304,6 +305,13 @@ class TestPPM:
         path = tmp_path / "x.ppm"
         path.write_bytes(b"P5\n1 1\n255\n\x00")
         with pytest.raises(ValidationError):
+            read_ppm(path)
+
+    @pytest.mark.parametrize("size", [b"-3 -3", b"0 4", b"4 0"])
+    def test_rejects_dimensions_below_one_naming_the_file(self, tmp_path, size):
+        path = tmp_path / "x.ppm"
+        path.write_bytes(b"P6\n" + size + b"\n255\n" + bytes(48))
+        with pytest.raises(ValidationError, match=re.escape(f"{path}: width and height")):
             read_ppm(path)
 
     def test_pixels_starting_with_whitespace_bytes_survive(self, tmp_path):

@@ -84,6 +84,27 @@ class TestDatasets:
         assert np.array_equal(ds.images, quantized.astype(np.float32))
         assert np.array_equal(load_dataset_dir(tmp_path, VOCAB, dtype="float64").images, quantized)
 
+    @pytest.mark.parametrize("image_id", ["../outside/secret", "ABSOLUTE", "images/s-0", "..", ""])
+    def test_dataset_dir_refuses_an_image_id_that_is_no_plain_file_name(self, tmp_path, image_id):
+        from mogref.data import load_annotations, save_annotations, write_ppm
+
+        outside, data = tmp_path / "outside", tmp_path / "data"
+        (data / "images").mkdir(parents=True)
+        outside.mkdir()
+        scene = generate_scene(TINY_SPEC, RngState(3), "s-0")
+        # every path the id could name holds a valid raster of the right size
+        for path in (data / "images" / "s-0.ppm", outside / "secret.ppm", data / "images" / ".ppm",
+                     data / "..ppm"):
+            write_ppm(path, scene.image)
+        if image_id == "ABSOLUTE":
+            image_id = str(outside / "secret")
+        records = [scene.record, replace(scene.record, image_id=image_id)]
+        save_annotations(data / "annotations.json", records)
+        with pytest.raises(ValidationError, match=re.escape("records[1]: image_id")):
+            load_dataset_dir(data, VOCAB)
+        # the rule is the loader's: the annotation file itself stays valid
+        assert load_annotations(data / "annotations.json")[1].image_id == image_id
+
     def test_default_build_is_the_float64_build_rounded_to_float32(self):
         spec = SyntheticSceneSpec()
         wide = build_synthetic_dataset(6, spec, VOCAB, 7, dtype="float64")
@@ -309,20 +330,21 @@ class TestAdam:
         # the benchmark times Adam([projector, rest]) and checks its log
         # against train_toy's one group, so the split must change no bit
         cfg = replace(TINY_CFG, dtype=dtype)
-        split = SCSModel(cfg, VOCAB, RngState(6))
-        whole = SCSModel(cfg, VOCAB, RngState(6))
+        split, reverse, whole = (SCSModel(cfg, VOCAB, RngState(6)) for _ in range(3))
         assert np.array_equal(split.arena.data, whole.arena.data)
         optimizers = [Adam(self.model_groups(split)),
+                      Adam(self.model_groups(reverse)[::-1]),  # any order covers the arena
                       Adam([ParamGroup(whole.parameters(), 1e-3)])]
         rng, size = np.random.default_rng(6), whole.arena.grad.size
         for _ in range(5):
             grad = rng.normal(0.0, 1.0, size) * 10.0 ** rng.integers(-6, 3, size)
-            for model, opt in zip((split, whole), optimizers):
+            for model, opt in zip((split, reverse, whole), optimizers):
                 model.arena.grad[...] = grad
                 opt.step()
         assert split.arena.data.dtype == np.dtype(dtype)
         assert not np.array_equal(split.arena.data, SCSModel(cfg, VOCAB, RngState(6)).arena.data)
         assert np.array_equal(split.arena.data, whole.arena.data)
+        assert np.array_equal(reverse.arena.data, whole.arena.data)
 
     def test_zero_grad_zeroes_every_gradient_in_one_fill(self):
         from mogref.matching import grounding_loss
@@ -336,15 +358,6 @@ class TestAdam:
         opt.zero_grad()
         assert not model.arena.grad.any()
         assert all(not p.grad.any() for p in model.parameters())
-
-    def test_group_that_is_not_one_run_of_an_arena_raises(self):
-        model, _ = tiny_setup()
-        params = model.parameters()
-        loose = Parameter("loose", np.zeros(3))
-        for group in ([params[0], params[2]], [params[1], params[0]], [loose], [],
-                      [params[-1], tiny_setup()[0].parameters()[0]]):
-            with pytest.raises(ValueError):
-                Adam([ParamGroup(group, 1e-3)])
 
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
     def test_step_allocates_nothing_arena_sized(self, dtype):
@@ -364,19 +377,49 @@ class TestAdam:
         assert model.arena.data.size > 8 * train_module._ADAM_BLOCK
         assert peak - base < model.arena.data.nbytes / 4, (peak - base, model.arena.data.nbytes)
 
-    def test_groups_of_two_dtypes_raise(self):
-        wide, narrow = Parameter("wide", np.zeros(3)), Parameter("narrow", np.zeros(3, np.float32))
-        Arena([wide], np.float64)
-        Arena([narrow], np.float32)
-        # one run of one arena has one dtype: two arenas are no run
-        with pytest.raises(ValueError, match="does not continue one run"):
-            Adam([ParamGroup([wide], 1e-3), ParamGroup([narrow], 1e-3)])
+    @staticmethod
+    def rejected_groups(case, model):
+        """Groups that are not every parameter of one arena, once, at one lr."""
+        params, lr = model.parameters(), 1e-3
+        projector = model.projector.parameters()
+        if case == "empty":
+            return [ParamGroup([], lr)]
+        if case == "loose":
+            return [ParamGroup(params + [Parameter("loose", np.zeros(3))], lr)]
+        if case == "loose view":
+            # values that view a whole array, but a gradient of its own
+            return [ParamGroup([Parameter("view", np.zeros(6)[:])], lr)]
+        if case == "two arenas":
+            return [ParamGroup(params, lr), ParamGroup(tiny_setup()[0].parameters(), lr)]
+        if case == "projector alone":
+            return [ParamGroup(projector, lr)]
+        if case == "duplicate":
+            # w_q twice in place of the equal-sized w_k, so the sizes still add up
+            w_k = next(p for p in params if p.name.endswith(".w_k"))
+            w_q = next(p for p in params if p.name == w_k.name[:-1] + "q")
+            return [ParamGroup([w_q if p is w_k else p for p in params], lr)]
+        if case in ("rebound data", "rebound grad"):
+            attr = case.split()[1]
+            setattr(params[5], attr, getattr(params[5], attr).copy())
+            return [ParamGroup(params, lr)]
+        assert case == "two lrs"
+        return [ParamGroup(projector, lr), ParamGroup(params[len(projector):], 2 * lr)]
 
-    def test_groups_at_two_lrs_raise(self):
-        groups, _ = self.two_groups(0)
-        groups[1].lr = 1e-2
-        with pytest.raises(ValueError, match="one lr"):
-            Adam(groups)
+    @pytest.mark.parametrize("case, message", [pytest.param(case, message, id=case) for case, message in [
+        ("empty", "exactly once"),
+        ("loose", "parameter loose is not a view"),
+        ("loose view", "parameter view is not a view"),
+        ("two arenas", "packed in another arena"),
+        ("projector alone", "exactly once"),
+        ("duplicate", "exactly once"),
+        ("rebound data", "parameter sce.0.attn.w_k is not a view"),
+        ("rebound grad", "parameter sce.0.attn.w_k is not a view"),
+        ("two lrs", "one lr"),
+    ]])
+    def test_groups_that_are_not_one_whole_arena_at_one_lr_raise(self, case, message):
+        model, _ = tiny_setup()
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Adam(self.rejected_groups(case, model))
 
     def test_state_is_one_flat_m_and_v_over_the_run(self):
         model, _ = tiny_setup()
@@ -396,8 +439,6 @@ class TestAdam:
         with pytest.raises(RuntimeError, match=re.escape(p.name)):
             opt.step()
         assert np.array_equal(model.arena.data, before)
-        with pytest.raises(ValueError, match="rebound"):
-            Adam(self.model_groups(model))
 
 
 class TestDtypeAudit:
