@@ -9,8 +9,9 @@ threshold to 8 MiB and the trim threshold to 256 MiB keeps those pages
 mapped and reused.
 
 The settings are process-wide, so importing :mod:`mogref` never applies
-them; the CLI's ``train``, ``eval`` and ``sweep`` and
-``scripts/op_profile.py`` call :func:`tune_allocator` once.
+them; the CLI's ``train``, ``eval`` and ``sweep``,
+``scripts/op_profile.py`` and ``scripts/scene_memory.py`` call
+:func:`tune_allocator` once.
 """
 
 from __future__ import annotations

@@ -561,7 +561,7 @@ def read_ppm(path) -> np.ndarray:
     if w < 1 or h < 1:
         raise ValidationError(f"{path}: width and height must be at least 1, got {w}x{h}")
     idx += 1  # the single whitespace byte separating header and pixels
-    pixels = np.frombuffer(raw, dtype=np.uint8, offset=idx, count=-1)
-    if pixels.size < w * h * 3:
+    if len(raw) - idx < w * h * 3:  # also a header that ends right after maxval
         raise ValidationError(f"{path}: truncated pixel data")
-    return pixels[: w * h * 3].reshape(h, w, 3).astype(np.float64) / 255.0
+    pixels = np.frombuffer(raw, dtype=np.uint8, offset=idx, count=w * h * 3)
+    return pixels.reshape(h, w, 3).astype(np.float64) / 255.0

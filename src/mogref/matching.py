@@ -9,9 +9,9 @@ are tested against each other and against a rasterized counting oracle.
 
 :func:`hungarian` is one rectangular potentials solve of the shorter side
 against the longer, O(min(Q, T)^2 max(Q, T)) with no padding, for every
-shape. Its costs carry the tie-break as an exact second key, so among the
-optimal assignments it returns the lexicographically smallest without
-solving again.
+shape. It returns an optimal assignment, the same pairs for the same
+input; with one prediction or one target (the referring default) that is
+the first minimum.
 
 One loss path serves every batch size; a single sample is B = 1. The loss
 matches each sample with :func:`hungarian` on the detached
@@ -115,22 +115,15 @@ class Assignment:
     total_cost: float
 
 
-def _solve(rows: list[list[float]], keys: list[list[int]]) -> list[int]:
+def _solve(rows: list[list[float]]) -> list[int]:
     """Least-cost matching of each row of an n x m cost, n <= m, to its own
     column (potentials + shortest augmenting path, O(n^2 m), no padding;
     Crouse, IEEE TAES 2016). Returns the column of each row.
-
-    Entry (r, j) costs the pair (rows[r][j], keys[r][j]). Pairs add
-    componentwise and compare lexicographically, so they form an ordered
-    group, and the algorithm (which only adds, subtracts and compares) runs
-    on them unchanged: among the matchings of least cost it returns one of
-    least total key. Each pair is held as a float and an exact int side by
-    side: u/uk, v/vk, and tuples in minv.
     """
     n, m = len(rows), len(rows[0])
-    inf = (float("inf"), 0)
-    u, uk = [0.0] * (n + 1), [0] * (n + 1)
-    v, vk = [0.0] * (m + 1), [0] * (m + 1)
+    inf = float("inf")
+    u = [0.0] * (n + 1)
+    v = [0.0] * (m + 1)
     match = [0] * (m + 1)  # match[j] = row occupying column j, 1-based; 0 = free
     way = [0] * (m + 1)
     for i in range(1, n + 1):
@@ -141,27 +134,23 @@ def _solve(rows: list[list[float]], keys: list[list[int]]) -> list[int]:
         while True:
             used[j0] = True
             i0 = match[j0]
-            row, key = rows[i0 - 1], keys[i0 - 1]
-            ui, uki = u[i0], uk[i0]
+            row, ui = rows[i0 - 1], u[i0]
             delta, j1 = inf, -1
             for j in range(1, m + 1):
                 if not used[j]:
-                    cur = (row[j - 1] - ui - v[j], key[j - 1] - uki - vk[j])
+                    cur = row[j - 1] - ui - v[j]
                     if cur < minv[j]:
                         minv[j] = cur
                         way[j] = j0
                     if minv[j] < delta:
                         delta = minv[j]
                         j1 = j
-            d, dk = delta
             for j in range(m + 1):
                 if used[j]:
-                    u[match[j]] += d
-                    uk[match[j]] += dk
-                    v[j] -= d
-                    vk[j] -= dk
+                    u[match[j]] += delta
+                    v[j] -= delta
                 else:
-                    minv[j] = (minv[j][0] - d, minv[j][1] - dk)
+                    minv[j] -= delta
             j0 = j1
             if match[j0] == 0:
                 break
@@ -179,19 +168,13 @@ def _solve(rows: list[list[float]], keys: list[list[int]]) -> list[int]:
 def hungarian(cost) -> Assignment:
     """Minimum-cost bipartite assignment of predictions (rows) to targets.
 
-    Among cost-equal optima the lexicographically smallest (row, col) list
-    is returned, which makes matches reproducible. It is one :func:`_solve`
-    of the shorter side against the longer one (the cost is transposed when
-    Q > T), with the tie-break carried as an exact second key: the edge
-    (q, t) has key (t - T) * (T + 1)**(Q - 1 - q). Read each prediction as
-    a base-(T + 1) digit, its target or T when unmatched; an assignment's
-    keys then sum to its digit string minus a constant, and the digit
-    strings order like the prediction-sorted pair lists. With one
-    prediction or one target the solve compares raw costs against zero
-    potentials, so its ties are exact, ``-0.0`` against ``0.0`` included.
-    With min(Q, T) >= 2, ties are exact for costs whose sums are exact in
-    floating point, such as small integers; otherwise rounding in the
-    potentials may decide between near-equal optima.
+    Returns an optimal assignment, one :func:`_solve` of the shorter side
+    against the longer one (the cost is transposed when Q > T); the same
+    input gives the same pairs. Among several optima it returns whichever
+    the solve reaches first, except with one prediction or one target,
+    where the solve compares raw costs against zero potentials and returns
+    the first minimum, so its ties are exact, ``-0.0`` against ``0.0``
+    included.
     """
     c = np.asarray(cost, dtype=np.float64)
     if c.ndim != 2:
@@ -200,14 +183,10 @@ def hungarian(cost) -> Assignment:
         return Assignment((), 0.0)
     if not np.isfinite(c).all():
         raise ValueError("cost matrix entries must be finite")
-    num_pred, num_tgt = c.shape
-    place = [(num_tgt + 1) ** (num_pred - 1 - q) for q in range(num_pred)]
-    if num_pred <= num_tgt:
-        keys = [[(t - num_tgt) * p for t in range(num_tgt)] for p in place]
-        pairs = list(enumerate(_solve(c.tolist(), keys)))
+    if c.shape[0] <= c.shape[1]:
+        pairs = list(enumerate(_solve(c.tolist())))
     else:
-        keys = [[(t - num_tgt) * p for p in place] for t in range(num_tgt)]
-        pairs = sorted((q, t) for t, q in enumerate(_solve(c.T.tolist(), keys)))
+        pairs = sorted((q, t) for t, q in enumerate(_solve(c.T.tolist())))
     total_cost = float(sum(c[r, j] for r, j in pairs))
     return Assignment(tuple(pairs), total_cost)
 

@@ -506,8 +506,11 @@ class SCSModel(Module):
                 values[name] = np.array(entry["data"], dtype=np.float64).reshape(shape)
             except (OverflowError, ValueError) as exc:
                 raise ValidationError(f"{path}: parameter {name}: {exc}") from exc
+            with np.errstate(over="ignore"):  # a float64 past float32's range rounds to inf
+                values[name] = values[name].astype(config.dtype)
             if not np.isfinite(values[name]).all():
-                raise ValidationError(f"{path}: parameter {name} holds a non-finite value")
+                raise ValidationError(f"{path}: parameter {name} holds a non-finite value "
+                                      f"in {config.dtype}")
         model = SCSModel(config, vocab, RngState(0))
         for p in model.parameters():
             p.data[...] = values[p.name]

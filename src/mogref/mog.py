@@ -420,11 +420,12 @@ def _composed_attention(q: Tensor, k: Tensor, v: Tensor, gammas: Tensor,
 # buffers of _Scratch (see _chunks). A chunk packs whole samples into
 # _PACK_BYTES, a quarter of a 2 MB per-core L2, so the three buffers fit in it
 # together; a bigger sample is a chunk of its own, and only a sample above
-# _CHUNK_BYTES is split by heads. Measured on a 2-core host with 2 MB of L2
-# per core: of 0.25 to 8 MB, 4 MB ran a (2, 4, 266, 266) forward + backward
-# fastest; packing N=74 into 256 KB, 512 KB and 1 MB gave the train-n74
-# benchmark a peak RSS of 87.6, 88.1 and 90.0 MB (95.2 MB as one chunk), and
-# 512 KB the fastest step.
+# _CHUNK_BYTES is split by heads. On a 2-core host with 2 MB of L2 per core,
+# of 0.25 to 8 MB, 4 MB ran a float64 (2, 4, 266, 266) forward + backward
+# fastest. In float32, scripts/op_profile.py on that host read a peak RSS of
+# 43.1, 43.8-44.0 and 44.5 MB at 64 px, B=8, packed into 256 KB, 512 KB and
+# 1 MB (the whole batch), with step times inside their run-to-run spread;
+# at 128 px, B=2, each 1.1 MB sample is a chunk, and the peak RSS 45.1 MB.
 _CHUNK_BYTES = 1 << 22
 _PACK_BYTES = 1 << 19
 

@@ -331,6 +331,8 @@ class TestPPM:
 
     def test_truncated_pixels_rejected(self, tmp_path):
         path = tmp_path / "x.ppm"
-        path.write_bytes(b"P6\n2 2\n255\n\x01\x02")
-        with pytest.raises(ValidationError, match="truncated"):
-            read_ppm(path)
+        # short pixel data, and a header with no byte after maxval
+        for raw in (b"P6\n2 2\n255\n\x01\x02", b"P6 1 1 255"):
+            path.write_bytes(raw)
+            with pytest.raises(ValidationError, match=re.escape(f"{path}: truncated pixel data")):
+                read_ppm(path)

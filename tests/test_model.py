@@ -699,7 +699,9 @@ class TestCheckpoint:
         (None, "not a number"), ({}, "not a number"), ("x", "not a number"),
         ("0.5", "not a number"), (True, "not a number"), ([0.5], "not a number"),
         (float("nan"), "non-finite"), (float("-inf"), "non-finite"), (10**400, "too large"),
-    ], ids=["null", "object", "string", "numeric-string", "bool", "list", "nan", "inf", "huge-int"])
+        (3.5e38, "non-finite"),
+    ], ids=["null", "object", "string", "numeric-string", "bool", "list", "nan", "inf", "huge-int",
+            "past-float32"])
     def test_non_number_in_parameter_data_rejected(self, tmp_path, value, problem):
         path = tmp_path / "ckpt.json"
         tiny_model().save(path)
