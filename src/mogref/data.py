@@ -18,12 +18,13 @@ Annotation schema (JSON, one canonical form):
 
 The generator rasterizes colored shapes (squares, circles, triangles) at
 several size classes onto a flat background and emits a templated referring
-expression that uniquely identifies one of them; uniqueness is established
-by exhaustively evaluating the expression's predicate against every placed
-object. :func:`generate_scene` is its one entry point: it returns a
-:class:`Scene` with the image, the annotation record and every placed object
-(the target's index included), so oracles and the dataset builders read the
-same draw. Everything is deterministic given an :class:`RngState`.
+expression that uniquely identifies one of them: each template reads the
+objects its expression denotes off the fields it formats (color and shape,
+grid cell, nearest to a unique anchor), and a scene keeps an expression only
+when that set, checked against every placed object, is exactly the target.
+:func:`generate_scene` is its one entry point: it returns a :class:`Scene`
+with the image, the annotation record and every placed object (the target's
+index included), so oracles and the dataset builders read the same draw. Everything is deterministic given an :class:`RngState`.
 """
 
 from __future__ import annotations
@@ -347,58 +348,6 @@ def region_of(obj: SceneObject, image_size: int) -> str:
     return _REGION_NAMES[row][col]
 
 
-def expression_matches(expression: str, obj_index: int, objects: Sequence[SceneObject],
-                       image_size: int) -> bool:
-    """Does the templated expression pick out ``objects[obj_index]``?
-
-    Understands the three template families emitted by the generator. The
-    relation form requires a unique anchor; if the anchor is ambiguous the
-    expression matches nothing.
-    """
-    words = normalize_words(expression)
-    obj = objects[obj_index]
-    if "nearest" in words:
-        # the <color> <shape> nearest to the <color2> <shape2>
-        color, shape, anchor_color, anchor_shape = words[1], words[2], words[6], words[7]
-        anchors = [o for o in objects if o.color == anchor_color and o.shape == anchor_shape]
-        if len(anchors) != 1:
-            return False
-        anchor = anchors[0]
-        group = [o for o in objects if o.color == color and o.shape == shape and o is not anchor]
-        if not group:
-            return False
-
-        def dist(o: SceneObject) -> float:
-            ax, ay = anchor.center
-            ox, oy = o.center
-            return (ax - ox) ** 2 + (ay - oy) ** 2
-
-        best = min(dist(o) for o in group)
-        nearest = [o for o in group if dist(o) == best]
-        if len(nearest) != 1:  # equidistant candidates: ambiguous, matches nothing
-            return False
-        return obj is nearest[0] and obj.color == color and obj.shape == shape
-    if "in" in words:
-        # the <color> <shape> in the <region...> of the image
-        color, shape = words[1], words[2]
-        region = " ".join(words[5:-3]) if words[-1] == "image" else ""
-        return (
-            obj.color == color
-            and obj.shape == shape
-            and region_of(obj, image_size) == region
-        )
-    # the <color> <shape>
-    color, shape = words[1], words[2]
-    return obj.color == color and obj.shape == shape
-
-
-def _matches_uniquely(expression: str, target: int, objects: Sequence[SceneObject],
-                      image_size: int) -> bool:
-    hits = [i for i in range(len(objects))
-            if expression_matches(expression, i, objects, image_size)]
-    return hits == [target]
-
-
 def _place_objects(spec: SyntheticSceneSpec, rng: RngState) -> list[SceneObject] | None:
     size = spec.image_size
     count = 1 + spec.num_distractors
@@ -434,20 +383,41 @@ def _place_objects(spec: SyntheticSceneSpec, rng: RngState) -> list[SceneObject]
 
 def _candidate_expression(template: str, target: SceneObject,
                           objects: Sequence[SceneObject], image_size: int,
-                          rng: RngState) -> str | None:
+                          rng: RngState) -> tuple[str, list[SceneObject]] | None:
+    """The expression ``template`` forms for ``target`` and every object it
+    denotes, read off the fields it formats; None if the template has no form
+    here.
+
+    A relation denotes nothing unless its anchor is the only object of its
+    color and shape and one object of the target's color and shape is
+    strictly nearest to it.
+    """
+    kind = (target.color, target.shape)
+    group = [o for o in objects if (o.color, o.shape) == kind]
+    noun = f"the {target.color} {target.shape}"
     if template == "attribute":
-        return f"the {target.color} {target.shape}"
+        return noun, group
     if template == "position":
-        return (f"the {target.color} {target.shape} in the "
-                f"{region_of(target, image_size)} of the image")
-    # relation: pick a unique-looking anchor of a different color/shape combo
-    anchors = [o for o in objects
-               if o is not target and (o.color, o.shape) != (target.color, target.shape)]
+        region = region_of(target, image_size)
+        return (f"{noun} in the {region} of the image",
+                [o for o in group if region_of(o, image_size) == region])
+    # relation: anchor on an object of a different color/shape combo
+    anchors = [o for o in objects if (o.color, o.shape) != kind]
     if not anchors:
         return None
     anchor = rng.choice(anchors)
-    return (f"the {target.color} {target.shape} nearest to the "
-            f"{anchor.color} {anchor.shape}")
+    expression = f"{noun} nearest to the {anchor.color} {anchor.shape}"
+    if sum((o.color, o.shape) == (anchor.color, anchor.shape) for o in objects) != 1:
+        return expression, []
+
+    def dist(o: SceneObject) -> float:
+        ax, ay = anchor.center
+        ox, oy = o.center
+        return (ax - ox) ** 2 + (ay - oy) ** 2
+
+    best = min(dist(o) for o in group)
+    nearest = [o for o in group if dist(o) == best]
+    return expression, nearest if len(nearest) == 1 else []
 
 
 def _rasterize(objects: Sequence[SceneObject], size: int) -> np.ndarray:
@@ -489,22 +459,20 @@ def generate_scene(spec: SyntheticSceneSpec, rng: RngState, image_id: str = "sce
         for target_idx in order:
             target = objects[target_idx]
             for template in templates:
-                expr = _candidate_expression(template, target, objects,
-                                             spec.image_size, rng)
-                if expr is None:
+                candidate = _candidate_expression(template, target, objects,
+                                                  spec.image_size, rng)
+                if candidate is None or candidate[1] != [target]:
                     continue
-                if _matches_uniquely(expr, target_idx, objects, spec.image_size):
-                    image = _rasterize(objects, spec.image_size)
-                    record = AnnotationRecord(
-                        image_id=image_id,
-                        image_w=spec.image_size,
-                        image_h=spec.image_size,
-                        expression=expr,
-                        target_boxes=[target.box],
-                        category=target.shape,
-                    )
-                    record.validate()
-                    return Scene(image, objects, target_idx, record)
+                record = AnnotationRecord(
+                    image_id=image_id,
+                    image_w=spec.image_size,
+                    image_h=spec.image_size,
+                    expression=candidate[0],
+                    target_boxes=[target.box],
+                    category=target.shape,
+                )
+                record.validate()
+                return Scene(_rasterize(objects, spec.image_size), objects, target_idx, record)
     raise GenerationError(
         f"could not build a uniquely-referring scene in {MAX_RETRIES} attempts"
     )

@@ -78,7 +78,11 @@ class MoGConfig:
     dilations: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "dilations", tuple(int(d) for d in self.dilations))
+        object.__setattr__(self, "dilations", tuple(self.dilations))
+        for name, value in [("model_dim", self.model_dim), ("num_heads", self.num_heads),
+                            *(("each of dilations", d) for d in self.dilations)]:
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.model_dim <= 0 or self.num_heads <= 0:
             raise ValueError(f"model_dim and num_heads must be positive, got {self.model_dim}, {self.num_heads}")
         if self.model_dim % self.num_heads != 0:

@@ -87,11 +87,15 @@ def _targets_of(record: AnnotationRecord) -> list[BBox]:
             for b in record.target_boxes]
 
 
-def _image_array(num: int, height: int, width: int, dtype: str) -> np.ndarray:
-    """The uninitialized (num, H, W, 3) array a dataset's scenes are written into."""
+def _scene_dtype(dtype: str) -> str:
     if dtype not in MODEL_DTYPES:
         raise ValidationError(f"scene dtype must be one of {MODEL_DTYPES}, got {dtype!r}")
-    return np.empty((num, height, width, 3), dtype=dtype)
+    return dtype
+
+
+def _image_array(num: int, height: int, width: int, dtype: str) -> np.ndarray:
+    """The uninitialized (num, H, W, 3) array a dataset's scenes are written into."""
+    return np.empty((num, height, width, 3), dtype=_scene_dtype(dtype))
 
 
 def _assemble(images: np.ndarray, records: list[AnnotationRecord],
@@ -127,6 +131,7 @@ def load_dataset_dir(path, vocab: Vocab, dtype: str = "float32") -> GroundingDat
     Each raster is read as float64 in [0, 1] and rounded once to ``dtype``
     as it is written into the dataset's one preallocated image array.
     """
+    _scene_dtype(dtype)
     ann = annotations_path(path)
     records = load_annotations(ann)
     if not records:
@@ -135,7 +140,7 @@ def load_dataset_dir(path, vocab: Vocab, dtype: str = "float32") -> GroundingDat
     if any((rec.image_w, rec.image_h) != (width, height) for rec in records):
         raise ValidationError("all images in a dataset must share one resolution")
     images_dir = ann.parent / "images"
-    images = _image_array(len(records), height, width, dtype)
+    images = None
     for i, rec in enumerate(records):
         # an id is one plain file name, so no record reads outside images/
         if rec.image_id in ("", ".", "..") or Path(rec.image_id).name != rec.image_id:
@@ -149,6 +154,8 @@ def load_dataset_dir(path, vocab: Vocab, dtype: str = "float32") -> GroundingDat
                 f"{img_path}: raster is {image.shape[1]}x{image.shape[0]}, "
                 f"record says {rec.image_w}x{rec.image_h}"
             )
+        if images is None:  # the claimed resolution has met real pixels first
+            images = _image_array(len(records), height, width, dtype)
         images[i] = image
     return _assemble(images, records, vocab)
 

@@ -436,6 +436,28 @@ class TestTrainEval:
                      "--out-dir", str(tmp_path / "run")])
         assert code == EXIT_OK
 
+    @pytest.mark.parametrize("first_raster, code, message", [
+        ("kept", EXIT_VALIDATION, "raster is 16x16, record says 200000x200000"),
+        ("deleted", EXIT_IO, "missing raster"),
+    ])
+    def test_train_on_a_dataset_claiming_a_huge_resolution_reads_a_raster_first(
+            self, tmp_path, capsys, first_raster, code, message):
+        # the claim sized the image array before any raster was read: 894 GiB
+        data_dir = tmp_path / "data"
+        main(["make-data", "--scenes", "2", "--seed", "4", "--image-size", "16",
+              "--distractors", "1", "--ppm", "--out-dir", str(data_dir)])
+        ann = data_dir / "annotations.json"
+        doc = json.loads(ann.read_text())
+        for record in doc["records"]:
+            record["image_w"] = record["image_h"] = 200000
+        ann.write_text(json.dumps(doc))
+        if first_raster == "deleted":
+            (data_dir / "images" / f"{doc['records'][0]['image_id']}.ppm").unlink()
+        assert main(["train", "--steps", "2", "--data", str(data_dir), "--eval-every", "0",
+                     *TINY_MODEL_FLAGS, "--out-dir", str(tmp_path / "run")]) == code
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "run" / "checkpoint.json").exists()
+
     @pytest.mark.parametrize("flag, value, named", [
         ("--lr", "0", "lr"),
         ("--lr", "-1e-3", "lr"),

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import re
@@ -26,6 +27,7 @@ from mogref.data import (
 )
 from mogref.metrics import dataset_stats
 from mogref.rng import RngState
+from mogref.train import build_synthetic_dataset
 
 
 def full_grid_raster(objects, size: int) -> np.ndarray:
@@ -222,14 +224,35 @@ class TestGenerator:
         assert (one.image == two.image).all()
         assert (one.record, one.objects, one.target_index) == (two.record, two.objects, two.target_index)
 
-    def test_unique_referent_oracle_over_many_seeds(self):
-        spec = SyntheticSceneSpec()
-        for seed in range(1000):
+    @pytest.mark.parametrize("spec, seeds", [
+        (SyntheticSceneSpec(), 1000),
+        *((SyntheticSceneSpec(templates=(t,)), 500) for t in ("attribute", "position", "relation")),
+        (SyntheticSceneSpec(num_distractors=0), 500),
+        (SyntheticSceneSpec(num_distractors=8, size_classes=("small",)), 500),
+        (SyntheticSceneSpec(image_size=16, num_distractors=1), 500),
+        (SyntheticSceneSpec(image_size=128), 500),
+    ], ids=["default", "attribute", "position", "relation", "no-distractors",
+            "eight-small-distractors", "16px-one-distractor", "128px"])
+    def test_unique_referent_oracle_over_many_seeds(self, spec, seeds):
+        for seed in range(seeds):
             scene = generate_scene(spec, RngState(seed))
             scene.record.validate()
             expression = scene.record.expression
             referents = oracle_referents(expression, scene.objects, spec.image_size)
             assert referents == [scene.objects[scene.target_index]], (seed, expression)
+
+    @pytest.mark.parametrize("spec, digest", [
+        (SyntheticSceneSpec(), "0ce9696775ab243ed006ee3d4956faa311aff8f6244a5e1b5daee726fcd55944"),
+        (SyntheticSceneSpec(templates=("relation",)),
+         "4106bde9d4ed2d9c55f0fc9805e0af946b2ef7258447ed10c894486b4c323e82"),
+    ], ids=["default", "relation"])
+    def test_generated_dataset_bits_are_pinned(self, tmp_path, spec, digest):
+        # existing specs keep their scenes bit for bit across changes to the
+        # generator; a change that means to alter them updates these digests
+        dataset = build_synthetic_dataset(16, spec, default_vocab(), 0, "float64")
+        save_annotations(tmp_path / "annotations.json", dataset.records)
+        data = dataset.images.tobytes() + (tmp_path / "annotations.json").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest
 
     def test_record_invariants_over_seeds(self):
         spec = SyntheticSceneSpec(num_distractors=5)

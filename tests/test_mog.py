@@ -75,6 +75,20 @@ class TestConfig:
         with pytest.raises(ValueError):
             MoGConfig(8, 2, (0, 1))
 
+    @pytest.mark.parametrize("model_dim, num_heads, dilations, name", [
+        (8, 2, (1, 2.5), "each of dilations"),
+        (8, 2, (True, 2), "each of dilations"),
+        (8, 2, (1.0,), "each of dilations"),
+        (8.0, 2, (1,), "model_dim"),
+        (8, 2.0, (1,), "num_heads"),
+        (True, 1, (1,), "model_dim"),
+        (8, True, (1,), "num_heads"),
+    ])
+    def test_non_integer_fields_raise_instead_of_being_coerced(self, model_dim, num_heads,
+                                                               dilations, name):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            MoGConfig(model_dim, num_heads, dilations)
+
     def test_derived_quantities(self):
         cfg = MoGConfig(12, 3, (1, 2))
         assert cfg.head_dim == 4

@@ -146,6 +146,31 @@ class TestDatasets:
         assert image_mib == 512 * 64 * 64 * 3 * 4 / 2**20
         assert after - before < 1.5 * image_mib + 16.0, out.stdout
 
+    def test_claimed_resolution_meets_a_raster_before_the_image_array(self, tmp_path,
+                                                                      monkeypatch):
+        # two records claiming 200000x200000 once asked for an 894 GiB array
+        from mogref.data import save_annotations, write_ppm
+
+        (tmp_path / "images").mkdir()
+        records = []
+        for i in range(2):
+            scene = generate_scene(TINY_SPEC, RngState(i), f"s-{i}")
+            write_ppm(tmp_path / "images" / f"s-{i}.ppm", scene.image)
+            records.append(replace(scene.record, image_w=200000, image_h=200000))
+        save_annotations(tmp_path / "annotations.json", records)
+        sizes = []
+        real_image_array = train_module._image_array
+        monkeypatch.setattr(train_module, "_image_array",
+                            lambda *args: sizes.append(args) or real_image_array(*args))
+        with pytest.raises(ValidationError, match=re.escape("raster is 16x16, record says 200000x200000")):
+            load_dataset_dir(tmp_path, VOCAB)
+        assert sizes == []
+        # the honest claim reads both rasters into one array of that size
+        save_annotations(tmp_path / "annotations.json",
+                         [replace(r, image_w=16, image_h=16) for r in records])
+        assert len(load_dataset_dir(tmp_path, VOCAB)) == 2
+        assert sizes == [(2, 16, 16, "float32")]
+
     def test_missing_raster_is_io_error(self, tmp_path):
         from mogref.data import generate_scene, save_annotations
 
