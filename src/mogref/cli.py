@@ -406,7 +406,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValidationError, ShapeError, DegenerateMaskError, GenerationError, ValueError) as exc:
+    except (ValidationError, ShapeError, DegenerateMaskError, GenerationError, ValueError,
+            MemoryError) as exc:  # MemoryError: a size flag past what numpy can allocate
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (DivergenceError, FloatingPointError) as exc:

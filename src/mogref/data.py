@@ -155,22 +155,29 @@ def annotations_path(path) -> Path:
     return path / "annotations.json" if path.is_dir() else path
 
 
-def load_annotations(path) -> list[AnnotationRecord]:
-    """Read and validate an annotation file; errors name record and field."""
+def read_json_object(path, what: str) -> dict:
+    """The JSON object in ``path``; ``what`` names the file in the errors."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"{path}: not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or "records" not in doc:
-        raise ValidationError(f"{path}: expected an object with a 'records' field")
+    if not isinstance(doc, dict):
+        raise ValidationError(f"{path}: {what} must be a JSON object, got {type(doc).__name__}")
+    return doc
+
+
+def load_annotations(path) -> list[AnnotationRecord]:
+    """Read and validate an annotation file; errors name record and field."""
+    doc = read_json_object(path, "annotation file")
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise ValidationError(
             f"{path}: schema_version {doc.get('schema_version')!r} != {SCHEMA_VERSION}"
         )
-    if not isinstance(doc["records"], list):
-        raise ValidationError(f"{path}: records must be a list, got {type(doc['records']).__name__}")
-    return [_record_from_json(obj, i) for i, obj in enumerate(doc["records"])]
+    records = doc.get("records")
+    if not isinstance(records, list):
+        raise ValidationError(f"{path}: records must be a list, got {type(records).__name__}")
+    return [_record_from_json(obj, i) for i, obj in enumerate(records)]
 
 
 @contextmanager

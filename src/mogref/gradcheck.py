@@ -110,14 +110,17 @@ def run_gradcheck(seed: int = 0, h: float = DEFAULT_STEP, tol: float = DEFAULT_T
 
     Returns one result per named case; ``fault_op`` sign-flips that case's
     analytic gradient so the failure path can be exercised deliberately.
-    ``only`` restricts the run to the named cases. A name in ``only`` or
-    ``fault_op`` that is no case raises ``ValueError`` before any case runs,
-    so a typo can neither check nothing nor flip nothing and pass.
+    ``only`` restricts the run to the named cases. An empty ``only``, or a
+    name in ``only`` or ``fault_op`` that is no case, raises ``ValueError``
+    before any case runs, so a run can neither check nothing nor flip
+    nothing and pass.
     """
     from mogref import gradcheck_cases
 
     cases = list(gradcheck_cases.all_cases(seed))
     known = {name for name, _ in cases}
+    if only is not None and not only:
+        raise ValueError(f"only names no gradcheck case; the cases are {sorted(known)}")
     unknown = sorted({*(only or ()), *([fault_op] if fault_op is not None else ())} - known)
     if unknown:
         raise ValueError(f"unknown gradcheck case names {unknown}; the cases are {sorted(known)}")

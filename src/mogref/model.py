@@ -46,7 +46,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from mogref.data import ValidationError, Vocab, atomic_open
+from mogref.data import ValidationError, Vocab, atomic_open, read_json_object
 # blocks call attention as this module's ``mog_forward``, the name
 # perfbench/tracer.py wraps to time every attention sublayer
 from mogref.mog import MoGAttention, MoGConfig, mog_forward
@@ -124,12 +124,6 @@ class ModelConfig:
         out = asdict(self)
         out["dilations"] = list(self.dilations)
         return out
-
-    @staticmethod
-    def from_json(obj: dict) -> "ModelConfig":
-        obj = dict(obj)
-        obj["dilations"] = tuple(obj["dilations"])
-        return ModelConfig(**obj)
 
 
 @dataclass
@@ -223,12 +217,8 @@ class TokenProjector(Module):
                 f"token id out of vocabulary (size {self.config.vocab_size})"
             )
         visual = self.patch(Tensor(self._patchify(images)), residual=select(self.type_embed, 0, axis=0))
-        if token_ids.shape[1]:
-            text = take_rows(self.word_embed, token_ids)
-            text = text + select(self.type_embed, 1, axis=0)
-            tokens = concat([visual, text], axis=1)
-        else:
-            tokens = visual
+        text = take_rows(self.word_embed, token_ids) + select(self.type_embed, 1, axis=0)
+        tokens = concat([visual, text], axis=1)
         positions = sinusoidal_positions(tokens.shape[1], self.config.model_dim, self.config.dtype)
         return tokens + Tensor(positions)
 
@@ -438,14 +428,9 @@ class SCSModel(Module):
             fh.write("\n")
 
     @staticmethod
-    def load(path, expect_config: ModelConfig | None = None) -> "SCSModel":
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                doc = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ValidationError(f"{path}: not valid JSON: {exc}") from exc
-        if not isinstance(doc, dict):
-            raise ValidationError(f"{path}: checkpoint must be a JSON object, got {type(doc).__name__}")
+    def load(path) -> "SCSModel":
+        """The model :meth:`save` wrote to ``path``; anything else is a ``ValidationError``."""
+        doc = read_json_object(path, "checkpoint")
         if doc.get("format") != CHECKPOINT_FORMAT or doc.get("version") != CHECKPOINT_VERSION:
             raise ValidationError(
                 f"{path}: expected {CHECKPOINT_FORMAT} v{CHECKPOINT_VERSION}, "
@@ -455,19 +440,13 @@ class SCSModel(Module):
                                      ("params", dict, "object")):
             if not isinstance(doc.get(key), kind):
                 raise ValidationError(f"{path}: checkpoint {key!r} must be a JSON {json_name}")
-        # checkpoints written before the dtype field hold float64 parameters
-        config_doc = {"dtype": "float64", **doc["config"]}
-        missing_fields = sorted({f.name for f in fields(ModelConfig)} - set(config_doc))
+        missing_fields = sorted({f.name for f in fields(ModelConfig)} - set(doc["config"]))
         if missing_fields:
             raise ValidationError(f"{path}: checkpoint config lacks {missing_fields}")
         try:
-            config = ModelConfig.from_json(config_doc)
+            config = ModelConfig(**doc["config"])
         except (TypeError, ValueError) as exc:
             raise ValidationError(f"{path}: bad checkpoint config: {exc}") from exc
-        if expect_config is not None and expect_config != config:
-            raise ValidationError(
-                f"{path}: checkpoint config {config} does not match requested {expect_config}"
-            )
         words = doc["vocab"]
         for i, word in enumerate(words):
             if not isinstance(word, str):
@@ -482,12 +461,6 @@ class SCSModel(Module):
                 f"config vocab_size is {config.vocab_size}"
             )
         stored = doc["params"]
-        if len(config.dilations) == 1:
-            # one-branch attentions have no gate; older checkpoints carry an
-            # inert gate_w/gate_b per attention (a softmax over one logit is 1)
-            inert = {name[: -len("w_q")] + gate for name in stored if name.endswith(".w_q")
-                     for gate in ("gate_w", "gate_b")}
-            stored = {name: entry for name, entry in stored.items() if name not in inert}
         # all checked before the model is built; one entry past the file's shows a mismatch
         shapes = dict(itertools.islice(parameter_shapes(config), len(stored) + 1))
         if set(stored) != set(shapes):

@@ -65,12 +65,15 @@ class TestGradcheckCommand:
         assert failed == ["gelu"]
 
     @pytest.mark.parametrize("flags", [["--only", "matmull"], ["--only", "matmul,gelu2"],
-                                       ["--fault-inject", "matmull", "--only", "matmul"]])
+                                       ["--fault-inject", "matmull", "--only", "matmul"],
+                                       ["--only", ","]])
     def test_unknown_case_name_exits_validation_and_writes_nothing(self, tmp_path, capsys, flags):
-        # at a typo the run would check nothing, or flip nothing, and pass
+        # at a typo, or a list of no names, the run would check nothing, or
+        # flip nothing, and pass
         code = main(["gradcheck", *flags, "--out-dir", str(tmp_path)])
         assert code == EXIT_VALIDATION
-        assert "unknown gradcheck case names" in capsys.readouterr().err
+        expected = "names no gradcheck case" if flags == ["--only", ","] else "unknown gradcheck case names"
+        assert expected in capsys.readouterr().err
         assert not (tmp_path / "gradcheck.json").exists()
 
 
@@ -124,6 +127,16 @@ class TestMakeDataAndStats:
     def test_make_data_without_scenes_exits_validation(self, tmp_path):
         assert main(["make-data", "--scenes", "0", "--out-dir", str(tmp_path)]) == EXIT_VALIDATION
         assert not (tmp_path / "annotations.json").exists()
+
+    @pytest.mark.parametrize("args", [
+        ["make-data", "--scenes", "100000000000"],
+        ["train", "--steps", "1", "--scenes", "1", "--ffn-dim", "1000000000000"],
+    ], ids=["make-data-scenes", "train-ffn-dim"])
+    def test_a_request_too_large_for_memory_exits_validation(self, tmp_path, capsys, args):
+        # each asks for an array past the 48-bit address space, which no
+        # overcommit setting can grant, so numpy raises before allocating
+        assert main([*args, "--out-dir", str(tmp_path)]) == EXIT_VALIDATION
+        assert "Unable to allocate" in capsys.readouterr().err
 
     def test_stats_matches_bundled_expected_file(self, tmp_path, fixtures_dir):
         code = main(["stats", "--data", str(fixtures_dir / "annotations_fixture.json"),

@@ -96,8 +96,9 @@ def test_fault_injection_names_the_op():
 
 
 @pytest.mark.parametrize("only, fault_op", [(["matmull"], None), (["matmul", "gelu2"], None),
-                                            (["matmul"], "matmull"), (None, "matmull")])
+                                            (["matmul"], "matmull"), (None, "matmull"), ([], None)])
 def test_unknown_case_names_raise_naming_them(only, fault_op):
+    # an empty only names no case at all, and would check nothing and pass
     typos = sorted({*(only or ()), fault_op} - {"matmul", None})
-    with pytest.raises(ValueError, match=re.escape(repr(typos))):
+    with pytest.raises(ValueError, match=re.escape(repr(typos)) if typos else "names no gradcheck case"):
         run_gradcheck(seed=0, only=only, fault_op=fault_op)
