@@ -38,7 +38,6 @@ from mogref.gradcheck import run_gradcheck
 from mogref.metrics import STAT_DEFINITIONS, dataset_stats
 from mogref.model import MODEL_DTYPES, ModelConfig, SCSModel
 from mogref.rng import RngState
-from mogref.tensor import DegenerateMaskError, ShapeError
 from mogref.train import (
     DivergenceError,
     TrainConfig,
@@ -406,7 +405,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValidationError, ShapeError, DegenerateMaskError, GenerationError, ValueError,
+    except (ValueError, GenerationError,
             MemoryError) as exc:  # MemoryError: a size flag past what numpy can allocate
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -51,6 +51,18 @@ class ValidationError(ValueError):
     """An input file or record violates the documented schema."""
 
 
+def require_count(name: str, value, minimum: int) -> None:
+    """Refuse a count that is not an ``int`` of at least ``minimum``.
+
+    A float or a bool passes a comparison and then fails later, or is used as
+    a different count, so both are refused rather than coerced.
+    """
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValidationError(f"{name} must be >= {minimum}, got {value!r}")
+
+
 class GenerationError(RuntimeError):
     """The scene generator could not satisfy its constraints."""
 
@@ -306,10 +318,8 @@ class SyntheticSceneSpec:
     templates: tuple[str, ...] = ("attribute", "position", "relation")
 
     def __post_init__(self):
-        if self.image_size < 16:
-            raise ValueError("image_size must be at least 16")
-        if self.num_distractors < 0:
-            raise ValueError("num_distractors must be non-negative")
+        require_count("image_size", self.image_size, 16)
+        require_count("num_distractors", self.num_distractors, 0)
         for name in ("size_classes", "templates"):
             if not getattr(self, name):
                 raise ValueError(f"{name} must name at least one entry")

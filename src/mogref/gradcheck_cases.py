@@ -167,81 +167,60 @@ def case_mog_forward(rng: RngState) -> Case:
     return (lambda: tensor.tsum(mog.mog_forward(x, attn) * w)), [x, *attn.parameters()]
 
 
-def case_mog_mixture(rng: RngState) -> Case:
-    """The attention core's branch mixture on square self grids and rectangular cross grids.
-
-    5x5 and 3x7 grids with dilations (1, 2, 3) share per-sample gammas; the
-    second pair has a dilation above N (5x5 with (1, 2, 7)) and more queries
-    than keys (4x3 with (1, 3)).
-    """
-    gammas = _param(rng, "gammas", (2, 3), 0.1, 0.9)  # non-uniform, per sample
-    gammas_pair = _param(rng, "gammas_pair", (2, 2), 0.1, 0.9)
-    grids = [  # name, n_q, n_k, heads, dilations, gammas
-        ("self", 5, 5, 2, (1, 2, 3), gammas),
-        ("cross", 3, 7, 1, (1, 2, 3), gammas),
-        ("wide", 5, 5, 2, (1, 2, 7), gammas),
-        ("tall", 4, 3, 1, (1, 3), gammas_pair),
-    ]
-    calls = []
-    for name, n_q, n_k, heads, dilations, gam in grids:
-        qkv = [_param(rng, f"{name}_{t}", (2, n, 4)) for t, n in (("q", n_q), ("k", n_k), ("v", n_k))]
-        calls.append((qkv, gam, dilations, heads, _proj(rng, (2, n_q, 4))))
-
-    def loss():
-        total = None
-        for qkv, gam, dilations, heads, w in calls:
-            term = tensor.tsum(mog._attention_core(*qkv, gam, dilations, heads) * w)
-            total = term if total is None else total + term
-        return total
-
-    return loss, [gammas, gammas_pair, *(p for qkv, *_ in calls for p in qkv)]
-
-
 def case_attention_core(rng: RngState) -> Case:
     """The attention-core node alone, from (B, N, D) projections to merged heads.
 
-    Self-attention with three branches and non-uniform per-sample gammas, a
-    rectangular 3x7 cross-attention whose single-sample queries broadcast
-    against two memory samples, and the gate-less one-branch form with a
-    constant gamma of ones.
+    Grids share per-sample gammas by branch count: non-uniform for three and
+    two branches, the gate-less constant of ones for one. Beside a 5x5 self
+    grid and a 3x7 cross grid they cover a dilation above N (5x5 with
+    (1, 2, 7)), more queries than keys (4x3 with (1, 3)) and single-sample
+    queries that broadcast against two memory samples.
     """
-    q = _param(rng, "q", (2, 5, 4))
-    k = _param(rng, "k", (2, 5, 4))
-    v = _param(rng, "v", (2, 5, 4))
-    gammas = _param(rng, "gammas", (2, 3), 0.1, 0.9)
-    cross_q = _param(rng, "cross_q", (1, 3, 4))
-    memory_k = _param(rng, "memory_k", (2, 7, 4))
-    memory_v = _param(rng, "memory_v", (2, 7, 4))
-    cross_gammas = _param(rng, "cross_gammas", (2, 2), 0.1, 0.9)
-    ones = Tensor(np.ones((2, 1)))
-    w_self = _proj(rng, (2, 5, 4))
-    w_cross = _proj(rng, (2, 3, 4))
-    w_plain = _proj(rng, (2, 5, 4))
+    gammas = {3: _param(rng, "gammas", (2, 3), 0.1, 0.9),  # non-uniform, per sample
+              2: _param(rng, "gammas_pair", (2, 2), 0.1, 0.9),
+              1: Tensor(np.ones((2, 1)))}
+    grids = [  # name, query samples, n_q, n_k, heads, dilations
+        ("self", 2, 5, 5, 2, (1, 2, 3)),
+        ("cross", 2, 3, 7, 1, (1, 2, 3)),
+        ("wide", 2, 5, 5, 2, (1, 2, 7)),
+        ("tall", 2, 4, 3, 1, (1, 3)),
+        ("broadcast", 1, 3, 7, 2, (1, 2)),
+        ("plain", 2, 5, 5, 2, (1,)),
+    ]
+    calls = []
+    for name, b_q, n_q, n_k, heads, dilations in grids:
+        qkv = [_param(rng, f"{name}_{t}", (b, n, 4))
+               for t, b, n in (("q", b_q, n_q), ("k", 2, n_k), ("v", 2, n_k))]
+        calls.append((qkv, dilations, heads, _proj(rng, (2, n_q, 4))))
 
     def loss():
-        self_out = mog._attention_core(q, k, v, gammas, (1, 2, 3), 2)
-        cross_out = mog._attention_core(cross_q, memory_k, memory_v, cross_gammas, (1, 2), 2)
-        plain_out = mog._attention_core(q, k, v, ones, (1,), 2)
-        return (tensor.tsum(self_out * w_self) + tensor.tsum(cross_out * w_cross)
-                + tensor.tsum(plain_out * w_plain))
+        return sum(tensor.tsum(mog._attention_core(*qkv, gammas[len(dilations)], dilations, heads) * w)
+                   for qkv, dilations, heads, w in calls)
 
-    return loss, [q, k, v, gammas, cross_q, memory_k, memory_v, cross_gammas]
+    return loss, [gammas[3], gammas[2], *(p for qkv, *_ in calls for p in qkv)]
 
 
 def case_affine(rng: RngState) -> Case:
-    """``x @ w + b`` as one node, batched (2, 3, 4) rows and a 2-D (3, 4) input."""
+    """``x @ w + b`` as one node, batched (2, 3, 4) rows and a 2-D (3, 4) input,
+    and ``residual + (x @ w + b)`` with a same-shape and a broadcast (5,) residual."""
     x = _param(rng, "x", (2, 3, 4))
     flat = _param(rng, "flat", (3, 4))
     w = _param(rng, "w", (4, 5))
     b = _param(rng, "b", (5,))
     w_batched = _proj(rng, (2, 3, 5))
     w_flat = _proj(rng, (3, 5))
+    same = _param(rng, "residual", (2, 3, 5))
+    row = _param(rng, "row_residual", (5,))
+    w_same = _proj(rng, (2, 3, 5))
+    w_row = _proj(rng, (2, 3, 5))
 
     def loss():
         return (tensor.tsum(tensor.affine(x, w, b) * w_batched)
-                + tensor.tsum(tensor.affine(flat, w, b) * w_flat))
+                + tensor.tsum(tensor.affine(flat, w, b) * w_flat)
+                + tensor.tsum(tensor.affine(x, w, b, same) * w_same)
+                + tensor.tsum(tensor.affine(x, w, b, row) * w_row))
 
-    return loss, [x, flat, w, b]
+    return loss, [x, flat, w, b, same, row]
 
 
 def case_giou_pairs(rng: RngState) -> Case:
@@ -328,23 +307,6 @@ def case_cast(rng: RngState) -> Case:
     return loss, [a, b]
 
 
-def case_affine_residual(rng: RngState) -> Case:
-    """``residual + (x @ w + b)`` as one node: a same-shape residual and a broadcast (5,) one."""
-    x = _param(rng, "x", (2, 3, 4))
-    w = _param(rng, "w", (4, 5))
-    b = _param(rng, "b", (5,))
-    same = _param(rng, "residual", (2, 3, 5))
-    row = _param(rng, "row_residual", (5,))
-    w_same = _proj(rng, (2, 3, 5))
-    w_row = _proj(rng, (2, 3, 5))
-
-    def loss():
-        return (tensor.tsum(tensor.affine(x, w, b, same) * w_same)
-                + tensor.tsum(tensor.affine(x, w, b, row) * w_row))
-
-    return loss, [x, w, b, same, row]
-
-
 _CASES = [
     ("matmul", case_matmul),
     ("add_mul_broadcast", case_add_mul_broadcast),
@@ -366,14 +328,12 @@ _CASES = [
     ("giou_pairs", case_giou_pairs),
     ("match_and_loss", case_match_and_loss),
     ("scs_end_to_end", case_scs_end_to_end),
-    # appended, not grouped with mog_forward: a case's stream is derived
-    # from its index, so inserting would reseed every case after it
-    ("mog_mixture", case_mog_mixture),
-    ("grounding_loss_batch", case_grounding_loss_batch),
+    # new cases are appended, not grouped with their family: a case's stream
+    # is derived from its index, so inserting would reseed every case after it
     ("attention_core", case_attention_core),
-    ("affine", case_affine),
+    ("grounding_loss_batch", case_grounding_loss_batch),
     ("cast", case_cast),
-    ("affine_residual", case_affine_residual),
+    ("affine", case_affine),
 ]
 
 

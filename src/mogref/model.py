@@ -46,7 +46,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from mogref.data import ValidationError, Vocab, atomic_open, read_json_object
+from mogref.data import ValidationError, Vocab, atomic_open, read_json_object, require_count
 # blocks call attention as this module's ``mog_forward``, the name
 # perfbench/tracer.py wraps to time every attention sublayer
 from mogref.mog import MoGAttention, MoGConfig, mog_forward
@@ -90,26 +90,15 @@ class ModelConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "dilations", tuple(self.dilations))
-        # a float count passes the checks below and fails in the model build,
-        # and int() would turn a dilation of 4.7 or true into a count
-        counts = [(f.name, getattr(self, f.name)) for f in fields(self)
-                  if f.name not in ("dilations", "dtype")]
-        for name, value in [*counts, *(("each of dilations", d) for d in self.dilations)]:
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        for f in fields(self):
+            if f.name not in ("dilations", "dtype"):  # a vocab holds at least pad and unk
+                require_count(f.name, getattr(self, f.name), 2 if f.name == "vocab_size" else 1)
         if self.dtype not in MODEL_DTYPES:
             raise ValueError(f"dtype must be one of {MODEL_DTYPES}, got {self.dtype!r}")
-        if min(self.sce_blocks, self.scd_blocks, self.ssd_blocks) < 1:
-            raise ValueError("all block counts must be >= 1")
-        for name in ("num_queries", "ffn_dim", "image_size", "patch_size"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)!r}")
         if self.image_size % self.patch_size != 0:
             raise ValueError(
                 f"image_size {self.image_size} not divisible by patch_size {self.patch_size}"
             )
-        if self.vocab_size < 2:
-            raise ValueError("vocab_size must cover at least pad and unk")
         MoGConfig(self.model_dim, self.num_heads, self.dilations)  # validates the rest
 
     @property

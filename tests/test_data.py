@@ -309,6 +309,13 @@ class TestGenerator:
         with pytest.raises(ValueError):
             SyntheticSceneSpec(templates=("haiku",))
 
+    @pytest.mark.parametrize("field, value", [("image_size", 64.0), ("num_distractors", 2.5),
+                                              ("num_distractors", True)])
+    def test_non_integer_count_is_refused_naming_it(self, field, value):
+        # a float size used to fail later in the generator with a bare TypeError
+        with pytest.raises(ValidationError, match=f"^{field} must be an integer, got {value!r}$"):
+            SyntheticSceneSpec(**{field: value})
+
 
 # -- ppm ---------------------------------------------------------------------
 

@@ -49,7 +49,7 @@ def test_registry_names_cover_every_op_family():
 
     names = {name for name, _ in all_cases(0)}
     for expected in ("matmul", "masked_softmax", "layernorm", "gate_weights",
-                     "branch_attention", "mog_forward", "mog_mixture", "giou_pairs",
+                     "branch_attention", "mog_forward", "giou_pairs",
                      "match_and_loss", "scs_end_to_end", "grounding_loss_batch",
                      "attention_core", "affine"):
         assert expected in names

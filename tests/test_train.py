@@ -244,6 +244,29 @@ class TestTraining:
         assert not (target.data == before).all()
         assert np.isfinite(target.data).all()
 
+    def test_batches_cycle_through_the_dataset_in_order(self, monkeypatch):
+        model, ds = tiny_setup(scenes=4)
+        real_forward = model.forward
+        visited = []
+
+        def recording_forward(images, token_ids):
+            visited.append([next(i for i in range(len(ds)) if np.array_equal(ds.images[i], image))
+                            for image in images])
+            return real_forward(images, token_ids)
+
+        monkeypatch.setattr(model, "forward", recording_forward)
+        train_toy(model, ds, TrainConfig(steps=3, batch_size=3, eval_every=0,
+                                         target_train_p50=None))
+        assert visited == [[0, 1, 2], [3, 0, 1], [2, 3, 0]]
+
+    @pytest.mark.parametrize("field, value", [("eval_every", 1.5), ("steps", True),
+                                              ("batch_size", 2.5)])
+    def test_non_integer_count_is_refused_naming_it(self, field, value):
+        # eval_every=1.5 evaluated every third step, steps=True trained one
+        # step and batch_size=2.5 failed later with a bare TypeError
+        with pytest.raises(ValidationError, match=f"^{field} must be an integer, got {value!r}$"):
+            TrainConfig(**{field: value})
+
     def test_early_stop_reports_fit_step(self):
         # a 1-scene dataset is fit almost immediately
         dataset = build_synthetic_dataset(1, TINY_SPEC, VOCAB, 3)
