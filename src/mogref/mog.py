@@ -15,12 +15,15 @@ by linearity that equals the convex combination of the branch outputs
 branch there is no gate (γ ≡ 1) and the whole thing is vanilla multi-head
 attention, which is how the model builds its plain attention sublayers.
 
-The mask is the definition; the compute runs by residue class. The pair
-predicate holds exactly when ``i = j (mod d_g)``, so branch g is one dense
-softmax inside each residue class mod ``d_g``. The mixture sums every
-class of the shared exponential with one thin matmul against a one-hot
-(N_k, sum_g d_g) class matrix and spreads the gated normalizers back with
-another, so it builds no N-by-N mask and no per-branch buffer.
+The residue classes are the one encoding of the masks. The pair predicate
+holds exactly when ``i = j (mod d_g)``, so branch g is one dense softmax
+inside each residue class mod ``d_g``. :func:`_residue_classes` builds the
+classes of a dilation set once per grid, and every dense mask
+(:func:`build_mask`, :func:`build_rect_mask`, the fallback's) is read off
+them (:meth:`_Classes.mask`). The mixture sums every class of the shared
+exponential with one thin matmul against the one-hot (N_k, sum_g d_g)
+class matrix and spreads the gated normalizers back with another, so it
+builds no N-by-N mask and no per-branch buffer.
 
 :func:`mog_forward` is the three projections and one autodiff node,
 :func:`_attention_core`, from the projections to the merged heads; the core
@@ -37,9 +40,9 @@ the per-branch masked softmax. The rare call in which a support row sits
 so far below the shared row maximum that its class sum is too small to
 divide by falls back to the per-branch graph, :func:`_composed_attention`:
 one :func:`~mogref.tensor.masked_softmax` node per branch, over that
-branch's dense mask (:func:`build_mask`, :func:`build_rect_mask`), gated
-and summed with ordinary ops. Those masks are also the reference the tests
-compare the core against.
+branch's dense mask read off the core's own classes, gated and summed with
+ordinary ops. The tests compare the core against per-branch nodes over the
+same masks, and the masks against the brute-force pair predicate.
 """
 
 from __future__ import annotations
@@ -107,102 +110,96 @@ class GranularityMask:
     bits: np.ndarray  # float64 0/1, read-only
 
 
-_MASK_CACHE: dict[tuple[int, int, int], np.ndarray] = {}
-_RESIDUE_CACHE: dict[tuple[int, int, tuple[int, ...], np.dtype], _ResidueClasses] = {}
+_RESIDUE_CACHE: dict[tuple[int, int, tuple[int, ...], np.dtype], _Classes] = {}
 _CACHE_LOCK = threading.Lock()
-
-
-def _cached(cache: dict, key, build):
-    """``cache[key]``, built once under the lock by the first caller."""
-    value = cache.get(key)
-    if value is None:
-        with _CACHE_LOCK:
-            value = cache.get(key)
-            if value is None:
-                value = cache[key] = build()
-    return value
-
-
-def _cached_bits(rows: int, cols: int, dilation: int) -> np.ndarray:
-    def build():
-        i = np.arange(rows)[:, None]
-        j = np.arange(cols)[None, :]
-        bits = (np.abs(i - j) % dilation == 0).astype(np.float64)
-        bits.setflags(write=False)
-        return bits
-
-    return _cached(_MASK_CACHE, (rows, cols, dilation), build)
 
 
 def build_mask(n: int, dilation: int) -> GranularityMask:
     """Square dilation mask; symmetric, all-ones diagonal, never a zero row."""
-    if n < 1 or dilation < 1:
-        raise ValueError(f"build_mask needs n >= 1 and dilation >= 1, got n={n}, dilation={dilation}")
-    return GranularityMask(_cached_bits(n, n, dilation))
+    return GranularityMask(build_rect_mask(n, n, dilation))
 
 
 def build_rect_mask(num_rows: int, num_cols: int, dilation: int) -> np.ndarray:
-    """Same pair predicate on a rectangular grid (decoder cross-attention).
+    """Same pair predicate on a rectangular grid (decoder cross-attention), read-only.
 
-    Row ``i`` keeps memory positions ``j`` with ``|i - j| mod dilation == 0``;
-    rows are guaranteed non-empty as long as the key side is at least as
-    long as the query side or the dilation.
+    Row ``i`` keeps memory positions ``j`` with ``|i - j| mod dilation == 0``:
+    the one branch of the dilation's class structure (:meth:`_Classes.mask`).
+    Rows are guaranteed non-empty as long as the key side is at least as
+    long as the query side or the dilation; otherwise the class builder
+    raises ``ValueError``.
     """
-    bits = _cached_bits(num_rows, num_cols, dilation)
-    if not bits.any(axis=1).all():
-        raise ValueError(
-            f"rect mask {num_rows}x{num_cols} with dilation {dilation} has an empty row"
-        )
+    for name, value in (("num_rows", num_rows), ("num_cols", num_cols), ("dilation", dilation)):
+        require_count(name, value, 1)
+    bits = _residue_classes(num_rows, num_cols, (dilation,), np.float64).mask(0)
+    bits.setflags(write=False)
     return bits
 
 
 @dataclass(frozen=True)
-class _ResidueClasses:
-    """One-hot residue classes of a dilation set on an n_q-by-n_k grid.
+class _Classes:
+    """The support of every branch on an n_q-by-n_k grid, as key classes.
+
+    The contract the attention core relies on: ``keys`` is the (n_k, C) 0/1
+    membership of the keys in C classes, the columns of branch g are
+    ``starts[g]`` up to the next start, and ``index`` holds one selected
+    class per query row and branch: ``index[i, g] = i * C + c`` for the
+    column c that row i selects among branch g's, its position in a
+    flattened (n_q, C) array, so the selected entries of a (..., n_q, C)
+    array are one gather (:func:`_selected`). Branch g keeps the pair
+    (i, j) exactly when key j is in row i's selected class (:meth:`mask`).
+    The classes need not be residues or disjoint; a lone class (C = 1)
+    holds every key, which :func:`_spread` relies on.
 
     ``keys`` is in the dtype of the arrays it multiplies, so ``e @ keys``
     keeps the attention core's dtype.
-
-    Column ``c = (g, r)``, for branch g and residue ``r < d_g``, is one
-    class: ``keys[j, c]`` is 1.0 where ``j mod d_g == r``. Query row i
-    selects column ``starts[g] + i mod d_g`` of each branch g, and
-    ``index[i, g] = i * C + starts[g] + i mod d_g`` is that column's
-    position in a flattened (n_q, C) array, so the selected entries of a
-    (..., n_q, C) array are one gather (:func:`_selected`).
     """
 
     keys: np.ndarray  # (n_k, C) 0/1, read-only
     index: np.ndarray  # (n_q, G) flat (n_q * C) positions of the selected classes, read-only
     starts: np.ndarray  # (G,) first column of each branch
 
-
-def _residue_classes(n_q: int, n_k: int, dilations: tuple[int, ...], dtype) -> _ResidueClasses:
-    dtype = np.dtype(dtype)
-
-    def build():
-        modulus = np.repeat(dilations, dilations)
-        residue = np.concatenate([np.arange(d) for d in dilations])
-        keys = (np.arange(n_k)[:, None] % modulus == residue).astype(dtype)
-        starts = np.concatenate(([0], np.cumsum(dilations)[:-1]))
-        columns = starts + np.arange(n_q)[:, None] % np.asarray(dilations)  # (n_q, G)
-        empty = ~keys.any(axis=0)[columns]
-        if empty.any():
-            dilation = dilations[np.flatnonzero(empty.any(axis=0))[0]]
-            raise ValueError(f"rect mask {n_q}x{n_k} with dilation {dilation} has an empty row")
-        index = np.arange(n_q)[:, None] * keys.shape[1] + columns
-        for arr in (keys, index):
-            arr.setflags(write=False)
-        return _ResidueClasses(keys, index, starts)
-
-    return _cached(_RESIDUE_CACHE, (n_q, n_k, dilations, dtype), build)
+    def mask(self, g: int) -> np.ndarray:
+        """Branch g's dense (n_q, n_k) 0/1 support, in the dtype of ``keys``, as a new array."""
+        return self.keys.T[self.index[:, g] % self.keys.shape[1]]
 
 
-def _selected(x: np.ndarray, classes: _ResidueClasses) -> np.ndarray:
+def _residue_classes(n_q: int, n_k: int, dilations: tuple[int, ...], dtype) -> _Classes:
+    """The residue classes of a dilation set, built once per grid and dtype.
+
+    Column ``c = (g, r)``, for branch g and residue ``r < d_g``, holds the
+    keys j with ``j mod d_g == r``, and query row i selects residue
+    ``i mod d_g`` of each branch g: branch g keeps (i, j) exactly when
+    ``i = j (mod d_g)``. A query row whose selected class holds no key
+    raises ``ValueError``.
+    """
+    cache_key = (n_q, n_k, dilations, np.dtype(dtype))
+    classes = _RESIDUE_CACHE.get(cache_key)
+    if classes is not None:
+        return classes
+    with _CACHE_LOCK:
+        if cache_key not in _RESIDUE_CACHE:
+            modulus = np.repeat(dilations, dilations)
+            residue = np.concatenate([np.arange(d) for d in dilations])
+            keys = (np.arange(n_k)[:, None] % modulus == residue).astype(dtype)
+            starts = np.concatenate(([0], np.cumsum(dilations)[:-1]))
+            columns = starts + np.arange(n_q)[:, None] % np.asarray(dilations)  # (n_q, G)
+            empty = ~keys.any(axis=0)[columns]
+            if empty.any():
+                dilation = dilations[np.flatnonzero(empty.any(axis=0))[0]]
+                raise ValueError(f"rect mask {n_q}x{n_k} with dilation {dilation} has an empty row")
+            index = np.arange(n_q)[:, None] * keys.shape[1] + columns
+            for arr in (keys, index):
+                arr.setflags(write=False)
+            _RESIDUE_CACHE[cache_key] = _Classes(keys, index, starts)
+        return _RESIDUE_CACHE[cache_key]
+
+
+def _selected(x: np.ndarray, classes: _Classes) -> np.ndarray:
     """(..., n_q, C) -> (..., n_q, G): each row's selected class of each branch, a new array."""
     return np.take(x.reshape(*x.shape[:-2], -1), classes.index, axis=-1)
 
 
-def _scattered(sel: np.ndarray, classes: _ResidueClasses) -> np.ndarray:
+def _scattered(sel: np.ndarray, classes: _Classes) -> np.ndarray:
     """(..., n_q, G) -> (..., n_q, C): zeros holding ``sel`` at the selected classes."""
     out = np.zeros((*sel.shape[:-1], classes.keys.shape[1]), dtype=sel.dtype)
     out.reshape(*sel.shape[:-2], -1)[..., classes.index] = sel
@@ -349,7 +346,7 @@ def _min_class_sum(dtype) -> float:
 
 
 def _class_coefficients(e: np.ndarray, gammas: np.ndarray,
-                        classes: _ResidueClasses) -> tuple[np.ndarray, np.ndarray] | None:
+                        classes: _Classes) -> tuple[np.ndarray, np.ndarray] | None:
     """Selected class sums ``S = e R`` and coefficients ``A = gamma / S``, each (..., n_q, G).
 
     Only each row's selected class of each branch is kept: the other
@@ -365,7 +362,7 @@ def _class_coefficients(e: np.ndarray, gammas: np.ndarray,
     return s, gammas[:, None, None, :] / s  # gammas (B, G)
 
 
-def _weights(e: np.ndarray, a: np.ndarray, classes: _ResidueClasses, out: np.ndarray) -> np.ndarray:
+def _weights(e: np.ndarray, a: np.ndarray, classes: _Classes, out: np.ndarray) -> np.ndarray:
     """W = e * (A R^T) into ``out`` from the selected ``A``, exact zeros off the union of the supports."""
     w = _spread(_scattered(a, classes), classes.keys, out=out)
     w *= e
@@ -373,7 +370,7 @@ def _weights(e: np.ndarray, a: np.ndarray, classes: _ResidueClasses, out: np.nda
 
 
 def _logit_grad(w: np.ndarray, dw: np.ndarray, e: np.ndarray, s: np.ndarray, a: np.ndarray,
-                classes: _ResidueClasses) -> tuple[np.ndarray, np.ndarray]:
+                classes: _Classes) -> tuple[np.ndarray, np.ndarray]:
     """d logits = W dW - e * ((rho * A) R^T), with ``rho = ((dW * e) R) / S``.
 
     ``s`` and ``a`` are the selected ``S`` and ``A`` of
@@ -393,26 +390,27 @@ def _logit_grad(w: np.ndarray, dw: np.ndarray, e: np.ndarray, s: np.ndarray, a: 
     return dlogits, _scattered(u, classes)
 
 
-def _gamma_grad(rho: np.ndarray, classes: _ResidueClasses) -> np.ndarray:
+def _gamma_grad(rho: np.ndarray, classes: _Classes) -> np.ndarray:
     """d gamma_g: rho summed over heads, rows and branch g's columns."""
     return np.add.reduceat(rho.sum(axis=(1, 2)), classes.starts, axis=1)
 
 
 def _composed_attention(q: Tensor, k: Tensor, v: Tensor, gammas: Tensor,
-                        dilations: tuple[int, ...], num_heads: int) -> Tensor:
+                        classes: _Classes, num_heads: int) -> Tensor:
     """The underflow fallback of :func:`_attention_core`, as a graph of ordinary ops.
 
-    Each branch is a :func:`masked_softmax` node over its dilation mask
-    (:func:`_shared_branch_softmax`), which shifts every row by its maximum
-    on the branch's support, so a support row far below the row maximum
-    taken over all keys keeps its precision; the branches are weighted by
-    their gamma, summed into ``W`` and applied to the values with the heads
-    merged.
+    Each branch is a :func:`masked_softmax` node (:func:`_shared_branch_softmax`)
+    over its support read off the core's ``classes`` (:meth:`_Classes.mask`),
+    so the fallback keeps the keys the core keeps. The node shifts every
+    row by its maximum on the branch's support, so a support row far below
+    the row maximum taken over all keys keeps its precision; the branches
+    are weighted by their gamma, summed into ``W`` and applied to the
+    values with the heads merged.
     """
     qh, kh, vh = (split_heads(t, num_heads) for t in (q, k, v))
     logits = _scaled_logits(qh, kh)
-    b, _, n_q, n_k = logits.shape
-    masks = [_cached_bits(n_q, n_k, d) for d in dilations]
+    b = logits.shape[0]
+    masks = [classes.mask(g) for g in range(len(classes.starts))]
     w = None
     for g, p in enumerate(_shared_branch_softmax(logits, masks)):
         term = reshape(select(gammas, g, axis=1), (b, 1, 1, 1)) * p
@@ -486,7 +484,7 @@ def _attention_core(q: Tensor, k: Tensor, v: Tensor, gammas: Tensor,
     keys' batch B (broadcast), and ``gammas`` is (B, G).
 
     ``W = sum_g gamma_g P_g`` by residue class, with the one-hot class
-    matrix ``R`` of :class:`_ResidueClasses`: class sums ``S = e R``,
+    matrix ``R`` of :class:`_Classes`: class sums ``S = e R``,
     ``A[i, c] = gamma_g [i mod d_g == r] / S[i, c]`` and ``W = e * (A R^T)``.
     Backward, with ``rho = ((dW * e) R) [i mod d_g == r] / S`` (rowsum(dW *
     P_g) in branch g's column of row i): d gamma_g is rho summed over heads,
@@ -517,14 +515,14 @@ def _attention_core(q: Tensor, k: Tensor, v: Tensor, gammas: Tensor,
     scaled), and each partial hands over the array the pass formed.
 
     A rectangular grid where some query row has no key in its class raises
-    the ``ValueError`` of :func:`build_rect_mask`. When a selected class sum
-    is below :func:`_min_class_sum` (a support row sits far below the row
-    maximum taken over all keys, down to underflowing entirely), ``A`` could
-    overflow and ``inf * 0`` in the spread would turn a whole row to NaN, so
-    the call returns the per-branch graph of :func:`_composed_attention`
-    instead. The node computes in the dtype of its inputs; the chunk budget
-    counts bytes, so a float32 chunk packs twice the samples of a float64
-    one.
+    the ``ValueError`` of the class builder, :func:`_residue_classes`. When
+    a selected class sum is below :func:`_min_class_sum` (a support row sits
+    far below the row maximum taken over all keys, down to underflowing
+    entirely), ``A`` could overflow and ``inf * 0`` in the spread would turn
+    a whole row to NaN, so the call returns the per-branch graph of
+    :func:`_composed_attention` over the same classes instead. The node
+    computes in the dtype of its inputs; the chunk budget counts bytes, so
+    a float32 chunk packs twice the samples of a float64 one.
     """
     qh, kh, vh = (_split_heads_data(t.data, num_heads) for t in (q, k, v))
     scale = 1.0 / math.sqrt(qh.shape[-1])  # a Python float keeps qh's dtype
@@ -563,7 +561,7 @@ def _attention_core(q: Tensor, k: Tensor, v: Tensor, gammas: Tensor,
         e, row_max, _ = shared_exp(c)
         coefficients = _class_coefficients(e, part(gammas.data, c, heads=False), classes)
         if coefficients is None:
-            return _composed_attention(q, k, v, gammas, dilations, num_heads)
+            return _composed_attention(q, k, v, gammas, classes, num_heads)
         w = _weights(e, coefficients[1], classes, out=_SCRATCH.get(1, e.shape, dtype))
         np.matmul(w, part(vh, c), out=out_heads[c])
         saved.append((row_max, *coefficients))

@@ -16,6 +16,7 @@ gradient check is one ``isfinite`` over the arena's gradient buffer.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -315,6 +316,11 @@ def evaluate_model(model: SCSModel, dataset: GroundingDataset,
 # ---------------------------------------------------------------------------
 
 
+def _is_number(value) -> bool:
+    """A real number that is not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 @dataclass
 class TrainConfig:
     steps: int = 2000
@@ -325,15 +331,16 @@ class TrainConfig:
 
     def __post_init__(self):
         # a rate <= 0 never descends and a non-finite one poisons the weights;
-        # a negative count would silently act as 0 or as full batch
-        if not (math.isfinite(self.lr) and self.lr > 0.0):
+        # a negative count would silently act as 0 or as full batch; a bool
+        # would act as 1 or 0 and a string fail with a bare TypeError
+        if not (_is_number(self.lr) and math.isfinite(self.lr) and self.lr > 0.0):
             raise ValidationError(f"lr must be a finite number > 0, got {self.lr!r}")
         for name in ("steps", "batch_size", "eval_every"):
             require_count(name, getattr(self, name), 0)
         # P@0.5 never exceeds 1 and never compares >= NaN: either target
         # would silently never stop the run
         p50 = self.target_train_p50
-        if p50 is not None and not p50 <= 1.0:
+        if p50 is not None and not (_is_number(p50) and p50 <= 1.0):
             raise ValidationError(f"target_train_p50 must be a number <= 1 or None, got {p50!r}")
 
 

@@ -38,10 +38,10 @@ from mogref.tensor import (
 from mogref.train import build_synthetic_dataset
 
 
-def brute_force_mask(n: int, dilation: int) -> np.ndarray:
-    out = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
+def brute_force_mask(n_q: int, n_k: int, dilation: int) -> np.ndarray:
+    out = np.zeros((n_q, n_k))
+    for i in range(n_q):
+        for j in range(n_k):
             if abs(i - j) % dilation == 0:
                 out[i][j] = 1.0
     return out
@@ -111,7 +111,7 @@ class TestBuildMask:
     @given(st.integers(1, 64), st.integers(1, 6))
     def test_matches_brute_force_predicate(self, n, dilation):
         bits = build_mask(n, dilation).bits
-        assert (bits == brute_force_mask(n, dilation)).all()
+        assert (bits == brute_force_mask(n, n, dilation)).all()
 
     @given(st.integers(1, 64), st.integers(1, 6))
     def test_structure(self, n, dilation):
@@ -128,25 +128,26 @@ class TestBuildMask:
         if dilation == 1:
             assert bits.sum() == n * n
 
-    def test_cache_returns_readonly_shared_bits(self):
-        a = build_mask(9, 2).bits
-        b = build_mask(9, 2).bits
-        assert a is b
+    def test_bits_are_readonly(self):
         with pytest.raises(ValueError):
-            a[0, 0] = 0.0
+            build_mask(9, 2).bits[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            build_rect_mask(3, 9, 2)[0, 0] = 0.0
 
     def test_cache_population_is_thread_safe(self):
         from concurrent.futures import ThreadPoolExecutor
 
-        import mogref.mog as mog_module
-
-        mog_module._MASK_CACHE.clear()
+        mog_module._RESIDUE_CACHE.clear()
         sizes = [(31 + i % 5, 1 + i % 6) for i in range(60)]
+
+        def classes(n, d):
+            return mog_module._residue_classes(n, n, (d,), np.float64)
+
         with ThreadPoolExecutor(max_workers=8) as pool:
-            results = list(pool.map(lambda nd: build_mask(*nd).bits, sizes))
-        for (n, d), bits in zip(sizes, results):
-            assert bits is build_mask(n, d).bits
-            assert (bits == brute_force_mask(n, d)).all()
+            results = list(pool.map(lambda nd: classes(*nd), sizes))
+        for (n, d), built in zip(sizes, results):
+            assert built is classes(n, d)  # one object per key, whichever thread built it
+            assert (built.mask(0) == brute_force_mask(n, n, d)).all()
 
     def test_rect_mask_predicate(self):
         bits = build_rect_mask(2, 6, 3)
@@ -161,6 +162,36 @@ class TestBuildMask:
             build_mask(0, 1)
         with pytest.raises(ValueError):
             build_mask(3, 0)
+        # dilation 0 once gave an all-ones mask and -2 the dilation-2 mask
+        for args in [(2, 3, 0), (2, 3, -2), (0, 3, 1), (2, 0, 1)]:
+            with pytest.raises(ValueError):
+                build_rect_mask(*args)
+
+    def test_rect_mask_matches_brute_force_predicate(self):
+        for n_q in range(1, 13):
+            for n_k in range(1, 13):
+                for d in range(1, 14):
+                    oracle = brute_force_mask(n_q, n_k, d)
+                    if oracle.any(axis=1).all():
+                        assert (build_rect_mask(n_q, n_k, d) == oracle).all(), (n_q, n_k, d)
+                    else:
+                        with pytest.raises(ValueError, match="empty row"):
+                            build_rect_mask(n_q, n_k, d)
+
+    @pytest.mark.parametrize("dilations", [(1, 2, 3, 4), (2, 3), (1, 5, 9)])
+    def test_every_branch_support_matches_brute_force_predicate(self, dilations):
+        # C1 checks square grids with one branch; this checks each branch of
+        # a multi-branch structure on rectangular grids as well
+        for n_q in range(1, 13):
+            for n_k in range(1, 13):
+                oracles = [brute_force_mask(n_q, n_k, d) for d in dilations]
+                if not all(oracle.any(axis=1).all() for oracle in oracles):
+                    with pytest.raises(ValueError, match="empty row"):
+                        mog_module._residue_classes(n_q, n_k, dilations, np.float64)
+                    continue
+                classes = mog_module._residue_classes(n_q, n_k, dilations, np.float64)
+                for g, oracle in enumerate(oracles):
+                    assert (classes.mask(g) == oracle).all(), (n_q, n_k, dilations[g])
 
 
 def toy_attention(seed=0, model_dim=8, num_heads=2, dilations=(1, 2, 3), gate_random=True):
@@ -485,6 +516,38 @@ class TestAttentionCore:
         for p, r in zip(params, refs):
             assert np.abs(p.grad - r.grad).max() < 1e-12, p.name
 
+    @pytest.mark.parametrize("path", ["core", "fallback"])
+    def test_classes_need_not_be_residues_or_disjoint(self, path, monkeypatch):
+        # the core and its fallback rely only on the _Classes contract: with
+        # the last 10 keys of a 74-key memory in every class, both equal the
+        # per-branch masked softmax over the structure's own supports
+        dilations, n_q, n_k = (1, 2, 3, 4), 9, 74
+        residue_classes = mog_module._residue_classes
+
+        def overlapping(*args):
+            classes = residue_classes(*args)
+            keys = classes.keys.copy()
+            keys[-10:] = 1.0
+            return mog_module._Classes(keys, classes.index, classes.starts)
+
+        monkeypatch.setattr(mog_module, "_residue_classes", overlapping)
+        if path == "fallback":
+            monkeypatch.setattr(mog_module, "_min_class_sum", lambda dtype: np.inf)
+        classes = overlapping(n_q, n_k, dilations, np.float64)
+        masks = [classes.mask(g) for g in range(len(dilations))]
+        assert (masks[1] != brute_force_mask(n_q, n_k, 2)).any()
+        params, proj = core_inputs(25, 2, 2, n_q, n_k, 8, dilations)
+        refs = copies(params)
+        out = _attention_core(*params, dilations, 2)
+        assert ("_attention_core" in out._backward.__qualname__) == (path == "core")
+        reference = branch_reference(*refs, masks, 2)
+        assert np.abs(out.data - reference.data).max() < 1e-12
+
+        backward(tsum(out * proj))
+        backward(tsum(reference * proj))
+        for p, r in zip(params, refs):
+            assert np.abs(p.grad - r.grad).max() < 1e-12, p.name
+
     def test_mog_forward_is_the_core_over_the_projections(self):
         x, attn = toy_attention(dilations=(1, 2, 3), model_dim=8)
         out = mog_forward(x, attn)
@@ -753,22 +816,23 @@ class TestMaskPath:
             mog_forward(queries, attn, memory=memory)
 
     @pytest.mark.parametrize("cross", [False, True])
-    def test_forward_builds_no_dense_mask(self, cross):
-        n = 53
-        before = set(mog_module._MASK_CACHE)
-        assert not any(key[:2] == (n, n) for key in before)
+    def test_forward_builds_no_dense_mask(self, cross, monkeypatch):
+        def no_mask(classes, g):
+            raise AssertionError("a dense mask was built")
+
+        monkeypatch.setattr(mog_module._Classes, "mask", no_mask)
         rng = RngState(13)
         attn = MoGAttention(MoGConfig(8, 2, (1, 2, 3, 4)), rng, "attn")
-        x = Tensor(rng.uniform_array((2, n, 8), -1, 1))
+        x = Tensor(rng.uniform_array((2, 53, 8), -1, 1))
         out = mog_forward(x, attn, memory=x if cross else None)
+        assert "_attention_core" in out._backward.__qualname__
         backward(tsum(out))
-        assert set(mog_module._MASK_CACHE) == before
 
 
 def peak_buffers_no_grad(run, buffer_bytes: int) -> float:
     """Peak numpy memory of one ``run()`` under no_grad, in buffers."""
     with no_grad():
-        run()  # fill the mask and residue caches first
+        run()  # fill the residue cache first
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]

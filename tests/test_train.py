@@ -267,6 +267,15 @@ class TestTraining:
         with pytest.raises(ValidationError, match=f"^{field} must be an integer, got {value!r}$"):
             TrainConfig(**{field: value})
 
+    @pytest.mark.parametrize("field, value", [("lr", True), ("lr", "0.1"), ("target_train_p50", True),
+                                              ("target_train_p50", False), ("target_train_p50", "0.5")])
+    def test_non_number_rate_or_target_is_refused_naming_it(self, field, value):
+        # lr=True trained at rate 1.0, target_train_p50=False stopped at the
+        # first evaluation, and either string failed with a bare TypeError
+        rule = {"lr": "a finite number > 0", "target_train_p50": "a number <= 1 or None"}[field]
+        with pytest.raises(ValidationError, match=f"^{field} must be {re.escape(rule)}, got {value!r}$"):
+            TrainConfig(**{field: value})
+
     def test_early_stop_reports_fit_step(self):
         # a 1-scene dataset is fit almost immediately
         dataset = build_synthetic_dataset(1, TINY_SPEC, VOCAB, 3)
