@@ -20,8 +20,6 @@ import time
 from dataclasses import fields
 from pathlib import Path
 
-import numpy as np
-
 from mogref.allocator import tune_allocator
 from mogref.data import (
     GenerationError,
@@ -31,6 +29,7 @@ from mogref.data import (
     atomic_open,
     default_vocab,
     load_annotations,
+    require_count,
     save_annotations,
     write_ppm,
 )
@@ -139,10 +138,10 @@ def _add_model_flags(p: argparse.ArgumentParser, dilations: bool = True) -> None
 
 
 def _add_scene_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--distractors", type=int, default=3)
-    p.add_argument("--sizes", default="small,medium,large",
+    p.add_argument("--distractors", type=int, default=SyntheticSceneSpec.num_distractors)
+    p.add_argument("--sizes", default=",".join(SyntheticSceneSpec.size_classes),
                    help="comma-separated size classes for generated objects")
-    p.add_argument("--templates", default="attribute,position,relation")
+    p.add_argument("--templates", default=",".join(SyntheticSceneSpec.templates))
 
 
 def _scene_spec(args) -> SyntheticSceneSpec:
@@ -262,10 +261,8 @@ def cmd_sweep(args) -> int:
     cfg = TrainConfig(steps=args.steps, lr=args.lr, batch_size=args.batch_size,
                       eval_every=0, target_train_p50=None)
     # no row would be trained, or a negative count would score the training scenes
-    if args.gmax < 1:
-        raise ValidationError(f"--gmax must be >= 1, got {args.gmax}")
-    if args.eval_scenes < 0:
-        raise ValidationError(f"--eval-scenes must be >= 0, got {args.eval_scenes}")
+    require_count("--gmax", args.gmax, 1)
+    require_count("--eval-scenes", args.eval_scenes, 0)
     tune_allocator()
     out = _out_dir(args)
     vocab = default_vocab()
@@ -290,8 +287,7 @@ def cmd_sweep(args) -> int:
               f" mP={result.mp:.4f}")
         rows.append([str(g)] + result.csv_row())
         table.append({"granularity": g, **result.to_json()})
-    header = ["Granularity", "P@0.5", "P@0.6", "P@0.7", "P@0.8", "mP"]
-    _write_text(out / "sweep.csv", _csv_text(header, rows, args))
+    _write_text(out / "sweep.csv", _csv_text(["Granularity"] + result.csv_header(), rows, args))
     _write_json(out / "sweep.json", {
         "rows": table,
         "full_scale_reference": {str(k): v for k, v in FULL_SCALE_SWEEP_REFERENCE.items()},
@@ -343,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("make-data", help="generate a synthetic referring dataset")
     p.add_argument("--scenes", type=int, default=16)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--image-size", type=int, default=64)
+    p.add_argument("--image-size", type=int, default=SyntheticSceneSpec.image_size)
     _add_scene_flags(p)
     p.add_argument("--ppm", action="store_true", help="also write images/<id>.ppm rasters")
     p.add_argument("--out-dir", default=None)
@@ -354,11 +350,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenes", type=int, default=16)
     p.add_argument("--data", default=None,
                    help="dataset directory (annotations.json + images/); default: synthetic scenes")
-    p.add_argument("--steps", type=int, default=2000)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--batch-size", type=int, default=8, help="0 = full batch")
-    p.add_argument("--eval-every", type=int, default=20)
-    p.add_argument("--target-p50", type=float, default=1.0,
+    p.add_argument("--steps", type=int, default=TrainConfig.steps)
+    p.add_argument("--lr", type=float, default=TrainConfig.lr)
+    p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size, help="0 = full batch")
+    p.add_argument("--eval-every", type=int, default=TrainConfig.eval_every)
+    p.add_argument("--target-p50", type=float, default=TrainConfig.target_train_p50,
                    help="stop once train P@0.5 reaches this; <=0 disables")
     _add_model_flags(p)
     _add_scene_flags(p)
@@ -384,8 +380,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eval-scenes", type=int, default=0,
                    help="held-out scene count; 0 (default) evaluates the training scenes")
     p.add_argument("--steps", type=int, default=300)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--batch-size", type=int, default=8)
+    p.add_argument("--lr", type=float, default=TrainConfig.lr)
+    p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
     _add_model_flags(p, dilations=False)  # the sweep sets dilations 1..G per row
     _add_scene_flags(p)
     p.add_argument("--out-dir", default=None)

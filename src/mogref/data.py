@@ -31,9 +31,10 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -61,6 +62,15 @@ def require_count(name: str, value, minimum: int) -> None:
         raise ValidationError(f"{name} must be an integer, got {value!r}")
     if value < minimum:
         raise ValidationError(f"{name} must be >= {minimum}, got {value!r}")
+
+
+def is_finite_number(value, integer: bool = False) -> bool:
+    """A finite real number, an ``int`` where ``integer`` asks for one; a bool is neither."""
+    try:
+        return (isinstance(value, int if integer else numbers.Real)
+                and not isinstance(value, bool) and math.isfinite(value))
+    except OverflowError:  # an int too large for a float
+        return False
 
 
 class GenerationError(RuntimeError):
@@ -99,28 +109,17 @@ class AnnotationRecord:
                 )
 
     def to_json(self) -> dict:
-        out = {
-            "image_id": self.image_id,
-            "image_w": self.image_w,
-            "image_h": self.image_h,
-            "expression": self.expression,
-            "target_boxes": [list(b) for b in self.target_boxes],
-        }
-        if self.category is not None:
-            out["category"] = self.category
+        out = asdict(self)
+        if self.category is None:
+            del out["category"]
         return out
 
 
 def _number(value, where: str, field: str, integer: bool = False):
-    """``value`` if it is a finite JSON number (an integer where ``integer``
-    asks for one; a bool is neither); otherwise a :class:`ValidationError`
-    that names the record and the field."""
-    kinds = int if integer else (int, float)
-    try:
-        if isinstance(value, kinds) and not isinstance(value, bool) and math.isfinite(value):
-            return value
-    except OverflowError:  # an int too large for a float
-        pass
+    """``value`` if it :func:`is_finite_number`; otherwise a
+    :class:`ValidationError` that names the record and the field."""
+    if is_finite_number(value, integer):
+        return value
     kind = "finite number (an integer)" if integer else "finite number"
     raise ValidationError(f"{where}: {field} must be a {kind}, got {value!r}")
 
@@ -234,6 +233,7 @@ COLORS = {
 COLOR_NAMES = tuple(COLORS)
 SHAPES = ("square", "circle", "triangle")
 SIZE_CLASSES = ("small", "medium", "large")
+TEMPLATES = ("attribute", "position", "relation")
 # placement restarts before the generator gives up on a spec
 MAX_RETRIES = 25
 
@@ -315,7 +315,7 @@ class SyntheticSceneSpec:
     image_size: int = 64
     num_distractors: int = 3
     size_classes: tuple[str, ...] = SIZE_CLASSES
-    templates: tuple[str, ...] = ("attribute", "position", "relation")
+    templates: tuple[str, ...] = TEMPLATES
 
     def __post_init__(self):
         require_count("image_size", self.image_size, 16)
@@ -327,7 +327,7 @@ class SyntheticSceneSpec:
             if s not in _SIZE_RANGES:
                 raise ValueError(f"unknown size class {s!r}")
         for t in self.templates:
-            if t not in ("attribute", "position", "relation"):
+            if t not in TEMPLATES:
                 raise ValueError(f"unknown template {t!r}")
 
 

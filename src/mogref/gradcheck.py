@@ -8,7 +8,7 @@ tests compare ``backward`` against this.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
@@ -64,13 +64,7 @@ class GradCheckResult:
     worst_param: str
 
     def to_json(self) -> dict:
-        return {
-            "op": self.op,
-            "worst_rel_err": self.worst_rel_err,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "worst_param": self.worst_param,
-        }
+        return asdict(self)
 
 
 def check_case(

@@ -15,8 +15,6 @@ gradient check is one ``isfinite`` over the arena's gradient buffer.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -30,6 +28,7 @@ from mogref.data import (
     Vocab,
     annotations_path,
     generate_scene,
+    is_finite_number,
     load_annotations,
     read_ppm,
     require_count,
@@ -115,8 +114,7 @@ def build_synthetic_dataset(num_scenes: int, spec: SyntheticSceneSpec, vocab: Vo
     take ``dtype``'s bytes and no more. The default is the model's default
     compute dtype; ``"float64"`` keeps the rendered values exactly.
     """
-    if num_scenes < 1:
-        raise ValidationError(f"need at least one scene, got {num_scenes}")
+    require_count("num_scenes", num_scenes, 1)
     root = RngState(seed)
     images = _image_array(num_scenes, spec.image_size, spec.image_size, dtype)
     records = []
@@ -316,11 +314,6 @@ def evaluate_model(model: SCSModel, dataset: GroundingDataset,
 # ---------------------------------------------------------------------------
 
 
-def _is_number(value) -> bool:
-    """A real number that is not a bool."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
 @dataclass
 class TrainConfig:
     steps: int = 2000
@@ -333,14 +326,14 @@ class TrainConfig:
         # a rate <= 0 never descends and a non-finite one poisons the weights;
         # a negative count would silently act as 0 or as full batch; a bool
         # would act as 1 or 0 and a string fail with a bare TypeError
-        if not (_is_number(self.lr) and math.isfinite(self.lr) and self.lr > 0.0):
+        if not (is_finite_number(self.lr) and self.lr > 0.0):
             raise ValidationError(f"lr must be a finite number > 0, got {self.lr!r}")
         for name in ("steps", "batch_size", "eval_every"):
             require_count(name, getattr(self, name), 0)
         # P@0.5 never exceeds 1 and never compares >= NaN: either target
         # would silently never stop the run
         p50 = self.target_train_p50
-        if p50 is not None and not (_is_number(p50) and p50 <= 1.0):
+        if p50 is not None and not (is_finite_number(p50) and p50 <= 1.0):
             raise ValidationError(f"target_train_p50 must be a number <= 1 or None, got {p50!r}")
 
 

@@ -1,3 +1,4 @@
+import ast
 import csv
 import dataclasses
 import json
@@ -26,7 +27,7 @@ from mogref.cli import (
 from mogref.data import SyntheticSceneSpec, default_vocab, load_annotations, read_ppm
 from mogref.metrics import EvalResult
 from mogref.model import ModelConfig, SCSModel
-from mogref.train import build_synthetic_dataset, load_dataset_dir
+from mogref.train import TrainConfig, build_synthetic_dataset, load_dataset_dir
 
 TINY_MODEL_FLAGS = [
     "--model-dim", "8", "--num-heads", "2", "--sce-blocks", "1",
@@ -161,8 +162,11 @@ class TestMakeDataAndStats:
         ("image_w", 64.0, r"image_w"),
         ("image_h", True, r"image_h"),
         ("target_boxes", [[1, 1, True, 2]], r"target_boxes\[0\]\[2\]"),
+        ("image_w", 10**400, r"image_w"),
+        ("target_boxes", [[1, 10**400, 2, 2]], r"target_boxes\[0\]\[1\]"),
     ], ids=["image_w-null", "image_w-string", "image_h-list", "box-null", "box-nan-string",
-            "image_w-fraction", "image_w-float", "image_h-bool", "box-bool"])
+            "image_w-fraction", "image_w-float", "image_h-bool", "box-bool",
+            "image_w-past-a-float", "box-past-a-float"])
     def test_stats_on_malformed_number_names_record_and_field(self, tmp_path, capsys,
                                                                field, value, named):
         good = {"image_id": "a", "image_w": 64, "image_h": 64, "expression": "e",
@@ -354,13 +358,40 @@ class TestTrainEval:
         config = _model_config(args, vocab_size, _parse_dilations(args.dilations))
         assert config == ModelConfig(vocab_size=vocab_size)
 
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    def test_default_run_flags_give_default_train_config(self, monkeypatch, command):
+        # perfbench builds TrainConfig from its defaults; this is what `train`
+        # runs, and the sweep differs only in its step budget and evaluation
+        built = []
+
+        class Built(Exception):
+            pass
+
+        def record(**kwargs):
+            built.append(kwargs)
+            raise Built
+
+        args = build_parser().parse_args([command])  # the parser reads the config's defaults
+        monkeypatch.setattr(cli, "TrainConfig", record)
+        with pytest.raises(Built):
+            args.func(args)
+        if command == "train":
+            assert TrainConfig(**built[0]) == TrainConfig()
+        else:
+            assert (built[0]["lr"], built[0]["batch_size"]) == (TrainConfig.lr, TrainConfig.batch_size)
+
+    @pytest.mark.parametrize("command", ["make-data", "train", "sweep"])
+    def test_default_scene_flags_give_default_spec(self, command):
+        assert cli._scene_spec(build_parser().parse_args([command])) == SyntheticSceneSpec()
+
     @pytest.mark.parametrize("command", [["make-data"], ["train"], ["sweep"],
                                          ["eval", "--checkpoint", "c.json", "--image-size", "32"]])
     def test_scene_flags_set_every_spec_field(self, monkeypatch, command):
         # a SyntheticSceneSpec field that no scene flag sets has no caller
         passed = {}
+        args = build_parser().parse_args(command)  # the parser reads the spec's defaults
         monkeypatch.setattr(cli, "SyntheticSceneSpec", lambda **kwargs: passed.update(kwargs))
-        cli._scene_spec(build_parser().parse_args(command))
+        cli._scene_spec(args)
         assert sorted(passed) == sorted(f.name for f in dataclasses.fields(SyntheticSceneSpec))
 
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
@@ -600,6 +631,18 @@ class TestEntryPoints:
                               capture_output=True, text=True, env=env)
         assert proc.returncode == 0
         assert "gradcheck" in proc.stdout and "sweep" in proc.stdout
+
+    def test_every_import_is_stdlib_numpy_or_mogref(self):
+        # numpy is the one runtime dependency pyproject.toml declares
+        imported = set()
+        for path in sorted(Path(mogref.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    imported.update(alias.name.split(".")[0] for alias in node.names)
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    imported.add(node.module.split(".")[0])
+        assert "numpy" in imported
+        assert imported - set(sys.stdlib_module_names) - {"numpy", "mogref"} == set()
 
     def test_out_dir_env_var(self, tmp_path, monkeypatch, fixtures_dir):
         monkeypatch.setenv("MOGREF_OUT_DIR", str(tmp_path / "envout"))

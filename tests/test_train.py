@@ -121,6 +121,12 @@ class TestDatasets:
         images = build_synthetic_dataset(6, spec, VOCAB, 7, dtype="float64").images
         assert images.tobytes() == np.stack(rendered).tobytes()
 
+    @pytest.mark.parametrize("num_scenes", [2.5, True, 0])
+    def test_scene_count_must_be_a_positive_integer(self, num_scenes):
+        # 2.5 and True failed with a bare TypeError
+        with pytest.raises(ValidationError, match=rf"^num_scenes must be .*, got {num_scenes!r}$"):
+            build_synthetic_dataset(num_scenes, TINY_SPEC, VOCAB, 0)
+
     def test_scene_dtype_must_be_a_model_dtype(self, tmp_path):
         with pytest.raises(ValidationError, match="float16"):
             build_synthetic_dataset(1, TINY_SPEC, VOCAB, 0, dtype="float16")
@@ -221,6 +227,16 @@ class TestTraining:
             train_toy(model, ds, TrainConfig(steps=5, lr=1e8, eval_every=1,
                                              target_train_p50=None))
 
+    def test_non_finite_loss_aborts_naming_the_step(self):
+        # a confidence bias of 40 rounds the float64 sigmoid to exactly 1.0,
+        # so the loss takes log(0) of an unmatched query's 1 - p
+        model, ds = tiny_setup(seed=1)
+        bias = next(p for p in model.parameters() if p.name == "head.conf_out.b")
+        bias.data[...] = 40.0
+        with np.errstate(divide="ignore"), pytest.raises(DivergenceError,
+                                                         match=r"^non-finite loss at step 1$"):
+            train_toy(model, ds, TrainConfig(steps=3, eval_every=0, target_train_p50=None))
+
     def test_non_finite_gradient_aborts_naming_step_and_parameter(self, monkeypatch):
         from mogref import train
 
@@ -267,11 +283,18 @@ class TestTraining:
         with pytest.raises(ValidationError, match=f"^{field} must be an integer, got {value!r}$"):
             TrainConfig(**{field: value})
 
-    @pytest.mark.parametrize("field, value", [("lr", True), ("lr", "0.1"), ("target_train_p50", True),
-                                              ("target_train_p50", False), ("target_train_p50", "0.5")])
+    @pytest.mark.parametrize("field, value", [
+        ("lr", True), ("lr", "0.1"), ("target_train_p50", True), ("target_train_p50", False),
+        ("target_train_p50", "0.5"),
+        pytest.param("lr", 10**400, id="lr-past-a-float"),
+        pytest.param("target_train_p50", 10**400, id="target_train_p50-past-a-float"),
+        pytest.param("target_train_p50", -10**400, id="target_train_p50-past-minus-a-float"),
+        pytest.param("target_train_p50", float("-inf"), id="target_train_p50--inf"),
+    ])
     def test_non_number_rate_or_target_is_refused_naming_it(self, field, value):
         # lr=True trained at rate 1.0, target_train_p50=False stopped at the
-        # first evaluation, and either string failed with a bare TypeError
+        # first evaluation, either string failed with a bare TypeError and
+        # lr=10**400 with a bare OverflowError
         rule = {"lr": "a finite number > 0", "target_train_p50": "a number <= 1 or None"}[field]
         with pytest.raises(ValidationError, match=f"^{field} must be {re.escape(rule)}, got {value!r}$"):
             TrainConfig(**{field: value})
