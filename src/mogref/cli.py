@@ -153,15 +153,17 @@ def _scene_spec(args) -> SyntheticSceneSpec:
     )
 
 
-def _load_any_dataset(args, vocab, dtype: str):
-    """The ``--data`` directory or the synthetic scenes, stored in the model's ``dtype``."""
+def _load_any_dataset(args, spec: SyntheticSceneSpec | None, vocab, dtype: str):
+    """The ``--data`` directory or ``spec``'s synthetic scenes, stored in the model's ``dtype``."""
     if args.data:
         return load_dataset_dir(args.data, vocab, dtype)
-    return build_synthetic_dataset(args.scenes, _scene_spec(args), vocab, args.seed, dtype)
+    return build_synthetic_dataset(args.scenes, spec, vocab, args.seed, dtype)
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each builds every config it uses and loads its checkpoint before
+# it creates the output directory or builds a dataset, so a bad flag costs
+# no work and leaves nothing behind
 # ---------------------------------------------------------------------------
 
 
@@ -184,10 +186,10 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_make_data(args) -> int:
+    spec = _scene_spec(args)
     out = _out_dir(args)
     # float64, the rendered values themselves: the PPMs quantize those
-    dataset = build_synthetic_dataset(args.scenes, _scene_spec(args), default_vocab(), args.seed,
-                                      dtype="float64")
+    dataset = build_synthetic_dataset(args.scenes, spec, default_vocab(), args.seed, dtype="float64")
     save_annotations(out / "annotations.json", dataset.records)
     print(f"wrote {out / 'annotations.json'} ({len(dataset)} records)")
     if args.ppm:
@@ -208,12 +210,13 @@ def cmd_train(args) -> int:
         eval_every=args.eval_every,
         target_train_p50=None if args.target_p50 <= 0 else args.target_p50,
     )
+    vocab = default_vocab()
+    config = _model_config(args, len(vocab), _parse_dilations(args.dilations))
+    spec = None if args.data else _scene_spec(args)
     allocator_tuned = tune_allocator()
     out = _out_dir(args)
-    vocab = default_vocab()
-    dataset = _load_any_dataset(args, vocab, args.dtype)
-    model = SCSModel(_model_config(args, len(vocab), _parse_dilations(args.dilations)),
-                     vocab, RngState(args.seed))
+    dataset = _load_any_dataset(args, spec, vocab, args.dtype)
+    model = SCSModel(config, vocab, RngState(args.seed))
     t0 = time.time()
     result = train_toy(model, dataset, cfg)
     elapsed = time.time() - t0
@@ -242,11 +245,12 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     tune_allocator()
-    out = _out_dir(args)
     model = SCSModel.load(args.checkpoint)
     if args.image_size is None:
         args.image_size = model.config.image_size  # recorded in run_config as resolved
-    dataset = _load_any_dataset(args, model.vocab, model.config.dtype)
+    spec = None if args.data else _scene_spec(args)
+    out = _out_dir(args)
+    dataset = _load_any_dataset(args, spec, model.vocab, model.config.dtype)
     result = evaluate_model(model, dataset)
     _write_json(out / "eval.json", {"eval": result.to_json()}, args)
     csv_text = _csv_text(result.csv_header() + ["count"],
@@ -263,10 +267,12 @@ def cmd_sweep(args) -> int:
     # no row would be trained, or a negative count would score the training scenes
     require_count("--gmax", args.gmax, 1)
     require_count("--eval-scenes", args.eval_scenes, 0)
+    vocab = default_vocab()
+    # the G = gmax row's config; every other row's dilations are a prefix of its
+    _model_config(args, len(vocab), tuple(range(1, args.gmax + 1)))
+    spec = _scene_spec(args)
     tune_allocator()
     out = _out_dir(args)
-    vocab = default_vocab()
-    spec = _scene_spec(args)
     train_ds = build_synthetic_dataset(args.scenes, spec, vocab, args.seed, args.dtype)
     if args.eval_scenes > 0:
         eval_ds = build_synthetic_dataset(args.eval_scenes, spec, vocab, args.seed + 7919,
@@ -297,11 +303,11 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    out = _out_dir(args)
     records = load_annotations(annotations_path(args.data))
     if not records:
         raise ValidationError(f"{args.data}: no records to summarize")
     stats = dataset_stats(records)
+    out = _out_dir(args)
     _write_json(out / "stats.json", {"stats": stats.to_json()}, args)
     header = ["O2S Ratio Mean (%)", "O2S Ratio Std (%)", "Word No. Mean",
               "Word No. Std", "Target No.", "Bbox No.", "Image No."]

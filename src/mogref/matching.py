@@ -1,11 +1,11 @@
 """Box geometry, Hungarian assignment, and the set-matching loss.
 
 Boxes are normalized center form (cx, cy, w, h) in [0, 1]. IoU/GIoU exist
-in three forms on purpose: scalar versions on :class:`BBox` feed metrics,
-an array version builds the assignment cost matrices (entry for entry the
-same float operations as the scalar path, so equal to it bit for bit), and
-a Tensor version (:func:`giou_pairs`) feeds the differentiable loss. They
-are tested against each other and against a rasterized counting oracle.
+in two forms: :func:`box_overlaps`, one float64 array kernel, serves the
+metrics, evaluation and the assignment cost (:func:`iou`/:func:`giou` are
+one call of it each), and a Tensor version (:func:`giou_pairs`) feeds the
+differentiable loss. They are tested against a scalar reference, each
+other and a rasterized counting oracle.
 
 :func:`hungarian` is one rectangular potentials solve of the shorter side
 against the longer, O(min(Q, T)^2 max(Q, T)) with no padding, for every
@@ -63,9 +63,6 @@ class BBox:
             self.cy + self.h / 2.0,
         )
 
-    def area(self) -> float:
-        return self.w * self.h
-
     def to_array(self) -> np.ndarray:
         return np.array([self.cx, self.cy, self.w, self.h], dtype=np.float64)
 
@@ -75,31 +72,43 @@ class BBox:
         return BBox((x + w / 2.0) / image_w, (y + h / 2.0) / image_h, w / image_w, h / image_h)
 
 
-def _overlap(a: BBox, b: BBox) -> tuple[float, float, float]:
-    """Intersection, union and enclosing-box areas of two boxes."""
-    ax1, ay1, ax2, ay2 = a.corners()
-    bx1, by1, bx2, by2 = b.corners()
-    iw = max(0.0, min(ax2, bx2) - max(ax1, bx1))
-    ih = max(0.0, min(ay2, by2) - max(ay1, by1))
-    inter = iw * ih
-    union = a.area() + b.area() - inter
-    enclose = (max(ax2, bx2) - min(ax1, bx1)) * (max(ay2, by2) - min(ay1, by1))
-    return inter, union, enclose
+def box_rows(boxes: Sequence[BBox]) -> np.ndarray:
+    """The (n, 4) float64 center-form rows of ``boxes``."""
+    return np.array([(b.cx, b.cy, b.w, b.h) for b in boxes], dtype=np.float64).reshape(-1, 4)
+
+
+def box_overlaps(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """IoU and GIoU of center-form ``(..., 4)`` boxes that broadcast, in float64.
+
+    Each entry is the textbook scalar formula, operation for operation:
+    corners ``c -+ size / 2``, intersection and enclosure extents clamped
+    and multiplied x by y, union ``area(a) + area(b) - inter``. A union of 0
+    needs two zero-area boxes and gives IoU 0. The enclosure can be 0 with a
+    positive union (a width far below the spacing of floats at its center
+    collapses the corners); GIoU is then the IoU.
+    """
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    a_lo, a_hi = a[..., :2] - a[..., 2:] / 2.0, a[..., :2] + a[..., 2:] / 2.0
+    b_lo, b_hi = b[..., :2] - b[..., 2:] / 2.0, b[..., :2] + b[..., 2:] / 2.0
+    overlap = np.maximum(np.minimum(a_hi, b_hi) - np.maximum(a_lo, b_lo), 0.0)
+    span = np.maximum(a_hi, b_hi) - np.minimum(a_lo, b_lo)
+    inter = overlap[..., 0] * overlap[..., 1]
+    union = a[..., 2] * a[..., 3] + b[..., 2] * b[..., 3] - inter
+    enclose = span[..., 0] * span[..., 1]
+    positive, bounded = union > 0.0, enclose > 0.0
+    iou_ = np.where(positive, inter / np.where(positive, union, 1.0), 0.0)
+    giou_ = np.where(bounded, iou_ - (enclose - union) / np.where(bounded, enclose, 1.0), iou_)
+    return iou_, giou_
 
 
 def iou(a: BBox, b: BBox) -> float:
     """Intersection over union in [0, 1]; two zero-area boxes give 0."""
-    inter, union, _ = _overlap(a, b)
-    return inter / union if union > 0.0 else 0.0
+    return float(box_overlaps(a.to_array(), b.to_array())[0])
 
 
 def giou(a: BBox, b: BBox) -> float:
     """Generalized IoU in [-1, 1]: IoU minus the enclosing-box dead space."""
-    inter, union, enclose = _overlap(a, b)
-    base = inter / union if union > 0.0 else 0.0
-    if enclose <= 0.0:
-        return base
-    return base - (enclose - union) / enclose
+    return float(box_overlaps(a.to_array(), b.to_array())[1])
 
 
 # ---------------------------------------------------------------------------
@@ -232,41 +241,19 @@ def giou_pairs(a: Tensor, b: Tensor) -> Tensor:
     return inter / union - (enclose - union) / enclose
 
 
-def _target_rows(targets: Sequence[BBox]) -> np.ndarray:
-    return np.array([(t.cx, t.cy, t.w, t.h) for t in targets], dtype=np.float64).reshape(-1, 4)
-
-
 def grounding_cost(boxes: np.ndarray, confidence: np.ndarray, targets: Sequence[BBox],
                    weights: LossWeights = LossWeights()) -> np.ndarray:
     """(..., Q, T) matching cost of (..., Q, 4) boxes and (..., Q) confidences
     against T target boxes: weighted L1 + (1 - GIoU) - confidence bonus.
 
-    Each entry takes the same float operations in the same order as the
-    scalar ``giou(BBox(*clip(box)), target)`` path, so it equals that path
-    bit for bit: L1 on the raw box, GIoU on the box clipped to [0, 1], the
-    zero-union and zero-enclosure branches of :func:`iou`/:func:`giou`.
+    L1 is taken on the raw box and GIoU, from :func:`box_overlaps`, on the
+    box clipped to [0, 1], so each entry is ``giou`` of that clipped box.
     """
     boxes = np.asarray(boxes, dtype=np.float64)
     confidence = np.asarray(confidence, dtype=np.float64)
-    targets = _target_rows(targets)
+    targets = box_rows(targets)
     l1 = np.abs(boxes[..., :, None, :] - targets).sum(axis=-1)
-    pb = np.clip(boxes, 0.0, 1.0)[..., :, None, :]  # (..., Q, 1, 4)
-    pcx, pcy, pw, ph = pb[..., 0], pb[..., 1], pb[..., 2], pb[..., 3]
-    tcx, tcy, tw, th = targets[:, 0], targets[:, 1], targets[:, 2], targets[:, 3]
-    ax1, ay1, ax2, ay2 = pcx - pw / 2.0, pcy - ph / 2.0, pcx + pw / 2.0, pcy + ph / 2.0
-    bx1, by1, bx2, by2 = tcx - tw / 2.0, tcy - th / 2.0, tcx + tw / 2.0, tcy + th / 2.0
-    iw = np.maximum(np.minimum(ax2, bx2) - np.maximum(ax1, bx1), 0.0)
-    ih = np.maximum(np.minimum(ay2, by2) - np.maximum(ay1, by1), 0.0)
-    inter = iw * ih
-    union = pw * ph + tw * th - inter
-    enclose = (np.maximum(ax2, bx2) - np.minimum(ax1, bx1)) * (
-        np.maximum(ay2, by2) - np.minimum(ay1, by1))
-    # a union of 0 needs two zero-area boxes, whose intersection is 0 too
-    base = inter / np.where(union > 0.0, union, 1.0)
-    # the enclosure can be 0 with a positive union: a width far below the
-    # spacing of floats at its center collapses the corners
-    g = np.where(enclose > 0.0, base - (enclose - union) / np.where(enclose > 0.0, enclose, 1.0),
-                 base)
+    _, g = box_overlaps(np.clip(boxes, 0.0, 1.0)[..., :, None, :], targets)
     return weights.l1 * l1 + weights.giou * (1.0 - g) - weights.conf * confidence[..., :, None]
 
 
@@ -307,7 +294,7 @@ def batch_assignment_loss(boxes: Tensor, confidence: Tensor,
     labels = labels.reshape(confidence.shape)
 
     picked = take_rows(reshape(boxes, (batch * num_q, 4)), rows)  # (M, 4)
-    target_tensor = Tensor(_target_rows(matched))
+    target_tensor = Tensor(box_rows(matched))
     l1_term = tsum(absolute(picked - target_tensor) * (weights.l1 * pair_w)[:, None])
     giou_term = tsum((1.0 - giou_pairs(picked, target_tensor)) * (weights.giou * pair_w))
     likelihood = confidence * (2.0 * labels - 1.0) + (1.0 - labels)

@@ -3,7 +3,8 @@
 A prediction counts as correct at threshold theta only when its IoU with
 the ground truth is strictly greater than theta, so a pair sitting exactly
 on the threshold is wrong. ``mP`` is the plain arithmetic mean of the
-per-threshold precisions.
+per-threshold precisions. :func:`score_ious` is that rule, applied to one
+IoU per sample; every precision in the package goes through it.
 
 Dataset statistics: the object-to-scene ratio is computed per bounding box
 as ``100 * box_area / image_area``; spreads are population (not sample)
@@ -19,8 +20,10 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Sequence
 
+import numpy as np
+
 from mogref.data import AnnotationRecord, ValidationError, normalize_words
-from mogref.matching import BBox, iou
+from mogref.matching import BBox, box_overlaps, box_rows
 
 DEFAULT_THRESHOLDS = (0.5, 0.6, 0.7, 0.8)
 
@@ -59,21 +62,30 @@ class EvalResult:
         return [repr(p) for p in self.precisions.values()] + [repr(self.mp)]
 
 
-def precision_at(pairs: Sequence[tuple[BBox, BBox]], theta: float) -> float:
-    """Fraction of (prediction, ground-truth) pairs with IoU strictly > theta."""
-    if not pairs:
-        raise ValueError("precision_at needs at least one pair")
-    if not (0.0 < theta < 1.0):
-        raise ValueError(f"theta must be in (0, 1), got {theta}")
-    hits = sum(1 for pred, gt in pairs if iou(pred, gt) > theta)
-    return hits / len(pairs)
+def score_ious(ious: np.ndarray, thetas: Sequence[float] = DEFAULT_THRESHOLDS) -> EvalResult:
+    """Precision at each theta of one IoU per sample: the fraction strictly
+    above theta, as a Python ``float``; ``mP`` is their plain mean."""
+    ious = np.asarray(ious, dtype=np.float64)
+    if ious.size == 0:
+        raise ValueError("precision needs at least one pair")
+    for theta in thetas:
+        if not (0.0 < theta < 1.0):
+            raise ValueError(f"theta must be in (0, 1), got {theta}")
+    precisions = {t: int(np.count_nonzero(ious > t)) / ious.size for t in thetas}
+    mp = sum(precisions.values()) / len(precisions)
+    return EvalResult(precisions, mp, ious.size)
 
 
 def mean_precision(pairs: Sequence[tuple[BBox, BBox]],
                    thetas: Sequence[float] = DEFAULT_THRESHOLDS) -> EvalResult:
-    precisions = {t: precision_at(pairs, t) for t in thetas}
-    mp = sum(precisions.values()) / len(precisions)
-    return EvalResult(precisions, mp, len(pairs))
+    """:func:`score_ious` of (prediction, ground-truth) pairs, one IoU each."""
+    ious, _ = box_overlaps(box_rows([p for p, _ in pairs]), box_rows([g for _, g in pairs]))
+    return score_ious(ious, thetas)
+
+
+def precision_at(pairs: Sequence[tuple[BBox, BBox]], theta: float) -> float:
+    """Fraction of (prediction, ground-truth) pairs with IoU strictly > theta."""
+    return mean_precision(pairs, (theta,)).precisions[theta]
 
 
 # ---------------------------------------------------------------------------

@@ -120,11 +120,6 @@ class Prediction:
     boxes: Tensor  # (B, Q, 4) center-form, float64 sigmoid outputs
     confidence: Tensor  # (B, Q), float64 sigmoid outputs
 
-    def best_box(self, sample: int):
-        """Highest-confidence box of one sample as a plain array."""
-        q = int(np.argmax(self.confidence.data[sample]))
-        return self.boxes.data[sample, q], float(self.confidence.data[sample, q])
-
 
 _POSITION_CACHE: dict[tuple[int, int, np.dtype], np.ndarray] = {}
 

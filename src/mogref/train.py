@@ -34,8 +34,8 @@ from mogref.data import (
     require_count,
     tokenize,
 )
-from mogref.matching import BBox, grounding_loss, iou
-from mogref.metrics import DEFAULT_THRESHOLDS, EvalResult, mean_precision
+from mogref.matching import BBox, box_overlaps, box_rows, grounding_loss
+from mogref.metrics import DEFAULT_THRESHOLDS, EvalResult, score_ious
 from mogref.model import MODEL_DTYPES, Prediction, SCSModel
 from mogref.rng import RngState
 from mogref.tensor import Parameter, backward, no_grad
@@ -137,8 +137,10 @@ def load_dataset_dir(path, vocab: Vocab, dtype: str = "float32") -> GroundingDat
     if not records:
         raise ValidationError(f"{ann}: no records")
     width, height = records[0].image_w, records[0].image_h
-    if any((rec.image_w, rec.image_h) != (width, height) for rec in records):
-        raise ValidationError("all images in a dataset must share one resolution")
+    for i, rec in enumerate(records):
+        if (rec.image_w, rec.image_h) != (width, height):
+            raise ValidationError(f"{ann}: records[{i}] is {rec.image_w}x{rec.image_h}, records[0] "
+                                  f"{width}x{height}; a dataset has one resolution")
     images_dir = ann.parent / "images"
     images = None
     for i, rec in enumerate(records):
@@ -270,43 +272,34 @@ def eval_chunk(tokens_per_scene: int) -> int:
     return max(1, min(16, EVAL_TOKEN_ROWS // tokens_per_scene))
 
 
-def predict_best_boxes(model: SCSModel, dataset: GroundingDataset) -> list[tuple[BBox, float]]:
-    """Highest-confidence box (and its confidence) for every sample.
+def predict_best_boxes(model: SCSModel, dataset: GroundingDataset) -> np.ndarray:
+    """The (N, 4) float64 highest-confidence box of every sample, clipped to [0, 1].
 
     Runs the no-grad forwards in chunks of :func:`eval_chunk` scenes. A
     non-finite prediction (weights that diverged) raises
     :class:`DivergenceError` naming the samples.
     """
     chunk = eval_chunk(model.config.num_visual_tokens + dataset.token_ids.shape[1])
-    out = []
+    out = np.empty((len(dataset), 4))
     for lo in range(0, len(dataset), chunk):
         with no_grad():
             pred = model.forward(dataset.images[lo:lo + chunk], dataset.token_ids[lo:lo + chunk])
         _require_finite(pred, range(lo, lo + chunk), "in evaluation")
-        for b in range(pred.boxes.shape[0]):
-            box, conf = pred.best_box(b)
-            out.append((BBox(*np.clip(box, 0.0, 1.0)), conf))
-    return out
-
-
-def eval_pairs(predictions: Sequence[BBox], targets: Sequence[Sequence[BBox]]
-               ) -> list[tuple[BBox, BBox]]:
-    """Pair each prediction with its best-IoU ground-truth box.
-
-    Records may carry several target boxes; the prediction is scored
-    against whichever it overlaps most.
-    """
-    pairs = []
-    for pred, tgts in zip(predictions, targets):
-        best = max(tgts, key=lambda t: iou(pred, t))
-        pairs.append((pred, best))
-    return pairs
+        best = np.argmax(pred.confidence.data, axis=1)
+        out[lo:lo + chunk] = pred.boxes.data[np.arange(best.size), best]
+    return np.clip(out, 0.0, 1.0)
 
 
 def evaluate_model(model: SCSModel, dataset: GroundingDataset,
                    thetas: Sequence[float] = DEFAULT_THRESHOLDS) -> EvalResult:
-    preds = [box for box, _ in predict_best_boxes(model, dataset)]
-    return mean_precision(eval_pairs(preds, dataset.targets), thetas)
+    """P@theta of each sample's :func:`predict_best_boxes` box, scored by its
+    IoU with whichever of the sample's target boxes it overlaps most."""
+    counts = np.array([len(targets) for targets in dataset.targets], dtype=np.intp)
+    if not counts.all():
+        raise ValueError("every evaluated sample needs a target box")
+    preds = np.repeat(predict_best_boxes(model, dataset), counts, axis=0)
+    ious, _ = box_overlaps(preds, box_rows([t for targets in dataset.targets for t in targets]))
+    return score_ious(np.maximum.reduceat(ious, np.cumsum(counts) - counts), thetas)
 
 
 # ---------------------------------------------------------------------------

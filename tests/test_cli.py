@@ -24,7 +24,13 @@ from mogref.cli import (
     build_parser,
     main,
 )
-from mogref.data import SyntheticSceneSpec, default_vocab, load_annotations, read_ppm
+from mogref.data import (
+    SyntheticSceneSpec,
+    ValidationError,
+    default_vocab,
+    load_annotations,
+    read_ppm,
+)
 from mogref.metrics import EvalResult
 from mogref.model import ModelConfig, SCSModel
 from mogref.train import TrainConfig, build_synthetic_dataset, load_dataset_dir
@@ -311,8 +317,10 @@ class TestTrainEval:
         ("config", "num_queries", True, "num_queries must be an integer, got True"),
         ("config", "dilations", [1, 2, 3, 4.7], "each of dilations must be an integer, got 4.7"),
         ("config", "dilations", [True, 2, 3, 4], "each of dilations must be an integer, got True"),
+        ("vocab", 1, "the", "bad checkpoint vocab: vocabulary contains duplicate words"),
+        ("config", "vocab_size", 7, "config vocab_size is 7"),
     ], ids=["vocab-list", "vocab-object", "float-model-dim", "bool-count", "fraction-dilation",
-            "bool-dilation"])
+            "bool-dilation", "vocab-duplicate", "vocab-size"])
     def test_eval_checkpoint_with_a_mistyped_value_names_it(self, tmp_path, capsys,
                                                             section, key, value, named):
         main(["train", "--steps", "0", "--scenes", "1", "--seed", "1",
@@ -502,6 +510,38 @@ class TestTrainEval:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "run" / "checkpoint.json").exists()
 
+    @pytest.mark.parametrize("mangle, message", [
+        (lambda doc, ppm: doc.update(records=[]), "annotations.json: no records"),
+        (lambda doc, ppm: doc["records"][1].update(image_w=32),
+         "records[1] is 32x16, records[0] 16x16"),
+        (lambda doc, ppm: doc["records"][1].update(image_w=0),
+         "records[1]: image_w/image_h must be positive"),
+        (lambda doc, ppm: doc["records"][1].update(expression=""), "records[1]: expression is empty"),
+        (lambda doc, ppm: doc["records"].__setitem__(1, 5), "records[1]: expected an object"),
+        (lambda doc, ppm: ppm.write_bytes(b"P6\n16 16"), ".ppm: truncated PPM header"),
+        (lambda doc, ppm: ppm.write_bytes(b"P6\n16 x\n255\n" + bytes(768)),
+         ".ppm: malformed PPM header"),
+        (lambda doc, ppm: ppm.write_bytes(b"P6\n16 16\n65535\n" + bytes(1536)),
+         ".ppm: only maxval 255 is supported"),
+    ], ids=["no-records", "two-resolutions", "zero-width", "empty-expression", "record-not-object",
+            "ppm-truncated-header", "ppm-non-integer-field", "ppm-maxval"])
+    def test_train_on_a_malformed_dataset_dir_names_the_fault(self, tmp_path, capsys,
+                                                             mangle, message):
+        data_dir = tmp_path / "data"
+        main(["make-data", "--scenes", "2", "--seed", "4", "--image-size", "16",
+              "--distractors", "1", "--ppm", "--out-dir", str(data_dir)])
+        ann = data_dir / "annotations.json"
+        doc = json.loads(ann.read_text())
+        mangle(doc, data_dir / "images" / f"{doc['records'][0]['image_id']}.ppm")
+        ann.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            load_dataset_dir(data_dir, default_vocab())
+        capsys.readouterr()
+        assert main(["train", "--steps", "2", "--data", str(data_dir), *TINY_MODEL_FLAGS,
+                     "--out-dir", str(tmp_path / "run")]) == EXIT_VALIDATION
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "run" / "checkpoint.json").exists()
+
     @pytest.mark.parametrize("flag, value, named", [
         ("--lr", "0", "lr"),
         ("--lr", "-1e-3", "lr"),
@@ -536,6 +576,30 @@ class TestTrainEval:
         assert code == EXIT_VALIDATION
         assert re.search(rf"validation error: {named} must", capsys.readouterr().err)
         assert not (tmp_path / "checkpoint.json").exists()
+
+
+class TestBadFlagsCostNoWork:
+    @pytest.mark.parametrize("args, message", [
+        (["train", "--patch-size", "7"], "not divisible by patch_size 7"),
+        (["train", "--dilations", "1,x", "--scenes", "3000"], "bad --dilations value '1,x'"),
+        (["make-data", "--sizes", "huge"], "unknown size class 'huge'"),
+        (["sweep", "--num-heads", "3"], "not divisible by num_heads 3"),
+        (["eval", "--checkpoint", "{}"], "expected mogref.checkpoint v1"),
+    ], ids=["train-patch-size", "train-dilations", "make-data-sizes", "sweep-num-heads",
+            "eval-empty-checkpoint"])
+    def test_refused_before_the_out_dir_or_a_dataset(self, tmp_path, monkeypatch, capsys,
+                                                     args, message):
+        # each once created --out-dir first; train and sweep built every scene
+        built = []
+        monkeypatch.setattr(cli, "build_synthetic_dataset", lambda *a, **k: built.append(a))
+        checkpoint = tmp_path / "empty.json"
+        checkpoint.write_text("{}")
+        args = [str(checkpoint) if a == "{}" else a for a in args]
+        out = tmp_path / "out"
+        assert main([*args, "--out-dir", str(out)]) == EXIT_VALIDATION
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+        assert built == []
 
 
 class TestSweep:

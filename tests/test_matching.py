@@ -14,6 +14,8 @@ from mogref.matching import (
     BBox,
     LossWeights,
     batch_assignment_loss,
+    box_overlaps,
+    box_rows,
     giou,
     giou_pairs,
     grounding_cost,
@@ -57,9 +59,23 @@ def brute_force_min_cost(cost: np.ndarray) -> float:
     return min(sum(cost[r, c] for r, c in pairs) for pairs in all_assignments(*cost.shape))
 
 
+def scalar_iou_giou(a: BBox, b: BBox) -> tuple[float, float]:
+    """IoU and GIoU of two boxes in plain Python floats, one pair at a time:
+    the reference ``box_overlaps`` must equal bit for bit."""
+    ax1, ay1, ax2, ay2 = a.corners()
+    bx1, by1, bx2, by2 = b.corners()
+    iw = max(0.0, min(ax2, bx2) - max(ax1, bx1))
+    ih = max(0.0, min(ay2, by2) - max(ay1, by1))
+    inter = iw * ih
+    union = a.w * a.h + b.w * b.h - inter
+    enclose = (max(ax2, bx2) - min(ax1, bx1)) * (max(ay2, by2) - min(ay1, by1))
+    base = inter / union if union > 0.0 else 0.0
+    return base, (base if enclose <= 0.0 else base - (enclose - union) / enclose)
+
+
 def scalar_cost(boxes: np.ndarray, confidence: np.ndarray, targets, weights=LossWeights()):
-    """The matching cost entry by entry through BBox/giou: the reference the
-    array-built cost must equal bit for bit."""
+    """The matching cost entry by entry through :func:`scalar_iou_giou`: the
+    reference the array-built cost must equal bit for bit."""
     cost = np.empty((boxes.shape[0], len(targets)), dtype=np.float64)
     for qi in range(boxes.shape[0]):
         pb = BBox(*np.clip(boxes[qi], 0.0, 1.0))
@@ -67,7 +83,7 @@ def scalar_cost(boxes: np.ndarray, confidence: np.ndarray, targets, weights=Loss
             l1 = float(np.abs(boxes[qi] - tgt.to_array()).sum())
             cost[qi, ti] = (
                 weights.l1 * l1
-                + weights.giou * (1.0 - giou(pb, tgt))
+                + weights.giou * (1.0 - scalar_iou_giou(pb, tgt)[1])
                 - weights.conf * float(confidence[qi])
             )
     return cost
@@ -98,6 +114,13 @@ def random_box(rng: RngState) -> BBox:
     return BBox(cx, cy, w, h)
 
 
+def random_degenerate_box(rng: RngState) -> BBox:
+    """A box whose width and height are each 0 a quarter of the time."""
+    w = 0.0 if rng.randint(4) == 0 else rng.uniform_in(0.0, 0.6)
+    h = 0.0 if rng.randint(4) == 0 else rng.uniform_in(0.0, 0.6)
+    return BBox(rng.uniform_in(w / 2, 1 - w / 2), rng.uniform_in(h / 2, 1 - h / 2), w, h)
+
+
 class TestBBox:
     def test_field_validation(self):
         with pytest.raises(ValueError, match="cx"):
@@ -113,7 +136,9 @@ class TestBBox:
         assert b.h == pytest.approx(0.2)
 
     def test_degenerate_zero_width_allowed(self):
-        assert BBox(0.5, 0.5, 0.0, 0.3).area() == 0.0
+        box = BBox(0.5, 0.5, 0.0, 0.3)
+        assert box.w == 0.0
+        assert iou(box, box) == 0.0  # a zero union
 
 
 class TestIoU:
@@ -175,6 +200,35 @@ class TestGIoU:
         ).data
         scal = [giou(a, b) for a, b in zip(boxes_a, boxes_b)]
         assert np.abs(tens - scal).max() < 1e-12
+
+
+class TestBoxOverlaps:
+    @given(st.integers(1, 5), st.integers(1, 5), st.integers(0, 100_000))
+    def test_grid_equals_scalar_reference_bit_for_bit(self, num_a, num_b, seed):
+        rng = RngState(seed)
+        a = [random_degenerate_box(rng) for _ in range(num_a)]
+        b = [random_degenerate_box(rng) for _ in range(num_b)]
+        got_iou, got_giou = box_overlaps(box_rows(a)[:, None], box_rows(b))
+        assert got_iou.shape == got_giou.shape == (num_a, num_b)
+        ref = np.array([[scalar_iou_giou(x, y) for y in b] for x in a])
+        assert np.array_equal(got_iou, ref[..., 0])
+        assert np.array_equal(got_giou, ref[..., 1])
+        assert [iou(x, y) for x in a for y in b] == got_iou.ravel().tolist()
+        assert [giou(x, y) for x in a for y in b] == got_giou.ravel().tolist()
+
+    def test_zero_union_and_zero_enclosure(self):
+        point = BBox(0.5, 0.5, 0.0, 0.0)
+        # a width far below the float spacing at 0.5 collapses the corners:
+        # zero enclosure, positive union
+        sliver = BBox(0.5, 0.5, 4e-17, 1.0)
+        assert sliver.corners()[0] == sliver.corners()[2]
+        for box, want in ((point, (0.0, 0.0)), (sliver, (0.0, 0.0))):
+            assert scalar_iou_giou(box, box) == want
+            assert tuple(box_overlaps(box.to_array(), box.to_array())) == want
+
+    def test_scalar_forms_return_python_floats(self):
+        a, b = BBox(0.4, 0.4, 0.2, 0.3), BBox(0.5, 0.5, 0.2, 0.2)
+        assert type(iou(a, b)) is float and type(giou(a, b)) is float
 
 
 def per_column_giou(a: Tensor, b: Tensor) -> Tensor:
@@ -474,12 +528,7 @@ class TestCostMatrix:
         for q in range(num_q):
             if rng.randint(3) == 0:
                 boxes[q, 2 + rng.randint(2)] = 0.0
-        targets = []
-        for _ in range(num_t):
-            w = 0.0 if rng.randint(4) == 0 else rng.uniform_in(0.0, 0.6)
-            h = 0.0 if rng.randint(4) == 0 else rng.uniform_in(0.0, 0.6)
-            targets.append(BBox(rng.uniform_in(w / 2, 1 - w / 2),
-                                rng.uniform_in(h / 2, 1 - h / 2), w, h))
+        targets = [random_degenerate_box(rng) for _ in range(num_t)]
         return boxes, rng.uniform_array((num_q,), 0.0, 1.0), targets
 
     @given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 100_000))

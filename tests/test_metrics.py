@@ -101,6 +101,23 @@ class TestMeanPrecision:
         # so a mean-of-printed-columns may sit up to 0.01 from the printed mP
         assert sum(precisions) / len(precisions) == pytest.approx(mp, abs=0.01)
 
+    def test_precisions_are_python_floats(self):
+        # a numpy scalar would write eval.csv cells as np.float64(...)
+        result = mean_precision([pair_with_iou(0.72), pair_with_iou(0.55)])
+        assert {type(v) for v in result.precisions.values()} | {type(result.mp)} == {float}
+        assert type(result.count) is int
+
+    def test_one_overlap_call_for_all_thresholds(self, monkeypatch):
+        from mogref import metrics, matching
+
+        calls = []
+        monkeypatch.setattr(metrics, "box_overlaps",
+                            lambda a, b: calls.append(a.shape) or matching.box_overlaps(a, b))
+        pairs = [pair_with_iou(v) for v in (0.3, 0.55, 0.65, 0.75, 0.85)]
+        result = mean_precision(pairs, DEFAULT_THRESHOLDS)
+        assert calls == [(5, 4)]
+        assert [result.precisions[t] for t in DEFAULT_THRESHOLDS] == [0.8, 0.6, 0.4, 0.2]
+
     def test_round_trip_json(self):
         result = mean_precision([pair_with_iou(0.72), pair_with_iou(0.55)])
         back = EvalResult.from_json(json.loads(json.dumps(result.to_json())))

@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from mogref.data import SyntheticSceneSpec, ValidationError, default_vocab, generate_scene
-from mogref.matching import BBox
-from mogref.metrics import mean_precision
+from mogref.matching import BBox, box_rows, iou
+from mogref.metrics import DEFAULT_THRESHOLDS, EvalResult
 from mogref.model import ModelConfig, SCSModel
 from mogref.rng import RngState
 from mogref import train as train_module
@@ -22,8 +22,8 @@ from mogref.train import (
     ParamGroup,
     TrainConfig,
     build_synthetic_dataset,
+    GroundingDataset,
     eval_chunk,
-    eval_pairs,
     evaluate_model,
     load_dataset_dir,
     predict_best_boxes,
@@ -310,29 +310,66 @@ class TestTraining:
         assert result.steps_run < 400
 
 
-class TestEvaluation:
-    def test_perfect_oracle_predictor_scores_one(self):
-        _, ds = tiny_setup(scenes=6)
-        preds = [targets[0] for targets in ds.targets]
-        result = mean_precision(eval_pairs(preds, ds.targets))
-        assert result.mp == 1.0
+def reference_eval(boxes, targets, thetas=DEFAULT_THRESHOLDS) -> EvalResult:
+    """The eval protocol from scalar ``iou`` and ``max``: each sample's box is
+    scored by its best IoU over the sample's targets, correct when > theta."""
+    best = [max(iou(BBox(*box), t) for t in tgts) for box, tgts in zip(boxes, targets)]
+    precisions = {t: sum(v > t for v in best) / len(best) for t in thetas}
+    return EvalResult(precisions, sum(precisions.values()) / len(precisions), len(best))
 
-    def test_eval_pairs_picks_best_target(self):
-        pred = BBox(0.25, 0.25, 0.3, 0.3)
-        near = BBox(0.25, 0.25, 0.3, 0.3)
-        far = BBox(0.8, 0.8, 0.1, 0.1)
-        pairs = eval_pairs([pred], [[far, near]])
-        assert pairs[0][1] == near
+
+def nested(box: BBox, overlap: float) -> BBox:
+    """The box of the same center whose IoU with ``box`` is ``overlap``."""
+    return BBox(box.cx, box.cy, box.w * overlap**0.5, box.h * overlap**0.5)
+
+
+class TestEvaluation:
+    def test_perfect_oracle_predictor_scores_one(self, monkeypatch):
+        model, ds = tiny_setup(scenes=6)
+        oracle = box_rows([targets[0] for targets in ds.targets])
+        monkeypatch.setattr(train_module, "predict_best_boxes", lambda *_: oracle)
+        assert evaluate_model(model, ds).mp == 1.0
+
+    def test_each_sample_is_scored_against_its_best_target(self):
+        # two or three targets per sample, the best one at every position;
+        # scoring only the first or only the last target reads lower
+        model, ds = tiny_setup(scenes=6)
+        preds = train_module.predict_best_boxes(model, ds)
+        overlaps = [(0.55, 0.1), (0.2, 0.65), (0.3, 0.75, 0.05), (0.1, 0.85, 0.4),
+                    (0.02, 0.3, 0.95), (0.45, 0.58)]
+        targets = [[nested(BBox(*box), v) for v in vs] for box, vs in zip(preds, overlaps)]
+        result = evaluate_model(model, replace(ds, targets=targets))
+        assert result == reference_eval(preds, targets)
+        assert result.precisions == {0.5: 1.0, 0.6: 4 / 6, 0.7: 3 / 6, 0.8: 2 / 6}
+
+    def test_a_sample_without_targets_is_refused(self):
+        # a per-sample maximum over no targets would read a neighbour's IoU
+        model, ds = tiny_setup(scenes=3)
+        with pytest.raises(ValueError, match="every evaluated sample needs a target box"):
+            evaluate_model(model, replace(ds, targets=[ds.targets[0], [], ds.targets[2]]))
+
+    def test_precisions_are_python_floats(self):
+        model, ds = tiny_setup(scenes=4)
+        result = evaluate_model(model, ds)
+        assert {type(v) for v in result.precisions.values()} | {type(result.mp)} == {float}
+
+    def test_one_overlap_call_per_evaluation(self, monkeypatch):
+        model, ds = tiny_setup(scenes=4)
+        calls = []
+        real = train_module.box_overlaps
+        monkeypatch.setattr(train_module, "box_overlaps",
+                            lambda a, b: calls.append(a.shape) or real(a, b))
+        evaluate_model(model, ds)
+        assert calls == [(4, 4)]
 
     def test_predict_best_boxes_uses_argmax_confidence(self):
         model, ds = tiny_setup(scenes=3)
         preds = predict_best_boxes(model, ds)
-        assert len(preds) == 3
+        assert preds.shape == (3, 4)
         pred_full = model.forward(ds.images, ds.token_ids)
-        for b, (box, conf) in enumerate(preds):
+        for b, box in enumerate(preds):
             q = int(np.argmax(pred_full.confidence.data[b]))
-            assert conf == pred_full.confidence.data[b, q]
-            assert np.allclose(box.to_array(), pred_full.boxes.data[b, q])
+            assert np.allclose(box, np.clip(pred_full.boxes.data[b, q], 0.0, 1.0))
 
     def test_evaluate_model_bounds(self):
         model, ds = tiny_setup(scenes=4)
@@ -341,21 +378,22 @@ class TestEvaluation:
         assert all(0.0 <= v <= 1.0 for v in result.precisions.values())
         assert result.count == 4
 
-    def test_constant_predictor_on_fixture_matches_hand_ious(self, fixtures_dir):
+    def test_constant_predictor_on_fixture_matches_hand_ious(self, fixtures_dir, monkeypatch):
         from mogref.data import load_annotations
         from mogref.train import _targets_of
 
         records = load_annotations(fixtures_dir / "annotations_fixture.json")
         targets = [_targets_of(r) for r in records]
         constant = BBox(0.5, 0.35, 0.12, 0.12)
-        pairs = eval_pairs([constant, constant], targets)
         # record 1 target normalizes to (0.5, 0.35, 0.1, 0.1): nested boxes,
         # IoU = 0.01 / 0.0144 = 25/36 ~ 0.694; record 2 overlaps negligibly
-        from mogref.matching import iou
-
         assert iou(constant, targets[0][0]) == pytest.approx(25.0 / 36.0, abs=1e-12)
         assert iou(constant, targets[1][0]) < 0.01
-        result = mean_precision(pairs)
+        monkeypatch.setattr(train_module, "predict_best_boxes",
+                            lambda *_: box_rows([constant, constant]))
+        dataset = GroundingDataset(np.zeros((2, 1, 1, 3)), np.zeros((2, 1), dtype=np.intp),
+                                   targets, records)
+        result = evaluate_model(None, dataset)
         assert result.precisions == {0.5: 0.5, 0.6: 0.5, 0.7: 0.0, 0.8: 0.0}
         assert result.mp == 0.25
 
@@ -586,8 +624,9 @@ class TestDtypeAudit:
     def test_eval_boxes_and_confidences_are_float64(self):
         model, dataset = tiny_setup()
         assert model.config.dtype == "float32"
-        for box, conf in predict_best_boxes(model, dataset):
-            assert all(type(v) in (float, np.float64) for v in (box.cx, box.cy, box.w, box.h, conf))
+        with no_grad():
+            assert model.forward(dataset.images, dataset.token_ids).confidence.data.dtype == np.float64
+        assert predict_best_boxes(model, dataset).dtype == np.float64
 
 
 class TestEvalChunks:
@@ -624,15 +663,10 @@ class TestLongSequenceEval:
         model, ds = longseq
         assert eval_chunk(model.config.num_visual_tokens + ds.token_ids.shape[1]) == 4
         full = self.full_forward(model, ds)
-        chunked = predict_best_boxes(model, ds)
-        singles = [full.best_box(b) for b in range(len(ds))]
-        for (box, conf), (want_box, want_conf) in zip(chunked, singles):
-            assert abs(conf - want_conf) <= 1e-12
-            np.testing.assert_allclose(box.to_array(), np.clip(want_box, 0.0, 1.0),
-                                       rtol=0, atol=1e-12)
-        want = mean_precision(eval_pairs([BBox(*np.clip(box, 0.0, 1.0)) for box, _ in singles],
-                                         ds.targets))
-        assert evaluate_model(model, ds).precisions == want.precisions
+        best = np.argmax(full.confidence.data, axis=1)
+        want = np.clip(full.boxes.data[np.arange(len(ds)), best], 0.0, 1.0)
+        np.testing.assert_allclose(predict_best_boxes(model, ds), want, rtol=0, atol=1e-12)
+        assert evaluate_model(model, ds).precisions == reference_eval(want, ds.targets).precisions
 
     def test_eval_peak_is_under_half_of_one_forward(self, longseq):
         model, ds = longseq
