@@ -66,9 +66,11 @@ FULL_SCALE_SWEEP_REFERENCE = {
 }
 
 
-def _out_dir(args) -> Path:
-    path = Path(args.out_dir or os.environ.get("MOGREF_OUT_DIR", "runs"))
-    path.mkdir(parents=True, exist_ok=True)
+def _artifact(args, name: str) -> Path:
+    """The path of artifact ``name``, its directory made now: a run refused
+    before it writes anything leaves no ``--out-dir`` behind."""
+    path = Path(args.out_dir or os.environ.get("MOGREF_OUT_DIR", "runs")) / name
+    path.parent.mkdir(parents=True, exist_ok=True)
     return path
 
 
@@ -77,29 +79,27 @@ def _run_config(args) -> dict:
     return {k: (list(v) if isinstance(v, tuple) else v) for k, v in sorted(cfg.items())}
 
 
-def _write_json(path: Path, payload: dict, args) -> None:
+def _write_json(args, name: str, payload: dict) -> None:
     doc = {"schema_version": ARTIFACT_SCHEMA_VERSION, "run_config": _run_config(args)}
     doc.update(payload)
+    path = _artifact(args, name)
     with atomic_open(path) as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
     print(f"wrote {path}")
 
 
-def _write_text(path: Path, text: str) -> None:
-    with atomic_open(path) as fh:
-        fh.write(text)
-    print(f"wrote {path}")
-
-
-def _csv_text(header: list[str], rows: list[list[str]], args,
-              comments: tuple[str, ...] = ()) -> str:
+def _write_csv(args, name: str, header: list[str], rows: list[list[str]],
+               comments: tuple[str, ...] = ()) -> None:
     lines = [f"# schema_version: {ARTIFACT_SCHEMA_VERSION}",
              f"# run_config: {json.dumps(_run_config(args), sort_keys=True)}"]
     lines += [f"# {c}" for c in comments]
     lines.append(",".join(header))
     lines += [",".join(row) for row in rows]
-    return "\n".join(lines) + "\n"
+    path = _artifact(args, name)
+    with atomic_open(path) as fh:
+        fh.write("\n".join(lines) + "\n")
+    print(f"wrote {path}")
 
 
 def _blas_env() -> dict:
@@ -138,6 +138,7 @@ def _add_model_flags(p: argparse.ArgumentParser, dilations: bool = True) -> None
 
 
 def _add_scene_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--scenes", type=int, default=16, help="synthetic scenes to build")
     p.add_argument("--distractors", type=int, default=SyntheticSceneSpec.num_distractors)
     p.add_argument("--sizes", default=",".join(SyntheticSceneSpec.size_classes),
                    help="comma-separated size classes for generated objects")
@@ -161,9 +162,7 @@ def _load_any_dataset(args, spec: SyntheticSceneSpec | None, vocab, dtype: str):
 
 
 # ---------------------------------------------------------------------------
-# commands: each builds every config it uses and loads its checkpoint before
-# it creates the output directory or builds a dataset, so a bad flag costs
-# no work and leaves nothing behind
+# commands
 # ---------------------------------------------------------------------------
 
 
@@ -175,9 +174,8 @@ def cmd_gradcheck(args) -> int:
         flag = "ok  " if r.passed else "FAIL"
         print(f"{flag} {r.op:28s} worst_rel_err={r.worst_rel_err:.3e} "
               f"(tol {r.tolerance:g}, param {r.worst_param})")
-    _write_json(_out_dir(args) / "gradcheck.json",
-                {"results": [r.to_json() for r in results], "all_passed": all_passed},
-                args)
+    _write_json(args, "gradcheck.json",
+                {"results": [r.to_json() for r in results], "all_passed": all_passed})
     if not all_passed:
         failed = [r.op for r in results if not r.passed]
         print(f"gradient check FAILED for: {', '.join(failed)}", file=sys.stderr)
@@ -187,18 +185,17 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_make_data(args) -> int:
     spec = _scene_spec(args)
-    out = _out_dir(args)
     # float64, the rendered values themselves: the PPMs quantize those
     dataset = build_synthetic_dataset(args.scenes, spec, default_vocab(), args.seed, dtype="float64")
-    save_annotations(out / "annotations.json", dataset.records)
-    print(f"wrote {out / 'annotations.json'} ({len(dataset)} records)")
+    ann = _artifact(args, "annotations.json")
+    save_annotations(ann, dataset.records)
+    print(f"wrote {ann} ({len(dataset)} records)")
     if args.ppm:
-        img_dir = out / "images"
-        img_dir.mkdir(exist_ok=True)
         for record, image in zip(dataset.records, dataset.images):
-            write_ppm(img_dir / f"{record.image_id}.ppm", image)
-        print(f"wrote {len(dataset)} rasters under {img_dir}")
-    _write_json(out / "make_data.json", {"scenes": len(dataset)}, args)
+            ppm = _artifact(args, f"images/{record.image_id}.ppm")
+            write_ppm(ppm, image)
+        print(f"wrote {len(dataset)} rasters under {ppm.parent}")
+    _write_json(args, "make_data.json", {"scenes": len(dataset)})
     return EXIT_OK
 
 
@@ -214,19 +211,18 @@ def cmd_train(args) -> int:
     config = _model_config(args, len(vocab), _parse_dilations(args.dilations))
     spec = None if args.data else _scene_spec(args)
     allocator_tuned = tune_allocator()
-    out = _out_dir(args)
     dataset = _load_any_dataset(args, spec, vocab, args.dtype)
     model = SCSModel(config, vocab, RngState(args.seed))
     t0 = time.time()
     result = train_toy(model, dataset, cfg)
     elapsed = time.time() - t0
-    ckpt = out / "checkpoint.json"
+    ckpt = _artifact(args, "checkpoint.json")
     model.save(ckpt)
     rows = [[str(row["step"]), repr(row["loss"]),
              "" if row["train_p50"] is None else repr(row["train_p50"])] for row in result.log]
-    _write_text(out / "train_log.csv", _csv_text(["step", "loss", "train_p50"], rows, args))
+    _write_csv(args, "train_log.csv", ["step", "loss", "train_p50"], rows)
     print(f"wrote {ckpt}")
-    _write_json(out / "train_summary.json", {
+    _write_json(args, "train_summary.json", {
         "steps_run": result.steps_run,
         "fit_step": result.fit_step,
         "final_train_p50": result.final_train_p50,
@@ -235,7 +231,7 @@ def cmd_train(args) -> int:
         "checkpoint": str(ckpt),
         "blas_env": _blas_env(),
         "allocator_tuned": allocator_tuned,
-    }, args)
+    })
     if result.log:
         print(f"trained {result.steps_run} steps in {elapsed:.1f}s; "
               f"final loss {result.log[-1]['loss']:.4f}, "
@@ -246,16 +242,14 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     tune_allocator()
     model = SCSModel.load(args.checkpoint)
-    if args.image_size is None:
-        args.image_size = model.config.image_size  # recorded in run_config as resolved
+    # the only raster size the model accepts; run_config records it
+    args.image_size = model.config.image_size
     spec = None if args.data else _scene_spec(args)
-    out = _out_dir(args)
     dataset = _load_any_dataset(args, spec, model.vocab, model.config.dtype)
     result = evaluate_model(model, dataset)
-    _write_json(out / "eval.json", {"eval": result.to_json()}, args)
-    csv_text = _csv_text(result.csv_header() + ["count"],
-                         [result.csv_row() + [str(result.count)]], args)
-    _write_text(out / "eval.csv", csv_text)
+    _write_json(args, "eval.json", {"eval": result.to_json()})
+    _write_csv(args, "eval.csv", result.csv_header() + ["count"],
+               [result.csv_row() + [str(result.count)]])
     cells = " ".join(f"P@{k:g}={v:.4f}" for k, v in result.precisions.items())
     print(f"{cells} mP={result.mp:.4f} over {result.count} samples")
     return EXIT_OK
@@ -272,7 +266,6 @@ def cmd_sweep(args) -> int:
     _model_config(args, len(vocab), tuple(range(1, args.gmax + 1)))
     spec = _scene_spec(args)
     tune_allocator()
-    out = _out_dir(args)
     train_ds = build_synthetic_dataset(args.scenes, spec, vocab, args.seed, args.dtype)
     if args.eval_scenes > 0:
         eval_ds = build_synthetic_dataset(args.eval_scenes, spec, vocab, args.seed + 7919,
@@ -293,12 +286,12 @@ def cmd_sweep(args) -> int:
               f" mP={result.mp:.4f}")
         rows.append([str(g)] + result.csv_row())
         table.append({"granularity": g, **result.to_json()})
-    _write_text(out / "sweep.csv", _csv_text(["Granularity"] + result.csv_header(), rows, args))
-    _write_json(out / "sweep.json", {
+    _write_csv(args, "sweep.csv", ["Granularity"] + result.csv_header(), rows)
+    _write_json(args, "sweep.json", {
         "rows": table,
         "full_scale_reference": {str(k): v for k, v in FULL_SCALE_SWEEP_REFERENCE.items()},
         "reference_note": "full-scale reference numbers for context; not asserted at desk scale",
-    }, args)
+    })
     return EXIT_OK
 
 
@@ -307,14 +300,13 @@ def cmd_stats(args) -> int:
     if not records:
         raise ValidationError(f"{args.data}: no records to summarize")
     stats = dataset_stats(records)
-    out = _out_dir(args)
-    _write_json(out / "stats.json", {"stats": stats.to_json()}, args)
+    _write_json(args, "stats.json", {"stats": stats.to_json()})
     header = ["O2S Ratio Mean (%)", "O2S Ratio Std (%)", "Word No. Mean",
               "Word No. Std", "Target No.", "Bbox No.", "Image No."]
     row = [repr(stats.o2s_mean), repr(stats.o2s_std), repr(stats.words_mean),
            repr(stats.words_std), repr(stats.targets_per_image_mean),
            str(stats.bbox_count), str(stats.image_count)]
-    _write_text(out / "stats.csv", _csv_text(header, [row], args, comments=STAT_DEFINITIONS))
+    _write_csv(args, "stats.csv", header, [row], comments=STAT_DEFINITIONS)
     print(f"o2s {stats.o2s_mean:.3f}% (std {stats.o2s_std:.3f}), "
           f"words {stats.words_mean:.2f} (std {stats.words_std:.2f}), "
           f"{stats.bbox_count} boxes over {stats.image_count} images")
@@ -333,27 +325,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gradcheck", help="finite-difference validation of every gradient")
-    p.add_argument("--seed", type=int, default=0)
+    def command(name: str, func, summary: str, seed: bool = True) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(func=func)
+        if seed:
+            p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--out-dir", default=None,
+                       help="default: $MOGREF_OUT_DIR or ./runs; made with the first artifact")
+        return p
+
+    p = command("gradcheck", cmd_gradcheck, "finite-difference validation of every gradient")
     p.add_argument("--fault-inject", default=None, metavar="OP",
                    help="sign-flip the analytic gradient of one op (harness self-test)")
     p.add_argument("--only", default=None, metavar="OPS",
                    help="comma-separated case names to restrict the run")
-    p.add_argument("--out-dir", default=None)
-    p.set_defaults(func=cmd_gradcheck)
 
-    p = sub.add_parser("make-data", help="generate a synthetic referring dataset")
-    p.add_argument("--scenes", type=int, default=16)
-    p.add_argument("--seed", type=int, default=0)
+    p = command("make-data", cmd_make_data, "generate a synthetic referring dataset")
     p.add_argument("--image-size", type=int, default=SyntheticSceneSpec.image_size)
     _add_scene_flags(p)
     p.add_argument("--ppm", action="store_true", help="also write images/<id>.ppm rasters")
-    p.add_argument("--out-dir", default=None)
-    p.set_defaults(func=cmd_make_data)
 
-    p = sub.add_parser("train", help="train the toy grounding model")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--scenes", type=int, default=16)
+    p = command("train", cmd_train, "train the toy grounding model")
     p.add_argument("--data", default=None,
                    help="dataset directory (annotations.json + images/); default: synthetic scenes")
     p.add_argument("--steps", type=int, default=TrainConfig.steps)
@@ -364,25 +356,15 @@ def build_parser() -> argparse.ArgumentParser:
                    help="stop once train P@0.5 reaches this; <=0 disables")
     _add_model_flags(p)
     _add_scene_flags(p)
-    p.add_argument("--out-dir", default=None)
-    p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", help="evaluate a checkpoint: P@theta table and mP")
+    p = command("eval", cmd_eval, "evaluate a checkpoint: P@theta table and mP")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", default=None,
                    help="dataset directory; default: synthetic scenes from --seed/--scenes")
-    p.add_argument("--scenes", type=int, default=16)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--image-size", type=int, default=None,
-                   help="raster size of the synthetic scenes; default: the checkpoint's")
     _add_scene_flags(p)
-    p.add_argument("--out-dir", default=None)
-    p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("sweep", help="train/evaluate granularity counts 1..G under one budget")
+    p = command("sweep", cmd_sweep, "train/evaluate granularity counts 1..G under one budget")
     p.add_argument("--gmax", type=int, default=6)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--scenes", type=int, default=16)
     p.add_argument("--eval-scenes", type=int, default=0,
                    help="held-out scene count; 0 (default) evaluates the training scenes")
     p.add_argument("--steps", type=int, default=300)
@@ -390,14 +372,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
     _add_model_flags(p, dilations=False)  # the sweep sets dilations 1..G per row
     _add_scene_flags(p)
-    p.add_argument("--out-dir", default=None)
-    p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("stats", help="summarize an annotation file")
+    p = command("stats", cmd_stats, "summarize an annotation file", seed=False)
     p.add_argument("--data", required=True,
                    help="annotation JSON file, or a dataset directory holding annotations.json")
-    p.add_argument("--out-dir", default=None)
-    p.set_defaults(func=cmd_stats)
 
     return parser
 

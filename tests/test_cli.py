@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -131,10 +132,6 @@ class TestMakeDataAndStats:
             assert np.array_equal(raster, quantized)
             assert np.array_equal(loaded, quantized.astype(np.float32))
 
-    def test_make_data_without_scenes_exits_validation(self, tmp_path):
-        assert main(["make-data", "--scenes", "0", "--out-dir", str(tmp_path)]) == EXIT_VALIDATION
-        assert not (tmp_path / "annotations.json").exists()
-
     @pytest.mark.parametrize("args", [
         ["make-data", "--scenes", "100000000000"],
         ["train", "--steps", "1", "--scenes", "1", "--ffn-dim", "1000000000000"],
@@ -245,8 +242,8 @@ class TestTrainEval:
 
         eval_dir = tmp_path / "eval"
         code = main(["eval", "--checkpoint", str(train_dir / "checkpoint.json"),
-                     "--scenes", "2", "--seed", "2", "--image-size", "16",
-                     "--distractors", "1", "--out-dir", str(eval_dir)])
+                     "--scenes", "2", "--seed", "2", "--distractors", "1",
+                     "--out-dir", str(eval_dir)])
         assert code == EXIT_OK
         doc = json.loads((eval_dir / "eval.json").read_text())
         parsed = EvalResult.from_json(doc["eval"])
@@ -267,19 +264,22 @@ class TestTrainEval:
         strip = lambda s: [l for l in s.splitlines() if not l.startswith("#")]
         assert strip(log_a) == strip(log_b)
 
-    def test_eval_checkpoint_config_mismatch(self, tmp_path):
+    def test_eval_checkpoint_config_mismatch(self, tmp_path, capsys):
         main(["train", "--steps", "0", "--scenes", "1", "--seed", "1",
               *TINY_MODEL_FLAGS, "--out-dir", str(tmp_path)])
-        # evaluate against data generated at a different raster size
+        # evaluate a 16-px checkpoint on a dataset rendered at 32 px
+        main(["make-data", "--scenes", "1", "--seed", "1", "--image-size", "32",
+              "--distractors", "1", "--ppm", "--out-dir", str(tmp_path / "data")])
         code = main(["eval", "--checkpoint", str(tmp_path / "checkpoint.json"),
-                     "--scenes", "1", "--seed", "1", "--image-size", "32",
-                     "--distractors", "1", "--out-dir", str(tmp_path)])
+                     "--data", str(tmp_path / "data"), "--out-dir", str(tmp_path / "eval")])
         assert code == EXIT_VALIDATION
+        assert "expected images of shape (B, 16, 16, 3), got (1, 32, 32, 3)" in capsys.readouterr().err
+        assert not (tmp_path / "eval").exists()
 
     def test_eval_defaults_to_the_checkpoint_image_size(self, tmp_path):
         main(["train", "--steps", "0", "--scenes", "1", "--seed", "1",
               *TINY_MODEL_FLAGS, "--out-dir", str(tmp_path)])
-        # no --image-size: the scenes are built at the checkpoint's 16 px
+        # the scenes are built at the checkpoint's 16 px, which run_config records
         code = main(["eval", "--checkpoint", str(tmp_path / "checkpoint.json"),
                      "--scenes", "1", "--seed", "1", "--distractors", "1",
                      "--out-dir", str(tmp_path)])
@@ -307,7 +307,7 @@ class TestTrainEval:
         ckpt = tmp_path / "checkpoint.json"
         ckpt.write_text(json.dumps(mangle(json.loads(ckpt.read_text()))))
         code = main(["eval", "--checkpoint", str(ckpt), "--scenes", "1",
-                     "--image-size", "16", "--out-dir", str(tmp_path)])
+                     "--out-dir", str(tmp_path)])
         assert code == EXIT_VALIDATION
 
     @pytest.mark.parametrize("section, key, value, named", [
@@ -330,7 +330,7 @@ class TestTrainEval:
         doc[section][key] = value
         ckpt.write_text(json.dumps(doc))
         code = main(["eval", "--checkpoint", str(ckpt), "--scenes", "1",
-                     "--image-size", "16", "--out-dir", str(tmp_path)])
+                     "--out-dir", str(tmp_path)])
         assert code == EXIT_VALIDATION
         assert named in capsys.readouterr().err
 
@@ -355,7 +355,7 @@ class TestTrainEval:
 
         monkeypatch.setattr(SCSModel, "__init__", refuse)
         code = main(["eval", "--checkpoint", str(ckpt), "--scenes", "1",
-                     "--image-size", "16", "--out-dir", str(tmp_path)])
+                     "--out-dir", str(tmp_path)])
         assert code == EXIT_VALIDATION
         assert named in capsys.readouterr().err
 
@@ -393,14 +393,29 @@ class TestTrainEval:
         assert cli._scene_spec(build_parser().parse_args([command])) == SyntheticSceneSpec()
 
     @pytest.mark.parametrize("command", [["make-data"], ["train"], ["sweep"],
-                                         ["eval", "--checkpoint", "c.json", "--image-size", "32"]])
+                                         ["eval", "--checkpoint", "c.json"]])
     def test_scene_flags_set_every_spec_field(self, monkeypatch, command):
-        # a SyntheticSceneSpec field that no scene flag sets has no caller
+        # a SyntheticSceneSpec field that no scene flag (or, for eval, the
+        # checkpoint) sets has no caller
         passed = {}
+
+        class Built(Exception):
+            pass
+
+        def record(**kwargs):
+            passed.update(kwargs)
+            raise Built
+
         args = build_parser().parse_args(command)  # the parser reads the spec's defaults
-        monkeypatch.setattr(cli, "SyntheticSceneSpec", lambda **kwargs: passed.update(kwargs))
-        cli._scene_spec(args)
+        monkeypatch.setattr(cli, "SyntheticSceneSpec", record)
+        monkeypatch.setattr(cli, "tune_allocator", lambda: False)
+        checkpoint = SimpleNamespace(config=SimpleNamespace(image_size=32))
+        monkeypatch.setattr(SCSModel, "load", staticmethod(lambda path: checkpoint))
+        with pytest.raises(Built):
+            args.func(args)
         assert sorted(passed) == sorted(f.name for f in dataclasses.fields(SyntheticSceneSpec))
+        if command[0] == "eval":
+            assert passed["image_size"] == 32  # the checkpoint's size
 
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
     def test_dtype_flag_reaches_checkpoint_and_run_config(self, tmp_path, dtype):
@@ -445,14 +460,6 @@ class TestTrainEval:
                      "--out-dir", str(tmp_path)]) == EXIT_IO
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # divergence path
-    def test_divergent_training_exits_numerical(self, tmp_path):
-        code = main(["train", "--steps", "200", "--scenes", "2", "--seed", "1",
-                     "--lr", "1e8", "--batch-size", "2", "--eval-every", "0",
-                     "--target-p50", "0", *TINY_MODEL_FLAGS,
-                     "--out-dir", str(tmp_path)])
-        assert code == EXIT_NUMERICAL
-
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # divergence path
     @pytest.mark.parametrize("command", [
         ["train", "--steps", "3", "--eval-every", "1", "--target-p50", "0"],
         ["sweep", "--gmax", "1", "--steps", "1"],
@@ -477,7 +484,7 @@ class TestTrainEval:
                      "--out-dir", str(tmp_path / "eval")])
         assert code == EXIT_NUMERICAL
         assert "non-finite prediction in evaluation" in capsys.readouterr().err
-        assert not (tmp_path / "eval" / "eval.json").exists()
+        assert not (tmp_path / "eval").exists()
 
     def test_train_from_dataset_dir(self, tmp_path):
         data_dir = tmp_path / "data"
@@ -508,7 +515,7 @@ class TestTrainEval:
         assert main(["train", "--steps", "2", "--data", str(data_dir), "--eval-every", "0",
                      *TINY_MODEL_FLAGS, "--out-dir", str(tmp_path / "run")]) == code
         assert message in capsys.readouterr().err
-        assert not (tmp_path / "run" / "checkpoint.json").exists()
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("mangle, message", [
         (lambda doc, ppm: doc.update(records=[]), "annotations.json: no records"),
@@ -540,7 +547,7 @@ class TestTrainEval:
         assert main(["train", "--steps", "2", "--data", str(data_dir), *TINY_MODEL_FLAGS,
                      "--out-dir", str(tmp_path / "run")]) == EXIT_VALIDATION
         assert message in capsys.readouterr().err
-        assert not (tmp_path / "run" / "checkpoint.json").exists()
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("flag, value, named", [
         ("--lr", "0", "lr"),
@@ -600,6 +607,30 @@ class TestBadFlagsCostNoWork:
         assert message in capsys.readouterr().err
         assert not out.exists()
         assert built == []
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # divergence path
+    @pytest.mark.parametrize("args, code", [
+        (["make-data", "--scenes", "0"], EXIT_VALIDATION),
+        (["train", "--scenes", "0"], EXIT_VALIDATION),
+        (["sweep", "--scenes", "0"], EXIT_VALIDATION),
+        (["eval", "--checkpoint", "CKPT", "--scenes", "0"], EXIT_VALIDATION),
+        (["train", "--data", "MISSING"], EXIT_IO),
+        (["train", "--steps", "200", "--scenes", "2", "--seed", "1", "--lr", "1e8",
+          "--batch-size", "2", "--eval-every", "0", "--target-p50", "0", *TINY_MODEL_FLAGS],
+         EXIT_NUMERICAL),
+    ], ids=["make-data-no-scenes", "train-no-scenes", "sweep-no-scenes", "eval-no-scenes",
+            "train-missing-data", "train-diverges"])
+    def test_refused_run_leaves_no_out_dir(self, tmp_path, args, code):
+        # the output directory appears with the first artifact, so a run that
+        # fails while it reads its data or trains leaves none behind
+        ckpt_dir = tmp_path / "ckpt"
+        if "CKPT" in args:
+            assert main(["train", "--steps", "0", "--scenes", "1", *TINY_MODEL_FLAGS,
+                         "--out-dir", str(ckpt_dir)]) == EXIT_OK
+        paths = {"CKPT": str(ckpt_dir / "checkpoint.json"), "MISSING": str(tmp_path / "missing")}
+        out = tmp_path / "out"
+        assert main([*(paths.get(a, a) for a in args), "--out-dir", str(out)]) == code
+        assert not out.exists()
 
 
 class TestSweep:
