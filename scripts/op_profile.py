@@ -3,7 +3,7 @@
 
 Builds the default model at --image-size (seed 0), runs ``train_toy`` on
 --batch synthetic scenes for --steps full-batch steps (after one untimed
-``train_toy`` step that fills the mask, residue-class and position caches),
+``train_toy`` step that fills the residue-class and position caches),
 and prints the backward wall time and call count of every autodiff op per
 step, largest first. So the profile covers what ``mogref train`` runs,
 with its one Adam parameter group over the whole arena and its divergence

@@ -350,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="dataset directory (annotations.json + images/); default: synthetic scenes")
     p.add_argument("--steps", type=int, default=TrainConfig.steps)
     p.add_argument("--lr", type=float, default=TrainConfig.lr)
-    p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size, help="0 = full batch")
+    p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
     p.add_argument("--eval-every", type=int, default=TrainConfig.eval_every)
     p.add_argument("--target-p50", type=float, default=TrainConfig.target_train_p50,
                    help="stop once train P@0.5 reaches this; <=0 disables")

@@ -9,6 +9,7 @@ acceptance suite.
 
 from __future__ import annotations
 
+import hashlib
 from typing import Callable
 
 import numpy as np
@@ -328,8 +329,6 @@ _CASES = [
     ("giou_pairs", case_giou_pairs),
     ("match_and_loss", case_match_and_loss),
     ("scs_end_to_end", case_scs_end_to_end),
-    # new cases are appended, not grouped with their family: a case's stream
-    # is derived from its index, so inserting would reseed every case after it
     ("attention_core", case_attention_core),
     ("grounding_loss_batch", case_grounding_loss_batch),
     ("cast", case_cast),
@@ -338,7 +337,12 @@ _CASES = [
 
 
 def all_cases(seed: int = 0):
-    """Yield (name, builder) pairs; each builder uses its own derived stream."""
+    """Yield (name, builder) pairs; each builder draws from its own stream.
+
+    The stream comes from the seed and the SHA-256 of the case's name, so
+    adding, removing or reordering cases reseeds no other case.
+    """
     root = RngState(seed)
-    for i, (name, fn) in enumerate(_CASES):
-        yield name, (lambda fn=fn, i=i: fn(root.derive(1000 + i)))
+    for name, fn in _CASES:
+        stream = int.from_bytes(hashlib.sha256(name.encode()).digest()[:8], "big")
+        yield name, (lambda fn=fn, stream=stream: fn(root.derive(stream)))

@@ -386,8 +386,6 @@ class SCSModel(Module):
         refined = self.ssd_forward(coarse, fused)
         return self.head(refined)
 
-    __call__ = forward
-
     # -- parameters and checkpoints -----------------------------------------
 
     def parameters(self) -> list[Parameter]:

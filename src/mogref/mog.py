@@ -23,7 +23,8 @@ classes of a dilation set once per grid, and every dense mask
 them (:meth:`_Classes.mask`). The mixture sums every class of the shared
 exponential with one thin matmul against the one-hot (N_k, sum_g d_g)
 class matrix and spreads the gated normalizers back with another, so it
-builds no N-by-N mask and no per-branch buffer.
+builds no N-by-N mask and no per-branch buffer; a row's class state is
+kept only on the G classes it selects, one per branch.
 
 :func:`mog_forward` is the three projections and one autodiff node,
 :func:`_attention_core`, from the projections to the merged heads; the core
@@ -33,9 +34,10 @@ v views, only per-row state, the row maximum and each row's selected class
 sum and coefficient per branch, (B, H, N_q, G) arrays. Its backward, one
 pass over chunks of the batch that reuse three per-thread buffers, scales q
 again, recomputes the shared exponential ``e`` and the mixture ``W`` and
-forms the four input gradients, which :func:`~mogref.tensor._record`
-routes. It computes in the dtype of its inputs. Its output and gradients are
-bit-identical however the batch is chunked, and in float64 within 1e-12 of
+forms the four input gradients (the gate's a sum of per-row state), which
+:func:`~mogref.tensor._record` routes. It computes in the dtype of its
+inputs. Its output and gradients are bit-identical however the batch is
+chunked, and in float64 within 1e-12 of
 the per-branch masked softmax. The rare call in which a support row sits
 so far below the shared row maximum that its class sum is too small to
 divide by falls back to the per-branch graph, :func:`_composed_attention`:
@@ -139,16 +141,16 @@ def build_rect_mask(num_rows: int, num_cols: int, dilation: int) -> np.ndarray:
 class _Classes:
     """The support of every branch on an n_q-by-n_k grid, as key classes.
 
-    The contract the attention core relies on: ``keys`` is the (n_k, C) 0/1
-    membership of the keys in C classes, the columns of branch g are
-    ``starts[g]`` up to the next start, and ``index`` holds one selected
-    class per query row and branch: ``index[i, g] = i * C + c`` for the
-    column c that row i selects among branch g's, its position in a
-    flattened (n_q, C) array, so the selected entries of a (..., n_q, C)
-    array are one gather (:func:`_selected`). Branch g keeps the pair
-    (i, j) exactly when key j is in row i's selected class (:meth:`mask`).
-    The classes need not be residues or disjoint; a lone class (C = 1)
-    holds every key, which :func:`_spread` relies on.
+    The contract the attention core relies on: ``keys`` is the class matrix
+    R, the (n_k, C) 0/1 membership of the keys in C classes, and ``index``
+    holds each query row's G selected classes, one per branch:
+    ``index[i, g] = i * C + c`` for the column c that row i selects for
+    branch g, its position in a flattened (n_q, C) array. A row's G selected
+    columns must be distinct; nothing else is asked. The classes need not be
+    residues or disjoint, and one column may serve different branches on
+    different rows. Branch g keeps the pair (i, j) exactly when key j is in
+    row i's selected class (:meth:`mask`). A lone class (C = 1) holds every
+    key, which :func:`_spread` relies on.
 
     ``keys`` is in the dtype of the arrays it multiplies, so ``e @ keys``
     keeps the attention core's dtype.
@@ -156,7 +158,6 @@ class _Classes:
 
     keys: np.ndarray  # (n_k, C) 0/1, read-only
     index: np.ndarray  # (n_q, G) flat (n_q * C) positions of the selected classes, read-only
-    starts: np.ndarray  # (G,) first column of each branch
 
     def mask(self, g: int) -> np.ndarray:
         """Branch g's dense (n_q, n_k) 0/1 support, in the dtype of ``keys``, as a new array."""
@@ -181,7 +182,7 @@ def _residue_classes(n_q: int, n_k: int, dilations: tuple[int, ...], dtype) -> _
             modulus = np.repeat(dilations, dilations)
             residue = np.concatenate([np.arange(d) for d in dilations])
             keys = (np.arange(n_k)[:, None] % modulus == residue).astype(dtype)
-            starts = np.concatenate(([0], np.cumsum(dilations)[:-1]))
+            starts = np.concatenate(([0], np.cumsum(dilations)[:-1]))  # first column of each branch
             columns = starts + np.arange(n_q)[:, None] % np.asarray(dilations)  # (n_q, G)
             empty = ~keys.any(axis=0)[columns]
             if empty.any():
@@ -190,36 +191,36 @@ def _residue_classes(n_q: int, n_k: int, dilations: tuple[int, ...], dtype) -> _
             index = np.arange(n_q)[:, None] * keys.shape[1] + columns
             for arr in (keys, index):
                 arr.setflags(write=False)
-            _RESIDUE_CACHE[cache_key] = _Classes(keys, index, starts)
+            _RESIDUE_CACHE[cache_key] = _Classes(keys, index)
         return _RESIDUE_CACHE[cache_key]
 
 
-def _selected(x: np.ndarray, classes: _Classes) -> np.ndarray:
-    """(..., n_q, C) -> (..., n_q, G): each row's selected class of each branch, a new array."""
-    return np.take(x.reshape(*x.shape[:-2], -1), classes.index, axis=-1)
+def _class_sums(x: np.ndarray, classes: _Classes) -> np.ndarray:
+    """(..., n_q, n_k) -> (..., n_q, G): each row's selected columns of ``x R``, a new array."""
+    # stacked, one gemm per sample and head: as one (B*H*N_q, N_k) gemm,
+    # threaded BLAS packs all of x and the RSS grows by another such buffer
+    xr = x @ classes.keys
+    return np.take(xr.reshape(*xr.shape[:-2], -1), classes.index, axis=-1)
 
 
-def _scattered(sel: np.ndarray, classes: _Classes) -> np.ndarray:
-    """(..., n_q, G) -> (..., n_q, C): zeros holding ``sel`` at the selected classes."""
-    out = np.zeros((*sel.shape[:-1], classes.keys.shape[1]), dtype=sel.dtype)
-    out.reshape(*sel.shape[:-2], -1)[..., classes.index] = sel
-    return out
+def _spread(sel: np.ndarray, classes: _Classes, out: np.ndarray) -> np.ndarray:
+    """(..., n_q, G) -> (..., n_q, n_k) into ``out``: ``sel`` at the selected classes, times R^T.
 
-
-def _spread(a: np.ndarray, keys: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """(..., C) -> (..., N_k) into ``out``: each key gets the sum of its classes' entries.
-
-    One gemm over all leading axes into the C-contiguous ``out``. A single
-    class column (dilations ``(1,)``) is all ones, so the product is ``a``
-    broadcast over the keys, copied without the gemm: the same bits, and
-    cheaper. In float32 on a 2-core x86 host, (8, 4, 4, 1) into 74 keys
-    copies in 3.5 us against 27 us for the K = 1 gemm, and a 16-scene eval's
-    (16, 4, 4, 1) in 4.7 against 34 us.
+    The adjoint of :func:`_class_sums`: ``sel`` scattered into zeros at the
+    class columns, then one gemm over all leading axes into the C-contiguous
+    ``out``. A single class column (dilations ``(1,)``) is all ones, so the
+    product is ``sel`` broadcast over the keys, copied without the gemm: the
+    same bits, and cheaper. In float32 on a 2-core x86 host, (8, 4, 4, 1)
+    into 74 keys copies in 3.5 us against 27 us for the K = 1 gemm, and a
+    16-scene eval's (16, 4, 4, 1) in 4.7 against 34 us.
     """
+    keys = classes.keys
     if keys.shape[1] == 1:
-        np.copyto(out, a)
+        np.copyto(out, sel)
     else:
-        np.matmul(a.reshape(-1, a.shape[-1]), keys.T, out=out.reshape(-1, keys.shape[0]))
+        full = np.zeros((*sel.shape[:-1], keys.shape[1]), dtype=sel.dtype)
+        full.reshape(*sel.shape[:-2], -1)[..., classes.index] = sel
+        np.matmul(full.reshape(-1, keys.shape[1]), keys.T, out=out.reshape(-1, keys.shape[0]))
     return out
 
 
@@ -354,9 +355,7 @@ def _class_coefficients(e: np.ndarray, gammas: np.ndarray,
     below :func:`_min_class_sum`: ``A`` could overflow there, and the caller
     takes the per-branch arithmetic instead.
     """
-    # stacked, one gemm per sample and head: as one (B*H*N_q, N_k) gemm,
-    # threaded BLAS packs all of e and the RSS grows by another such buffer
-    s = _selected(e @ classes.keys, classes)
+    s = _class_sums(e, classes)
     if s.min() < _min_class_sum(e.dtype):
         return None
     return s, gammas[:, None, None, :] / s  # gammas (B, G)
@@ -364,7 +363,7 @@ def _class_coefficients(e: np.ndarray, gammas: np.ndarray,
 
 def _weights(e: np.ndarray, a: np.ndarray, classes: _Classes, out: np.ndarray) -> np.ndarray:
     """W = e * (A R^T) into ``out`` from the selected ``A``, exact zeros off the union of the supports."""
-    w = _spread(_scattered(a, classes), classes.keys, out=out)
+    w = _spread(a, classes, out=out)
     w *= e
     return w
 
@@ -378,21 +377,16 @@ def _logit_grad(w: np.ndarray, dw: np.ndarray, e: np.ndarray, s: np.ndarray, a: 
     classes. Runs in the two chunk buffers it is given: ``W dW`` overwrites
     ``w`` (W is dead once dV is formed), ``dW * e`` overwrites ``dw`` (dW is
     dead once ``W dW`` is), and the spread correction reuses ``dw`` in turn.
-    Returns d logits (in ``w``) and ``rho`` scattered to (..., n_q, C).
+    Returns d logits (in ``w``) and the selected ``rho``, (..., n_q, G).
     """
     dlogits = np.multiply(w, dw, out=w)
     t = np.multiply(dw, e, out=dw)
-    u = _selected(t @ classes.keys, classes)
-    u /= s
-    correction = _spread(_scattered(u * a, classes), classes.keys, out=t)
+    rho = _class_sums(t, classes)
+    rho /= s
+    correction = _spread(rho * a, classes, out=t)
     correction *= e
     dlogits -= correction
-    return dlogits, _scattered(u, classes)
-
-
-def _gamma_grad(rho: np.ndarray, classes: _Classes) -> np.ndarray:
-    """d gamma_g: rho summed over heads, rows and branch g's columns."""
-    return np.add.reduceat(rho.sum(axis=(1, 2)), classes.starts, axis=1)
+    return dlogits, rho
 
 
 def _composed_attention(q: Tensor, k: Tensor, v: Tensor, gammas: Tensor,
@@ -410,7 +404,7 @@ def _composed_attention(q: Tensor, k: Tensor, v: Tensor, gammas: Tensor,
     qh, kh, vh = (split_heads(t, num_heads) for t in (q, k, v))
     logits = _scaled_logits(qh, kh)
     b = logits.shape[0]
-    masks = [classes.mask(g) for g in range(len(classes.starts))]
+    masks = [classes.mask(g) for g in range(classes.index.shape[1])]
     w = None
     for g, p in enumerate(_shared_branch_softmax(logits, masks)):
         term = reshape(select(gammas, g, axis=1), (b, 1, 1, 1)) * p
@@ -483,12 +477,13 @@ def _attention_core(q: Tensor, k: Tensor, v: Tensor, gammas: Tensor,
     and ``W V`` with the heads merged. ``q`` may have batch 1 against the
     keys' batch B (broadcast), and ``gammas`` is (B, G).
 
-    ``W = sum_g gamma_g P_g`` by residue class, with the one-hot class
-    matrix ``R`` of :class:`_Classes`: class sums ``S = e R``,
-    ``A[i, c] = gamma_g [i mod d_g == r] / S[i, c]`` and ``W = e * (A R^T)``.
-    Backward, with ``rho = ((dW * e) R) [i mod d_g == r] / S`` (rowsum(dW *
-    P_g) in branch g's column of row i): d gamma_g is rho summed over heads,
-    rows and branch g's columns, and d logits = W dW - e * ((rho * A) R^T).
+    ``W = sum_g gamma_g P_g`` by class, with the class matrix ``R`` of
+    :class:`_Classes`. ``S``, ``A`` and ``rho`` live on each row's selected
+    class of each branch, (..., N_q, G): ``S = e R`` (:func:`_class_sums`),
+    ``A = gamma / S`` and ``W = e * (A R^T)`` (:func:`_spread`). Backward,
+    with ``rho = ((dW * e) R) / S`` (rowsum(dW * P_g) for branch g of row
+    i): d gamma_g is rho summed over heads and rows, and d logits =
+    W dW - e * ((rho * A) R^T).
 
     Samples and heads are independent, so the node runs them in the chunks
     of :func:`_chunks`: whole samples packed into ``_PACK_BYTES`` of N-by-N
@@ -500,9 +495,9 @@ def _attention_core(q: Tensor, k: Tensor, v: Tensor, gammas: Tensor,
     node keeps the q, k and v views and, per chunk, only the row maximum
     and ``S`` and ``A`` on each row's selected class of each branch, as
     (B, H, N_q, G) arrays: no N-by-N array, no (B, H, N_q, C) array and no
-    scaled copy of q. Backward scales a chunk's q again, scatters its ``A``
-    to the class columns and recomputes ``e`` and ``W`` (the same bits),
-    then forms dV, dW, rho, d gamma and d logits, and from those dq and dk, in
+    scaled copy of q. Backward scales a chunk's q again and recomputes ``e``
+    and ``W`` (the same bits), then forms dV, dW, rho (into a (B, H, N_q, G)
+    array) and d logits, and from those dq and dk, in
     three chunk-sized buffers: ``e``; ``W``, overwritten by ``W dW`` once dV
     is formed and then by d logits; and dW, overwritten by ``dW * e`` and
     then by the spread correction (:func:`_logit_grad`). The chunks only
@@ -531,7 +526,6 @@ def _attention_core(q: Tensor, k: Tensor, v: Tensor, gammas: Tensor,
     b = max(qh.shape[0], kh.shape[0])
     n_q, n_k = qh.shape[2], kh.shape[2]
     classes = _residue_classes(n_q, n_k, tuple(dilations), dtype)
-    keys = classes.keys
     chunks = _chunks(b, num_heads, n_q, n_k, dtype.itemsize)
 
     def part(arr, chunk, heads=True):
@@ -571,7 +565,7 @@ def _attention_core(q: Tensor, k: Tensor, v: Tensor, gammas: Tensor,
         dq, dq_heads = merged(q) if q.requires_grad else (None, None)
         dk, dk_heads = merged(k) if k.requires_grad else (None, None)
         dv, dv_heads = merged(v) if v.requires_grad else (None, None)
-        rho = np.empty((b, num_heads, n_q, keys.shape[1]), dtype=dtype) if gammas.requires_grad else None
+        rho = np.empty((b, num_heads, n_q, gammas.shape[1]), dtype=dtype) if gammas.requires_grad else None
         for c, (row_max, s, a) in zip(chunks, saved):
             e, _, qs = shared_exp(c, row_max)
             w = _weights(e, a, classes, out=_SCRATCH.get(1, e.shape, dtype))
@@ -588,7 +582,7 @@ def _attention_core(q: Tensor, k: Tensor, v: Tensor, gammas: Tensor,
         if dq is not None:
             dq = _unbroadcast(dq, q.shape)
             dq *= scale
-        grads = (dq, dk, None if rho is None else _gamma_grad(rho, classes), dv)
+        grads = (dq, dk, None if rho is None else rho.sum(axis=(1, 2)), dv)
         formed.update((i, grad) for i, grad in enumerate(grads) if grad is not None)
 
     formed = {}  # input position -> gradient the chunk pass formed and no partial took yet

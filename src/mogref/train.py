@@ -311,18 +311,18 @@ def evaluate_model(model: SCSModel, dataset: GroundingDataset,
 class TrainConfig:
     steps: int = 2000
     lr: float = 1e-3
-    batch_size: int = 8  # 0 means full batch
+    batch_size: int = 8  # any size >= the dataset's is a full batch
     eval_every: int = 20  # 0 means no eval
     target_train_p50: float | None = 1.0  # early stop once reached; None disables
 
     def __post_init__(self):
         # a rate <= 0 never descends and a non-finite one poisons the weights;
-        # a negative count would silently act as 0 or as full batch; a bool
-        # would act as 1 or 0 and a string fail with a bare TypeError
+        # a negative count would silently act as 0 and a batch needs a scene;
+        # a bool would act as 1 or 0 and a string fail with a bare TypeError
         if not (is_finite_number(self.lr) and self.lr > 0.0):
             raise ValidationError(f"lr must be a finite number > 0, got {self.lr!r}")
-        for name in ("steps", "batch_size", "eval_every"):
-            require_count(name, getattr(self, name), 0)
+        for name, minimum in (("steps", 0), ("batch_size", 1), ("eval_every", 0)):
+            require_count(name, getattr(self, name), minimum)
         # P@0.5 never exceeds 1 and never compares >= NaN: either target
         # would silently never stop the run
         p50 = self.target_train_p50
@@ -343,7 +343,7 @@ def train_toy(model: SCSModel, dataset: GroundingDataset, cfg: TrainConfig) -> T
         raise ValidationError("training needs a non-empty dataset")
     opt = Adam([ParamGroup(model.parameters(), cfg.lr)])
 
-    batch = len(dataset) if cfg.batch_size <= 0 else min(cfg.batch_size, len(dataset))
+    batch = min(cfg.batch_size, len(dataset))
     log: list[dict] = []
     fit_step = None
     final_p50 = None

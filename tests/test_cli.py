@@ -556,6 +556,7 @@ class TestTrainEval:
         ("--lr", "inf", "lr"),
         ("--steps", "-1", "steps"),
         ("--batch-size", "-1", "batch_size"),
+        ("--batch-size", "0", "batch_size"),
         ("--eval-every", "-1", "eval_every"),
         # P@0.5 never exceeds 1 and never compares >= NaN: no early stop
         ("--target-p50", "nan", "target_train_p50"),

@@ -55,6 +55,24 @@ def test_registry_names_cover_every_op_family():
         assert expected in names
 
 
+def test_a_case_draws_its_inputs_from_its_name_not_its_position(monkeypatch):
+    # reversing the registry and dropping a case reseeds no other case
+    from mogref import gradcheck_cases
+
+    def inputs():
+        return {name: [p.data.copy() for p in builder()[1]]
+                for name, builder in gradcheck_cases.all_cases(3)}
+
+    before = inputs()
+    assert len(before) == len(gradcheck_cases._CASES)  # no two cases share a name
+    monkeypatch.setattr(gradcheck_cases, "_CASES", gradcheck_cases._CASES[:0:-1])
+    after = inputs()
+    assert len(after) == len(before) - 1
+    for name, arrays in after.items():
+        assert len(arrays) == len(before[name])
+        assert all(np.array_equal(a, b) for a, b in zip(arrays, before[name])), name
+
+
 def recorded_ops() -> set[str]:
     """The profile name of every op the package records, read from its source:
     the first argument of each ``_record(op, ...)`` call."""

@@ -516,24 +516,36 @@ class TestAttentionCore:
         for p, r in zip(params, refs):
             assert np.abs(p.grad - r.grad).max() < 1e-12, p.name
 
+    @pytest.mark.parametrize("structure", ["overlapping", "shared-column"])
     @pytest.mark.parametrize("path", ["core", "fallback"])
-    def test_classes_need_not_be_residues_or_disjoint(self, path, monkeypatch):
-        # the core and its fallback rely only on the _Classes contract: with
-        # the last 10 keys of a 74-key memory in every class, both equal the
-        # per-branch masked softmax over the structure's own supports
+    def test_classes_need_not_be_residues_or_disjoint(self, path, structure, monkeypatch):
+        # the core and its fallback rely only on the _Classes contract, so
+        # both equal the per-branch masked softmax over the structure's own
+        # supports: with the last 10 keys of a 74-key memory in every class
+        # ("overlapping"), and with the odd rows selecting the residue
+        # columns in reverse branch order ("shared-column"), so that one
+        # class column serves two branches on different rows while each
+        # row's own selections stay distinct
         dilations, n_q, n_k = (1, 2, 3, 4), 9, 74
         residue_classes = mog_module._residue_classes
 
-        def overlapping(*args):
+        def restructured(*args):
             classes = residue_classes(*args)
-            keys = classes.keys.copy()
-            keys[-10:] = 1.0
-            return mog_module._Classes(keys, classes.index, classes.starts)
+            keys, index = classes.keys.copy(), classes.index.copy()
+            if structure == "overlapping":
+                keys[-10:] = 1.0
+            else:
+                index[1::2] = index[1::2, ::-1]
+            return mog_module._Classes(keys, index)
 
-        monkeypatch.setattr(mog_module, "_residue_classes", overlapping)
+        monkeypatch.setattr(mog_module, "_residue_classes", restructured)
         if path == "fallback":
             monkeypatch.setattr(mog_module, "_min_class_sum", lambda dtype: np.inf)
-        classes = overlapping(n_q, n_k, dilations, np.float64)
+        classes = restructured(n_q, n_k, dilations, np.float64)
+        columns = class_columns(classes)
+        assert all(len(set(row)) == len(dilations) for row in columns)
+        if structure == "shared-column":
+            assert set(columns[:, 0]) & set(columns[:, -1])
         masks = [classes.mask(g) for g in range(len(dilations))]
         assert (masks[1] != brute_force_mask(n_q, n_k, 2)).any()
         params, proj = core_inputs(25, 2, 2, n_q, n_k, 8, dilations)
@@ -697,8 +709,8 @@ class TestAttentionCore:
             tracemalloc.stop()
         # e, W (turned into W dW and then d logits in place) and dW (turned
         # into dW * e and then the correction) live in the three reused chunk
-        # buffers; a call allocates the (B, H, N, C) class arrays
-        # and the (B, N, D) gradients
+        # buffers; a call allocates the (B, H, N, G) and (B, H, N, C) class
+        # arrays and the (B, N, D) gradients
         buffers = (peak - base) / (b * h * n * n * 8)
         assert buffers < 1.0, f"peak {buffers:.2f} (B, H, N, N) buffers"
 
@@ -748,10 +760,27 @@ def test_eval_forward_scratch_stays_within_the_pack_budget():
 def test_single_class_spread_equals_the_gemm():
     # dilations (1,): the one class column is all ones, so the spread is a
     # broadcast copy; it must equal the (..., 1) @ (1, N_k) product bit for bit
-    keys = mog_module._residue_classes(5, 74, (1,), np.float64).keys
+    classes = mog_module._residue_classes(5, 74, (1,), np.float64)
     a = RngState(14).uniform_array((8, 4, 5, 1), -3.0, 3.0)
-    gemm = (a.reshape(-1, 1) @ keys.T).reshape(8, 4, 5, 74)
-    assert (mog_module._spread(a, keys, out=np.empty((8, 4, 5, 74))) == gemm).all()
+    gemm = (a.reshape(-1, 1) @ classes.keys.T).reshape(8, 4, 5, 74)
+    assert (mog_module._spread(a, classes, out=np.empty((8, 4, 5, 74))) == gemm).all()
+
+
+def class_columns(classes):
+    """(n_q, G) column of each row's selected class of each branch."""
+    return classes.index % classes.keys.shape[1]
+
+
+def scattered(sel, classes):
+    """(..., n_q, G) -> (..., n_q, C): zeros holding ``sel`` at each row's selected columns."""
+    full = np.zeros((*sel.shape[:-1], classes.keys.shape[1]))
+    np.put_along_axis(full, np.broadcast_to(class_columns(classes), sel.shape), sel, axis=-1)
+    return full
+
+
+def full_gemm(x, keys):
+    """(..., C) @ R^T as one 2-D gemm over all leading axes, the arithmetic of the spread."""
+    return (x.reshape(-1, keys.shape[1]) @ keys.T).reshape(*x.shape[:-1], keys.shape[0])
 
 
 @pytest.mark.parametrize("shape, dilations", [
@@ -780,14 +809,15 @@ def test_selected_class_arithmetic_equals_the_masked_divide(shape, dilations):
     s, a = mog_module._class_coefficients(e, gammas, classes)
     assert s.shape == a.shape == (b, h, n_q, len(dilations))
     ref_s = e @ classes.keys
-    assert np.array_equal(mog_module._scattered(s, classes), np.where(rows, ref_s, 0.0))
+    assert np.array_equal(scattered(s, classes), np.where(rows, ref_s, 0.0))
     assert s.min() >= mog_module._min_class_sum(np.float64)
     assert s.min() == ref_s[..., rows].min()
     gam = gammas[:, branch][:, None, None, :]
-    full_a = mog_module._scattered(a, classes)
+    full_a = scattered(a, classes)
     assert np.array_equal(full_a, np.divide(gam, ref_s, out=np.zeros_like(ref_s), where=rows))
 
     w = mog_module._weights(e, a, classes, out=np.empty(shape))
+    assert np.array_equal(w, full_gemm(full_a, classes.keys) * e)
     if 1 not in dilations:  # exact zeros off the union of the branch supports
         off = np.max([build_rect_mask(n_q, n_k, d) for d in dilations], axis=0) == 0.0
         assert off.any()
@@ -796,8 +826,9 @@ def test_selected_class_arithmetic_equals_the_masked_divide(shape, dilations):
     ref_w, ref_dw = w.copy(), dw.copy()
     dlogits, rho = mog_module._logit_grad(w, dw, e, s, a, classes)
     ref_rho = np.divide((ref_dw * e) @ classes.keys, ref_s, out=np.zeros_like(ref_s), where=rows)
-    assert np.array_equal(rho, ref_rho)
-    correction = mog_module._spread(ref_rho * full_a, classes.keys, out=np.empty(shape))
+    columns = np.broadcast_to(class_columns(classes), rho.shape)
+    assert np.array_equal(rho, np.take_along_axis(ref_rho, columns, axis=-1))
+    correction = full_gemm(ref_rho * full_a, classes.keys)
     assert np.array_equal(dlogits, ref_w * ref_dw - correction * e)
     assert dlogits is w  # in the buffer of W, which is dead after dV
 

@@ -207,7 +207,7 @@ class TestTraining:
 
     def test_loss_decreases_on_short_run(self):
         model, ds = tiny_setup(seed=2)
-        result = train_toy(model, ds, TrainConfig(steps=60, lr=3e-3, batch_size=0,
+        result = train_toy(model, ds, TrainConfig(steps=60, lr=3e-3, batch_size=len(ds),
                                                   eval_every=0, target_train_p50=None))
         assert result.log[-1]["loss"] < result.log[0]["loss"]
 
@@ -304,7 +304,7 @@ class TestTraining:
         dataset = build_synthetic_dataset(1, TINY_SPEC, VOCAB, 3)
         model = SCSModel(TINY_CFG, VOCAB, RngState(3))
         result = train_toy(model, dataset, TrainConfig(
-            steps=400, lr=3e-3, batch_size=0, eval_every=10, target_train_p50=1.0))
+            steps=400, lr=3e-3, batch_size=len(dataset), eval_every=10, target_train_p50=1.0))
         assert result.fit_step is not None
         assert result.final_train_p50 == 1.0
         assert result.steps_run < 400
