@@ -36,9 +36,11 @@ pass over chunks of the batch that reuse three per-thread buffers, scales q
 again, recomputes the shared exponential ``e`` and the mixture ``W`` and
 forms the four input gradients (the gate's a sum of per-row state), which
 :func:`~mogref.tensor._record` routes. It computes in the dtype of its
-inputs. Its output and gradients are bit-identical however the batch is
-chunked, and in float64 within 1e-12 of
-the per-branch masked softmax. The rare call in which a support row sits
+inputs. A chunk is whole samples with all their heads, or, for a sample too
+big for the chunk budget, a panel of its query rows. Packing samples keeps
+the bits; row panels add dk and dv up panel by panel, so those two drift
+within rounding. In float64 the core is within 1e-12 of the per-branch
+masked softmax. The rare call in which a support row sits
 so far below the shared row maximum that its class sum is too small to
 divide by falls back to the per-branch graph, :func:`_composed_attention`:
 one :func:`~mogref.tensor.masked_softmax` node per branch, over that
@@ -51,7 +53,7 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -153,15 +155,33 @@ class _Classes:
     key, which :func:`_spread` relies on.
 
     ``keys`` is in the dtype of the arrays it multiplies, so ``e @ keys``
-    keeps the attention core's dtype.
+    keeps the attention core's dtype. ``spread_keys`` is R^T, derived once
+    as a C-ordered copy: :func:`_spread` multiplies by it.
     """
 
     keys: np.ndarray  # (n_k, C) 0/1, read-only
     index: np.ndarray  # (n_q, G) flat (n_q * C) positions of the selected classes, read-only
+    spread_keys: np.ndarray = field(init=False, repr=False, compare=False)  # (C, n_k) R^T, read-only
+
+    def __post_init__(self):
+        spread_keys = np.ascontiguousarray(self.keys.T)
+        spread_keys.setflags(write=False)
+        object.__setattr__(self, "spread_keys", spread_keys)
 
     def mask(self, g: int) -> np.ndarray:
         """Branch g's dense (n_q, n_k) 0/1 support, in the dtype of ``keys``, as a new array."""
-        return self.keys.T[self.index[:, g] % self.keys.shape[1]]
+        return self.spread_keys[self.index[:, g] % self.keys.shape[1]]
+
+    def rows(self, rows: slice) -> _Classes:
+        """The classes of the query rows ``rows`` alone, ``index`` rebased to the first of them.
+
+        Itself when ``rows`` starts at 0 and reaches the last row.
+        """
+        if rows.start == 0 and rows.stop >= len(self.index):
+            return self
+        index = self.index[rows] - rows.start * self.keys.shape[1]
+        index.setflags(write=False)
+        return _Classes(self.keys, index)
 
 
 def _residue_classes(n_q: int, n_k: int, dilations: tuple[int, ...], dtype) -> _Classes:
@@ -207,20 +227,20 @@ def _spread(sel: np.ndarray, classes: _Classes, out: np.ndarray) -> np.ndarray:
     """(..., n_q, G) -> (..., n_q, n_k) into ``out``: ``sel`` at the selected classes, times R^T.
 
     The adjoint of :func:`_class_sums`: ``sel`` scattered into zeros at the
-    class columns, then one gemm over all leading axes into the C-contiguous
-    ``out``. A single class column (dilations ``(1,)``) is all ones, so the
+    class columns, then one gemm over all leading axes by the C-ordered R^T
+    (``classes.spread_keys``) into the C-contiguous ``out``. A single class column (dilations ``(1,)``) is all ones, so the
     product is ``sel`` broadcast over the keys, copied without the gemm: the
     same bits, and cheaper. In float32 on a 2-core x86 host, (8, 4, 4, 1)
     into 74 keys copies in 3.5 us against 27 us for the K = 1 gemm, and a
     16-scene eval's (16, 4, 4, 1) in 4.7 against 34 us.
     """
-    keys = classes.keys
-    if keys.shape[1] == 1:
+    spread_keys = classes.spread_keys
+    if spread_keys.shape[0] == 1:
         np.copyto(out, sel)
     else:
-        full = np.zeros((*sel.shape[:-1], keys.shape[1]), dtype=sel.dtype)
+        full = np.zeros((*sel.shape[:-1], spread_keys.shape[0]), dtype=sel.dtype)
         full.reshape(*sel.shape[:-2], -1)[..., classes.index] = sel
-        np.matmul(full.reshape(-1, keys.shape[1]), keys.T, out=out.reshape(-1, keys.shape[0]))
+        np.matmul(full.reshape(-1, spread_keys.shape[0]), spread_keys, out=out.reshape(-1, spread_keys.shape[1]))
     return out
 
 
@@ -415,15 +435,23 @@ def _composed_attention(q: Tensor, k: Tensor, v: Tensor, gammas: Tensor,
 # N-by-N bytes of a chunk of the attention core, which bound the three reused
 # buffers of _Scratch (see _chunks). A chunk packs whole samples into
 # _PACK_BYTES, a quarter of a 2 MB per-core L2, so the three buffers fit in it
-# together; a bigger sample is a chunk of its own, and only a sample above
-# _CHUNK_BYTES is split by heads. On a 2-core host with 2 MB of L2 per core,
-# of 0.25 to 8 MB, 4 MB ran a float64 (2, 4, 266, 266) forward + backward
-# fastest. In float32, scripts/op_profile.py on that host read a peak RSS of
-# 43.1, 43.8-44.0 and 44.5 MB at 64 px, B=8, packed into 256 KB, 512 KB and
-# 1 MB (the whole batch), with step times inside their run-to-run spread;
-# at 128 px, B=2, each 1.1 MB sample is a chunk, and the peak RSS 45.1 MB.
-_CHUNK_BYTES = 1 << 22
+# together. A bigger sample is split into at most _MAX_PANELS panels of query
+# rows, so its buffers hold max(_PACK_BYTES, a quarter of the sample). On a
+# 2-core x86 host with 2 MB of L2 per core, in float32 at two BLAS threads:
+# - N = 266 (128 px): each 1.1 MB sample runs in 3 panels of 89 rows. A
+#   per-head product of a panel (89 x 16 x 266) stays on OpenBLAS's
+#   one-thread path, where a whole sample (266 x 16 x 266) took two threads.
+#   A (2, 4, 266, 266) forward + backward took 6.2 ms against 8.2 ms for one
+#   chunk per sample, and 6.2 against 16.1 ms beside a busy process. In
+#   scripts/op_profile.py --image-size 128 --batch 2 the scratch fell from
+#   3.2 to 1.1 MB and the peak RSS from 45.1 to 42.8 MB.
+# - N = 1034 (256 px): 4 panels of 259 rows hold 4.3 MB each, as one head
+#   did, and op_profile.py --image-size 256 --batch 1 read the same 126
+#   ms/step. Without the cap, 33 panels of 32 rows took 165-169 against
+#   122-124 ms/step: thin panels cost more in per-call overhead than the
+#   cache saves.
 _PACK_BYTES = 1 << 19
+_MAX_PANELS = 4
 
 
 class _Scratch(threading.local):
@@ -434,8 +462,8 @@ class _Scratch(threading.local):
     spread correction). Fresh buffers of a few MB each call are returned to
     the OS and faulted in again; these stay mapped. Each is raw bytes,
     viewed in the chunk's dtype, and holds the largest chunk seen so far in
-    bytes, which :func:`_chunks` keeps to ``max(_PACK_BYTES, one sample)`` up to
-    ``_CHUNK_BYTES``, however large the batch.
+    bytes, which :func:`_chunks` keeps to ``max(_PACK_BYTES, a quarter of
+    one sample)``, however large the batch.
     """
 
     def __init__(self):
@@ -453,20 +481,28 @@ _SCRATCH = _Scratch()
 
 def _chunks(b: int, num_heads: int, n_q: int, n_k: int,
             itemsize: int) -> list[tuple[slice, slice]]:
-    """(sample, head) slices covering (B, H), for N-by-N entries of ``itemsize`` bytes.
+    """(sample, query row) slices covering (B, N_q), for N-by-N entries of ``itemsize`` bytes.
 
-    A chunk spans at most ``min(_CHUNK_BYTES, max(_PACK_BYTES, H N_q N_k itemsize))``
-    bytes of N-by-N data: as many whole samples as fit in ``_PACK_BYTES``, one
-    sample when a sample is bigger, and as many heads of one sample as fit in
-    ``_CHUNK_BYTES`` when a sample is bigger than that.
+    A chunk holds every head of its samples. Samples whose ``H N_q N_k
+    itemsize`` bytes fit in ``_PACK_BYTES`` are packed, as many as fit, with
+    all their rows. A bigger sample is a chunk row panel by row panel: it
+    is split into ``min(_MAX_PANELS, ceil(bytes / _PACK_BYTES))`` panels of
+    ``ceil(N_q / panels)`` query rows (the last may be shorter), in order.
     """
-    per_head = n_q * n_k * itemsize
-    per_sample = per_head * num_heads
-    budget = min(_CHUNK_BYTES, max(_PACK_BYTES, per_sample))
-    heads = max(1, min(num_heads, budget // per_head))
-    samples = max(1, budget // per_sample) if heads == num_heads else 1
-    return [(slice(lo, lo + samples), slice(h, h + heads))
-            for lo in range(0, b, samples) for h in range(0, num_heads, heads)]
+    per_sample = num_heads * n_q * n_k * itemsize
+    samples = max(1, _PACK_BYTES // per_sample)
+    panels = min(_MAX_PANELS, -(-per_sample // _PACK_BYTES))
+    rows = -(-n_q // panels)
+    return [(slice(lo, lo + samples), slice(r, r + rows))
+            for lo in range(0, b, samples) for r in range(0, n_q, rows)]
+
+
+def _matmul_into(a: np.ndarray, b: np.ndarray, out: np.ndarray, first: bool) -> None:
+    """``a @ b`` written into ``out`` when ``first``, else added to it."""
+    if first:
+        np.matmul(a, b, out=out)
+    else:
+        out += a @ b
 
 
 def _attention_core(q: Tensor, k: Tensor, v: Tensor, gammas: Tensor,
@@ -485,10 +521,12 @@ def _attention_core(q: Tensor, k: Tensor, v: Tensor, gammas: Tensor,
     i): d gamma_g is rho summed over heads and rows, and d logits =
     W dW - e * ((rho * A) R^T).
 
-    Samples and heads are independent, so the node runs them in the chunks
-    of :func:`_chunks`: whole samples packed into ``_PACK_BYTES`` of N-by-N
-    data (a quarter of a core's L2), a bigger sample alone, heads split only
-    past ``_CHUNK_BYTES``. The chunks run in the reused buffers of
+    Samples are independent, and so are the query rows of a sample, so the
+    node runs the batch in the chunks of :func:`_chunks`, each with all its
+    heads: whole samples packed into ``_PACK_BYTES`` of N-by-N data (a
+    quarter of a core's L2), and a bigger sample in up to ``_MAX_PANELS``
+    panels of query rows, each with its rows of the classes
+    (:meth:`_Classes.rows`). The chunks run in the reused buffers of
     :class:`_Scratch`. Forward scales a chunk's q, writes its logits into
     one buffer, turns it into the shared exponential ``e`` in place and
     spreads ``A`` into a second for ``W``. Between forward and backward the
@@ -500,9 +538,11 @@ def _attention_core(q: Tensor, k: Tensor, v: Tensor, gammas: Tensor,
     array) and d logits, and from those dq and dk, in
     three chunk-sized buffers: ``e``; ``W``, overwritten by ``W dW`` once dV
     is formed and then by d logits; and dW, overwritten by ``dW * e`` and
-    then by the spread correction (:func:`_logit_grad`). The chunks only
-    split independent samples and heads, so output and gradients have the
-    same bits for any layout.
+    then by the spread correction (:func:`_logit_grad`). The output, dq and
+    rho of a panel are its own rows; dk and dv add up over the panels of a
+    sample (:func:`_matmul_into`). So packing samples keeps the bits of the
+    one-chunk arithmetic, and splitting rows reassociates only dk and dv
+    (within rounding, 1e-12 in float64).
 
     Recorded by :func:`~mogref.tensor._record` with one partial per input
     (q, k, gammas, v): the first partial asked for runs the chunk pass for
@@ -527,16 +567,15 @@ def _attention_core(q: Tensor, k: Tensor, v: Tensor, gammas: Tensor,
     n_q, n_k = qh.shape[2], kh.shape[2]
     classes = _residue_classes(n_q, n_k, tuple(dilations), dtype)
     chunks = _chunks(b, num_heads, n_q, n_k, dtype.itemsize)
+    panels = {rows.start: classes.rows(rows) for _, rows in chunks}
 
-    def part(arr, chunk, heads=True):
-        sample, head = chunk
-        arr = arr if arr.shape[0] == 1 else arr[sample]  # batch 1 broadcasts
-        return arr[:, head] if heads else arr
+    def batch(arr, sample):
+        return arr if arr.shape[0] == 1 else arr[sample]  # batch 1 broadcasts
 
-    def shared_exp(chunk, row_max=None):
+    def shared_exp(sample, rows, row_max=None):
         """``e`` of a chunk, its row maximum and its scaled q, scaled anew on every call."""
-        qs, ktc = part(qh, chunk) * scale, part(kt, chunk)
-        shape = (max(qs.shape[0], ktc.shape[0]), qs.shape[1], n_q, n_k)
+        qs, ktc = batch(qh, sample)[:, :, rows] * scale, batch(kt, sample)
+        shape = (max(qs.shape[0], ktc.shape[0]), num_heads, qs.shape[2], n_k)
         logits = np.matmul(qs, ktc, out=_SCRATCH.get(0, shape, dtype))
         if row_max is None:
             row_max = logits.max(axis=-1, keepdims=True)
@@ -551,13 +590,14 @@ def _attention_core(q: Tensor, k: Tensor, v: Tensor, gammas: Tensor,
 
     out, out_heads = merged(q)
     saved = []  # (row max, selected S, selected A) of each chunk
-    for c in chunks:
-        e, row_max, _ = shared_exp(c)
-        coefficients = _class_coefficients(e, part(gammas.data, c, heads=False), classes)
+    for sample, rows in chunks:
+        panel = panels[rows.start]
+        e, row_max, _ = shared_exp(sample, rows)
+        coefficients = _class_coefficients(e, batch(gammas.data, sample), panel)
         if coefficients is None:
             return _composed_attention(q, k, v, gammas, classes, num_heads)
-        w = _weights(e, coefficients[1], classes, out=_SCRATCH.get(1, e.shape, dtype))
-        np.matmul(w, part(vh, c), out=out_heads[c])
+        w = _weights(e, coefficients[1], panel, out=_SCRATCH.get(1, e.shape, dtype))
+        np.matmul(w, batch(vh, sample), out=out_heads[sample, :, rows])
         saved.append((row_max, *coefficients))
 
     def chunk_pass(g):
@@ -566,19 +606,22 @@ def _attention_core(q: Tensor, k: Tensor, v: Tensor, gammas: Tensor,
         dk, dk_heads = merged(k) if k.requires_grad else (None, None)
         dv, dv_heads = merged(v) if v.requires_grad else (None, None)
         rho = np.empty((b, num_heads, n_q, gammas.shape[1]), dtype=dtype) if gammas.requires_grad else None
-        for c, (row_max, s, a) in zip(chunks, saved):
-            e, _, qs = shared_exp(c, row_max)
-            w = _weights(e, a, classes, out=_SCRATCH.get(1, e.shape, dtype))
+        for (sample, rows), (row_max, s, a) in zip(chunks, saved):
+            panel = panels[rows.start]
+            e, _, qs = shared_exp(sample, rows, row_max)
+            w = _weights(e, a, panel, out=_SCRATCH.get(1, e.shape, dtype))
+            g_rows = gh[sample, :, rows]
+            first = rows.start == 0  # the first panel of its samples
             if dv is not None:
-                np.matmul(w.swapaxes(-1, -2), gh[c], out=dv_heads[c])
-            dw = np.matmul(gh[c], part(vh, c).swapaxes(-1, -2), out=_SCRATCH.get(2, e.shape, dtype))
-            dlogits, rho_c = _logit_grad(w, dw, e, s, a, classes)
+                _matmul_into(w.swapaxes(-1, -2), g_rows, dv_heads[sample], first)
+            dw = np.matmul(g_rows, batch(vh, sample).swapaxes(-1, -2), out=_SCRATCH.get(2, e.shape, dtype))
+            dlogits, rho_c = _logit_grad(w, dw, e, s, a, panel)
             if rho is not None:
-                rho[c] = rho_c
+                rho[sample, :, rows] = rho_c
             if dq is not None:
-                np.matmul(dlogits, part(kh, c), out=dq_heads[c])
+                np.matmul(dlogits, batch(kh, sample), out=dq_heads[sample, :, rows])
             if dk is not None:
-                np.matmul(qs.swapaxes(-1, -2), dlogits, out=dk_heads[c].swapaxes(-1, -2))
+                _matmul_into(qs.swapaxes(-1, -2), dlogits, dk_heads[sample].swapaxes(-1, -2), first)
         if dq is not None:
             dq = _unbroadcast(dq, q.shape)
             dq *= scale

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import mogref.mog as mog_module
 from mogref.data import SyntheticSceneSpec, default_vocab
 from mogref.gradcheck import finite_difference_grad, max_rel_err
+from mogref.matching import grounding_loss
 from mogref.mog import (
     GateParams,
     MoGAttention,
@@ -483,19 +484,21 @@ def branch_reference(q, k, v, gammas, masks, num_heads):
 
 class TestAttentionCore:
     @pytest.mark.parametrize("dilations", [(1,), (2, 3), (1, 2, 3, 4)])
-    @pytest.mark.parametrize("n_q, n_k, query_batch", [(9, 9, None), (4, 11, 1)])
-    @pytest.mark.parametrize("chunk", ["batch", "sample", "head"])
-    def test_equals_the_composition(self, dilations, n_q, n_k, query_batch, chunk, monkeypatch):
+    @pytest.mark.parametrize("n_q, n_k, query_batch, panels", [(9, 9, None, 3), (4, 11, 1, 4)])
+    @pytest.mark.parametrize("chunk", ["batch", "sample", "rows"])
+    def test_equals_the_composition(self, dilations, n_q, n_k, query_batch, panels, chunk, monkeypatch):
         # one chunk for the whole batch (the unchunked arithmetic), one per
-        # sample, one per (sample, head): each _CHUNK_BYTES here is below
-        # _PACK_BYTES, so it sets the budget. Every layout has the bits of the
-        # one-chunk layout and is within 1e-12 of the per-branch composition.
+        # sample, and each sample in row panels (a budget of 1 byte asks for
+        # the most, min(4, n_q) panels of ceil(n_q / 4) rows). The sample
+        # layout has the bits of the one-chunk layout; row panels sum dk and
+        # dv over the panels of a sample, so that layout is within 1e-12 of
+        # it. Every layout is within 1e-12 of the per-branch composition.
         per_sample = 2 * n_q * n_k * 8
 
         def run(layout):
-            chunk_bytes = {"batch": 2 * per_sample, "sample": per_sample, "head": 1}[layout]
-            monkeypatch.setattr(mog_module, "_CHUNK_BYTES", chunk_bytes)
-            assert len(mog_module._chunks(2, 2, n_q, n_k, 8)) == {"batch": 1, "sample": 2, "head": 4}[layout]
+            pack_bytes = {"batch": 2 * per_sample, "sample": per_sample, "rows": 1}[layout]
+            monkeypatch.setattr(mog_module, "_PACK_BYTES", pack_bytes)
+            assert len(mog_module._chunks(2, 2, n_q, n_k, 8)) == {"batch": 1, "sample": 2, "rows": 2 * panels}[layout]
             params, proj = core_inputs(21, 2, 2, n_q, n_k, 8, dilations, query_batch)
             out = _attention_core(*params, dilations, 2)
             assert "_attention_core" in out._backward.__qualname__
@@ -504,9 +507,14 @@ class TestAttentionCore:
 
         out, params, proj = run(chunk)
         one_out, one_params, _ = run("batch")
-        assert (out == one_out).all()
-        for p, r in zip(params, one_params):
-            assert (p.grad == r.grad).all(), p.name
+        if chunk == "rows":
+            assert np.abs(out - one_out).max() < 1e-12
+            for p, r in zip(params, one_params):
+                assert np.abs(p.grad - r.grad).max() < 1e-12, p.name
+        else:
+            assert (out == one_out).all()
+            for p, r in zip(params, one_params):
+                assert (p.grad == r.grad).all(), p.name
 
         refs = copies(params)
         masks = [build_rect_mask(n_q, n_k, d) for d in dilations]
@@ -644,7 +652,7 @@ class TestAttentionCore:
         # the first three chunks have written their output and saved arrays
         # before the core returns the fallback; the queries (batch 1)
         # broadcast against all four samples
-        monkeypatch.setattr(mog_module, "_CHUNK_BYTES", 3 * 3 * 8)
+        monkeypatch.setattr(mog_module, "_PACK_BYTES", 3 * 3 * 8)
         assert len(mog_module._chunks(4, 1, 3, 3, 8)) == 4
         logits = np.array([[0.0, 1.0, -2.0], [0.0, -740.0, 0.5], [-1.0, 0.0, 2.0]])
         q = Parameter("q", np.concatenate([2.0 * logits, np.zeros((3, 1))], axis=1)[None])
@@ -715,41 +723,49 @@ class TestAttentionCore:
         assert buffers < 1.0, f"peak {buffers:.2f} (B, H, N, N) buffers"
 
 
-@pytest.mark.parametrize("shape, samples, heads, count", [  # shape: (B, H, N_q, N_k, itemsize)
-    ((8, 4, 74, 74, 8), 2, 4, 4),  # 171 KB float64 samples: two fit the pack budget
-    ((16, 4, 74, 74, 8), 2, 4, 8),  # the same for a 16-scene evaluation
-    ((2, 4, 266, 266, 8), 1, 4, 2),  # 2.2 MB samples: one each
-    ((1, 4, 1034, 1034, 8), 1, 1, 4),  # 34 MB samples: one head each
-    ((8, 4, 74, 74, 4), 5, 4, 2),  # 86 KB float32 samples: five fit
-    ((16, 4, 74, 74, 4), 5, 4, 4),
-    ((2, 4, 266, 266, 4), 1, 4, 2),  # 1.1 MB: one each
-    ((1, 4, 1034, 1034, 4), 1, 1, 4),  # 4.3 MB heads: one head each
+@pytest.mark.parametrize("shape, samples, rows, count", [  # shape: (B, H, N_q, N_k, itemsize)
+    ((8, 4, 74, 74, 8), 2, 74, 4),  # 171 KB float64 samples: two fit the pack budget
+    ((16, 4, 74, 74, 8), 2, 74, 8),  # the same for a 16-scene evaluation
+    ((2, 4, 266, 266, 8), 1, 67, 8),  # 2.2 MB samples: 4 panels each (5 capped)
+    ((1, 4, 1034, 1034, 8), 1, 259, 4),  # 34 MB samples: 4 panels each (66 capped)
+    ((8, 4, 74, 74, 4), 5, 74, 2),  # 86 KB float32 samples: five fit
+    ((16, 4, 74, 74, 4), 5, 74, 4),
+    ((2, 4, 266, 266, 4), 1, 89, 6),  # 1.1 MB: 3 panels each
+    ((1, 4, 1034, 1034, 4), 1, 259, 4),  # 17 MB: 4 panels each (33 capped)
 ])
-def test_chunks_pack_whole_samples_up_to_the_budget(shape, samples, heads, count):
-    b, h = shape[:2]
+def test_chunks_pack_whole_samples_up_to_the_budget(shape, samples, rows, count):
+    b, n_q = shape[0], shape[2]
     chunks = mog_module._chunks(*shape)
     assert len(chunks) == count
-    assert all(c[0].stop - c[0].start == samples and c[1].stop - c[1].start == heads
+    assert all(c[0].stop - c[0].start == samples and c[1].stop - c[1].start == rows
                for c in chunks)
-    covered = np.zeros((b, h), dtype=int)
-    for sample, head in chunks:
-        covered[sample, head] += 1
+    covered = np.zeros((b, n_q), dtype=int)
+    for sample, panel in chunks:
+        covered[sample, panel] += 1
     assert (covered == 1).all()
 
 
-def test_eval_forward_scratch_stays_within_the_pack_budget():
+@pytest.mark.parametrize("image_size, scenes, train", [
+    (64, 16, False),  # a 16-scene evaluation: 74 tokens, samples packed
+    (128, 2, True),  # a B=2 training step: 266 tokens, 1.1 MB samples split into row panels
+])
+def test_eval_forward_scratch_stays_within_the_pack_budget(image_size, scenes, train):
     # _Scratch is per thread, so a fresh thread starts with empty buffers
     vocab = default_vocab()
-    dataset = build_synthetic_dataset(16, SyntheticSceneSpec(image_size=64), vocab, 0)
-    model = SCSModel(ModelConfig(image_size=64, vocab_size=len(vocab)), vocab, RngState(0))
+    dataset = build_synthetic_dataset(scenes, SyntheticSceneSpec(image_size=image_size), vocab, 0)
+    model = SCSModel(ModelConfig(image_size=image_size, vocab_size=len(vocab)), vocab, RngState(0))
     sizes = []
 
-    def forward():
-        with no_grad():
-            model.forward(dataset.images, dataset.token_ids)
+    def step():
+        if train:
+            pred = model.forward(dataset.images, dataset.token_ids)
+            backward(grounding_loss(pred.boxes, pred.confidence, dataset.targets)[0])
+        else:
+            with no_grad():
+                model.forward(dataset.images, dataset.token_ids)
         sizes.extend(buf.nbytes for buf in mog_module._SCRATCH.buffers)
 
-    worker = threading.Thread(target=forward)
+    worker = threading.Thread(target=step)
     worker.start()
     worker.join(timeout=120)
     assert not worker.is_alive()
