@@ -75,8 +75,7 @@ def _artifact(args, name: str) -> Path:
 
 
 def _run_config(args) -> dict:
-    cfg = {k: v for k, v in vars(args).items() if k != "func"}
-    return {k: (list(v) if isinstance(v, tuple) else v) for k, v in sorted(cfg.items())}
+    return {k: v for k, v in sorted(vars(args).items()) if k != "func"}
 
 
 def _write_json(args, name: str, payload: dict) -> None:

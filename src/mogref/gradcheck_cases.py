@@ -5,6 +5,10 @@ Each case builds a deterministic scalar loss over a few small Parameters
 ``backward`` can be compared against the central-difference oracle. The
 registry is shared by the gradcheck CLI command, the unit tests, and the
 acceptance suite.
+
+A new op gets its case as one ``_case`` row in ``_CASES`` when its loss is
+``tsum(op(*params) * w)``; a case function is written only when the loss
+is not of that form (several terms, fixed indices, a model or a matcher).
 """
 
 from __future__ import annotations
@@ -30,38 +34,25 @@ def _proj(rng: RngState, shape) -> Tensor:
     return Tensor(rng.uniform_array(shape, -1.0, 1.0))
 
 
-def case_matmul(rng: RngState) -> Case:
-    a = _param(rng, "a", (2, 3, 4))
-    b = _param(rng, "b", (4, 5))
-    w = _proj(rng, (2, 3, 5))
-    return (lambda: tensor.tsum(tensor.matmul(a, b) * w)), [a, b]
+def _case(op: Callable[..., Tensor], *inputs, proj) -> Callable[[RngState], Case]:
+    """A case whose loss is ``tsum(op(*params) * w)``.
+
+    Each input is a ``(name, shape[, lo, hi])`` Parameter, drawn in order
+    before the projection ``w`` of shape ``proj``.
+    """
+    def build(rng: RngState) -> Case:
+        params = [_param(rng, *spec) for spec in inputs]
+        w = _proj(rng, proj)
+        return (lambda: tensor.tsum(op(*params) * w)), params
+
+    return build
 
 
-def case_add_mul_broadcast(rng: RngState) -> Case:
-    a = _param(rng, "a", (3, 4))
-    b = _param(rng, "bias", (4,))
-    w = _proj(rng, (3, 4))
-    return (lambda: tensor.tsum((a + b) * (a * b) * w)), [a, b]
-
-
-def case_sub_neg_div(rng: RngState) -> Case:
-    a = _param(rng, "a", (2, 5))
-    b = _param(rng, "b", (2, 5), 1.0, 2.0)  # denominator away from zero
-    w = _proj(rng, (2, 5))
-    return (lambda: tensor.tsum((-a - b / a.shape[0] + a / b) * w)), [a, b]
-
-
-def case_reshape_transpose_concat(rng: RngState) -> Case:
-    a = _param(rng, "a", (2, 6))
-    b = _param(rng, "b", (3, 4))
-    w = _proj(rng, (2, 3, 4))
-
-    def loss():
-        left = tensor.reshape(a, (1, 3, 4))
-        right = tensor.transpose(tensor.reshape(b, (3, 1, 4)), (1, 0, 2))
-        return tensor.tsum(tensor.concat([left, right], axis=0) * w)
-
-    return loss, [a, b]
+def _targets(rng: RngState, count: int) -> list[matching.BBox]:
+    """``count`` target boxes, centres in [0.3, 0.7) and sides in [0.2, 0.4)."""
+    return [matching.BBox(rng.uniform_in(0.3, 0.7), rng.uniform_in(0.3, 0.7),
+                          rng.uniform_in(0.2, 0.4), rng.uniform_in(0.2, 0.4))
+            for _ in range(count)]
 
 
 def case_select_take_rows(rng: RngState) -> Case:
@@ -82,56 +73,6 @@ def case_reductions(rng: RngState) -> Case:
     a = _param(rng, "a", (3, 4, 2))
     w = _proj(rng, (3, 2))
     return (lambda: tensor.tsum(tensor.mean(a, axis=1) * w) + tensor.tsum(a) / 7.0), [a]
-
-
-def case_absolute(rng: RngState) -> Case:
-    a = _param(rng, "a", (3, 5))
-    w = _proj(rng, (3, 5))
-    return (lambda: tensor.tsum(tensor.absolute(a) * w)), [a]
-
-
-def case_log(rng: RngState) -> Case:
-    a = _param(rng, "a", (3, 5), 0.5, 1.5)
-    w = _proj(rng, (3, 5))
-    return (lambda: tensor.tsum(tensor.log(a) * w)), [a]
-
-
-def case_sigmoid(rng: RngState) -> Case:
-    a = _param(rng, "a", (3, 5))
-    w = _proj(rng, (3, 5))
-    return (lambda: tensor.tsum(tensor.sigmoid(a) * w)), [a]
-
-
-def case_gelu(rng: RngState) -> Case:
-    a = _param(rng, "a", (3, 5))
-    w = _proj(rng, (3, 5))
-    return (lambda: tensor.tsum(tensor.gelu(a) * w)), [a]
-
-
-def case_maximum_minimum(rng: RngState) -> Case:
-    a = _param(rng, "a", (4, 4))
-    b = _param(rng, "b", (4, 4))
-    w = _proj(rng, (4, 4))
-    return (lambda: tensor.tsum((tensor.maximum(a, b) + tensor.minimum(a, 0.25)) * w)), [a, b]
-
-
-def case_softmax(rng: RngState) -> Case:
-    a = _param(rng, "a", (3, 6))
-    w = _proj(rng, (3, 6))
-    return (lambda: tensor.tsum(tensor.softmax(a) * w)), [a]
-
-
-def case_masked_softmax(rng: RngState) -> Case:
-    a = _param(rng, "a", (2, 3, 6))
-    bits = mog.build_mask(6, 2).bits[:3]
-    w = _proj(rng, (2, 3, 6))
-    return (lambda: tensor.tsum(tensor.masked_softmax(a, bits) * w)), [a]
-
-
-def case_layernorm(rng: RngState) -> Case:
-    a = _param(rng, "a", (3, 7))
-    w = _proj(rng, (3, 7))
-    return (lambda: tensor.tsum(tensor.layernorm(a) * w)), [a]
 
 
 def _toy_attention(rng: RngState) -> tuple[Parameter, mog.MoGAttention]:
@@ -235,11 +176,7 @@ def case_match_and_loss(rng: RngState) -> Case:
     """One sample's set loss: ``grounding_loss`` at B = 1, matched at every evaluation."""
     boxes = _param(rng, "boxes", (3, 4), 0.25, 0.75)
     conf = _param(rng, "conf", (3,), 0.2, 0.8)
-    targets = [
-        matching.BBox(rng.uniform_in(0.3, 0.7), rng.uniform_in(0.3, 0.7),
-                      rng.uniform_in(0.2, 0.4), rng.uniform_in(0.2, 0.4))
-        for _ in range(2)
-    ]
+    targets = _targets(rng, 2)
     return (lambda: matching.grounding_loss(tensor.reshape(boxes, (1, 3, 4)),
                                             tensor.reshape(conf, (1, 3)), [targets])[0]), [boxes, conf]
 
@@ -248,12 +185,7 @@ def case_grounding_loss_batch(rng: RngState) -> Case:
     """The batched set loss: B=3 with 1, 2 and 3 targets, assignments frozen at the base point."""
     boxes = _param(rng, "boxes", (3, 3, 4), 0.25, 0.75)
     conf = _param(rng, "conf", (3, 3), 0.2, 0.8)
-    targets = [
-        [matching.BBox(rng.uniform_in(0.3, 0.7), rng.uniform_in(0.3, 0.7),
-                       rng.uniform_in(0.2, 0.4), rng.uniform_in(0.2, 0.4))
-         for _ in range(count)]
-        for count in (1, 2, 3)
-    ]
+    targets = [_targets(rng, count) for count in (1, 2, 3)]
     _, frozen = matching.grounding_loss(boxes, conf, targets)
     return (lambda: matching.batch_assignment_loss(boxes, conf, targets, frozen)), [boxes, conf]
 
@@ -309,20 +241,27 @@ def case_cast(rng: RngState) -> Case:
 
 
 _CASES = [
-    ("matmul", case_matmul),
-    ("add_mul_broadcast", case_add_mul_broadcast),
-    ("sub_neg_div", case_sub_neg_div),
-    ("reshape_transpose_concat", case_reshape_transpose_concat),
+    ("matmul", _case(tensor.matmul, ("a", (2, 3, 4)), ("b", (4, 5)), proj=(2, 3, 5))),
+    ("add_mul_broadcast", _case(lambda a, b: (a + b) * (a * b),
+                                ("a", (3, 4)), ("bias", (4,)), proj=(3, 4))),
+    ("sub_neg_div", _case(lambda a, b: -a - b / a.shape[0] + a / b,
+                          ("a", (2, 5)), ("b", (2, 5), 1.0, 2.0), proj=(2, 5))),  # b away from zero
+    ("reshape_transpose_concat", _case(
+        lambda a, b: tensor.concat([tensor.reshape(a, (1, 3, 4)),
+                                    tensor.transpose(tensor.reshape(b, (3, 1, 4)), (1, 0, 2))], axis=0),
+        ("a", (2, 6)), ("b", (3, 4)), proj=(2, 3, 4))),
     ("select_take_rows", case_select_take_rows),
     ("reductions", case_reductions),
-    ("absolute", case_absolute),
-    ("log", case_log),
-    ("sigmoid", case_sigmoid),
-    ("gelu", case_gelu),
-    ("maximum_minimum", case_maximum_minimum),
-    ("softmax", case_softmax),
-    ("masked_softmax", case_masked_softmax),
-    ("layernorm", case_layernorm),
+    ("absolute", _case(tensor.absolute, ("a", (3, 5)), proj=(3, 5))),
+    ("log", _case(tensor.log, ("a", (3, 5), 0.5, 1.5), proj=(3, 5))),
+    ("sigmoid", _case(tensor.sigmoid, ("a", (3, 5)), proj=(3, 5))),
+    ("gelu", _case(tensor.gelu, ("a", (3, 5)), proj=(3, 5))),
+    ("maximum_minimum", _case(lambda a, b: tensor.maximum(a, b) + tensor.minimum(a, 0.25),
+                              ("a", (4, 4)), ("b", (4, 4)), proj=(4, 4))),
+    ("softmax", _case(tensor.softmax, ("a", (3, 6)), proj=(3, 6))),
+    ("masked_softmax", _case(lambda a: tensor.masked_softmax(a, mog.build_mask(6, 2).bits[:3]),
+                             ("a", (2, 3, 6)), proj=(2, 3, 6))),
+    ("layernorm", _case(tensor.layernorm, ("a", (3, 7)), proj=(3, 7))),
     ("gate_weights", case_gate_weights),
     ("branch_attention", case_branch_attention),
     ("mog_forward", case_mog_forward),

@@ -68,6 +68,8 @@ def score_ious(ious: np.ndarray, thetas: Sequence[float] = DEFAULT_THRESHOLDS) -
     ious = np.asarray(ious, dtype=np.float64)
     if ious.size == 0:
         raise ValueError("precision needs at least one pair")
+    if len(thetas) == 0:
+        raise ValueError("precision needs at least one theta")
     for theta in thetas:
         if not (0.0 < theta < 1.0):
             raise ValueError(f"theta must be in (0, 1), got {theta}")

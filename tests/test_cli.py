@@ -1,6 +1,7 @@
 import ast
 import csv
 import dataclasses
+import importlib.util
 import json
 import os
 import platform
@@ -35,6 +36,8 @@ from mogref.data import (
 from mogref.metrics import EvalResult
 from mogref.model import ModelConfig, SCSModel
 from mogref.train import TrainConfig, build_synthetic_dataset, load_dataset_dir
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 TINY_MODEL_FLAGS = [
     "--model-dim", "8", "--num-heads", "2", "--sce-blocks", "1",
@@ -752,3 +755,25 @@ class TestEntryPoints:
         doc = json.loads((tmp_path / "stats.json").read_text())
         assert doc["run_config"]["data"].endswith("annotations_fixture.json")
         assert doc["schema_version"] == 1
+
+    def test_every_name_the_benchmark_reads_exists(self):
+        # perfbench/run.py reaches the program only as mg.<module>.<name>
+        read = set()
+        for node in ast.walk(ast.parse((PERFBENCH / "run.py").read_text())):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Attribute)
+                    and getattr(node.value.value, "id", None) == "mg"):
+                read.add((node.value.attr, node.attr))
+        assert len(read) >= 10  # the walk found the benchmark's reads, not nothing
+        missing = sorted(f"{module}.{name}" for module, name in read
+                         if not hasattr(importlib.import_module(f"mogref.{module}"), name))
+        assert missing == []
+
+    def test_every_traced_boundary_is_callable(self):
+        spec = importlib.util.spec_from_file_location("perfbench_tracer", PERFBENCH / "tracer.py")
+        tracer = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracer)
+        mg = SimpleNamespace(**{m: importlib.import_module(f"mogref.{m}")
+                                for m in ("matching", "model", "tensor", "train")})
+        targets = tracer.boundaries(mg)
+        assert targets
+        assert [name for owner, attr, name in targets if not callable(getattr(owner, attr, None))] == []

@@ -13,6 +13,7 @@ from mogref.metrics import (
     dataset_stats,
     mean_precision,
     precision_at,
+    score_ious,
 )
 from mogref.rng import RngState
 
@@ -57,6 +58,8 @@ class TestPrecisionAt:
     def test_theta_domain(self):
         with pytest.raises(ValueError):
             precision_at([pair_with_iou(0.9)], 0.0)
+        with pytest.raises(ValueError, match="at least one theta"):  # no mP to average
+            score_ious([0.7], ())
 
     @given(st.lists(st.floats(0.01, 0.99), min_size=1, max_size=12))
     def test_monotone_non_increasing_in_theta(self, ious):
