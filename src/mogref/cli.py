@@ -166,7 +166,7 @@ def _load_any_dataset(args, spec: SyntheticSceneSpec | None, vocab, dtype: str):
 
 
 def cmd_gradcheck(args) -> int:
-    only = [s for s in args.only.split(",") if s] if args.only else None
+    only = [s for s in args.only.split(",") if s] if args.only is not None else None
     results = run_gradcheck(seed=args.seed, fault_op=args.fault_inject, only=only)
     all_passed = all(r.passed for r in results)
     for r in results:

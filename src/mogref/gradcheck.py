@@ -91,7 +91,8 @@ def check_case(
         analytic = (-p.grad if flip_sign else p.grad).copy()
         fd = finite_difference_grad(lambda _p: build_loss(), p, h=h)
         err = max_rel_err(analytic, fd)
-        if err >= worst:
+        # a NaN error fails every comparison; record it, and keep it, as the worst
+        if err >= worst or np.isnan(err) and not np.isnan(worst):
             worst = err
             worst_param = p.name
     return GradCheckResult(name, worst, tol, worst <= tol, worst_param)
@@ -104,10 +105,10 @@ def run_gradcheck(seed: int = 0, h: float = DEFAULT_STEP, tol: float = DEFAULT_T
 
     Returns one result per named case; ``fault_op`` sign-flips that case's
     analytic gradient so the failure path can be exercised deliberately.
-    ``only`` restricts the run to the named cases. An empty ``only``, or a
-    name in ``only`` or ``fault_op`` that is no case, raises ``ValueError``
-    before any case runs, so a run can neither check nothing nor flip
-    nothing and pass.
+    ``only`` restricts the run to the named cases. An empty ``only``, a
+    name in ``only`` or ``fault_op`` that is no case, or a ``fault_op`` that
+    ``only`` leaves out raises ``ValueError`` before any case runs, so a run
+    can neither check nothing nor flip nothing and pass.
     """
     from mogref import gradcheck_cases
 
@@ -118,6 +119,8 @@ def run_gradcheck(seed: int = 0, h: float = DEFAULT_STEP, tol: float = DEFAULT_T
     unknown = sorted({*(only or ()), *([fault_op] if fault_op is not None else ())} - known)
     if unknown:
         raise ValueError(f"unknown gradcheck case names {unknown}; the cases are {sorted(known)}")
+    if only is not None and fault_op is not None and fault_op not in only:
+        raise ValueError(f"fault_op {fault_op!r} is not among the cases only runs, {only}")
     results = []
     for name, builder in cases:
         if only is not None and name not in only:

@@ -7,8 +7,10 @@ registry is shared by the gradcheck CLI command, the unit tests, and the
 acceptance suite.
 
 A new op gets its case as one ``_case`` row in ``_CASES`` when its loss is
-``tsum(op(*params) * w)``; a case function is written only when the loss
-is not of that form (several terms, fixed indices, a model or a matcher).
+``tsum(op(*params) * w)``. A check of several terms is one row per term,
+so a failure names the term that broke. A case function is written only
+when its parameters come from a module, a call grid, a matcher, a model
+or a float32 leaf.
 """
 
 from __future__ import annotations
@@ -55,26 +57,6 @@ def _targets(rng: RngState, count: int) -> list[matching.BBox]:
             for _ in range(count)]
 
 
-def case_select_take_rows(rng: RngState) -> Case:
-    table = _param(rng, "table", (5, 3))
-    idx = np.array([0, 2, 2, 4])
-    w = _proj(rng, (4, 3))
-    w2 = _proj(rng, (5,))
-
-    def loss():
-        gathered = tensor.take_rows(table, idx)
-        col = tensor.select(table, 1, axis=1)
-        return tensor.tsum(gathered * w) + tensor.tsum(col * w2)
-
-    return loss, [table]
-
-
-def case_reductions(rng: RngState) -> Case:
-    a = _param(rng, "a", (3, 4, 2))
-    w = _proj(rng, (3, 2))
-    return (lambda: tensor.tsum(tensor.mean(a, axis=1) * w) + tensor.tsum(a) / 7.0), [a]
-
-
 def _toy_attention(rng: RngState) -> tuple[Parameter, mog.MoGAttention]:
     cfg = mog.MoGConfig(model_dim=4, num_heads=2, dilations=(1, 2, 3))
     attn = mog.MoGAttention(cfg, rng, "attn")
@@ -83,12 +65,6 @@ def _toy_attention(rng: RngState) -> tuple[Parameter, mog.MoGAttention]:
     attn.gate.b.data = rng.uniform_array(attn.gate.b.shape, -0.5, 0.5)
     x = _param(rng, "x", (2, 6, 4))
     return x, attn
-
-
-def case_gate_weights(rng: RngState) -> Case:
-    x, attn = _toy_attention(rng)
-    w = _proj(rng, (2, 3))
-    return (lambda: tensor.tsum(mog.gate_weights(x, attn.gate) * w)), [x, attn.gate.w, attn.gate.b]
 
 
 def case_branch_attention(rng: RngState) -> Case:
@@ -140,36 +116,6 @@ def case_attention_core(rng: RngState) -> Case:
                    for qkv, dilations, heads, w in calls)
 
     return loss, [gammas[3], gammas[2], *(p for qkv, *_ in calls for p in qkv)]
-
-
-def case_affine(rng: RngState) -> Case:
-    """``x @ w + b`` as one node, batched (2, 3, 4) rows and a 2-D (3, 4) input,
-    and ``residual + (x @ w + b)`` with a same-shape and a broadcast (5,) residual."""
-    x = _param(rng, "x", (2, 3, 4))
-    flat = _param(rng, "flat", (3, 4))
-    w = _param(rng, "w", (4, 5))
-    b = _param(rng, "b", (5,))
-    w_batched = _proj(rng, (2, 3, 5))
-    w_flat = _proj(rng, (3, 5))
-    same = _param(rng, "residual", (2, 3, 5))
-    row = _param(rng, "row_residual", (5,))
-    w_same = _proj(rng, (2, 3, 5))
-    w_row = _proj(rng, (2, 3, 5))
-
-    def loss():
-        return (tensor.tsum(tensor.affine(x, w, b) * w_batched)
-                + tensor.tsum(tensor.affine(flat, w, b) * w_flat)
-                + tensor.tsum(tensor.affine(x, w, b, same) * w_same)
-                + tensor.tsum(tensor.affine(x, w, b, row) * w_row))
-
-    return loss, [x, flat, w, b, same, row]
-
-
-def case_giou_pairs(rng: RngState) -> Case:
-    a = _param(rng, "boxes_a", (4, 4), 0.3, 0.6)
-    b = Tensor(rng.uniform_array((4, 4), 0.35, 0.65))
-    w = _proj(rng, (4,))
-    return (lambda: tensor.tsum(matching.giou_pairs(a, b) * w)), [a]
 
 
 def case_match_and_loss(rng: RngState) -> Case:
@@ -250,8 +196,11 @@ _CASES = [
         lambda a, b: tensor.concat([tensor.reshape(a, (1, 3, 4)),
                                     tensor.transpose(tensor.reshape(b, (3, 1, 4)), (1, 0, 2))], axis=0),
         ("a", (2, 6)), ("b", (3, 4)), proj=(2, 3, 4))),
-    ("select_take_rows", case_select_take_rows),
-    ("reductions", case_reductions),
+    ("take_rows", _case(lambda table: tensor.take_rows(table, np.array([0, 2, 2, 4])),
+                        ("table", (5, 3)), proj=(4, 3))),
+    ("select", _case(lambda table: tensor.select(table, 1, axis=1), ("table", (5, 3)), proj=(5,))),
+    ("mean", _case(lambda a: tensor.mean(a, axis=1), ("a", (3, 4, 2)), proj=(3, 2))),
+    ("tsum", _case(lambda a: tensor.tsum(a) / 7.0, ("a", (3, 4, 2)), proj=())),
     ("absolute", _case(tensor.absolute, ("a", (3, 5)), proj=(3, 5))),
     ("log", _case(tensor.log, ("a", (3, 5), 0.5, 1.5), proj=(3, 5))),
     ("sigmoid", _case(tensor.sigmoid, ("a", (3, 5)), proj=(3, 5))),
@@ -262,16 +211,24 @@ _CASES = [
     ("masked_softmax", _case(lambda a: tensor.masked_softmax(a, mog.build_mask(6, 2).bits[:3]),
                              ("a", (2, 3, 6)), proj=(2, 3, 6))),
     ("layernorm", _case(tensor.layernorm, ("a", (3, 7)), proj=(3, 7))),
-    ("gate_weights", case_gate_weights),
+    ("gate_weights", _case(lambda x, w, b: mog.gate_weights(x, mog.GateParams(w, b)),
+                           ("x", (2, 6, 4)), ("gate_w", (4, 3), -0.5, 0.5),
+                           ("gate_b", (3,), -0.5, 0.5), proj=(2, 3))),
     ("branch_attention", case_branch_attention),
     ("mog_forward", case_mog_forward),
-    ("giou_pairs", case_giou_pairs),
+    ("giou_pairs", _case(matching.giou_pairs, ("boxes_a", (4, 4), 0.3, 0.6),
+                         ("boxes_b", (4, 4), 0.35, 0.65), proj=(4,))),
     ("match_and_loss", case_match_and_loss),
     ("scs_end_to_end", case_scs_end_to_end),
     ("attention_core", case_attention_core),
     ("grounding_loss_batch", case_grounding_loss_batch),
     ("cast", case_cast),
-    ("affine", case_affine),
+    ("affine", _case(tensor.affine, ("x", (2, 3, 4)), ("w", (4, 5)), ("b", (5,)), proj=(2, 3, 5))),
+    ("affine_2d", _case(tensor.affine, ("x", (3, 4)), ("w", (4, 5)), ("b", (5,)), proj=(3, 5))),
+    ("affine_residual", _case(tensor.affine, ("x", (2, 3, 4)), ("w", (4, 5)), ("b", (5,)),
+                              ("residual", (2, 3, 5)), proj=(2, 3, 5))),
+    ("affine_broadcast_residual", _case(tensor.affine, ("x", (2, 3, 4)), ("w", (4, 5)), ("b", (5,)),
+                                        ("residual", (5,)), proj=(2, 3, 5))),
 ]
 
 

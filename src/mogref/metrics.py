@@ -62,17 +62,22 @@ class EvalResult:
         return [repr(p) for p in self.precisions.values()] + [repr(self.mp)]
 
 
+def check_thetas(thetas: Sequence[float]) -> None:
+    """Raise ``ValueError`` unless ``thetas`` is a non-empty list of values in (0, 1)."""
+    if len(thetas) == 0:
+        raise ValueError("precision needs at least one theta")
+    for theta in thetas:
+        if not (0.0 < theta < 1.0):
+            raise ValueError(f"theta must be in (0, 1), got {theta}")
+
+
 def score_ious(ious: np.ndarray, thetas: Sequence[float] = DEFAULT_THRESHOLDS) -> EvalResult:
     """Precision at each theta of one IoU per sample: the fraction strictly
     above theta, as a Python ``float``; ``mP`` is their plain mean."""
     ious = np.asarray(ious, dtype=np.float64)
     if ious.size == 0:
         raise ValueError("precision needs at least one pair")
-    if len(thetas) == 0:
-        raise ValueError("precision needs at least one theta")
-    for theta in thetas:
-        if not (0.0 < theta < 1.0):
-            raise ValueError(f"theta must be in (0, 1), got {theta}")
+    check_thetas(thetas)
     precisions = {t: int(np.count_nonzero(ious > t)) / ious.size for t in thetas}
     mp = sum(precisions.values()) / len(precisions)
     return EvalResult(precisions, mp, ious.size)

@@ -35,7 +35,7 @@ from mogref.data import (
     tokenize,
 )
 from mogref.matching import BBox, box_overlaps, box_rows, grounding_loss
-from mogref.metrics import DEFAULT_THRESHOLDS, EvalResult, score_ious
+from mogref.metrics import DEFAULT_THRESHOLDS, EvalResult, check_thetas, score_ious
 from mogref.model import MODEL_DTYPES, Prediction, SCSModel
 from mogref.rng import RngState
 from mogref.tensor import Parameter, backward, no_grad
@@ -294,6 +294,7 @@ def evaluate_model(model: SCSModel, dataset: GroundingDataset,
                    thetas: Sequence[float] = DEFAULT_THRESHOLDS) -> EvalResult:
     """P@theta of each sample's :func:`predict_best_boxes` box, scored by its
     IoU with whichever of the sample's target boxes it overlaps most."""
+    check_thetas(thetas)
     counts = np.array([len(targets) for targets in dataset.targets], dtype=np.intp)
     if not counts.all():
         raise ValueError("every evaluated sample needs a target box")

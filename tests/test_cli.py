@@ -75,15 +75,20 @@ class TestGradcheckCommand:
         failed = [r["op"] for r in doc["results"] if not r["passed"]]
         assert failed == ["gelu"]
 
-    @pytest.mark.parametrize("flags", [["--only", "matmull"], ["--only", "matmul,gelu2"],
-                                       ["--fault-inject", "matmull", "--only", "matmul"],
-                                       ["--only", ","]])
-    def test_unknown_case_name_exits_validation_and_writes_nothing(self, tmp_path, capsys, flags):
-        # at a typo, or a list of no names, the run would check nothing, or
-        # flip nothing, and pass
+    @pytest.mark.parametrize("flags, expected", [
+        (["--only", "matmull"], "unknown gradcheck case names"),
+        (["--only", "matmul,gelu2"], "unknown gradcheck case names"),
+        (["--fault-inject", "matmull", "--only", "matmul"], "unknown gradcheck case names"),
+        (["--only", ","], "names no gradcheck case"),
+        (["--only", ""], "names no gradcheck case"),
+        (["--fault-inject", "sigmoid", "--only", "log"], "fault_op 'sigmoid' is not among"),
+    ], ids=["typo", "typo_in_list", "fault_typo", "comma", "empty", "fault_left_out"])
+    def test_unknown_case_name_exits_validation_and_writes_nothing(self, tmp_path, capsys,
+                                                                   flags, expected):
+        # at a typo, a list of no names or a flip outside the list, the run
+        # would check nothing, or flip nothing, and pass
         code = main(["gradcheck", *flags, "--out-dir", str(tmp_path)])
         assert code == EXIT_VALIDATION
-        expected = "names no gradcheck case" if flags == ["--only", ","] else "unknown gradcheck case names"
         assert expected in capsys.readouterr().err
         assert not (tmp_path / "gradcheck.json").exists()
 

@@ -44,6 +44,25 @@ def test_check_case_flags_sign_flip():
     assert result.op == "square_sum"
 
 
+@pytest.mark.parametrize("nan_first", [True, False])
+def test_check_case_fails_on_a_nan_gradient(monkeypatch, nan_first):
+    # a NaN error fails every comparison, so a finite error checked before or
+    # after it must not hide it
+    from mogref import gradcheck
+
+    def fd_nan_for_bad(f, param, h):
+        return np.full_like(param.data, np.nan) if param.name == "bad" else finite_difference_grad(f, param, h)
+
+    monkeypatch.setattr(gradcheck, "finite_difference_grad", fd_nan_for_bad)
+    bad = Parameter("bad", np.array([0.5]))
+    good = Parameter("good", np.array([0.3, -0.7]))
+    params = [bad, good] if nan_first else [good, bad]
+    result = check_case("nan_sum", lambda: tsum(bad * bad) + tsum(good * good), params)
+    assert np.isnan(result.worst_rel_err)
+    assert result.worst_param == "bad"
+    assert not result.passed
+
+
 def test_registry_names_cover_every_op_family():
     from mogref.gradcheck_cases import all_cases
 
@@ -120,3 +139,12 @@ def test_unknown_case_names_raise_naming_them(only, fault_op):
     typos = sorted({*(only or ()), fault_op} - {"matmul", None})
     with pytest.raises(ValueError, match=re.escape(repr(typos)) if typos else "names no gradcheck case"):
         run_gradcheck(seed=0, only=only, fault_op=fault_op)
+
+
+def test_a_fault_op_that_only_leaves_out_raises_naming_it(monkeypatch):
+    # the flip would reach no case, and the run would pass
+    from mogref import gradcheck
+
+    monkeypatch.setattr(gradcheck, "check_case", lambda *a, **k: pytest.fail("a case ran"))
+    with pytest.raises(ValueError, match="fault_op 'sigmoid' is not among the cases"):
+        run_gradcheck(seed=0, fault_op="sigmoid", only=["log"])

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from mogref import matching
 from mogref.data import SyntheticSceneSpec, default_vocab
-from mogref.gradcheck import finite_difference_grad, max_rel_err
+from mogref.gradcheck import check_case
 from mogref.matching import (
     Assignment,
     BBox,
@@ -460,14 +460,10 @@ class TestMatchAndLoss:
         targets = [[random_box(rng) for _ in range(2)]]
         _, assignments = grounding_loss(boxes, conf, targets)
 
-        def loss():
-            return batch_assignment_loss(boxes, conf, targets, assignments)
-
-        zero_grads([boxes, conf])
-        backward(loss())
-        for p in (boxes, conf):
-            fd = finite_difference_grad(lambda _: loss(), p)
-            assert max_rel_err(p.grad, fd) < 1e-4, p.name
+        result = check_case("match_and_loss",
+                            lambda: batch_assignment_loss(boxes, conf, targets, assignments),
+                            [boxes, conf])
+        assert result.worst_rel_err < 1e-4, result.worst_param
 
     @pytest.mark.xfail(strict=True, reason="the loss takes log(1 - p) of a probability; "
                        "sigmoid(40) is 1.0 in float64")

@@ -16,7 +16,7 @@ from mogref.data import (
     load_annotations,
     save_annotations,
 )
-from mogref.gradcheck import finite_difference_grad, max_rel_err
+from mogref.gradcheck import check_case, finite_difference_grad, max_rel_err
 from mogref.matching import BBox, batch_assignment_loss, grounding_loss
 from mogref.model import ModelConfig, SCSModel, parameter_shapes, sinusoidal_positions
 from mogref.rng import RngState
@@ -387,12 +387,8 @@ class TestEndToEnd:
 
     def test_gate_parameter_gradient_matches_finite_differences(self):
         model = tiny_model(config=TINY64)
-        loss, gate_params = gate_gradient_setup(model)
-        zero_grads(model.parameters())
-        backward(loss())
-        for p in gate_params:
-            fd = finite_difference_grad(lambda _: loss(), p)
-            assert max_rel_err(p.grad, fd) < 1e-4, p.name
+        result = check_case("gate_parameters", *gate_gradient_setup(model))
+        assert result.worst_rel_err < 1e-4, result.worst_param
 
     def test_gate_parameter_gradient_in_float32_matches_float64_differences(self):
         # the float32 model's gradients against finite differences of a

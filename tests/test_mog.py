@@ -8,10 +8,9 @@ from hypothesis import strategies as st
 
 import mogref.mog as mog_module
 from mogref.data import SyntheticSceneSpec, default_vocab
-from mogref.gradcheck import finite_difference_grad, max_rel_err
+from mogref.gradcheck import check_case
 from mogref.matching import grounding_loss
 from mogref.mog import (
-    GateParams,
     MoGAttention,
     MoGConfig,
     _attention_core,
@@ -34,7 +33,6 @@ from mogref.tensor import (
     reshape,
     select,
     tsum,
-    zero_grads,
 )
 from mogref.train import build_synthetic_dataset
 
@@ -354,14 +352,8 @@ class TestMoGForward:
         params = [xp, *attn.parameters()]
         w = Tensor(RngState(11).uniform_array((2, 6, 8), -1, 1))
 
-        def loss():
-            return tsum(mog_forward(xp, attn) * w)
-
-        zero_grads(params)
-        backward(loss())
-        for p in params:
-            fd = finite_difference_grad(lambda _: loss(), p)
-            assert max_rel_err(p.grad, fd) < 1e-4, p.name
+        result = check_case("mog_forward", lambda: tsum(mog_forward(xp, attn) * w), params)
+        assert result.worst_rel_err < 1e-4, result.worst_param
 
 
 class TestMixtureWeights:

@@ -342,6 +342,15 @@ class TestEvaluation:
         assert result == reference_eval(preds, targets)
         assert result.precisions == {0.5: 1.0, 0.6: 4 / 6, 0.7: 3 / 6, 0.8: 2 / 6}
 
+    @pytest.mark.parametrize("thetas, message", [((), "at least one theta"), ((1.5,), "in \\(0, 1\\)")],
+                             ids=["empty", "above_one"])
+    def test_bad_thetas_are_refused_before_any_forward(self, monkeypatch, thetas, message):
+        model, ds = tiny_setup(scenes=3)
+        monkeypatch.setattr(train_module, "predict_best_boxes",
+                            lambda *_: pytest.fail("the model ran"))
+        with pytest.raises(ValueError, match=message):
+            evaluate_model(model, ds, thetas)
+
     def test_a_sample_without_targets_is_refused(self):
         # a per-sample maximum over no targets would read a neighbour's IoU
         model, ds = tiny_setup(scenes=3)
