@@ -108,49 +108,60 @@ def _blas_env() -> dict:
     return {**env, "cpu_count": os.cpu_count()}
 
 
-def _parse_dilations(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(p) for p in text.split(",") if p.strip())
-    except ValueError as exc:
-        raise ValidationError(f"bad --dilations value {text!r}") from exc
+# a config field's flag is --<field> but for these three; a tuple field's
+# flag is a comma-separated string, --dtype a choice of MODEL_DTYPES, and the
+# vocabulary fixes vocab_size
+_RENAMED = {"num_distractors": "distractors", "size_classes": "sizes",
+            "target_train_p50": "target_p50"}
+_HELP = {
+    "dilations": "comma-separated dilation per granularity branch",
+    "size_classes": "comma-separated size classes for generated objects",
+    "target_train_p50": "stop once train P@0.5 reaches this; <=0 disables",
+}
 
 
-# every ModelConfig field but these two is a flag of the field's type and
-# default (--dtype a choice of MODEL_DTYPES); the vocabulary fixes vocab_size
-# and --dilations is a comma-separated string
-_MODEL_FLAGS = [f.name for f in fields(ModelConfig) if f.name not in ("dilations", "vocab_size")]
+def _add_config_flags(p: argparse.ArgumentParser, classes, skip=()) -> None:
+    """One flag per field of ``classes`` but those in ``skip``, of the field's
+    type and default; a field two classes share is one flag."""
+    declared = {"vocab_size", *skip}
+    for f in (f for cls in classes for f in fields(cls) if f.name not in declared):
+        declared.add(f.name)
+        listed = isinstance(f.default, tuple)
+        entries = f.default if listed else (f.default,)
+        # argparse reads a bool flag's "False" as True, a None default gives no
+        # type, and an int default refuses a float field's 0.5
+        if not entries or any(type(e) not in (int, float, str) or type(e).__name__ not in str(f.type)
+                              for e in entries):
+            raise TypeError(f"{f.name}: no flag for a default of {f.default!r}")
+        kind = ({"default": ",".join(map(str, entries))} if listed
+                else {"type": type(f.default), "default": f.default})
+        p.add_argument("--" + _RENAMED.get(f.name, f.name).replace("_", "-"),
+                       choices=MODEL_DTYPES if f.name == "dtype" else None,
+                       help=_HELP.get(f.name), **kind)
 
 
-def _model_config(args, vocab_size: int, dilations: tuple[int, ...]) -> ModelConfig:
-    return ModelConfig(vocab_size=vocab_size, dilations=dilations,
-                       **{name: getattr(args, name) for name in _MODEL_FLAGS})
-
-
-def _add_model_flags(p: argparse.ArgumentParser, dilations: bool = True) -> None:
-    for f in fields(ModelConfig):
-        if f.name in _MODEL_FLAGS:
-            p.add_argument("--" + f.name.replace("_", "-"), type=type(f.default), default=f.default,
-                           choices=MODEL_DTYPES if f.name == "dtype" else None)
-        elif f.name == "dilations" and dilations:
-            p.add_argument("--dilations", default=",".join(map(str, f.default)),
-                           help="comma-separated dilation per granularity branch")
-
-
-def _add_scene_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--scenes", type=int, default=16, help="synthetic scenes to build")
-    p.add_argument("--distractors", type=int, default=SyntheticSceneSpec.num_distractors)
-    p.add_argument("--sizes", default=",".join(SyntheticSceneSpec.size_classes),
-                   help="comma-separated size classes for generated objects")
-    p.add_argument("--templates", default=",".join(SyntheticSceneSpec.templates))
-
-
-def _scene_spec(args) -> SyntheticSceneSpec:
-    return SyntheticSceneSpec(
-        image_size=args.image_size,
-        num_distractors=args.distractors,
-        size_classes=tuple(s for s in args.sizes.split(",") if s),
-        templates=tuple(t for t in args.templates.split(",") if t),
-    )
+def _config(cls, args, **fixed):
+    """A ``cls`` from its flags in ``args`` and the ``fixed`` fields the command
+    sets itself; a list flag's entries are stripped and empty ones dropped."""
+    values = dict(fixed)
+    for f in fields(cls):
+        flag = _RENAMED.get(f.name, f.name)
+        # a field the command sets would silently override its flag
+        if (f.name in fixed) == hasattr(args, flag):
+            raise TypeError(f"{cls.__name__}.{f.name} needs its flag or a value the command "
+                            f"sets, not {'both' if f.name in fixed else 'neither'}")
+        if f.name in fixed:
+            continue
+        values[f.name] = text = getattr(args, flag)
+        if isinstance(f.default, tuple):
+            try:
+                values[f.name] = tuple(type(f.default[0])(e.strip())
+                                       for e in text.split(",") if e.strip())
+            except ValueError as exc:
+                raise ValidationError(f"bad --{flag.replace('_', '-')} value {text!r}") from exc
+        elif f.name == "target_train_p50" and text <= 0:  # --target-p50 <= 0 disables it
+            values[f.name] = None
+    return cls(**values)
 
 
 def _load_any_dataset(args, spec: SyntheticSceneSpec | None, vocab, dtype: str):
@@ -183,7 +194,7 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_make_data(args) -> int:
-    spec = _scene_spec(args)
+    spec = _config(SyntheticSceneSpec, args)
     # float64, the rendered values themselves: the PPMs quantize those
     dataset = build_synthetic_dataset(args.scenes, spec, default_vocab(), args.seed, dtype="float64")
     ann = _artifact(args, "annotations.json")
@@ -199,16 +210,10 @@ def cmd_make_data(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = TrainConfig(
-        steps=args.steps,
-        lr=args.lr,
-        batch_size=args.batch_size,
-        eval_every=args.eval_every,
-        target_train_p50=None if args.target_p50 <= 0 else args.target_p50,
-    )
+    cfg = _config(TrainConfig, args)
     vocab = default_vocab()
-    config = _model_config(args, len(vocab), _parse_dilations(args.dilations))
-    spec = None if args.data else _scene_spec(args)
+    config = _config(ModelConfig, args, vocab_size=len(vocab))
+    spec = None if args.data else _config(SyntheticSceneSpec, args)
     allocator_tuned = tune_allocator()
     dataset = _load_any_dataset(args, spec, vocab, args.dtype)
     model = SCSModel(config, vocab, RngState(args.seed))
@@ -241,9 +246,9 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     tune_allocator()
     model = SCSModel.load(args.checkpoint)
-    # the only raster size the model accepts; run_config records it
-    args.image_size = model.config.image_size
-    spec = None if args.data else _scene_spec(args)
+    image_size = model.config.image_size  # the only raster size the model accepts
+    spec = None if args.data else _config(SyntheticSceneSpec, args, image_size=image_size)
+    args.image_size = image_size  # run_config records it
     dataset = _load_any_dataset(args, spec, model.vocab, model.config.dtype)
     result = evaluate_model(model, dataset)
     _write_json(args, "eval.json", {"eval": result.to_json()})
@@ -255,15 +260,14 @@ def cmd_eval(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg = TrainConfig(steps=args.steps, lr=args.lr, batch_size=args.batch_size,
-                      eval_every=0, target_train_p50=None)
+    cfg = _config(TrainConfig, args, eval_every=0, target_train_p50=None)
     # no row would be trained, or a negative count would score the training scenes
     require_count("--gmax", args.gmax, 1)
     require_count("--eval-scenes", args.eval_scenes, 0)
     vocab = default_vocab()
     # the G = gmax row's config; every other row's dilations are a prefix of its
-    _model_config(args, len(vocab), tuple(range(1, args.gmax + 1)))
-    spec = _scene_spec(args)
+    _config(ModelConfig, args, vocab_size=len(vocab), dilations=tuple(range(1, args.gmax + 1)))
+    spec = _config(SyntheticSceneSpec, args)
     tune_allocator()
     train_ds = build_synthetic_dataset(args.scenes, spec, vocab, args.seed, args.dtype)
     if args.eval_scenes > 0:
@@ -276,8 +280,8 @@ def cmd_sweep(args) -> int:
     rows = []
     table = []
     for g in range(1, args.gmax + 1):
-        model = SCSModel(_model_config(args, len(vocab), tuple(range(1, g + 1))),
-                         vocab, RngState(args.seed))
+        model = SCSModel(_config(ModelConfig, args, vocab_size=len(vocab),
+                                 dilations=tuple(range(1, g + 1))), vocab, RngState(args.seed))
         train_toy(model, train_ds, cfg)
         result = evaluate_model(model, eval_ds)
         print(f"granularities={g} " +
@@ -324,13 +328,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name: str, func, summary: str, seed: bool = True) -> argparse.ArgumentParser:
+    def command(name: str, func, summary: str, configs=(), seed: bool = True,
+                skip=()) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=summary)
         p.set_defaults(func=func)
         if seed:
             p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out-dir", default=None,
                        help="default: $MOGREF_OUT_DIR or ./runs; made with the first artifact")
+        if configs:  # every command that takes a config builds synthetic scenes
+            p.add_argument("--scenes", type=int, default=16, help="synthetic scenes to build")
+            _add_config_flags(p, configs, skip)
         return p
 
     p = command("gradcheck", cmd_gradcheck, "finite-difference validation of every gradient")
@@ -339,38 +347,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--only", default=None, metavar="OPS",
                    help="comma-separated case names to restrict the run")
 
-    p = command("make-data", cmd_make_data, "generate a synthetic referring dataset")
-    p.add_argument("--image-size", type=int, default=SyntheticSceneSpec.image_size)
-    _add_scene_flags(p)
+    p = command("make-data", cmd_make_data, "generate a synthetic referring dataset",
+                [SyntheticSceneSpec])
     p.add_argument("--ppm", action="store_true", help="also write images/<id>.ppm rasters")
 
-    p = command("train", cmd_train, "train the toy grounding model")
+    p = command("train", cmd_train, "train the toy grounding model",
+                [TrainConfig, ModelConfig, SyntheticSceneSpec])
     p.add_argument("--data", default=None,
                    help="dataset directory (annotations.json + images/); default: synthetic scenes")
-    p.add_argument("--steps", type=int, default=TrainConfig.steps)
-    p.add_argument("--lr", type=float, default=TrainConfig.lr)
-    p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
-    p.add_argument("--eval-every", type=int, default=TrainConfig.eval_every)
-    p.add_argument("--target-p50", type=float, default=TrainConfig.target_train_p50,
-                   help="stop once train P@0.5 reaches this; <=0 disables")
-    _add_model_flags(p)
-    _add_scene_flags(p)
 
-    p = command("eval", cmd_eval, "evaluate a checkpoint: P@theta table and mP")
+    p = command("eval", cmd_eval, "evaluate a checkpoint: P@theta table and mP",
+                [SyntheticSceneSpec], skip=["image_size"])  # the checkpoint's size
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", default=None,
                    help="dataset directory; default: synthetic scenes from --seed/--scenes")
-    _add_scene_flags(p)
 
-    p = command("sweep", cmd_sweep, "train/evaluate granularity counts 1..G under one budget")
+    p = command("sweep", cmd_sweep, "train/evaluate granularity counts 1..G under one budget",
+                [TrainConfig, ModelConfig, SyntheticSceneSpec],  # each row sets dilations 1..G
+                skip=["dilations", "eval_every", "target_train_p50"])
+    p.set_defaults(steps=300)
     p.add_argument("--gmax", type=int, default=6)
     p.add_argument("--eval-scenes", type=int, default=0,
                    help="held-out scene count; 0 (default) evaluates the training scenes")
-    p.add_argument("--steps", type=int, default=300)
-    p.add_argument("--lr", type=float, default=TrainConfig.lr)
-    p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
-    _add_model_flags(p, dilations=False)  # the sweep sets dilations 1..G per row
-    _add_scene_flags(p)
 
     p = command("stats", cmd_stats, "summarize an annotation file", seed=False)
     p.add_argument("--data", required=True,

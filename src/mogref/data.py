@@ -181,10 +181,9 @@ def read_json_object(path, what: str) -> dict:
 def load_annotations(path) -> list[AnnotationRecord]:
     """Read and validate an annotation file; errors name record and field."""
     doc = read_json_object(path, "annotation file")
-    if doc.get("schema_version") != SCHEMA_VERSION:
-        raise ValidationError(
-            f"{path}: schema_version {doc.get('schema_version')!r} != {SCHEMA_VERSION}"
-        )
+    version = doc.get("schema_version")
+    if not (is_finite_number(version, integer=True) and version == SCHEMA_VERSION):
+        raise ValidationError(f"{path}: schema_version {version!r} != {SCHEMA_VERSION}")
     records = doc.get("records")
     if not isinstance(records, list):
         raise ValidationError(f"{path}: records must be a list, got {type(records).__name__}")

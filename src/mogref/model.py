@@ -46,7 +46,14 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from mogref.data import ValidationError, Vocab, atomic_open, read_json_object, require_count
+from mogref.data import (
+    ValidationError,
+    Vocab,
+    atomic_open,
+    is_finite_number,
+    read_json_object,
+    require_count,
+)
 # blocks call attention as this module's ``mog_forward``, the name
 # perfbench/tracer.py wraps to time every attention sublayer
 from mogref.mog import MoGAttention, MoGConfig, mog_forward
@@ -413,10 +420,12 @@ class SCSModel(Module):
     def load(path) -> "SCSModel":
         """The model :meth:`save` wrote to ``path``; anything else is a ``ValidationError``."""
         doc = read_json_object(path, "checkpoint")
-        if doc.get("format") != CHECKPOINT_FORMAT or doc.get("version") != CHECKPOINT_VERSION:
+        version = doc.get("version")
+        if not (doc.get("format") == CHECKPOINT_FORMAT and is_finite_number(version, integer=True)
+                and version == CHECKPOINT_VERSION):
             raise ValidationError(
                 f"{path}: expected {CHECKPOINT_FORMAT} v{CHECKPOINT_VERSION}, "
-                f"got {doc.get('format')!r} v{doc.get('version')!r}"
+                f"got {doc.get('format')!r} v{version!r}"
             )
         for key, kind, json_name in (("config", dict, "object"), ("vocab", list, "list"),
                                      ("params", dict, "object")):

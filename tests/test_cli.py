@@ -1,3 +1,4 @@
+import argparse
 import ast
 import csv
 import dataclasses
@@ -21,8 +22,6 @@ from mogref.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_VALIDATION,
-    _model_config,
-    _parse_dilations,
     build_parser,
     main,
 )
@@ -367,63 +366,91 @@ class TestTrainEval:
         assert code == EXIT_VALIDATION
         assert named in capsys.readouterr().err
 
-    def test_default_model_flags_give_default_config(self):
-        # perfbench builds ModelConfig(vocab_size=...) directly; this is what `train` runs
-        args = build_parser().parse_args(["train"])
+    @pytest.mark.parametrize("command", ["make-data", "train", "sweep", "eval"])
+    def test_default_flags_give_default_configs(self, monkeypatch, command):
+        # perfbench builds each config from its class defaults; from default
+        # flags a command builds the same, but for the fields it sets itself
         vocab_size = len(default_vocab())
-        config = _model_config(args, vocab_size, _parse_dilations(args.dilations))
-        assert config == ModelConfig(vocab_size=vocab_size)
-
-    @pytest.mark.parametrize("command", ["train", "sweep"])
-    def test_default_run_flags_give_default_train_config(self, monkeypatch, command):
-        # perfbench builds TrainConfig from its defaults; this is what `train`
-        # runs, and the sweep differs only in its step budget and evaluation
+        expected = {
+            "make-data": [SyntheticSceneSpec()],
+            "train": [TrainConfig(), ModelConfig(vocab_size=vocab_size), SyntheticSceneSpec()],
+            "sweep": [TrainConfig(steps=300, eval_every=0, target_train_p50=None),
+                      ModelConfig(vocab_size=vocab_size, dilations=(1, 2, 3, 4, 5, 6)),
+                      SyntheticSceneSpec()],
+            "eval": [SyntheticSceneSpec(image_size=32)],  # the checkpoint's size
+        }[command]
         built = []
 
         class Built(Exception):
             pass
 
-        def record(**kwargs):
-            built.append(kwargs)
+        def build_dataset(*args, **kwargs):
             raise Built
 
-        args = build_parser().parse_args([command])  # the parser reads the config's defaults
-        monkeypatch.setattr(cli, "TrainConfig", record)
+        config = cli._config
+        monkeypatch.setattr(cli, "_config", lambda *a, **k: built.append(config(*a, **k)) or built[-1])
+        monkeypatch.setattr(cli, "build_synthetic_dataset", build_dataset)
+        monkeypatch.setattr(cli, "tune_allocator", lambda: False)
+        checkpoint = SimpleNamespace(config=SimpleNamespace(image_size=32, dtype="float32"),
+                                     vocab=default_vocab())
+        monkeypatch.setattr(SCSModel, "load", staticmethod(lambda path: checkpoint))
+        args = build_parser().parse_args([command, *(["--checkpoint", "c.json"] * (command == "eval"))])
         with pytest.raises(Built):
             args.func(args)
-        if command == "train":
-            assert TrainConfig(**built[0]) == TrainConfig()
-        else:
-            assert (built[0]["lr"], built[0]["batch_size"]) == (TrainConfig.lr, TrainConfig.batch_size)
+        assert built == expected
 
-    @pytest.mark.parametrize("command", ["make-data", "train", "sweep"])
-    def test_default_scene_flags_give_default_spec(self, command):
-        assert cli._scene_spec(build_parser().parse_args([command])) == SyntheticSceneSpec()
+    def test_a_new_config_field_is_a_flag(self):
+        @dataclasses.dataclass
+        class Config:
+            count: int = 3
+            rate: float = 0.5
+            label_text: str = "a"
+            widths: tuple[int, ...] = (1, 2)
 
-    @pytest.mark.parametrize("command", [["make-data"], ["train"], ["sweep"],
-                                         ["eval", "--checkpoint", "c.json"]])
-    def test_scene_flags_set_every_spec_field(self, monkeypatch, command):
-        # a SyntheticSceneSpec field that no scene flag (or, for eval, the
-        # checkpoint) sets has no caller
-        passed = {}
+        parser = argparse.ArgumentParser()
+        cli._add_config_flags(parser, [Config])
+        assert {a.dest for a in parser._actions} == {"help", *(f.name for f in dataclasses.fields(Config))}
+        assert cli._config(Config, parser.parse_args([])) == Config()
+        args = parser.parse_args(["--count", "4", "--rate", "0.25", "--label-text", "b",
+                                  "--widths", " 5, ,6 "])
+        assert cli._config(Config, args) == Config(4, 0.25, "b", (5, 6))
 
+    @pytest.mark.parametrize("annotation, default", [
+        (bool, False),  # argparse reads "False" as True
+        (float | None, None),  # no type to parse with
+        (float, 0),  # an int flag would refuse 0.5
+        (tuple[int, ...], ()),  # no entry type
+    ], ids=["bool", "none", "int_for_float", "empty_tuple"])
+    def test_a_config_field_whose_default_types_no_flag_is_refused(self, annotation, default):
+        Config = dataclasses.make_dataclass("Config", [("odd", annotation, default)])
+        with pytest.raises(TypeError, match="odd"):
+            cli._add_config_flags(argparse.ArgumentParser(), [Config])
+
+    @pytest.mark.parametrize("skip, fixed, how", [((), {"count": 4}, "both"), (("count",), {}, "neither")],
+                             ids=["both", "neither"])
+    def test_a_field_is_set_by_its_flag_or_by_the_command(self, skip, fixed, how):
+        Config = dataclasses.make_dataclass("Config", [("count", int, 3), ("rate", float, 0.5)])
+        parser = argparse.ArgumentParser()
+        cli._add_config_flags(parser, [Config], skip)
+        with pytest.raises(TypeError, match=f"Config.count needs .* not {how}"):
+            cli._config(Config, parser.parse_args([]), **fixed)
+
+    @pytest.mark.parametrize("flag, text, field, entries", [
+        ("--sizes", "small, large", "size_classes", ("small", "large")),
+        ("--templates", " position,,relation ", "templates", ("position", "relation")),
+    ])
+    def test_list_flag_entries_are_stripped(self, monkeypatch, tmp_path, flag, text, field, entries):
+        # as --dilations "1, 2" always was
         class Built(Exception):
             pass
 
-        def record(**kwargs):
-            passed.update(kwargs)
-            raise Built
+        def build_dataset(scenes, spec, *args, **kwargs):
+            raise Built(spec)
 
-        args = build_parser().parse_args(command)  # the parser reads the spec's defaults
-        monkeypatch.setattr(cli, "SyntheticSceneSpec", record)
-        monkeypatch.setattr(cli, "tune_allocator", lambda: False)
-        checkpoint = SimpleNamespace(config=SimpleNamespace(image_size=32))
-        monkeypatch.setattr(SCSModel, "load", staticmethod(lambda path: checkpoint))
-        with pytest.raises(Built):
-            args.func(args)
-        assert sorted(passed) == sorted(f.name for f in dataclasses.fields(SyntheticSceneSpec))
-        if command[0] == "eval":
-            assert passed["image_size"] == 32  # the checkpoint's size
+        monkeypatch.setattr(cli, "build_synthetic_dataset", build_dataset)
+        with pytest.raises(Built) as built:
+            main(["make-data", flag, text, "--out-dir", str(tmp_path)])
+        assert getattr(built.value.args[0], field) == entries
 
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
     def test_dtype_flag_reaches_checkpoint_and_run_config(self, tmp_path, dtype):

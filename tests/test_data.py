@@ -157,9 +157,11 @@ class TestAnnotationIO:
         with pytest.raises(ValidationError, match="exceeds image bounds"):
             load_annotations(path)
 
-    def test_wrong_schema_version(self, tmp_path):
+    @pytest.mark.parametrize("version", ["99", "true", "1.0"])
+    def test_wrong_schema_version(self, tmp_path, version):
+        # a bool or a float is not the integer version, as in every other count
         path = tmp_path / "bad.json"
-        path.write_text('{"schema_version": 99, "records": []}')
+        path.write_text(f'{{"schema_version": {version}, "records": []}}')
         with pytest.raises(ValidationError, match="schema_version"):
             load_annotations(path)
 

@@ -699,6 +699,16 @@ class TestCheckpoint:
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["ckpt.json"]
 
+    @pytest.mark.parametrize("version", [True, 1.0, 2])
+    def test_checkpoint_version_must_be_the_integer_version(self, tmp_path, version):
+        path = tmp_path / "ckpt.json"
+        tiny_model().save(path)
+        doc = json.loads(path.read_text())
+        doc["version"] = version
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match=rf"expected mogref.checkpoint v1, got .* v{version}"):
+            SCSModel.load(path)
+
     def test_corrupt_checkpoint_rejected(self, tmp_path):
         path = tmp_path / "ckpt.json"
         path.write_text('{"format": "something-else", "version": 1}')
