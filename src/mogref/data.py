@@ -17,14 +17,15 @@ Annotation schema (JSON, one canonical form):
     }
 
 The generator rasterizes colored shapes (squares, circles, triangles) at
-several size classes onto a flat background and emits a templated referring
-expression that uniquely identifies one of them: each template reads the
-objects its expression denotes off the fields it formats (color and shape,
-grid cell, nearest to a unique anchor), and a scene keeps an expression only
-when that set, checked against every placed object, is exactly the target.
-:func:`generate_scene` is its one entry point: it returns a :class:`Scene`
-with the image, the annotation record and every placed object (the target's
-index included), so oracles and the dataset builders read the same draw. Everything is deterministic given an :class:`RngState`.
+several size classes onto a flat background and emits a referring expression
+that uniquely identifies one of them: a template builds a :class:`Description`
+(color and shape, plus a grid cell or an anchor) that formats the text, and
+:func:`referents`, the one rule of what a description denotes, must find
+exactly the target among every placed object. :func:`generate_scene` is the
+one entry point: it returns a :class:`Scene` with the image, the annotation
+record and every placed object (the target's index included), so oracles and
+the dataset builders read the same draw. Everything is deterministic given
+an :class:`RngState`.
 """
 
 from __future__ import annotations
@@ -397,43 +398,57 @@ def _place_objects(spec: SyntheticSceneSpec, rng: RngState) -> list[SceneObject]
     return placed
 
 
-def _candidate_expression(template: str, target: SceneObject,
-                          objects: Sequence[SceneObject], image_size: int,
-                          rng: RngState) -> tuple[str, list[SceneObject]] | None:
-    """The expression ``template`` forms for ``target`` and every object it
-    denotes, read off the fields it formats; None if the template has no form
-    here.
+@dataclass(frozen=True)
+class Description:
+    """A referring expression: the objects of one color and shape, then those
+    in ``region`` if given, then the one nearest ``anchor`` if given."""
 
-    A relation denotes nothing unless its anchor is the only object of its
-    color and shape and one object of the target's color and shape is
-    strictly nearest to it.
+    color: str
+    shape: str
+    region: str | None = None
+    anchor: Description | None = None
+
+    @property
+    def text(self) -> str:
+        region = f" in the {self.region} of the image" if self.region else ""
+        anchor = f" nearest to {self.anchor.text}" if self.anchor else ""
+        return f"the {self.color} {self.shape}{region}{anchor}"
+
+
+def referents(description: Description, objects: Sequence[SceneObject],
+              image_size: int) -> list[SceneObject]:
+    """Every object of ``objects`` that ``description`` denotes.
+
+    An anchor must itself denote exactly one object; the description then
+    denotes the one other object strictly nearest to it, or nothing on a tie.
     """
-    kind = (target.color, target.shape)
-    group = [o for o in objects if (o.color, o.shape) == kind]
-    noun = f"the {target.color} {target.shape}"
+    kept = [o for o in objects if (o.color, o.shape) == (description.color, description.shape)
+            and description.region in (None, region_of(o, image_size))]
+    if description.anchor is None:
+        return kept
+    anchors = referents(description.anchor, objects, image_size)
+    if len(anchors) != 1:
+        return []
+    ax, ay = anchors[0].center
+    others = [o for o in kept if o is not anchors[0]]
+    d2 = [(o.center[0] - ax) ** 2 + (o.center[1] - ay) ** 2 for o in others]
+    nearest = [o for o, d in zip(others, d2) if d == min(d2)]
+    return nearest if len(nearest) == 1 else []
+
+
+def _describe(template: str, target: SceneObject, objects: Sequence[SceneObject],
+              image_size: int, rng: RngState) -> Description | None:
+    """``template``'s description of ``target``: its color and shape, plus its grid cell
+    (position) or an anchor drawn among the other color/shape kinds (relation, else None)."""
     if template == "attribute":
-        return noun, group
+        return Description(target.color, target.shape)
     if template == "position":
-        region = region_of(target, image_size)
-        return (f"{noun} in the {region} of the image",
-                [o for o in group if region_of(o, image_size) == region])
-    # relation: anchor on an object of a different color/shape combo
-    anchors = [o for o in objects if (o.color, o.shape) != kind]
+        return Description(target.color, target.shape, region_of(target, image_size))
+    anchors = [o for o in objects if (o.color, o.shape) != (target.color, target.shape)]
     if not anchors:
         return None
     anchor = rng.choice(anchors)
-    expression = f"{noun} nearest to the {anchor.color} {anchor.shape}"
-    if sum((o.color, o.shape) == (anchor.color, anchor.shape) for o in objects) != 1:
-        return expression, []
-
-    def dist(o: SceneObject) -> float:
-        ax, ay = anchor.center
-        ox, oy = o.center
-        return (ax - ox) ** 2 + (ay - oy) ** 2
-
-    best = min(dist(o) for o in group)
-    nearest = [o for o in group if dist(o) == best]
-    return expression, nearest if len(nearest) == 1 else []
+    return Description(target.color, target.shape, anchor=Description(anchor.color, anchor.shape))
 
 
 def _rasterize(objects: Sequence[SceneObject], size: int) -> np.ndarray:
@@ -475,15 +490,15 @@ def generate_scene(spec: SyntheticSceneSpec, rng: RngState, image_id: str = "sce
         for target_idx in order:
             target = objects[target_idx]
             for template in templates:
-                candidate = _candidate_expression(template, target, objects,
-                                                  spec.image_size, rng)
-                if candidate is None or candidate[1] != [target]:
+                description = _describe(template, target, objects, spec.image_size, rng)
+                if (description is None
+                        or referents(description, objects, spec.image_size) != [target]):
                     continue
                 record = AnnotationRecord(
                     image_id=image_id,
                     image_w=spec.image_size,
                     image_h=spec.image_size,
-                    expression=candidate[0],
+                    expression=description.text,
                     target_boxes=[target.box],
                     category=target.shape,
                 )

@@ -9,8 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mogref.data import (
+    COLOR_NAMES,
     COLORS,
+    SHAPES,
+    TEMPLATES,
     AnnotationRecord,
+    Description,
     SceneObject,
     SyntheticSceneSpec,
     ValidationError,
@@ -20,9 +24,11 @@ from mogref.data import (
     load_annotations,
     normalize_words,
     read_ppm,
+    referents,
     save_annotations,
     tokenize,
     write_ppm,
+    _describe,
     _rasterize,
 )
 from mogref.metrics import dataset_stats
@@ -58,12 +64,14 @@ def _center(o):
     return (o.x + o.side / 2.0, o.y + o.side / 2.0)
 
 
+REGION_NAMES = (("top left", "top center", "top right"),
+                ("middle left", "center", "middle right"),
+                ("bottom left", "bottom center", "bottom right"))
+
+
 def _region(o, image_size):
-    names = (("top left", "top center", "top right"),
-             ("middle left", "center", "middle right"),
-             ("bottom left", "bottom center", "bottom right"))
     cx, cy = _center(o)
-    return names[min(2, int(3 * cy / image_size))][min(2, int(3 * cx / image_size))]
+    return REGION_NAMES[min(2, int(3 * cy / image_size))][min(2, int(3 * cx / image_size))]
 
 
 def oracle_referents(expression: str, objects, image_size: int) -> list:
@@ -96,6 +104,24 @@ def oracle_referents(expression: str, objects, image_size: int) -> list:
     best = min(d2(o) for o in candidates)
     nearest = [o for o in candidates if d2(o) == best]
     return nearest if len(nearest) == 1 else []
+
+
+class _PickEntry:
+    """An rng stand-in whose ``choice`` returns entry ``k`` (mod its length) of what it is offered."""
+
+    def __init__(self, k: int):
+        self.k = k
+
+    def choice(self, seq):
+        return seq[self.k % len(seq)]
+
+
+def every_description(objects, image_size: int) -> list:
+    """Every description the generator can form for any of ``objects``: each
+    template for each target, and for a relation each anchor it can draw."""
+    formed = (_describe(template, target, objects, image_size, _PickEntry(k))
+              for target in objects for template in TEMPLATES for k in range(len(objects)))
+    return list(dict.fromkeys(d for d in formed if d is not None))
 
 
 # -- annotation files --------------------------------------------------------
@@ -233,8 +259,11 @@ class TestGenerator:
         (SyntheticSceneSpec(num_distractors=8, size_classes=("small",)), 500),
         (SyntheticSceneSpec(image_size=16, num_distractors=1), 500),
         (SyntheticSceneSpec(image_size=128), 500),
+        (SyntheticSceneSpec(image_size=128, num_distractors=15, size_classes=("small", "medium")),
+         300),
     ], ids=["default", "attribute", "position", "relation", "no-distractors",
-            "eight-small-distractors", "16px-one-distractor", "128px"])
+            "eight-small-distractors", "16px-one-distractor", "128px",
+            "128px-fifteen-small-medium-distractors"])
     def test_unique_referent_oracle_over_many_seeds(self, spec, seeds):
         for seed in range(seeds):
             scene = generate_scene(spec, RngState(seed))
@@ -242,6 +271,56 @@ class TestGenerator:
             expression = scene.record.expression
             referents = oracle_referents(expression, scene.objects, spec.image_size)
             assert referents == [scene.objects[scene.target_index]], (seed, expression)
+
+    @pytest.mark.parametrize("spec, seeds", [
+        (SyntheticSceneSpec(), 200),
+        (SyntheticSceneSpec(num_distractors=8, size_classes=("small",)), 100),
+        (SyntheticSceneSpec(image_size=128, num_distractors=15, size_classes=("small", "medium")),
+         50),
+    ], ids=["default", "eight-small-distractors", "128px-fifteen-small-medium-distractors"])
+    def test_every_formable_description_agrees_with_the_oracle(self, spec, seeds):
+        # every description of every object, not only the one a scene emits
+        for seed in range(seeds):
+            objects = generate_scene(spec, RngState(seed)).objects
+            for description in every_description(objects, spec.image_size):
+                assert (referents(description, objects, spec.image_size)
+                        == oracle_referents(description.text, objects, spec.image_size)), (
+                    seed, description.text)
+
+    def test_every_formable_description_is_in_the_default_vocab(self):
+        # the vocabulary, default-vocab checkpoints and C11 rely on this
+        vocab = default_vocab()
+        kinds = [Description(c, s) for c in COLOR_NAMES for s in SHAPES]
+        grammar = {Description(k.color, k.shape, region, anchor) for k in kinds
+                   for region in (None, *itertools.chain(*REGION_NAMES)) for anchor in (None, *kinds)}
+        for description in grammar:
+            assert vocab.unk_id not in tokenize(description.text, vocab), description.text
+        for spec in (SyntheticSceneSpec(), SyntheticSceneSpec(image_size=128, num_distractors=15)):
+            for seed in range(50):
+                objects = generate_scene(spec, RngState(seed)).objects
+                assert set(every_description(objects, spec.image_size)) <= grammar, seed
+
+    # anchor blue circle centred at (32, 32); red squares 20 px to its left
+    # and right, or 18 px to its right
+    _ANCHOR = SceneObject("circle", "blue", "small", 28, 28, 8)
+    _LEFT = SceneObject("square", "red", "small", 8, 28, 8)
+    _RIGHT = SceneObject("square", "red", "small", 48, 28, 8)
+    _NEARER_RIGHT = SceneObject("square", "red", "small", 46, 28, 8)
+    _RELATION = Description("red", "square", anchor=Description("blue", "circle"))
+
+    @pytest.mark.parametrize("description, objects, expected", [
+        (_RELATION, [_LEFT, _ANCHOR], [_LEFT]),
+        (_RELATION, [_LEFT, _ANCHOR, SceneObject("circle", "blue", "small", 28, 48, 8)], []),
+        (Description("red", "square", anchor=Description("red", "square")), [_LEFT, _ANCHOR], []),
+        (_RELATION, [_LEFT, _ANCHOR, _NEARER_RIGHT], [_NEARER_RIGHT]),
+        (_RELATION, [_LEFT, _ANCHOR, _RIGHT], []),
+    ], ids=["unique-anchor", "anchor-not-unique", "anchor-shares-color-and-shape",
+            "strictly-nearer", "exact-tie"])
+    def test_relation_referents(self, description, objects, expected):
+        # an anchor that is not unique, is the target's own kind, or ties two
+        # candidates denotes nothing; the other rows show each case can denote
+        assert referents(description, objects, 64) == expected
+        assert oracle_referents(description.text, objects, 64) == expected
 
     @pytest.mark.parametrize("spec, digest", [
         (SyntheticSceneSpec(), "0ce9696775ab243ed006ee3d4956faa311aff8f6244a5e1b5daee726fcd55944"),
