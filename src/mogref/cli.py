@@ -140,9 +140,14 @@ def _add_config_flags(p: argparse.ArgumentParser, classes, skip=()) -> None:
                        help=_HELP.get(f.name), **kind)
 
 
+def _comma_list(text: str) -> list[str]:
+    """The entries of a comma-separated flag, each stripped, empty ones dropped."""
+    return [e.strip() for e in text.split(",") if e.strip()]
+
+
 def _config(cls, args, **fixed):
     """A ``cls`` from its flags in ``args`` and the ``fixed`` fields the command
-    sets itself; a list flag's entries are stripped and empty ones dropped."""
+    sets itself; a list flag's entries are read by :func:`_comma_list`."""
     values = dict(fixed)
     for f in fields(cls):
         flag = _RENAMED.get(f.name, f.name)
@@ -155,8 +160,7 @@ def _config(cls, args, **fixed):
         values[f.name] = text = getattr(args, flag)
         if isinstance(f.default, tuple):
             try:
-                values[f.name] = tuple(type(f.default[0])(e.strip())
-                                       for e in text.split(",") if e.strip())
+                values[f.name] = tuple(map(type(f.default[0]), _comma_list(text)))
             except ValueError as exc:
                 raise ValidationError(f"bad --{flag.replace('_', '-')} value {text!r}") from exc
         elif f.name == "target_train_p50" and text <= 0:  # --target-p50 <= 0 disables it
@@ -177,13 +181,15 @@ def _load_any_dataset(args, spec: SyntheticSceneSpec | None, vocab, dtype: str):
 
 
 def cmd_gradcheck(args) -> int:
-    only = [s for s in args.only.split(",") if s] if args.only is not None else None
-    results = run_gradcheck(seed=args.seed, fault_op=args.fault_inject, only=only)
+    only = _comma_list(args.only) if args.only is not None else None
+    results = run_gradcheck(seed=args.seed, only=only)
     all_passed = all(r.passed for r in results)
     for r in results:
-        flag = "ok  " if r.passed else "FAIL"
-        print(f"{flag} {r.op:28s} worst_rel_err={r.worst_rel_err:.3e} "
-              f"(tol {r.tolerance:g}, param {r.worst_param})")
+        why = ("" if r.passed else ": gradient outside tol" if not r.worst_rel_err <= r.tolerance
+               else ": sign flip not caught")
+        print(f"{'ok  ' if r.passed else 'FAIL'} {r.op:28s} worst_rel_err={r.worst_rel_err:.3e} "
+              f"flipped_rel_err={r.flipped_rel_err:.3e} (tol {r.tolerance:g}, "
+              f"param {r.worst_param}){why}")
     _write_json(args, "gradcheck.json",
                 {"results": [r.to_json() for r in results], "all_passed": all_passed})
     if not all_passed:
@@ -342,8 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     p = command("gradcheck", cmd_gradcheck, "finite-difference validation of every gradient")
-    p.add_argument("--fault-inject", default=None, metavar="OP",
-                   help="sign-flip the analytic gradient of one op (harness self-test)")
     p.add_argument("--only", default=None, metavar="OPS",
                    help="comma-separated case names to restrict the run")
 

@@ -4,6 +4,11 @@ The oracle is deliberately independent of the autodiff engine: it only
 nudges parameter entries in place and re-runs a forward closure, with
 graph recording off (forward values do not depend on it). All gradient
 tests compare ``backward`` against this.
+
+A case passes when its gradient is within ``tol`` of the central
+differences and its sign flip is not, so every run also proves that each
+case would catch a gradient of the wrong sign; an exactly zero gradient
+cannot, and fails.
 """
 
 from __future__ import annotations
@@ -62,6 +67,7 @@ class GradCheckResult:
     tolerance: float
     passed: bool
     worst_param: str
+    flipped_rel_err: float
 
     def to_json(self) -> dict:
         return asdict(self)
@@ -73,42 +79,33 @@ def check_case(
     params: list[Parameter],
     h: float = DEFAULT_STEP,
     tol: float = DEFAULT_TOL,
-    flip_sign: bool = False,
 ) -> GradCheckResult:
-    """Compare ``backward`` grads of ``build_loss()`` against the oracle.
-
-    ``flip_sign`` deliberately negates the analytic gradient; used to prove
-    the harness actually catches wrong derivatives.
-    """
+    """Compare ``backward`` grads of ``build_loss()``, and their sign flips, against the oracle."""
     from mogref.tensor import backward, zero_grads
 
     zero_grads(params)
-    loss = build_loss()
-    backward(loss)
-    worst = 0.0
+    backward(build_loss())
+    worst = flipped = 0.0
     worst_param = params[0].name if params else ""
     for p in params:
-        analytic = (-p.grad if flip_sign else p.grad).copy()
         fd = finite_difference_grad(lambda _p: build_loss(), p, h=h)
-        err = max_rel_err(analytic, fd)
-        # a NaN error fails every comparison; record it, and keep it, as the worst
-        if err >= worst or np.isnan(err) and not np.isnan(worst):
-            worst = err
+        err, flipped_err = max_rel_err(p.grad, fd), max_rel_err(-p.grad, fd)
+        # a NaN error fails every comparison; the first one names its
+        # parameter and stays the worst
+        if not np.isnan(worst + flipped) and (err >= worst or np.isnan(err + flipped_err)):
             worst_param = p.name
-    return GradCheckResult(name, worst, tol, worst <= tol, worst_param)
+        worst, flipped = float(np.maximum(worst, err)), float(np.maximum(flipped, flipped_err))
+    return GradCheckResult(name, worst, tol, worst <= tol < flipped, worst_param, flipped)
 
 
 def run_gradcheck(seed: int = 0, h: float = DEFAULT_STEP, tol: float = DEFAULT_TOL,
-                  fault_op: str | None = None,
                   only: list[str] | None = None) -> list[GradCheckResult]:
     """Finite-difference validation of every differentiable op at toy dims.
 
-    Returns one result per named case; ``fault_op`` sign-flips that case's
-    analytic gradient so the failure path can be exercised deliberately.
-    ``only`` restricts the run to the named cases. An empty ``only``, a
-    name in ``only`` or ``fault_op`` that is no case, or a ``fault_op`` that
-    ``only`` leaves out raises ``ValueError`` before any case runs, so a run
-    can neither check nothing nor flip nothing and pass.
+    Returns one result per named case. ``only`` restricts the run to the
+    named cases. An empty ``only`` or a name in it that is no case raises
+    ``ValueError`` before any case runs, so a run cannot check nothing and
+    pass.
     """
     from mogref import gradcheck_cases
 
@@ -116,16 +113,8 @@ def run_gradcheck(seed: int = 0, h: float = DEFAULT_STEP, tol: float = DEFAULT_T
     known = {name for name, _ in cases}
     if only is not None and not only:
         raise ValueError(f"only names no gradcheck case; the cases are {sorted(known)}")
-    unknown = sorted({*(only or ()), *([fault_op] if fault_op is not None else ())} - known)
+    unknown = sorted(set(only or ()) - known)
     if unknown:
         raise ValueError(f"unknown gradcheck case names {unknown}; the cases are {sorted(known)}")
-    if only is not None and fault_op is not None and fault_op not in only:
-        raise ValueError(f"fault_op {fault_op!r} is not among the cases only runs, {only}")
-    results = []
-    for name, builder in cases:
-        if only is not None and name not in only:
-            continue
-        build_loss, params = builder()
-        results.append(check_case(name, build_loss, params, h=h, tol=tol,
-                                   flip_sign=(name == fault_op)))
-    return results
+    return [check_case(name, *builder(), h=h, tol=tol)
+            for name, builder in cases if only is None or name in only]

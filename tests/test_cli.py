@@ -55,37 +55,55 @@ def comments_of(path: Path):
 
 
 class TestGradcheckCommand:
-    def test_writes_valid_json_and_passes(self, tmp_path):
+    @pytest.mark.parametrize("only", ["matmul,mog_forward,match_and_loss",
+                                      " matmul, mog_forward ,,match_and_loss "],
+                             ids=["plain", "spaced"])
+    def test_writes_valid_json_and_passes(self, tmp_path, only):
         # a fast subset here; the acceptance suite runs the full registry
-        code = main(["gradcheck", "--only", "matmul,mog_forward,match_and_loss",
-                     "--out-dir", str(tmp_path)])
+        code = main(["gradcheck", "--only", only, "--out-dir", str(tmp_path)])
         assert code == EXIT_OK
         doc = json.loads((tmp_path / "gradcheck.json").read_text())
         assert doc["schema_version"] == 1
         assert doc["all_passed"] is True
         assert "run_config" in doc
         assert {r["op"] for r in doc["results"]} == {"matmul", "mog_forward", "match_and_loss"}
+        # each case also proves it would catch its gradient's sign flip
+        for r in doc["results"]:
+            assert np.isfinite(r["flipped_rel_err"]) and r["flipped_rel_err"] > r["tolerance"], r
 
-    def test_fault_injection_fails_with_named_op(self, tmp_path):
-        code = main(["gradcheck", "--fault-inject", "gelu", "--only", "gelu,sigmoid",
-                     "--out-dir", str(tmp_path)])
+    @pytest.mark.parametrize("why", ["sign flip not caught", "gradient outside tol"],
+                             ids=["zero_gradient", "wrong_sign"])
+    def test_a_failing_case_exits_numerical_saying_why(self, tmp_path, capsys, monkeypatch, why):
+        # a - a has an exactly zero gradient, and so has its sign flip; the
+        # cube's partial has the wrong sign
+        from mogref import gradcheck_cases
+        from mogref.tensor import _record
+
+        def wrong_sign_cube(a):
+            return _record(wrong_sign_cube, a.data ** 3, [a], [lambda g: -3.0 * a.data ** 2 * g])
+
+        op = (lambda a: a - a) if why == "sign flip not caught" else wrong_sign_cube
+        bad = gradcheck_cases._case(op, ("a", (3,)), proj=(3,))
+        monkeypatch.setattr(gradcheck_cases, "_CASES", [*gradcheck_cases._CASES, ("bad", bad)])
+        code = main(["gradcheck", "--only", "bad,gelu", "--out-dir", str(tmp_path)])
         assert code == EXIT_NUMERICAL
         doc = json.loads((tmp_path / "gradcheck.json").read_text())
-        failed = [r["op"] for r in doc["results"] if not r["passed"]]
-        assert failed == ["gelu"]
+        assert [r["op"] for r in doc["results"] if not r["passed"]] == ["bad"]
+        assert doc["all_passed"] is False
+        out, err = capsys.readouterr()
+        assert re.search(rf"^FAIL bad .*: {why}$", out, re.M), out
+        assert "gradient check FAILED for: bad" in err
 
     @pytest.mark.parametrize("flags, expected", [
         (["--only", "matmull"], "unknown gradcheck case names"),
         (["--only", "matmul,gelu2"], "unknown gradcheck case names"),
-        (["--fault-inject", "matmull", "--only", "matmul"], "unknown gradcheck case names"),
         (["--only", ","], "names no gradcheck case"),
         (["--only", ""], "names no gradcheck case"),
-        (["--fault-inject", "sigmoid", "--only", "log"], "fault_op 'sigmoid' is not among"),
-    ], ids=["typo", "typo_in_list", "fault_typo", "comma", "empty", "fault_left_out"])
+        (["--only", " , "], "names no gradcheck case"),
+    ], ids=["typo", "typo_in_list", "comma", "empty", "spaces"])
     def test_unknown_case_name_exits_validation_and_writes_nothing(self, tmp_path, capsys,
                                                                    flags, expected):
-        # at a typo, a list of no names or a flip outside the list, the run
-        # would check nothing, or flip nothing, and pass
+        # at a typo or a list of no names, the run would check nothing and pass
         code = main(["gradcheck", *flags, "--out-dir", str(tmp_path)])
         assert code == EXIT_VALIDATION
         assert expected in capsys.readouterr().err

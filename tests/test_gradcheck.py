@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mogref.gradcheck import check_case, finite_difference_grad, max_rel_err, run_gradcheck
-from mogref.tensor import Parameter, Tensor, backward, op_profile, tsum
+from mogref.tensor import Parameter, Tensor, _record, backward, op_profile, tsum
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "mogref"
 
@@ -35,30 +35,55 @@ def test_check_case_passes_on_correct_gradient():
     result = check_case("square_sum", lambda: tsum(p * p), [p])
     assert result.passed
     assert result.worst_rel_err < 1e-6
+    assert result.flipped_rel_err == pytest.approx(2.0)
 
 
-def test_check_case_flags_sign_flip():
+def test_check_case_fails_on_an_op_whose_partial_has_the_wrong_sign():
+    def cube(a):  # d(a^3)/da is 3a^2; the partial negates it
+        return _record(cube, a.data ** 3, [a], [lambda g: -3.0 * a.data ** 2 * g])
+
     p = Parameter("x", np.array([0.3, -0.7]))
-    result = check_case("square_sum", lambda: tsum(p * p), [p], flip_sign=True)
+    result = check_case("wrong_sign_cube", lambda: tsum(cube(p)), [p])
     assert not result.passed
-    assert result.op == "square_sum"
+    assert result.op == "wrong_sign_cube"
+    assert result.worst_rel_err == pytest.approx(2.0)
+    assert result.flipped_rel_err < 1e-6
 
 
+def test_check_case_fails_on_an_exactly_zero_gradient():
+    # the gradient of p - p and its sign flip are both exactly zero, so the
+    # case cannot tell a sign error from the right gradient
+    p = Parameter("x", np.array([0.3, -0.7]))
+    result = check_case("zero", lambda: tsum(p - p), [p])
+    assert result.worst_rel_err == 0.0
+    assert result.flipped_rel_err == 0.0
+    assert not result.passed
+
+
+@pytest.mark.parametrize("nan_in", ["both_errors", "flipped_error"])
 @pytest.mark.parametrize("nan_first", [True, False])
-def test_check_case_fails_on_a_nan_gradient(monkeypatch, nan_first):
+def test_check_case_fails_on_a_nan_gradient(monkeypatch, nan_first, nan_in):
     # a NaN error fails every comparison, so a finite error checked before or
     # after it must not hide it
     from mogref import gradcheck
 
-    def fd_nan_for_bad(f, param, h):
-        return np.full_like(param.data, np.nan) if param.name == "bad" else finite_difference_grad(f, param, h)
-
-    monkeypatch.setattr(gradcheck, "finite_difference_grad", fd_nan_for_bad)
     bad = Parameter("bad", np.array([0.5]))
     good = Parameter("good", np.array([0.3, -0.7]))
+    if nan_in == "both_errors":
+        def fd_nan_for_bad(f, param, h):
+            return np.full_like(param.data, np.nan) if param is bad else finite_difference_grad(f, param, h)
+
+        monkeypatch.setattr(gradcheck, "finite_difference_grad", fd_nan_for_bad)
+    else:
+        def err_nan_for_bads_flip(analytic, reference):
+            flip_of_bad = analytic.shape == bad.shape and (analytic == -bad.grad).all()
+            return np.nan if flip_of_bad else max_rel_err(analytic, reference)
+
+        monkeypatch.setattr(gradcheck, "max_rel_err", err_nan_for_bads_flip)
     params = [bad, good] if nan_first else [good, bad]
     result = check_case("nan_sum", lambda: tsum(bad * bad) + tsum(good * good), params)
-    assert np.isnan(result.worst_rel_err)
+    assert np.isnan(result.worst_rel_err) == (nan_in == "both_errors")
+    assert np.isnan(result.flipped_rel_err)
     assert result.worst_param == "bad"
     assert not result.passed
 
@@ -125,26 +150,23 @@ def test_quick_registry_subset_passes():
     assert all(r.passed for r in results)
 
 
-def test_fault_injection_names_the_op():
-    results = run_gradcheck(seed=0, fault_op="sigmoid", only=["sigmoid", "log"])
-    by_name = {r.op: r for r in results}
-    assert not by_name["sigmoid"].passed
-    assert by_name["log"].passed
+def test_a_failing_case_is_named_and_the_rest_still_pass(monkeypatch):
+    # each case gets its own verdict: one that cannot catch a sign flip does
+    # not fail, or hide, the registry cases run beside it
+    from mogref import gradcheck_cases
+
+    zero = gradcheck_cases._case(lambda a: a - a, ("a", (3,)), proj=(3,))
+    monkeypatch.setattr(gradcheck_cases, "_CASES", [*gradcheck_cases._CASES, ("zero", zero)])
+    results = run_gradcheck(seed=0, only=["sigmoid", "zero", "log"])
+    assert {r.op: r.passed for r in results} == {"sigmoid": True, "zero": False, "log": True}
 
 
-@pytest.mark.parametrize("only, fault_op", [(["matmull"], None), (["matmul", "gelu2"], None),
-                                            (["matmul"], "matmull"), (None, "matmull"), ([], None)])
-def test_unknown_case_names_raise_naming_them(only, fault_op):
+@pytest.mark.parametrize("only", [["matmull"], ["matmul", "gelu2"], []])
+def test_unknown_case_names_raise_naming_them(monkeypatch, only):
     # an empty only names no case at all, and would check nothing and pass
-    typos = sorted({*(only or ()), fault_op} - {"matmul", None})
-    with pytest.raises(ValueError, match=re.escape(repr(typos)) if typos else "names no gradcheck case"):
-        run_gradcheck(seed=0, only=only, fault_op=fault_op)
-
-
-def test_a_fault_op_that_only_leaves_out_raises_naming_it(monkeypatch):
-    # the flip would reach no case, and the run would pass
     from mogref import gradcheck
 
     monkeypatch.setattr(gradcheck, "check_case", lambda *a, **k: pytest.fail("a case ran"))
-    with pytest.raises(ValueError, match="fault_op 'sigmoid' is not among the cases"):
-        run_gradcheck(seed=0, fault_op="sigmoid", only=["log"])
+    typos = sorted(set(only) - {"matmul"})
+    with pytest.raises(ValueError, match=re.escape(repr(typos)) if typos else "names no gradcheck case"):
+        run_gradcheck(seed=0, only=only)
