@@ -204,7 +204,6 @@ _CASES = [
     ("absolute", _case(tensor.absolute, ("a", (3, 5)), proj=(3, 5))),
     ("log", _case(tensor.log, ("a", (3, 5), 0.5, 1.5), proj=(3, 5))),
     ("sigmoid", _case(tensor.sigmoid, ("a", (3, 5)), proj=(3, 5))),
-    ("gelu", _case(tensor.gelu, ("a", (3, 5)), proj=(3, 5))),
     ("maximum_minimum", _case(lambda a, b: tensor.maximum(a, b) + tensor.minimum(a, 0.25),
                               ("a", (4, 4)), ("b", (4, 4)), proj=(4, 4))),
     ("softmax", _case(tensor.softmax, ("a", (3, 6)), proj=(3, 6))),
@@ -229,6 +228,10 @@ _CASES = [
                               ("residual", (2, 3, 5)), proj=(2, 3, 5))),
     ("affine_broadcast_residual", _case(tensor.affine, ("x", (2, 3, 4)), ("w", (4, 5)), ("b", (5,)),
                                         ("residual", (5,)), proj=(2, 3, 5))),
+    ("gelu_affine", _case(tensor.gelu_affine, ("h", (2, 3, 4)), ("w", (4, 5)), ("b", (5,)),
+                          proj=(2, 3, 5))),
+    ("gelu_affine_residual", _case(tensor.gelu_affine, ("h", (2, 3, 4)), ("w", (4, 5)), ("b", (5,)),
+                                   ("residual", (2, 3, 5)), proj=(2, 3, 5))),
 ]
 
 

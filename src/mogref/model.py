@@ -66,7 +66,7 @@ from mogref.tensor import (
     affine,
     cast,
     concat,
-    gelu,
+    gelu_affine,
     layernorm,
     reshape,
     select,
@@ -161,6 +161,10 @@ class Linear(Module):
         """``x @ w + b``, or ``residual + (x @ w + b)``: one :func:`~mogref.tensor.affine` node either way."""
         return affine(x, self.w, self.b, residual)
 
+    def after_gelu(self, h: Tensor, residual: Tensor | None = None) -> Tensor:
+        """This layer over ``gelu(h)``: one :func:`~mogref.tensor.gelu_affine` node, which keeps ``h``."""
+        return gelu_affine(h, self.w, self.b, residual)
+
 
 class TokenProjector(Module):
     """Patch-embed rasters, look up word embeddings, add positions and types."""
@@ -224,7 +228,7 @@ class EncoderBlock(Module):
 
     def __call__(self, x: Tensor) -> Tensor:
         x = self.attn_out(mog_forward(layernorm(x), self.attn), residual=x)
-        return self.ffn_out(gelu(self.ffn_in(layernorm(x))), residual=x)
+        return self.ffn_out.after_gelu(self.ffn_in(layernorm(x)), residual=x)
 
 
 class DecoderBlock(Module):
@@ -248,7 +252,7 @@ class DecoderBlock(Module):
         queries = self.self_out(mog_forward(layernorm(queries), self.self_attn), residual=queries)
         queries = self.cross_out(mog_forward(layernorm(queries), self.cross_attn, memory=memory),
                                  residual=queries)
-        return self.ffn_out(gelu(self.ffn_in(layernorm(queries))), residual=queries)
+        return self.ffn_out.after_gelu(self.ffn_in(layernorm(queries)), residual=queries)
 
 
 class FuseHierarchy(Module):
@@ -287,7 +291,7 @@ class RegressionHead(Module):
         self.conf_out = Linear(f"{name}.conf_out", model_dim, 1, rng)
 
     def __call__(self, states: Tensor) -> Prediction:
-        boxes = sigmoid(cast(self.box_out(gelu(self.box_hidden(states))), np.float64))
+        boxes = sigmoid(cast(self.box_out.after_gelu(self.box_hidden(states)), np.float64))
         conf = sigmoid(cast(self.conf_out(states), np.float64))
         b, q, _ = conf.shape
         return Prediction(boxes, reshape(conf, (b, q)))

@@ -502,43 +502,33 @@ def _gelu_tanh(x: np.ndarray) -> np.ndarray:
     return t
 
 
-def gelu(a) -> Tensor:
-    """tanh-form GELU; smooth everywhere, so finite differences behave.
+def _gelu_from_tanh(x: np.ndarray, t: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """tanh-form GELU ``(t + 1) * (0.5 * x)`` into ``out``, which may be ``t`` itself."""
+    np.add(t, 1.0, out=out)
+    out *= np.multiply(x, 0.5)
+    return out
 
-    Forward computes ``t = tanh(C * (x + A * (x * x * x)))`` and turns it
-    into the output in place. The node keeps no array besides its output:
-    backward reads only the input ``x``, which its parent holds anyway,
-    recomputes ``t`` from it with the same operations and works in place
-    with one scratch buffer besides ``t`` and the result. Every product and
-    sum keeps the association of ``0.5 * x * (1 + t)`` and its derivative;
-    only the operand order of commutative steps differs, so the bits are
-    those of the plain expressions.
+
+def _gelu_grad(x: np.ndarray, t: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """``g`` times GELU's derivative at ``x``, given ``t``, in one new buffer and one scratch.
+
+    The derivative is ``0.5 * (1 + t) + 0.5 * x * (1 - t * t) * C * (1 + 3 * A * x * x)``,
+    formed with the association of that expression.
     """
-    a = _wrap(a)
-    x = a.data
-    data = _gelu_tanh(x)  # t, turned into the output in place
-    data += 1.0
-    data *= np.multiply(x, 0.5)
-
-    def vjp(g):
-        # 0.5 * (1 + t) + 0.5 * x * (1 - t * t) * C * (1 + 3 * A * x * x)
-        t = _gelu_tanh(x)
-        scratch = np.multiply(t, t)
-        np.subtract(1.0, scratch, out=scratch)
-        d = np.multiply(x, 0.5)
-        d *= scratch
-        d *= _GELU_C
-        np.multiply(x, 3.0 * _GELU_A, out=scratch)
-        scratch *= x
-        scratch += 1.0
-        d *= scratch
-        np.add(t, 1.0, out=scratch)
-        scratch *= 0.5
-        d += scratch
-        d *= g
-        return d
-
-    return _record(gelu, data, (a,), (vjp,))
+    scratch = np.multiply(t, t)
+    np.subtract(1.0, scratch, out=scratch)
+    d = np.multiply(x, 0.5)
+    d *= scratch
+    d *= _GELU_C
+    np.multiply(x, 3.0 * _GELU_A, out=scratch)
+    scratch *= x
+    scratch += 1.0
+    d *= scratch
+    np.add(t, 1.0, out=scratch)
+    scratch *= 0.5
+    d += scratch
+    d *= g
+    return d
 
 
 # ---------------------------------------------------------------------------
@@ -673,6 +663,56 @@ def matmul(a, b) -> Tensor:
                                           lambda g: np.matmul(a.data.swapaxes(-1, -2), g)))
 
 
+def _shared_pass(grads: Callable[[np.ndarray], Sequence[np.ndarray | None]],
+                 count: int) -> list[Callable[[np.ndarray], np.ndarray]]:
+    """The ``count`` partials of an op whose input gradients come from one pass.
+
+    The first partial :func:`_record` asks for runs ``grads(g)``, which
+    forms the gradient of every input that needs one (None for the
+    others), in input order; each partial hands over the array formed for
+    its input.
+    """
+    formed: dict[int, np.ndarray] = {}
+
+    def partial(i, g):
+        if not formed:
+            formed.update((j, grad) for j, grad in enumerate(grads(g)) if grad is not None)
+        return formed.pop(i)
+
+    return [lambda g, i=i: partial(i, g) for i in range(count)]
+
+
+def _affine_parts(x: Tensor, operand: np.ndarray, w: Tensor, b: Tensor, residual,
+                  partials: Sequence[Callable]) -> tuple[np.ndarray, tuple, tuple]:
+    """The output, inputs and partials of ``operand @ w + b``, or ``residual + that``.
+
+    ``operand`` is ``x.data`` or an array computed from it, and
+    ``partials`` give the gradients of ``x`` and ``w``; the product's
+    buffer takes the bias and the residual in place.
+    """
+    data = (_rows(operand) @ w.data).reshape(*operand.shape[:-1], w.shape[1])
+    data += b.data
+    if residual is None:
+        return data, (x, w, b), (*partials, lambda g: g)
+    r = _wrap(residual)
+    fits = r.ndim <= data.ndim and all(n in (1, m) for n, m in zip(r.shape[::-1], data.shape[::-1]))
+    if r.data.dtype != data.dtype or not fits:
+        raise ShapeError(f"affine residual must be {data.dtype} and broadcast to the product's "
+                         f"{data.shape}, got {r.data.dtype} {r.shape}")
+    data += r.data
+    # the residual first, as in ``residual + affine(x, w, b)``: it sets the
+    # walk order of backward, hence the bits of the sums into shared inputs
+    return data, (r, x, w, b), (lambda g: g, *partials, lambda g: g)
+
+
+def _affine_operands(op: Callable, x, w, b) -> tuple[Tensor, Tensor, Tensor]:
+    x, w, b = _wrap(x), _wrap(w), _wrap(b)
+    if x.ndim < 2 or w.ndim != 2 or x.shape[-1] != w.shape[0]:
+        raise ShapeError(f"{op.__name__} needs (..., K) @ (K, M) with K matching, "
+                         f"got {x.shape} @ {w.shape}")
+    return x, w, b
+
+
 def affine(x, w, b, residual=None) -> Tensor:
     """``x @ w + b``, or ``residual + (x @ w + b)``, as one node.
 
@@ -684,23 +724,37 @@ def affine(x, w, b, residual=None) -> Tensor:
     residual must have the product's dtype and broadcast to its shape;
     anything else raises :class:`ShapeError`.
     """
-    x, w, b = _wrap(x), _wrap(w), _wrap(b)
-    if x.ndim < 2 or w.ndim != 2 or x.shape[-1] != w.shape[0]:
-        raise ShapeError(f"affine needs (..., K) @ (K, M) with K matching, got {x.shape} @ {w.shape}")
-    data = (_rows(x.data) @ w.data).reshape(*x.shape[:-1], w.shape[1])
-    data += b.data
-    partials = _row_gemm_partials(x, w)
-    if residual is None:
-        return _record(affine, data, (x, w, b), (*partials, lambda g: g))
-    r = _wrap(residual)
-    fits = r.ndim <= data.ndim and all(n in (1, m) for n, m in zip(r.shape[::-1], data.shape[::-1]))
-    if r.data.dtype != data.dtype or not fits:
-        raise ShapeError(f"affine residual must be {data.dtype} and broadcast to the product's "
-                         f"{data.shape}, got {r.data.dtype} {r.shape}")
-    data += r.data
-    # the residual first, as in ``residual + affine(x, w, b)``: it sets the
-    # walk order of backward, hence the bits of the sums into shared inputs
-    return _record(affine, data, (r, x, w, b), (lambda g: g, *partials, lambda g: g))
+    x, w, b = _affine_operands(affine, x, w, b)
+    return _record(affine, *_affine_parts(x, x.data, w, b, residual, _row_gemm_partials(x, w)))
+
+
+def gelu_affine(h, w, b, residual=None) -> Tensor:
+    """``affine(gelu(h), w, b, residual)`` as one node that keeps ``h``, not ``gelu(h)``.
+
+    GELU is the tanh form, smooth everywhere, so finite differences behave:
+    ``0.5 * h * (1 + t)`` with ``t = tanh(C * (h + A * (h * h * h)))``.
+    Forward turns ``t`` into ``gelu(h)`` in place and multiplies it into
+    the product as :func:`affine` does, then drops it. The node keeps only
+    ``h``, which its parent holds anyway. Backward recomputes ``t`` from
+    ``h`` and, for dW, ``gelu(h)`` from ``t``, with the forward's
+    operations, so dW has the bits of ``affine`` over a kept ``gelu(h)``;
+    dh is GELU's derivative times ``g @ w^T``, in the association of the
+    plain expressions. Residual and shapes follow :func:`affine`.
+    """
+    h, w, b = _affine_operands(gelu_affine, h, w, b)
+    x = h.data
+
+    def grads(g):
+        t = _gelu_tanh(x)
+        dw = None
+        if w.requires_grad:
+            dw = _rows(_gelu_from_tanh(x, t, out=np.empty_like(t))).T @ _rows(g)
+        dh = _gelu_grad(x, t, (_rows(g) @ w.data.T).reshape(x.shape)) if h.requires_grad else None
+        return dh, dw
+
+    t = _gelu_tanh(x)
+    return _record(gelu_affine, *_affine_parts(h, _gelu_from_tanh(x, t, out=t), w, b, residual,
+                                               _shared_pass(grads, 2)))
 
 
 # ---------------------------------------------------------------------------

@@ -85,7 +85,7 @@ class TestGradcheckCommand:
         op = (lambda a: a - a) if why == "sign flip not caught" else wrong_sign_cube
         bad = gradcheck_cases._case(op, ("a", (3,)), proj=(3,))
         monkeypatch.setattr(gradcheck_cases, "_CASES", [*gradcheck_cases._CASES, ("bad", bad)])
-        code = main(["gradcheck", "--only", "bad,gelu", "--out-dir", str(tmp_path)])
+        code = main(["gradcheck", "--only", "bad,gelu_affine", "--out-dir", str(tmp_path)])
         assert code == EXIT_NUMERICAL
         doc = json.loads((tmp_path / "gradcheck.json").read_text())
         assert [r["op"] for r in doc["results"] if not r["passed"]] == ["bad"]

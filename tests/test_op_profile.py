@@ -17,7 +17,7 @@ from mogref.tensor import (
     backward,
     concat,
     div,
-    gelu,
+    gelu_affine,
     layernorm,
     log,
     masked_softmax,
@@ -65,14 +65,14 @@ def test_every_routed_op_is_profiled_under_its_function_name():
     s = matmul(h, transpose(h, (0, 2, 1)))  # batched (2, 3, 3): the np.matmul branch
     mask = np.tril(np.ones((3, 3), dtype=bool))
     p = sub(add(softmax(s), masked_softmax(s, mask)), s)
-    y = select(reshape(concat([layernorm(h), gelu(h)], axis=-1), (2, 3, 2, 4)), 0, axis=2)
+    y = select(reshape(concat([layernorm(h), gelu_affine(h, w, b)], axis=-1), (2, 3, 2, 4)), 0, axis=2)
     z = maximum(sigmoid(y), minimum(neg(y), log(absolute(h))))
     loss = mul(tsum(div(z, x)), mean(p))
     with op_profile() as prof:
         backward(loss)
     assert set(prof.calls) == {
         "affine", "matmul", "transpose", "softmax", "masked_softmax",
-        "add", "sub", "concat", "layernorm", "gelu", "select", "reshape", "maximum",
+        "add", "sub", "concat", "layernorm", "gelu_affine", "select", "reshape", "maximum",
         "sigmoid", "minimum", "neg", "log", "absolute", "div", "tsum", "mean", "mul",
     }
 
@@ -114,14 +114,16 @@ def test_script_profiles_a_default_step(capsys):
     # one attention-core node per attention: two SCE blocks, the SCD self-
     # and cross-attention, and the SSD self- and cross-attention; the core
     # holds each attention's logit and value products, so matmul counts the
-    # 18 bias-free q/k/v projections, and every Linear layer (6 attention
-    # outputs, 8 feed-forward, the patch embedding, 3 head) and the 3 gate
-    # logits are one affine node each
+    # 18 bias-free q/k/v projections; every Linear layer after a gelu (4
+    # feed-forward outputs, the head's box output) is one gelu_affine node,
+    # and every other (6 attention outputs, 4 feed-forward inputs, the patch
+    # embedding, 2 head) and the 3 gate logits one affine node each
     assert rows["_attention_core"][0] == 6
     assert "masked_softmax" not in rows  # the underflow fallback did not run
     assert rows["matmul"][0] == 18
-    assert rows["affine"][0] == 21
-    assert {"layernorm", "gelu", "softmax", "take_rows"} <= set(rows)
+    assert rows["gelu_affine"][0] == 5
+    assert rows["affine"][0] == 16
+    assert {"layernorm", "gelu_affine", "softmax", "take_rows"} <= set(rows)
 
 
 def test_script_reports_one_traced_step_of_graph_memory(capsys):

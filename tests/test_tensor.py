@@ -22,7 +22,7 @@ from mogref.tensor import (
     cast,
     concat,
     div,
-    gelu,
+    gelu_affine,
     layernorm,
     log,
     masked_softmax,
@@ -379,16 +379,36 @@ def _inputs(kind, shape, seed):
 
 class TestInPlaceKernels:
     @pytest.mark.parametrize("kind", ["random", "saturated", "constant"])
-    @pytest.mark.parametrize("op, reference", [(gelu, reference_gelu),
-                                               (layernorm, reference_layernorm)])
-    def test_bit_identical_to_the_plain_expressions(self, op, reference, kind):
+    def test_layernorm_bit_identical_to_the_plain_expressions(self, kind):
         x = Parameter("x", _inputs(kind, (3, 5, 9), seed=11))
         g = np.random.default_rng(12).normal(0.0, 1.0, x.shape)
-        out = op(x)
+        out = layernorm(x)
         backward(tsum(out * Tensor(g)))
-        want_out, want_grad = reference(x.data, g)
+        want_out, want_grad = reference_layernorm(x.data, g)
         assert np.array_equal(out.data, want_out)
         assert np.array_equal(x.grad, want_grad)
+
+    @pytest.mark.parametrize("kind", ["random", "saturated", "constant"])
+    @pytest.mark.parametrize("residual", [False, True])
+    def test_gelu_affine_bit_identical_to_the_plain_expressions(self, kind, residual):
+        # the node keeps h and rebuilds gelu(h) in backward: dW must have the
+        # bits of the product over the forward's gelu(h), and dh those of
+        # gelu's derivative times g @ w^T
+        rng = np.random.default_rng(15)
+        x = Parameter("x", _inputs(kind, (3, 5, 9), seed=11))
+        w, b = Parameter("w", rng.normal(0.0, 0.5, (9, 6))), Parameter("b", rng.normal(0.0, 0.5, 6))
+        r = Parameter("r", rng.normal(0.0, 1.0, (3, 5, 6))) if residual else None
+        g = np.random.default_rng(12).normal(0.0, 1.0, (3, 5, 6))
+        out = gelu_affine(x, w, b, r)
+        backward(tsum(out * Tensor(g)))
+        g_rows = g.reshape(-1, 6)
+        act, dx = reference_gelu(x.data, (g_rows @ w.data.T).reshape(x.shape))
+        want = (act.reshape(-1, 9) @ w.data).reshape(out.shape) + b.data
+        assert np.array_equal(out.data, want + r.data if residual else want)
+        assert np.array_equal(x.grad, dx)
+        assert np.array_equal(w.grad, act.reshape(-1, 9).T @ g_rows)
+        assert np.array_equal(b.grad, g_rows.sum(axis=0))
+        assert not residual or np.array_equal(r.grad, g)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_layernorm_row_means_equal_ndarray_mean_at_an_odd_width(self, dtype):
