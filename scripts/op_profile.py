@@ -28,7 +28,10 @@ graph: after the timed steps, one more forward, loss and backward run under
 loss is formed (node outputs, closures and whatever they keep), the
 traced peak through backward and the traced bytes still held after
 backward, while the loss is kept (``backward`` releases each node as it
-walks it), all above what was live before the forward.
+walks it), all above what was live before the forward. Beside the first it
+prints that graph's KB per token row, the batch times the tokens per scene
+(visual tokens and words), which is how a step's graph grows with its
+tokens.
 The script applies the CLI's allocator settings
 (``mogref.allocator.tune_allocator``) first, as ``mogref train`` does.
 
@@ -74,11 +77,11 @@ def traced_graph_mb(model: SCSModel, dataset: GroundingDataset) -> tuple[float, 
 
 
 def profile_steps(image_size: int, batch: int,
-                  steps: int) -> tuple[OpProfile, float, float, float, float, float, float, float, float]:
+                  steps: int) -> tuple[OpProfile, float, float, float, float, float, int, float, float, float]:
     """Per-op backward profile summed over ``steps`` steps, their mean wall
     ms, minor page faults, system-CPU ms and ``Adam.step`` ms per step, the
-    peak RSS in MB, and the traced graph MB of one more step
-    (:func:`traced_graph_mb`)."""
+    peak RSS in MB, the step's token rows (batch times tokens per scene),
+    and the traced graph MB of one more step (:func:`traced_graph_mb`)."""
     vocab = default_vocab()
     dataset = build_synthetic_dataset(batch, SyntheticSceneSpec(image_size=image_size), vocab, 0)
     model = SCSModel(ModelConfig(image_size=image_size, vocab_size=len(vocab)), vocab, RngState(0))
@@ -106,8 +109,9 @@ def profile_steps(image_size: int, batch: int,
     sys_ms = (after.ru_stime - usage.ru_stime) * 1e3 / steps
     optimizer_ms = sum(optimizer_s) * 1e3 / steps
     traced = traced_graph_mb(model, dataset)
+    token_rows = batch * (model.config.num_visual_tokens + dataset.token_ids.shape[1])
     return (prof, wall_ms, faults, sys_ms, optimizer_ms,
-            after.ru_maxrss / 1024, *traced)  # Linux reports KiB
+            after.ru_maxrss / 1024, token_rows, *traced)  # Linux reports KiB
 
 
 def run(argv=None) -> int:
@@ -120,7 +124,7 @@ def run(argv=None) -> int:
     if args.steps < 1 or args.batch < 1:
         parser.error("--steps and --batch must be positive")
     tune_allocator()
-    (prof, step_ms, faults, sys_ms, optimizer_ms, peak_mb,
+    (prof, step_ms, faults, sys_ms, optimizer_ms, peak_mb, token_rows,
      graph_mb, backward_peak_mb, held_mb) = profile_steps(args.image_size, args.batch, args.steps)
     total = sum(prof.ms.values())
     print(f"# image_size={args.image_size} batch={args.batch} steps={args.steps}: "
@@ -129,7 +133,8 @@ def run(argv=None) -> int:
           f"attention scratch {sum(b.nbytes for b in _SCRATCH.buffers) / 2**20:.2f} MB, "
           f"optimizer {optimizer_ms:.2f} ms/step, "
           f"backward ops {total / args.steps:.1f} ms/step, "
-          f"traced graph {graph_mb:.2f} MB after forward and loss, "
+          f"traced graph {graph_mb:.2f} MB after forward and loss "
+          f"({graph_mb * 2**10 / token_rows:.2f} KB per token row of {token_rows}), "
           f"{backward_peak_mb:.2f} MB peak through backward, "
           f"{held_mb:.2f} MB held after backward")
     print(f"{'op':<28} {'calls/step':>10} {'ms/step':>9} {'share':>6}")

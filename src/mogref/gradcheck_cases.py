@@ -118,6 +118,37 @@ def case_attention_core(rng: RngState) -> Case:
     return loss, [gammas[3], gammas[2], *(p for qkv, *_ in calls for p in qkv)]
 
 
+def case_self_attention(rng: RngState) -> Case:
+    """The self-attention node alone, from its (B, N, D) input and the three
+    projection weights to merged heads.
+
+    Dilations (1,), with the gate-less constant of ones, and (1, 2, 3), with
+    non-uniform per-sample gammas, each at 1 and 2 heads, and a batch-1
+    input.
+    """
+    grids = [  # name, batch, n, heads, dilations
+        ("plain", 2, 5, 1, (1,)),
+        ("plain_heads", 2, 5, 2, (1,)),
+        ("mixed", 2, 6, 1, (1, 2, 3)),
+        ("mixed_heads", 2, 6, 2, (1, 2, 3)),
+        ("one_sample", 1, 5, 2, (1, 2, 3)),
+    ]
+    gammas = {(2, 3): _param(rng, "gammas", (2, 3), 0.1, 0.9),
+              (1, 3): _param(rng, "gammas_one", (1, 3), 0.1, 0.9),
+              (2, 1): Tensor(np.ones((2, 1)))}
+    calls = []
+    for name, b, n, heads, dilations in grids:
+        inputs = [_param(rng, f"{name}_{t}", shape)
+                  for t, shape in (("x", (b, n, 4)), ("w_q", (4, 4)), ("w_k", (4, 4)), ("w_v", (4, 4)))]
+        calls.append((inputs, gammas[b, len(dilations)], dilations, heads, _proj(rng, (b, n, 4))))
+
+    def loss():
+        return sum(tensor.tsum(mog._self_attention(*inputs, gamma, dilations, heads) * w)
+                   for inputs, gamma, dilations, heads, w in calls)
+
+    return loss, [gammas[2, 3], gammas[1, 3], *(p for inputs, *_ in calls for p in inputs)]
+
+
 def case_match_and_loss(rng: RngState) -> Case:
     """One sample's set loss: ``grounding_loss`` at B = 1, matched at every evaluation."""
     boxes = _param(rng, "boxes", (3, 4), 0.25, 0.75)
@@ -220,6 +251,7 @@ _CASES = [
     ("match_and_loss", case_match_and_loss),
     ("scs_end_to_end", case_scs_end_to_end),
     ("attention_core", case_attention_core),
+    ("self_attention", case_self_attention),
     ("grounding_loss_batch", case_grounding_loss_batch),
     ("cast", case_cast),
     ("affine", _case(tensor.affine, ("x", (2, 3, 4)), ("w", (4, 5)), ("b", (5,)), proj=(2, 3, 5))),

@@ -64,6 +64,8 @@ from mogref.tensor import (
     Parameter,
     Tensor,
     _record,
+    _rows,
+    _shared_pass,
     _unbroadcast,
     affine,
     layernorm,
@@ -420,20 +422,22 @@ def _logit_grad(w: np.ndarray, dw: np.ndarray, e: np.ndarray, s: np.ndarray, a: 
 
 
 def _composed_attention(q: Tensor, k: Tensor, v: Tensor, gammas: Tensor,
-                        classes: _Classes, num_heads: int) -> Tensor:
-    """The underflow fallback of :func:`_attention_core`, as a graph of ordinary ops.
+                        dilations: tuple[int, ...], num_heads: int) -> Tensor:
+    """The underflow fallback of the attention nodes, as a graph of ordinary ops.
 
     Each branch is a :func:`masked_softmax` node (:func:`_shared_branch_softmax`)
-    over its support read off the core's ``classes`` (:meth:`_Classes.mask`),
-    so the fallback keeps the keys the core keeps. The node shifts every
-    row by its maximum on the branch's support, so a support row far below
-    the row maximum taken over all keys keeps its precision; the branches
-    are weighted by their gamma, summed into ``W`` and applied to the
-    values with the heads merged.
+    over its support read off the classes the nodes use
+    (:func:`_residue_classes`, :meth:`_Classes.mask`), so the fallback
+    keeps the keys the nodes keep. The node shifts every row by its maximum
+    on the branch's support, so a support row far below the row maximum
+    taken over all keys keeps its precision; the branches are weighted by
+    their gamma, summed into ``W`` and applied to the values with the heads
+    merged.
     """
     qh, kh, vh = (split_heads(t, num_heads) for t in (q, k, v))
     logits = _scaled_logits(qh, kh)
-    b = logits.shape[0]
+    b, _, n_q, n_k = logits.shape
+    classes = _residue_classes(n_q, n_k, tuple(dilations), logits.data.dtype)
     masks = [classes.mask(g) for g in range(classes.index.shape[1])]
     w = None
     for g, p in enumerate(_shared_branch_softmax(logits, masks)):
@@ -515,6 +519,120 @@ def _matmul_into(a: np.ndarray, b: np.ndarray, out: np.ndarray, first: bool) -> 
         out += a @ b
 
 
+def _batch(arr: np.ndarray, sample: slice) -> np.ndarray:
+    """The samples ``sample`` of ``arr``; all of it at batch 1, which broadcasts."""
+    return arr if arr.shape[0] == 1 else arr[sample]
+
+
+def _merged(b: int, heads: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A new batch-``b`` (b, N, D) array for head-split ``heads`` (., H, N, D/H),
+    and the head-split view chunks write into."""
+    _, h, n, dk = heads.shape
+    arr = np.empty((b, n, h * dk), dtype=heads.dtype)
+    return arr, _split_heads_data(arr, h)
+
+
+def _shared_exp(qh: np.ndarray, kt: np.ndarray, sample: slice, rows: slice, scale: float,
+                row_max: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``e`` of a chunk in the first reused buffer, its row maximum and its
+    scaled q, scaled anew on every call."""
+    qs, ktc = _batch(qh, sample)[:, :, rows] * scale, _batch(kt, sample)
+    shape = (max(qs.shape[0], ktc.shape[0]), *qs.shape[1:3], ktc.shape[-1])
+    logits = np.matmul(qs, ktc, out=_SCRATCH.get(0, shape, qs.dtype))
+    if row_max is None:
+        row_max = logits.max(axis=-1, keepdims=True)
+    np.subtract(logits, row_max, out=logits)
+    np.exp(logits, out=logits)  # e = exp(logits - row max), in place
+    return logits, row_max, qs
+
+
+@dataclass
+class _ChunkState:
+    """What the chunk pass reads of a chunk forward: no N-by-N array, no copy of q, k or v."""
+
+    chunks: list[tuple[slice, slice]]  # (sample, query row) slices, from _chunks
+    panels: dict[int, _Classes]  # the classes of each panel, by its first row
+    saved: list[tuple[np.ndarray, np.ndarray, np.ndarray]]  # (row max, selected S, selected A) per chunk
+
+
+def _chunk_forward(qh: np.ndarray, kh: np.ndarray, vh: np.ndarray, gammas: np.ndarray,
+                   dilations: tuple[int, ...]) -> tuple[np.ndarray, _ChunkState] | None:
+    """The merged (B, N_q, D) heads of ``W V`` from head-split (., H, N, D/H)
+    q, k and v and (B, G) gammas, and the state :func:`_chunk_pass` reads.
+
+    None when a selected class sum is below :func:`_min_class_sum`; the
+    caller then builds :func:`_composed_attention`. Scales a chunk's q,
+    writes its logits into the first reused buffer, turns them into the
+    shared exponential ``e`` in place and spreads ``A`` into the second for
+    ``W``; keeps per chunk only the row maximum and the selected ``S`` and
+    ``A``, (B, H, N_q, G) arrays.
+    """
+    num_heads, dtype = qh.shape[1], qh.dtype
+    scale = 1.0 / math.sqrt(qh.shape[-1])  # a Python float keeps qh's dtype
+    kt = kh.transpose(0, 1, 3, 2)
+    b, n_q, n_k = max(qh.shape[0], kh.shape[0]), qh.shape[2], kh.shape[2]
+    classes = _residue_classes(n_q, n_k, tuple(dilations), dtype)
+    chunks = _chunks(b, num_heads, n_q, n_k, dtype.itemsize)
+    state = _ChunkState(chunks, {rows.start: classes.rows(rows) for _, rows in chunks}, [])
+    out, out_heads = _merged(b, qh)
+    for sample, rows in chunks:
+        panel = state.panels[rows.start]
+        e, row_max, _ = _shared_exp(qh, kt, sample, rows, scale)
+        coefficients = _class_coefficients(e, _batch(gammas, sample), panel)
+        if coefficients is None:
+            return None
+        w = _weights(e, coefficients[1], panel, out=_SCRATCH.get(1, e.shape, dtype))
+        np.matmul(w, _batch(vh, sample), out=out_heads[sample, :, rows])
+        state.saved.append((row_max, *coefficients))
+    return out, state
+
+
+def _chunk_pass(g: np.ndarray, qh: np.ndarray, kh: np.ndarray, vh: np.ndarray, state: _ChunkState,
+                needs: tuple[bool, bool, bool, bool]) -> tuple[np.ndarray | None, ...]:
+    """dq, dk, d gammas and dv of :func:`_chunk_forward`'s output, given its output gradient ``g``.
+
+    ``qh``, ``kh`` and ``vh`` hold the forward's bits; ``needs`` flags
+    which of (q, k, gammas, v) need a gradient, and the others get None.
+    dq and dk and dv are (., N, D), dq summed over a broadcast query batch.
+    Scales a chunk's q again, recomputes ``e`` and ``W`` (the same bits),
+    then forms dV, dW, rho and d logits, and from those dq and dk, in the
+    three reused buffers (:func:`_logit_grad`). A panel writes its own rows
+    of dq and rho; dk and dv add up over the panels of a sample
+    (:func:`_matmul_into`).
+    """
+    num_heads, dtype = qh.shape[1], qh.dtype
+    scale = 1.0 / math.sqrt(qh.shape[-1])
+    kt = kh.transpose(0, 1, 3, 2)
+    b, n_q = max(qh.shape[0], kh.shape[0]), qh.shape[2]
+    need_q, need_k, need_gammas, need_v = needs
+    gh = _split_heads_data(g, num_heads)
+    dq, dq_heads = _merged(b, qh) if need_q else (None, None)
+    dk, dk_heads = _merged(b, kh) if need_k else (None, None)
+    dv, dv_heads = _merged(b, vh) if need_v else (None, None)
+    branches = state.saved[0][1].shape[-1]
+    rho = np.empty((b, num_heads, n_q, branches), dtype=dtype) if need_gammas else None
+    for (sample, rows), (row_max, s, a) in zip(state.chunks, state.saved):
+        panel = state.panels[rows.start]
+        e, _, qs = _shared_exp(qh, kt, sample, rows, scale, row_max)
+        w = _weights(e, a, panel, out=_SCRATCH.get(1, e.shape, dtype))
+        g_rows = gh[sample, :, rows]
+        first = rows.start == 0  # the first panel of its samples
+        if dv is not None:
+            _matmul_into(w.swapaxes(-1, -2), g_rows, dv_heads[sample], first)
+        dw = np.matmul(g_rows, _batch(vh, sample).swapaxes(-1, -2), out=_SCRATCH.get(2, e.shape, dtype))
+        dlogits, rho_c = _logit_grad(w, dw, e, s, a, panel)
+        if rho is not None:
+            rho[sample, :, rows] = rho_c
+        if dq is not None:
+            np.matmul(dlogits, _batch(kh, sample), out=dq_heads[sample, :, rows])
+        if dk is not None:
+            _matmul_into(qs.swapaxes(-1, -2), dlogits, dk_heads[sample].swapaxes(-1, -2), first)
+    if dq is not None:
+        dq = _unbroadcast(dq, (qh.shape[0], *dq.shape[1:]))
+        dq *= scale
+    return dq, dk, None if rho is None else rho.sum(axis=(1, 2)), dv
+
+
 def _attention_core(q: Tensor, k: Tensor, v: Tensor, gammas: Tensor,
                     dilations: tuple[int, ...], num_heads: int) -> Tensor:
     """Merged heads of ``W V`` from the (B, N, D) projections, as one node.
@@ -537,27 +655,25 @@ def _attention_core(q: Tensor, k: Tensor, v: Tensor, gammas: Tensor,
     quarter of a core's L2), and a bigger sample in up to ``_MAX_PANELS``
     panels of query rows, each with its rows of the classes
     (:meth:`_Classes.rows`). The chunks run in the reused buffers of
-    :class:`_Scratch`. Forward scales a chunk's q, writes its logits into
-    one buffer, turns it into the shared exponential ``e`` in place and
-    spreads ``A`` into a second for ``W``. Between forward and backward the
-    node keeps the q, k and v views and, per chunk, only the row maximum
-    and ``S`` and ``A`` on each row's selected class of each branch, as
-    (B, H, N_q, G) arrays: no N-by-N array, no (B, H, N_q, C) array and no
-    scaled copy of q. Backward scales a chunk's q again and recomputes ``e``
-    and ``W`` (the same bits), then forms dV, dW, rho (into a (B, H, N_q, G)
-    array) and d logits, and from those dq and dk, in
-    three chunk-sized buffers: ``e``; ``W``, overwritten by ``W dW`` once dV
-    is formed and then by d logits; and dW, overwritten by ``dW * e`` and
-    then by the spread correction (:func:`_logit_grad`). The output, dq and
-    rho of a panel are its own rows; dk and dv add up over the panels of a
-    sample (:func:`_matmul_into`). So packing samples keeps the bits of the
+    :class:`_Scratch`: forward in :func:`_chunk_forward`, backward in
+    :func:`_chunk_pass`, the one chunk loop of each. Between forward and
+    backward the node keeps the q, k and v views and, per chunk, only the
+    row maximum and ``S`` and ``A`` on each row's selected class of each
+    branch, as (B, H, N_q, G) arrays: no N-by-N array, no (B, H, N_q, C)
+    array and no scaled copy of q. Backward recomputes ``e`` and ``W``
+    from them (the same bits), in three chunk-sized buffers: ``e``; ``W``,
+    overwritten by ``W dW`` once dV is formed and then by d logits; and dW,
+    overwritten by ``dW * e`` and then by the spread correction
+    (:func:`_logit_grad`). The output, dq and rho of a panel are its own
+    rows; dk and dv add up over the panels of a sample
+    (:func:`_matmul_into`). So packing samples keeps the bits of the
     one-chunk arithmetic, and splitting rows reassociates only dk and dv
     (within rounding, 1e-12 in float64).
 
     Recorded by :func:`~mogref.tensor._record` with one partial per input
     (q, k, gammas, v): the first partial asked for runs the chunk pass for
-    every input that needs a gradient (dq summed over a broadcast batch and
-    scaled), and each partial hands over the array the pass formed.
+    every input that needs a gradient (:func:`~mogref.tensor._shared_pass`),
+    and each partial hands over the array the pass formed.
 
     A rectangular grid where some query row has no key in its class raises
     the ``ValueError`` of the class builder, :func:`_residue_classes`. When
@@ -569,87 +685,60 @@ def _attention_core(q: Tensor, k: Tensor, v: Tensor, gammas: Tensor,
     computes in the dtype of its inputs; the chunk budget counts bytes, so
     a float32 chunk packs twice the samples of a float64 one.
     """
-    qh, kh, vh = (_split_heads_data(t.data, num_heads) for t in (q, k, v))
-    scale = 1.0 / math.sqrt(qh.shape[-1])  # a Python float keeps qh's dtype
-    dtype = qh.dtype  # of every array the node allocates
-    kt = kh.transpose(0, 1, 3, 2)
-    b = max(qh.shape[0], kh.shape[0])
-    n_q, n_k = qh.shape[2], kh.shape[2]
-    classes = _residue_classes(n_q, n_k, tuple(dilations), dtype)
-    chunks = _chunks(b, num_heads, n_q, n_k, dtype.itemsize)
-    panels = {rows.start: classes.rows(rows) for _, rows in chunks}
-
-    def batch(arr, sample):
-        return arr if arr.shape[0] == 1 else arr[sample]  # batch 1 broadcasts
-
-    def shared_exp(sample, rows, row_max=None):
-        """``e`` of a chunk, its row maximum and its scaled q, scaled anew on every call."""
-        qs, ktc = batch(qh, sample)[:, :, rows] * scale, batch(kt, sample)
-        shape = (max(qs.shape[0], ktc.shape[0]), num_heads, qs.shape[2], n_k)
-        logits = np.matmul(qs, ktc, out=_SCRATCH.get(0, shape, dtype))
-        if row_max is None:
-            row_max = logits.max(axis=-1, keepdims=True)
-        np.subtract(logits, row_max, out=logits)
-        np.exp(logits, out=logits)  # e = exp(logits - row max), in place
-        return logits, row_max, qs
-
-    def merged(t):
-        """A batch-B (B, N, D) array shaped like ``t`` and the head-split view chunks write into."""
-        arr = np.empty((b, *t.shape[1:]), dtype=dtype)
-        return arr, _split_heads_data(arr, num_heads)
-
-    out, out_heads = merged(q)
-    saved = []  # (row max, selected S, selected A) of each chunk
-    for sample, rows in chunks:
-        panel = panels[rows.start]
-        e, row_max, _ = shared_exp(sample, rows)
-        coefficients = _class_coefficients(e, batch(gammas.data, sample), panel)
-        if coefficients is None:
-            return _composed_attention(q, k, v, gammas, classes, num_heads)
-        w = _weights(e, coefficients[1], panel, out=_SCRATCH.get(1, e.shape, dtype))
-        np.matmul(w, batch(vh, sample), out=out_heads[sample, :, rows])
-        saved.append((row_max, *coefficients))
-
-    def chunk_pass(g):
-        gh = _split_heads_data(g, num_heads)
-        dq, dq_heads = merged(q) if q.requires_grad else (None, None)
-        dk, dk_heads = merged(k) if k.requires_grad else (None, None)
-        dv, dv_heads = merged(v) if v.requires_grad else (None, None)
-        rho = np.empty((b, num_heads, n_q, gammas.shape[1]), dtype=dtype) if gammas.requires_grad else None
-        for (sample, rows), (row_max, s, a) in zip(chunks, saved):
-            panel = panels[rows.start]
-            e, _, qs = shared_exp(sample, rows, row_max)
-            w = _weights(e, a, panel, out=_SCRATCH.get(1, e.shape, dtype))
-            g_rows = gh[sample, :, rows]
-            first = rows.start == 0  # the first panel of its samples
-            if dv is not None:
-                _matmul_into(w.swapaxes(-1, -2), g_rows, dv_heads[sample], first)
-            dw = np.matmul(g_rows, batch(vh, sample).swapaxes(-1, -2), out=_SCRATCH.get(2, e.shape, dtype))
-            dlogits, rho_c = _logit_grad(w, dw, e, s, a, panel)
-            if rho is not None:
-                rho[sample, :, rows] = rho_c
-            if dq is not None:
-                np.matmul(dlogits, batch(kh, sample), out=dq_heads[sample, :, rows])
-            if dk is not None:
-                _matmul_into(qs.swapaxes(-1, -2), dlogits, dk_heads[sample].swapaxes(-1, -2), first)
-        if dq is not None:
-            dq = _unbroadcast(dq, q.shape)
-            dq *= scale
-        grads = (dq, dk, None if rho is None else rho.sum(axis=(1, 2)), dv)
-        formed.update((i, grad) for i, grad in enumerate(grads) if grad is not None)
-
-    formed = {}  # input position -> gradient the chunk pass formed and no partial took yet
-
-    def partial(i, g):
-        if not formed:  # the first partial asked for runs the chunk pass
-            chunk_pass(g)
-        return formed.pop(i)
-
+    heads = [_split_heads_data(t.data, num_heads) for t in (q, k, v)]
+    forward = _chunk_forward(*heads, gammas.data, dilations)
+    if forward is None:
+        return _composed_attention(q, k, v, gammas, dilations, num_heads)
+    out, state = forward
+    needs = tuple(t.requires_grad for t in (q, k, gammas, v))
     # the input order sets the walk order of backward, hence the order in
     # which the q, k, gate and v contributions add into a shared input and
     # the last bits of the loss log
     return _record(_attention_core, out, (q, k, gammas, v),
-                   [lambda g, i=i: partial(i, g) for i in range(4)])
+                   _shared_pass(lambda g: _chunk_pass(g, *heads, state, needs), 4))
+
+
+def _self_attention(x: Tensor, w_q: Tensor, w_k: Tensor, w_v: Tensor, gammas: Tensor,
+                    dilations: tuple[int, ...], num_heads: int) -> Tensor:
+    """Merged heads of self-attention from its (B, N, D) input ``x``, as one node.
+
+    :func:`_attention_core` over ``x w_q``, ``x w_k`` and ``x w_v``, with
+    the projections inside the node. Forward projects q, k and v with
+    :func:`~mogref.tensor.matmul`'s row gemm, runs :func:`_chunk_forward`
+    and drops them: between forward and backward the node keeps ``x``
+    (its parent's output), the weights and the chunk state, so a step's
+    graph holds no q, k or v. Backward rebuilds q, k and v with the same
+    gemms (the forward's bits), runs :func:`_chunk_pass` and turns dq, dk
+    and dv into dx (``dq w_q^T + dk w_k^T + dv w_v^T``, added in that
+    order) and ``dw = x^T d`` for each weight, the partials of the row
+    gemm. On underflow it returns :func:`_composed_attention` over three
+    projection nodes, as the core does.
+    """
+    weights = (w_q, w_k, w_v)
+
+    def projected():
+        """Head-split q, k and v, each with the bits of ``matmul(x, w)``."""
+        return [_split_heads_data((_rows(x.data) @ w.data).reshape(*x.shape[:-1], w.shape[1]), num_heads)
+                for w in weights]
+
+    forward = _chunk_forward(*projected(), gammas.data, dilations)
+    if forward is None:
+        return _composed_attention(*(matmul(x, w) for w in weights), gammas, dilations, num_heads)
+    out, state = forward
+
+    def grads(g):
+        dq, dk, dgammas, dv = _chunk_pass(g, *projected(), state, (True, True, gammas.requires_grad, True))
+        d_rows = [_rows(d) for d in (dq, dk, dv)]
+        dx = None
+        if x.requires_grad:
+            dx = d_rows[0] @ w_q.data.T
+            dx += d_rows[1] @ w_k.data.T
+            dx += d_rows[2] @ w_v.data.T
+            dx = dx.reshape(x.shape)
+        dws = [_rows(x.data).T @ d if w.requires_grad else None for w, d in zip(weights, d_rows)]
+        return dx, *dws, dgammas
+
+    return _record(_self_attention, out, (x, *weights, gammas), _shared_pass(grads, 5))
 
 
 def mog_forward(x: Tensor, attn: MoGAttention, memory: Tensor | None = None) -> Tensor:
@@ -659,13 +748,17 @@ def mog_forward(x: Tensor, attn: MoGAttention, memory: Tensor | None = None) -> 
     self-attention, the memory for cross-attention (granularity selection
     is about the attended-over tokens); a one-branch module has no gate
     and mixes with γ ≡ 1. By linearity, ``(sum_g gamma_g P_g) V`` equals
-    the convex sum of the branch outputs ``sum_g gamma_g (P_g V)``. The
-    three projections feed one :func:`_attention_core` node.
+    the convex sum of the branch outputs ``sum_g gamma_g (P_g V)``.
+    Self-attention is one :func:`_self_attention` node from ``x``;
+    cross-attention is the three projections and one
+    :func:`_attention_core` node.
     """
     cfg = attn.config
-    q, k, v = _projections(x, attn, memory)
+    kv_src = x if memory is None else memory
     if attn.gate is None:
-        gammas = Tensor(np.ones((max(q.shape[0], k.shape[0]), 1), dtype=q.data.dtype))
+        gammas = Tensor(np.ones((max(x.shape[0], kv_src.shape[0]), 1), dtype=x.data.dtype))
     else:
-        gammas = gate_weights(x if memory is None else memory, attn.gate)  # (B, G)
-    return _attention_core(q, k, v, gammas, cfg.dilations, cfg.num_heads)
+        gammas = gate_weights(kv_src, attn.gate)  # (B, G)
+    if memory is None:
+        return _self_attention(x, attn.w_q, attn.w_k, attn.w_v, gammas, cfg.dilations, cfg.num_heads)
+    return _attention_core(*_projections(x, attn, memory), gammas, cfg.dilations, cfg.num_heads)

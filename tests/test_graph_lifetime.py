@@ -207,6 +207,23 @@ class TestInteriorGradients:
         assert live - data < 1.0 * 2**20, f"{(live - data) / 2**20:.2f} MB beyond {data / 2**20:.2f} MB of node data"
 
 
+class TestStepGraphSize:
+    def test_default_step_records_116_nodes_and_at_most_3_9_mb_of_node_data(self):
+        # 133 nodes and 5.31 MB while each self-attention kept its q, k and v
+        # projection nodes and each FFN and the head's box MLP its gelu
+        # node; now self-attention is one node from its normalized input
+        # (3 nodes fewer each, 4 attentions) and gelu folds into the linear
+        # layer after it (5 nodes), and both rebuild what they dropped in
+        # backward
+        build_loss, _ = default_step_loss(4)
+        nodes = [n for n in graph_nodes(build_loss()) if n._backward is not None]
+        ops = [n._backward.__qualname__ for n in nodes]
+        assert len(nodes) == 116
+        assert (ops.count("_self_attention"), ops.count("_attention_core"), ops.count("gelu_affine")) == (4, 2, 5)
+        data = sum(n.data.nbytes for n in nodes)
+        assert data <= 3.9 * 2**20, f"{data / 2**20:.2f} MB of node data"
+
+
 def small_forward(model: SCSModel):
     dataset = build_synthetic_dataset(2, SyntheticSceneSpec(image_size=32), VOCAB, 1)
     return model.forward(dataset.images, dataset.token_ids)

@@ -14,7 +14,9 @@ from mogref.mog import (
     MoGAttention,
     MoGConfig,
     _attention_core,
+    _projections,
     _scaled_logits,
+    _self_attention,
     attention_logits,
     branch_attention,
     build_mask,
@@ -715,6 +717,102 @@ class TestAttentionCore:
         assert buffers < 1.0, f"peak {buffers:.2f} (B, H, N, N) buffers"
 
 
+def self_attention_inputs(seed, b, n, d, heads, dilations, dtype=np.float64):
+    """A module's weights, an input x and per-sample gammas (Parameters), and a projection."""
+    rng = RngState(seed)
+    attn = MoGAttention(MoGConfig(d, heads, dilations), rng, "attn")
+    x = Parameter("x", rng.uniform_array((b, n, d), -1.5, 1.5).astype(dtype))
+    gammas = Parameter("gammas", rng.uniform_array((b, len(dilations)), 0.1, 1.0).astype(dtype))
+    for w in (attn.w_q, attn.w_k, attn.w_v):
+        w.data = w.data.astype(dtype)
+    return attn, x, gammas, Tensor(rng.uniform_array((b, n, d), -1.0, 1.0).astype(dtype))
+
+
+class TestSelfAttention:
+    """The self-attention node against the attention core over the projection nodes."""
+
+    @staticmethod
+    def both(attn, x, gammas, proj):
+        """(node, reference) outputs, the op that recorded each and their five
+        gradients, x, w_q, w_k, w_v and gammas."""
+        cfg = attn.config
+        weights = (attn.w_q, attn.w_k, attn.w_v)
+        leaves = [x, *weights, gammas]
+        runs = []
+        for build in (lambda: _self_attention(x, *weights, gammas, cfg.dilations, cfg.num_heads),
+                      lambda: _attention_core(*_projections(x, attn, None), gammas,
+                                              cfg.dilations, cfg.num_heads)):
+            for p in leaves:
+                p.grad = None
+            out = build()
+            op = out._backward.__qualname__
+            backward(tsum(out * proj))
+            runs.append((out.data, op, [p.grad for p in leaves]))
+        return runs
+
+    @pytest.mark.parametrize("dilations", [(1,), (1, 2, 3, 4)], ids=["one-branch", "four-branch"])
+    @pytest.mark.parametrize("b, n", [(8, 74), (2, 266)], ids=["packed", "panels"])
+    def test_equals_the_core_over_the_projections(self, b, n, dilations):
+        # 74 tokens pack two float64 samples into a chunk; 266 tokens split
+        # each sample into four panels of query rows. The forward has the
+        # bits of the core over the projection nodes; the node adds the x
+        # gradients of q, k and v itself, so those sums are reassociated
+        attn, x, gammas, proj = self_attention_inputs(31, b, n, 16, 4, dilations)
+        chunks = mog_module._chunks(b, 4, n, n, 8)
+        assert (len(chunks) < b) if n == 74 else (len(chunks) == 4 * b)
+        (out, op, grads), (ref, ref_op, ref_grads) = self.both(attn, x, gammas, proj)
+        assert (op, ref_op) == ("_self_attention", "_attention_core")
+        assert np.array_equal(out, ref)
+        for name, got, want in zip(("x", "w_q", "w_k", "w_v", "gammas"), grads, ref_grads):
+            assert got.dtype == np.float64, name
+            assert np.abs(got - want).max() < 1e-12, name
+
+    def test_float32_fallback_is_the_composed_graph(self, monkeypatch):
+        # every selected class sum below the floor: both calls build the
+        # per-branch graph over the same three projection nodes, so they
+        # agree bit for bit, and stay within float32 rounding of the core
+        attn, x, gammas, proj = self_attention_inputs(32, 2, 9, 8, 2, (1, 2, 3), np.float32)
+        (core, core_op, core_grads), _ = self.both(attn, x, gammas, proj)
+        monkeypatch.setattr(mog_module, "_min_class_sum", lambda dtype: np.inf)
+        (out, op, grads), (ref, ref_op, ref_grads) = self.both(attn, x, gammas, proj)
+        assert core_op == "_self_attention" and op == ref_op == "reshape"  # merge_heads: the fallback ran
+        assert out.dtype == np.float32
+        assert np.array_equal(out, ref)
+        assert np.abs(out - core).max() < 1e-6
+        for name, got, want, fast in zip(("x", "w_q", "w_k", "w_v", "gammas"), grads, ref_grads, core_grads):
+            assert got.dtype == np.float32, name
+            assert np.array_equal(got, want), name
+            assert np.abs(got - fast).max() < 1e-5, name
+
+    def test_graph_keeps_no_projection(self):
+        # what the node's closures reach besides x and the weights is per-row
+        # state: nothing of the size of q, k or v
+        attn, x, gammas, _ = self_attention_inputs(33, 2, 53, 16, 2, (1, 2, 3, 4))
+        cfg = attn.config
+        out = _self_attention(x, attn.w_q, attn.w_k, attn.w_v, gammas, cfg.dilations, cfg.num_heads)
+        kept = {id(t.data) for t in (x, attn.w_q, attn.w_k, attn.w_v, gammas)}
+        seen, stack, arrays = set(), [out._backward], []
+        while stack:
+            obj = stack.pop()
+            if id(obj) in seen or id(obj) in kept:
+                continue
+            seen.add(id(obj))
+            if isinstance(obj, np.ndarray):
+                arrays.append(obj)
+            elif isinstance(obj, Tensor):
+                stack.append(obj.data)
+            elif callable(obj) and getattr(obj, "__closure__", None):
+                stack.extend(cell.cell_contents for cell in obj.__closure__)
+            elif isinstance(obj, (tuple, list)):
+                stack.extend(obj)
+            elif isinstance(obj, dict):
+                stack.extend(obj.values())
+            elif hasattr(obj, "__dataclass_fields__"):
+                stack.extend(getattr(obj, f) for f in obj.__dataclass_fields__)
+        assert arrays, "the walk found no arrays"
+        assert max(a.size for a in arrays) < x.size
+
+
 @pytest.mark.parametrize("shape, samples, rows, count", [  # shape: (B, H, N_q, N_k, itemsize)
     ((8, 4, 74, 74, 8), 2, 74, 4),  # 171 KB float64 samples: two fit the pack budget
     ((16, 4, 74, 74, 8), 2, 74, 8),  # the same for a 16-scene evaluation
@@ -864,7 +962,7 @@ class TestMaskPath:
         attn = MoGAttention(MoGConfig(8, 2, (1, 2, 3, 4)), rng, "attn")
         x = Tensor(rng.uniform_array((2, 53, 8), -1, 1))
         out = mog_forward(x, attn, memory=x if cross else None)
-        assert "_attention_core" in out._backward.__qualname__
+        assert out._backward.__qualname__ == ("_attention_core" if cross else "_self_attention")
         backward(tsum(out))
 
 

@@ -111,16 +111,19 @@ def test_script_profiles_a_default_step(capsys):
     for line in lines[2:]:
         name, calls, ms, _share = line.split()
         rows[name] = (float(calls), float(ms))
-    # one attention-core node per attention: two SCE blocks, the SCD self-
-    # and cross-attention, and the SSD self- and cross-attention; the core
-    # holds each attention's logit and value products, so matmul counts the
-    # 18 bias-free q/k/v projections; every Linear layer after a gelu (4
-    # feed-forward outputs, the head's box output) is one gelu_affine node,
-    # and every other (6 attention outputs, 4 feed-forward inputs, the patch
-    # embedding, 2 head) and the 3 gate logits one affine node each
-    assert rows["_attention_core"][0] == 6
+    # one self-attention node per self-attention (two SCE blocks, the SCD
+    # and SSD queries) and one attention-core node per cross-attention (SCD
+    # and SSD); the nodes hold each attention's logit and value products,
+    # and the self-attention node its q/k/v projections too, so matmul
+    # counts the 6 bias-free q/k/v projections of the two cross-attentions;
+    # every Linear layer after a gelu (4 feed-forward outputs, the head's box output) is
+    # one gelu_affine node, and every other (6 attention outputs, 4
+    # feed-forward inputs, the patch embedding, 2 head) and the 3 gate
+    # logits one affine node each
+    assert rows["_self_attention"][0] == 4
+    assert rows["_attention_core"][0] == 2
     assert "masked_softmax" not in rows  # the underflow fallback did not run
-    assert rows["matmul"][0] == 18
+    assert rows["matmul"][0] == 6
     assert rows["gelu_affine"][0] == 5
     assert rows["affine"][0] == 16
     assert {"layernorm", "gelu_affine", "softmax", "take_rows"} <= set(rows)
@@ -132,11 +135,14 @@ def test_script_reports_one_traced_step_of_graph_memory(capsys):
     spec.loader.exec_module(script)
     assert script.run(["--steps", "1", "--batch", "2"]) == 0
     header = capsys.readouterr().out.splitlines()[0]
-    found = re.search(r", traced graph (\d+\.\d\d) MB after forward and loss, "
+    found = re.search(r", traced graph (\d+\.\d\d) MB after forward and loss "
+                      r"\((\d+\.\d\d) KB per token row of (\d+)\), "
                       r"(\d+\.\d\d) MB peak through backward, "
                       r"(\d+\.\d\d) MB held after backward$", header)
     assert found, header
-    live, peak, held = map(float, found.groups())
+    live, per_row, rows, peak, held = map(float, found.groups())
+    assert rows > 2 * 64  # two scenes of 64 visual tokens and their words
+    assert abs(per_row * rows / 2**10 - live) < 0.01  # both printed rounded
     assert 0.0 < live < peak  # backward's gradients come on top of the kept graph
     assert held < 0.1 * live  # the walk released the graph
 
