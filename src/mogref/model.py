@@ -25,7 +25,13 @@ positions and per-modality type vectors. All blocks are pre-norm residual,
 so zeroing the output projections turns every stage into the identity.
 Each residual add, and the projector's visual type vector, is folded into
 the affine node of the :class:`Linear` before it (``Linear(h, residual=x)``),
-so the graph records and keeps no separate product and sum.
+so the graph records and keeps no separate product and sum. Each FFN's
+second linear and the head's box output take their gelu into the same node
+(:meth:`Linear.after_gelu`, a :func:`~mogref.tensor.gelu_affine` node),
+which keeps the hidden ``h`` and rebuilds ``gelu(h)`` in backward. Every
+self-attention is one node from its normalized input
+(:func:`mogref.mog.mog_forward`), which rebuilds q, k and v in backward;
+cross-attention keeps its projection nodes.
 
 Every module lists its parameters in construction order (see
 :class:`mogref.tensor.Module`); :meth:`SCSModel.parameters` is also the

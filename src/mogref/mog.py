@@ -26,15 +26,26 @@ class matrix and spreads the gated normalizers back with another, so it
 builds no N-by-N mask and no per-branch buffer; a row's class state is
 kept only on the G classes it selects, one per branch.
 
-:func:`mog_forward` is the three projections and one autodiff node,
-:func:`_attention_core`, from the projections to the merged heads; the core
-is the only residue-class implementation. Between forward and backward the
-node keeps no N-by-N array and no copy of its inputs: besides the q, k and
-v views, only per-row state, the row maximum and each row's selected class
-sum and coefficient per branch, (B, H, N_q, G) arrays. Its backward, one
-pass over chunks of the batch that reuse three per-thread buffers, scales q
-again, recomputes the shared exponential ``e`` and the mixture ``W`` and
-forms the four input gradients (the gate's a sum of per-row state), which
+:func:`mog_forward` records self-attention as one autodiff node,
+:func:`_self_attention`, from its normalized input ``x`` and the three
+projection weights to the merged heads, and cross-attention as the three
+projections and one node, :func:`_attention_core`, from the projections to
+the merged heads. Both nodes run the one chunk loop of each direction:
+:func:`_chunk_forward` and :func:`_chunk_pass`, over head-split arrays;
+they are the only residue-class implementation. Between forward and
+backward a node keeps no N-by-N array and no scaled copy of q: besides its
+inputs, only per-row state, the row maximum and each row's selected class
+sum and coefficient per branch, (B, H, N_q, G) arrays. The self-attention
+node keeps ``x``, not q, k and v: it drops them after its forward and
+rebuilds them, with the same row gemms and so the same bits, before its
+chunk pass, then turns dq, dk and dv into the gradients of ``x`` and the
+weights. Cross-attention keeps its projection nodes: the decoders' keys
+and values come from the encoder memory, the decoders are walked first,
+while the graph is largest, and keys and values rebuilt there would land
+on the backward's peak. The chunk pass, over chunks of the batch that
+reuse three per-thread buffers, scales q again, recomputes the shared
+exponential ``e`` and the mixture ``W`` and forms the four input
+gradients (the gate's a sum of per-row state), which
 :func:`~mogref.tensor._record` routes. It computes in the dtype of its
 inputs. A chunk is whole samples with all their heads, or, for a sample too
 big for the chunk budget, a panel of its query rows. Packing samples keeps
@@ -44,9 +55,10 @@ masked softmax. The rare call in which a support row sits
 so far below the shared row maximum that its class sum is too small to
 divide by falls back to the per-branch graph, :func:`_composed_attention`:
 one :func:`~mogref.tensor.masked_softmax` node per branch, over that
-branch's dense mask read off the core's own classes, gated and summed with
+branch's dense mask read off the same classes, gated and summed with
 ordinary ops. The tests compare the core against per-branch nodes over the
-same masks, and the masks against the brute-force pair predicate.
+same masks, the self-attention node against the core over the
+projections, and the masks against the brute-force pair predicate.
 """
 
 from __future__ import annotations

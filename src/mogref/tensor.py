@@ -41,9 +41,17 @@ of ``g`` no other input shares) is handed over as it is, such as a gather's
 Every partial is formed before the first one is accumulated, so an input
 that takes ``g`` and appears again (``affine(x, w, b, residual=x)``) never
 changes the ``g`` a later partial reads. Partials are asked for in input
-order, so an op whose partials share work (``mog._attention_core``, whose
-one chunk pass forms all four input gradients) runs it in the first
-partial asked for, and each partial hands over the array it formed.
+order, so an op whose partials share work runs it in the first partial
+asked for, and each partial hands over the array it formed
+(:func:`_shared_pass`): ``mog._attention_core`` and
+``mog._self_attention``, whose one chunk pass forms every input gradient,
+and :func:`gelu_affine`, whose dh and dW share one rebuilt ``tanh``.
+
+A node keeps what its backward reads and no more, and rebuilds what one
+cheap pass gives back (selective recomputation, Chen et al. 2016):
+:func:`gelu_affine` keeps ``h`` and rebuilds ``gelu(h)``, and
+``mog._self_attention`` keeps its input and rebuilds q, k and v, each with
+the forward's operations, so the rebuilt arrays have the forward's bits.
 
 Inside ``with no_grad():`` operations record nothing: outputs are bare
 tensors with no parents and no closure, and :func:`backward` on them is a
@@ -686,10 +694,13 @@ def _affine_parts(x: Tensor, operand: np.ndarray, w: Tensor, b: Tensor, residual
                   partials: Sequence[Callable]) -> tuple[np.ndarray, tuple, tuple]:
     """The output, inputs and partials of ``operand @ w + b``, or ``residual + that``.
 
-    ``operand`` is ``x.data`` or an array computed from it, and
-    ``partials`` give the gradients of ``x`` and ``w``; the product's
-    buffer takes the bias and the residual in place.
+    ``operand`` is ``x.data`` or an array of its shape computed from it,
+    and ``partials`` give the gradients of ``x`` and ``w``; the product's
+    buffer takes the bias and the residual in place. Shapes that do not
+    fit raise :class:`ShapeError`.
     """
+    if x.ndim < 2 or w.ndim != 2 or x.shape[-1] != w.shape[0]:
+        raise ShapeError(f"affine needs (..., K) @ (K, M) with K matching, got {x.shape} @ {w.shape}")
     data = (_rows(operand) @ w.data).reshape(*operand.shape[:-1], w.shape[1])
     data += b.data
     if residual is None:
@@ -705,14 +716,6 @@ def _affine_parts(x: Tensor, operand: np.ndarray, w: Tensor, b: Tensor, residual
     return data, (r, x, w, b), (lambda g: g, *partials, lambda g: g)
 
 
-def _affine_operands(op: Callable, x, w, b) -> tuple[Tensor, Tensor, Tensor]:
-    x, w, b = _wrap(x), _wrap(w), _wrap(b)
-    if x.ndim < 2 or w.ndim != 2 or x.shape[-1] != w.shape[0]:
-        raise ShapeError(f"{op.__name__} needs (..., K) @ (K, M) with K matching, "
-                         f"got {x.shape} @ {w.shape}")
-    return x, w, b
-
-
 def affine(x, w, b, residual=None) -> Tensor:
     """``x @ w + b``, or ``residual + (x @ w + b)``, as one node.
 
@@ -724,7 +727,7 @@ def affine(x, w, b, residual=None) -> Tensor:
     residual must have the product's dtype and broadcast to its shape;
     anything else raises :class:`ShapeError`.
     """
-    x, w, b = _affine_operands(affine, x, w, b)
+    x, w, b = _wrap(x), _wrap(w), _wrap(b)
     return _record(affine, *_affine_parts(x, x.data, w, b, residual, _row_gemm_partials(x, w)))
 
 
@@ -741,7 +744,7 @@ def gelu_affine(h, w, b, residual=None) -> Tensor:
     dh is GELU's derivative times ``g @ w^T``, in the association of the
     plain expressions. Residual and shapes follow :func:`affine`.
     """
-    h, w, b = _affine_operands(gelu_affine, h, w, b)
+    h, w, b = _wrap(h), _wrap(w), _wrap(b)
     x = h.data
 
     def grads(g):

@@ -379,12 +379,13 @@ def _inputs(kind, shape, seed):
 
 class TestInPlaceKernels:
     @pytest.mark.parametrize("kind", ["random", "saturated", "constant"])
-    def test_layernorm_bit_identical_to_the_plain_expressions(self, kind):
+    @pytest.mark.parametrize("op, reference", [(layernorm, reference_layernorm)])
+    def test_bit_identical_to_the_plain_expressions(self, op, reference, kind):
         x = Parameter("x", _inputs(kind, (3, 5, 9), seed=11))
         g = np.random.default_rng(12).normal(0.0, 1.0, x.shape)
-        out = layernorm(x)
+        out = op(x)
         backward(tsum(out * Tensor(g)))
-        want_out, want_grad = reference_layernorm(x.data, g)
+        want_out, want_grad = reference(x.data, g)
         assert np.array_equal(out.data, want_out)
         assert np.array_equal(x.grad, want_grad)
 
