@@ -450,6 +450,34 @@ def check_far_below_row_max(gap, dtype, bound):
         assert np.abs(p.grad - r.grad).max() < bound, p.name
 
 
+def reachable_arrays(backward_fn, skip=()) -> list[np.ndarray]:
+    """Every array a backward closure keeps: through closures, tuples, lists,
+    dicts, dataclasses and array bases, and a Tensor by its data, not its
+    graph. The data of the tensors in ``skip`` is left out."""
+    skipped = {id(t.data) for t in skip}
+    seen, stack, arrays = set(), [backward_fn], []
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or id(obj) in skipped:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            arrays.append(obj)
+            if obj.base is not None:
+                stack.append(obj.base)
+        elif isinstance(obj, Tensor):
+            stack.append(obj.data)
+        elif callable(obj) and getattr(obj, "__closure__", None):
+            stack.extend(cell.cell_contents for cell in obj.__closure__)
+        elif isinstance(obj, (tuple, list)):
+            stack.extend(obj)
+        elif isinstance(obj, dict):
+            stack.extend(obj.values())
+        elif hasattr(obj, "__dataclass_fields__"):
+            stack.extend(getattr(obj, f) for f in obj.__dataclass_fields__)
+    return arrays
+
+
 def core_inputs(seed, b, h, n_q, n_k, d, dilations, query_batch=None):
     """Projection-shaped q, k, v and per-sample gammas for the attention core."""
     rng = RngState(seed)
@@ -672,27 +700,9 @@ class TestAttentionCore:
         b, h, n_k = 2, 2, 53
         params, _ = core_inputs(22, b, h, n_q, n_k, 8, (1, 2, 3, 4), query_batch)
         out = _attention_core(*params, (1, 2, 3, 4), h)
-        limit = b * h * n_q * n_k
-        seen, stack, arrays = set(), [out._backward], []
-        while stack:
-            obj = stack.pop()
-            if id(obj) in seen:
-                continue
-            seen.add(id(obj))
-            if isinstance(obj, np.ndarray):
-                arrays.append(obj)
-                if obj.base is not None:
-                    stack.append(obj.base)
-            elif isinstance(obj, Tensor):
-                stack.append(obj.data)  # parents: their data, not their graph
-            elif callable(obj) and getattr(obj, "__closure__", None):
-                stack.extend(cell.cell_contents for cell in obj.__closure__)
-            elif isinstance(obj, (tuple, list)):
-                stack.extend(obj)
-            elif hasattr(obj, "__dataclass_fields__"):
-                stack.extend(getattr(obj, f) for f in obj.__dataclass_fields__)
+        arrays = reachable_arrays(out._backward)
         assert arrays, "the walk found no arrays"
-        assert max(a.size for a in arrays) < limit
+        assert max(a.size for a in arrays) < b * h * n_q * n_k
 
     def test_backward_allocates_no_n_by_n_buffer(self):
         b, h, n, d = 2, 4, 128, 32
@@ -790,25 +800,7 @@ class TestSelfAttention:
         attn, x, gammas, _ = self_attention_inputs(33, 2, 53, 16, 2, (1, 2, 3, 4))
         cfg = attn.config
         out = _self_attention(x, attn.w_q, attn.w_k, attn.w_v, gammas, cfg.dilations, cfg.num_heads)
-        kept = {id(t.data) for t in (x, attn.w_q, attn.w_k, attn.w_v, gammas)}
-        seen, stack, arrays = set(), [out._backward], []
-        while stack:
-            obj = stack.pop()
-            if id(obj) in seen or id(obj) in kept:
-                continue
-            seen.add(id(obj))
-            if isinstance(obj, np.ndarray):
-                arrays.append(obj)
-            elif isinstance(obj, Tensor):
-                stack.append(obj.data)
-            elif callable(obj) and getattr(obj, "__closure__", None):
-                stack.extend(cell.cell_contents for cell in obj.__closure__)
-            elif isinstance(obj, (tuple, list)):
-                stack.extend(obj)
-            elif isinstance(obj, dict):
-                stack.extend(obj.values())
-            elif hasattr(obj, "__dataclass_fields__"):
-                stack.extend(getattr(obj, f) for f in obj.__dataclass_fields__)
+        arrays = reachable_arrays(out._backward, skip=[x, attn.w_q, attn.w_k, attn.w_v, gammas])
         assert arrays, "the walk found no arrays"
         assert max(a.size for a in arrays) < x.size
 
