@@ -7,8 +7,8 @@ Builds the default model at --image-size (seed 0), runs ``train_toy`` on
 and prints the backward wall time and call count of every autodiff op per
 step, largest first. So the profile covers what ``mogref train`` runs,
 with its one Adam parameter group over the whole arena and its divergence
-checks. The op name is the function that recorded the node (``matmul``,
-``_attention_core``, ...).
+checks. The op name is the function that recorded the node (``affine``,
+``_attention``, ...).
 
 The header line gives, per step, the wall ms beside the minor page faults
 and the system-CPU ms of the process (``resource.getrusage``): a step that
@@ -20,7 +20,7 @@ allocations (one more environment variable, output to a pipe or to a
 file) into different steady-state counts, so single runs cannot be
 compared on it; compare several runs of each tree. It also
 gives the process's peak RSS (``ru_maxrss``) at the end of the run and the
-bytes the attention core's reused scratch buffers (``mog._SCRATCH``) hold
+bytes the attention node's reused scratch buffers (``mog._SCRATCH``) hold
 then, and the wall ms per step of the optimizer update (``Adam.step``,
 timed from this script). Last, it gives the memory of one recorded step's
 graph: after the timed steps, one more forward, loss and backward run under

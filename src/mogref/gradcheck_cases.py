@@ -85,68 +85,49 @@ def case_mog_forward(rng: RngState) -> Case:
     return (lambda: tensor.tsum(mog.mog_forward(x, attn) * w)), [x, *attn.parameters()]
 
 
-def case_attention_core(rng: RngState) -> Case:
-    """The attention-core node alone, from (B, N, D) projections to merged heads.
-
-    Grids share per-sample gammas by branch count: non-uniform for three and
-    two branches, the gate-less constant of ones for one. Beside a 5x5 self
-    grid and a 3x7 cross grid they cover a dilation above N (5x5 with
-    (1, 2, 7)), more queries than keys (4x3 with (1, 3)) and single-sample
-    queries that broadcast against two memory samples.
-    """
-    gammas = {3: _param(rng, "gammas", (2, 3), 0.1, 0.9),  # non-uniform, per sample
-              2: _param(rng, "gammas_pair", (2, 2), 0.1, 0.9),
-              1: Tensor(np.ones((2, 1)))}
-    grids = [  # name, query samples, n_q, n_k, heads, dilations
-        ("self", 2, 5, 5, 2, (1, 2, 3)),
-        ("cross", 2, 3, 7, 1, (1, 2, 3)),
-        ("wide", 2, 5, 5, 2, (1, 2, 7)),
-        ("tall", 2, 4, 3, 1, (1, 3)),
-        ("broadcast", 1, 3, 7, 2, (1, 2)),
-        ("plain", 2, 5, 5, 2, (1,)),
-    ]
-    calls = []
-    for name, b_q, n_q, n_k, heads, dilations in grids:
-        qkv = [_param(rng, f"{name}_{t}", (b, n, 4))
-               for t, b, n in (("q", b_q, n_q), ("k", 2, n_k), ("v", 2, n_k))]
-        calls.append((qkv, dilations, heads, _proj(rng, (2, n_q, 4))))
-
-    def loss():
-        return sum(tensor.tsum(mog._attention_core(*qkv, gammas[len(dilations)], dilations, heads) * w)
-                   for qkv, dilations, heads, w in calls)
-
-    return loss, [gammas[3], gammas[2], *(p for qkv, *_ in calls for p in qkv)]
-
-
-def case_self_attention(rng: RngState) -> Case:
-    """The self-attention node alone, from its (B, N, D) input and the three
+def case_attention(rng: RngState) -> Case:
+    """The attention node alone, from its (B, N, D) inputs and the three
     projection weights to merged heads.
 
-    Dilations (1,), with the gate-less constant of ones, and (1, 2, 3), with
-    non-uniform per-sample gammas, each at 1 and 2 heads, and a batch-1
-    input.
+    Self-attention with dilations (1,), with the gate-less constant of
+    ones, and (1, 2, 3), with non-uniform per-sample gammas, each at 1 and
+    2 heads, and a batch-1 input. Cross-attention on a 3x7 grid, with a
+    dilation above N (5x5 with (1, 2, 7)), more queries than keys (4x3 with
+    (1, 3)), single-sample queries that broadcast against two memory
+    samples and a single-sample memory against two query samples, and the
+    plain constant of ones.
     """
-    grids = [  # name, batch, n, heads, dilations
-        ("plain", 2, 5, 1, (1,)),
-        ("plain_heads", 2, 5, 2, (1,)),
-        ("mixed", 2, 6, 1, (1, 2, 3)),
-        ("mixed_heads", 2, 6, 2, (1, 2, 3)),
-        ("one_sample", 1, 5, 2, (1, 2, 3)),
-    ]
-    gammas = {(2, 3): _param(rng, "gammas", (2, 3), 0.1, 0.9),
+    gammas = {(2, 3): _param(rng, "gammas", (2, 3), 0.1, 0.9),  # non-uniform, per sample
+              (2, 2): _param(rng, "gammas_pair", (2, 2), 0.1, 0.9),
               (1, 3): _param(rng, "gammas_one", (1, 3), 0.1, 0.9),
               (2, 1): Tensor(np.ones((2, 1)))}
+    grids = [  # name, query samples, memory samples (0: self-attention), n_q, n_k, heads, dilations
+        ("plain", 2, 0, 5, 5, 1, (1,)),
+        ("plain_heads", 2, 0, 5, 5, 2, (1,)),
+        ("mixed", 2, 0, 6, 6, 1, (1, 2, 3)),
+        ("mixed_heads", 2, 0, 6, 6, 2, (1, 2, 3)),
+        ("one_sample", 1, 0, 5, 5, 2, (1, 2, 3)),
+        ("cross", 2, 2, 3, 7, 1, (1, 2, 3)),
+        ("wide", 2, 2, 5, 5, 2, (1, 2, 7)),
+        ("tall", 2, 2, 4, 3, 1, (1, 3)),
+        ("broadcast", 1, 2, 3, 7, 2, (1, 2)),
+        ("memory_broadcast", 2, 1, 3, 7, 1, (1, 2)),
+        ("cross_plain", 2, 2, 5, 5, 2, (1,)),
+    ]
     calls = []
-    for name, b, n, heads, dilations in grids:
-        inputs = [_param(rng, f"{name}_{t}", shape)
-                  for t, shape in (("x", (b, n, 4)), ("w_q", (4, 4)), ("w_k", (4, 4)), ("w_v", (4, 4)))]
-        calls.append((inputs, gammas[b, len(dilations)], dilations, heads, _proj(rng, (b, n, 4))))
+    for name, b_q, b_m, n_q, n_k, heads, dilations in grids:
+        x = _param(rng, f"{name}_x", (b_q, n_q, 4))
+        memory = _param(rng, f"{name}_memory", (b_m, n_k, 4)) if b_m else None
+        weights = [_param(rng, f"{name}_{w}", (4, 4)) for w in ("w_q", "w_k", "w_v")]
+        b = max(b_q, b_m)
+        calls.append(((x, memory, *weights), gammas[b, len(dilations)], dilations, heads, _proj(rng, (b, n_q, 4))))
 
     def loss():
-        return sum(tensor.tsum(mog._self_attention(*inputs, gamma, dilations, heads) * w)
+        return sum(tensor.tsum(mog._attention(*inputs, gamma, dilations, heads) * w)
                    for inputs, gamma, dilations, heads, w in calls)
 
-    return loss, [gammas[2, 3], gammas[1, 3], *(p for inputs, *_ in calls for p in inputs)]
+    return loss, [*(g for g in gammas.values() if isinstance(g, Parameter)),
+                  *(p for inputs, *_ in calls for p in inputs if p is not None)]
 
 
 def case_match_and_loss(rng: RngState) -> Case:
@@ -250,8 +231,7 @@ _CASES = [
                          ("boxes_b", (4, 4), 0.35, 0.65), proj=(4,))),
     ("match_and_loss", case_match_and_loss),
     ("scs_end_to_end", case_scs_end_to_end),
-    ("attention_core", case_attention_core),
-    ("self_attention", case_self_attention),
+    ("attention", case_attention),
     ("grounding_loss_batch", case_grounding_loss_batch),
     ("cast", case_cast),
     ("affine", _case(tensor.affine, ("x", (2, 3, 4)), ("w", (4, 5)), ("b", (5,)), proj=(2, 3, 5))),

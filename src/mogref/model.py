@@ -29,9 +29,9 @@ so the graph records and keeps no separate product and sum. Each FFN's
 second linear and the head's box output take their gelu into the same node
 (:meth:`Linear.after_gelu`, a :func:`~mogref.tensor.gelu_affine` node),
 which keeps the hidden ``h`` and rebuilds ``gelu(h)`` in backward. Every
-self-attention is one node from its normalized input
-(:func:`mogref.mog.mog_forward`), which rebuilds q, k and v in backward;
-cross-attention keeps its projection nodes.
+attention, self- or cross-, is one node from its normalized input and, for
+cross-attention, the memory (:func:`mogref.mog.mog_forward`), which
+rebuilds q, k and v in backward.
 
 Every module lists its parameters in construction order (see
 :class:`mogref.tensor.Module`); :meth:`SCSModel.parameters` is also the

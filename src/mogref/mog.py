@@ -26,39 +26,34 @@ class matrix and spreads the gated normalizers back with another, so it
 builds no N-by-N mask and no per-branch buffer; a row's class state is
 kept only on the G classes it selects, one per branch.
 
-:func:`mog_forward` records self-attention as one autodiff node,
-:func:`_self_attention`, from its normalized input ``x`` and the three
-projection weights to the merged heads, and cross-attention as the three
-projections and one node, :func:`_attention_core`, from the projections to
-the merged heads. Both nodes run the one chunk loop of each direction:
+:func:`mog_forward` records every attention, self- and cross-, as one
+autodiff node, :func:`_attention`, from its (B, N, D) inputs (``x``, and
+the memory for cross-attention) and the three projection weights to the
+merged heads. The node runs the one chunk loop of each direction,
 :func:`_chunk_forward` and :func:`_chunk_pass`, over head-split arrays;
 they are the only residue-class implementation. Between forward and
-backward a node keeps no N-by-N array and no scaled copy of q: besides its
-inputs, only per-row state, the row maximum and each row's selected class
-sum and coefficient per branch, (B, H, N_q, G) arrays. The self-attention
-node keeps ``x``, not q, k and v: it drops them after its forward and
-rebuilds them, with the same row gemms and so the same bits, before its
-chunk pass, then turns dq, dk and dv into the gradients of ``x`` and the
-weights. Cross-attention keeps its projection nodes: the decoders' keys
-and values come from the encoder memory, the decoders are walked first,
-while the graph is largest, and keys and values rebuilt there would land
-on the backward's peak. The chunk pass, over chunks of the batch that
-reuse three per-thread buffers, scales q again, recomputes the shared
-exponential ``e`` and the mixture ``W`` and forms the four input
-gradients (the gate's a sum of per-row state), which
-:func:`~mogref.tensor._record` routes. It computes in the dtype of its
-inputs. A chunk is whole samples with all their heads, or, for a sample too
-big for the chunk budget, a panel of its query rows. Packing samples keeps
-the bits; row panels add dk and dv up panel by panel, so those two drift
-within rounding. In float64 the core is within 1e-12 of the per-branch
-masked softmax. The rare call in which a support row sits
-so far below the shared row maximum that its class sum is too small to
-divide by falls back to the per-branch graph, :func:`_composed_attention`:
+backward the node keeps no N-by-N array, no q, k or v and no scaled copy
+of q: besides its inputs, only per-row state, the row maximum and each
+row's selected class sum and coefficient per branch, (B, H, N_q, G)
+arrays. It drops q, k and v after its forward and rebuilds them, with the
+same row gemms and so the same bits, before its chunk pass, then turns
+dq, dk and dv into the gradients of its inputs and weights. The chunk
+pass, over chunks of the batch that reuse three per-thread buffers,
+scales q again, recomputes the shared exponential ``e`` and the mixture
+``W`` and forms dq, dk, dv and the gate's gradient (a sum of per-row
+state). It computes in the dtype of its inputs. A chunk is whole samples
+with all their heads, or, for a sample too big for the chunk budget, a
+panel of its query rows. Packing samples keeps the bits; row panels add
+dk and dv up panel by panel, so those two drift within rounding. In
+float64 the node is within 1e-12 of the per-branch masked softmax. The
+rare call in which a support row sits so far below the shared row
+maximum that its class sum is too small to divide by falls back to the
+per-branch graph, :func:`_composed_attention`: three projection nodes and
 one :func:`~mogref.tensor.masked_softmax` node per branch, over that
 branch's dense mask read off the same classes, gated and summed with
-ordinary ops. The tests compare the core against per-branch nodes over the
-same masks, the self-attention node against the core over the
-projections, and the masks against the brute-force pair predicate.
+ordinary ops. The tests compare the node against per-branch nodes over
+the same masks and projections, and the masks against the brute-force
+pair predicate.
 """
 
 from __future__ import annotations
@@ -157,7 +152,7 @@ def build_rect_mask(num_rows: int, num_cols: int, dilation: int) -> np.ndarray:
 class _Classes:
     """The support of every branch on an n_q-by-n_k grid, as key classes.
 
-    The contract the attention core relies on: ``keys`` is the class matrix
+    The contract the attention node relies on: ``keys`` is the class matrix
     R, the (n_k, C) 0/1 membership of the keys in C classes, and ``index``
     holds each query row's G selected classes, one per branch:
     ``index[i, g] = i * C + c`` for the column c that row i selects for
@@ -169,7 +164,7 @@ class _Classes:
     key, which :func:`_spread` relies on.
 
     ``keys`` is in the dtype of the arrays it multiplies, so ``e @ keys``
-    keeps the attention core's dtype. ``spread_keys`` is R^T, derived once
+    keeps the attention node's dtype. ``spread_keys`` is R^T, derived once
     as a C-ordered copy: :func:`_spread` multiplies by it.
 
     The copy stays for its bits more than its speed. Multiplying by the
@@ -330,14 +325,10 @@ def attention_logits(x: Tensor, attn: MoGAttention, memory: Tensor | None = None
     ``x`` and keys/values from ``memory``. Returns head-split
     ``(q, k, v, logits)`` with logits of shape (B, H, N_q, N_k).
     """
-    q, k, v = (split_heads(t, attn.config.num_heads) for t in _projections(x, attn, memory))
-    return q, k, v, _scaled_logits(q, k)
-
-
-def _projections(x: Tensor, attn: MoGAttention, memory: Tensor | None) -> tuple[Tensor, Tensor, Tensor]:
-    """The (B, N, D) query, key and value projections; keys/values from ``memory`` if given."""
     kv_src = x if memory is None else memory
-    return matmul(x, attn.w_q), matmul(kv_src, attn.w_k), matmul(kv_src, attn.w_v)
+    q, k, v = (split_heads(matmul(t, w), attn.config.num_heads)
+               for t, w in ((x, attn.w_q), (kv_src, attn.w_k), (kv_src, attn.w_v)))
+    return q, k, v, _scaled_logits(q, k)
 
 
 def _scaled_logits(q: Tensor, k: Tensor) -> Tensor:
@@ -371,7 +362,7 @@ def _shared_branch_softmax(logits: Tensor, masks: list[np.ndarray]) -> list[Tens
     """One :func:`masked_softmax` node per branch mask, in the order given.
 
     :func:`_composed_attention`, the underflow fallback of the attention
-    core, mixes these nodes with the gate; the acceptance suite (C2) checks
+    node, mixes these nodes with the gate; the acceptance suite (C2) checks
     the same call branch by branch.
     """
     return [masked_softmax(logits, bits) for bits in masks]
@@ -435,16 +426,16 @@ def _logit_grad(w: np.ndarray, dw: np.ndarray, e: np.ndarray, s: np.ndarray, a: 
 
 def _composed_attention(q: Tensor, k: Tensor, v: Tensor, gammas: Tensor,
                         dilations: tuple[int, ...], num_heads: int) -> Tensor:
-    """The underflow fallback of the attention nodes, as a graph of ordinary ops.
+    """The underflow fallback of the attention node, as a graph of ordinary ops.
 
     Each branch is a :func:`masked_softmax` node (:func:`_shared_branch_softmax`)
-    over its support read off the classes the nodes use
+    over its support read off the classes the node uses
     (:func:`_residue_classes`, :meth:`_Classes.mask`), so the fallback
-    keeps the keys the nodes keep. The node shifts every row by its maximum
-    on the branch's support, so a support row far below the row maximum
-    taken over all keys keeps its precision; the branches are weighted by
-    their gamma, summed into ``W`` and applied to the values with the heads
-    merged.
+    keeps the keys the node keeps. A branch node shifts every row by its
+    maximum on the branch's support, so a support row far below the row
+    maximum taken over all keys keeps its precision; the branches are
+    weighted by their gamma, summed into ``W`` and applied to the values
+    with the heads merged.
     """
     qh, kh, vh = (split_heads(t, num_heads) for t in (q, k, v))
     logits = _scaled_logits(qh, kh)
@@ -458,7 +449,7 @@ def _composed_attention(q: Tensor, k: Tensor, v: Tensor, gammas: Tensor,
     return merge_heads(matmul(w, vh))
 
 
-# N-by-N bytes of a chunk of the attention core, which bound the three reused
+# N-by-N bytes of a chunk of the attention node, which bound the three reused
 # buffers of _Scratch (see _chunks). A chunk packs whole samples into
 # _PACK_BYTES, a quarter of a 2 MB per-core L2, so the three buffers fit in it
 # together. A bigger sample is split into at most _MAX_PANELS panels of query
@@ -481,7 +472,7 @@ _MAX_PANELS = 4
 
 
 class _Scratch(threading.local):
-    """The three per-thread N-by-N buffers the attention core reuses from call to call.
+    """The three per-thread N-by-N buffers the attention node reuses from call to call.
 
     Forward uses the first two (``e`` and ``W``); backward all three (``e``,
     ``W`` turned into d logits, and dW turned into ``dW * e`` and then the
@@ -600,12 +591,12 @@ def _chunk_forward(qh: np.ndarray, kh: np.ndarray, vh: np.ndarray, gammas: np.nd
 
 
 def _chunk_pass(g: np.ndarray, qh: np.ndarray, kh: np.ndarray, vh: np.ndarray, state: _ChunkState,
-                needs: tuple[bool, bool, bool, bool]) -> tuple[np.ndarray | None, ...]:
-    """dq, dk, d gammas and dv of :func:`_chunk_forward`'s output, given its output gradient ``g``.
+                need_gammas: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
+    """dq, dk, dv and d gammas of :func:`_chunk_forward`'s output, given its output gradient ``g``.
 
-    ``qh``, ``kh`` and ``vh`` hold the forward's bits; ``needs`` flags
-    which of (q, k, gammas, v) need a gradient, and the others get None.
-    dq and dk and dv are (., N, D), dq summed over a broadcast query batch.
+    ``qh``, ``kh`` and ``vh`` hold the forward's bits. dq, dk and dv are
+    (., N, D), each summed over a broadcast batch; d gammas is None unless
+    ``need_gammas`` (the constant γ ≡ 1 of plain attention needs none).
     Scales a chunk's q again, recomputes ``e`` and ``W`` (the same bits),
     then forms dV, dW, rho and d logits, and from those dq and dk, in the
     three reused buffers (:func:`_logit_grad`). A panel writes its own rows
@@ -616,11 +607,8 @@ def _chunk_pass(g: np.ndarray, qh: np.ndarray, kh: np.ndarray, vh: np.ndarray, s
     scale = 1.0 / math.sqrt(qh.shape[-1])
     kt = kh.transpose(0, 1, 3, 2)
     b, n_q = max(qh.shape[0], kh.shape[0]), qh.shape[2]
-    need_q, need_k, need_gammas, need_v = needs
     gh = _split_heads_data(g, num_heads)
-    dq, dq_heads = _merged(b, qh) if need_q else (None, None)
-    dk, dk_heads = _merged(b, kh) if need_k else (None, None)
-    dv, dv_heads = _merged(b, vh) if need_v else (None, None)
+    (dq, dq_heads), (dk, dk_heads), (dv, dv_heads) = (_merged(b, t) for t in (qh, kh, vh))
     branches = state.saved[0][1].shape[-1]
     rho = np.empty((b, num_heads, n_q, branches), dtype=dtype) if need_gammas else None
     for (sample, rows), (row_max, s, a) in zip(state.chunks, state.saved):
@@ -629,37 +617,49 @@ def _chunk_pass(g: np.ndarray, qh: np.ndarray, kh: np.ndarray, vh: np.ndarray, s
         w = _weights(e, a, panel, out=_SCRATCH.get(1, e.shape, dtype))
         g_rows = gh[sample, :, rows]
         first = rows.start == 0  # the first panel of its samples
-        if dv is not None:
-            _matmul_into(w.swapaxes(-1, -2), g_rows, dv_heads[sample], first)
+        _matmul_into(w.swapaxes(-1, -2), g_rows, dv_heads[sample], first)
         dw = np.matmul(g_rows, _batch(vh, sample).swapaxes(-1, -2), out=_SCRATCH.get(2, e.shape, dtype))
         dlogits, rho_c = _logit_grad(w, dw, e, s, a, panel)
         if rho is not None:
             rho[sample, :, rows] = rho_c
-        if dq is not None:
-            np.matmul(dlogits, _batch(kh, sample), out=dq_heads[sample, :, rows])
-        if dk is not None:
-            _matmul_into(qs.swapaxes(-1, -2), dlogits, dk_heads[sample].swapaxes(-1, -2), first)
-    if dq is not None:
-        dq = _unbroadcast(dq, (qh.shape[0], *dq.shape[1:]))
-        dq *= scale
-    return dq, dk, None if rho is None else rho.sum(axis=(1, 2)), dv
+        np.matmul(dlogits, _batch(kh, sample), out=dq_heads[sample, :, rows])
+        _matmul_into(qs.swapaxes(-1, -2), dlogits, dk_heads[sample].swapaxes(-1, -2), first)
+    dq, dk, dv = (_unbroadcast(d, (t.shape[0], *d.shape[1:])) for d, t in ((dq, qh), (dk, kh), (dv, vh)))
+    dq *= scale
+    return dq, dk, dv, None if rho is None else rho.sum(axis=(1, 2))
 
 
-def _attention_core(q: Tensor, k: Tensor, v: Tensor, gammas: Tensor,
-                    dilations: tuple[int, ...], num_heads: int) -> Tensor:
-    """Merged heads of ``W V`` from the (B, N, D) projections, as one node.
+def _attention(x: Tensor, memory: Tensor | None, w_q: Tensor, w_k: Tensor, w_v: Tensor,
+               gammas: Tensor, dilations: tuple[int, ...], num_heads: int) -> Tensor:
+    """Merged heads of attention from its (B, N, D) inputs, as one node.
+
+    Self-attention when ``memory`` is None: q, k and v are ``x w_q``,
+    ``x w_k`` and ``x w_v``. Otherwise q is ``x w_q``, and k and v are
+    ``memory w_k`` and ``memory w_v``; ``x`` may have batch 1 against the
+    memory's batch B (broadcast). ``gammas`` is (B, G).
 
     Logits ``q k^T / sqrt(d_k)`` per head, the residue-class mixture ``W``
-    and ``W V`` with the heads merged. ``q`` may have batch 1 against the
-    keys' batch B (broadcast), and ``gammas`` is (B, G).
-
-    ``W = sum_g gamma_g P_g`` by class, with the class matrix ``R`` of
-    :class:`_Classes`. ``S``, ``A`` and ``rho`` live on each row's selected
-    class of each branch, (..., N_q, G): ``S = e R`` (:func:`_class_sums`),
-    ``A = gamma / S`` and ``W = e * (A R^T)`` (:func:`_spread`). Backward,
-    with ``rho = ((dW * e) R) / S`` (rowsum(dW * P_g) for branch g of row
-    i): d gamma_g is rho summed over heads and rows, and d logits =
+    and ``W V`` with the heads merged. ``W = sum_g gamma_g P_g`` by class,
+    with the class matrix ``R`` of :class:`_Classes`. ``S``, ``A`` and
+    ``rho`` live on each row's selected class of each branch,
+    (..., N_q, G): ``S = e R`` (:func:`_class_sums`), ``A = gamma / S`` and
+    ``W = e * (A R^T)`` (:func:`_spread`). Backward, with
+    ``rho = ((dW * e) R) / S`` (rowsum(dW * P_g) for branch g of row i):
+    d gamma_g is rho summed over heads and rows, and d logits =
     W dW - e * ((rho * A) R^T).
+
+    Forward projects q, k and v with :func:`~mogref.tensor.matmul`'s row
+    gemm, runs :func:`_chunk_forward` and drops them. Between forward and
+    backward the node keeps its inputs (its parents' outputs) and, per
+    chunk, only the row maximum and ``S`` and ``A`` on each row's selected
+    class of each branch, as (B, H, N_q, G) arrays: no q, k or v, no N-by-N
+    array, no (B, H, N_q, C) array and no scaled copy of q. Backward
+    rebuilds q, k and v with the same gemms (the forward's bits), runs
+    :func:`_chunk_pass` and turns dq, dk and dv into the gradients of the
+    inputs with the partials of the row gemm: ``w^T``-products into ``x``
+    (``dq w_q^T + dk w_k^T + dv w_v^T`` for self-attention, added in that
+    order, and ``dq w_q^T`` alone for cross-attention) and into the memory
+    (``dk w_k^T + dv w_v^T``), and ``src^T d`` for each weight.
 
     Samples are independent, and so are the query rows of a sample, so the
     node runs the batch in the chunks of :func:`_chunks`, each with all its
@@ -668,89 +668,65 @@ def _attention_core(q: Tensor, k: Tensor, v: Tensor, gammas: Tensor,
     panels of query rows, each with its rows of the classes
     (:meth:`_Classes.rows`). The chunks run in the reused buffers of
     :class:`_Scratch`: forward in :func:`_chunk_forward`, backward in
-    :func:`_chunk_pass`, the one chunk loop of each. Between forward and
-    backward the node keeps the q, k and v views and, per chunk, only the
-    row maximum and ``S`` and ``A`` on each row's selected class of each
-    branch, as (B, H, N_q, G) arrays: no N-by-N array, no (B, H, N_q, C)
-    array and no scaled copy of q. Backward recomputes ``e`` and ``W``
-    from them (the same bits), in three chunk-sized buffers: ``e``; ``W``,
-    overwritten by ``W dW`` once dV is formed and then by d logits; and dW,
-    overwritten by ``dW * e`` and then by the spread correction
-    (:func:`_logit_grad`). The output, dq and rho of a panel are its own
-    rows; dk and dv add up over the panels of a sample
-    (:func:`_matmul_into`). So packing samples keeps the bits of the
+    :func:`_chunk_pass`, the one chunk loop of each. Backward recomputes
+    ``e`` and ``W`` from the saved state (the same bits), in three
+    chunk-sized buffers: ``e``; ``W``, overwritten by ``W dW`` once dV is
+    formed and then by d logits; and dW, overwritten by ``dW * e`` and then
+    by the spread correction (:func:`_logit_grad`). The output, dq and rho
+    of a panel are its own rows; dk and dv add up over the panels of a
+    sample (:func:`_matmul_into`). So packing samples keeps the bits of the
     one-chunk arithmetic, and splitting rows reassociates only dk and dv
     (within rounding, 1e-12 in float64).
 
-    Recorded by :func:`~mogref.tensor._record` with one partial per input
-    (q, k, gammas, v): the first partial asked for runs the chunk pass for
-    every input that needs a gradient (:func:`~mogref.tensor._shared_pass`),
-    and each partial hands over the array the pass formed.
+    Recorded by :func:`~mogref.tensor._record` with one partial per input,
+    ``x``, the memory if any, the three weights and ``gammas``: the first
+    partial asked for runs the chunk pass and forms every input gradient
+    (:func:`~mogref.tensor._shared_pass`), and each partial hands over the
+    array formed for its input. The input order sets the walk order of
+    backward, hence the order in which contributions add into a shared
+    input and the last bits of the loss log.
 
     A rectangular grid where some query row has no key in its class raises
     the ``ValueError`` of the class builder, :func:`_residue_classes`. When
     a selected class sum is below :func:`_min_class_sum` (a support row sits
     far below the row maximum taken over all keys, down to underflowing
     entirely), ``A`` could overflow and ``inf * 0`` in the spread would turn
-    a whole row to NaN, so the call returns the per-branch graph of
-    :func:`_composed_attention` over the same classes instead. The node
-    computes in the dtype of its inputs; the chunk budget counts bytes, so
-    a float32 chunk packs twice the samples of a float64 one.
+    a whole row to NaN, so the call returns :func:`_composed_attention`
+    over three :func:`~mogref.tensor.matmul` projection nodes instead. The
+    node computes in the dtype of its inputs; the chunk budget counts bytes,
+    so a float32 chunk packs twice the samples of a float64 one.
     """
-    heads = [_split_heads_data(t.data, num_heads) for t in (q, k, v)]
-    forward = _chunk_forward(*heads, gammas.data, dilations)
-    if forward is None:
-        return _composed_attention(q, k, v, gammas, dilations, num_heads)
-    out, state = forward
-    needs = tuple(t.requires_grad for t in (q, k, gammas, v))
-    # the input order sets the walk order of backward, hence the order in
-    # which the q, k, gate and v contributions add into a shared input and
-    # the last bits of the loss log
-    return _record(_attention_core, out, (q, k, gammas, v),
-                   _shared_pass(lambda g: _chunk_pass(g, *heads, state, needs), 4))
-
-
-def _self_attention(x: Tensor, w_q: Tensor, w_k: Tensor, w_v: Tensor, gammas: Tensor,
-                    dilations: tuple[int, ...], num_heads: int) -> Tensor:
-    """Merged heads of self-attention from its (B, N, D) input ``x``, as one node.
-
-    :func:`_attention_core` over ``x w_q``, ``x w_k`` and ``x w_v``, with
-    the projections inside the node. Forward projects q, k and v with
-    :func:`~mogref.tensor.matmul`'s row gemm, runs :func:`_chunk_forward`
-    and drops them: between forward and backward the node keeps ``x``
-    (its parent's output), the weights and the chunk state, so a step's
-    graph holds no q, k or v. Backward rebuilds q, k and v with the same
-    gemms (the forward's bits), runs :func:`_chunk_pass` and turns dq, dk
-    and dv into dx (``dq w_q^T + dk w_k^T + dv w_v^T``, added in that
-    order) and ``dw = x^T d`` for each weight, the partials of the row
-    gemm. On underflow it returns :func:`_composed_attention` over three
-    projection nodes, as the core does.
-    """
+    sources = (x,) if memory is None else (x, memory)
     weights = (w_q, w_k, w_v)
+    projections = tuple(zip((x, sources[-1], sources[-1]), weights))  # (src, w) of q, k and v
+    of_source = ((0, 1, 2),) if memory is None else ((0,), (1, 2))  # which projections read each source
 
     def projected():
-        """Head-split q, k and v, each with the bits of ``matmul(x, w)``."""
-        return [_split_heads_data((_rows(x.data) @ w.data).reshape(*x.shape[:-1], w.shape[1]), num_heads)
-                for w in weights]
+        """Head-split q, k and v, each with the bits of ``matmul(src, w)``."""
+        return [_split_heads_data((_rows(t.data) @ w.data).reshape(*t.shape[:-1], w.shape[1]), num_heads)
+                for t, w in projections]
 
     forward = _chunk_forward(*projected(), gammas.data, dilations)
     if forward is None:
-        return _composed_attention(*(matmul(x, w) for w in weights), gammas, dilations, num_heads)
+        return _composed_attention(*(matmul(t, w) for t, w in projections), gammas, dilations, num_heads)
     out, state = forward
 
     def grads(g):
-        dq, dk, dgammas, dv = _chunk_pass(g, *projected(), state, (True, True, gammas.requires_grad, True))
+        dq, dk, dv, dgammas = _chunk_pass(g, *projected(), state, gammas.requires_grad)
         d_rows = [_rows(d) for d in (dq, dk, dv)]
-        dx = None
-        if x.requires_grad:
-            dx = d_rows[0] @ w_q.data.T
-            dx += d_rows[1] @ w_k.data.T
-            dx += d_rows[2] @ w_v.data.T
-            dx = dx.reshape(x.shape)
-        dws = [_rows(x.data).T @ d if w.requires_grad else None for w, d in zip(weights, d_rows)]
-        return dx, *dws, dgammas
+        d_sources = []
+        for t, (first, *rest) in zip(sources, of_source):
+            d_src = None
+            if t.requires_grad:
+                d_src = d_rows[first] @ weights[first].data.T
+                for i in rest:
+                    d_src += d_rows[i] @ weights[i].data.T
+                d_src = d_src.reshape(t.shape)
+            d_sources.append(d_src)
+        dws = [_rows(t.data).T @ d if w.requires_grad else None for (t, w), d in zip(projections, d_rows)]
+        return *d_sources, *dws, dgammas
 
-    return _record(_self_attention, out, (x, *weights, gammas), _shared_pass(grads, 5))
+    return _record(_attention, out, (*sources, *weights, gammas), _shared_pass(grads, len(sources) + 4))
 
 
 def mog_forward(x: Tensor, attn: MoGAttention, memory: Tensor | None = None) -> Tensor:
@@ -761,9 +737,7 @@ def mog_forward(x: Tensor, attn: MoGAttention, memory: Tensor | None = None) -> 
     is about the attended-over tokens); a one-branch module has no gate
     and mixes with γ ≡ 1. By linearity, ``(sum_g gamma_g P_g) V`` equals
     the convex sum of the branch outputs ``sum_g gamma_g (P_g V)``.
-    Self-attention is one :func:`_self_attention` node from ``x``;
-    cross-attention is the three projections and one
-    :func:`_attention_core` node.
+    Every attention is one :func:`_attention` node.
     """
     cfg = attn.config
     kv_src = x if memory is None else memory
@@ -771,6 +745,4 @@ def mog_forward(x: Tensor, attn: MoGAttention, memory: Tensor | None = None) -> 
         gammas = Tensor(np.ones((max(x.shape[0], kv_src.shape[0]), 1), dtype=x.data.dtype))
     else:
         gammas = gate_weights(kv_src, attn.gate)  # (B, G)
-    if memory is None:
-        return _self_attention(x, attn.w_q, attn.w_k, attn.w_v, gammas, cfg.dilations, cfg.num_heads)
-    return _attention_core(*_projections(x, attn, memory), gammas, cfg.dilations, cfg.num_heads)
+    return _attention(x, memory, attn.w_q, attn.w_k, attn.w_v, gammas, cfg.dilations, cfg.num_heads)

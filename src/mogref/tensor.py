@@ -43,15 +43,15 @@ that takes ``g`` and appears again (``affine(x, w, b, residual=x)``) never
 changes the ``g`` a later partial reads. Partials are asked for in input
 order, so an op whose partials share work runs it in the first partial
 asked for, and each partial hands over the array it formed
-(:func:`_shared_pass`): ``mog._attention_core`` and
-``mog._self_attention``, whose one chunk pass forms every input gradient,
-and :func:`gelu_affine`, whose dh and dW share one rebuilt ``tanh``.
+(:func:`_shared_pass`): ``mog._attention``, whose one chunk pass forms
+every input gradient, and :func:`gelu_affine`, whose dh and dW share one
+rebuilt ``tanh``.
 
 A node keeps what its backward reads and no more, and rebuilds what one
 cheap pass gives back (selective recomputation, Chen et al. 2016):
 :func:`gelu_affine` keeps ``h`` and rebuilds ``gelu(h)``, and
-``mog._self_attention`` keeps its input and rebuilds q, k and v, each with
-the forward's operations, so the rebuilt arrays have the forward's bits.
+``mog._attention`` keeps its inputs and rebuilds q, k and v, each with the
+forward's operations, so the rebuilt arrays have the forward's bits.
 
 Inside ``with no_grad():`` operations record nothing: outputs are bare
 tensors with no parents and no closure, and :func:`backward` on them is a

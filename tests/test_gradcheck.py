@@ -95,7 +95,7 @@ def test_registry_names_cover_every_op_family():
     for expected in ("matmul", "masked_softmax", "layernorm", "gate_weights",
                      "branch_attention", "mog_forward", "giou_pairs",
                      "match_and_loss", "scs_end_to_end", "grounding_loss_batch",
-                     "attention_core", "affine"):
+                     "attention", "affine"):
         assert expected in names
 
 
@@ -133,7 +133,7 @@ def test_every_recorded_op_is_profiled_by_some_case():
     from mogref.gradcheck_cases import all_cases
 
     ops = recorded_ops()
-    assert {"matmul", "masked_softmax", "take_rows", "cast", "_attention_core"} <= ops
+    assert {"matmul", "masked_softmax", "take_rows", "cast", "_attention"} <= ops
     profiled = set()
     for _, builder in all_cases(0):
         build_loss, _ = builder()

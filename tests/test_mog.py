@@ -13,10 +13,9 @@ from mogref.matching import grounding_loss
 from mogref.mog import (
     MoGAttention,
     MoGConfig,
-    _attention_core,
-    _projections,
+    _attention,
+    _composed_attention,
     _scaled_logits,
-    _self_attention,
     attention_logits,
     branch_attention,
     build_mask,
@@ -31,6 +30,8 @@ from mogref.tensor import (
     Parameter,
     Tensor,
     backward,
+    concat,
+    matmul,
     no_grad,
     reshape,
     select,
@@ -359,7 +360,7 @@ class TestMoGForward:
 
 
 class TestMixtureWeights:
-    """The core's gate-weighted branch mixture against per-branch masked softmax nodes."""
+    """The node's gate-weighted branch mixture against per-branch masked softmax nodes."""
 
     def test_underflowing_branch_falls_back_to_masked_softmax(self):
         rng = RngState(5)
@@ -383,8 +384,8 @@ class TestMixtureWeights:
         ]
         assert (_scaled_logits(*(split_heads(t, h) for t in params[:2])).data == logits).all()
         refs = copies(params)
-        out = _attention_core(*params, (2, 3), h)
-        assert "_attention_core" not in out._backward.__qualname__  # the fallback ran
+        out = qkv_attention(*params, (2, 3), h)
+        assert not ran_the_node(out)  # the fallback ran
         reference = branch_reference(*refs, masks, h)
         assert np.abs(out.data - reference.data).max() < 1e-12
 
@@ -403,10 +404,10 @@ class TestMixtureWeights:
     ])
     def test_residue_classes_equal_the_masked_branch_sum(self, n_q, n_k, dilations):
         h = 2
-        params, proj = core_inputs(n_q * 1000 + n_k + sum(dilations), 2, h, n_q, n_k, 8, dilations)
+        params, proj = qkv_inputs(n_q * 1000 + n_k + sum(dilations), 2, h, n_q, n_k, 8, dilations)
         refs = copies(params)
-        out = _attention_core(*params, dilations, h)
-        assert "_attention_core" in out._backward.__qualname__
+        out = qkv_attention(*params, dilations, h)
+        assert ran_the_node(out)
         reference = branch_reference(*refs, [build_rect_mask(n_q, n_k, d) for d in dilations], h)
         assert np.abs(out.data - reference.data).max() < 1e-12
 
@@ -417,7 +418,7 @@ class TestMixtureWeights:
 
 
 def check_far_below_row_max(gap, dtype, bound):
-    """The core against the per-branch reference when one support row sits ``gap`` below its row max.
+    """The node against the per-branch reference when one support row sits ``gap`` below its row max.
 
     logits = q k^T / 2 with d_k = 4 and k the unit rows: row 1's only
     class-mate under d=2 sits ``gap`` below its row max. The call takes the
@@ -433,10 +434,10 @@ def check_far_below_row_max(gap, dtype, bound):
         ("gammas", np.array([[0.4, 0.6]])),
     )]
     refs = [Parameter(f"ref_{p.name}", p.data.astype(np.float64)) for p in params]
-    out = _attention_core(*params, (1, 2), 1)
+    out = qkv_attention(*params, (1, 2), 1)
     assert out.data.dtype == dtype
     fallback = np.exp(-gap - 0.5) < mog_module._min_class_sum(dtype)
-    assert ("_attention_core" not in out._backward.__qualname__) == fallback
+    assert ran_the_node(out) != fallback
     reference = branch_reference(*refs, [build_mask(3, d).bits for d in (1, 2)], 1)
     assert np.isfinite(out.data).all()
     assert np.abs(out.data - reference.data).max() < bound
@@ -478,14 +479,34 @@ def reachable_arrays(backward_fn, skip=()) -> list[np.ndarray]:
     return arrays
 
 
-def core_inputs(seed, b, h, n_q, n_k, d, dilations, query_batch=None):
-    """Projection-shaped q, k, v and per-sample gammas for the attention core."""
+def qkv_inputs(seed, b, h, n_q, n_k, d, dilations, query_batch=None):
+    """Projection-shaped q, k, v and per-sample gammas for :func:`qkv_attention`."""
     rng = RngState(seed)
     q = Parameter("q", rng.uniform_array((query_batch or b, n_q, d), -1.5, 1.5))
     k = Parameter("k", rng.uniform_array((b, n_k, d), -1.5, 1.5))
     v = Parameter("v", rng.uniform_array((b, n_k, d), -1.0, 1.0))
     gammas = Parameter("gammas", rng.uniform_array((b, len(dilations)), 0.1, 1.0))
     return [q, k, v, gammas], Tensor(rng.uniform_array((b, n_q, d), -1.0, 1.0))
+
+
+def qkv_attention(q, k, v, gammas, dilations, num_heads):
+    """The attention node over given (B, N, D) q, k and v.
+
+    ``x = q`` with ``w_q = I``, and ``memory = k‖v`` with ``w_k = [I; 0]``
+    and ``w_v = [0; I]``: products with an identity and zeros are exact, so
+    the node projects q, k and v bit for bit and hands back dq as the
+    gradient of ``x`` and dk‖dv as that of the memory, which the concat
+    splits into those of k and v.
+    """
+    d = q.shape[-1]
+    eye, zero = np.eye(d, dtype=q.data.dtype), np.zeros((d, d), dtype=q.data.dtype)
+    weights = (Tensor(eye), Tensor(np.concatenate([eye, zero])), Tensor(np.concatenate([zero, eye])))
+    return _attention(q, concat([k, v], axis=-1), *weights, gammas, dilations, num_heads)
+
+
+def ran_the_node(out):
+    """Whether ``out`` is the attention node's, not the per-branch fallback's (merge_heads' reshape)."""
+    return out._backward.__qualname__ == "_attention"
 
 
 def copies(params):
@@ -504,7 +525,7 @@ def branch_reference(q, k, v, gammas, masks, num_heads):
     return out
 
 
-class TestAttentionCore:
+class TestAttentionNode:
     @pytest.mark.parametrize("dilations", [(1,), (2, 3), (1, 2, 3, 4)])
     @pytest.mark.parametrize("n_q, n_k, query_batch, panels", [(9, 9, None, 3), (4, 11, 1, 4)])
     @pytest.mark.parametrize("chunk", ["batch", "sample", "rows"])
@@ -521,9 +542,9 @@ class TestAttentionCore:
             pack_bytes = {"batch": 2 * per_sample, "sample": per_sample, "rows": 1}[layout]
             monkeypatch.setattr(mog_module, "_PACK_BYTES", pack_bytes)
             assert len(mog_module._chunks(2, 2, n_q, n_k, 8)) == {"batch": 1, "sample": 2, "rows": 2 * panels}[layout]
-            params, proj = core_inputs(21, 2, 2, n_q, n_k, 8, dilations, query_batch)
-            out = _attention_core(*params, dilations, 2)
-            assert "_attention_core" in out._backward.__qualname__
+            params, proj = qkv_inputs(21, 2, 2, n_q, n_k, 8, dilations, query_batch)
+            out = qkv_attention(*params, dilations, 2)
+            assert ran_the_node(out)
             backward(tsum(out * proj))
             return out.data, params, proj
 
@@ -547,9 +568,9 @@ class TestAttentionCore:
             assert np.abs(p.grad - r.grad).max() < 1e-12, p.name
 
     @pytest.mark.parametrize("structure", ["overlapping", "shared-column"])
-    @pytest.mark.parametrize("path", ["core", "fallback"])
+    @pytest.mark.parametrize("path", ["node", "fallback"])
     def test_classes_need_not_be_residues_or_disjoint(self, path, structure, monkeypatch):
-        # the core and its fallback rely only on the _Classes contract, so
+        # the node and its fallback rely only on the _Classes contract, so
         # both equal the per-branch masked softmax over the structure's own
         # supports: with the last 10 keys of a 74-key memory in every class
         # ("overlapping"), and with the odd rows selecting the residue
@@ -578,10 +599,10 @@ class TestAttentionCore:
             assert set(columns[:, 0]) & set(columns[:, -1])
         masks = [classes.mask(g) for g in range(len(dilations))]
         assert (masks[1] != brute_force_mask(n_q, n_k, 2)).any()
-        params, proj = core_inputs(25, 2, 2, n_q, n_k, 8, dilations)
+        params, proj = qkv_inputs(25, 2, 2, n_q, n_k, 8, dilations)
         refs = copies(params)
-        out = _attention_core(*params, dilations, 2)
-        assert ("_attention_core" in out._backward.__qualname__) == (path == "core")
+        out = qkv_attention(*params, dilations, 2)
+        assert ran_the_node(out) == (path == "node")
         reference = branch_reference(*refs, masks, 2)
         assert np.abs(out.data - reference.data).max() < 1e-12
 
@@ -590,28 +611,28 @@ class TestAttentionCore:
         for p, r in zip(params, refs):
             assert np.abs(p.grad - r.grad).max() < 1e-12, p.name
 
-    def test_mog_forward_is_the_core_over_the_projections(self):
+    def test_mog_forward_is_the_node_over_the_projections(self):
         x, attn = toy_attention(dilations=(1, 2, 3), model_dim=8)
         out = mog_forward(x, attn)
         q, k, v = (x @ w for w in (attn.w_q, attn.w_k, attn.w_v))
-        core = _attention_core(q, k, v, gate_weights(x, attn.gate), (1, 2, 3), 2)
-        assert (out.data == core.data).all()
+        node = qkv_attention(q, k, v, gate_weights(x, attn.gate), (1, 2, 3), 2)
+        assert (out.data == node.data).all()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("query_batch", [None, 1])
     @pytest.mark.parametrize("needs", ["q k v", "q gammas", "gammas", "k v gammas"],
                              ids=["constant-gammas", "constant-k-and-v", "only-gammas", "constant-q"])
     def test_inputs_needing_no_gradient(self, needs, query_batch, dtype):
-        # the chunk pass forms the gradients of just the inputs that need one,
-        # in whichever partial _record asks for first; each gets the bits of
+        # the node forms the gradients of just the inputs that need one, in
+        # whichever partial _record asks for first; each gets the bits of
         # the call where every input needs one, and a constant gets none
         names = ("q", "k", "v", "gammas")
 
         def run(needed):
-            params, proj = core_inputs(24, 2, 2, 5, 7, 8, (1, 2, 3), query_batch)
+            params, proj = qkv_inputs(24, 2, 2, 5, 7, 8, (1, 2, 3), query_batch)
             inputs = [Tensor(p.data.astype(dtype), requires_grad=p.name in needed) for p in params]
-            out = _attention_core(*inputs, (1, 2, 3), 2)
-            assert "_attention_core" in out._backward.__qualname__
+            out = qkv_attention(*inputs, (1, 2, 3), 2)
+            assert ran_the_node(out)
             backward(tsum(out * Tensor(proj.data.astype(dtype))))
             return out.data, inputs
 
@@ -655,8 +676,8 @@ class TestAttentionCore:
             ("gammas", np.array([[0.4, 0.6]])),
         )]
         refs = [Parameter(f"ref_{p.name}", p.data.astype(np.float64)) for p in params]
-        out = _attention_core(*params, (1, 2), 1)
-        assert "_attention_core" not in out._backward.__qualname__  # the fallback ran
+        out = qkv_attention(*params, (1, 2), 1)
+        assert not ran_the_node(out)  # the fallback ran
         assert out.data.dtype == np.float32
         reference = branch_reference(*refs, [build_mask(6, d).bits for d in (1, 2)], 1)
         assert np.abs(out.data - reference.data).max() < 1e-6
@@ -672,7 +693,7 @@ class TestAttentionCore:
     def test_fallback_after_earlier_chunks_ran(self, monkeypatch):
         # one chunk per sample, and only the last sample has the 740 gap, so
         # the first three chunks have written their output and saved arrays
-        # before the core returns the fallback; the queries (batch 1)
+        # before the node returns the fallback; the queries (batch 1)
         # broadcast against all four samples
         monkeypatch.setattr(mog_module, "_PACK_BYTES", 3 * 3 * 8)
         assert len(mog_module._chunks(4, 1, 3, 3, 8)) == 4
@@ -684,8 +705,8 @@ class TestAttentionCore:
         gammas = Parameter("gammas", RngState(10).uniform_array((4, 2), 0.1, 1.0))
         params = [q, k, v, gammas]
         refs = copies(params)
-        out = _attention_core(*params, (1, 2), 1)
-        assert "_attention_core" not in out._backward.__qualname__
+        out = qkv_attention(*params, (1, 2), 1)
+        assert not ran_the_node(out)
         reference = branch_reference(*refs, [build_mask(3, d).bits for d in (1, 2)], 1)
         assert np.abs(out.data - reference.data).max() < 1e-12
 
@@ -698,16 +719,16 @@ class TestAttentionCore:
     @pytest.mark.parametrize("n_q, query_batch", [(53, None), (5, 1)])
     def test_backward_keeps_no_n_by_n_array(self, n_q, query_batch):
         b, h, n_k = 2, 2, 53
-        params, _ = core_inputs(22, b, h, n_q, n_k, 8, (1, 2, 3, 4), query_batch)
-        out = _attention_core(*params, (1, 2, 3, 4), h)
-        arrays = reachable_arrays(out._backward)
+        params, _ = qkv_inputs(22, b, h, n_q, n_k, 8, (1, 2, 3, 4), query_batch)
+        out = qkv_attention(*params, (1, 2, 3, 4), h)
+        arrays = reachable_arrays(out._backward, skip=out._parents)  # besides q, k‖v and gammas
         assert arrays, "the walk found no arrays"
         assert max(a.size for a in arrays) < b * h * n_q * n_k
 
     def test_backward_allocates_no_n_by_n_buffer(self):
         b, h, n, d = 2, 4, 128, 32
-        params, proj = core_inputs(23, b, h, n, n, d, (1, 2, 3, 4))
-        out = _attention_core(*params, (1, 2, 3, 4), h)
+        params, proj = qkv_inputs(23, b, h, n, n, d, (1, 2, 3, 4))
+        out = qkv_attention(*params, (1, 2, 3, 4), h)
         g = proj.data.copy()
         out._backward(g)  # fill the residue cache and size the chunk buffers first
         for p in params:
@@ -727,82 +748,94 @@ class TestAttentionCore:
         assert buffers < 1.0, f"peak {buffers:.2f} (B, H, N, N) buffers"
 
 
-def self_attention_inputs(seed, b, n, d, heads, dilations, dtype=np.float64):
-    """A module's weights, an input x and per-sample gammas (Parameters), and a projection."""
+def attention_inputs(seed, b_x, b, n_q, n_k, d, heads, dilations, cross, dtype=np.float64):
+    """The node's leaves (Parameters): x, the memory when ``cross``, the
+    three weights and per-sample gammas; and a projection."""
     rng = RngState(seed)
-    attn = MoGAttention(MoGConfig(d, heads, dilations), rng, "attn")
-    x = Parameter("x", rng.uniform_array((b, n, d), -1.5, 1.5).astype(dtype))
+    x = Parameter("x", rng.uniform_array((b_x, n_q, d), -1.5, 1.5).astype(dtype))
+    memory = [Parameter("memory", rng.uniform_array((b, n_k, d), -1.5, 1.5).astype(dtype))] if cross else []
+    weights = [Parameter(name, rng.uniform_array((d, d), -0.5, 0.5).astype(dtype)) for name in ("w_q", "w_k", "w_v")]
     gammas = Parameter("gammas", rng.uniform_array((b, len(dilations)), 0.1, 1.0).astype(dtype))
-    for w in (attn.w_q, attn.w_k, attn.w_v):
-        w.data = w.data.astype(dtype)
-    return attn, x, gammas, Tensor(rng.uniform_array((b, n, d), -1.0, 1.0).astype(dtype))
+    return [x, *memory, *weights, gammas], Tensor(rng.uniform_array((b, n_q, d), -1.0, 1.0).astype(dtype))
 
 
-class TestSelfAttention:
-    """The self-attention node against the attention core over the projection nodes."""
+def run_node_and_composed(leaves, proj, dilations, heads):
+    """(output, op, leaf gradients) of the node and of :func:`_composed_attention`
+    over three ``matmul`` projection nodes, each from fresh gradients."""
+    x, *memory, w_q, w_k, w_v, gammas = leaves
+    kv = memory[0] if memory else x
+    runs = []
+    for build in (lambda: _attention(x, memory[0] if memory else None, w_q, w_k, w_v, gammas, dilations, heads),
+                  lambda: _composed_attention(matmul(x, w_q), matmul(kv, w_k), matmul(kv, w_v),
+                                              gammas, dilations, heads)):
+        for p in leaves:
+            p.grad = None
+        out = build()
+        op = out._backward.__qualname__
+        backward(tsum(out * proj))
+        runs.append((out.data, op, [p.grad for p in leaves]))
+    return runs
 
-    @staticmethod
-    def both(attn, x, gammas, proj):
-        """(node, reference) outputs, the op that recorded each and their five
-        gradients, x, w_q, w_k, w_v and gammas."""
-        cfg = attn.config
-        weights = (attn.w_q, attn.w_k, attn.w_v)
-        leaves = [x, *weights, gammas]
-        runs = []
-        for build in (lambda: _self_attention(x, *weights, gammas, cfg.dilations, cfg.num_heads),
-                      lambda: _attention_core(*_projections(x, attn, None), gammas,
-                                              cfg.dilations, cfg.num_heads)):
-            for p in leaves:
-                p.grad = None
-            out = build()
-            op = out._backward.__qualname__
-            backward(tsum(out * proj))
-            runs.append((out.data, op, [p.grad for p in leaves]))
-        return runs
+
+class TestOneNode:
+    """Self- and cross-attention as the one node against the per-branch graph over projection nodes."""
 
     @pytest.mark.parametrize("dilations", [(1,), (1, 2, 3, 4)], ids=["one-branch", "four-branch"])
-    @pytest.mark.parametrize("b, n", [(8, 74), (2, 266)], ids=["packed", "panels"])
-    def test_equals_the_core_over_the_projections(self, b, n, dilations):
+    @pytest.mark.parametrize("cross", [False, True], ids=["self", "cross"])
+    @pytest.mark.parametrize("b_x, b, n_q, n", [(8, 8, 74, 74), (2, 2, 266, 266), (1, 8, 4, 74)],
+                             ids=["packed", "panels", "one-query-sample"])
+    def test_equals_the_composed_graph_over_the_projections(self, b_x, b, n_q, n, cross, dilations):
         # 74 tokens pack two float64 samples into a chunk; 266 tokens split
-        # each sample into four panels of query rows. The forward has the
-        # bits of the core over the projection nodes; the node adds the x
-        # gradients of q, k and v itself, so those sums are reassociated
-        attn, x, gammas, proj = self_attention_inputs(31, b, n, 16, 4, dilations)
-        chunks = mog_module._chunks(b, 4, n, n, 8)
-        assert (len(chunks) < b) if n == 74 else (len(chunks) == 4 * b)
-        (out, op, grads), (ref, ref_op, ref_grads) = self.both(attn, x, gammas, proj)
-        assert (op, ref_op) == ("_self_attention", "_attention_core")
-        assert np.array_equal(out, ref)
-        for name, got, want in zip(("x", "w_q", "w_k", "w_v", "gammas"), grads, ref_grads):
-            assert got.dtype == np.float64, name
-            assert np.abs(got - want).max() < 1e-12, name
+        # each sample into four panels of query rows; batch-1 queries
+        # broadcast against the keys' batch (self-attention then has B = 1).
+        # The output has the bits of the chunk loop over the heads of the
+        # matmul projections, and it and every gradient are within 1e-12 of
+        # the per-branch graph over those projections
+        if not cross:
+            b, n_q = b_x, n
+        leaves, proj = attention_inputs(31, b_x, b, n_q, n, 16, 4, dilations, cross)
+        chunks = mog_module._chunks(b, 4, n_q, n, 8)
+        assert (len(chunks) == 4 * b) if n == 266 else (len(chunks) < b or b == 1)
+        (out, op, grads), (ref, ref_op, ref_grads) = run_node_and_composed(leaves, proj, dilations, 4)
+        assert (op, ref_op) == ("_attention", "reshape")  # merge_heads ends the per-branch graph
+        x, *memory, w_q, w_k, w_v, gammas = leaves
+        kv = memory[0] if memory else x
+        heads = [mog_module._split_heads_data(matmul(t, w).data, 4) for t, w in ((x, w_q), (kv, w_k), (kv, w_v))]
+        assert np.array_equal(out, mog_module._chunk_forward(*heads, gammas.data, dilations)[0])
+        assert np.abs(out - ref).max() < 1e-12
+        for p, got, want in zip(leaves, grads, ref_grads):
+            assert got.dtype == np.float64, p.name
+            assert np.abs(got - want).max() < 1e-12, p.name
 
-    def test_float32_fallback_is_the_composed_graph(self, monkeypatch):
-        # every selected class sum below the floor: both calls build the
-        # per-branch graph over the same three projection nodes, so they
-        # agree bit for bit, and stay within float32 rounding of the core
-        attn, x, gammas, proj = self_attention_inputs(32, 2, 9, 8, 2, (1, 2, 3), np.float32)
-        (core, core_op, core_grads), _ = self.both(attn, x, gammas, proj)
+    @pytest.mark.parametrize("cross", [False, True], ids=["self", "cross"])
+    def test_float32_fallback_is_the_composed_graph(self, cross, monkeypatch):
+        # every selected class sum below the floor: the node returns the
+        # per-branch graph over three projection nodes, which agrees bit for
+        # bit with that graph built directly, and stays within float32
+        # rounding of the node
+        leaves, proj = attention_inputs(32, 2, 2, 9, 11 if cross else 9, 8, 2, (1, 2, 3), cross, np.float32)
+        (node, node_op, node_grads), _ = run_node_and_composed(leaves, proj, (1, 2, 3), 2)
         monkeypatch.setattr(mog_module, "_min_class_sum", lambda dtype: np.inf)
-        (out, op, grads), (ref, ref_op, ref_grads) = self.both(attn, x, gammas, proj)
-        assert core_op == "_self_attention" and op == ref_op == "reshape"  # merge_heads: the fallback ran
+        (out, op, grads), (ref, ref_op, ref_grads) = run_node_and_composed(leaves, proj, (1, 2, 3), 2)
+        assert node_op == "_attention" and op == ref_op == "reshape"  # merge_heads: the fallback ran
         assert out.dtype == np.float32
         assert np.array_equal(out, ref)
-        assert np.abs(out - core).max() < 1e-6
-        for name, got, want, fast in zip(("x", "w_q", "w_k", "w_v", "gammas"), grads, ref_grads, core_grads):
-            assert got.dtype == np.float32, name
-            assert np.array_equal(got, want), name
-            assert np.abs(got - fast).max() < 1e-5, name
+        assert np.abs(out - node).max() < 1e-6
+        for p, got, want, fast in zip(leaves, grads, ref_grads, node_grads):
+            assert got.dtype == np.float32, p.name
+            assert np.array_equal(got, want), p.name
+            assert np.abs(got - fast).max() < 1e-5, p.name
 
-    def test_graph_keeps_no_projection(self):
-        # what the node's closures reach besides x and the weights is per-row
-        # state: nothing of the size of q, k or v
-        attn, x, gammas, _ = self_attention_inputs(33, 2, 53, 16, 2, (1, 2, 3, 4))
-        cfg = attn.config
-        out = _self_attention(x, attn.w_q, attn.w_k, attn.w_v, gammas, cfg.dilations, cfg.num_heads)
-        arrays = reachable_arrays(out._backward, skip=[x, attn.w_q, attn.w_k, attn.w_v, gammas])
+    @pytest.mark.parametrize("cross", [False, True], ids=["self", "cross"])
+    def test_graph_keeps_no_projection(self, cross):
+        # what the node's closures reach besides its inputs is per-row state:
+        # nothing of the size of q, k or v
+        leaves, _ = attention_inputs(33, 2, 2, 53, 61 if cross else 53, 16, 2, (1, 2, 3, 4), cross)
+        x, *memory, w_q, w_k, w_v, gammas = leaves
+        out = _attention(x, memory[0] if memory else None, w_q, w_k, w_v, gammas, (1, 2, 3, 4), 2)
+        arrays = reachable_arrays(out._backward, skip=leaves)
         assert arrays, "the walk found no arrays"
-        assert max(a.size for a in arrays) < x.size
+        assert max(a.size for a in arrays) < min(t.size for t in (x, *memory))
 
 
 @pytest.mark.parametrize("shape, samples, rows, count", [  # shape: (B, H, N_q, N_k, itemsize)
@@ -954,7 +987,7 @@ class TestMaskPath:
         attn = MoGAttention(MoGConfig(8, 2, (1, 2, 3, 4)), rng, "attn")
         x = Tensor(rng.uniform_array((2, 53, 8), -1, 1))
         out = mog_forward(x, attn, memory=x if cross else None)
-        assert out._backward.__qualname__ == ("_attention_core" if cross else "_self_attention")
+        assert ran_the_node(out)
         backward(tsum(out))
 
 

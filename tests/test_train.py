@@ -617,7 +617,7 @@ class TestDtypeAudit:
         before = ancestors([p for c in casts for p in c._parents])
         assert len(before) > 100
         assert sorted({name(n) for n in before if n.data.dtype != np.float32}) == []
-        # what the closures keep, e.g. the attention core's class sums and keys
+        # what the closures keep, e.g. the attention node's class sums and keys
         assert sorted({name(n) for n in before if n._backward
                        and any(a.dtype != np.float32 for a in closure_arrays(n))}) == []
         assert {c.data.dtype for c in casts} == {np.dtype(np.float64)}
@@ -679,7 +679,7 @@ class TestLongSequenceEval:
 
     def test_eval_peak_is_under_half_of_one_forward(self, longseq):
         model, ds = longseq
-        self.full_forward(model, ds)  # size the attention core's reusable buffers first
+        self.full_forward(model, ds)  # size the attention node's reusable buffers first
         eval_mb = traced_peak_mb(lambda: evaluate_model(model, ds))
         full_mb = traced_peak_mb(lambda: self.full_forward(model, ds))
         assert eval_mb < 0.5 * full_mb, (eval_mb, full_mb)
