@@ -213,11 +213,7 @@ _CASES = [
     ("select", _case(lambda table: tensor.select(table, 1, axis=1), ("table", (5, 3)), proj=(5,))),
     ("mean", _case(lambda a: tensor.mean(a, axis=1), ("a", (3, 4, 2)), proj=(3, 2))),
     ("tsum", _case(lambda a: tensor.tsum(a) / 7.0, ("a", (3, 4, 2)), proj=())),
-    ("absolute", _case(tensor.absolute, ("a", (3, 5)), proj=(3, 5))),
-    ("log", _case(tensor.log, ("a", (3, 5), 0.5, 1.5), proj=(3, 5))),
     ("sigmoid", _case(tensor.sigmoid, ("a", (3, 5)), proj=(3, 5))),
-    ("maximum_minimum", _case(lambda a, b: tensor.maximum(a, b) + tensor.minimum(a, 0.25),
-                              ("a", (4, 4)), ("b", (4, 4)), proj=(4, 4))),
     ("softmax", _case(tensor.softmax, ("a", (3, 6)), proj=(3, 6))),
     ("masked_softmax", _case(lambda a: tensor.masked_softmax(a, mog.build_mask(6, 2).bits[:3]),
                              ("a", (2, 3, 6)), proj=(2, 3, 6))),
@@ -227,8 +223,6 @@ _CASES = [
                            ("gate_b", (3,), -0.5, 0.5), proj=(2, 3))),
     ("branch_attention", case_branch_attention),
     ("mog_forward", case_mog_forward),
-    ("giou_pairs", _case(matching.giou_pairs, ("boxes_a", (4, 4), 0.3, 0.6),
-                         ("boxes_b", (4, 4), 0.35, 0.65), proj=(4,))),
     ("match_and_loss", case_match_and_loss),
     ("scs_end_to_end", case_scs_end_to_end),
     ("attention", case_attention),

@@ -1,11 +1,11 @@
 """Box geometry, Hungarian assignment, and the set-matching loss.
 
-Boxes are normalized center form (cx, cy, w, h) in [0, 1]. IoU/GIoU exist
-in two forms: :func:`box_overlaps`, one float64 array kernel, serves the
-metrics, evaluation and the assignment cost (:func:`iou`/:func:`giou` are
-one call of it each), and a Tensor version (:func:`giou_pairs`) feeds the
-differentiable loss. They are tested against a scalar reference, each
-other and a rasterized counting oracle.
+Boxes are normalized center form (cx, cy, w, h) in [0, 1]. IoU/GIoU are
+computed in one place, the float64 array kernel :func:`_overlap`:
+:func:`box_overlaps` returns its two ratios to the metrics, evaluation and
+the assignment cost (:func:`iou`/:func:`giou` are one call of it each),
+and the set loss differentiates through its corners and extents. It is
+tested against a scalar reference and a rasterized counting oracle.
 
 :func:`hungarian` is one rectangular potentials solve of the shorter side
 against the longer, O(min(Q, T)^2 max(Q, T)) with no padding, for every
@@ -15,9 +15,9 @@ the first minimum.
 
 One loss path serves every batch size; a single sample is B = 1. The loss
 matches each sample with :func:`hungarian` on the detached
-:func:`grounding_cost`, then scores the whole batch in one small graph:
-one gather of the matched boxes, one L1 and one GIoU term over every
-matched pair of the batch, and one confidence term over every query.
+:func:`grounding_cost`, then scores the whole batch as one autodiff node:
+one L1 and one GIoU term over every matched pair of the batch, and one
+confidence term over every query.
 """
 
 from __future__ import annotations
@@ -27,17 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from mogref.tensor import (
-    Tensor,
-    absolute,
-    log,
-    maximum,
-    minimum,
-    reshape,
-    select,
-    take_rows,
-    tsum,
-)
+from mogref.tensor import Tensor, _record
 
 
 @dataclass(frozen=True)
@@ -77,10 +67,14 @@ def box_rows(boxes: Sequence[BBox]) -> np.ndarray:
     return np.array([(b.cx, b.cy, b.w, b.h) for b in boxes], dtype=np.float64).reshape(-1, 4)
 
 
-def box_overlaps(a, b) -> tuple[np.ndarray, np.ndarray]:
-    """IoU and GIoU of center-form ``(..., 4)`` boxes that broadcast, in float64.
+def _overlap(a, b) -> tuple[np.ndarray, ...]:
+    """IoU and GIoU of center-form ``(..., 4)`` boxes that broadcast, in
+    float64, after what the set loss differentiates them through.
 
-    Each entry is the textbook scalar formula, operation for operation:
+    Returns the (x, y) corners ``a_lo, a_hi, b_lo, b_hi``, the intersection
+    extents before their clamp at 0 (``gap``) and the enclosure extents
+    (``span``), all ``(..., 2)``, then ``union``, ``enclose``, ``iou`` and
+    ``giou``, all ``(...)``. Each entry is the textbook scalar formula, operation for operation:
     corners ``c -+ size / 2``, intersection and enclosure extents clamped
     and multiplied x by y, union ``area(a) + area(b) - inter``. A union of 0
     needs two zero-area boxes and gives IoU 0. The enclosure can be 0 with a
@@ -90,7 +84,8 @@ def box_overlaps(a, b) -> tuple[np.ndarray, np.ndarray]:
     a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
     a_lo, a_hi = a[..., :2] - a[..., 2:] / 2.0, a[..., :2] + a[..., 2:] / 2.0
     b_lo, b_hi = b[..., :2] - b[..., 2:] / 2.0, b[..., :2] + b[..., 2:] / 2.0
-    overlap = np.maximum(np.minimum(a_hi, b_hi) - np.maximum(a_lo, b_lo), 0.0)
+    gap = np.minimum(a_hi, b_hi) - np.maximum(a_lo, b_lo)
+    overlap = np.maximum(gap, 0.0)
     span = np.maximum(a_hi, b_hi) - np.minimum(a_lo, b_lo)
     inter = overlap[..., 0] * overlap[..., 1]
     union = a[..., 2] * a[..., 3] + b[..., 2] * b[..., 3] - inter
@@ -98,7 +93,12 @@ def box_overlaps(a, b) -> tuple[np.ndarray, np.ndarray]:
     positive, bounded = union > 0.0, enclose > 0.0
     iou_ = np.where(positive, inter / np.where(positive, union, 1.0), 0.0)
     giou_ = np.where(bounded, iou_ - (enclose - union) / np.where(bounded, enclose, 1.0), iou_)
-    return iou_, giou_
+    return a_lo, a_hi, b_lo, b_hi, gap, span, union, enclose, iou_, giou_
+
+
+def box_overlaps(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """IoU and GIoU of center-form ``(..., 4)`` boxes that broadcast, as :func:`_overlap` computes them."""
+    return _overlap(a, b)[-2:]
 
 
 def iou(a: BBox, b: BBox) -> float:
@@ -214,33 +214,6 @@ class LossWeights:
     conf: float = 1.0
 
 
-def _corners(boxes: Tensor) -> tuple[Tensor, Tensor]:
-    """The (M, 2) low and high (x, y) corners of (M, 4) center-form boxes."""
-    halves = reshape(boxes, (boxes.shape[0], 2, 2))  # rows (cx, cy), (w, h)
-    center = select(halves, 0, axis=1)
-    half_size = select(halves, 1, axis=1) * 0.5
-    return center - half_size, center + half_size
-
-
-def _area(extent: Tensor) -> Tensor:
-    """Width times height of (M, 2) extents."""
-    return select(extent, 0, axis=1) * select(extent, 1, axis=1)
-
-
-def giou_pairs(a: Tensor, b: Tensor) -> Tensor:
-    """Rowwise GIoU of two (M, 4) center-form box tensors; differentiable.
-
-    Corners are taken as (M, 2) halves, so each elementwise op covers x and
-    y at once, with the operands and order of the per-column formula.
-    """
-    a_lo, a_hi = _corners(a)
-    b_lo, b_hi = _corners(b)
-    inter = _area(maximum(minimum(a_hi, b_hi) - maximum(a_lo, b_lo), 0.0))
-    union = _area(a_hi - a_lo) + _area(b_hi - b_lo) - inter
-    enclose = _area(maximum(a_hi, b_hi) - minimum(a_lo, b_lo))
-    return inter / union - (enclose - union) / enclose
-
-
 def grounding_cost(boxes: np.ndarray, confidence: np.ndarray, targets: Sequence[BBox],
                    weights: LossWeights = LossWeights()) -> np.ndarray:
     """(..., Q, T) matching cost of (..., Q, 4) boxes and (..., Q) confidences
@@ -269,7 +242,7 @@ def batch_assignment_loss(boxes: Tensor, confidence: Tensor,
                           targets_per_sample: Sequence[Sequence[BBox]],
                           assignments: Sequence[Assignment],
                           weights: LossWeights = LossWeights()) -> Tensor:
-    """Mean over the batch of each sample's loss under a fixed assignment.
+    """Mean over the batch of each sample's loss under a fixed assignment, as one node.
 
     ``boxes`` is (B, Q, 4) and ``confidence`` (B, Q); a single sample is
     B = 1. A sample's loss is L1 + (1 - GIoU) averaged over its M_b
@@ -278,6 +251,12 @@ def batch_assignment_loss(boxes: Tensor, confidence: Tensor,
     scored at once: every matched pair is weighted 1/(M_b B) and every query
     1/(Q B), and the confidence term is -log((1 - y) + (2y - 1) p), which is
     -log p for y = 1 and -log(1 - p) for y = 0 exactly.
+
+    The node computes in float64 whatever its inputs' dtype, takes the GIoU
+    from :func:`_overlap`, as :func:`box_overlaps` does, and writes both
+    gradients by hand. Where a min or max of the GIoU ties, the gradient
+    goes to the prediction's corner, and an intersection extent of exactly
+    0 still passes it.
     """
     _check_batch(boxes, confidence, len(assignments))
     batch, num_q = confidence.shape
@@ -293,13 +272,43 @@ def batch_assignment_loss(boxes: Tensor, confidence: Tensor,
     labels[rows] = 1.0
     labels = labels.reshape(confidence.shape)
 
-    picked = take_rows(reshape(boxes, (batch * num_q, 4)), rows)  # (M, 4)
-    target_tensor = Tensor(box_rows(matched))
-    l1_term = tsum(absolute(picked - target_tensor) * (weights.l1 * pair_w)[:, None])
-    giou_term = tsum((1.0 - giou_pairs(picked, target_tensor)) * (weights.giou * pair_w))
-    likelihood = confidence * (2.0 * labels - 1.0) + (1.0 - labels)
-    conf_term = tsum(log(likelihood) * (-weights.conf / (num_q * batch)))
-    return l1_term + giou_term + conf_term
+    picked = boxes.data.reshape(batch * num_q, 4)[rows].astype(np.float64)  # (M, 4)
+    target_rows = box_rows(matched)
+    a_lo, a_hi, b_lo, b_hi, gap, span, union, enclose, iou_, giou_ = _overlap(picked, target_rows)
+    l1_w, giou_w = (weights.l1 * pair_w)[:, None], weights.giou * pair_w
+    conf_w = -weights.conf / (num_q * batch)
+    diff = picked - target_rows
+    sign = 2.0 * labels - 1.0
+    likelihood = confidence.data.astype(np.float64) * sign + (1.0 - labels)
+    loss = ((np.abs(diff) * l1_w).sum() + ((1.0 - giou_) * giou_w).sum()
+            + (np.log(likelihood) * conf_w).sum())
+
+    def d_boxes(g):
+        # giou = inter / union - (enclose - union) / enclose, with the guards
+        # of _overlap; union = area(a) + area(b) - inter
+        positive, bounded = union > 0.0, enclose > 0.0
+        safe_enclose = np.where(bounded, enclose, 1.0)
+        d_giou = g * -giou_w
+        by_union = np.where(positive, d_giou, 0.0) / np.where(positive, union, 1.0)
+        by_enclose = np.where(bounded, d_giou, 0.0) / safe_enclose
+        d_union = by_enclose - by_union * iou_
+        d_inter = by_union - d_union
+        d_enclose = -by_enclose * union / safe_enclose
+        # inter and enclose are x times y extents; a corner takes what its
+        # min or max passed on
+        d_gap = d_inter[:, None] * np.maximum(gap, 0.0)[:, ::-1] * (gap >= 0.0)
+        d_span = d_enclose[:, None] * span[:, ::-1]
+        d_hi = d_gap * (a_hi <= b_hi) + d_span * (a_hi >= b_hi)
+        d_lo = d_gap * (a_lo >= b_lo) + d_span * (a_lo <= b_lo)  # lo enters both negated
+        d_pairs = np.concatenate([d_hi - d_lo, (d_hi + d_lo) / 2.0 + d_union[:, None] * picked[:, 3:1:-1]],
+                                 axis=1)
+        d_pairs += np.sign(diff) * (l1_w * g)
+        grad = np.zeros((batch * num_q, 4))
+        grad[rows] = d_pairs  # an assignment matches each query at most once
+        return grad.reshape(boxes.shape)
+
+    return _record(batch_assignment_loss, loss, (boxes, confidence),
+                   (d_boxes, lambda g: g * conf_w / likelihood * sign))
 
 
 def grounding_loss(boxes: Tensor, confidence: Tensor, targets_per_sample: Sequence[Sequence[BBox]],

@@ -458,32 +458,6 @@ def div(a, b) -> Tensor:
     return _record(div, data, (a, b), (lambda g: g / b.data, lambda g: -g * data / b.data))
 
 
-def absolute(a) -> Tensor:
-    a = _wrap(a)
-    sign = np.sign(a.data)
-    return _record(absolute, np.abs(a.data), (a,), (lambda g: g * sign,))
-
-
-def log(a) -> Tensor:
-    a = _wrap(a)
-    return _record(log, np.log(a.data), (a,), (lambda g: g / a.data,))
-
-
-def maximum(a, b) -> Tensor:
-    """Elementwise max; ties send the gradient to the first argument."""
-    a, b = _pair(a, b)
-    take_a = a.data >= b.data
-    return _record(maximum, np.maximum(a.data, b.data), (a, b),
-                   (lambda g: g * take_a, lambda g: g * ~take_a))
-
-
-def minimum(a, b) -> Tensor:
-    a, b = _pair(a, b)
-    take_a = a.data <= b.data
-    return _record(minimum, np.minimum(a.data, b.data), (a, b),
-                   (lambda g: g * take_a, lambda g: g * ~take_a))
-
-
 def sigmoid(a) -> Tensor:
     a = _wrap(a)
     x = a.data

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mogref import matching
+from mogref import matching, tensor
 from mogref.data import SyntheticSceneSpec, default_vocab
 from mogref.gradcheck import check_case
 from mogref.matching import (
@@ -17,7 +17,6 @@ from mogref.matching import (
     box_overlaps,
     box_rows,
     giou,
-    giou_pairs,
     grounding_cost,
     grounding_loss,
     hungarian,
@@ -28,11 +27,7 @@ from mogref.rng import RngState
 from mogref.tensor import (
     Parameter,
     Tensor,
-    absolute,
     backward,
-    log,
-    maximum,
-    minimum,
     select,
     sigmoid,
     take_rows,
@@ -89,6 +84,51 @@ def scalar_cost(boxes: np.ndarray, confidence: np.ndarray, targets, weights=Loss
     return cost
 
 
+# The elementwise ops the set loss was once composed of, recorded as the
+# autodiff engine records any op, so the reference loss below is
+# differentiated by backward. A tie in a max or min sends the gradient to
+# the first argument.
+def ref_abs(a: Tensor) -> Tensor:
+    sign = np.sign(a.data)
+    return tensor._record(ref_abs, np.abs(a.data), (a,), (lambda g: g * sign,))
+
+
+def ref_log(a: Tensor) -> Tensor:
+    return tensor._record(ref_log, np.log(a.data), (a,), (lambda g: g / a.data,))
+
+
+def ref_maximum(a, b) -> Tensor:
+    a, b = tensor._pair(a, b)
+    take_a = a.data >= b.data
+    return tensor._record(ref_maximum, np.maximum(a.data, b.data), (a, b),
+                          (lambda g: g * take_a, lambda g: g * ~take_a))
+
+
+def ref_minimum(a, b) -> Tensor:
+    a, b = tensor._pair(a, b)
+    take_a = a.data <= b.data
+    return tensor._record(ref_minimum, np.minimum(a.data, b.data), (a, b),
+                          (lambda g: g * take_a, lambda g: g * ~take_a))
+
+
+def per_column_giou(a: Tensor, b: Tensor) -> Tensor:
+    """Rowwise GIoU of (M, 4) box tensors, one coordinate column at a time,
+    with the union taken from the corners: the loss's GIoU before it was one
+    node."""
+    def corners(boxes):
+        cx, cy, w, h = (select(boxes, k, axis=1) for k in range(4))
+        return cx - w * 0.5, cy - h * 0.5, cx + w * 0.5, cy + h * 0.5
+
+    ax1, ay1, ax2, ay2 = corners(a)
+    bx1, by1, bx2, by2 = corners(b)
+    iw = ref_maximum(ref_minimum(ax2, bx2) - ref_maximum(ax1, bx1), 0.0)
+    ih = ref_maximum(ref_minimum(ay2, by2) - ref_maximum(ay1, by1), 0.0)
+    inter = iw * ih
+    union = (ax2 - ax1) * (ay2 - ay1) + (bx2 - bx1) * (by2 - by1) - inter
+    enclose = (ref_maximum(ax2, bx2) - ref_minimum(ax1, bx1)) * (ref_maximum(ay2, by2) - ref_minimum(ay1, by1))
+    return inter / union - (enclose - union) / enclose
+
+
 def per_sample_loss(boxes: Tensor, confidence: Tensor, targets, assignment,
                     weights=LossWeights()) -> Tensor:
     """One sample's loss term by term: mean L1 and 1 - GIoU over the matched
@@ -99,11 +139,31 @@ def per_sample_loss(boxes: Tensor, confidence: Tensor, targets, assignment,
     picked = take_rows(boxes, matched_q)
     tgt = Tensor(np.stack([targets[t].to_array() for _, t in assignment.pairs]))
     count = len(assignment.pairs)
-    l1_term = tsum(absolute(picked - tgt)) / count
-    giou_term = tsum(1.0 - giou_pairs(picked, tgt)) / count
-    conf_term = (tsum(-log(take_rows(confidence, matched_q)))
-                 + tsum(-log(1.0 - take_rows(confidence, unmatched_q)))) / boxes.shape[0]
+    l1_term = tsum(ref_abs(picked - tgt)) / count
+    giou_term = tsum(1.0 - per_column_giou(picked, tgt)) / count
+    conf_term = (tsum(-ref_log(take_rows(confidence, matched_q)))
+                 + tsum(-ref_log(1.0 - take_rows(confidence, unmatched_q)))) / boxes.shape[0]
     return weights.l1 * l1_term + weights.giou * giou_term + weights.conf * conf_term
+
+
+def assert_loss_matches_reference(boxes0: np.ndarray, conf0: np.ndarray, targets, assignments):
+    """:func:`batch_assignment_loss` against the batch mean of
+    :func:`per_sample_loss`: the value within 1e-12 relative, both
+    gradients within 1e-12. The node takes the union from the box extents,
+    the reference from the corners, so they need not share bits."""
+    boxes, conf = Parameter("boxes", boxes0), Parameter("conf", conf0)
+    total = batch_assignment_loss(boxes, conf, targets, assignments)
+    zero_grads([boxes, conf])
+    backward(total)
+    got = (boxes.grad.copy(), conf.grad.copy())
+
+    ref = sum(per_sample_loss(select(boxes, b, 0), select(conf, b, 0), targets[b], assignment)
+              for b, assignment in enumerate(assignments)) / len(assignments)
+    zero_grads([boxes, conf])
+    backward(ref)
+    assert abs(total.item() - ref.item()) <= 1e-12 * abs(ref.item())
+    assert np.abs(got[0] - boxes.grad).max() < 1e-12
+    assert np.abs(got[1] - conf.grad).max() < 1e-12
 
 
 def random_box(rng: RngState) -> BBox:
@@ -189,18 +249,6 @@ class TestGIoU:
         assert -1.0 <= g <= 1.0
         assert g <= iou(a, b) + 1e-12
 
-    @given(st.integers(0, 100_000))
-    def test_tensor_version_agrees_with_scalar(self, seed):
-        rng = RngState(seed)
-        boxes_a = [random_box(rng) for _ in range(3)]
-        boxes_b = [random_box(rng) for _ in range(3)]
-        tens = giou_pairs(
-            Tensor(np.stack([b.to_array() for b in boxes_a])),
-            Tensor(np.stack([b.to_array() for b in boxes_b])),
-        ).data
-        scal = [giou(a, b) for a, b in zip(boxes_a, boxes_b)]
-        assert np.abs(tens - scal).max() < 1e-12
-
 
 class TestBoxOverlaps:
     @given(st.integers(1, 5), st.integers(1, 5), st.integers(0, 100_000))
@@ -229,60 +277,6 @@ class TestBoxOverlaps:
     def test_scalar_forms_return_python_floats(self):
         a, b = BBox(0.4, 0.4, 0.2, 0.3), BBox(0.5, 0.5, 0.2, 0.2)
         assert type(iou(a, b)) is float and type(giou(a, b)) is float
-
-
-def per_column_giou(a: Tensor, b: Tensor) -> Tensor:
-    """GIoU pairs built one coordinate column at a time: the reference
-    ``giou_pairs`` must equal bit for bit, forward and gradient."""
-    def corners(boxes):
-        cx, cy, w, h = (select(boxes, k, axis=1) for k in range(4))
-        return cx - w * 0.5, cy - h * 0.5, cx + w * 0.5, cy + h * 0.5
-
-    ax1, ay1, ax2, ay2 = corners(a)
-    bx1, by1, bx2, by2 = corners(b)
-    iw = maximum(minimum(ax2, bx2) - maximum(ax1, bx1), 0.0)
-    ih = maximum(minimum(ay2, by2) - maximum(ay1, by1), 0.0)
-    inter = iw * ih
-    union = (ax2 - ax1) * (ay2 - ay1) + (bx2 - bx1) * (by2 - by1) - inter
-    enclose = (maximum(ax2, bx2) - minimum(ax1, bx1)) * (maximum(ay2, by2) - minimum(ay1, by1))
-    return inter / union - (enclose - union) / enclose
-
-
-class TestGIoUHalves:
-    @staticmethod
-    def assert_same(build, a0: np.ndarray, b0: np.ndarray, w: np.ndarray):
-        """Forward and both gradients of ``build`` equal the per-column
-        reference's bits; a NaN (a zero union) is only required to be NaN."""
-        def run(fn):
-            a, b = Parameter("a", a0.copy()), Parameter("b", b0.copy())
-            out = fn(a, b)
-            backward(tsum(out * w))
-            return out.data, a.grad, b.grad
-
-        for got, want in zip(run(build), run(per_column_giou)):
-            nan = np.isnan(want)
-            assert np.array_equal(np.isnan(got), nan)
-            assert np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
-
-    def boxes(self, seed: int, m: int = 7):
-        rng = RngState(seed)
-        a = rng.uniform_array((m, 4), 0.05, 0.6)
-        b = rng.uniform_array((m, 4), 0.05, 0.6)
-        b[0] = a[0]  # identical boxes: every maximum/minimum ties
-        b[1, :2] = a[1, :2]  # shared centers
-        return a, b, rng.uniform_array((m,), -1.0, 1.0)
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_random_boxes_bit_for_bit(self, seed):
-        self.assert_same(giou_pairs, *self.boxes(seed))
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_zero_width_boxes_bit_for_bit(self, seed):
-        a, b, w = self.boxes(seed)
-        a[::2, 2] = 0.0  # zero-width predictions
-        b[1::3, 3] = 0.0  # zero-height targets; row 4 has a zero union
-        with np.errstate(divide="ignore", invalid="ignore"):
-            self.assert_same(giou_pairs, a, b, w)
 
 
 class TestHungarian:
@@ -487,32 +481,97 @@ class TestMatchAndLoss:
     @staticmethod
     def check_batch_against_per_sample_mean(num_q, counts):
         rng = RngState(8 + num_q + len(counts))
-        boxes = Parameter("boxes", rng.uniform_array((len(counts), num_q, 4), 0.3, 0.7))
-        conf = Parameter("conf", rng.uniform_array((len(counts), num_q), 0.2, 0.8))
+        boxes = rng.uniform_array((len(counts), num_q, 4), 0.3, 0.7)
+        conf = rng.uniform_array((len(counts), num_q), 0.2, 0.8)
         targets = [[random_box(rng) for _ in range(n)] for n in counts]
-        total, assignments = grounding_loss(boxes, conf, targets)
+        _, assignments = grounding_loss(Tensor(boxes), Tensor(conf), targets)
         assert [len(a.pairs) for a in assignments] == [min(num_q, n) for n in counts]
-        zero_grads([boxes, conf])
-        backward(total)
-        got = (boxes.grad.copy(), conf.grad.copy())
-
-        ref = None
         for b, assignment in enumerate(assignments):
-            assert assignment.pairs == hungarian(
-                scalar_cost(boxes.data[b], conf.data[b], targets[b])).pairs
-            term = per_sample_loss(select(boxes, b, 0), select(conf, b, 0), targets[b], assignment)
-            ref = term if ref is None else ref + term
-        ref = ref / len(counts)
-        zero_grads([boxes, conf])
-        backward(ref)
-        assert abs(total.item() - ref.item()) < 1e-12
-        assert np.abs(got[0] - boxes.grad).max() < 1e-12
-        assert np.abs(got[1] - conf.grad).max() < 1e-12
+            assert assignment.pairs == hungarian(scalar_cost(boxes[b], conf[b], targets[b])).pairs
+        assert_loss_matches_reference(boxes, conf, targets, assignments)
 
     def test_batch_size_mismatch_rejected(self):
         with pytest.raises(ValueError):
             grounding_loss(Tensor(np.full((2, 1, 4), 0.5)), Tensor(np.full((2, 1), 0.5)),
                            [[BBox(0.5, 0.5, 0.1, 0.1)]])
+
+
+class TestLossNode:
+    """:func:`batch_assignment_loss` is one node, checked against the
+    composed formula it replaced, also where that formula's maxima and
+    minima tie."""
+
+    @given(st.integers(0, 100_000))
+    def test_random_batches_match_the_reference(self, seed):
+        # 1 to 3 samples of 1 to 4 queries, each sample with 1 to 3 targets;
+        # one query may copy its sample's first target exactly, and one may
+        # have zero width
+        rng = RngState(seed)
+        batch, num_q = 1 + rng.randint(3), 1 + rng.randint(4)
+        boxes = np.concatenate([rng.uniform_array((batch, num_q, 2), 0.3, 0.7),
+                                rng.uniform_array((batch, num_q, 2), 0.05, 0.6)], axis=-1)
+        conf = rng.uniform_array((batch, num_q), 0.05, 0.95)
+        targets = [[random_box(rng) for _ in range(1 + rng.randint(3))] for _ in range(batch)]
+        for b in range(batch):
+            if rng.randint(2):
+                boxes[b, rng.randint(num_q)] = targets[b][0].to_array()
+            if rng.randint(4) == 0:
+                boxes[b, rng.randint(num_q), 2] = 0.0
+        _, assignments = grounding_loss(Tensor(boxes), Tensor(conf), targets)
+        assert_loss_matches_reference(boxes, conf, targets, assignments)
+
+    def test_identical_boxes(self):
+        # every max and min of the GIoU ties; each sends the gradient to the prediction
+        targets = [[BBox(0.3, 0.4, 0.2, 0.3), BBox(0.6, 0.6, 0.25, 0.5)], [BBox(0.5, 0.5, 0.1, 0.4)]]
+        boxes = np.array([[t.to_array() for t in targets[0]] + [[0.5, 0.5, 0.1, 0.1]],
+                          [[0.4, 0.4, 0.3, 0.3], targets[1][0].to_array(), [0.5, 0.5, 0.1, 0.4]]])
+        conf = np.array([[0.7, 0.6, 0.2], [0.3, 0.8, 0.5]])
+        assignments = [Assignment(((0, 0), (1, 1)), 0.0), Assignment(((1, 0),), 0.0)]
+        assert_loss_matches_reference(boxes, conf, targets, assignments)
+
+    def test_touching_boxes(self):
+        # dyadic boxes whose edges meet exactly: an intersection extent of 0
+        # still passes its gradient. The target spans x and y in [0.125,
+        # 0.375] and [0.25, 0.75]; the first prediction touches its right
+        # edge, the second its top edge, each with an enclosure larger than
+        # the union, so the extent's gradient is not 0
+        targets = [[BBox(0.25, 0.5, 0.25, 0.5)]] * 2
+        boxes = np.array([[[0.5, 0.5, 0.25, 0.25], [0.5, 0.5, 0.125, 0.125]],
+                          [[0.25, 0.25, 0.125, 0.125], [0.25, 0.875, 0.125, 0.25]]])
+        conf = np.array([[0.6, 0.3], [0.2, 0.9]])
+        assignments = [Assignment(((0, 0),), 0.0), Assignment(((1, 0),), 0.0)]
+        assert_loss_matches_reference(boxes, conf, targets, assignments)
+
+    def test_zero_area_boxes_score_as_box_overlaps(self):
+        # a zero union, where the composed formula gave NaN: IoU 0, and GIoU
+        # the IoU where the enclosure is 0 too, -1 where it is not
+        boxes = Parameter("boxes", np.array([[[0.5, 0.5, 0.0, 0.0]], [[0.5, 0.5, 0.0, 0.0]]]))
+        conf = Parameter("conf", np.full((2, 1), 0.5))
+        targets = [[BBox(0.5, 0.5, 0.0, 0.0)], [BBox(0.25, 0.5, 0.0, 0.5)]]
+        loss = batch_assignment_loss(boxes, conf, targets, [Assignment(((0, 0),), 0.0)] * 2)
+        backward(loss)
+        assert [box_overlaps(boxes.data[b, 0], targets[b][0].to_array())[1] for b in (0, 1)] == [0.0, -1.0]
+        l1, giou_terms, conf_term = 5.0 * 0.75 / 2, 2.0 * ((1.0 - 0.0) + (1.0 + 1.0)) / 2, -np.log(0.5)
+        assert loss.item() == pytest.approx(l1 + giou_terms + conf_term, rel=1e-15)
+        assert np.isfinite(boxes.grad).all() and np.isfinite(conf.grad).all()
+
+    def test_float32_inputs_are_scored_in_float64(self):
+        rng = RngState(4)
+        boxes = rng.uniform_array((2, 3, 4), 0.2, 0.6).astype(np.float32)
+        conf = rng.uniform_array((2, 3), 0.2, 0.8).astype(np.float32)
+        targets = [[random_box(rng) for _ in range(n)] for n in (1, 2)]
+        _, assignments = grounding_loss(Tensor(boxes), Tensor(conf), targets)
+
+        def scored(dtype):
+            params = Parameter("boxes", boxes.astype(dtype)), Parameter("conf", conf.astype(dtype))
+            loss = batch_assignment_loss(*params, targets, assignments)
+            backward(loss)
+            return loss.data, [p.grad for p in params]
+
+        (loss32, grads32), (loss64, grads64) = scored(np.float32), scored(np.float64)
+        assert loss32.dtype == np.float64 and loss32 == loss64
+        for got, want in zip(grads32, grads64):
+            assert got.dtype == np.float32 and np.array_equal(got, want.astype(np.float32))
 
 
 class TestCostMatrix:
@@ -585,7 +644,7 @@ class TestGraphSize:
             targets = [[random_box(rng) for _ in range(1 + b % 3)] for b in range(batch)]
             return recorded_nodes(grounding_loss(boxes, conf, targets)[0])
 
-        assert loss_nodes(2) == loss_nodes(8)
+        assert loss_nodes(2) == loss_nodes(8) == 1
 
     def test_default_training_step_stays_small(self):
         vocab = default_vocab()

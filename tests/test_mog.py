@@ -897,6 +897,43 @@ def test_single_class_spread_equals_the_gemm():
     assert (mog_module._spread(a, classes, out=np.empty((8, 4, 5, 74))) == gemm).all()
 
 
+def test_a_row_panel_shares_its_grids_spread_keys():
+    classes = mog_module._residue_classes(9, 74, (1, 2, 3, 4), np.float64)
+    panel = classes.rows(slice(3, 6))
+    assert panel.spread_keys is classes.spread_keys
+    assert not panel.spread_keys.flags.writeable
+    for g in range(4):
+        assert np.array_equal(panel.mask(g), classes.mask(g)[3:6])
+
+
+def test_row_max_is_ndarray_max_bit_for_bit():
+    # rows with a NaN (first, last, after the maximum), tied maxima, -inf
+    # entries and all -inf; the sign of a tied zero maximum may differ, but
+    # the shifted exponential does not
+    rows = np.array([
+        [np.nan, 1.0, 2.0, 0.5],
+        [1.0, 2.0, 0.5, np.nan],
+        [3.0, np.nan, 3.0, -np.inf],
+        [2.0, -1.0, 2.0, 2.0],
+        [-np.inf, -3.0, -np.inf, -3.0],
+        [-np.inf, -np.inf, -np.inf, -np.inf],
+        [-0.0, 0.0, -1.0, -0.0],
+        [0.0, -0.0, -2.0, 0.0],
+        [-5.0, -0.0, -0.0, -7.0],
+    ])
+    signed_zeros = [6, 7, 8]
+    for dtype in (np.float32, np.float64):
+        x = np.broadcast_to(rows.astype(dtype), (2, 3, *rows.shape))
+        got, want = mog_module._row_max(x), x.max(axis=-1, keepdims=True)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        for r in range(len(rows)):
+            if r not in signed_zeros:
+                assert got[..., r, :].tobytes() == want[..., r, :].tobytes()
+        assert np.array_equal(got, want, equal_nan=True)
+        with np.errstate(invalid="ignore"):
+            assert np.array_equal(np.exp(x - got), np.exp(x - want), equal_nan=True)
+
+
 def class_columns(classes):
     """(n_q, G) column of each row's selected class of each branch."""
     return classes.index % classes.keys.shape[1]
