@@ -249,6 +249,17 @@ class TestGIoU:
         assert -1.0 <= g <= 1.0
         assert g <= iou(a, b) + 1e-12
 
+    @given(st.integers(0, 100_000))
+    def test_tensor_version_agrees_with_scalar(self, seed):
+        # the set loss's GIoU term, weighted alone, is 1 - GIoU of each pair
+        rng = RngState(seed)
+        only_giou = LossWeights(l1=0.0, giou=1.0, conf=0.0)
+        for _ in range(3):
+            a, b = random_box(rng), random_box(rng)
+            loss = batch_assignment_loss(Tensor(a.to_array()[None, None]), Tensor(np.full((1, 1), 0.5)),
+                                         [[b]], [Assignment(((0, 0),), 0.0)], only_giou)
+            assert abs((1.0 - loss.item()) - scalar_iou_giou(a, b)[1]) < 1e-12
+
 
 class TestBoxOverlaps:
     @given(st.integers(1, 5), st.integers(1, 5), st.integers(0, 100_000))
@@ -554,6 +565,37 @@ class TestLossNode:
         l1, giou_terms, conf_term = 5.0 * 0.75 / 2, 2.0 * ((1.0 - 0.0) + (1.0 + 1.0)) / 2, -np.log(0.5)
         assert loss.item() == pytest.approx(l1 + giou_terms + conf_term, rel=1e-15)
         assert np.isfinite(boxes.grad).all() and np.isfinite(conf.grad).all()
+
+    @staticmethod
+    def pairs(seed: int, m: int = 7):
+        """m samples of one query and one target; the first query copies
+        its target (every max and min of the GIoU ties) and the second
+        shares its target's center."""
+        rng = RngState(seed)
+        a = rng.uniform_array((m, 4), 0.05, 0.6)
+        b = rng.uniform_array((m, 4), 0.05, 0.6)
+        b[0] = a[0]
+        b[1, :2] = a[1, :2]
+        return a, b, rng.uniform_array((m, 1), 0.05, 0.95)
+
+    @staticmethod
+    def assert_pairs_match_the_reference(a, b, conf):
+        targets = [[BBox(*row)] for row in b]
+        assert_loss_matches_reference(a[:, None], conf, targets, [Assignment(((0, 0),), 0.0)] * len(a))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_pairs_match_the_reference(self, seed):
+        self.assert_pairs_match_the_reference(*self.pairs(seed))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_zero_width_pairs_match_the_reference(self, seed):
+        a, b, conf = self.pairs(seed)
+        a[::2, 2] = 0.0  # zero-width predictions
+        b[1::3, 3] = 0.0  # zero-height targets
+        # row 4 has a zero union, where the reference is NaN; the node
+        # scores it as box_overlaps does (test_zero_area_boxes_score_as_box_overlaps)
+        keep = np.arange(len(a)) != 4
+        self.assert_pairs_match_the_reference(a[keep], b[keep], conf[keep])
 
     def test_float32_inputs_are_scored_in_float64(self):
         rng = RngState(4)

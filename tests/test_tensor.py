@@ -140,6 +140,26 @@ class TestMaskedSoftmax:
 
         assert check_case("support_products", loss, [p]).worst_rel_err < 1e-4
 
+    def test_backward_row_entropy_matches_oracle(self):
+        # entropy over the mask support, the delicate composition; the
+        # engine has no log op, so the test records its own
+        from mogref.mog import build_mask
+
+        def log(a):
+            return mogref.tensor._record(log, np.log(a.data), (a,), (lambda g: g / a.data,))
+
+        bits = build_mask(6, 2).bits
+        support = np.flatnonzero(bits.reshape(-1))
+        rng = RngState(3)
+        p = Parameter("logits", rng.uniform_array((6, 6), -2, 2))
+
+        def loss():
+            y = masked_softmax(p, bits)
+            picked = take_rows(reshape(y, (36,)), support)
+            return tsum(-picked * log(picked))
+
+        assert check_case("row_entropy", loss, [p]).worst_rel_err < 1e-4
+
 
 class TestLayernorm:
     def test_constant_row_maps_to_zero(self):
